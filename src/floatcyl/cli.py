@@ -77,6 +77,18 @@ def _emit_table(args, command: str, meta: dict, columns: list[str],
         _write(args, "\n".join(lines) + "\n")
 
 
+def _count(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="force, energy, height over the "
                                       "wetting angle")
     _add_param_flags(p)
-    p.add_argument("--resolution", type=int, default=200,
+    p.add_argument("--resolution", type=_count(1), default=200,
                    help="number of grid points on [0, pi]")
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_curves)
@@ -278,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--phi0", type=float, required=True,
                    help="wetting angle (radians unless --degrees)")
-    p.add_argument("--resolution", type=int, default=1000,
+    p.add_argument("--resolution", type=_count(2), default=1000,
                    help="number of interface samples")
     p.add_argument("--psi-cutoff", type=float, default=1e-6,
                    help="inclination cutoff near the far field (rad)")
@@ -293,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-max", type=float, default=12.0)
     p.add_argument("--c-min", type=float, default=0.0)
     p.add_argument("--c-max", type=float, default=5.0)
-    p.add_argument("--resolution", type=int, default=200,
+    p.add_argument("--resolution", type=_count(2), default=200,
                    help="grid cells per axis")
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_region_map)
@@ -306,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_astar)
 
     p = sub.add_parser("verify", help="run the oracle suite")
-    p.add_argument("--samples", type=int, default=100,
+    p.add_argument("--samples", type=_count(1), default=100,
                    help="randomized parameter sets per check")
     p.add_argument("--seed", type=int, default=20240801)
     _add_output_flags(p)

@@ -12,14 +12,14 @@ local minimum).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import bisect
 
-from .model import (DimensionlessParams, center_height, force_slope,
+from .model import (DimensionlessParams, _force, _slope, center_height,
                     total_force)
 
 PI = math.pi
@@ -33,8 +33,11 @@ ROOT_VALUE_TOL = 1e-9
 TANGENCY_TOL = 1e-6
 # Distinct roots closer than this collapse to one.
 _DEDUP_TOL = 1e-7
-# Fallback dense-scan resolution guarding the monotone-segment brackets.
-_SCAN_POINTS = 1000
+# Fallback dense-scan grid guarding the monotone-segment brackets.
+_SCAN_GRID = np.linspace(0.0, PI, 1000)
+# SciPy's bisect defaults: relative tolerance and iteration cap.
+_RTOL = 4.0 * sys.float_info.epsilon
+_MAX_HALVINGS = 100
 
 
 class Stability(str, Enum):
@@ -84,6 +87,33 @@ def _classify(slope: float) -> Stability:
     return Stability.MARGINAL_UNSTABLE
 
 
+def bisect(f, lo, hi):
+    """SciPy's ``bisect(f, lo, hi, xtol=PHI0_TOL)``, bit for bit, elementwise.
+
+    Halve dm, probe xm = xa + dm, keep xm as the new xa when
+    f(xm) f(xa) >= 0, and return xm once f(xm) == 0 or
+    |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
+    Floats stay floats.  Array elements run side by side, each masked by
+    0/1 factors (exact on finite floats), so each equals its scalar run.
+    """
+    fa, fb = f(lo), f(hi)
+    todo = (fa != 0.0) & (fb != 0.0)
+    root = lo * (fa == 0.0) + hi * ((fa != 0.0) & (fb == 0.0))
+    xa, dm = lo, hi - lo
+    for _ in range(_MAX_HALVINGS):
+        dm = dm * 0.5
+        xm = xa + dm
+        fm = f(xm)
+        keep = fm * fa >= 0.0
+        xa = xm * keep + xa * (1 - keep)
+        stop = todo & ((fm == 0.0) | (abs(dm) < PHI0_TOL + _RTOL * abs(xm)))
+        root = root + xm * stop
+        todo = todo ^ stop  # not todo & ~stop: ~True is -2 on Python bools
+        if not (todo.any() if isinstance(todo, np.ndarray) else todo):
+            return root
+    raise RuntimeError(f"bisection not converged in {_MAX_HALVINGS} halvings")
+
+
 def second_extremum_threshold(contact_angle: float) -> float:
     """Capillary ratio above which the force curve has its second extremum.
 
@@ -115,10 +145,11 @@ def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
 
     A bracket whose endpoint slopes do not change sign is dropped.
     """
+    c = params.capillary_ratio
     g = params.contact_angle
 
     def slope(x):
-        return float(force_slope(x, params))
+        return float(_slope(x, c, g))
 
     if g == PI / 2.0:
         brackets = [(0.0, PI / 2.0, ExtremumKind.MINIMUM),
@@ -136,18 +167,76 @@ def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
     for lo, hi, kind in brackets:
         if slope(lo) * slope(hi) >= 0.0:
             continue
-        root = bisect(slope, lo, hi, xtol=PHI0_TOL)
-        points.append(CriticalPoint(float(root), kind))
+        points.append(CriticalPoint(bisect(slope, lo, hi), kind))
     points.sort(key=lambda p: p.phi0)
     return points
 
 
-def _scan_sign_changes(params: DimensionlessParams, n: int):
-    """Brackets from a dense sign scan of F over [0, pi]."""
-    grid = np.linspace(0.0, PI, n)
-    vals = total_force(grid, params)
-    idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    return [(grid[i], grid[i + 1]) for i in idx]
+def _add_root(roots: list[float], x: float) -> bool:
+    """Append x unless a root within _DEDUP_TOL is already listed."""
+    if any(abs(r - x) <= _DEDUP_TOL for r in roots):
+        return False
+    roots.append(x)
+    return True
+
+
+def solve(mass_ratios, capillary_ratio: float, contact_angle: float,
+          critical: list[CriticalPoint] | None = None) -> list[list[float]]:
+    """Ascending zeros of F on [0, pi], one list per mass ratio (a float is one).
+
+    The mass ratio only shifts F, so all share the nodes 0, the critical
+    points and pi.  A node with |F| <= ROOT_VALUE_TOL is a root (the endpoint
+    root at pi, the tangency at A*); each segment whose ends change sign is
+    bisected for all its mass ratios at once.  A dense sign scan backstops
+    the segments: a root it finds away from them is added and reported with
+    ModelInconsistencyWarning.
+    """
+    c, g = capillary_ratio, contact_angle
+    if critical is None:
+        critical = critical_points(
+            DimensionlessParams(0.0, c, g, exploratory=True))
+    a = np.atleast_1d(np.asarray(mass_ratios, dtype=float))
+    nodes = np.array([0.0] + [cp.phi0 for cp in critical] + [PI])
+    f_nodes = _force(nodes, a[:, None], c, g)
+    on_node = np.abs(f_nodes) <= ROOT_VALUE_TOL
+    bracket = ((f_nodes[:, :-1] * f_nodes[:, 1:] < 0.0)
+               & ~on_node[:, :-1] & ~on_node[:, 1:])
+    found = np.hstack([np.where(on_node, nodes, np.nan),
+                       np.full(bracket.shape, np.nan)])
+    for k in np.flatnonzero(bracket.any(axis=0)).tolist():
+        idx = np.flatnonzero(bracket[:, k])
+        # a lone bracket runs on floats: faster, and the same bits
+        sub = a[idx] if idx.size > 1 else float(a[idx[0]])
+        lo, hi = nodes[k:k + 2].tolist()
+        found[idx, len(nodes) + k] = bisect(lambda x: _force(x, sub, c, g),
+                                            lo, hi)
+
+    roots = [[] for _ in a]
+    rows = found.tolist()
+    for i, k in np.argwhere(found == found).tolist():
+        if not _add_root(roots[i], rows[i][k]):
+            found[i, k] = np.nan
+
+    # guard: every strict sign change on the dense grid needs a root nearby
+    pad = PI / len(_SCAN_GRID)
+    shifted = _force(_SCAN_GRID, 0.0, c, g)[:, None] - a * c * c
+    jj, ii = np.nonzero(shifted[:-1] * shifted[1:] < 0.0)
+    near = found[ii]
+    covered = ((near >= _SCAN_GRID[jj, None] - pad)
+               & (near <= _SCAN_GRID[jj + 1, None] + pad)).any(axis=1)
+    for i, j in zip(ii[~covered].tolist(), jj[~covered].tolist()):
+        lo, hi = float(_SCAN_GRID[j]), float(_SCAN_GRID[j + 1])
+        if any(lo - pad <= r <= hi + pad for r in roots[i]):
+            continue
+        a_i = float(a[i])
+        x = float(bisect(lambda x: _force(x, a_i, c, g), lo, hi))
+        warnings.warn(
+            f"dense scan found a root at phi0={x:.12g} outside the monotone-"
+            f"segment structure (A={a_i!r}, C={c!r}, gamma={g!r}); the "
+            "force curve shape assumption is violated here",
+            ModelInconsistencyWarning)
+        _add_root(roots[i], x)
+    return [sorted(lane) for lane in roots]
 
 
 def find_equilibria(params: DimensionlessParams,
@@ -155,60 +244,14 @@ def find_equilibria(params: DimensionlessParams,
                     ) -> list[Equilibrium]:
     """All zeros of the force curve on [0, pi], ascending, with stability.
 
-    Roots come from sign changes on the monotone segments delimited by the
-    critical points, plus segment nodes where |F| is already below
-    ROOT_VALUE_TOL (covering the endpoint root at phi0 = pi and the tangency
-    at the critical mass).  A dense scan backstops the segment structure;
-    any extra root it finds is reported with ModelInconsistencyWarning
-    rather than dropped.
+    The one-mass-ratio call of ``solve``.
     """
-    if critical is None:
-        critical = critical_points(params)
-
-    def f(x):
-        return float(total_force(x, params))
-
-    nodes = [0.0] + [cp.phi0 for cp in critical] + [PI]
-    values = [f(x) for x in nodes]
-
-    roots: list[float] = []
-
-    def add_root(x):
-        for r in roots:
-            if abs(r - x) <= _DEDUP_TOL:
-                return
-        roots.append(x)
-
-    for x, v in zip(nodes, values):
-        if abs(v) <= ROOT_VALUE_TOL:
-            add_root(x)
-    for i in range(len(nodes) - 1):
-        a, b = nodes[i], nodes[i + 1]
-        fa, fb = values[i], values[i + 1]
-        if abs(fa) <= ROOT_VALUE_TOL or abs(fb) <= ROOT_VALUE_TOL:
-            continue
-        if fa * fb < 0.0:
-            add_root(float(bisect(f, a, b, xtol=PHI0_TOL)))
-
-    pad = PI / _SCAN_POINTS
-    for a, b in _scan_sign_changes(params, _SCAN_POINTS):
-        if any(a - pad <= r <= b + pad for r in roots):
-            continue
-        x = float(bisect(f, a, b, xtol=PHI0_TOL))
-        warnings.warn(
-            f"dense scan found a root at phi0={x:.12g} outside the "
-            f"monotone-segment structure (params={params}); the force "
-            "curve shape assumption is violated here",
-            ModelInconsistencyWarning)
-        add_root(x)
-
-    roots.sort()
+    c, g = params.capillary_ratio, params.contact_angle
     out = []
-    for r in roots:
-        slope = float(force_slope(r, params))
-        out.append(Equilibrium(phi0=r, stability=_classify(slope),
-                               force_slope=slope,
-                               height=float(center_height(r, params))))
+    for r in solve(params.mass_ratio, c, g, critical)[0]:
+        slope = float(_slope(r, c, g))
+        out.append(Equilibrium(r, _classify(slope), slope,
+                               float(center_height(r, params))))
     return out
 
 

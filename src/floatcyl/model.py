@@ -46,8 +46,9 @@ class PhysicalParams:
         for name in ("mass_per_length", "density_diff", "surface_tension",
                      "gravity", "radius"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be strictly positive and finite, got {value!r}")
         if not 0.0 <= self.contact_angle <= math.pi:
             raise ValueError(
                 f"contact_angle must lie in [0, pi], got {self.contact_angle!r}")
@@ -73,16 +74,23 @@ class DimensionlessParams:
     exploratory: bool = False
 
     def __post_init__(self):
-        if not self.capillary_ratio > 0.0:
+        a, c = self.mass_ratio, self.capillary_ratio
+        if not 0.0 < c < math.inf:
             raise ValueError(
-                f"capillary_ratio must be strictly positive, got {self.capillary_ratio!r}")
+                f"capillary_ratio must be strictly positive and finite, got {c!r}")
         if not 0.0 <= self.contact_angle <= math.pi:
             raise ValueError(
                 f"contact_angle must lie in [0, pi], got {self.contact_angle!r}")
-        if not self.exploratory and not self.mass_ratio > 0.0:
+        if not self.exploratory and not a > 0.0:
             raise ValueError(
-                f"mass_ratio must be strictly positive, got {self.mass_ratio!r} "
+                f"mass_ratio must be strictly positive, got {a!r} "
                 "(pass exploratory=True to allow it)")
+        # also rejects a non-finite A; sign tests multiply two forces
+        scale = (abs(a) + math.pi) * c * c
+        if not math.isfinite(scale * scale):
+            raise ValueError(
+                f"mass_ratio={a!r} with capillary_ratio={c!r} gives a force "
+                f"scale (|A| + pi) C^2 = {scale:.3g} too large to square")
 
     @property
     def bond_number(self) -> float:
@@ -161,9 +169,12 @@ def total_force(phi0, params: DimensionlessParams):
             - (1/2) C^2 sin(2 phi0) + C^2 phi0.
     """
     _check_phi0(phi0)
-    a = params.mass_ratio
-    c = params.capillary_ratio
-    g = params.contact_angle
+    return _force(phi0, params.mass_ratio, params.capillary_ratio,
+                  params.contact_angle)
+
+
+def _force(phi0, a, c, g):
+    """total_force without the domain check; any phi0 (periodic extension)."""
     return (-a * c * c - 2.0 * np.sin(phi0 + g)
             - 4.0 * c * np.cos((phi0 + g) / 2.0) * np.sin(phi0)
             - 0.5 * c * c * np.sin(2.0 * phi0) + c * c * phi0)
@@ -172,8 +183,11 @@ def total_force(phi0, params: DimensionlessParams):
 def force_slope(phi0, params: DimensionlessParams):
     """dF/d(phi0).  Independent of the mass ratio (it only shifts F)."""
     _check_phi0(phi0)
-    c = params.capillary_ratio
-    g = params.contact_angle
+    return _slope(phi0, params.capillary_ratio, params.contact_angle)
+
+
+def _slope(phi0, c, g):
+    """force_slope without the domain check."""
     return (-2.0 * np.cos(phi0 + g)
             + 2.0 * c * np.sin((phi0 + g) / 2.0) * np.sin(phi0)
             - 4.0 * c * np.cos((phi0 + g) / 2.0) * np.cos(phi0)

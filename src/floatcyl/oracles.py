@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .model import (DimensionlessParams, center_height, center_height_slope,
-                    force_curvature, force_slope, inclination_at_contact,
-                    interface_profile, total_energy, total_force)
+from .model import (DimensionlessParams, _force, center_height,
+                    center_height_slope, force_curvature, force_slope,
+                    inclination_at_contact, interface_profile, total_energy,
+                    total_force)
 
 PI = math.pi
 
@@ -38,6 +38,7 @@ class OracleReport:
 
 
 def _quad(fn, lo, hi, tol, name):
+    from scipy.integrate import quad  # on first use: only oracles need SciPy
     val, abserr = quad(fn, lo, hi, epsabs=tol, epsrel=tol, limit=200)
     if abserr > 50.0 * tol * max(1.0, abs(val)):
         raise QuadratureError(
@@ -179,23 +180,13 @@ def fourier_coefficients(params: DimensionlessParams, nodes: int = 4096):
     a = params.mass_ratio
     c = params.capillary_ratio
     ph = np.arange(nodes) * (4.0 * PI / nodes)
-    periodic = total_force_unchecked(ph, params) + a * c * c - c * c * ph
+    periodic = _force(ph, a, c, params.contact_angle) + a * c * c - c * c * ph
     dph = 4.0 * PI / nodes
     a_n = [float(np.sum(periodic * np.cos(n * ph / 2.0)) * dph / (2.0 * PI))
            for n in range(1, 5)]
     b_n = [float(np.sum(periodic * np.sin(n * ph / 2.0)) * dph / (2.0 * PI))
            for n in range(1, 5)]
     return a_n, b_n
-
-
-def total_force_unchecked(phi0, params: DimensionlessParams):
-    """Force formula without the [0, pi] domain check (periodic extension)."""
-    a = params.mass_ratio
-    c = params.capillary_ratio
-    g = params.contact_angle
-    return (-a * c * c - 2.0 * np.sin(phi0 + g)
-            - 4.0 * c * np.cos((phi0 + g) / 2.0) * np.sin(phi0)
-            - 0.5 * c * c * np.sin(2.0 * phi0) + c * c * phi0)
 
 
 def expected_fourier_coefficients(params: DimensionlessParams):

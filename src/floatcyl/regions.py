@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import bisect
 
-from .equilibria import (ROOT_VALUE_TOL, NoSecondCriticalPointError,
-                         critical_mass_ratio, critical_points, find_equilibria,
-                         second_extremum_threshold)
+from .equilibria import (NoSecondCriticalPointError, bisect,
+                         critical_mass_ratio, find_equilibria,
+                         second_extremum_threshold, solve)
 from .intersection import intersection_margin, validity
 from .model import DimensionlessParams, total_force
 
@@ -135,11 +134,8 @@ def tangency_boundary_c(contact_angle: float, mass_ratio: float,
         hi *= 2.0
     else:
         return None
-
-    def g(c):
-        return critical_mass_ratio(c, contact_angle)[0] - mass_ratio
-
-    return float(bisect(g, lo, hi, xtol=1e-12))
+    return bisect(lambda c: critical_mass_ratio(c, contact_angle)[0]
+                  - mass_ratio, lo, hi)
 
 
 def tangency_curve_from_mass_ratios(contact_angle: float,
@@ -286,57 +282,6 @@ def classify_point(params: DimensionlessParams):
     return _label(len(eqs), n_valid, params), details
 
 
-def _column_roots(a_values, c: float, contact_angle: float, cps):
-    """Force-balance roots for one grid column, vectorized over mass ratio.
-
-    The mass ratio enters the force only as the constant -A C^2, so for a
-    fixed column the roots of every cell solve F(phi; A=0) = A C^2 on the
-    same monotone segments.  Node values within ROOT_VALUE_TOL of the
-    target count as roots at the node, matching the scalar solver.
-    """
-    base = DimensionlessParams(0.0, c, contact_angle, exploratory=True)
-    targets = np.asarray(a_values, dtype=float) * c * c
-    nodes = np.array([0.0] + [cp.phi0 for cp in cps] + [PI])
-    f_nodes = total_force(nodes, base)
-
-    roots = [[] for _ in targets]
-    near_node = np.abs(f_nodes[None, :] - targets[:, None]) <= ROOT_VALUE_TOL
-    for i, k in np.argwhere(near_node):
-        roots[i].append(float(nodes[k]))
-
-    for k in range(len(nodes) - 1):
-        da = f_nodes[k] - targets
-        db = f_nodes[k + 1] - targets
-        active = ((da * db < 0.0)
-                  & (np.abs(da) > ROOT_VALUE_TOL)
-                  & (np.abs(db) > ROOT_VALUE_TOL))
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            continue
-        lo = np.full(idx.size, nodes[k])
-        hi = np.full(idx.size, nodes[k + 1])
-        t = targets[idx]
-        increasing = f_nodes[k + 1] > f_nodes[k]
-        for _ in range(46):
-            mid = 0.5 * (lo + hi)
-            above = (total_force(mid, base) > t) == increasing
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        mids = 0.5 * (lo + hi)
-        for i, r in zip(idx, mids):
-            roots[i].append(float(r))
-
-    # guard: strict sign changes on a dense grid must equal the root count
-    grid = np.linspace(0.0, PI, 1000)
-    f_grid = total_force(grid, base)
-    diffs = (f_grid[:-1, None] - targets) * (f_grid[1:, None] - targets)
-    scan_counts = (diffs < 0.0).sum(axis=0)
-
-    for lst in roots:
-        lst.sort()
-    return roots, scan_counts
-
-
 def region_map(contact_angle: float,
                a_range: tuple[float, float] = (0.0, 12.0),
                c_range: tuple[float, float] = (0.0, 5.0),
@@ -347,9 +292,8 @@ def region_map(contact_angle: float,
     Axes exclude the lower edge of each range (A and C must stay positive)
     and include the upper.  labels[i, j] corresponds to
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
-    validity produce at that point; columns are solved vectorized and any
-    cell whose dense-scan root count disagrees falls back to the scalar
-    solver.
+    validity produce at that point: each column is one call of the same
+    solver, over all its mass ratios at once.
     """
     n_a, n_c = resolution
     if n_a < 2 or n_c < 2:
@@ -364,15 +308,9 @@ def region_map(contact_angle: float,
     labels = np.empty((n_a, n_c), dtype=object)
     for j, c in enumerate(c_axis):
         c = float(c)
-        # extrema depend on (C, gamma) only: compute once per column
-        cps = critical_points(DimensionlessParams(1.0, c, contact_angle))
-        col_roots, scan_counts = _column_roots(a_axis, c, contact_angle, cps)
-        for i, a in enumerate(a_axis):
-            params = DimensionlessParams(float(a), c, contact_angle)
-            cell_roots = col_roots[i]
-            if scan_counts[i] != len(cell_roots):
-                cell_roots = [eq.phi0
-                              for eq in find_equilibria(params, critical=cps)]
+        for i, (a, cell_roots) in enumerate(
+                zip(a_axis.tolist(), solve(a_axis, c, contact_angle))):
+            params = DimensionlessParams(a, c, contact_angle)
             n_valid = sum(1 for r in cell_roots
                           if not validity(r, params).intersecting)
             labels[i, j] = _label(len(cell_roots), n_valid, params)

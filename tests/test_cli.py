@@ -45,6 +45,18 @@ class TestEquilibria:
         assert rows[0][2] == "stable"
         assert rows[1][2] == "unstable"
         assert rows[0][3] == "true"
+        # default output is pinned byte for byte
+        assert out == (
+            "# schema: 1\n"
+            "# command: equilibria\n"
+            "# input_mode: dimensionless\n"
+            "# mass_ratio: 3.8\n"
+            "# capillary_ratio: 2\n"
+            "# contact_angle: 1.5707963\n"
+            "phi0_rad,height_over_a,stability,valid,intersection_margin,"
+            "overhang_regime\n"
+            "2.39151833155,-1.13057857858,stable,true,,not_applicable\n"
+            "3.0177929157,-1.65435725444,unstable,true,,not_applicable\n")
 
     def test_no_equilibrium_exit_code(self, capsys):
         code, out = run_cli(capsys, ["equilibria", "--gamma", "0",
@@ -176,6 +188,17 @@ class TestAstar:
         assert float(row[3]) == pytest.approx(2 + 2 + PI - 2 * math.sqrt(2),
                                               abs=1e-6)
         assert row[5] != ""  # large-C series present
+        # default output is pinned byte for byte
+        assert out == (
+            "# schema: 1\n"
+            "# command: astar\n"
+            "# contact_angle: 1.5707963\n"
+            "# capillary_ratio: 1\n"
+            "capillary_ratio,critical_mass_ratio,phi0_star_rad,"
+            "small_c_mass_ratio,small_c_phi0_rad,large_c_mass_ratio,"
+            "large_c_phi0_rad\n"
+            "1,5.80925871956,2.70094925288,4.31316552884,2.90242117983,"
+            "5.38398309427,2.90475377422\n")
 
     def test_other_angle_numeric_only(self, capsys):
         code, out = run_cli(capsys, ["astar", "--gamma", "2.356194490192345",
@@ -235,9 +258,51 @@ class TestVerify:
 
 class TestPlumbing:
     def test_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["equilibria", "--A", "3.8", "--C", "2"])  # missing --gamma
-        assert exc.value.code == 2
+        for argv in (
+                ["equilibria", "--A", "3.8", "--C", "2"],  # missing --gamma
+                # counts below the library's minimum
+                ["curves", "--gamma", "1", "--A", "1", "--C", "1",
+                 "--resolution", "0"],
+                ["curves", "--gamma", "1", "--A", "1", "--C", "1",
+                 "--resolution", "-5"],
+                ["profile", "--gamma", "1", "--A", "1", "--C", "1",
+                 "--phi0", "0.5", "--resolution", "1"],
+                ["region-map", "--gamma", "1", "--resolution", "1"],
+                ["verify", "--samples", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+
+    @pytest.mark.parametrize("argv,field", [
+        (["equilibria", "--gamma", "1", "--A", "1", "--C", "inf"],
+         "capillary_ratio"),
+        (["equilibria", "--gamma", "1", "--A", "1", "--C", "1e300"],
+         "capillary_ratio"),
+        (["equilibria", "--gamma", "1", "--C", "1", "--A", "inf"],
+         "mass_ratio"),
+        (["equilibria", "--gamma", "1", "--C", "1", "--A", "1e300"],
+         "mass_ratio"),
+        (["astar", "--gamma", "2", "--C", "inf"], "capillary_ratio"),
+        (["astar", "--gamma", "2", "--C", "1e300"], "capillary_ratio"),
+    ])
+    def test_nonfinite_input_is_domain_error(self, argv, field):
+        proc = subprocess.run([sys.executable, "-m", "floatcyl.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert field in lines[0]
+
+    def test_import_leaves_scipy_unloaded(self):
+        # SciPy serves only the oracle suite and loads on its first use
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, floatcyl.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "eq.csv"

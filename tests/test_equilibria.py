@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect as scipy_bisect
 
 from floatcyl.equilibria import (ExtremumKind, NoSecondCriticalPointError,
                                  Stability, UnsupportedRegimeError,
-                                 asymptotic_critical_mass, critical_mass_ratio,
-                                 critical_points, find_equilibria,
-                                 second_extremum_threshold)
-from floatcyl.model import DimensionlessParams, total_force
+                                 asymptotic_critical_mass, bisect,
+                                 critical_mass_ratio, critical_points,
+                                 find_equilibria, second_extremum_threshold,
+                                 solve)
+from floatcyl.model import DimensionlessParams, _force, _slope, total_force
 
 PI = math.pi
 
@@ -226,3 +228,66 @@ class TestCriticalMass:
             asymptotic_critical_mass(1.0, PI / 2, "medium")
         with pytest.raises(ValueError, match="capillary_ratio"):
             asymptotic_critical_mass(-1.0, PI / 2, "small")
+
+
+def _random_brackets(kernel, n, seed):
+    """n (a, c, g, lo, hi) draws whose kernel values change sign on [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        a, c, g = rng.uniform(0.05, 15.0), rng.uniform(0.05, 6.0), rng.uniform(0.0, PI)
+        lo, hi = sorted(rng.uniform(0.0, PI, 2).tolist())
+        if kernel(lo, a, c, g) * kernel(hi, a, c, g) < 0.0:
+            out.append((a, c, g, lo, hi))
+    return out
+
+
+def _slope_of(x, a, c, g):
+    return _slope(x, c, g)
+
+
+class TestBisect:
+    """The shared bisection reproduces SciPy's bisect bit for bit."""
+
+    @pytest.mark.parametrize("kernel", [_force, _slope_of])
+    def test_equals_scipy_on_random_brackets(self, kernel):
+        draws = _random_brackets(kernel, 200, seed=31)
+        expected = []
+        for a, c, g, lo, hi in draws:
+            def f(x):
+                return float(kernel(x, a, c, g))
+            want = scipy_bisect(f, lo, hi, xtol=1e-12)
+            got = bisect(f, lo, hi)
+            assert type(got) is float
+            assert got == want
+            expected.append(want)
+        a, c, g, lo, hi = (np.array(col) for col in zip(*draws))
+        got = bisect(lambda x: kernel(x, a, c, g), lo, hi)
+        assert got.tolist() == expected
+
+    def test_zero_at_either_end(self):
+        def f(x):
+            return x - 1.0
+        for lo, hi in ((1.0, 2.0), (0.0, 1.0), (0.3, 2.5)):
+            assert bisect(f, lo, hi) == scipy_bisect(f, lo, hi, xtol=1e-12)
+        lo = np.array([1.0, 0.0, 0.3])
+        hi = np.array([2.0, 1.0, 2.5])
+        assert bisect(f, lo, hi).tolist() == [
+            1.0, 1.0, scipy_bisect(f, 0.3, 2.5, xtol=1e-12)]
+
+    def test_increasing_and_decreasing(self):
+        for f in (np.cos, lambda x: -np.cos(x), lambda x: 1.0 - x * x,
+                  lambda x: x ** 3 - 2.0):
+            want = scipy_bisect(f, 0.0, 3.0, xtol=1e-12)
+            assert bisect(f, 0.0, 3.0) == want
+            assert bisect(f, np.zeros(2), np.full(2, 3.0)).tolist() == [want] * 2
+
+
+class TestSolve:
+    def test_column_matches_find_equilibria(self):
+        # one call over many mass ratios gives each cell's roots bit for bit
+        a = np.linspace(0.0, 12.0, 121)[1:]
+        for c, g in ((2.0, PI / 2), (0.7, 0.4), (3.1, 2.6), (1.3, PI)):
+            column = solve(a, c, g)
+            assert column == [[eq.phi0 for eq in find_equilibria(params(x, c, g))]
+                              for x in a.tolist()]

@@ -45,6 +45,12 @@ class TestParams:
         ("surface_tension", 0.0),
         ("gravity", 0.0),
         ("radius", -0.5),
+        ("mass_per_length", math.inf),
+        ("density_diff", math.nan),
+        ("surface_tension", math.inf),
+        ("gravity", math.nan),
+        ("radius", math.inf),
+        ("contact_angle", math.nan),
     ])
     def test_conversion_rejects_nonpositive(self, field, value):
         kwargs = dict(mass_per_length=1.0, density_diff=1.0,
@@ -62,6 +68,16 @@ class TestParams:
         with pytest.raises(ValueError, match="mass_ratio"):
             params(a=-1.0)
         assert params(a=-1.0, exploratory=True).mass_ratio == -1.0
+        # non-finite input, and force scales whose square overflows
+        for c in (math.inf, math.nan, 1e300):
+            with pytest.raises(ValueError, match="capillary_ratio"):
+                params(c=c)
+        with pytest.raises(ValueError, match="contact_angle"):
+            params(g=math.nan)
+        for a in (math.inf, -math.inf, math.nan, 1e300):
+            with pytest.raises(ValueError, match="mass_ratio"):
+                params(a=a, exploratory=True)
+        assert params(a=1e100, c=1e-30).mass_ratio == 1e100
 
     def test_angles_constraint(self):
         ang = Angles(phi0=0.7, contact_angle=1.1)

@@ -19,8 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (DimensionlessParams, _force, _slope, center_height,
-                    total_force)
+from .model import DimensionlessParams, _force, _height, _slope
 
 PI = math.pi
 
@@ -35,6 +34,13 @@ TANGENCY_TOL = 1e-6
 _DEDUP_TOL = 1e-7
 # Fallback dense-scan grid guarding the monotone-segment brackets.
 _SCAN_GRID = np.linspace(0.0, PI, 1000)
+# A root within _SCAN_PAD of grid interval j, i.e. in
+# [_SCAN_FROM[j], _SCAN_TO[j]], accounts for a sign change there.
+_SCAN_PAD = PI / len(_SCAN_GRID)
+_SCAN_FROM = _SCAN_GRID[:-1] - _SCAN_PAD
+_SCAN_TO = _SCAN_GRID[1:] + _SCAN_PAD
+# pad < grid step: a root's window spans at most three intervals
+_WINDOW = np.arange(3)
 # SciPy's bisect defaults: relative tolerance and iteration cap.
 _RTOL = 4.0 * sys.float_info.epsilon
 _MAX_HALVINGS = 100
@@ -93,10 +99,27 @@ def bisect(f, lo, hi):
     Halve dm, probe xm = xa + dm, keep xm as the new xa when
     f(xm) f(xa) >= 0, and return xm once f(xm) == 0 or
     |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
-    Floats stay floats.  Array elements run side by side, each masked by
-    0/1 factors (exact on finite floats), so each equals its scalar run.
+    Floats run SciPy's loop as written.  Array elements run side by side,
+    each masked by 0/1 factors (exact on finite floats), so each equals its
+    scalar run.
     """
     fa, fb = f(lo), f(hi)
+    if not any(isinstance(v, np.ndarray) for v in (fa, fb, lo, hi)):
+        if fa == 0.0:
+            return lo
+        if fb == 0.0:
+            return hi
+        xa, dm = lo, hi - lo
+        for _ in range(_MAX_HALVINGS):
+            dm *= 0.5
+            xm = xa + dm
+            fm = f(xm)
+            if fm * fa >= 0.0:
+                xa = xm
+            if fm == 0.0 or abs(dm) < PHI0_TOL + _RTOL * abs(xm):
+                return xm
+        raise RuntimeError(
+            f"bisection not converged in {_MAX_HALVINGS} halvings")
     todo = (fa != 0.0) & (fb != 0.0)
     root = lo * (fa == 0.0) + hi * ((fa != 0.0) & (fb == 0.0))
     xa, dm = lo, hi - lo
@@ -108,8 +131,8 @@ def bisect(f, lo, hi):
         xa = xm * keep + xa * (1 - keep)
         stop = todo & ((fm == 0.0) | (abs(dm) < PHI0_TOL + _RTOL * abs(xm)))
         root = root + xm * stop
-        todo = todo ^ stop  # not todo & ~stop: ~True is -2 on Python bools
-        if not (todo.any() if isinstance(todo, np.ndarray) else todo):
+        todo = todo & ~stop
+        if not todo.any():
             return root
     raise RuntimeError(f"bisection not converged in {_MAX_HALVINGS} halvings")
 
@@ -130,11 +153,13 @@ def second_extremum_threshold(contact_angle: float) -> float:
     return math.cos(contact_angle) / (2.0 * math.sin(contact_angle / 2.0))
 
 
-def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
-    """Interior extrema of the force curve, ascending in phi0.
+def force_extrema(capillary_ratios, contact_angle: float):
+    """Interior minimum and maximum of the force curve for each capillary ratio.
 
-    The slope dF/dphi0 does not involve the mass ratio, so the extrema
-    depend on (C, gamma) only.  Bracketing follows the regime structure:
+    Returns two float arrays shaped like ``capillary_ratios``, NaN where
+    that extremum does not exist; a minimum lies below every maximum.  The
+    slope dF/dphi0 does not involve the mass ratio, so the extrema depend on
+    (C, gamma) only.  Bracketing follows the regime structure:
 
     * gamma = pi/2: one minimum in (0, pi/2), one maximum in (pi/2, pi),
       mirror images about pi/2.
@@ -143,33 +168,53 @@ def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
     * gamma < pi/2: a minimum in (0, pi/2) always; a maximum in (3pi/4, pi)
       exactly when the slope at phi0 = pi is negative.
 
-    A bracket whose endpoint slopes do not change sign is dropped.
+    A bracket whose endpoint slopes do not change sign is dropped.  Each
+    bracket is bisected once over every capillary ratio it holds; a lone one
+    runs on floats, which gives the same bits faster.
     """
-    c = params.capillary_ratio
-    g = params.contact_angle
-
-    def slope(x):
-        return float(_slope(x, c, g))
-
+    c = np.asarray(capillary_ratios, dtype=float)
+    g = contact_angle
+    # (lo, hi, the bracket needs slope(lo) < 0, ... needs slope(hi) < 0)
     if g == PI / 2.0:
-        brackets = [(0.0, PI / 2.0, ExtremumKind.MINIMUM),
-                    (PI / 2.0, PI, ExtremumKind.MAXIMUM)]
+        brackets = [(0.0, PI / 2.0, False, False), (PI / 2.0, PI, False, False)]
     elif g > PI / 2.0:
-        brackets = [(PI / 2.0, PI, ExtremumKind.MAXIMUM)]
-        if slope(0.0) < 0.0:
-            brackets.insert(0, (0.0, PI / 4.0, ExtremumKind.MINIMUM))
+        brackets = [(0.0, PI / 4.0, True, False), (PI / 2.0, PI, False, False)]
     else:
-        brackets = [(0.0, PI / 2.0, ExtremumKind.MINIMUM)]
-        if slope(PI) < 0.0:
-            brackets.append((3.0 * PI / 4.0, PI, ExtremumKind.MAXIMUM))
+        brackets = [(0.0, PI / 2.0, False, False),
+                    (3.0 * PI / 4.0, PI, False, True)]
+    # one capillary ratio runs on floats: faster, and the same bits
+    c_or_float = c.item() if c.size == 1 else c
+    out = []
+    for lo, hi, lo_negative, hi_negative in brackets:
+        s_lo, s_hi = _slope(lo, c_or_float, g), _slope(hi, c_or_float, g)
+        ok = s_lo * s_hi < 0.0
+        if lo_negative:
+            ok = ok & (s_lo < 0.0)
+        if hi_negative:
+            ok = ok & (s_hi < 0.0)
+        phi = np.full(c.shape, np.nan)
+        idx = np.flatnonzero(ok)
+        if idx.size > 1:
+            sub = c.flat[idx]
+            phi.flat[idx] = bisect(lambda x: _slope(x, sub, g), lo, hi)
+        elif idx.size:
+            one = float(c.flat[idx[0]])
+            phi.flat[idx] = bisect(lambda x: float(_slope(x, one, g)), lo, hi)
+        out.append(phi)
+    return out[0], out[1]
 
-    points = []
-    for lo, hi, kind in brackets:
-        if slope(lo) * slope(hi) >= 0.0:
-            continue
-        points.append(CriticalPoint(bisect(slope, lo, hi), kind))
-    points.sort(key=lambda p: p.phi0)
-    return points
+
+def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
+    """Interior extrema of the force curve, ascending in phi0.
+
+    The one-capillary-ratio call of ``force_extrema``.
+    """
+    minimum, maximum = force_extrema(params.capillary_ratio,
+                                     params.contact_angle)
+    return [CriticalPoint(float(phi), kind)
+            for phi, kind in ((minimum, ExtremumKind.MINIMUM),
+                              (maximum, ExtremumKind.MAXIMUM))
+            if phi == phi]
 
 
 def _add_root(roots: list[float], x: float) -> bool:
@@ -180,63 +225,172 @@ def _add_root(roots: list[float], x: float) -> bool:
     return True
 
 
-def solve(mass_ratios, capillary_ratio: float, contact_angle: float,
-          critical: list[CriticalPoint] | None = None) -> list[list[float]]:
-    """Ascending zeros of F on [0, pi], one list per mass ratio (a float is one).
+def padded_roots(mass_ratios, capillary_ratios, contact_angle: float,
+                 critical: list[CriticalPoint] | None = None) -> np.ndarray:
+    """Ascending zeros of F on [0, pi] for every cell, padded with NaN.
 
-    The mass ratio only shifts F, so all share the nodes 0, the critical
-    points and pi.  A node with |F| <= ROOT_VALUE_TOL is a root (the endpoint
-    root at pi, the tangency at A*); each segment whose ends change sign is
-    bisected for all its mass ratios at once.  A dense sign scan backstops
-    the segments: a root it finds away from them is added and reported with
-    ModelInconsistencyWarning.
+    The cells are the broadcast of ``mass_ratios`` against
+    ``capillary_ratios``; the result has the broadcast shape plus one
+    trailing axis of roots.  Each capillary ratio is a column: its cells
+    share the nodes 0, the column's extrema (``critical`` for every column
+    when given) and pi, a missing extremum giving a zero-length segment.  A
+    node with |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi, the
+    tangency at A*); each segment is bisected once over every cell whose
+    ends change sign there.  Roots closer than _DEDUP_TOL count once, and
+    ``_scan_guard`` backstops the segments.
     """
-    c, g = capillary_ratio, contact_angle
+    g = contact_angle
+    cap = np.asarray(capillary_ratios, dtype=float)
     if critical is None:
-        critical = critical_points(
-            DimensionlessParams(0.0, c, g, exploratory=True))
-    a = np.atleast_1d(np.asarray(mass_ratios, dtype=float))
-    nodes = np.array([0.0] + [cp.phi0 for cp in critical] + [PI])
-    f_nodes = _force(nodes, a[:, None], c, g)
+        minimum, maximum = force_extrema(cap.ravel(), g)
+        col_nodes = np.stack([np.zeros(cap.size),
+                              np.where(minimum == minimum, minimum, 0.0),
+                              np.where(maximum == maximum, maximum, PI),
+                              np.full(cap.size, PI)], axis=1)
+    else:
+        phis = [cp.phi0 for cp in critical]
+        # at least four nodes: missing extrema become zero-length segments
+        col_nodes = np.array(
+            [[0.0] * max(1, 3 - len(phis)) + phis + [PI]] * cap.size)
+    # each cell's column: its nodes, its capillary ratio, its scan.
+    # Broadcast by arithmetic: x * 1.0 and j + 0 are exact.
+    a = np.asarray(mass_ratios, dtype=float)
+    ones = np.ones(np.broadcast(a, cap).shape)
+    shape = ones.shape
+    col = (np.arange(cap.size).reshape(cap.shape) + ones.astype(np.int64) - 1
+           ).ravel()
+    a = (a * ones).ravel()
+    c = cap.ravel()[col]
+    nodes = col_nodes[col]
+    # one capillary ratio runs on floats: faster, and the same bits
+    c_cells = cap.item() if cap.size == 1 else c[:, None]
+
+    f_nodes = _force(nodes, a[:, None], c_cells, g)
     on_node = np.abs(f_nodes) <= ROOT_VALUE_TOL
     bracket = ((f_nodes[:, :-1] * f_nodes[:, 1:] < 0.0)
                & ~on_node[:, :-1] & ~on_node[:, 1:])
-    found = np.hstack([np.where(on_node, nodes, np.nan),
-                       np.full(bracket.shape, np.nan)])
+    n_nodes = nodes.shape[1]
+    found = np.full((a.size, 2 * n_nodes - 1), np.nan)
+    found[:, :n_nodes] = np.where(on_node, nodes, np.nan)
     for k in np.flatnonzero(bracket.any(axis=0)).tolist():
         idx = np.flatnonzero(bracket[:, k])
         # a lone bracket runs on floats: faster, and the same bits
-        sub = a[idx] if idx.size > 1 else float(a[idx[0]])
-        lo, hi = nodes[k:k + 2].tolist()
-        found[idx, len(nodes) + k] = bisect(lambda x: _force(x, sub, c, g),
-                                            lo, hi)
+        if idx.size > 1:
+            sa, sc = a[idx], c[idx]
+            found[idx, n_nodes + k] = bisect(
+                lambda x: _force(x, sa, sc, g), nodes[idx, k],
+                nodes[idx, k + 1])
+        else:
+            i = int(idx[0])
+            sa, sc = float(a[i]), float(c[i])
+            found[i, n_nodes + k] = bisect(
+                lambda x: float(_force(x, sa, sc, g)), float(nodes[i, k]),
+                float(nodes[i, k + 1]))
 
-    roots = [[] for _ in a]
-    rows = found.tolist()
-    for i, k in np.argwhere(found == found).tolist():
-        if not _add_root(roots[i], rows[i][k]):
-            found[i, k] = np.nan
+    # of roots closer than _DEDUP_TOL keep the first in node-then-segment
+    # order; only rows holding such a pair need the sequential pass.  Sorts
+    # are stable here and in the guard: nearly sorted input, and a smaller
+    # code footprint than the default sort.
+    roots = np.sort(found, axis=1, kind="stable")
+    close = (roots[:, 1:] - roots[:, :-1] <= _DEDUP_TOL).any(axis=1)
+    for i in np.flatnonzero(close).tolist():
+        kept = []
+        for x in found[i].tolist():
+            if x == x:
+                _add_root(kept, x)
+        roots[i] = np.nan
+        roots[i, :len(kept)] = sorted(kept)
 
-    # guard: every strict sign change on the dense grid needs a root nearby
-    pad = PI / len(_SCAN_GRID)
-    shifted = _force(_SCAN_GRID, 0.0, c, g)[:, None] - a * c * c
-    jj, ii = np.nonzero(shifted[:-1] * shifted[1:] < 0.0)
-    near = found[ii]
-    covered = ((near >= _SCAN_GRID[jj, None] - pad)
-               & (near <= _SCAN_GRID[jj + 1, None] + pad)).any(axis=1)
-    for i, j in zip(ii[~covered].tolist(), jj[~covered].tolist()):
-        lo, hi = float(_SCAN_GRID[j]), float(_SCAN_GRID[j + 1])
-        if any(lo - pad <= r <= hi + pad for r in roots[i]):
-            continue
-        a_i = float(a[i])
-        x = float(bisect(lambda x: _force(x, a_i, c, g), lo, hi))
-        warnings.warn(
-            f"dense scan found a root at phi0={x:.12g} outside the monotone-"
-            f"segment structure (A={a_i!r}, C={c!r}, gamma={g!r}); the "
-            "force curve shape assumption is violated here",
-            ModelInconsistencyWarning)
-        _add_root(roots[i], x)
-    return [sorted(lane) for lane in roots]
+    roots = _scan_guard(roots, a, c, col, cap.ravel(), g)
+    return roots.reshape(shape + roots.shape[-1:])
+
+
+def _scan_guard(roots, a, c, col, caps, g):
+    """Backstop the segment roots with a dense sign scan of each cell.
+
+    Each grid interval where F(.; A=0) strictly crosses the level A C^2
+    needs a root within _SCAN_PAD.  Per column, sorted interval bounds count
+    the crossings of every cell's level, less those next to a root; only a
+    cell with some left over scans its grid, and a root found there is
+    added with ModelInconsistencyWarning.  ``roots`` holds each cell's
+    ascending roots, NaN after them; the result adds any new ones and drops
+    the columns no cell fills.
+    """
+    level = a * c * c
+    lo_f = np.empty((len(caps), len(_SCAN_GRID) - 1))
+    hi_f = np.empty_like(lo_f)
+    changes = np.empty(a.size, dtype=np.int64)
+    for j, c_j in enumerate(caps.tolist()):
+        f0 = _force(_SCAN_GRID, 0.0, c_j, g)
+        lo, hi = lo_f[j], hi_f[j]
+        np.minimum(f0[:-1], f0[1:], out=lo)
+        np.maximum(f0[:-1], f0[1:], out=hi)
+        # a flat interval crosses no level: at +inf it counts nowhere
+        flat = lo == hi
+        lo[flat] = hi[flat] = np.inf
+        cells = np.flatnonzero(col == j)
+        t = level[cells]
+        changes[cells] = (
+            np.searchsorted(np.sort(lo, kind="stable"), t, "left")
+            - np.searchsorted(np.sort(hi, kind="stable"), t, "right"))
+    cell, slot = np.nonzero(roots == roots)
+    if changes.any():
+        # a root's intervals are [first, last]; a cell's ascending roots
+        # have ascending windows, so each starts past its predecessor's
+        r = roots[cell, slot]
+        first = np.searchsorted(_SCAN_TO, r, "left")
+        last = np.searchsorted(_SCAN_FROM, r, "right") - 1
+        first[1:] = np.where(cell[1:] == cell[:-1],
+                             np.maximum(first[1:], last[:-1] + 1), first[1:])
+        window = first[:, None] + _WINDOW
+        at = (np.minimum(window, len(_SCAN_GRID) - 2)
+              + (col[cell] * (len(_SCAN_GRID) - 1))[:, None])
+        t = level[cell, None]
+        crossed = ((window <= last[:, None])
+                   & (lo_f.take(at) < t) & (t < hi_f.take(at)))
+        changes -= np.bincount(cell, crossed.sum(axis=1),
+                               a.size).astype(np.int64)
+
+    added = {}
+    for i in np.flatnonzero(changes > 0).tolist():
+        kept = [x for x in roots[i].tolist() if x == x]
+        a_i, c_i = float(a[i]), float(c[i])
+        shifted = _force(_SCAN_GRID, 0.0, c_i, g) - level[i]
+        for j in np.flatnonzero(shifted[:-1] * shifted[1:] < 0.0).tolist():
+            lo, hi = float(_SCAN_GRID[j]), float(_SCAN_GRID[j + 1])
+            if any(lo - _SCAN_PAD <= x <= hi + _SCAN_PAD for x in kept):
+                continue
+            x = float(bisect(lambda x: _force(x, a_i, c_i, g), lo, hi))
+            warnings.warn(
+                f"dense scan found a root at phi0={x:.12g} outside the "
+                f"monotone-segment structure (A={a_i!r}, C={c_i!r}, "
+                f"gamma={g!r}); the force curve shape assumption is violated "
+                "here", ModelInconsistencyWarning)
+            _add_root(kept, x)
+        added[i] = sorted(kept)
+    if added:
+        more = max(len(kept) for kept in added.values())
+        roots = np.hstack([roots, np.full((a.size, more), np.nan)])
+        for i, kept in added.items():
+            roots[i] = np.nan
+            roots[i, :len(kept)] = kept
+    # a row's roots come first, so the widest row ends at slot.max()
+    width = max([int(slot.max(initial=-1)) + 1]
+                + [len(kept) for kept in added.values()])
+    return roots[:, :width]
+
+
+def solve(mass_ratios, capillary_ratios, contact_angle: float,
+          critical: list[CriticalPoint] | None = None) -> list[list[float]]:
+    """Ascending zeros of F on [0, pi], one list per cell (a float is one).
+
+    ``padded_roots`` as lists, over the cells of the broadcast of
+    ``mass_ratios`` against ``capillary_ratios`` in C order.
+    """
+    roots = padded_roots(mass_ratios, capillary_ratios, contact_angle,
+                         critical)
+    rows = roots.reshape(math.prod(roots.shape[:-1]), roots.shape[-1]).tolist()
+    return [[x for x in row if x == x] for row in rows]
 
 
 def find_equilibria(params: DimensionlessParams,
@@ -244,14 +398,14 @@ def find_equilibria(params: DimensionlessParams,
                     ) -> list[Equilibrium]:
     """All zeros of the force curve on [0, pi], ascending, with stability.
 
-    The one-mass-ratio call of ``solve``.
+    The one-cell call of ``solve``.
     """
-    c, g = params.capillary_ratio, params.contact_angle
+    a, c, g = params.mass_ratio, params.capillary_ratio, params.contact_angle
     out = []
-    for r in solve(params.mass_ratio, c, g, critical)[0]:
+    for r in solve(a, c, g, critical)[0]:
         slope = float(_slope(r, c, g))
         out.append(Equilibrium(r, _classify(slope), slope,
-                               float(center_height(r, params))))
+                               float(_height(r, c, g))))
     return out
 
 
@@ -269,17 +423,16 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
     maximum (contact angle < pi/2 with capillary ratio at or below the
     second-extremum threshold).
     """
-    params = DimensionlessParams(mass_ratio=0.0, capillary_ratio=capillary_ratio,
-                                 contact_angle=contact_angle, exploratory=True)
-    maxima = [cp for cp in critical_points(params)
-              if cp.kind is ExtremumKind.MAXIMUM and cp.phi0 > PI / 2.0]
-    if not maxima:
+    DimensionlessParams(mass_ratio=0.0, capillary_ratio=capillary_ratio,
+                        contact_angle=contact_angle, exploratory=True)
+    phi0_star = float(force_extrema(capillary_ratio, contact_angle)[1])
+    if not phi0_star > PI / 2.0:
         raise NoSecondCriticalPointError(
             f"no interior force maximum past pi/2 for contact_angle="
             f"{contact_angle!r}, capillary_ratio={capillary_ratio!r} "
             f"(threshold C = {second_extremum_threshold(contact_angle)!r})")
-    phi0_star = maxima[-1].phi0
-    a_star = float(total_force(phi0_star, params)) / capillary_ratio ** 2
+    a_star = (float(_force(phi0_star, 0.0, capillary_ratio, contact_angle))
+              / capillary_ratio ** 2)
     return a_star, phi0_star
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import DimensionlessParams, center_height
+from .model import DimensionlessParams, _height
 
 PI = math.pi
 
@@ -89,12 +89,17 @@ def intersection_margin(phi0: float, capillary_ratio: float,
             + math.log(abs(math.tan(quarter))))
 
 
-def _regime(phi0: float, contact_angle: float) -> Regime:
-    if 0.0 <= contact_angle <= PI / 2.0 and 0.0 <= phi0 <= PI / 2.0 - contact_angle:
-        return Regime.PSI_NEGATIVE
-    if PI / 2.0 <= contact_angle <= PI and 3.0 * PI / 2.0 - contact_angle <= phi0 <= PI:
-        return Regime.PSI_POSITIVE
-    return Regime.NOT_APPLICABLE
+def _overhang(phi0, contact_angle: float):
+    """(psi-negative, psi-positive) regime membership of phi0, float or array.
+
+    The two never hold together: both need gamma = pi/2, and then phi0 = 0
+    and phi0 = pi respectively.  NaN belongs to neither.
+    """
+    g = contact_angle
+    negative = (0.0 <= g <= PI / 2.0) & (0.0 <= phi0) & (phi0 <= PI / 2.0 - g)
+    positive = ((PI / 2.0 <= g <= PI) & (3.0 * PI / 2.0 - g <= phi0)
+                & (phi0 <= PI))
+    return negative, positive
 
 
 def validity(phi0: float, params: DimensionlessParams) -> ValidityReport:
@@ -107,8 +112,10 @@ def validity(phi0: float, params: DimensionlessParams) -> ValidityReport:
     """
     if not 0.0 <= phi0 <= PI:
         raise ValueError(f"phi0 must lie in [0, pi], got {phi0!r}")
-    regime = _regime(phi0, params.contact_angle)
-    h = float(center_height(phi0, params))
+    negative, positive = _overhang(phi0, params.contact_angle)
+    regime = (Regime.PSI_NEGATIVE if negative else
+              Regime.PSI_POSITIVE if positive else Regime.NOT_APPLICABLE)
+    h = float(_height(phi0, params.capillary_ratio, params.contact_angle))
 
     if regime is Regime.NOT_APPLICABLE:
         beyond = abs(h) > 1.0

@@ -132,9 +132,13 @@ class Angles:
 
 
 def _check_phi0(phi0):
-    lo = np.min(phi0)
-    hi = np.max(phi0)
-    if lo < -1e-12 or hi > math.pi + 1e-12:
+    if isinstance(phi0, (float, int)):
+        lo = hi = phi0
+    else:
+        lo = np.min(phi0)
+        hi = np.max(phi0)
+    # written so that NaN fails
+    if not (lo >= -1e-12 and hi <= math.pi + 1e-12):
         raise ValueError(f"phi0 must lie in [0, pi], got range [{lo}, {hi}]")
 
 
@@ -145,8 +149,11 @@ def center_height(phi0, params: DimensionlessParams):
     contact-point fluid height u0/a.
     """
     _check_phi0(phi0)
-    c = params.capillary_ratio
-    g = params.contact_angle
+    return _height(phi0, params.capillary_ratio, params.contact_angle)
+
+
+def _height(phi0, c, g):
+    """center_height without the domain check."""
     return np.cos(phi0) + (2.0 / c) * np.cos((phi0 + g) / 2.0)
 
 
@@ -175,8 +182,9 @@ def total_force(phi0, params: DimensionlessParams):
 
 def _force(phi0, a, c, g):
     """total_force without the domain check; any phi0 (periodic extension)."""
-    return (-a * c * c - 2.0 * np.sin(phi0 + g)
-            - 4.0 * c * np.cos((phi0 + g) / 2.0) * np.sin(phi0)
+    s = phi0 + g
+    return (-a * c * c - 2.0 * np.sin(s)
+            - 4.0 * c * np.cos(s / 2.0) * np.sin(phi0)
             - 0.5 * c * c * np.sin(2.0 * phi0) + c * c * phi0)
 
 
@@ -188,10 +196,13 @@ def force_slope(phi0, params: DimensionlessParams):
 
 def _slope(phi0, c, g):
     """force_slope without the domain check."""
-    return (-2.0 * np.cos(phi0 + g)
-            + 2.0 * c * np.sin((phi0 + g) / 2.0) * np.sin(phi0)
-            - 4.0 * c * np.cos((phi0 + g) / 2.0) * np.cos(phi0)
-            - c * c * np.cos(2.0 * phi0) + c * c)
+    s = phi0 + g
+    half = s / 2.0
+    cc = c * c
+    return (-2.0 * np.cos(s)
+            + 2.0 * c * np.sin(half) * np.sin(phi0)
+            - 4.0 * c * np.cos(half) * np.cos(phi0)
+            - cc * np.cos(2.0 * phi0) + cc)
 
 
 def force_curvature(phi0, params: DimensionlessParams):

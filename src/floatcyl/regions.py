@@ -25,12 +25,15 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (NoSecondCriticalPointError, bisect,
-                         critical_mass_ratio, find_equilibria,
-                         second_extremum_threshold, solve)
-from .intersection import intersection_margin, validity
-from .model import DimensionlessParams, total_force
+                         critical_mass_ratio, find_equilibria, force_extrema,
+                         padded_roots, second_extremum_threshold)
+from .intersection import _overhang, intersection_margin, validity
+from .model import DimensionlessParams, _force, total_force
 
 PI = math.pi
+# Cells per region_map solve (whole columns, at least one): bounds the
+# solver's temporaries.
+_BLOCK_CELLS = 5000
 
 
 class RegionLabel(str, Enum):
@@ -194,11 +197,17 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
     if math.isinf(thr) or thr >= c_hi:
         return BoundaryCurve(CurveKind.TANGENCY, np.empty((0, 2)), analytic=False)
     lo = max(c_lo, thr * (1.0 + 1e-9), 1e-6)
+    cs = np.linspace(lo, c_hi, n)
+    # critical_mass_ratio over every sample at once, the same bits
+    phi = force_extrema(cs, contact_angle)[1]
+    has = phi > PI / 2.0
+    cs = cs[has]
+    forces = _force(phi[has], 0.0, cs, contact_angle)
     pts = []
-    for c in np.linspace(lo, c_hi, n):
-        a = _critical_mass_or_none(float(c), contact_angle)
-        if a is not None and a_lo <= a <= a_hi:
-            pts.append((a, float(c)))
+    for f, c in zip(forces.tolist(), cs.tolist()):
+        a = f / c ** 2  # Python's c ** 2 is not always c * c
+        if a_lo <= a <= a_hi:
+            pts.append((a, c))
     return BoundaryCurve(CurveKind.TANGENCY,
                          np.array(pts, dtype=float).reshape(-1, 2),
                          analytic=False)
@@ -292,8 +301,9 @@ def region_map(contact_angle: float,
     Axes exclude the lower edge of each range (A and C must stay positive)
     and include the upper.  labels[i, j] corresponds to
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
-    validity produce at that point: each column is one call of the same
-    solver, over all its mass ratios at once.
+    validity produce at that point: the grid is solved a block of columns
+    at a time by the same solver, and a root is tested for crossing by the
+    same regime test and margin.
     """
     n_a, n_c = resolution
     if n_a < 2 or n_c < 2:
@@ -302,18 +312,38 @@ def region_map(contact_angle: float,
     c_lo, c_hi = c_range
     if a_lo < 0.0 or c_lo < 0.0 or a_hi <= a_lo or c_hi <= c_lo:
         raise ValueError("ranges must be nonnegative and increasing")
+    # the corner cell has the largest force scale, the first the smallest
+    DimensionlessParams(a_hi, c_hi, contact_angle)
     a_axis = np.linspace(a_lo, a_hi, n_a + 1)[1:]
     c_axis = np.linspace(c_lo, c_hi, n_c + 1)[1:]
+    DimensionlessParams(float(a_axis[0]), float(c_axis[0]), contact_angle)
 
     labels = np.empty((n_a, n_c), dtype=object)
-    for j, c in enumerate(c_axis):
-        c = float(c)
-        for i, (a, cell_roots) in enumerate(
-                zip(a_axis.tolist(), solve(a_axis, c, contact_angle))):
-            params = DimensionlessParams(a, c, contact_angle)
-            n_valid = sum(1 for r in cell_roots
-                          if not validity(r, params).intersecting)
-            labels[i, j] = _label(len(cell_roots), n_valid, params)
+    width = max(1, _BLOCK_CELLS // n_a)
+    for j0 in range(0, n_c, width):
+        cs = c_axis[j0:j0 + width]
+        roots = padded_roots(a_axis[:, None], cs[None, :], contact_angle)
+        n = (roots == roots).sum(axis=-1)
+        # only a root in an overhang regime can cross; NaN is in none
+        ii, jj, kk = np.nonzero(np.logical_or(*_overhang(roots,
+                                                         contact_angle)))
+        crossing = np.array(
+            [intersection_margin(r, c, contact_angle) <= 0.0
+             for r, c in zip(roots[ii, jj, kk].tolist(), cs[jj].tolist())],
+            dtype=bool)
+        n_valid = n - np.bincount(ii[crossing] * n.shape[1] + jj[crossing],
+                                  minlength=n.size).reshape(n.shape)
+        block = labels[:, j0:j0 + width]
+        known = np.zeros(n.shape, dtype=bool)
+        for (k, k_valid), label in _LABEL_TABLE.items():
+            cells = (n == k) & (n_valid == k_valid)
+            block[cells] = label
+            known |= cells
+        if not known.all():
+            # the first unclassifiable cell in column order raises
+            j, i = np.argwhere(~known.T)[0].tolist()
+            _label(int(n[i, j]), int(n_valid[i, j]), DimensionlessParams(
+                float(a_axis[i]), float(cs[j]), contact_angle))
 
     curves = [trace_endpoint_curve(contact_angle, (a_lo, a_hi), (c_lo, c_hi),
                                    curve_samples),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -227,6 +228,14 @@ class TestRegionMap:
         labels = {r[2] for r in rows}
         assert labels <= {"zero", "one", "two", "one_valid_one_invalid"}
 
+    def test_pinned_digest(self, capsys):
+        # the whole CSV, byte for byte, captured before the block solver
+        code, out = run_cli(capsys, ["region-map", "--gamma", "2.3561945",
+                                     "--resolution", "40"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9928b5187cf1aa79db39c3a75bcc9ac1719932a5c5edbdc9d0884f5639b71271")
+
     def test_json_payload(self, capsys):
         _, out = run_cli(capsys, [
             "region-map", "--gamma", "1.5707963", "--a-max", "8",
@@ -284,6 +293,13 @@ class TestPlumbing:
          "mass_ratio"),
         (["astar", "--gamma", "2", "--C", "inf"], "capillary_ratio"),
         (["astar", "--gamma", "2", "--C", "1e300"], "capillary_ratio"),
+        (["profile", "--gamma", "1", "--A", "1", "--C", "1", "--phi0", "nan"],
+         "phi0"),
+        # the window is checked before any grid work, so no NumPy warning
+        (["region-map", "--gamma", "2", "--resolution", "4",
+          "--a-max", "1e300"], "mass_ratio"),
+        (["region-map", "--gamma", "2", "--resolution", "4",
+          "--c-max", "inf"], "capillary_ratio"),
     ])
     def test_nonfinite_input_is_domain_error(self, argv, field):
         proc = subprocess.run([sys.executable, "-m", "floatcyl.cli", *argv],

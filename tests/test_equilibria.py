@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import bisect as scipy_bisect
 
-from floatcyl.equilibria import (ExtremumKind, NoSecondCriticalPointError,
-                                 Stability, UnsupportedRegimeError,
+from floatcyl.equilibria import (ExtremumKind, ModelInconsistencyWarning,
+                                 NoSecondCriticalPointError, Stability,
+                                 UnsupportedRegimeError,
                                  asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, second_extremum_threshold,
@@ -291,3 +293,19 @@ class TestSolve:
             column = solve(a, c, g)
             assert column == [[eq.phi0 for eq in find_equilibria(params(x, c, g))]
                               for x in a.tolist()]
+
+    def test_block_without_extrema_matches_find_equilibria(self):
+        # critical=[] leaves one segment [0, pi]: the guard must recover
+        # every missed root, in a block as in a single cell
+        a = np.concatenate([np.linspace(0.5, 12.0, 24), [3.7, 3.8, 3.9]])
+        c = np.array([0.7, 2.0, 3.1])
+        for g in (PI / 2, 2.6):
+            with pytest.warns(ModelInconsistencyWarning):
+                block = solve(a[:, None], c[None, :], g, critical=[])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ModelInconsistencyWarning)
+                want = [[eq.phi0 for eq in find_equilibria(
+                    params(x, y, g), critical=[])]
+                    for x in a.tolist() for y in c.tolist()]
+            assert block == want
+            assert max(len(roots) for roots in want) == 2

@@ -187,6 +187,17 @@ class TestSuite:
         for fn in (surface_energy_quadrature, buoyancy_quadrature):
             assert abs(fn(0.8, p, tol=t) - fn(0.8, p, tol=t / 10)) < 10 * t
 
+    def test_run_all_counts_the_draws_it_used(self):
+        # one parameter set: every check reports samples from that one set
+        samples = {r.name: r.samples for r in run_all(n_sets=1, seed=7)}
+        assert samples["energy_force_identity_fd"] == 200
+        assert samples["energy_force_factored"] == 200
+        assert samples["fourier_coefficients"] == 8
+        assert samples["force_series_equivalence"] == 101
+        assert samples["derivative_finite_difference"] == 3
+        assert samples["quadrature_convergence"] == 2
+        assert samples["surface_energy_quadrature"] == 1
+
     def test_run_all_passes(self):
         reports = run_all(n_sets=40, seed=7)
         assert reports, "empty oracle suite"

@@ -1,10 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from floatcyl.equilibria import critical_mass_ratio, find_equilibria
+from floatcyl.equilibria import (ModelInconsistencyWarning,
+                                 NoSecondCriticalPointError,
+                                 critical_mass_ratio, find_equilibria,
+                                 second_extremum_threshold)
 from floatcyl.intersection import intersection_margin
 from floatcyl.model import DimensionlessParams, total_force
 from floatcyl.regions import (CurveKind, RegionLabel, classify_point,
@@ -103,6 +107,22 @@ class TestTangencyBoundary:
         for a, c in curve.points:
             a_star, _ = critical_mass_ratio(c, PI / 2)
             assert a == pytest.approx(a_star, rel=1e-10)
+
+    @pytest.mark.parametrize("g", [0.3, 1.2, PI / 2, 2.3, PI])
+    def test_trace_equals_critical_mass_ratio(self, g):
+        # one batched extrema call gives critical_mass_ratio's bits
+        curve = trace_tangency_curve(g, (0.0, 12.0), (0.0, 5.0), n=60)
+        lo = max(0.0, second_extremum_threshold(g) * (1.0 + 1e-9), 1e-6)
+        want = []
+        for c in np.linspace(lo, 5.0, 60).tolist():
+            try:
+                a_star = critical_mass_ratio(c, g)[0]
+            except NoSecondCriticalPointError:
+                continue
+            if 0.0 <= a_star <= 12.0:
+                want.append([a_star, c])
+        assert want
+        assert curve.points.tolist() == want
 
     def test_large_mass_leading_order(self):
         # heavy cylinders: inverting the leading small-C behavior of the
@@ -220,6 +240,32 @@ class TestRegionMap:
         assert np.all(np.diff(rm.a_axis) > 0)
         with pytest.raises(ValueError):
             region_map(PI / 2, resolution=(1, 5))
+
+    @pytest.mark.parametrize("g", [0.0, 0.4, PI / 2, 2.3, PI])
+    def test_every_cell_matches_classify_point(self, g):
+        # the block solver labels each cell as the one-cell path does, and
+        # its dense-scan guard stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ModelInconsistencyWarning)
+            rm = region_map(g, resolution=(23, 17))
+        for i, a in enumerate(rm.a_axis.tolist()):
+            for j, c in enumerate(rm.c_axis.tolist()):
+                assert rm.labels[i, j] is classify_point(params(a, c, g))[0]
+
+    def test_unclassifiable_cell_raises(self, monkeypatch):
+        # a cell with three roots raises, naming its own parameters
+        import floatcyl.regions as regions
+
+        def three_roots(a, c, g):
+            return np.broadcast_to([0.5, 1.0, 1.5],
+                                   np.broadcast(a, c).shape + (3,))
+
+        monkeypatch.setattr(regions, "padded_roots", three_roots)
+        with pytest.raises(ValueError, match=(
+                r"unclassifiable equilibrium structure at DimensionlessParams"
+                r"\(mass_ratio=3\.0, capillary_ratio=1\.25, .*\): "
+                r"3 equilibria")):
+            region_map(1.0, resolution=(4, 4))
 
     def test_self_consistency_sampled(self):
         rm = region_map(3 * PI / 4, resolution=(8, 8))

@@ -99,9 +99,10 @@ def bisect(f, lo, hi):
     Halve dm, probe xm = xa + dm, keep xm as the new xa when
     f(xm) f(xa) >= 0, and return xm once f(xm) == 0 or
     |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
-    Floats run SciPy's loop as written.  Array elements run side by side,
-    each masked by 0/1 factors (exact on finite floats), so each equals its
-    scalar run.
+    Floats run SciPy's loop as written, so a lone lane, as in each
+    find_equilibria call, skips the masks' arithmetic in every halving.
+    Array elements run side by side, each masked by 0/1 factors (exact on
+    finite floats), so each equals its scalar run.
     """
     fa, fb = f(lo), f(hi)
     if not any(isinstance(v, np.ndarray) for v in (fa, fb, lo, hi)):
@@ -225,8 +226,8 @@ def _add_root(roots: list[float], x: float) -> bool:
     return True
 
 
-def padded_roots(mass_ratios, capillary_ratios, contact_angle: float,
-                 critical: list[CriticalPoint] | None = None) -> np.ndarray:
+def solve(mass_ratios, capillary_ratios, contact_angle: float,
+          critical: list[CriticalPoint] | None = None) -> np.ndarray:
     """Ascending zeros of F on [0, pi] for every cell, padded with NaN.
 
     The cells are the broadcast of ``mass_ratios`` against
@@ -380,19 +381,6 @@ def _scan_guard(roots, a, c, col, caps, g):
     return roots[:, :width]
 
 
-def solve(mass_ratios, capillary_ratios, contact_angle: float,
-          critical: list[CriticalPoint] | None = None) -> list[list[float]]:
-    """Ascending zeros of F on [0, pi], one list per cell (a float is one).
-
-    ``padded_roots`` as lists, over the cells of the broadcast of
-    ``mass_ratios`` against ``capillary_ratios`` in C order.
-    """
-    roots = padded_roots(mass_ratios, capillary_ratios, contact_angle,
-                         critical)
-    rows = roots.reshape(math.prod(roots.shape[:-1]), roots.shape[-1]).tolist()
-    return [[x for x in row if x == x] for row in rows]
-
-
 def find_equilibria(params: DimensionlessParams,
                     critical: list[CriticalPoint] | None = None
                     ) -> list[Equilibrium]:
@@ -402,7 +390,9 @@ def find_equilibria(params: DimensionlessParams,
     """
     a, c, g = params.mass_ratio, params.capillary_ratio, params.contact_angle
     out = []
-    for r in solve(a, c, g, critical)[0]:
+    for r in solve(a, c, g, critical).tolist():
+        if r != r:  # NaN pads the roots
+            break
         slope = float(_slope(r, c, g))
         out.append(Equilibrium(r, _classify(slope), slope,
                                float(_height(r, c, g))))

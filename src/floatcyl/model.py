@@ -182,9 +182,8 @@ def total_force(phi0, params: DimensionlessParams):
 
 def _force(phi0, a, c, g):
     """total_force without the domain check; any phi0 (periodic extension)."""
-    s = phi0 + g
-    return (-a * c * c - 2.0 * np.sin(s)
-            - 4.0 * c * np.cos(s / 2.0) * np.sin(phi0)
+    return (-a * c * c - 2.0 * np.sin(phi0 + g)
+            - 4.0 * c * np.cos((phi0 + g) / 2.0) * np.sin(phi0)
             - 0.5 * c * c * np.sin(2.0 * phi0) + c * c * phi0)
 
 
@@ -196,13 +195,10 @@ def force_slope(phi0, params: DimensionlessParams):
 
 def _slope(phi0, c, g):
     """force_slope without the domain check."""
-    s = phi0 + g
-    half = s / 2.0
-    cc = c * c
-    return (-2.0 * np.cos(s)
-            + 2.0 * c * np.sin(half) * np.sin(phi0)
-            - 4.0 * c * np.cos(half) * np.cos(phi0)
-            - cc * np.cos(2.0 * phi0) + cc)
+    return (-2.0 * np.cos(phi0 + g)
+            + 2.0 * c * np.sin((phi0 + g) / 2.0) * np.sin(phi0)
+            - 4.0 * c * np.cos((phi0 + g) / 2.0) * np.cos(phi0)
+            - c * c * np.cos(2.0 * phi0) + c * c)
 
 
 def force_curvature(phi0, params: DimensionlessParams):

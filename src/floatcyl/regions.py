@@ -26,7 +26,7 @@ import numpy as np
 
 from .equilibria import (NoSecondCriticalPointError, bisect,
                          critical_mass_ratio, find_equilibria, force_extrema,
-                         padded_roots, second_extremum_threshold)
+                         second_extremum_threshold, solve)
 from .intersection import _overhang, intersection_margin, validity
 from .model import DimensionlessParams, _force, total_force
 
@@ -197,6 +197,9 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
     if math.isinf(thr) or thr >= c_hi:
         return BoundaryCurve(CurveKind.TANGENCY, np.empty((0, 2)), analytic=False)
     lo = max(c_lo, thr * (1.0 + 1e-9), 1e-6)
+    # the samples span [lo, c_hi]: check them as critical_mass_ratio would
+    for c in (lo, c_hi):
+        DimensionlessParams(0.0, c, contact_angle, exploratory=True)
     cs = np.linspace(lo, c_hi, n)
     # critical_mass_ratio over every sample at once, the same bits
     phi = force_extrema(cs, contact_angle)[1]
@@ -322,7 +325,7 @@ def region_map(contact_angle: float,
     width = max(1, _BLOCK_CELLS // n_a)
     for j0 in range(0, n_c, width):
         cs = c_axis[j0:j0 + width]
-        roots = padded_roots(a_axis[:, None], cs[None, :], contact_angle)
+        roots = solve(a_axis[:, None], cs[None, :], contact_angle)
         n = (roots == roots).sum(axis=-1)
         # only a root in an overhang regime can cross; NaN is in none
         ii, jj, kk = np.nonzero(np.logical_or(*_overhang(roots,

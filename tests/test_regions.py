@@ -124,6 +124,16 @@ class TestTangencyBoundary:
         assert want
         assert curve.points.tolist() == want
 
+    @pytest.mark.parametrize("c_window", [(0.0, 1e300), (0.0, math.inf),
+                                          (0.0, math.nan), (math.nan, 5.0)])
+    def test_trace_rejects_unusable_window(self, c_window):
+        # checked once up front, as each critical_mass_ratio sample was:
+        # no NumPy warning, no silently dropped samples
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="capillary_ratio"):
+                trace_tangency_curve(2.0, (0.0, 12.0), c_window)
+
     def test_large_mass_leading_order(self):
         # heavy cylinders: inverting the leading small-C behavior of the
         # critical mass gives C ~ sqrt(2/(A - 2 - pi))
@@ -260,7 +270,7 @@ class TestRegionMap:
             return np.broadcast_to([0.5, 1.0, 1.5],
                                    np.broadcast(a, c).shape + (3,))
 
-        monkeypatch.setattr(regions, "padded_roots", three_roots)
+        monkeypatch.setattr(regions, "solve", three_roots)
         with pytest.raises(ValueError, match=(
                 r"unclassifiable equilibrium structure at DimensionlessParams"
                 r"\(mass_ratio=3\.0, capillary_ratio=1\.25, .*\): "

@@ -157,10 +157,11 @@ def second_extremum_threshold(contact_angle: float) -> float:
 def force_extrema(capillary_ratios, contact_angle: float):
     """Interior minimum and maximum of the force curve for each capillary ratio.
 
-    Returns two float arrays shaped like ``capillary_ratios``, NaN where
-    that extremum does not exist; a minimum lies below every maximum.  The
-    slope dF/dphi0 does not involve the mass ratio, so the extrema depend on
-    (C, gamma) only.  Bracketing follows the regime structure:
+    A scalar gives two floats, an array two float arrays shaped like it;
+    NaN where that extremum does not exist.  A minimum lies below every
+    maximum.  The slope dF/dphi0 does not involve the mass ratio, so the
+    extrema depend on (C, gamma) only.  Bracketing follows the regime
+    structure:
 
     * gamma = pi/2: one minimum in (0, pi/2), one maximum in (pi/2, pi),
       mirror images about pi/2.
@@ -174,6 +175,9 @@ def force_extrema(capillary_ratios, contact_angle: float):
     runs on floats, which gives the same bits faster.
     """
     c = np.asarray(capillary_ratios, dtype=float)
+    lone = c.ndim == 0
+    if lone:
+        c = c.item()
     g = contact_angle
     # (lo, hi, the bracket needs slope(lo) < 0, ... needs slope(hi) < 0)
     if g == PI / 2.0:
@@ -183,24 +187,23 @@ def force_extrema(capillary_ratios, contact_angle: float):
     else:
         brackets = [(0.0, PI / 2.0, False, False),
                     (3.0 * PI / 4.0, PI, False, True)]
-    # one capillary ratio runs on floats: faster, and the same bits
-    c_or_float = c.item() if c.size == 1 else c
     out = []
     for lo, hi, lo_negative, hi_negative in brackets:
-        s_lo, s_hi = _slope(lo, c_or_float, g), _slope(hi, c_or_float, g)
+        s_lo, s_hi = _slope(lo, c, g), _slope(hi, c, g)
         ok = s_lo * s_hi < 0.0
         if lo_negative:
             ok = ok & (s_lo < 0.0)
         if hi_negative:
             ok = ok & (s_hi < 0.0)
+        if lone:
+            out.append(bisect(lambda x: _slope(x, c, g), lo, hi) if ok
+                       else math.nan)
+            continue
         phi = np.full(c.shape, np.nan)
         idx = np.flatnonzero(ok)
-        if idx.size > 1:
-            sub = c.flat[idx]
+        if idx.size:
+            sub = c.flat[idx] if idx.size > 1 else c.item(idx[0])
             phi.flat[idx] = bisect(lambda x: _slope(x, sub, g), lo, hi)
-        elif idx.size:
-            one = float(c.flat[idx[0]])
-            phi.flat[idx] = bisect(lambda x: float(_slope(x, one, g)), lo, hi)
         out.append(phi)
     return out[0], out[1]
 
@@ -212,7 +215,7 @@ def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
     """
     minimum, maximum = force_extrema(params.capillary_ratio,
                                      params.contact_angle)
-    return [CriticalPoint(float(phi), kind)
+    return [CriticalPoint(phi, kind)
             for phi, kind in ((minimum, ExtremumKind.MINIMUM),
                               (maximum, ExtremumKind.MAXIMUM))
             if phi == phi]
@@ -243,11 +246,13 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     g = contact_angle
     cap = np.asarray(capillary_ratios, dtype=float)
     if critical is None:
-        minimum, maximum = force_extrema(cap.ravel(), g)
-        col_nodes = np.stack([np.zeros(cap.size),
-                              np.where(minimum == minimum, minimum, 0.0),
-                              np.where(maximum == maximum, maximum, PI),
-                              np.full(cap.size, PI)], axis=1)
+        # a lone column finds its extrema on floats
+        minimum, maximum = force_extrema(
+            cap.item() if cap.size == 1 else cap.ravel(), g)
+        col_nodes = np.column_stack([np.zeros(cap.size),
+                                     np.where(minimum == minimum, minimum, 0.0),
+                                     np.where(maximum == maximum, maximum, PI),
+                                     np.full(cap.size, PI)])
     else:
         phis = [cp.phi0 for cp in critical]
         # at least four nodes: missing extrema become zero-length segments
@@ -283,10 +288,10 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
                 nodes[idx, k + 1])
         else:
             i = int(idx[0])
-            sa, sc = float(a[i]), float(c[i])
+            sa, sc = a.item(i), c.item(i)
             found[i, n_nodes + k] = bisect(
-                lambda x: float(_force(x, sa, sc, g)), float(nodes[i, k]),
-                float(nodes[i, k + 1]))
+                lambda x: _force(x, sa, sc, g), nodes.item(i, k),
+                nodes.item(i, k + 1))
 
     # of roots closer than _DEDUP_TOL keep the first in node-then-segment
     # order; only rows holding such a pair need the sequential pass.  Sorts
@@ -310,9 +315,10 @@ def _scan_guard(roots, a, c, col, caps, g):
     """Backstop the segment roots with a dense sign scan of each cell.
 
     Each grid interval where F(.; A=0) strictly crosses the level A C^2
-    needs a root within _SCAN_PAD.  Per column, sorted interval bounds count
-    the crossings of every cell's level, less those next to a root; only a
-    cell with some left over scans its grid, and a root found there is
+    needs a root within _SCAN_PAD.  Per column, the interval bounds count
+    the crossings of every cell's level, sorted first when the column holds
+    more than one cell, less those next to a root; only a cell with some
+    left over scans its grid, and a root found there is
     added with ModelInconsistencyWarning.  ``roots`` holds each cell's
     ascending roots, NaN after them; the result adds any new ones and drops
     the columns no cell fills.
@@ -331,9 +337,13 @@ def _scan_guard(roots, a, c, col, caps, g):
         lo[flat] = hi[flat] = np.inf
         cells = np.flatnonzero(col == j)
         t = level[cells]
-        changes[cells] = (
-            np.searchsorted(np.sort(lo, kind="stable"), t, "left")
-            - np.searchsorted(np.sort(hi, kind="stable"), t, "right"))
+        if cells.size == 1:
+            # the same count as the sorted bounds give, without the sorts
+            changes[cells] = np.count_nonzero((lo < t) & (t < hi))
+        else:
+            changes[cells] = (
+                np.searchsorted(np.sort(lo, kind="stable"), t, "left")
+                - np.searchsorted(np.sort(hi, kind="stable"), t, "right"))
     cell, slot = np.nonzero(roots == roots)
     if changes.any():
         # a root's intervals are [first, last]; a cell's ascending roots
@@ -361,7 +371,7 @@ def _scan_guard(roots, a, c, col, caps, g):
             lo, hi = float(_SCAN_GRID[j]), float(_SCAN_GRID[j + 1])
             if any(lo - _SCAN_PAD <= x <= hi + _SCAN_PAD for x in kept):
                 continue
-            x = float(bisect(lambda x: _force(x, a_i, c_i, g), lo, hi))
+            x = bisect(lambda x: _force(x, a_i, c_i, g), lo, hi)
             warnings.warn(
                 f"dense scan found a root at phi0={x:.12g} outside the "
                 f"monotone-segment structure (A={a_i!r}, C={c_i!r}, "
@@ -393,9 +403,8 @@ def find_equilibria(params: DimensionlessParams,
     for r in solve(a, c, g, critical).tolist():
         if r != r:  # NaN pads the roots
             break
-        slope = float(_slope(r, c, g))
-        out.append(Equilibrium(r, _classify(slope), slope,
-                               float(_height(r, c, g))))
+        slope = _slope(r, c, g)
+        out.append(Equilibrium(r, _classify(slope), slope, _height(r, c, g)))
     return out
 
 
@@ -415,13 +424,13 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
     """
     DimensionlessParams(mass_ratio=0.0, capillary_ratio=capillary_ratio,
                         contact_angle=contact_angle, exploratory=True)
-    phi0_star = float(force_extrema(capillary_ratio, contact_angle)[1])
+    phi0_star = force_extrema(capillary_ratio, contact_angle)[1]
     if not phi0_star > PI / 2.0:
         raise NoSecondCriticalPointError(
             f"no interior force maximum past pi/2 for contact_angle="
             f"{contact_angle!r}, capillary_ratio={capillary_ratio!r} "
             f"(threshold C = {second_extremum_threshold(contact_angle)!r})")
-    a_star = (float(_force(phi0_star, 0.0, capillary_ratio, contact_angle))
+    a_star = (_force(phi0_star, 0.0, capillary_ratio, contact_angle)
               / capillary_ratio ** 2)
     return a_star, phi0_star
 

@@ -153,8 +153,9 @@ def center_height(phi0, params: DimensionlessParams):
 
 
 def _height(phi0, c, g):
-    """center_height without the domain check."""
-    return np.cos(phi0) + (2.0 / c) * np.cos((phi0 + g) / 2.0)
+    """center_height without the domain check; see _force for the float case."""
+    xp = math if isinstance(phi0, float) else np
+    return xp.cos(phi0) + (2.0 / c) * xp.cos((phi0 + g) / 2.0)
 
 
 def center_height_slope(phi0, params: DimensionlessParams):
@@ -181,10 +182,16 @@ def total_force(phi0, params: DimensionlessParams):
 
 
 def _force(phi0, a, c, g):
-    """total_force without the domain check; any phi0 (periodic extension)."""
-    return (-a * c * c - 2.0 * np.sin(phi0 + g)
-            - 4.0 * c * np.cos((phi0 + g) / 2.0) * np.sin(phi0)
-            - 0.5 * c * c * np.sin(2.0 * phi0) + c * c * phi0)
+    """total_force without the domain check; any phi0 (periodic extension).
+
+    A float phi0 runs on ``math``, whose sin and cos give NumPy's bits, so a
+    lone lane stays on Python floats: with float a, c and g the result is a
+    float.  An array phi0 runs on NumPy.
+    """
+    xp = math if isinstance(phi0, float) else np
+    return (-a * c * c - 2.0 * xp.sin(phi0 + g)
+            - 4.0 * c * xp.cos((phi0 + g) / 2.0) * xp.sin(phi0)
+            - 0.5 * c * c * xp.sin(2.0 * phi0) + c * c * phi0)
 
 
 def force_slope(phi0, params: DimensionlessParams):
@@ -194,11 +201,12 @@ def force_slope(phi0, params: DimensionlessParams):
 
 
 def _slope(phi0, c, g):
-    """force_slope without the domain check."""
-    return (-2.0 * np.cos(phi0 + g)
-            + 2.0 * c * np.sin((phi0 + g) / 2.0) * np.sin(phi0)
-            - 4.0 * c * np.cos((phi0 + g) / 2.0) * np.cos(phi0)
-            - c * c * np.cos(2.0 * phi0) + c * c)
+    """force_slope without the domain check; see _force for the float case."""
+    xp = math if isinstance(phi0, float) else np
+    return (-2.0 * xp.cos(phi0 + g)
+            + 2.0 * c * xp.sin((phi0 + g) / 2.0) * xp.sin(phi0)
+            - 4.0 * c * xp.cos((phi0 + g) / 2.0) * xp.cos(phi0)
+            - c * c * xp.cos(2.0 * phi0) + c * c)
 
 
 def force_curvature(phi0, params: DimensionlessParams):

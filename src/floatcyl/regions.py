@@ -233,7 +233,7 @@ def intersection_curve_point(phi02: float, contact_angle: float
         return None
     c = -offset / s
     params = DimensionlessParams(0.0, c, contact_angle, exploratory=True)
-    a = float(total_force(phi02, params)) / c ** 2
+    a = total_force(phi02, params) / c ** 2
     return a, c
 
 
@@ -311,10 +311,15 @@ def region_map(contact_angle: float,
     n_a, n_c = resolution
     if n_a < 2 or n_c < 2:
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution!r}")
+    # written so that a NaN bound fails
+    bad = [f"{name}={(lo, hi)!r}"
+           for name, (lo, hi) in (("a_range", a_range), ("c_range", c_range))
+           if not 0.0 <= lo < hi]
+    if bad:
+        raise ValueError(
+            f"ranges must be nonnegative and increasing, got {', '.join(bad)}")
     a_lo, a_hi = a_range
     c_lo, c_hi = c_range
-    if a_lo < 0.0 or c_lo < 0.0 or a_hi <= a_lo or c_hi <= c_lo:
-        raise ValueError("ranges must be nonnegative and increasing")
     # the corner cell has the largest force scale, the first the smallest
     DimensionlessParams(a_hi, c_hi, contact_angle)
     a_axis = np.linspace(a_lo, a_hi, n_a + 1)[1:]

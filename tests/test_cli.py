@@ -1,14 +1,28 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import floatcyl
 from floatcyl.cli import main
 
 PI = math.pi
+# children import the floatcyl these tests import
+SRC = str(Path(floatcyl.__file__).resolve().parents[1])
+
+
+def run_child(args):
+    """Run the test interpreter on args, with this floatcyl importable."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def run_cli(capsys, argv):
@@ -300,10 +314,18 @@ class TestPlumbing:
           "--a-max", "1e300"], "mass_ratio"),
         (["region-map", "--gamma", "2", "--resolution", "4",
           "--c-max", "inf"], "capillary_ratio"),
+        # a NaN bound fails the window test and is named there
+        (["region-map", "--gamma", "2", "--resolution", "4",
+          "--a-min", "nan"], "a_range"),
+        (["region-map", "--gamma", "2", "--resolution", "4",
+          "--a-max", "nan"], "a_range"),
+        (["region-map", "--gamma", "2", "--resolution", "4",
+          "--c-min", "nan"], "c_range"),
+        (["region-map", "--gamma", "2", "--resolution", "4",
+          "--c-max", "nan"], "c_range"),
     ])
     def test_nonfinite_input_is_domain_error(self, argv, field):
-        proc = subprocess.run([sys.executable, "-m", "floatcyl.cli", *argv],
-                              capture_output=True, text=True)
+        proc = run_child(["-m", "floatcyl.cli", *argv])
         assert proc.returncode == 4
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -312,11 +334,10 @@ class TestPlumbing:
 
     def test_import_leaves_scipy_unloaded(self):
         # SciPy serves only the oracle suite and loads on its first use
-        proc = subprocess.run(
-            [sys.executable, "-c",
+        proc = run_child(
+            ["-c",
              "import sys, floatcyl.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True)
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -331,9 +352,8 @@ class TestPlumbing:
         assert "phi0_rad" in text
 
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "floatcyl.cli", "equilibria",
-             "--gamma", "1.5707963", "--A", "3.8", "--C", "2"],
-            capture_output=True, text=True)
+        proc = run_child(
+            ["-m", "floatcyl.cli", "equilibria",
+             "--gamma", "1.5707963", "--A", "3.8", "--C", "2"])
         assert proc.returncode == 0
         assert "stable" in proc.stdout

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -172,6 +173,21 @@ class TestFindEquilibria:
         assert eqs[0].phi0 == pytest.approx(2.3915, abs=1e-3)
         assert any(issubclass(w.category, ModelInconsistencyWarning)
                    for w in caught)
+
+    def test_pinned_digest(self):
+        # every bit of the scalar path over 500 criterion-9 triples, captured
+        # while the kernels still ran on NumPy for a lone lane
+        rng = np.random.default_rng(9)
+        rows = []
+        for _ in range(500):
+            p = params(rng.uniform(0.05, 15.0), rng.uniform(0.05, 6.0),
+                       rng.uniform(0.0, PI))
+            rows.append((
+                [(eq.phi0, eq.stability.value, eq.force_slope, eq.height)
+                 for eq in find_equilibria(p)],
+                [(cp.phi0, cp.kind.value) for cp in critical_points(p)]))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "df7ec78d38010a7b9ff386a45e031099b37b94bcdad55957e7c0e0b0c11fc748")
 
     def test_structure_sweep(self):
         rng = np.random.default_rng(24)

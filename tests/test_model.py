@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from floatcyl.model import (Angles, DimensionlessParams, PhysicalParams,
-                            center_height, center_height_slope, force_curvature,
-                            force_slope, inclination_at_contact,
-                            interface_profile, to_dimensionless, total_energy,
-                            total_force)
+                            _force, _height, _slope, center_height,
+                            center_height_slope, force_curvature, force_slope,
+                            inclination_at_contact, interface_profile,
+                            to_dimensionless, total_energy, total_force)
 
 PI = math.pi
 
@@ -197,6 +197,21 @@ class TestForce:
             h = 1e-6 * max(1.0, phi0)
             fd = (force_slope(phi0 + h, p) - force_slope(phi0 - h, p)) / (2 * h)
             assert force_curvature(phi0, p) == pytest.approx(fd, abs=1e-7)
+
+    def test_float_kernels_match_numpy(self):
+        # a float phi0 runs on math, an array on NumPy: the scalar solver
+        # relies on both giving the same bits
+        rng = np.random.default_rng(13)
+        for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 7).tolist():
+            for phi0 in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 40).tolist():
+                a = rng.uniform(0.05, 15.0)
+                c = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+                one = np.array([phi0])
+                for got, want in ((_force(phi0, a, c, g), _force(one, a, c, g)),
+                                  (_slope(phi0, c, g), _slope(one, c, g)),
+                                  (_height(phi0, c, g), _height(one, c, g))):
+                    assert type(got) is float
+                    assert got == want[0], (phi0, a, c, g)
 
     def test_slope_independent_of_mass_ratio(self):
         grid = np.linspace(0.0, PI, 50)

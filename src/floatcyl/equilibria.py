@@ -288,10 +288,10 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
                 nodes[idx, k + 1])
         else:
             i = int(idx[0])
-            sa, sc = a.item(i), c.item(i)
+            sa, sc = float(a[i]), float(c[i])
             found[i, n_nodes + k] = bisect(
-                lambda x: _force(x, sa, sc, g), nodes.item(i, k),
-                nodes.item(i, k + 1))
+                lambda x: _force(x, sa, sc, g), float(nodes[i, k]),
+                float(nodes[i, k + 1]))
 
     # of roots closer than _DEDUP_TOL keep the first in node-then-segment
     # order; only rows holding such a pair need the sequential pass.  Sorts

@@ -396,9 +396,11 @@ def find_equilibria(params: DimensionlessParams,
                     ) -> list[Equilibrium]:
     """All zeros of the force curve on [0, pi], ascending, with stability.
 
-    The one-cell call of ``solve``.
+    The one-cell call of ``solve``.  The fields are Python floats whatever
+    number type the params hold.
     """
-    a, c, g = params.mass_ratio, params.capillary_ratio, params.contact_angle
+    a = params.mass_ratio
+    c, g = float(params.capillary_ratio), float(params.contact_angle)
     out = []
     for r in solve(a, c, g, critical).tolist():
         if r != r:  # NaN pads the roots

@@ -175,6 +175,8 @@ def total_force(phi0, params: DimensionlessParams):
         F = -A C^2 - 2 sin(phi0+gamma)
             - 4 C cos((phi0+gamma)/2) sin(phi0)
             - (1/2) C^2 sin(2 phi0) + C^2 phi0.
+
+    A float phi0 with float params gives a Python float, an array an array.
     """
     _check_phi0(phi0)
     return _force(phi0, params.mass_ratio, params.capillary_ratio,
@@ -184,9 +186,11 @@ def total_force(phi0, params: DimensionlessParams):
 def _force(phi0, a, c, g):
     """total_force without the domain check; any phi0 (periodic extension).
 
-    A float phi0 runs on ``math``, whose sin and cos give NumPy's bits, so a
-    lone lane stays on Python floats: with float a, c and g the result is a
-    float.  An array phi0 runs on NumPy.
+    A float phi0 runs on ``math``, so a lone lane stays on Python floats:
+    with float a, c and g the result is a float.  An array phi0 runs on
+    NumPy.  The two agree bit for bit only where math's sin and cos give
+    NumPy's bits, a property of the platform that
+    ``test_float_kernels_match_numpy`` checks.
     """
     xp = math if isinstance(phi0, float) else np
     return (-a * c * c - 2.0 * xp.sin(phi0 + g)

@@ -306,7 +306,10 @@ def region_map(contact_angle: float,
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
     validity produce at that point: the grid is solved a block of columns
     at a time by the same solver, and a root is tested for crossing by the
-    same regime test and margin.
+    same regime test and margin.  find_equilibria runs the kernels on
+    ``math`` and the blocks on NumPy, so the equality also needs their sin
+    and cos to agree bit for bit, as ``test_float_kernels_match_numpy``
+    checks on the platform at hand.
     """
     n_a, n_c = resolution
     if n_a < 2 or n_c < 2:

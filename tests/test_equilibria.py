@@ -75,6 +75,13 @@ class TestFindEquilibria:
         assert eqs[1].phi0 == pytest.approx(3.0178, abs=1e-3)
         assert eqs[0].stability is Stability.STABLE
         assert eqs[1].stability is Stability.UNSTABLE
+        # NumPy scalars in the params give the same Python floats
+        boxed = find_equilibria(params(a=np.float64(3.8), c=np.float64(2.0),
+                                       g=np.float64(PI / 2)))
+        assert boxed == eqs
+        for eq in boxed:
+            assert all(type(x) is float
+                       for x in (eq.phi0, eq.force_slope, eq.height))
 
     def test_single_stable_below_endpoint_line(self):
         # one stable equilibrium whenever the force is still positive at pi

@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle suite")
     p.add_argument("--samples", type=_count(1), default=100,
                    help="randomized parameter sets per check")
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--seed", type=_count(0), default=20240801)
     _add_output_flags(p)
     p.set_defaults(fn=_cmd_verify)
 

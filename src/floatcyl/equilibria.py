@@ -171,8 +171,8 @@ def force_extrema(capillary_ratios, contact_angle: float):
       exactly when the slope at phi0 = pi is negative.
 
     A bracket whose endpoint slopes do not change sign is dropped.  Each
-    bracket is bisected once over every capillary ratio it holds; a lone one
-    runs on floats, which gives the same bits faster.
+    bracket is bisected once over every capillary ratio it holds (see
+    ``_lanes``); a scalar runs on floats throughout.
     """
     c = np.asarray(capillary_ratios, dtype=float)
     lone = c.ndim == 0
@@ -202,7 +202,7 @@ def force_extrema(capillary_ratios, contact_angle: float):
         phi = np.full(c.shape, np.nan)
         idx = np.flatnonzero(ok)
         if idx.size:
-            sub = c.flat[idx] if idx.size > 1 else c.item(idx[0])
+            sub, = _lanes(idx, c.ravel())
             phi.flat[idx] = bisect(lambda x: _slope(x, sub, g), lo, hi)
         out.append(phi)
     return out[0], out[1]
@@ -221,12 +221,11 @@ def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
             if phi == phi]
 
 
-def _add_root(roots: list[float], x: float) -> bool:
-    """Append x unless a root within _DEDUP_TOL is already listed."""
-    if any(abs(r - x) <= _DEDUP_TOL for r in roots):
-        return False
-    roots.append(x)
-    return True
+def _lanes(idx, *arrays):
+    """Each 1-D array at ``idx``; a lone lane as floats, which run on math."""
+    if idx.size > 1:
+        return [x[idx] for x in arrays]
+    return [float(x[idx[0]]) for x in arrays]
 
 
 def solve(mass_ratios, capillary_ratios, contact_angle: float,
@@ -235,13 +234,14 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
 
     The cells are the broadcast of ``mass_ratios`` against
     ``capillary_ratios``; the result has the broadcast shape plus one
-    trailing axis of roots.  Each capillary ratio is a column: its cells
-    share the nodes 0, the column's extrema (``critical`` for every column
-    when given) and pi, a missing extremum giving a zero-length segment.  A
-    node with |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi, the
-    tangency at A*); each segment is bisected once over every cell whose
-    ends change sign there.  Roots closer than _DEDUP_TOL count once, and
-    ``_scan_guard`` backstops the segments.
+    trailing axis, as wide as the most roots a cell has.  Each capillary
+    ratio is a column with the nodes 0, minimum, maximum and pi (the extrema
+    of ``critical`` for every column when given), a missing extremum at 0 or
+    pi.  A node with |F| <= ROOT_VALUE_TOL is a root (the endpoint root at
+    pi, the tangency at A*); each segment is bisected once over every cell
+    whose ends change sign there, and ``_scan_guard`` backstops the
+    segments.  Of roots closer than _DEDUP_TOL the first in node, segment,
+    guard order counts.
     """
     g = contact_angle
     cap = np.asarray(capillary_ratios, dtype=float)
@@ -249,15 +249,16 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
         # a lone column finds its extrema on floats
         minimum, maximum = force_extrema(
             cap.item() if cap.size == 1 else cap.ravel(), g)
-        col_nodes = np.column_stack([np.zeros(cap.size),
-                                     np.where(minimum == minimum, minimum, 0.0),
-                                     np.where(maximum == maximum, maximum, PI),
-                                     np.full(cap.size, PI)])
     else:
-        phis = [cp.phi0 for cp in critical]
-        # at least four nodes: missing extrema become zero-length segments
-        col_nodes = np.array(
-            [[0.0] * max(1, 3 - len(phis)) + phis + [PI]] * cap.size)
+        phis = {cp.kind: cp.phi0 for cp in critical}
+        minimum = phis.get(ExtremumKind.MINIMUM, math.nan)
+        maximum = phis.get(ExtremumKind.MAXIMUM, math.nan)
+    zero = np.zeros(cap.size)
+    pi = zero + PI
+    col_nodes = np.column_stack([zero,
+                                 np.where(minimum == minimum, minimum, zero),
+                                 np.where(maximum == maximum, maximum, pi),
+                                 pi])
     # each cell's column: its nodes, its capillary ratio, its scan.
     # Broadcast by arithmetic: x * 1.0 and j + 0 are exact.
     a = np.asarray(mass_ratios, dtype=float)
@@ -280,48 +281,43 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     found[:, :n_nodes] = np.where(on_node, nodes, np.nan)
     for k in np.flatnonzero(bracket.any(axis=0)).tolist():
         idx = np.flatnonzero(bracket[:, k])
-        # a lone bracket runs on floats: faster, and the same bits
-        if idx.size > 1:
-            sa, sc = a[idx], c[idx]
-            found[idx, n_nodes + k] = bisect(
-                lambda x: _force(x, sa, sc, g), nodes[idx, k],
-                nodes[idx, k + 1])
-        else:
-            i = int(idx[0])
-            sa, sc = float(a[i]), float(c[i])
-            found[i, n_nodes + k] = bisect(
-                lambda x: _force(x, sa, sc, g), float(nodes[i, k]),
-                float(nodes[i, k + 1]))
+        sa, sc, lo, hi = _lanes(idx, a, c, nodes[:, k], nodes[:, k + 1])
+        found[idx, n_nodes + k] = bisect(lambda x: _force(x, sa, sc, g), lo, hi)
 
-    # of roots closer than _DEDUP_TOL keep the first in node-then-segment
-    # order; only rows holding such a pair need the sequential pass.  Sorts
-    # are stable here and in the guard: nearly sorted input, and a smaller
-    # code footprint than the default sort.
+    # Sorts are stable here and in the guard: nearly sorted input, and a
+    # smaller code footprint than the default sort.
     roots = np.sort(found, axis=1, kind="stable")
     close = (roots[:, 1:] - roots[:, :-1] <= _DEDUP_TOL).any(axis=1)
-    for i in np.flatnonzero(close).tolist():
-        kept = []
-        for x in found[i].tolist():
-            if x == x:
-                _add_root(kept, x)
-        roots[i] = np.nan
-        roots[i, :len(kept)] = sorted(kept)
-
-    roots = _scan_guard(roots, a, c, col, cap.ravel(), g)
-    return roots.reshape(shape + roots.shape[-1:])
+    guard = _scan_guard(roots, a, c, col, cap.ravel(), g)
+    # one first-wins pass over the rows holding a close pair or a guard root
+    count = (roots == roots).sum(axis=1)
+    kept = {}
+    for i in guard.keys() | np.flatnonzero(close).tolist():
+        row = kept[i] = []
+        for x in found[i].tolist() + guard.get(i, []):
+            if x == x and all(abs(r - x) > _DEDUP_TOL for r in row):
+                row.append(x)
+        count[i] = len(row)
+    width = max(count.tolist(), default=0)
+    out = roots[:, :width]
+    if kept:
+        out = np.full((a.size, width), np.nan)
+        out[:, :roots.shape[1]] = roots[:, :width]
+        for i, row in kept.items():
+            out[i] = sorted(row) + [np.nan] * (width - len(row))
+    return out.reshape(shape + (width,))
 
 
 def _scan_guard(roots, a, c, col, caps, g):
-    """Backstop the segment roots with a dense sign scan of each cell.
+    """Roots a dense sign scan finds that the segment roots miss.
 
     Each grid interval where F(.; A=0) strictly crosses the level A C^2
     needs a root within _SCAN_PAD.  Per column, the interval bounds count
     the crossings of every cell's level, sorted first when the column holds
     more than one cell, less those next to a root; only a cell with some
-    left over scans its grid, and a root found there is
-    added with ModelInconsistencyWarning.  ``roots`` holds each cell's
-    ascending roots, NaN after them; the result adds any new ones and drops
-    the columns no cell fills.
+    left over scans its grid.  The roots found there come back by cell, each
+    with a ModelInconsistencyWarning.  ``roots`` holds each cell's ascending
+    roots, close pairs not yet merged, NaN after them.
     """
     level = a * c * c
     lo_f = np.empty((len(caps), len(_SCAN_GRID) - 1))
@@ -344,10 +340,10 @@ def _scan_guard(roots, a, c, col, caps, g):
             changes[cells] = (
                 np.searchsorted(np.sort(lo, kind="stable"), t, "left")
                 - np.searchsorted(np.sort(hi, kind="stable"), t, "right"))
-    cell, slot = np.nonzero(roots == roots)
     if changes.any():
         # a root's intervals are [first, last]; a cell's ascending roots
         # have ascending windows, so each starts past its predecessor's
+        cell, slot = np.nonzero(roots == roots)
         r = roots[cell, slot]
         first = np.searchsorted(_SCAN_TO, r, "left")
         last = np.searchsorted(_SCAN_FROM, r, "right") - 1
@@ -377,18 +373,9 @@ def _scan_guard(roots, a, c, col, caps, g):
                 f"monotone-segment structure (A={a_i!r}, C={c_i!r}, "
                 f"gamma={g!r}); the force curve shape assumption is violated "
                 "here", ModelInconsistencyWarning)
-            _add_root(kept, x)
-        added[i] = sorted(kept)
-    if added:
-        more = max(len(kept) for kept in added.values())
-        roots = np.hstack([roots, np.full((a.size, more), np.nan)])
-        for i, kept in added.items():
-            roots[i] = np.nan
-            roots[i, :len(kept)] = kept
-    # a row's roots come first, so the widest row ends at slot.max()
-    width = max([int(slot.max(initial=-1)) + 1]
-                + [len(kept) for kept in added.values()])
-    return roots[:, :width]
+            kept.append(x)
+            added.setdefault(i, []).append(x)
+    return added
 
 
 def find_equilibria(params: DimensionlessParams,
@@ -422,7 +409,8 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
 
     Raises NoSecondCriticalPointError when the regime has no interior
     maximum (contact angle < pi/2 with capillary ratio at or below the
-    second-extremum threshold).
+    second-extremum threshold), and ValueError when C is so small that A*
+    is not finite.
     """
     DimensionlessParams(mass_ratio=0.0, capillary_ratio=capillary_ratio,
                         contact_angle=contact_angle, exploratory=True)
@@ -432,9 +420,17 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
             f"no interior force maximum past pi/2 for contact_angle="
             f"{contact_angle!r}, capillary_ratio={capillary_ratio!r} "
             f"(threshold C = {second_extremum_threshold(contact_angle)!r})")
-    a_star = (_force(phi0_star, 0.0, capillary_ratio, contact_angle)
-              / capillary_ratio ** 2)
-    return a_star, phi0_star
+    f_star = _force(phi0_star, 0.0, capillary_ratio, contact_angle)
+    return _finite_mass(f_star, capillary_ratio ** 2, capillary_ratio), phi0_star
+
+
+def _finite_mass(numerator, denominator, capillary_ratio) -> float:
+    """numerator / (a power of C), a mass ratio: ValueError unless finite."""
+    a = numerator / denominator if denominator else math.inf
+    if not math.isfinite(a):
+        raise ValueError(f"capillary_ratio={capillary_ratio!r} is too small: "
+                         "the critical mass ratio is not finite")
+    return a
 
 
 def asymptotic_critical_mass(capillary_ratio: float, contact_angle: float,
@@ -449,7 +445,7 @@ def asymptotic_critical_mass(capillary_ratio: float, contact_angle: float,
                              + (7/3) 2^(-13/4) / C^(3/2)
 
     The series exist only for contact angle pi/2; anything else raises
-    UnsupportedRegimeError.
+    UnsupportedRegimeError, and a C too small for a finite A* ValueError.
     """
     if contact_angle != PI / 2.0:
         raise UnsupportedRegimeError(
@@ -459,11 +455,12 @@ def asymptotic_critical_mass(capillary_ratio: float, contact_angle: float,
         raise ValueError(f"capillary_ratio must be positive, got {capillary_ratio!r}")
     c = capillary_ratio
     if regime == "small":
-        a_star = 2.0 / c ** 2 + 2.0 + PI - 2.0 * math.sqrt(2.0) * c
+        a_star = _finite_mass(2.0, c ** 2, c) + 2.0 + PI - 2.0 * math.sqrt(2.0) * c
         phi0_star = (PI - math.sqrt(2.0) * c + 2.0 * c ** 2
                      - (7.0 / 12.0) * math.sqrt(2.0) * c ** 3)
     elif regime == "large":
-        a_star = PI + (1.0 / 3.0) * 2.0 ** (11.0 / 4.0) / c ** 1.5
+        a_star = PI + _finite_mass((1.0 / 3.0) * 2.0 ** (11.0 / 4.0),
+                                   c ** 1.5, c)
         phi0_star = (PI - 2.0 ** 0.25 / math.sqrt(c) + 2.0 ** -0.5 / c
                      + (7.0 / 3.0) * 2.0 ** (-13.0 / 4.0) / c ** 1.5)
     else:

@@ -173,9 +173,10 @@ def trace_endpoint_curve(contact_angle, a_window, c_window,
             pts = np.column_stack([np.full(n, PI), cs])
         return BoundaryCurve(CurveKind.ENDPOINT, pts, analytic=True)
     s = 2.0 * math.sin(contact_angle)
-    # C(A) <= c_hi needs A >= pi + s/c_hi^2; C(A) >= c_lo needs A <= pi + s/c_lo^2
-    lo = max(a_lo, PI + s / c_hi ** 2)
-    hi = a_hi if c_lo <= 0.0 else min(a_hi, PI + s / c_lo ** 2)
+    # C(A) <= c_hi needs A >= pi + s/c_hi^2; C(A) >= c_lo needs A <= pi + s/c_lo^2.
+    # A square that underflows to 0 stands for its limit, A = inf.
+    lo = max(a_lo, PI + s / c_hi ** 2) if c_hi ** 2 else math.inf
+    hi = min(a_hi, PI + s / c_lo ** 2) if c_lo > 0.0 and c_lo ** 2 else a_hi
     if lo >= hi:
         return BoundaryCurve(CurveKind.ENDPOINT, np.empty((0, 2)), analytic=True)
     a = np.linspace(lo, hi, n)
@@ -194,9 +195,10 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
     a_lo, a_hi = a_window
     c_lo, c_hi = c_window
     thr = second_extremum_threshold(contact_angle)
-    if math.isinf(thr) or thr >= c_hi:
-        return BoundaryCurve(CurveKind.TANGENCY, np.empty((0, 2)), analytic=False)
     lo = max(c_lo, thr * (1.0 + 1e-9), 1e-6)
+    # no sample in the window, as when the maximum never appears (thr = inf)
+    if lo >= c_hi:
+        return BoundaryCurve(CurveKind.TANGENCY, np.empty((0, 2)), analytic=False)
     # the samples span [lo, c_hi]: check them as critical_mass_ratio would
     for c in (lo, c_hi):
         DimensionlessParams(0.0, c, contact_angle, exploratory=True)

@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -279,8 +281,40 @@ class TestVerify:
         assert all(r[-1] == "true" for r in rows)
 
 
+class TestTimestamp:
+    ISO = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?\+00:00")
+
+    @pytest.mark.parametrize("argv,where", [
+        (["equilibria", "--gamma", "1.5707963", "--A", "3.8", "--C", "2"],
+         "csv"),
+        (["equilibria", "--gamma", "1.5707963", "--A", "3.8", "--C", "2",
+          "--format", "json"], "meta"),
+        (["region-map", "--gamma", "2", "--resolution", "3"], "csv"),
+        (["region-map", "--gamma", "2", "--resolution", "3",
+          "--format", "json"], "top"),
+        (["verify", "--samples", "2", "--format", "json"], "top"),
+    ])
+    def test_timestamp_lands_in_the_header(self, capsys, argv, where):
+        _, plain = run_cli(capsys, argv)
+        _, stamped = run_cli(capsys, argv + ["--timestamp"])
+        stamps = [m.group(0) for m in self.ISO.finditer(stamped)]
+        assert len(stamps) == 1
+        # an aware UTC time, as the documented generation timestamp
+        assert datetime.fromisoformat(stamps[0]).utcoffset() == timedelta(0)
+        stamped = stamped.replace(stamps[0], "<ts>")
+        if where == "csv":
+            lines = plain.split("\n")
+            last = max(i for i, l in enumerate(lines) if l.startswith("#"))
+            lines.insert(last + 1, "# generated_at: <ts>")
+            assert stamped == "\n".join(lines)
+            return
+        want = json.loads(plain)
+        (want["meta"] if where == "meta" else want)["generated_at"] = "<ts>"
+        assert json.loads(stamped) == want
+
+
 class TestPlumbing:
-    def test_usage_error(self):
+    def test_usage_error(self, capsys):
         for argv in (
                 ["equilibria", "--A", "3.8", "--C", "2"],  # missing --gamma
                 # counts below the library's minimum
@@ -291,10 +325,13 @@ class TestPlumbing:
                 ["profile", "--gamma", "1", "--A", "1", "--C", "1",
                  "--phi0", "0.5", "--resolution", "1"],
                 ["region-map", "--gamma", "1", "--resolution", "1"],
-                ["verify", "--samples", "0"]):
+                ["verify", "--samples", "0"],
+                ["verify", "--seed", "-1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+        # the last one names its flag, not NumPy's seed check
+        assert "argument --seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,field", [
         (["equilibria", "--gamma", "1", "--A", "1", "--C", "inf"],
@@ -323,6 +360,9 @@ class TestPlumbing:
           "--c-min", "nan"], "c_range"),
         (["region-map", "--gamma", "2", "--resolution", "4",
           "--c-max", "nan"], "c_range"),
+        # C**2 underflows to 0, or A* overflows
+        (["astar", "--gamma", "2", "--C", "1e-200"], "capillary_ratio"),
+        (["astar", "--gamma", "2", "--C", "1e-160"], "capillary_ratio"),
     ])
     def test_nonfinite_input_is_domain_error(self, argv, field):
         proc = run_child(["-m", "floatcyl.cli", *argv])
@@ -331,6 +371,21 @@ class TestPlumbing:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert field in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["region-map", "--gamma", "1", "--resolution", "2",
+         "--c-min", "1e-200"],
+        ["region-map", "--gamma", "1", "--resolution", "2",
+         "--c-max", "1e-170"],
+        ["region-map", "--gamma", "2.5", "--resolution", "2",
+         "--c-max", "1e-170"],
+    ])
+    def test_tiny_capillary_window(self, argv):
+        # a C**2 that underflows bounds no curve, and no tangency sample
+        # lies below the window's top
+        proc = run_child(["-m", "floatcyl.cli", *argv])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_import_leaves_scipy_unloaded(self):
         # SciPy serves only the oracle suite and loads on its first use

@@ -339,3 +339,32 @@ class TestSolve:
                     for x in a.tolist() for y in c.tolist()]
             assert block == want
             assert max(len(roots) for roots in want) == 2
+
+    def test_guard_root_joins_on_node_zeros(self):
+        # zeros on the nodes at 0 and a guard root in one row: one root at
+        # 0, the guard's, one warning, no padding column (captured values)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            roots = solve(0.0, 1.0, 0.0, critical=[])
+        assert roots.shape == (2,)
+        assert roots.tolist() == [0.0, 2.282271149032337]
+        assert [(w.category, str(w.message)) for w in caught] == [(
+            ModelInconsistencyWarning,
+            "dense scan found a root at phi0=2.28227114903 outside the "
+            "monotone-segment structure (A=0.0, C=1.0, gamma=0.0); the force "
+            "curve shape assumption is violated here")]
+
+    def test_endpoint_root_without_maximum_counts_once(self):
+        # below the second-extremum threshold the missing maximum sits on
+        # the pi node, so the endpoint root appears twice before the dedup
+        g = 0.5
+        c = 0.5 * second_extremum_threshold(g)
+        a = PI + 2.0 * math.sin(g) / c ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = solve(a, c, g)
+            assert roots.shape == (1,)
+            assert roots.tolist() == [PI]
+            column = solve(np.array([0.0, a]), c, g, critical=[])
+        assert column.shape == (2, 1)
+        assert column.tolist() == [[2.0703197066879953], [PI]]

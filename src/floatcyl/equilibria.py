@@ -41,6 +41,18 @@ _SCAN_FROM = _SCAN_GRID[:-1] - _SCAN_PAD
 _SCAN_TO = _SCAN_GRID[1:] + _SCAN_PAD
 # pad < grid step: a root's window spans at most three intervals
 _WINDOW = np.arange(3)
+# The guard's basis: sin(phi+gamma) and cos((phi+gamma)/2) expanded give
+# F(grid; A=0) = u + C v + C^2 w with u = cos(gamma) b0 + sin(gamma) b1,
+# v = cos(gamma/2) b2 + sin(gamma/2) b3 and w = b4 (see _scan_rows).
+_SCAN_BASIS = np.stack([-2.0 * np.sin(_SCAN_GRID),
+                        -2.0 * np.cos(_SCAN_GRID),
+                        -4.0 * np.cos(_SCAN_GRID / 2.0) * np.sin(_SCAN_GRID),
+                        4.0 * np.sin(_SCAN_GRID / 2.0) * np.sin(_SCAN_GRID),
+                        _SCAN_GRID - 0.5 * np.sin(2.0 * _SCAN_GRID)])
+# The expansion rounds apart from _force by at most _SCAN_SLACK (1+C)^2
+# (test_scan_slack_bounds_the_expansion); a count widened by that never
+# falls below _force's.
+_SCAN_SLACK = 64.0 * sys.float_info.epsilon
 # SciPy's bisect defaults: relative tolerance and iteration cap.
 _RTOL = 4.0 * sys.float_info.epsilon
 _MAX_HALVINGS = 100
@@ -308,38 +320,51 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     return out.reshape(shape + (width,))
 
 
+def _scan_rows(caps, g):
+    """F(_SCAN_GRID; A=0) for each capillary ratio, without trig."""
+    b0, b1, b2, b3, w = _SCAN_BASIS
+    u = math.cos(g) * b0 + math.sin(g) * b1
+    v = math.cos(g / 2.0) * b2 + math.sin(g / 2.0) * b3
+    for c in caps.tolist():
+        yield u + c * v + (c * c) * w
+
+
 def _scan_guard(roots, a, c, col, caps, g):
     """Roots a dense sign scan finds that the segment roots miss.
 
     Each grid interval where F(.; A=0) strictly crosses the level A C^2
-    needs a root within _SCAN_PAD.  Per column, the interval bounds count
-    the crossings of every cell's level, sorted first when the column holds
-    more than one cell, less those next to a root; only a cell with some
-    left over scans its grid.  The roots found there come back by cell, each
-    with a ModelInconsistencyWarning.  ``roots`` holds each cell's ascending
-    roots, close pairs not yet merged, NaN after them.
+    needs a root within _SCAN_PAD.  The count runs on ``_scan_rows``,
+    widened by the slack so that it never falls below _force's crossings:
+    per column, the interval bounds count the intervals reaching within the
+    slack of every cell's level, sorted first when the column holds more
+    than one cell, less those next to a root.  Only a cell with some left
+    over rescans its grid with _force.  The roots found there come back by
+    cell, each with a ModelInconsistencyWarning.  ``roots`` holds each
+    cell's ascending roots, close pairs not yet merged, NaN after them.
     """
     level = a * c * c
+    slack = _SCAN_SLACK * (1.0 + c) ** 2
+    # An interval counts when lo < above and below < hi.  |F| <= pi (1+C)^2
+    # on the grid, so the slack is over 20 ulps of any level a bound can
+    # reach: hi <= below implies lo < above, and the sorted bounds need no
+    # rule for flat intervals.
+    below, above = level - slack, level + slack
     lo_f = np.empty((len(caps), len(_SCAN_GRID) - 1))
     hi_f = np.empty_like(lo_f)
     changes = np.empty(a.size, dtype=np.int64)
-    for j, c_j in enumerate(caps.tolist()):
-        f0 = _force(_SCAN_GRID, 0.0, c_j, g)
+    for j, f0 in enumerate(_scan_rows(caps, g)):
         lo, hi = lo_f[j], hi_f[j]
         np.minimum(f0[:-1], f0[1:], out=lo)
         np.maximum(f0[:-1], f0[1:], out=hi)
-        # a flat interval crosses no level: at +inf it counts nowhere
-        flat = lo == hi
-        lo[flat] = hi[flat] = np.inf
         cells = np.flatnonzero(col == j)
-        t = level[cells]
+        under, over = below[cells], above[cells]
         if cells.size == 1:
             # the same count as the sorted bounds give, without the sorts
-            changes[cells] = np.count_nonzero((lo < t) & (t < hi))
+            changes[cells] = np.count_nonzero((lo < over) & (under < hi))
         else:
             changes[cells] = (
-                np.searchsorted(np.sort(lo, kind="stable"), t, "left")
-                - np.searchsorted(np.sort(hi, kind="stable"), t, "right"))
+                np.searchsorted(np.sort(lo, kind="stable"), over, "left")
+                - np.searchsorted(np.sort(hi, kind="stable"), under, "right"))
     if changes.any():
         # a root's intervals are [first, last]; a cell's ascending roots
         # have ascending windows, so each starts past its predecessor's
@@ -352,9 +377,9 @@ def _scan_guard(roots, a, c, col, caps, g):
         window = first[:, None] + _WINDOW
         at = (np.minimum(window, len(_SCAN_GRID) - 2)
               + (col[cell] * (len(_SCAN_GRID) - 1))[:, None])
-        t = level[cell, None]
         crossed = ((window <= last[:, None])
-                   & (lo_f.take(at) < t) & (t < hi_f.take(at)))
+                   & (lo_f.take(at) < above[cell, None])
+                   & (below[cell, None] < hi_f.take(at)))
         changes -= np.bincount(cell, crossed.sum(axis=1),
                                a.size).astype(np.int64)
 

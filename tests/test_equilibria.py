@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy.optimize import bisect as scipy_bisect
 
-from floatcyl.equilibria import (ExtremumKind, ModelInconsistencyWarning,
+from floatcyl.equilibria import (_SCAN_GRID, _SCAN_SLACK, ExtremumKind,
+                                 ModelInconsistencyWarning,
                                  NoSecondCriticalPointError, Stability,
-                                 UnsupportedRegimeError,
+                                 UnsupportedRegimeError, _scan_rows,
                                  asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
-                                 find_equilibria, second_extremum_threshold,
-                                 solve)
+                                 find_equilibria, force_extrema,
+                                 second_extremum_threshold, solve)
 from floatcyl.model import DimensionlessParams, _force, _slope, total_force
 
 PI = math.pi
@@ -65,6 +66,16 @@ class TestCriticalPoints:
         # just below: no maximum; just above: maximum appears
         assert len(critical_points(params(c=c0 * 0.999, g=PI / 4))) == 1
         assert len(critical_points(params(c=c0 * 1.001, g=PI / 4))) == 2
+
+    def test_extrema_continuous_across_neutral_angle(self):
+        # force_extrema switches brackets at gamma == pi/2 exactly: the
+        # extrema on either side stay with those at pi/2
+        c = np.geomspace(1e-3, 1e3, 61)
+        at = force_extrema(c, PI / 2)
+        for g in (PI / 2 - 1e-12, PI / 2 + 1e-12,
+                  math.nextafter(PI / 2, 0.0), math.nextafter(PI / 2, 4.0)):
+            for near, exact in zip(force_extrema(c, g), at):
+                assert np.all(np.abs(near - exact) <= 1e-11)
 
 
 class TestFindEquilibria:
@@ -368,3 +379,55 @@ class TestSolve:
             column = solve(np.array([0.0, a]), c, g, critical=[])
         assert column.shape == (2, 1)
         assert column.tolist() == [[2.0703197066879953], [PI]]
+
+    def test_block_at_extreme_capillary_ratios(self):
+        # C from 1e-3 to 1e3, where the guard's slack is widest (about
+        # 1.4e-8 at C = 1e3).  Each column's mass ratios straddle its
+        # root-count changes, near the endpoint line pi + 2 sin(gamma)/C^2
+        # and the tangency A* (the line stands in for A* at gamma = 0,
+        # where there is none).  Arrays, shapes and warning texts are
+        # pinned (captured values).
+        c = np.array([1e-3, 1e-2, 30.0, 1e3])
+        near = np.array([0.5, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-9, 1.0,
+                         1.0 + 1e-9, 1.001])
+        pinned = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for g in (0.0, PI / 2, 2.6, PI):
+                a_end = PI + 2.0 * math.sin(g) / c ** 2
+                a_star = np.array([critical_mass_ratio(x, g)[0] if g else a
+                                   for x, a in zip(c.tolist(), a_end)])
+                a = np.concatenate([near[:, None] * a_end,
+                                    near[:, None] * a_star, [2.0 * a_star]])
+                block = solve(a, c, g, critical=[])
+                pinned.append((block.shape, block.tolist()))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ModelInconsistencyWarning)
+                    assert cell_roots(block) == [
+                        [eq.phi0 for eq in find_equilibria(
+                            params(x, y, g), critical=[])]
+                        for x, y in zip(a.ravel().tolist(),
+                                        np.resize(c, a.size).tolist())]
+        texts = [str(w.message) for w in caught
+                 if w.category is ModelInconsistencyWarning]
+        assert len(texts) == len(caught) == 89
+        assert [shape for shape, _ in pinned] == [
+            (19, 4, 1), (19, 4, 2), (19, 4, 2), (19, 4, 2)]
+        assert hashlib.sha256(repr((pinned, texts)).encode()).hexdigest() == (
+            "e7950b736082f669dc6d55e4621340edb8c8926b79efc88542d5219bd9b1c817")
+
+
+class TestScanGuard:
+    def test_scan_slack_bounds_the_expansion(self):
+        # the widened count never falls below _force's crossings only if
+        # the guard's rows stay within the slack of _force on the grid
+        rng = np.random.default_rng(31)
+        c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 20_900))
+        g = np.concatenate([rng.uniform(0.0, PI, 20_000),
+                            np.repeat([0.0, PI / 2, PI], 300)])
+        worst = 0.0
+        for c_i, g_i in zip(c.tolist(), g.tolist()):
+            row, = _scan_rows(np.array([c_i]), g_i)
+            gap = np.max(np.abs(row - _force(_SCAN_GRID, 0.0, c_i, g_i)))
+            worst = max(worst, gap / (_SCAN_SLACK * (1.0 + c_i) ** 2))
+        assert worst <= 1.0

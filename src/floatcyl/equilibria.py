@@ -53,6 +53,14 @@ _SCAN_BASIS = np.stack([-2.0 * np.sin(_SCAN_GRID),
 # (test_scan_slack_bounds_the_expansion); a count widened by that never
 # falls below _force's.
 _SCAN_SLACK = 64.0 * sys.float_info.epsilon
+# An interior extremum of F lies within half a grid step h of a grid point,
+# where F' = 0, so F there is within |F''| h^2 / 8 of that point's value.
+_SCAN_SAG = (PI / (len(_SCAN_GRID) - 1)) ** 2 / 8.0
+# _rootless's margin 2 _SCAN_SLACK (1+C)^2 + (2 + 9C + 2C^2) _SCAN_SAG
+# + ROOT_VALUE_TOL, by powers of C
+_MARGIN = (2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG + ROOT_VALUE_TOL,
+           4.0 * _SCAN_SLACK + 9.0 * _SCAN_SAG,
+           2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG)
 # SciPy's bisect defaults: relative tolerance and iteration cap.
 _RTOL = 4.0 * sys.float_info.epsilon
 _MAX_HALVINGS = 100
@@ -247,20 +255,40 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     The cells are the broadcast of ``mass_ratios`` against
     ``capillary_ratios``; the result has the broadcast shape plus one
     trailing axis, as wide as the most roots a cell has.  Each capillary
-    ratio is a column with the nodes 0, minimum, maximum and pi (the extrema
-    of ``critical`` for every column when given), a missing extremum at 0 or
-    pi.  A node with |F| <= ROOT_VALUE_TOL is a root (the endpoint root at
-    pi, the tangency at A*); each segment is bisected once over every cell
-    whose ends change sign there, and ``_scan_guard`` backstops the
-    segments.  Of roots closer than _DEDUP_TOL the first in node, segment,
-    guard order counts.
+    ratio is a column with the guard's row F(_SCAN_GRID; A=0) and the nodes
+    0, minimum, maximum and pi (the extrema of ``critical`` for every column
+    when given), a missing extremum at 0 or pi.  A cell whose level A C^2
+    lies so far outside its row's range that F provably keeps one sign
+    (``_rootless``) has no root and goes no further; when no cell is left,
+    the extrema are never found.  Otherwise a node with
+    |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi, the tangency
+    at A*); each segment is bisected once over every cell whose ends change
+    sign there, and ``_scan_guard`` backstops the segments.  Of roots closer
+    than _DEDUP_TOL the first in node, segment, guard order counts.
     """
     g = contact_angle
     cap = np.asarray(capillary_ratios, dtype=float)
+    caps = cap.ravel()
+    # each cell's column: its capillary ratio, its row, its nodes.
+    # Broadcast by arithmetic: x * 1.0 and j + 0 are exact.
+    a = np.asarray(mass_ratios, dtype=float)
+    ones = np.ones(np.broadcast(a, cap).shape)
+    shape = ones.shape
+    col = (np.arange(cap.size).reshape(cap.shape) + ones.astype(np.int64) - 1
+           ).ravel()
+    a = (a * ones).ravel()
+    rows = _scan_rows(caps, g)
+    live = np.flatnonzero(~_rootless(rows, a, caps, col))
+    if not live.size:
+        return np.empty(shape + (0,))
+    n_cells = a.size
+    a, col = a[live], col[live]
+    c = caps[col]
+
     if critical is None:
         # a lone column finds its extrema on floats
         minimum, maximum = force_extrema(
-            cap.item() if cap.size == 1 else cap.ravel(), g)
+            cap.item() if cap.size == 1 else caps, g)
     else:
         phis = {cp.kind: cp.phi0 for cp in critical}
         minimum = phis.get(ExtremumKind.MINIMUM, math.nan)
@@ -271,15 +299,6 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
                                  np.where(minimum == minimum, minimum, zero),
                                  np.where(maximum == maximum, maximum, pi),
                                  pi])
-    # each cell's column: its nodes, its capillary ratio, its scan.
-    # Broadcast by arithmetic: x * 1.0 and j + 0 are exact.
-    a = np.asarray(mass_ratios, dtype=float)
-    ones = np.ones(np.broadcast(a, cap).shape)
-    shape = ones.shape
-    col = (np.arange(cap.size).reshape(cap.shape) + ones.astype(np.int64) - 1
-           ).ravel()
-    a = (a * ones).ravel()
-    c = cap.ravel()[col]
     nodes = col_nodes[col]
     # one capillary ratio runs on floats: faster, and the same bits
     c_cells = cap.item() if cap.size == 1 else c[:, None]
@@ -300,7 +319,7 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     # smaller code footprint than the default sort.
     roots = np.sort(found, axis=1, kind="stable")
     close = (roots[:, 1:] - roots[:, :-1] <= _DEDUP_TOL).any(axis=1)
-    guard = _scan_guard(roots, a, c, col, cap.ravel(), g)
+    guard = _scan_guard(roots, a, c, col, rows, g)
     # one first-wins pass over the rows holding a close pair or a guard root
     count = (roots == roots).sum(axis=1)
     kept = {}
@@ -312,35 +331,75 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
         count[i] = len(row)
     width = max(count.tolist(), default=0)
     out = roots[:, :width]
-    if kept:
-        out = np.full((a.size, width), np.nan)
-        out[:, :roots.shape[1]] = roots[:, :width]
+    if kept or live.size < n_cells:
+        out = np.full((n_cells, width), np.nan)
+        out[live, :roots.shape[1]] = roots[:, :width]
         for i, row in kept.items():
-            out[i] = sorted(row) + [np.nan] * (width - len(row))
+            out[live[i]] = sorted(row) + [np.nan] * (width - len(row))
     return out.reshape(shape + (width,))
 
 
+def _rootless(rows, a, caps, col):
+    """The cells whose F keeps one sign on [0, pi], with |F| > ROOT_VALUE_TOL.
+
+    ``rows`` holds each column's ``_scan_rows``, and ``col`` each cell's
+    column.  A cell is rootless when its level A C^2 lies above its row's
+    maximum, or below its minimum, by more than the margin
+    2 _SCAN_SLACK (1+C)^2 + K _SCAN_SAG + ROOT_VALUE_TOL, K = 2 + 9C + 2C^2.
+    Proof, for the level above (below is its mirror image):
+
+    * The rows lie within one slack of _force on the grid
+      (``test_scan_slack_bounds_the_expansion``), and _force, on the grid
+      or at a node, within one slack of the exact F: its terms add to a few
+      (1+C)^2 and each rounds by an ulp or two.  A level far past the rows
+      adds rounding of a few ulps of itself, far below |F|, which grows
+      with it.  The test's own rounding is far below the K term (> 2e-6).
+    * ``force_curvature``'s four terms bound |F''| by K.  The largest
+      F(x; A=0) on [0, pi] lies at a grid end, or at an interior x* with
+      F'(x*) = 0 and some grid point within h/2 of it, where F is within
+      K h^2 / 8 = K _SCAN_SAG of F(x*).
+
+    So F < -ROOT_VALUE_TOL on all of [0, pi]: every node value has one sign
+    with |F| > ROOT_VALUE_TOL, no segment brackets, and ``_scan_guard``,
+    widened by one slack, counts no crossing.  ``solve`` without the test
+    finds no root for these cells either.  The proof does not rest on the
+    monotone-segment structure, so it needs no guard behind it.  The margin
+    follows ROOT_VALUE_TOL: should that become force-scaled, so must the
+    margin's last term.
+    """
+    m0, m1, m2 = _MARGIN
+    margin = m0 + caps * (m1 + caps * m2)
+    c = caps[col]
+    level = a * c * c
+    return ((level > (rows.max(axis=1) + margin)[col])
+            | (level < (rows.min(axis=1) - margin)[col]))
+
+
 def _scan_rows(caps, g):
-    """F(_SCAN_GRID; A=0) for each capillary ratio, without trig."""
+    """F(_SCAN_GRID; A=0) for each capillary ratio, one row each, no trig."""
     b0, b1, b2, b3, w = _SCAN_BASIS
     u = math.cos(g) * b0 + math.sin(g) * b1
     v = math.cos(g / 2.0) * b2 + math.sin(g / 2.0) * b3
-    for c in caps.tolist():
-        yield u + c * v + (c * c) * w
+    # row by row: a block's temporaries stay one row long
+    rows = np.empty((caps.size, len(_SCAN_GRID)))
+    for row, c in zip(rows, caps.tolist()):
+        row[:] = u + c * v + (c * c) * w
+    return rows
 
 
-def _scan_guard(roots, a, c, col, caps, g):
+def _scan_guard(roots, a, c, col, rows, g):
     """Roots a dense sign scan finds that the segment roots miss.
 
     Each grid interval where F(.; A=0) strictly crosses the level A C^2
-    needs a root within _SCAN_PAD.  The count runs on ``_scan_rows``,
-    widened by the slack so that it never falls below _force's crossings:
-    per column, the interval bounds count the intervals reaching within the
-    slack of every cell's level, sorted first when the column holds more
-    than one cell, less those next to a root.  Only a cell with some left
-    over rescans its grid with _force.  The roots found there come back by
-    cell, each with a ModelInconsistencyWarning.  ``roots`` holds each
-    cell's ascending roots, close pairs not yet merged, NaN after them.
+    needs a root within _SCAN_PAD.  The count runs on ``rows``, each
+    column's ``_scan_rows``, widened by the slack so that it never falls
+    below _force's crossings: per column holding a cell, the interval
+    bounds count the intervals reaching within the slack of every cell's
+    level, sorted first when the column holds more than one cell, less
+    those next to a root.  Only a cell with some left over rescans its grid
+    with _force.  The roots found there come back by cell, each with a
+    ModelInconsistencyWarning.  ``roots`` holds each cell's ascending
+    roots, close pairs not yet merged, NaN after them.
     """
     level = a * c * c
     slack = _SCAN_SLACK * (1.0 + c) ** 2
@@ -349,14 +408,15 @@ def _scan_guard(roots, a, c, col, caps, g):
     # reach: hi <= below implies lo < above, and the sorted bounds need no
     # rule for flat intervals.
     below, above = level - slack, level + slack
-    lo_f = np.empty((len(caps), len(_SCAN_GRID) - 1))
-    hi_f = np.empty_like(lo_f)
+    lo = np.empty(len(_SCAN_GRID) - 1)
+    hi = np.empty_like(lo)
     changes = np.empty(a.size, dtype=np.int64)
-    for j, f0 in enumerate(_scan_rows(caps, g)):
-        lo, hi = lo_f[j], hi_f[j]
+    for j, f0 in enumerate(rows):
+        cells = np.flatnonzero(col == j)
+        if not cells.size:
+            continue
         np.minimum(f0[:-1], f0[1:], out=lo)
         np.maximum(f0[:-1], f0[1:], out=hi)
-        cells = np.flatnonzero(col == j)
         under, over = below[cells], above[cells]
         if cells.size == 1:
             # the same count as the sorted bounds give, without the sorts
@@ -376,10 +436,11 @@ def _scan_guard(roots, a, c, col, caps, g):
                              np.maximum(first[1:], last[:-1] + 1), first[1:])
         window = first[:, None] + _WINDOW
         at = (np.minimum(window, len(_SCAN_GRID) - 2)
-              + (col[cell] * (len(_SCAN_GRID) - 1))[:, None])
+              + (col[cell] * len(_SCAN_GRID))[:, None])
+        f_at, f_next = rows.take(at), rows.take(at + 1)
         crossed = ((window <= last[:, None])
-                   & (lo_f.take(at) < above[cell, None])
-                   & (below[cell, None] < hi_f.take(at)))
+                   & (np.minimum(f_at, f_next) < above[cell, None])
+                   & (below[cell, None] < np.maximum(f_at, f_next)))
         changes -= np.bincount(cell, crossed.sum(axis=1),
                                a.size).astype(np.int64)
 

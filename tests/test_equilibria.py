@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 
-from floatcyl.equilibria import (_SCAN_GRID, _SCAN_SLACK, ExtremumKind,
-                                 ModelInconsistencyWarning,
+from floatcyl.equilibria import (_SCAN_GRID, _SCAN_SLACK, ROOT_VALUE_TOL,
+                                 ExtremumKind, ModelInconsistencyWarning,
                                  NoSecondCriticalPointError, Stability,
-                                 UnsupportedRegimeError, _scan_rows,
+                                 UnsupportedRegimeError, _rootless, _scan_rows,
                                  asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, force_extrema,
@@ -222,6 +224,27 @@ class TestFindEquilibria:
                 if g >= PI / 2:
                     assert eqs[1].phi0 > PI / 2
 
+    # A >= 0.05 keeps A C^2 above ROOT_VALUE_TOL: below it the absolute
+    # tolerance makes node roots of tiny forces (ROADMAP item 4)
+    @settings(derandomize=True, max_examples=400, database=None,
+              deadline=None)
+    @given(a=st.floats(0.05, 15.0),
+           log_c=st.floats(math.log(1e-3), math.log(1e3)),
+           g=st.one_of(st.sampled_from([0.0, PI / 2, PI]),
+                       st.floats(0.0, PI)))
+    def test_root_structure_property(self, a, log_c, g):
+        p = params(a, math.exp(log_c), g)
+        eqs = find_equilibria(p)
+        assert len(eqs) <= 2
+        assert [eq.phi0 for eq in eqs] == sorted(eq.phi0 for eq in eqs)
+        if len(eqs) == 2:
+            assert eqs[0].stability is not Stability.UNSTABLE
+            assert eqs[1].stability is not Stability.STABLE
+        if not eqs:
+            phis = [0.0] + [cp.phi0 for cp in critical_points(p)] + [PI]
+            f = total_force(np.array(phis), p)
+            assert np.all(f < 0.0) or np.all(f > 0.0)
+
 
 class TestCriticalMass:
     def test_exact_value_high_contact_angle(self):
@@ -415,6 +438,69 @@ class TestSolve:
             (19, 4, 1), (19, 4, 2), (19, 4, 2), (19, 4, 2)]
         assert hashlib.sha256(repr((pinned, texts)).encode()).hexdigest() == (
             "e7950b736082f669dc6d55e4621340edb8c8926b79efc88542d5219bd9b1c817")
+
+    def test_rootless_cells_keep_one_sign(self):
+        # the cells solve answers from the guard's rows alone must have F of
+        # one sign, |F| > ROOT_VALUE_TOL, at their nodes and between them
+        cells = _edge_cells(41)
+        fine = np.linspace(0.0, PI, 100_001)
+        marked = []
+        for g, a, c in _by_angle(cells):
+            rootless = _rootless(_scan_rows(c, g), a, c, np.arange(c.size))
+            marked += [(x, y, g) for x, y in zip(a[rootless].tolist(),
+                                                 c[rootless].tolist())]
+        assert 150 < len(marked) < len(cells)
+        for a, c, g in marked:
+            minimum, maximum = force_extrema(c, g)
+            nodes = np.array([0.0, minimum if minimum == minimum else 0.0,
+                              maximum if maximum == maximum else PI, PI])
+            for f in (_force(nodes, a, c, g), _force(fine, a, c, g)):
+                assert np.all(np.abs(f) > ROOT_VALUE_TOL), (a, c, g)
+                assert np.all(np.sign(f) == np.sign(f[0])), (a, c, g)
+        # solve over the same cells, one at a time and in blocks per angle,
+        # with warning texts in order (captured values)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pinned = [solve(a, c, g) for a, c, g in cells]
+            pinned += [solve(a, c, g, critical) for g, a, c in _by_angle(cells)
+                       for critical in (None, [])]
+        texts = [str(w.message) for w in caught]
+        digest = repr(([(x.shape, x.tolist()) for x in pinned], texts))
+        assert len(texts) == 308
+        assert hashlib.sha256(digest.encode()).hexdigest() == (
+            "5319d1a6217c7fef64c398db90e456e131dd52bb2779bc2358eb9268ffd1c731")
+
+
+def _edge_cells(seed):
+    """(A, C, gamma) next to a change of root count, C log-uniform on
+    [1e-3, 1e3]: A*(1 +- eps) at the upper tangency (the endpoint line
+    where there is no maximum), and at the lower one F(minimum; A=0)/C^2
+    (or F(0; A=0)/C^2 without a minimum), the endpoint line itself, and an
+    exploratory A < 0."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 3).tolist():
+        for c in np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 8)).tolist():
+            a_end = PI + 2.0 * math.sin(g) / c ** 2
+            try:
+                a_top = critical_mass_ratio(c, g)[0]
+            except NoSecondCriticalPointError:
+                a_top = a_end
+            minimum = force_extrema(c, g)[0]
+            a_bottom = _force(minimum if minimum == minimum else 0.0,
+                              0.0, c, g) / c ** 2
+            for eps in (1e-15, 1e-12, 1e-9, 1e-6, 1e-5, 1e-4):
+                cells += [(a * f, c, g) for a in (a_top, a_bottom)
+                          for f in (1.0 - eps, 1.0 + eps)]
+            cells += [(a_end, c, g), (-rng.uniform(0.05, 15.0), c, g)]
+    return cells
+
+
+def _by_angle(cells):
+    """(gamma, A array, C array) for each contact angle of the cells."""
+    for g in sorted({g for _, _, g in cells}):
+        a, c = zip(*[(a, c) for a, c, h in cells if h == g])
+        yield g, np.array(a), np.array(c)
 
 
 class TestScanGuard:

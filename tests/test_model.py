@@ -198,6 +198,18 @@ class TestForce:
             fd = (force_slope(phi0 + h, p) - force_slope(phi0 - h, p)) / (2 * h)
             assert force_curvature(phi0, p) == pytest.approx(fd, abs=1e-7)
 
+    def test_curvature_bound(self):
+        # the solver's rootless margin bounds |F''| by its four terms' sizes
+        rng = np.random.default_rng(14)
+        grid = np.linspace(0.0, PI, 2001)
+        cases = [(c, g) for c in np.logspace(-3.0, 3.0, 61).tolist()
+                 for g in (0.0, PI / 4, PI / 2, 3 * PI / 4, PI)]
+        cases += zip(np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 200)
+                            ).tolist(), rng.uniform(0.0, PI, 200).tolist())
+        for c, g in cases:
+            curvature = force_curvature(grid, params(1.0, c, g))
+            assert np.max(np.abs(curvature)) <= 2.0 + 9.0 * c + 2.0 * c * c
+
     def test_float_kernels_match_numpy(self):
         # a float phi0 runs on math, an array on NumPy: the scalar solver
         # relies on both giving the same bits

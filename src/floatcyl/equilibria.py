@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,11 +40,14 @@ _SCAN_GRID = np.linspace(0.0, PI, 1000)
 _SCAN_PAD = PI / len(_SCAN_GRID)
 _SCAN_FROM = _SCAN_GRID[:-1] - _SCAN_PAD
 _SCAN_TO = _SCAN_GRID[1:] + _SCAN_PAD
+# the same bounds as floats, for a lone cell's windows
+_SCAN_FROM_FLOATS = _SCAN_FROM.tolist()
+_SCAN_TO_FLOATS = _SCAN_TO.tolist()
 # pad < grid step: a root's window spans at most three intervals
 _WINDOW = np.arange(3)
 # The guard's basis: sin(phi+gamma) and cos((phi+gamma)/2) expanded give
-# F(grid; A=0) = u + C v + C^2 w with u = cos(gamma) b0 + sin(gamma) b1,
-# v = cos(gamma/2) b2 + sin(gamma/2) b3 and w = b4 (see _scan_rows).
+# F(grid; A=0) = cos(gamma) b0 + sin(gamma) b1 + C cos(gamma/2) b2
+# + C sin(gamma/2) b3 + C^2 b4 (see _scan_rows).
 _SCAN_BASIS = np.stack([-2.0 * np.sin(_SCAN_GRID),
                         -2.0 * np.cos(_SCAN_GRID),
                         -4.0 * np.cos(_SCAN_GRID / 2.0) * np.sin(_SCAN_GRID),
@@ -346,6 +350,8 @@ def _rootless(rows, a, caps, col):
     column.  A cell is rootless when its level A C^2 lies above its row's
     maximum, or below its minimum, by more than the margin
     2 _SCAN_SLACK (1+C)^2 + K _SCAN_SAG + ROOT_VALUE_TOL, K = 2 + 9C + 2C^2.
+    A lone cell, as in each find_equilibria call, runs the same operations
+    in the same order on Python floats, so it decides as the arrays do.
     Proof, for the level above (below is its mirror image):
 
     * The rows lie within one slack of _force on the grid
@@ -368,6 +374,13 @@ def _rootless(rows, a, caps, col):
     margin's last term.
     """
     m0, m1, m2 = _MARGIN
+    if a.size == 1:  # so one column too
+        c = caps.item()
+        margin = m0 + c * (m1 + c * m2)
+        level = a.item() * c * c
+        row, = rows
+        return np.array([level > row.max() + margin
+                         or level < row.min() - margin])
     margin = m0 + caps * (m1 + caps * m2)
     c = caps[col]
     level = a * c * c
@@ -376,15 +389,18 @@ def _rootless(rows, a, caps, col):
 
 
 def _scan_rows(caps, g):
-    """F(_SCAN_GRID; A=0) for each capillary ratio, one row each, no trig."""
-    b0, b1, b2, b3, w = _SCAN_BASIS
-    u = math.cos(g) * b0 + math.sin(g) * b1
-    v = math.cos(g / 2.0) * b2 + math.sin(g / 2.0) * b3
-    # row by row: a block's temporaries stay one row long
-    rows = np.empty((caps.size, len(_SCAN_GRID)))
-    for row, c in zip(rows, caps.tolist()):
-        row[:] = u + c * v + (c * c) * w
-    return rows
+    """F(_SCAN_GRID; A=0) for each capillary ratio, one row each, no trig.
+
+    One matrix product of each row's five coefficients with _SCAN_BASIS,
+    written straight into the result.
+    """
+    coef = np.empty((caps.size, len(_SCAN_BASIS)))
+    coef[:, 0] = math.cos(g)
+    coef[:, 1] = math.sin(g)
+    coef[:, 2] = caps * math.cos(g / 2.0)
+    coef[:, 3] = caps * math.sin(g / 2.0)
+    coef[:, 4] = caps * caps
+    return coef @ _SCAN_BASIS
 
 
 def _scan_guard(roots, a, c, col, rows, g):
@@ -393,14 +409,35 @@ def _scan_guard(roots, a, c, col, rows, g):
     Each grid interval where F(.; A=0) strictly crosses the level A C^2
     needs a root within _SCAN_PAD.  The count runs on ``rows``, each
     column's ``_scan_rows``, widened by the slack so that it never falls
-    below _force's crossings: per column holding a cell, the interval
-    bounds count the intervals reaching within the slack of every cell's
-    level, sorted first when the column holds more than one cell, less
-    those next to a root.  Only a cell with some left over rescans its grid
-    with _force.  The roots found there come back by cell, each with a
-    ModelInconsistencyWarning.  ``roots`` holds each cell's ascending
-    roots, close pairs not yet merged, NaN after them.
+    below _force's crossings, and leaves out the intervals next to a root.
+    In a block, per column holding a cell, the sorted interval bounds
+    count the intervals reaching within the slack of every cell's level,
+    and the root windows' crossings are subtracted for all cells at once.
+    A lone cell, as in each find_equilibria call, lists its
+    crossing intervals and drops those inside a root's window, found on
+    the bounds as floats: the same count, since the block's windows differ
+    only by the overlap it trims.  Only a cell with some left over rescans
+    its grid with _force (``_rescan``).  The roots found there come back
+    by cell.  ``roots`` holds each cell's ascending roots, close pairs not
+    yet merged, NaN after them.
     """
+    if a.size == 1:
+        a_i, c_i = a.item(), c.item()
+        level = a_i * c_i * c_i
+        slack = _SCAN_SLACK * ((1.0 + c_i) * (1.0 + c_i))
+        f0 = rows[col[0]]
+        crossing = np.flatnonzero(
+            (np.minimum(f0[:-1], f0[1:]) < level + slack)
+            & (level - slack < np.maximum(f0[:-1], f0[1:]))).tolist()
+        kept = [x for x in roots[0].tolist() if x == x]
+        windows = [(bisect_left(_SCAN_TO_FLOATS, r),
+                    bisect_right(_SCAN_FROM_FLOATS, r) - 1) for r in kept]
+        if all(any(first <= j <= last for first, last in windows)
+               for j in crossing):
+            return {}
+        added = _rescan(kept, a_i, c_i, level, g)
+        return {0: added} if added else {}
+
     level = a * c * c
     slack = _SCAN_SLACK * (1.0 + c) ** 2
     # An interval counts when lo < above and below < hi.  |F| <= pi (1+C)^2
@@ -418,13 +455,9 @@ def _scan_guard(roots, a, c, col, rows, g):
         np.minimum(f0[:-1], f0[1:], out=lo)
         np.maximum(f0[:-1], f0[1:], out=hi)
         under, over = below[cells], above[cells]
-        if cells.size == 1:
-            # the same count as the sorted bounds give, without the sorts
-            changes[cells] = np.count_nonzero((lo < over) & (under < hi))
-        else:
-            changes[cells] = (
-                np.searchsorted(np.sort(lo, kind="stable"), over, "left")
-                - np.searchsorted(np.sort(hi, kind="stable"), under, "right"))
+        changes[cells] = (
+            np.searchsorted(np.sort(lo, kind="stable"), over, "left")
+            - np.searchsorted(np.sort(hi, kind="stable"), under, "right"))
     if changes.any():
         # a root's intervals are [first, last]; a cell's ascending roots
         # have ascending windows, so each starts past its predecessor's
@@ -446,21 +479,34 @@ def _scan_guard(roots, a, c, col, rows, g):
 
     added = {}
     for i in np.flatnonzero(changes > 0).tolist():
-        kept = [x for x in roots[i].tolist() if x == x]
-        a_i, c_i = float(a[i]), float(c[i])
-        shifted = _force(_SCAN_GRID, 0.0, c_i, g) - level[i]
-        for j in np.flatnonzero(shifted[:-1] * shifted[1:] < 0.0).tolist():
-            lo, hi = float(_SCAN_GRID[j]), float(_SCAN_GRID[j + 1])
-            if any(lo - _SCAN_PAD <= x <= hi + _SCAN_PAD for x in kept):
-                continue
-            x = bisect(lambda x: _force(x, a_i, c_i, g), lo, hi)
-            warnings.warn(
-                f"dense scan found a root at phi0={x:.12g} outside the "
-                f"monotone-segment structure (A={a_i!r}, C={c_i!r}, "
-                f"gamma={g!r}); the force curve shape assumption is violated "
-                "here", ModelInconsistencyWarning)
-            kept.append(x)
-            added.setdefault(i, []).append(x)
+        found = _rescan([x for x in roots[i].tolist() if x == x],
+                        float(a[i]), float(c[i]), float(level[i]), g)
+        if found:
+            added[i] = found
+    return added
+
+
+def _rescan(kept, a, c, level, g):
+    """One cell's roots that the guard's count says ``kept`` misses.
+
+    Each grid interval where _force changes sign with no root of ``kept``
+    within _SCAN_PAD is bisected; each root found comes with a
+    ModelInconsistencyWarning and joins ``kept``.
+    """
+    added = []
+    shifted = _force(_SCAN_GRID, 0.0, c, g) - level
+    for j in np.flatnonzero(shifted[:-1] * shifted[1:] < 0.0).tolist():
+        lo, hi = float(_SCAN_GRID[j]), float(_SCAN_GRID[j + 1])
+        if any(lo - _SCAN_PAD <= x <= hi + _SCAN_PAD for x in kept):
+            continue
+        x = bisect(lambda x: _force(x, a, c, g), lo, hi)
+        warnings.warn(
+            f"dense scan found a root at phi0={x:.12g} outside the "
+            f"monotone-segment structure (A={a!r}, C={c!r}, "
+            f"gamma={g!r}); the force curve shape assumption is violated "
+            "here", ModelInconsistencyWarning)
+        kept.append(x)
+        added.append(x)
     return added
 
 

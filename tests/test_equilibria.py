@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 
+from floatcyl import equilibria
 from floatcyl.equilibria import (_SCAN_GRID, _SCAN_SLACK, ROOT_VALUE_TOL,
                                  ExtremumKind, ModelInconsistencyWarning,
                                  NoSecondCriticalPointError, Stability,
@@ -345,7 +346,8 @@ class TestBisect:
 def cell_roots(padded):
     """solve's NaN-padded roots as one list per cell, in C order."""
     return [[x for x in row if x == x]
-            for row in padded.reshape(-1, padded.shape[-1]).tolist()]
+            for row in padded.reshape(math.prod(padded.shape[:-1]),
+                                      padded.shape[-1]).tolist()]
 
 
 class TestSolve:
@@ -470,6 +472,93 @@ class TestSolve:
         assert hashlib.sha256(digest.encode()).hexdigest() == (
             "5319d1a6217c7fef64c398db90e456e131dd52bb2779bc2358eb9268ffd1c731")
 
+    def test_guard_rescans_no_sound_cell(self, monkeypatch):
+        # an over-counting guard changes no output, only the time it takes:
+        # no cell whose segments found every root may rescan its grid,
+        # alone or in a block, not even where root windows overlap.  (A
+        # level within the slack of a row value, as on the endpoint line
+        # at gamma = 0 and C ~ 500, rescans rightly: the count cannot tell.)
+        force = equilibria._force
+        rescans = []
+
+        def counting(phi, *args):
+            if phi is _SCAN_GRID:
+                rescans.append(args)
+            return force(phi, *args)
+
+        rng = np.random.default_rng(43)
+        cells = []
+        for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 5).tolist():
+            cells += [(rng.uniform(0.05, 15.0), rng.uniform(0.05, 6.0), g)
+                      for _ in range(60)]
+            for c in rng.uniform(0.05, 6.0, 6).tolist():
+                # a root on a grid point, one next to each end node, and
+                # near the tangency a pair within a grid step of each other
+                for j in (int(rng.integers(2, 998)), 1, 998):
+                    cells.append((force(float(_SCAN_GRID[j]), 0.0, c, g)
+                                  / c ** 2, c, g))
+                if c > second_extremum_threshold(g):
+                    a_star = critical_mass_ratio(c, g)[0]
+                    cells += [(a_star * (1.0 - eps), c, g)
+                              for eps in (1e-4, 1e-6, 1e-9)]
+        monkeypatch.setattr(equilibria, "_force", counting)
+        lone = [find_equilibria(params(a, c, g, exploratory=True))
+                for a, c, g in cells]
+        for g, a, c in _by_angle(cells):
+            solve(a, c, g)
+        assert rescans == []
+        assert sum(len(roots) for roots in lone) > 500
+        assert sum(len(roots) == 2 for roots in lone) > 150
+
+    def test_lone_cell_matches_its_block(self):
+        # solve decides a lone cell on floats and a block on arrays: each
+        # cell alone gives its block row bit for bit, with the same
+        # warnings in the same order, with and without the extrema
+        cells = _edge_cells(45)
+        rng = np.random.default_rng(46)
+        for g, a, c in _by_angle(cells):
+            # 26 edge cells per capillary ratio, plus criterion-9 levels:
+            # one column per capillary ratio, many cells each
+            a = np.vstack([a.reshape(-1, 26).T,
+                           rng.uniform(0.05, 15.0, (6, a.size // 26))])
+            c = c.reshape(-1, 26)[:, 0]
+            for critical in (None, []):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    block = cell_roots(solve(a, c, g, critical))
+                    alone = [[x for x in solve(x, y, g, critical).tolist()
+                              if x == x]
+                             for x, y in zip(a.ravel().tolist(),
+                                             np.resize(c, a.size).tolist())]
+                texts = [str(w.message) for w in caught]
+                n = len(texts) // 2
+                assert texts[:n] == texts[n:]
+                assert _bits(block) == _bits(alone)
+                if critical == []:
+                    assert n > 0
+                # one live cell in a block of rootless ones takes the lone
+                # branches with its own column's row.  Row 20 of a column's
+                # edge cells is A*(1 - 1e-4): two roots that only the guard
+                # finds without the extrema
+                for k in range(c.size):
+                    solo = np.full(c.size, 1e12)
+                    solo[k] = a[20, k]
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        block = cell_roots(solve(solo, c, g, critical))
+                        alone = [x for x in solve(solo[k], c[k], g,
+                                                  critical).tolist() if x == x]
+                    texts = [str(w.message) for w in caught]
+                    n = len(texts) // 2
+                    assert texts[:n] == texts[n:]
+                    assert _bits(block) == _bits(
+                        [alone if j == k else [] for j in range(c.size)])
+
+
+def _bits(rows):
+    """Each root's exact bits, for comparisons that -0.0 == 0.0 would hide."""
+    return [[x.hex() for x in row] for row in rows]
+
 
 def _edge_cells(seed):
     """(A, C, gamma) next to a change of root count, C log-uniform on
@@ -517,3 +606,11 @@ class TestScanGuard:
             gap = np.max(np.abs(row - _force(_SCAN_GRID, 0.0, c_i, g_i)))
             worst = max(worst, gap / (_SCAN_SLACK * (1.0 + c_i) ** 2))
         assert worst <= 1.0
+        # a lone row is one vector product, a block's rows one matrix
+        # product, which may sum in another order
+        rng = np.random.default_rng(32)
+        for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 18).tolist():
+            c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 1000))
+            gap = np.abs(_scan_rows(c, g)
+                         - _force(_SCAN_GRID, 0.0, c[:, None], g)).max(axis=1)
+            assert np.all(gap <= _SCAN_SLACK * (1.0 + c) ** 2), g

@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -34,7 +35,7 @@ from .intersection import FlatInterfaceError, validity
 from .model import (DimensionlessParams, PhysicalParams, center_height,
                     interface_profile, to_dimensionless, total_energy,
                     total_force)
-from .oracles import QuadratureError, run_all
+from .oracles import OracleReport, QuadratureError, run_all
 from .regions import region_map, region_map_csv, region_map_json
 
 EXIT_OK = 0
@@ -52,11 +53,16 @@ def _fmt(value) -> str:
 
 
 def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(args.out, "w", newline="")
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+    with fh:
+        fh.write(text)
 
 
 def _emit_table(args, command: str, meta: dict, columns: list[str],
@@ -96,17 +102,16 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="include a generation timestamp in the metadata header")
 
 
-def _add_param_flags(p: argparse.ArgumentParser, physical: bool = True) -> None:
+def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, required=True,
                    help="contact angle (radians unless --degrees)")
     p.add_argument("--A", type=float, help="mass ratio m/(a^2 rho)")
     p.add_argument("--C", type=float, help="capillary ratio a sqrt(rho g/sigma)")
-    if physical:
-        p.add_argument("--m", type=float, help="mass per unit length")
-        p.add_argument("--rho", type=float, help="liquid/gas density difference")
-        p.add_argument("--sigma", type=float, help="surface tension")
-        p.add_argument("--g", type=float, help="gravitational acceleration")
-        p.add_argument("--a", type=float, help="cylinder radius")
+    p.add_argument("--m", type=float, help="mass per unit length")
+    p.add_argument("--rho", type=float, help="liquid/gas density difference")
+    p.add_argument("--sigma", type=float, help="surface tension")
+    p.add_argument("--g", type=float, help="gravitational acceleration")
+    p.add_argument("--a", type=float, help="cylinder radius")
     p.add_argument("--degrees", action="store_true",
                    help="interpret input angles in degrees")
     p.add_argument("--exploratory", action="store_true",
@@ -245,23 +250,17 @@ def _cmd_astar(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     reports = run_all(n_sets=args.samples, seed=args.seed)
-    rows = [[r.name, r.samples, r.max_abs_err, r.max_rel_err, r.tolerance,
-             "true" if r.passed else "false"] for r in reports]
     if args.format == "json":
         payload = {"schema": 1, "command": "verify",
-                   "reports": [
-                       {"name": r.name, "samples": r.samples,
-                        "max_abs_err": r.max_abs_err,
-                        "max_rel_err": r.max_rel_err,
-                        "tolerance": r.tolerance, "passed": r.passed}
-                       for r in reports]}
+                   "reports": [asdict(r) for r in reports]}
         if args.timestamp:
             payload["generated_at"] = datetime.now(timezone.utc).isoformat()
         _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
+        rows = [[*astuple(r)[:-1], "true" if r.passed else "false"]
+                for r in reports]
         _emit_table(args, "verify", {"samples": args.samples, "seed": args.seed},
-                    ["name", "samples", "max_abs_err", "max_rel_err",
-                     "tolerance", "passed"], rows)
+                    [f.name for f in fields(OracleReport)], rows)
     return EXIT_OK if all(r.passed for r in reports) else 1
 
 

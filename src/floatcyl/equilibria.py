@@ -542,8 +542,13 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
     Raises NoSecondCriticalPointError when the regime has no interior
     maximum (contact angle < pi/2 with capillary ratio at or below the
     second-extremum threshold), and ValueError when C is so small that A*
-    is not finite.
+    is not finite or so large that the force scale pi C^2 cannot be squared.
     """
+    # the A = 0 scale test of DimensionlessParams, named for C alone
+    scale = PI * capillary_ratio * capillary_ratio
+    if 0.0 < capillary_ratio < math.inf and not math.isfinite(scale * scale):
+        raise ValueError(f"capillary_ratio={capillary_ratio!r} gives a force "
+                         f"scale pi C^2 = {scale:.3g} too large to square")
     DimensionlessParams(mass_ratio=0.0, capillary_ratio=capillary_ratio,
                         contact_angle=contact_angle, exploratory=True)
     phi0_star = force_extrema(capillary_ratio, contact_angle)[1]

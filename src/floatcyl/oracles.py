@@ -170,18 +170,18 @@ def force_series(phi0, params: DimensionlessParams):
             - 0.5 * c * c * np.sin(2.0 * phi0) + c * c * phi0)
 
 
-def fourier_coefficients(params: DimensionlessParams, nodes: int = 4096):
+def fourier_coefficients(params: DimensionlessParams):
     """Projected harmonic coefficients (a_n, b_n), n = 1..4, of the force.
 
     Projects F + A C^2 - C^2 phi0 (periodic part, period 4 pi) onto
-    cos(n phi0 / 2) and sin(n phi0 / 2) with a composite rectangle rule,
-    which is exact for trigonometric polynomials at this node count.
+    cos(n phi0 / 2) and sin(n phi0 / 2) with a composite rectangle rule on
+    4096 nodes, which is exact for trigonometric polynomials of low degree.
     """
     a = params.mass_ratio
     c = params.capillary_ratio
-    ph = np.arange(nodes) * (4.0 * PI / nodes)
+    dph = 4.0 * PI / 4096
+    ph = np.arange(4096) * dph
     periodic = _force(ph, a, c, params.contact_angle) + a * c * c - c * c * ph
-    dph = 4.0 * PI / nodes
     a_n = [float(np.sum(periodic * np.cos(n * ph / 2.0)) * dph / (2.0 * PI))
            for n in range(1, 5)]
     b_n = [float(np.sum(periodic * np.sin(n * ph / 2.0)) * dph / (2.0 * PI))
@@ -246,40 +246,41 @@ def _compare(name, pairs, tolerance):
                         passed=bool(max_rel <= tolerance))
 
 
-def energy_force_identity_check(params: DimensionlessParams, grid=None,
-                                fd_step: float = 1e-5) -> OracleReport:
+def _worst(name, samples, worst, tolerance, ok=True):
+    """Report whose absolute and relative errors are both ``worst``."""
+    return OracleReport(name=name, samples=samples, max_abs_err=worst,
+                        max_rel_err=worst, tolerance=tolerance,
+                        passed=bool(ok and worst <= tolerance))
+
+
+def energy_force_identity_check(params: DimensionlessParams) -> OracleReport:
     """Check -dE/dphi0 / (dh/dphi0) = F with finite-difference dE/dphi0.
 
-    The energy is differenced centrally with step fd_step * max(1, phi0);
-    the quotient against the analytic height slope must reproduce the force
-    to 1e-6 on an interior grid.
+    On 200 evenly spaced points of [0.1, pi - 0.1] the energy is differenced
+    centrally with step 1e-5 * max(1, phi0); the quotient against the
+    analytic height slope must reproduce the force to 1e-6.
     """
-    if grid is None:
-        grid = np.linspace(0.1, PI - 0.1, 200)
-    grid = np.asarray(grid, dtype=float)
-    h = fd_step * np.maximum(1.0, np.abs(grid))
+    grid = np.linspace(0.1, PI - 0.1, 200)
+    h = 1e-5 * np.maximum(1.0, np.abs(grid))
     e_plus = total_energy(grid + h, params).total
     e_minus = total_energy(grid - h, params).total
     de = (e_plus - e_minus) / (2.0 * h)
     ratio = -de / center_height_slope(grid, params)
     resid = np.abs(ratio - total_force(grid, params))
-    return OracleReport(name="energy_force_identity_fd", samples=grid.size,
-                        max_abs_err=float(resid.max()),
-                        max_rel_err=float(resid.max()),
-                        tolerance=1e-6, passed=bool(resid.max() <= 1e-6))
+    return _worst("energy_force_identity_fd", grid.size, float(resid.max()),
+                  1e-6)
 
 
-def energy_factored_identity_check(params: DimensionlessParams,
-                                   grid=None) -> OracleReport:
+def energy_factored_identity_check(params: DimensionlessParams
+                                   ) -> OracleReport:
     """Check dE/dphi0 = F * (sin(phi0) + sin((phi0+gamma)/2)/C) analytically.
 
     Left side from the term-by-term energy derivative, right side from the
-    force formula times the common factor (minus the height slope); they
-    must agree to 1e-10 in scaled terms.
+    force formula times the common factor (minus the height slope); on 200
+    evenly spaced points of [0.05, pi - 0.05] they must agree to 1e-10 in
+    scaled terms.
     """
-    if grid is None:
-        grid = np.linspace(0.05, PI - 0.05, 200)
-    grid = np.asarray(grid, dtype=float)
+    grid = np.linspace(0.05, PI - 0.05, 200)
     lhs = energy_slope(grid, params)
     common = -center_height_slope(grid, params)
     rhs = total_force(grid, params) * common
@@ -290,16 +291,16 @@ def energy_factored_identity_check(params: DimensionlessParams,
                         tolerance=1e-10, passed=bool(resid.max() <= 1e-10))
 
 
-def fourier_projection_check(params: DimensionlessParams,
-                             nodes: int = 4096) -> OracleReport:
-    """Projected force coefficients against the closed-form expansion."""
-    got_a, got_b = fourier_coefficients(params, nodes)
+def fourier_projection_check(params: DimensionlessParams) -> OracleReport:
+    """Projected force coefficients against the closed-form expansion.
+
+    The projection uses ``fourier_coefficients``' 4096 nodes; the eight
+    coefficients must match to 1e-8.
+    """
+    got_a, got_b = fourier_coefficients(params)
     exp_a, exp_b = expected_fourier_coefficients(params)
     errs = np.abs(np.array(got_a + got_b) - np.array(exp_a + exp_b))
-    return OracleReport(name="fourier_coefficients", samples=8,
-                        max_abs_err=float(errs.max()),
-                        max_rel_err=float(errs.max()),
-                        tolerance=1e-8, passed=bool(errs.max() <= 1e-8))
+    return _worst("fourier_coefficients", 8, float(errs.max()), 1e-8)
 
 
 def _draw_params(rng, n):
@@ -319,7 +320,6 @@ def run_all(n_sets: int = 100, seed: int = 20240801) -> list[OracleReport]:
     """Run the full oracle suite over randomized parameter sets."""
     rng = np.random.default_rng(seed)
     draws = _draw_params(rng, n_sets)
-    reports = []
 
     # closed-form energies against quadrature
     pairs_sigma, pairs_f1, pairs_f2 = [], [], []
@@ -329,130 +329,87 @@ def run_all(n_sets: int = 100, seed: int = 20240801) -> list[OracleReport]:
         f1, f2 = fluid_energy_quadrature(phi0, p)
         pairs_f1.append((e.fluid_inner, f1))
         pairs_f2.append((e.fluid_outer, f2))
-    reports.append(_compare("surface_energy_quadrature", pairs_sigma, 1e-8))
-    reports.append(_compare("fluid_energy_quadrature_inner", pairs_f1, 1e-8))
-    reports.append(_compare("fluid_energy_quadrature_outer", pairs_f2, 1e-8))
 
-    # buoyancy: quadrature and divergence-theorem geometric area
-    pairs_q, pairs_g = [], []
+    # buoyancy: quadrature and divergence-theorem geometric area; the
+    # height via the contact-inclination route
+    pairs_q, pairs_g, pairs_h = [], [], []
     archimedes_gap_ok = True
     n_gap = 0
     for phi0, p in draws:
+        h = float(center_height(phi0, p))
         fb = float(buoyancy_closed(phi0, p))
         pairs_q.append((fb, buoyancy_quadrature(phi0, p)))
         pairs_g.append((fb, buoyancy_geometric(phi0, p)))
-        u0 = float(center_height(phi0, p)) - math.cos(phi0)
-        if abs(u0) > 0.05 and math.sin(phi0) > 0.1:
+        psi0 = float(inclination_at_contact(phi0, p.contact_angle))
+        pairs_h.append((h, math.cos(phi0)
+                        - (2.0 / p.capillary_ratio) * math.sin(psi0 / 2.0)))
+        if abs(h - math.cos(phi0)) > 0.05 and math.sin(phi0) > 0.1:
             n_gap += 1
             naive = submerged_segment_force(phi0, p)
             if abs(fb - naive) <= 1e-8 * max(1.0, abs(fb)):
                 archimedes_gap_ok = False
-    reports.append(_compare("buoyancy_quadrature", pairs_q, 1e-8))
-    reports.append(_compare("buoyancy_divergence_theorem", pairs_g, 1e-8))
-    reports.append(OracleReport(
-        name="archimedes_naive_differs", samples=n_gap,
-        max_abs_err=0.0, max_rel_err=0.0, tolerance=0.0,
-        passed=bool(archimedes_gap_ok and n_gap > 0)))
 
-    # energy-force identity (finite differences and analytic factorization)
-    fd_worst = 0.0
-    fact_worst = 0.0
-    # at least ten draws where there are that many
+    # at least ten draws where there are that many: the energy-force
+    # identity, the harmonic basis, the derivative closed forms against
+    # central differences, and the sampled interface against the capillary
+    # relation d(psi)/ds = kappa u
     identity = draws[:max(10, n_sets // 10)]
+    grid = np.linspace(0.0, PI, 101)
+    fd_worst = fact_worst = four_worst = series_worst = 0.0
+    d_worst = ode_worst = 0.0
+    n_profiles = 0
     for phi0, p in identity:
         fd_worst = max(fd_worst, energy_force_identity_check(p).max_abs_err)
         fact_worst = max(fact_worst,
                          energy_factored_identity_check(p).max_rel_err)
-    reports.append(OracleReport(
-        name="energy_force_identity_fd", samples=len(identity) * 200,
-        max_abs_err=fd_worst, max_rel_err=fd_worst, tolerance=1e-6,
-        passed=bool(fd_worst <= 1e-6)))
-    reports.append(OracleReport(
-        name="energy_force_factored", samples=len(identity) * 200,
-        max_abs_err=fact_worst, max_rel_err=fact_worst, tolerance=1e-10,
-        passed=bool(fact_worst <= 1e-10)))
-
-    # harmonic basis: projection and pointwise series equivalence
-    four_worst = 0.0
-    series_worst = 0.0
-    grid = np.linspace(0.0, PI, 101)
-    for phi0, p in identity:
         four_worst = max(four_worst, fourier_projection_check(p).max_abs_err)
         series_worst = max(series_worst, float(np.max(np.abs(
             force_series(grid, p) - total_force(grid, p)))))
-    reports.append(OracleReport(
-        name="fourier_coefficients", samples=len(identity) * 8,
-        max_abs_err=four_worst, max_rel_err=four_worst, tolerance=1e-8,
-        passed=bool(four_worst <= 1e-8)))
-    reports.append(OracleReport(
-        name="force_series_equivalence", samples=len(identity) * grid.size,
-        max_abs_err=series_worst, max_rel_err=series_worst, tolerance=1e-12,
-        passed=bool(series_worst <= 1e-12)))
-
-    # height via the contact-inclination route
-    pairs_h = []
-    for phi0, p in draws:
-        psi0 = float(inclination_at_contact(phi0, p.contact_angle))
-        dual = math.cos(phi0) - (2.0 / p.capillary_ratio) * math.sin(psi0 / 2.0)
-        pairs_h.append((float(center_height(phi0, p)), dual))
-    reports.append(_compare("height_dual_formula", pairs_h, 1e-12))
-
-    # derivative closed forms against central differences
-    d_worst = 0.0
-    for phi0, p in identity:
-        h = 1e-6 * max(1.0, phi0)
-        fd1 = (float(total_force(phi0 + h, p))
-               - float(total_force(phi0 - h, p))) / (2.0 * h)
-        fd2 = (float(force_slope(phi0 + h, p))
-               - float(force_slope(phi0 - h, p))) / (2.0 * h)
-        fdh = (float(center_height(phi0 + h, p))
-               - float(center_height(phi0 - h, p))) / (2.0 * h)
-        d_worst = max(d_worst,
-                      abs(fd1 - float(force_slope(phi0, p))),
-                      abs(fd2 - float(force_curvature(phi0, p))),
-                      abs(fdh - float(center_height_slope(phi0, p))))
-    reports.append(OracleReport(
-        name="derivative_finite_difference", samples=len(identity) * 3,
-        max_abs_err=d_worst, max_rel_err=d_worst, tolerance=1e-7,
-        passed=bool(d_worst <= 1e-7)))
-
-    # sampled interface satisfies the capillary relation d(psi)/ds = kappa u
-    ode_worst = 0.0
-    n_profiles = 0
-    for phi0, p in identity:
-        psi0 = float(inclination_at_contact(phi0, p.contact_angle))
-        if abs(psi0) < 1e-3:
-            continue
-        prof = interface_profile(phi0, p, n=4000)
-        dpsi = np.diff(prof.psi)
-        ds = np.hypot(np.diff(prof.x), np.diff(prof.u))
-        umid = 0.5 * (prof.u[1:] + prof.u[:-1])
-        resid = np.abs(dpsi / ds - p.capillary_ratio ** 2 * umid)
-        ode_worst = max(ode_worst, float(resid.max()))
-        n_profiles += 1
-    reports.append(OracleReport(
-        name="profile_ode_residual", samples=n_profiles,
-        max_abs_err=ode_worst, max_rel_err=ode_worst, tolerance=1e-4,
-        passed=bool(ode_worst <= 1e-4 and n_profiles > 0)))
+        step = 1e-6 * max(1.0, phi0)
+        for fn, slope in ((total_force, force_slope),
+                          (force_slope, force_curvature),
+                          (center_height, center_height_slope)):
+            fd = (float(fn(phi0 + step, p))
+                  - float(fn(phi0 - step, p))) / (2.0 * step)
+            d_worst = max(d_worst, abs(fd - float(slope(phi0, p))))
+        if abs(float(inclination_at_contact(phi0, p.contact_angle))) >= 1e-3:
+            prof = interface_profile(phi0, p, n=4000)
+            dpsi = np.diff(prof.psi)
+            ds = np.hypot(np.diff(prof.x), np.diff(prof.u))
+            umid = 0.5 * (prof.u[1:] + prof.u[:-1])
+            resid = np.abs(dpsi / ds - p.capillary_ratio ** 2 * umid)
+            ode_worst = max(ode_worst, float(resid.max()))
+            n_profiles += 1
 
     # quadrature self-consistency between tolerance targets t and t/10
     conv_worst = 0.0
     n_conv = 0
     t = 1e-8
     for phi0, p in draws[:10]:
-        psi0 = float(inclination_at_contact(phi0, p.contact_angle))
-        if psi0 == 0.0:
+        if float(inclination_at_contact(phi0, p.contact_angle)) == 0.0:
             continue
         n_conv += 2
-        conv_worst = max(conv_worst, abs(
-            surface_energy_quadrature(phi0, p, tol=t)
-            - surface_energy_quadrature(phi0, p, tol=t / 10.0)))
-        conv_worst = max(conv_worst, abs(
-            buoyancy_quadrature(phi0, p, tol=t)
-            - buoyancy_quadrature(phi0, p, tol=t / 10.0)))
-    reports.append(OracleReport(
-        name="quadrature_convergence", samples=n_conv,
-        max_abs_err=conv_worst, max_rel_err=conv_worst, tolerance=10.0 * t,
-        passed=bool(conv_worst <= 10.0 * t)))
+        for quad in (surface_energy_quadrature, buoyancy_quadrature):
+            conv_worst = max(conv_worst, abs(
+                quad(phi0, p, tol=t) - quad(phi0, p, tol=t / 10.0)))
 
-    return reports
+    n_id = len(identity)
+    return [
+        _compare("surface_energy_quadrature", pairs_sigma, 1e-8),
+        _compare("fluid_energy_quadrature_inner", pairs_f1, 1e-8),
+        _compare("fluid_energy_quadrature_outer", pairs_f2, 1e-8),
+        _compare("buoyancy_quadrature", pairs_q, 1e-8),
+        _compare("buoyancy_divergence_theorem", pairs_g, 1e-8),
+        _worst("archimedes_naive_differs", n_gap, 0.0, 0.0,
+               ok=archimedes_gap_ok and n_gap > 0),
+        _worst("energy_force_identity_fd", n_id * 200, fd_worst, 1e-6),
+        _worst("energy_force_factored", n_id * 200, fact_worst, 1e-10),
+        _worst("fourier_coefficients", n_id * 8, four_worst, 1e-8),
+        _worst("force_series_equivalence", n_id * grid.size, series_worst,
+               1e-12),
+        _compare("height_dual_formula", pairs_h, 1e-12),
+        _worst("derivative_finite_difference", n_id * 3, d_worst, 1e-7),
+        _worst("profile_ode_residual", n_profiles, ode_worst, 1e-4,
+               ok=n_profiles > 0),
+        _worst("quadrature_convergence", n_conv, conv_worst, 10.0 * t),
+    ]

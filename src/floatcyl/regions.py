@@ -111,14 +111,15 @@ def _critical_mass_or_none(capillary_ratio, contact_angle):
         return None
 
 
-def tangency_boundary_c(contact_angle: float, mass_ratio: float,
-                        c_max: float = 1e6) -> float | None:
+def tangency_boundary_c(contact_angle: float,
+                        mass_ratio: float) -> float | None:
     """Capillary ratio whose critical mass ratio equals ``mass_ratio``.
 
     The critical mass ratio decreases strictly in C (from large values at
     small C down to pi), so the inverse is found by bracketing and
-    bisection.  None when no solution exists: mass ratio at or below pi,
-    or, for contact angles below pi/2, at or above the corner value A0.
+    bisection, doubling C up to 1e6.  None when no solution exists: mass
+    ratio at or below pi, no bracket below C = 1e6, or, for contact angles
+    below pi/2, at or above the corner value A0.
     """
     if mass_ratio <= PI:
         return None
@@ -130,7 +131,7 @@ def tangency_boundary_c(contact_angle: float, mass_ratio: float,
     if a_lo is None or a_lo <= mass_ratio:
         return None  # above the attainable range (corner) already at lo
     hi = max(2.0 * lo, 1.0)
-    while hi < c_max:
+    while hi < 1e6:
         a_hi = _critical_mass_or_none(hi, contact_angle)
         if a_hi is not None and a_hi < mass_ratio:
             break

@@ -280,6 +280,18 @@ class TestVerify:
         assert header[0] == "name"
         assert all(r[-1] == "true" for r in rows)
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["verify", "--samples", "12"],
+         "5e12d124988a1ee894a9148e8d3ebb31f421a6428c7cb28c59194021706146d8"),
+        (["verify", "--samples", "12", "--seed", "3", "--format", "json"],
+         "533a753e3d935a2f1509d16a0083d44f2648d3dc30b9f19ee1f1c4a4601e59f2"),
+    ], ids=["csv", "json"])
+    def test_pinned_digest(self, capsys, argv, digest):
+        # every report's floats and their order, byte for byte
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestTimestamp:
     ISO = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?\+00:00")
@@ -371,6 +383,32 @@ class TestPlumbing:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert field in lines[0]
+
+    @pytest.mark.parametrize("c", ["1e150", "1e300"])
+    def test_astar_scale_error_names_capillary_ratio(self, c):
+        # astar takes no mass ratio, so its message names C alone
+        proc = run_child(["-m", "floatcyl.cli", "astar", "--gamma", "2",
+                          "--C", c])
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "capillary_ratio" in lines[0]
+        assert "mass_ratio" not in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["equilibria", "--gamma", "1", "--A", "1", "--C", "1"],
+        ["verify", "--samples", "1"],
+    ], ids=["equilibria", "verify"])
+    def test_unopenable_output_is_usage_error(self, tmp_path, argv):
+        path = str(tmp_path / "missing" / "out.csv")
+        proc = run_child(["-m", "floatcyl.cli", *argv, "--out", path])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--out" in lines[0] and path in lines[0]
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ["region-map", "--gamma", "1", "--resolution", "2",

@@ -542,7 +542,10 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
     Raises NoSecondCriticalPointError when the regime has no interior
     maximum (contact angle < pi/2 with capillary ratio at or below the
     second-extremum threshold), and ValueError when C is so small that A*
-    is not finite or so large that the force scale pi C^2 cannot be squared.
+    is not finite, so large that the force scale pi C^2 cannot be squared,
+    or so large that the slope's O(C) terms at pi, 4 C sin(gamma/2) in
+    size, round away against its C^2 terms and leave the maximum with no
+    bracket (from C between about 2e16 and 5e16 at gamma >= 1).
     """
     # the A = 0 scale test of DimensionlessParams, named for C alone
     scale = PI * capillary_ratio * capillary_ratio
@@ -553,6 +556,12 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
                         contact_angle=contact_angle, exploratory=True)
     phi0_star = force_extrema(capillary_ratio, contact_angle)[1]
     if not phi0_star > PI / 2.0:
+        if (capillary_ratio > second_extremum_threshold(contact_angle)
+                and 4.0 * math.sin(contact_angle / 2.0)
+                <= capillary_ratio * 2.0 ** -52):
+            raise ValueError(
+                f"capillary_ratio={capillary_ratio!r} is too large: the "
+                f"force slope near pi rounds to zero against C^2")
         raise NoSecondCriticalPointError(
             f"no interior force maximum past pi/2 for contact_angle="
             f"{contact_angle!r}, capillary_ratio={capillary_ratio!r} "

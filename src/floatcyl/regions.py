@@ -107,8 +107,8 @@ def two_equilibrium_corner(contact_angle: float) -> tuple[float, float]:
 def _critical_mass_or_none(capillary_ratio, contact_angle):
     try:
         return critical_mass_ratio(capillary_ratio, contact_angle)[0]
-    except NoSecondCriticalPointError:
-        return None
+    except (NoSecondCriticalPointError, ValueError):
+        return None  # no maximum, or a C too large to bracket it
 
 
 def tangency_boundary_c(contact_angle: float,
@@ -118,8 +118,10 @@ def tangency_boundary_c(contact_angle: float,
     The critical mass ratio decreases strictly in C (from large values at
     small C down to pi), so the inverse is found by bracketing and
     bisection, doubling C up to 1e6.  None when no solution exists: mass
-    ratio at or below pi, no bracket below C = 1e6, or, for contact angles
-    below pi/2, at or above the corner value A0.
+    ratio at or below pi, no bracket below C = 1e6 (nor where the
+    threshold C of a contact angle below about 1e-8 is too large for
+    ``critical_mass_ratio``), or, for contact angles below pi/2, at or
+    above the corner value A0.
     """
     if mass_ratio <= PI:
         return None

@@ -292,6 +292,20 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["verify", "--samples", "1"],
+         "2bb74506e685e12cc55f91e76743d97e46ca8b650e5eaa3e0b6fccd14d3cba8f"),
+        (["verify", "--samples", "37", "--seed", "5"],
+         "f132bb8dc2df90d5fbc205a0d2e9cfbd1fe8d956c7b5eb0b6d0983a38d6828a7"),
+        (["verify", "--samples", "250", "--seed", "11", "--format", "json"],
+         "44547be8451434ba8d2a19e0b2008434a76f23f0d515671accd2b6a0d6f5d44b"),
+    ], ids=["one", "seed5", "seed11-json"])
+    def test_pinned_digest_more_draws(self, capsys, argv, digest):
+        # captured while SciPy's quad still ran the quadrature
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestTimestamp:
     ISO = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?\+00:00")
@@ -433,6 +447,28 @@ class TestPlumbing:
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_verify_leaves_scipy_unloaded(self):
+        # the oracle suite's quadrature is in-repo: verify needs no SciPy
+        proc = run_child(
+            ["-c",
+             "import sys; from floatcyl.cli import main; "
+             "code = main(['verify', '--samples', '5']); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+             " file=sys.stderr); sys.exit(code)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "[]"
+
+    def test_astar_too_large_for_the_slope(self):
+        # from C of about 5e16 the slope at pi rounds to zero against C^2
+        proc = run_child(["-m", "floatcyl.cli", "astar", "--gamma", "2",
+                          "--C", "1e20"])
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "capillary_ratio=1e+20 is too large" in lines[0]
+        assert "threshold" not in lines[0]
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "eq.csv"

@@ -264,6 +264,30 @@ class TestCriticalMass:
         with pytest.raises(NoSecondCriticalPointError):
             critical_mass_ratio(0.5, PI / 4)
 
+    @pytest.mark.parametrize("c,g,a_star,phi0_star", [
+        (1e3, 1.6, 3.141665115649953, 3.104419563380662),
+        (1e10, 1.6, 3.1415926535897953, 3.1415806757137235),
+        (1e16, 1.6, 3.141592653589793, 3.141592638960612),
+        (1e3, 2.0, 3.141684713465592, 3.101119232437202),
+        (1e10, 2.0, 3.141592653589796, 3.1415796808194254),
+        (1e16, 2.0, 3.141592653589793, 3.141592638960612),
+        (1e3, 3.0, 3.141711471611193, 3.097011054683681),
+        (1e10, 3.0, 3.141592653589797, 3.141578529184312),
+        (1e16, 3.0, 3.141592653589793, 3.141592638960612),
+    ])
+    def test_large_c_bits(self, c, g, a_star, phi0_star):
+        # captured before the too-large-C error: every bit below it stays
+        assert critical_mass_ratio(c, g) == (a_star, phi0_star)
+
+    @pytest.mark.parametrize("c,g", [(1e17, 1.6), (1e20, 2.0), (1e50, 3.0),
+                                     (3e16, 1.0), (2e9, 1e-9)])
+    def test_too_large_for_the_slope(self, c, g):
+        # the slope's O(C) terms at pi round away against its C^2 terms,
+        # so the maximum that exists above the threshold has no bracket
+        with pytest.raises(ValueError,
+                           match=r"capillary_ratio=.* is too large"):
+            critical_mass_ratio(c, g)
+
     def test_small_c_series(self):
         for c in (0.1, 0.05):
             a_num, phi_num = critical_mass_ratio(c, PI / 2)

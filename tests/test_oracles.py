@@ -207,3 +207,59 @@ class TestSuite:
         assert {"surface_energy_quadrature", "buoyancy_divergence_theorem",
                 "archimedes_naive_differs", "energy_force_identity_fd",
                 "fourier_coefficients", "profile_ode_residual"} <= names
+
+
+class TestQuadpackPort:
+    """The in-repo dqk21/dqagse equals scipy.integrate.quad bit for bit.
+
+    This test is the gate for that claim on a new platform: a compiled
+    QUADPACK that fuses multiply-adds rounds differently from the pure
+    Python port, and the value or error estimate would then differ here
+    first.
+    """
+
+    def test_equals_scipy_quad(self, monkeypatch):
+        from scipy.integrate import quad
+
+        from floatcyl import oracles
+
+        calls = []
+        real = oracles._quad
+
+        def record(fn, lo, hi, tol, name):
+            calls.append((fn, lo, hi, tol, name))
+            return real(fn, lo, hi, tol, name)
+
+        monkeypatch.setattr(oracles, "_quad", record)
+        tols = (1e-10, 1e-8, 1e-9)
+        for tol in tols:
+            for phi0, p in random_draws(65, 100):
+                surface_energy_quadrature(phi0, p, tol=tol)
+                fluid_energy_quadrature(phi0, p, tol=tol)
+                buoyancy_quadrature(phi0, p, tol=tol)
+        seen, two = set(), 0
+        for fn, lo, hi, tol, name in calls:
+            val, err, info = quad(fn, lo, hi, epsabs=tol, epsrel=tol,
+                                  limit=200, full_output=1)
+            assert info["last"] <= 2
+            assert oracles._qagse(fn, lo, hi, tol) == (val, err), (name, lo, hi)
+            seen.add((name, tol))
+            two += info["last"] == 2
+        names = {"surface_energy_quadrature", "fluid_energy_quadrature[inner]",
+                 "fluid_energy_quadrature[outer]", "buoyancy_quadrature"}
+        assert seen == {(n, t) for n in names for t in tols}
+        assert two >= 3  # the bisected branch is compared too
+
+    def test_third_interval_raises(self):
+        from scipy.integrate import quad
+
+        from floatcyl.oracles import QuadratureError, _quad
+
+        def kink(x):
+            return math.sqrt(abs(x - 0.3))
+
+        info = quad(kink, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200,
+                    full_output=1)[2]
+        assert info["last"] > 2
+        with pytest.raises(QuadratureError, match="kink_integrand"):
+            _quad(kink, 0.0, 1.0, 1e-10, "kink_integrand")

@@ -88,6 +88,8 @@ class TestTangencyBoundary:
         a0, _ = two_equilibrium_corner(PI / 4)
         assert tangency_boundary_c(PI / 4, a0 + 0.5) is None  # past the corner
         assert tangency_boundary_c(0.0, 5.0) is None
+        # a threshold C too large for critical_mass_ratio to bracket A*
+        assert tangency_boundary_c(1e-9, 5.0) is None
 
     def test_gap_recording(self):
         a_star, _ = critical_mass_ratio(1.0, PI / 2)

@@ -11,6 +11,7 @@ local minimum).
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 import warnings
@@ -125,8 +126,7 @@ def bisect(f, lo, hi):
     |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
     Floats run SciPy's loop as written, so a lone lane, as in each
     find_equilibria call, skips the masks' arithmetic in every halving.
-    Array elements run side by side, each masked by 0/1 factors (exact on
-    finite floats), so each equals its scalar run.
+    Arrays run as a ``_Bisection``, so each element equals its scalar run.
     """
     fa, fb = f(lo), f(hi)
     if not any(isinstance(v, np.ndarray) for v in (fa, fb, lo, hi)):
@@ -145,21 +145,57 @@ def bisect(f, lo, hi):
                 return xm
         raise RuntimeError(
             f"bisection not converged in {_MAX_HALVINGS} halvings")
-    todo = (fa != 0.0) & (fb != 0.0)
-    root = lo * (fa == 0.0) + hi * ((fa != 0.0) & (fb == 0.0))
-    xa, dm = lo, hi - lo
-    for _ in range(_MAX_HALVINGS):
-        dm = dm * 0.5
-        xm = xa + dm
-        fm = f(xm)
-        keep = fm * fa >= 0.0
-        xa = xm * keep + xa * (1 - keep)
-        stop = todo & ((fm == 0.0) | (abs(dm) < PHI0_TOL + _RTOL * abs(xm)))
-        root = root + xm * stop
-        todo = todo & ~stop
-        if not todo.any():
-            return root
-    raise RuntimeError(f"bisection not converged in {_MAX_HALVINGS} halvings")
+    return _Bisection(lo, hi, fa, fb).run(f).result()
+
+
+class _Bisection:
+    """bisect's array path as a state that can stop and resume.
+
+    Lanes run side by side, each masked by 0/1 factors (exact on finite
+    floats), so a lane's bits equal its scalar run however its halvings
+    are split between ``run`` calls and whichever lanes share them
+    (``take``).  A finished lane holds its root in ``root``.  An unfinished
+    one's root r lies in [xa, xa + dm + (halvings left) 2^-52] when r < 4:
+    xa never decreases, and a halving that keeps xm = fl(xa + dm/2) moves
+    xa + dm up by at most the half ulp that rounds xm.
+    """
+
+    def __init__(self, lo, hi, fa, fb):
+        self.todo = (fa != 0.0) & (fb != 0.0)
+        self.root = lo * (fa == 0.0) + hi * ((fa != 0.0) & (fb == 0.0))
+        self.xa, self.dm, self.fa = lo, hi - lo, fa
+        self.left = _MAX_HALVINGS
+
+    def run(self, f, halvings=_MAX_HALVINGS):
+        """Up to ``halvings`` more halvings; fewer once every lane is done."""
+        for _ in range(min(halvings, self.left)):
+            if not self.todo.any():
+                break
+            self.left -= 1
+            self.dm = self.dm * 0.5
+            xm = self.xa + self.dm
+            fm = f(xm)
+            keep = fm * self.fa >= 0.0
+            self.xa = xm * keep + self.xa * (1 - keep)
+            stop = self.todo & ((fm == 0.0)
+                                | (abs(self.dm) < PHI0_TOL + _RTOL * abs(xm)))
+            self.root = self.root + xm * stop
+            self.todo = self.todo & ~stop
+        return self
+
+    def take(self, idx):
+        """The lanes at ``idx`` (xa and dm arrays), as a state of their own."""
+        part = copy.copy(self)
+        for name in ("todo", "root", "xa", "dm", "fa"):
+            setattr(part, name, getattr(self, name)[idx])
+        return part
+
+    def result(self):
+        """Every lane's root, once all are done."""
+        if self.todo.any():
+            raise RuntimeError(
+                f"bisection not converged in {_MAX_HALVINGS} halvings")
+        return self.root
 
 
 def second_extremum_threshold(contact_angle: float) -> float:
@@ -269,34 +305,91 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     at A*); each segment is bisected once over every cell whose ends change
     sign there, and ``_scan_guard`` backstops the segments.  Of roots closer
     than _DEDUP_TOL the first in node, segment, guard order counts.
+    ``_bracket`` is the stage up to the bisections, ``_pack`` the one
+    after the guard.
     """
-    g = contact_angle
+    extrema = None
+    if critical is not None:
+        phis = {cp.kind: cp.phi0 for cp in critical}
+        extrema = (phis.get(ExtremumKind.MINIMUM, math.nan),
+                   phis.get(ExtremumKind.MAXIMUM, math.nan))
+    block = _bracket(mass_ratios, capillary_ratios, contact_angle, extrema)
+    if block.a is None:
+        return np.empty(block.shape + (0,))
+    a, c, nodes, found = block.a, block.c, block.nodes, block.found
+    n_nodes = nodes.shape[1]
+    for k in np.flatnonzero(block.bracket.any(axis=0)).tolist():
+        idx = np.flatnonzero(block.bracket[:, k])
+        sa, sc, lo, hi = _lanes(idx, a, c, nodes[:, k], nodes[:, k + 1])
+        found[idx, n_nodes + k] = bisect(
+            lambda x: _force(x, sa, sc, contact_angle), lo, hi)
+    # Sorts are stable here and in the guard: nearly sorted input, and a
+    # smaller code footprint than the default sort.
+    roots = np.sort(found, axis=1, kind="stable")
+    if a.size == 1:
+        windows = [(bisect_left(_SCAN_TO_FLOATS, r),
+                    bisect_right(_SCAN_FROM_FLOATS, r) - 1)
+                   for r in roots[0].tolist() if r == r]
+    else:
+        cell, slot = np.nonzero(roots == roots)
+        windows = (cell, *_window(roots[cell, slot]))
+    roots = _pack(found, roots,
+                  _scan_guard(windows, a, c, block.col, block.rows), a, c,
+                  contact_angle)
+    n_cells = math.prod(block.shape)
+    if block.live.size < n_cells:
+        out = np.full((n_cells, roots.shape[1]), np.nan)
+        out[block.live] = roots
+        roots = out
+    return roots.reshape(block.shape + roots.shape[1:])
+
+
+@dataclass
+class _Block:
+    """solve's cells up to the bisections (see ``_bracket``)."""
+
+    shape: tuple
+    live: np.ndarray
+    a: np.ndarray | None = None
+    c: np.ndarray | None = None
+    col: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    nodes: np.ndarray | None = None
+    found: np.ndarray | None = None
+    bracket: np.ndarray | None = None
+
+
+def _bracket(mass_ratios, capillary_ratios, g, extrema=None) -> _Block:
+    """solve's bracket stage: cells, rows, ``_rootless``, nodes, brackets.
+
+    ``live`` indexes the cells left in the flattened broadcast of
+    ``shape``; the other arrays hold one row per live cell (``rows`` one
+    per column), or are None when none is left.  ``extrema`` is a
+    (minimum, maximum) pair of floats, or of arrays with one entry per
+    capillary ratio; None finds them.  ``found`` holds each cell's node
+    roots, NaN elsewhere, then one slot per segment for its bisection;
+    ``bracket`` marks the segments whose ends change sign.
+    """
     cap = np.asarray(capillary_ratios, dtype=float)
     caps = cap.ravel()
     # each cell's column: its capillary ratio, its row, its nodes.
     # Broadcast by arithmetic: x * 1.0 and j + 0 are exact.
     a = np.asarray(mass_ratios, dtype=float)
     ones = np.ones(np.broadcast(a, cap).shape)
-    shape = ones.shape
     col = (np.arange(cap.size).reshape(cap.shape) + ones.astype(np.int64) - 1
            ).ravel()
     a = (a * ones).ravel()
     rows = _scan_rows(caps, g)
     live = np.flatnonzero(~_rootless(rows, a, caps, col))
     if not live.size:
-        return np.empty(shape + (0,))
-    n_cells = a.size
+        return _Block(ones.shape, live)
     a, col = a[live], col[live]
     c = caps[col]
 
-    if critical is None:
+    if extrema is None:
         # a lone column finds its extrema on floats
-        minimum, maximum = force_extrema(
-            cap.item() if cap.size == 1 else caps, g)
-    else:
-        phis = {cp.kind: cp.phi0 for cp in critical}
-        minimum = phis.get(ExtremumKind.MINIMUM, math.nan)
-        maximum = phis.get(ExtremumKind.MAXIMUM, math.nan)
+        extrema = force_extrema(cap.item() if cap.size == 1 else caps, g)
+    minimum, maximum = extrema
     zero = np.zeros(cap.size)
     pi = zero + PI
     col_nodes = np.column_stack([zero,
@@ -314,16 +407,25 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     n_nodes = nodes.shape[1]
     found = np.full((a.size, 2 * n_nodes - 1), np.nan)
     found[:, :n_nodes] = np.where(on_node, nodes, np.nan)
-    for k in np.flatnonzero(bracket.any(axis=0)).tolist():
-        idx = np.flatnonzero(bracket[:, k])
-        sa, sc, lo, hi = _lanes(idx, a, c, nodes[:, k], nodes[:, k + 1])
-        found[idx, n_nodes + k] = bisect(lambda x: _force(x, sa, sc, g), lo, hi)
+    return _Block(ones.shape, live, a, c, col, rows, nodes, found, bracket)
 
-    # Sorts are stable here and in the guard: nearly sorted input, and a
-    # smaller code footprint than the default sort.
-    roots = np.sort(found, axis=1, kind="stable")
+
+def _pack(found, roots, rescan, a, c, g):
+    """Each cell's distinct roots, ascending, padded with NaN to the most
+    roots a cell has.
+
+    ``roots`` is ``found`` sorted along each row.  The cells listed in
+    ``rescan`` (by ``_scan_guard``) add the roots ``_rescan`` finds.  Of
+    roots closer than _DEDUP_TOL the first in node, segment, guard order
+    counts.
+    """
+    guard = {}
+    for i in rescan:
+        added = _rescan([x for x in roots[i].tolist() if x == x],
+                        float(a[i]), float(c[i]), g)
+        if added:
+            guard[i] = added
     close = (roots[:, 1:] - roots[:, :-1] <= _DEDUP_TOL).any(axis=1)
-    guard = _scan_guard(roots, a, c, col, rows, g)
     # one first-wins pass over the rows holding a close pair or a guard root
     count = (roots == roots).sum(axis=1)
     kept = {}
@@ -335,12 +437,12 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
         count[i] = len(row)
     width = max(count.tolist(), default=0)
     out = roots[:, :width]
-    if kept or live.size < n_cells:
-        out = np.full((n_cells, width), np.nan)
-        out[live, :roots.shape[1]] = roots[:, :width]
+    if kept:
+        out = np.full((roots.shape[0], width), np.nan)
+        out[:, :roots.shape[1]] = roots[:, :width]
         for i, row in kept.items():
-            out[live[i]] = sorted(row) + [np.nan] * (width - len(row))
-    return out.reshape(shape + (width,))
+            out[i] = sorted(row) + [np.nan] * (width - len(row))
+    return out
 
 
 def _rootless(rows, a, caps, col):
@@ -403,23 +505,29 @@ def _scan_rows(caps, g):
     return coef @ _SCAN_BASIS
 
 
-def _scan_guard(roots, a, c, col, rows, g):
-    """Roots a dense sign scan finds that the segment roots miss.
+def _window(x):
+    """(first, last): the grid intervals within _SCAN_PAD of each x."""
+    return (np.searchsorted(_SCAN_TO, x, "left"),
+            np.searchsorted(_SCAN_FROM, x, "right") - 1)
+
+
+def _scan_guard(windows, a, c, col, rows):
+    """The cells with a dense-scan crossing that no root window covers.
 
     Each grid interval where F(.; A=0) strictly crosses the level A C^2
     needs a root within _SCAN_PAD.  The count runs on ``rows``, each
     column's ``_scan_rows``, widened by the slack so that it never falls
-    below _force's crossings, and leaves out the intervals next to a root.
+    below _force's crossings, and leaves out the intervals in a root's
+    window [first, last] (``_window``).  ``windows`` lists them in
+    ascending root order: for a block, as arrays (cell, first, last); for
+    a lone cell, as find_equilibria makes, as (first, last) pairs of ints.
     In a block, per column holding a cell, the sorted interval bounds
     count the intervals reaching within the slack of every cell's level,
-    and the root windows' crossings are subtracted for all cells at once.
-    A lone cell, as in each find_equilibria call, lists its
-    crossing intervals and drops those inside a root's window, found on
-    the bounds as floats: the same count, since the block's windows differ
-    only by the overlap it trims.  Only a cell with some left over rescans
-    its grid with _force (``_rescan``).  The roots found there come back
-    by cell.  ``roots`` holds each cell's ascending roots, close pairs not
-    yet merged, NaN after them.
+    and the windows' crossings are subtracted for all cells at once.  A
+    lone cell lists its crossing intervals and drops those inside a
+    window: the same count, since the block's windows differ only by the
+    overlap it trims.  A cell returned here rescans its grid with _force
+    (``_rescan``).
     """
     if a.size == 1:
         a_i, c_i = a.item(), c.item()
@@ -429,14 +537,10 @@ def _scan_guard(roots, a, c, col, rows, g):
         crossing = np.flatnonzero(
             (np.minimum(f0[:-1], f0[1:]) < level + slack)
             & (level - slack < np.maximum(f0[:-1], f0[1:]))).tolist()
-        kept = [x for x in roots[0].tolist() if x == x]
-        windows = [(bisect_left(_SCAN_TO_FLOATS, r),
-                    bisect_right(_SCAN_FROM_FLOATS, r) - 1) for r in kept]
         if all(any(first <= j <= last for first, last in windows)
                for j in crossing):
-            return {}
-        added = _rescan(kept, a_i, c_i, level, g)
-        return {0: added} if added else {}
+            return []
+        return [0]
 
     level = a * c * c
     slack = _SCAN_SLACK * (1.0 + c) ** 2
@@ -459,14 +563,13 @@ def _scan_guard(roots, a, c, col, rows, g):
             np.searchsorted(np.sort(lo, kind="stable"), over, "left")
             - np.searchsorted(np.sort(hi, kind="stable"), under, "right"))
     if changes.any():
-        # a root's intervals are [first, last]; a cell's ascending roots
-        # have ascending windows, so each starts past its predecessor's
-        cell, slot = np.nonzero(roots == roots)
-        r = roots[cell, slot]
-        first = np.searchsorted(_SCAN_TO, r, "left")
-        last = np.searchsorted(_SCAN_FROM, r, "right") - 1
-        first[1:] = np.where(cell[1:] == cell[:-1],
-                             np.maximum(first[1:], last[:-1] + 1), first[1:])
+        # a cell's ascending roots have ascending windows: each starts
+        # past its predecessor's
+        cell, first, last = windows
+        first = np.concatenate([
+            first[:1], np.where(cell[1:] == cell[:-1],
+                                np.maximum(first[1:], last[:-1] + 1),
+                                first[1:])])
         window = first[:, None] + _WINDOW
         at = (np.minimum(window, len(_SCAN_GRID) - 2)
               + (col[cell] * len(_SCAN_GRID))[:, None])
@@ -476,17 +579,10 @@ def _scan_guard(roots, a, c, col, rows, g):
                    & (below[cell, None] < np.maximum(f_at, f_next)))
         changes -= np.bincount(cell, crossed.sum(axis=1),
                                a.size).astype(np.int64)
-
-    added = {}
-    for i in np.flatnonzero(changes > 0).tolist():
-        found = _rescan([x for x in roots[i].tolist() if x == x],
-                        float(a[i]), float(c[i]), float(level[i]), g)
-        if found:
-            added[i] = found
-    return added
+    return np.flatnonzero(changes > 0).tolist()
 
 
-def _rescan(kept, a, c, level, g):
+def _rescan(kept, a, c, g):
     """One cell's roots that the guard's count says ``kept`` misses.
 
     Each grid interval where _force changes sign with no root of ``kept``
@@ -494,7 +590,7 @@ def _rescan(kept, a, c, level, g):
     ModelInconsistencyWarning and joins ``kept``.
     """
     added = []
-    shifted = _force(_SCAN_GRID, 0.0, c, g) - level
+    shifted = _force(_SCAN_GRID, 0.0, c, g) - a * c * c
     for j in np.flatnonzero(shifted[:-1] * shifted[1:] < 0.0).tolist():
         lo, hi = float(_SCAN_GRID[j]), float(_SCAN_GRID[j + 1])
         if any(lo - _SCAN_PAD <= x <= hi + _SCAN_PAD for x in kept):
@@ -541,8 +637,11 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
 
     Raises NoSecondCriticalPointError when the regime has no interior
     maximum (contact angle < pi/2 with capillary ratio at or below the
-    second-extremum threshold), and ValueError when C is so small that A*
-    is not finite, so large that the force scale pi C^2 cannot be squared,
+    second-extremum threshold, or so little above it that the slope at pi
+    rounds to zero or above: a few ulps at gamma = 0.5, a relative 3e-5 at
+    gamma = 1e-6, where the slope's C^2 terms cancel and their rounding
+    swamps the rest), and ValueError when C is so small that A* is not
+    finite, so large that the force scale pi C^2 cannot be squared,
     or so large that the slope's O(C) terms at pi, 4 C sin(gamma/2) in
     size, round away against its C^2 terms and leave the maximum with no
     bracket (from C between about 2e16 and 5e16 at gamma >= 1).
@@ -556,16 +655,22 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
                         contact_angle=contact_angle, exploratory=True)
     phi0_star = force_extrema(capillary_ratio, contact_angle)[1]
     if not phi0_star > PI / 2.0:
-        if (capillary_ratio > second_extremum_threshold(contact_angle)
-                and 4.0 * math.sin(contact_angle / 2.0)
-                <= capillary_ratio * 2.0 ** -52):
+        threshold = second_extremum_threshold(contact_angle)
+        above = capillary_ratio > threshold
+        if above and 4.0 * math.sin(contact_angle / 2.0) <= (
+                capillary_ratio * 2.0 ** -52):
             raise ValueError(
                 f"capillary_ratio={capillary_ratio!r} is too large: the "
                 f"force slope near pi rounds to zero against C^2")
+        why = f" (threshold C = {threshold!r})"
+        if above and contact_angle < PI / 2.0:
+            why = (f": C is within rounding of the threshold C = "
+                   f"{threshold!r}; the force slope at pi, "
+                   f"2 cos(gamma) - 4 C sin(gamma/2), is below the rounding "
+                   f"of its terms and comes out zero or above")
         raise NoSecondCriticalPointError(
             f"no interior force maximum past pi/2 for contact_angle="
-            f"{contact_angle!r}, capillary_ratio={capillary_ratio!r} "
-            f"(threshold C = {second_extremum_threshold(contact_angle)!r})")
+            f"{contact_angle!r}, capillary_ratio={capillary_ratio!r}{why}")
     f_star = _force(phi0_star, 0.0, capillary_ratio, contact_angle)
     return _finite_mass(f_star, capillary_ratio ** 2, capillary_ratio), phi0_star
 

@@ -17,6 +17,24 @@ is <= 0, within the overhanging regimes
 (the depressed mirror image of the raised case; one margin formula serves
 both through the absolute value in the logarithm).  Outside these regimes
 the interface is a graph near the vertical tangent and no crossing occurs.
+
+Within each regime the margin is monotone in phi0: non-decreasing in the
+psi-negative regime, non-increasing in the psi-positive one.  With
+s = (phi0+gamma)/2, the logarithm's derivative is 1/(2 sin(s - pi/2))
+= -1/(2 cos s), so
+
+    dI/dphi0 = C cos(phi0) + cos(s) - 1/(2 cos s)
+             = C cos(phi0) + cos(phi0+gamma) / (2 cos s).
+
+psi-negative: phi0 <= pi/2 - gamma <= pi/2 and phi0 + gamma <= pi/2, so
+cos(phi0) >= 0, cos(phi0+gamma) >= 0 and s <= pi/4, cos s > 0: dI >= 0.
+psi-positive: phi0 >= 3pi/2 - gamma >= pi/2 and phi0 + gamma in
+[3pi/2, 2pi], so cos(phi0) <= 0, cos(phi0+gamma) >= 0 and s in
+[3pi/4, pi], cos s < 0: dI <= 0.  In both regimes |phi0 + gamma - pi| >=
+pi/2, so the logarithm's argument stays in [tan(pi/8), 1]: its terms add
+to at most C + 4 in size, and each evaluation rounds within a few ulps of
+that.  ``region_map`` rests on both facts to read a margin's sign from
+the ends of a root's bracket.
 """
 
 from __future__ import annotations
@@ -80,13 +98,16 @@ def intersection_margin(phi0: float, capillary_ratio: float,
     if not capillary_ratio > 0.0:
         raise ValueError(
             f"capillary_ratio must be positive, got {capillary_ratio!r}")
-    quarter = (phi0 + contact_angle - PI) / 4.0
-    if quarter == 0.0:
+    if (phi0 + contact_angle - PI) / 4.0 == 0.0:
         raise FlatInterfaceError(
             f"flat interface at phi0={phi0!r}, contact_angle={contact_angle!r}")
-    return (capillary_ratio * math.sin(phi0) - _MARGIN_CONST
-            + 2.0 * math.sin((phi0 + contact_angle) / 2.0)
-            + math.log(abs(math.tan(quarter))))
+    return _margin(phi0, capillary_ratio, contact_angle, math)
+
+
+def _margin(phi0, c, g, xp):
+    """The margin's formula, on floats (xp = math) or arrays (xp = np)."""
+    return (c * xp.sin(phi0) - _MARGIN_CONST + 2.0 * xp.sin((phi0 + g) / 2.0)
+            + xp.log(abs(xp.tan((phi0 + g - PI) / 4.0))))
 
 
 def _overhang(phi0, contact_angle: float):

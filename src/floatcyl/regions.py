@@ -11,9 +11,16 @@ At fixed contact angle, three curves organize the plane:
 * intersection curve: the larger equilibrium sits exactly on the meniscus
   self-intersection boundary (contact angles above pi/2 only).
 
-Each grid cell is labeled straight from the equilibrium solver plus the
-validity test, so labels are self-consistent with the library by
-construction.
+Each grid cell gets the label find_equilibria plus the validity test would
+give it, from the same solver stages, so labels are self-consistent with
+the library by construction.  A label needs only the root count and, for
+a root in an overhang regime, the sign of the intersection margin there,
+so a root's bisection stops once its bracket settles both: the bracket
+lies in one regime, the margin (monotone in phi0 there) has one sign at
+both ends clear of its rounding, and the bracket decides the dense-scan
+guard and the dedup as the root would.  The final root always lies in the
+bracket, so these labels are the fully bisected ones; a cell where any of
+this fails bisects to the end, as find_equilibria does.
 """
 
 from __future__ import annotations
@@ -24,16 +31,26 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import (NoSecondCriticalPointError, bisect,
+from .equilibria import (_DEDUP_TOL, _MAX_HALVINGS,
+                         NoSecondCriticalPointError, _Bisection, _bracket,
+                         _pack, _scan_guard, _window, bisect,
                          critical_mass_ratio, find_equilibria, force_extrema,
-                         second_extremum_threshold, solve)
-from .intersection import _overhang, intersection_margin, validity
+                         second_extremum_threshold)
+from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import DimensionlessParams, _force, total_force
 
 PI = math.pi
-# Cells per region_map solve (whole columns, at least one): bounds the
+# Cells per region_map block (whole columns, at least one): bounds the
 # solver's temporaries.
 _BLOCK_CELLS = 5000
+# Halvings a segment lane runs before _count_block tests its bracket.
+_SETTLE_HALVINGS = 16
+# A stopped lane's root lies at most (halvings left) 2^-52 above xa + dm
+# (see _Bisection); the pad covers every halving and the two roundings of
+# xa + dm + pad.
+_SETTLE_PAD = (_MAX_HALVINGS + 2) * 2.0 ** -52
+# The margin's rounding band, per unit of C + 4 (see _settle).
+_MARGIN_BAND = 2.0 ** -40
 
 
 class RegionLabel(str, Enum):
@@ -309,12 +326,13 @@ def region_map(contact_angle: float,
     Axes exclude the lower edge of each range (A and C must stay positive)
     and include the upper.  labels[i, j] corresponds to
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
-    validity produce at that point: the grid is solved a block of columns
-    at a time by the same solver, and a root is tested for crossing by the
-    same regime test and margin.  find_equilibria runs the kernels on
-    ``math`` and the blocks on NumPy, so the equality also needs their sin
-    and cos to agree bit for bit, as ``test_float_kernels_match_numpy``
-    checks on the platform at hand.
+    validity produce at that point.  The force extrema are found once for
+    every column, and the grid is counted a block of columns at a time by
+    ``_count_block``: the solver's stages with each root's bisection
+    stopped once its label can no longer change.  find_equilibria runs the
+    kernels on ``math`` and the blocks on NumPy, so the equality also
+    needs their sin and cos to agree bit for bit, as
+    ``test_float_kernels_match_numpy`` checks on the platform at hand.
     """
     n_a, n_c = resolution
     if n_a < 2 or n_c < 2:
@@ -336,20 +354,12 @@ def region_map(contact_angle: float,
 
     labels = np.empty((n_a, n_c), dtype=object)
     width = max(1, _BLOCK_CELLS // n_a)
+    minimum, maximum = force_extrema(c_axis, contact_angle)
     for j0 in range(0, n_c, width):
-        cs = c_axis[j0:j0 + width]
-        roots = solve(a_axis[:, None], cs[None, :], contact_angle)
-        n = (roots == roots).sum(axis=-1)
-        # only a root in an overhang regime can cross; NaN is in none
-        ii, jj, kk = np.nonzero(np.logical_or(*_overhang(roots,
-                                                         contact_angle)))
-        crossing = np.array(
-            [intersection_margin(r, c, contact_angle) <= 0.0
-             for r, c in zip(roots[ii, jj, kk].tolist(), cs[jj].tolist())],
-            dtype=bool)
-        n_valid = n - np.bincount(ii[crossing] * n.shape[1] + jj[crossing],
-                                  minlength=n.size).reshape(n.shape)
-        block = labels[:, j0:j0 + width]
+        cols = slice(j0, j0 + width)
+        n, n_valid = _count_block(a_axis, c_axis[cols], contact_angle,
+                                  (minimum[cols], maximum[cols]))
+        block = labels[:, cols]
         known = np.zeros(n.shape, dtype=bool)
         for (k, k_valid), label in _LABEL_TABLE.items():
             cells = (n == k) & (n_valid == k_valid)
@@ -359,7 +369,7 @@ def region_map(contact_angle: float,
             # the first unclassifiable cell in column order raises
             j, i = np.argwhere(~known.T)[0].tolist()
             _label(int(n[i, j]), int(n_valid[i, j]), DimensionlessParams(
-                float(a_axis[i]), float(cs[j]), contact_angle))
+                float(a_axis[i]), float(c_axis[j0 + j]), contact_angle))
 
     curves = [trace_endpoint_curve(contact_angle, (a_lo, a_hi), (c_lo, c_hi),
                                    curve_samples),
@@ -370,6 +380,140 @@ def region_map(contact_angle: float,
     curves = [c for c in curves if len(c.points)]
     return RegionMap(contact_angle=contact_angle, a_axis=a_axis, c_axis=c_axis,
                      labels=labels, curves=curves)
+
+
+def _count_block(a_axis, cs, g, extrema):
+    """Equilibria and valid equilibria of each cell of a_axis x cs.
+
+    Both (len(a_axis), len(cs)) int arrays; ``extrema`` is the columns'
+    ``force_extrema``.  The cells go through solve's bracket stage
+    (``_bracket``), and each segment lane through _SETTLE_HALVINGS of
+    bisect's halvings (``_Bisection``); its root then lies in
+    [xa, xa + dm + _SETTLE_PAD].  A cell whose brackets settle its count
+    (``_settle``), and in which the dense-scan guard (``_scan_guard``),
+    run once over every cell's windows, finds nothing to rescan, is
+    counted from its brackets.  Every other cell resumes its lanes to
+    solve's bits and goes through solve's dedup and rescan (``_pack``)
+    and ``intersection_margin`` as before, so every count is exact.
+    """
+    n = np.zeros((a_axis.size, cs.size), dtype=np.int64)
+    n_valid = n.copy()
+    block = _bracket(a_axis[:, None], cs[None, :], g, extrema)
+    if block.a is None:
+        return n, n_valid
+    a, c, found = block.a, block.c, block.found
+    n_nodes = block.nodes.shape[1]
+    # each cell's roots as brackets [lo, hi], in node, segment, node, ...
+    # order, which ascends
+    lo = np.full((a.size, 2 * n_nodes - 1), np.nan)
+    lo[:, ::2] = found[:, :n_nodes]
+    # every segment's lanes side by side; a segment's lone lane bisects on
+    # floats, as in solve
+    lane, k = np.nonzero(block.bracket)
+    alone = np.bincount(k)[k] == 1
+    for i, j in zip(lane[alone].tolist(), k[alone].tolist()):
+        a_i, c_i = float(a[i]), float(c[i])
+        found[i, n_nodes + j] = lo[i, 2 * j + 1] = bisect(
+            lambda x: _force(x, a_i, c_i, g),
+            float(block.nodes[i, j]), float(block.nodes[i, j + 1]))
+    hi = lo.copy()
+    lane, k = lane[~alone], k[~alone]
+    sa, sc = a[lane], c[lane]
+    x0, x1 = block.nodes[lane, k], block.nodes[lane, k + 1]
+    run = _Bisection(x0, x1, _force(x0, sa, sc, g), _force(x1, sa, sc, g)
+                     ).run(lambda x: _force(x, sa, sc, g), _SETTLE_HALVINGS)
+    lo[lane, 2 * k + 1] = np.where(run.todo, run.xa, run.root)
+    hi[lane, 2 * k + 1] = np.where(run.todo, run.xa + run.dm + _SETTLE_PAD,
+                                   run.root)
+
+    cell, crossing, settled = _settle(lo, hi, c, g)
+    del hi, x0, x1  # not needed by the guard, which peaks next
+
+    def resume(cells):
+        # the lanes of these cells run on to solve's roots
+        sub = np.flatnonzero(cells[lane])
+        if sub.size:
+            la, lc = sa[sub], sc[sub]
+            found[lane[sub], n_nodes + k[sub]] = run.take(sub).run(
+                lambda x: _force(x, la, lc, g)).result()
+
+    # one guard for every cell: a settled root's window is its bracket's,
+    # the others' their roots'
+    resume(~settled)
+    lo[~settled] = np.sort(found[~settled], axis=1, kind="stable")
+    i, j = np.nonzero(lo == lo)
+    windows = (i, *_window(lo[i, j]))
+    if a.size == 1:
+        windows = list(zip(windows[1].tolist(), windows[2].tolist()))
+    rescan = np.zeros(a.size, dtype=bool)
+    rescan[_scan_guard(windows, a, c, block.col, block.rows)] = True
+    resume(settled & rescan)
+    settled &= ~rescan
+
+    count = np.bincount(cell, minlength=a.size)
+    cross = np.bincount(cell, crossing, minlength=a.size).astype(np.int64)
+    u = np.flatnonzero(~settled)
+    if u.size:
+        roots = _pack(found[u], np.sort(found[u], axis=1, kind="stable"),
+                      np.flatnonzero(rescan[u]).tolist(), a[u], c[u], g)
+        count[u] = (roots == roots).sum(axis=1)
+        # only a root in an overhang regime can cross; NaN is in none
+        ii, kk = np.nonzero(np.logical_or(*_overhang(roots, g)))
+        cross[u] = np.bincount(ii, [
+            intersection_margin(r, c_i, g) <= 0.0
+            for r, c_i in zip(roots[ii, kk].tolist(), c[u[ii]].tolist())],
+            minlength=u.size)
+    n.flat[block.live] = count
+    n_valid.flat[block.live] = count - cross
+    return n, n_valid
+
+
+def _settle(lo, hi, c, g):
+    """The cells whose root count and crossings their brackets settle.
+
+    ``lo`` and ``hi`` hold each cell's roots as brackets [lo, hi] that
+    hold them, ascending, NaN where none (a node root's bracket being the
+    root itself), and ``c`` each cell's capillary ratio.  Returns each
+    root's cell and whether it crosses, in row order, and the settled
+    cells: those where for each root
+
+    * the bracket lies in one overhang regime, or in none, over all of it
+      (``_overhang`` at both ends, and the upper end <= pi: the regimes
+      are intervals within [0, pi] that reach 0 and pi respectively);
+    * in a regime, the margin has one sign at both ends, clear of
+      _MARGIN_BAND (C + 4): the margin is monotone in phi0 there, and its
+      terms add to at most C + 4 in size there (see ``intersection``), so
+      ``intersection_margin`` and ``_margin`` on NumPy each round it by a
+      few ulps of C + 4, far inside the band, and the root's margin has
+      that sign in ``intersection_margin`` too;
+    * its guard window [first, last] (``_window``) is the same at both
+      ends, so it is the root's window;
+    * its bracket starts more than _DEDUP_TOL above the end of the one
+      before it, so solve's roots are in this order and none merges.
+
+    Each root of a settled cell is then one of solve's roots, and crosses
+    exactly when ``intersection_margin`` says so there.
+    """
+    cell, slot = np.nonzero(lo == lo)
+    x0, x1 = lo[cell, slot], hi[cell, slot]
+    negative, positive = _overhang(x0, g)
+    negative_1, positive_1 = _overhang(x1, g)
+    first, last = _window(x0)
+    first_1, last_1 = _window(x1)
+    ok = ((negative == negative_1) & (positive == positive_1) & (x1 <= PI)
+          & (first == first_1) & (last == last_1))
+    over = np.flatnonzero(negative | positive)
+    m0, m1 = (_margin(x[over], c[cell[over]], g, np) for x in (x0, x1))
+    band = _MARGIN_BAND * (4.0 + c[cell[over]])
+    crossing = np.zeros(cell.size, dtype=bool)
+    crossing[over] = np.maximum(m0, m1) < -band
+    ok[over] &= crossing[over] | (np.minimum(m0, m1) > band)
+    # apart from the bracket before it, so from every earlier one, as
+    # each bracket starts no higher than it ends
+    ok[1:] &= (cell[1:] != cell[:-1]) | (x0[1:] - x1[:-1] > _DEDUP_TOL)
+    settled = np.ones(lo.shape[0], dtype=bool)
+    settled[cell[~ok]] = False
+    return cell, crossing, settled
 
 
 def region_map_csv(rm: RegionMap) -> str:

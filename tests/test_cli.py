@@ -470,6 +470,17 @@ class TestPlumbing:
         assert "capillary_ratio=1e+20 is too large" in lines[0]
         assert "threshold" not in lines[0]
 
+    def test_astar_within_rounding_of_the_threshold(self):
+        # a C one ulp above the threshold, where the slope at pi rounds to 0
+        proc = run_child(["-m", "floatcyl.cli", "astar", "--gamma", "0.5",
+                          "--C", "1.7735822913560129"])
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert ("C is within rounding of the threshold C = "
+                "1.7735822913560126" in lines[0])
+
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "eq.csv"
         code, out = run_cli(capsys, ["equilibria", "--gamma", "1.5707963",

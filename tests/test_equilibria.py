@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,12 +13,14 @@ from floatcyl import equilibria
 from floatcyl.equilibria import (_SCAN_GRID, _SCAN_SLACK, ROOT_VALUE_TOL,
                                  ExtremumKind, ModelInconsistencyWarning,
                                  NoSecondCriticalPointError, Stability,
-                                 UnsupportedRegimeError, _rootless, _scan_rows,
+                                 UnsupportedRegimeError, _Bisection,
+                                 _rootless, _scan_rows,
                                  asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, force_extrema,
                                  second_extremum_threshold, solve)
 from floatcyl.model import DimensionlessParams, _force, _slope, total_force
+from floatcyl.regions import _SETTLE_PAD
 
 PI = math.pi
 
@@ -288,6 +291,19 @@ class TestCriticalMass:
                            match=r"capillary_ratio=.* is too large"):
             critical_mass_ratio(c, g)
 
+    @pytest.mark.parametrize("c,g", [
+        (1.7735822913560129, 0.5),
+        (math.nextafter(999999.9999995417, math.inf), 1e-6)])
+    def test_within_rounding_of_the_threshold(self, c, g):
+        # above the threshold, but the slope at pi rounds to zero or above:
+        # the message says so instead of quoting a threshold below C
+        threshold = second_extremum_threshold(g)
+        assert c > threshold
+        with pytest.raises(NoSecondCriticalPointError, match=re.escape(
+                f"capillary_ratio={c!r}: C is within rounding of the "
+                f"threshold C = {threshold!r}")):
+            critical_mass_ratio(c, g)
+
     def test_small_c_series(self):
         for c in (0.1, 0.05):
             a_num, phi_num = critical_mass_ratio(c, PI / 2)
@@ -332,6 +348,25 @@ def _slope_of(x, a, c, g):
 
 class TestBisect:
     """The shared bisection reproduces SciPy's bisect bit for bit."""
+
+    @pytest.mark.parametrize("halvings", [12, 16])
+    def test_stopped_and_resumed(self, halvings):
+        # lanes stopped after some halvings and resumed, all or a few, end
+        # on bisect's bits, inside the stopped bracket widened by the pad
+        a, c, g, lo, hi = (np.array(col) for col in
+                           zip(*_random_brackets(_force, 400, seed=37)))
+
+        def f(x):
+            return _force(x, a, c, g)
+
+        run = _Bisection(lo, hi, f(lo), f(hi)).run(f, halvings)
+        xa, dm = run.xa, run.dm
+        odd = np.arange(1, a.size, 2)
+        part = run.take(odd).run(lambda x: _force(x, a[odd], c[odd], g[odd]))
+        roots = run.run(f).result()
+        assert roots.tolist() == bisect(f, lo, hi).tolist()
+        assert part.result().tolist() == roots[odd].tolist()
+        assert np.all(xa <= roots) and np.all(roots <= xa + dm + _SETTLE_PAD)
 
     @pytest.mark.parametrize("kernel", [_force, _slope_of])
     def test_equals_scipy_on_random_brackets(self, kernel):

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floatcyl.equilibria import Stability, find_equilibria
-from floatcyl.intersection import (FlatInterfaceError, Regime,
-                                   intersection_margin, validity)
+from floatcyl.intersection import (FlatInterfaceError, Regime, _margin,
+                                   _overhang, intersection_margin, validity)
 from floatcyl.model import DimensionlessParams, center_height
+from floatcyl.regions import _MARGIN_BAND
 
 PI = math.pi
 
@@ -45,6 +48,35 @@ class TestMargin:
     def test_validation(self):
         with pytest.raises(ValueError, match="capillary_ratio"):
             intersection_margin(0.3, -1.0, 0.2)
+
+    # region_map reads a root's margin sign off the ends of its bracket:
+    # that needs the margin monotone in each overhang regime, and its math
+    # and NumPy evaluations within half the band of each other
+    @settings(derandomize=True, max_examples=200, database=None,
+              deadline=None)
+    @given(log_c=st.floats(math.log(1e-3), math.log(1e3)),
+           u=st.floats(0.0, 1.0),
+           at=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+           positive=st.booleans())
+    def test_monotone_in_each_regime(self, log_c, u, at, positive):
+        c = math.exp(log_c)
+        if positive:  # non-increasing on [3pi/2 - gamma, pi]
+            g = PI / 2 + u * (PI / 2)
+            lo, hi = 3.0 * PI / 2.0 - g, PI
+        else:  # non-decreasing on [0, pi/2 - gamma]
+            g = u * (PI / 2)
+            lo, hi = 0.0, PI / 2.0 - g
+        x1, x2 = sorted(min(hi, lo + t * (hi - lo)) for t in at)
+        assert all(_overhang(x, g)[positive] for x in (x1, x2))
+        m1, m2 = (intersection_margin(x, c, g) for x in (x1, x2))
+        band = _MARGIN_BAND * (4.0 + c)
+        if positive:
+            assert m2 <= m1 + band
+        else:
+            assert m2 >= m1 - band
+        by_numpy = _margin(np.array([x1, x2]), c, g, np).tolist()
+        assert abs(by_numpy[0] - m1) <= band / 2
+        assert abs(by_numpy[1] - m2) <= band / 2
 
 
 class TestValidity:

@@ -5,13 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+from floatcyl import equilibria
 from floatcyl.equilibria import (ModelInconsistencyWarning,
                                  NoSecondCriticalPointError,
                                  critical_mass_ratio, find_equilibria,
-                                 second_extremum_threshold)
-from floatcyl.intersection import intersection_margin
+                                 second_extremum_threshold, solve)
+from floatcyl.intersection import _overhang, intersection_margin
 from floatcyl.model import DimensionlessParams, total_force
-from floatcyl.regions import (CurveKind, RegionLabel, classify_point,
+from floatcyl.regions import (_LABEL_TABLE, CurveKind, RegionLabel,
+                              classify_point,
                               endpoint_boundary_c, endpoint_boundary_is_vertical,
                               intersection_curve_point, region_map,
                               region_map_csv, region_map_json,
@@ -268,11 +270,11 @@ class TestRegionMap:
         # a cell with three roots raises, naming its own parameters
         import floatcyl.regions as regions
 
-        def three_roots(a, c, g):
-            return np.broadcast_to([0.5, 1.0, 1.5],
-                                   np.broadcast(a, c).shape + (3,))
+        def three_roots(a_axis, cs, g, extrema):
+            three = np.full((a_axis.size, cs.size), 3)
+            return three, three
 
-        monkeypatch.setattr(regions, "solve", three_roots)
+        monkeypatch.setattr(regions, "_count_block", three_roots)
         with pytest.raises(ValueError, match=(
                 r"unclassifiable equilibrium structure at DimensionlessParams"
                 r"\(mass_ratio=3\.0, capillary_ratio=1\.25, .*\): "
@@ -286,6 +288,56 @@ class TestRegionMap:
                 label, _ = classify_point(
                     params(float(rm.a_axis[i]), float(rm.c_axis[j]), 3 * PI / 4))
                 assert rm.labels[i, j] is label
+
+
+def bisected_labels(rm):
+    """rm's labels from solve's fully bisected roots and the margin."""
+    g = rm.contact_angle
+    roots = solve(rm.a_axis[:, None], rm.c_axis[None, :], g)
+    n = (roots == roots).sum(axis=-1)
+    n_valid = n.copy()
+    c_axis = rm.c_axis.tolist()
+    for i, j, k in zip(*(x.tolist() for x in np.nonzero(
+            np.logical_or(*_overhang(roots, g))))):
+        if intersection_margin(float(roots[i, j, k]), c_axis[j], g) <= 0.0:
+            n_valid[i, j] -= 1
+    return [[_LABEL_TABLE[pair] for pair in zip(*counts)]
+            for counts in zip(n.tolist(), n_valid.tolist())]
+
+
+class TestSettledLabels:
+    """Labels read from stopped bisections equal the fully bisected ones."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.05, 0.7, PI / 2, 2.3, 3.0, PI])
+    def test_default_grid(self, g):
+        rm = region_map(g, resolution=(200, 200), curve_samples=0)
+        assert rm.labels.tolist() == bisected_labels(rm)
+
+    def test_windows_where_lanes_stay_unsettled(self, monkeypatch):
+        # close to the tangency curve the two roots pair up, near the
+        # corner the root count changes, near the intersection curve the
+        # margin changes sign: lanes there resume to the end
+        resumed = []
+        take = equilibria._Bisection.take
+
+        def counted(self, idx):
+            resumed.append(idx.size)
+            return take(self, idx)
+
+        monkeypatch.setattr(equilibria._Bisection, "take", counted)
+        a_star = critical_mass_ratio(1.0, PI / 2)[0]
+        a_0, c_0 = two_equilibrium_corner(PI / 4)
+        a_i, c_i = intersection_curve_point(3.0, 3 * PI / 4)
+        for g, (a, da), (c, dc) in [
+                (PI / 2, (a_star, 1e-3), (1.0, 1e-3)),
+                (2.3, (critical_mass_ratio(2.0, 2.3)[0], 1e-6), (2.0, 1e-6)),
+                (PI / 4, (a_0, 0.05), (c_0, 0.05)),
+                (3 * PI / 4, (a_i, 1e-4), (c_i, 1e-4))]:
+            rm = region_map(g, (a - da, a + da), (c - dc, c + dc), (60, 60),
+                            curve_samples=0)
+            assert len({label for row in rm.labels for label in row}) > 1
+            assert rm.labels.tolist() == bisected_labels(rm)
+        assert sum(resumed) > 0
 
 
 class TestEmitters:

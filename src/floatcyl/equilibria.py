@@ -11,7 +11,6 @@ local minimum).
 
 from __future__ import annotations
 
-import copy
 import math
 import sys
 import warnings
@@ -66,6 +65,10 @@ _SCAN_SAG = (PI / (len(_SCAN_GRID) - 1)) ** 2 / 8.0
 _MARGIN = (2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG + ROOT_VALUE_TOL,
            4.0 * _SCAN_SLACK + 9.0 * _SCAN_SAG,
            2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG)
+# Bracketed segments up to which _roots bisects each on floats: an array
+# bisection's halving costs about as much in NumPy calls as one halving
+# of 20 float lanes.
+_FLOAT_LANES = 16
 # SciPy's bisect defaults: relative tolerance and iteration cap.
 _RTOL = 4.0 * sys.float_info.epsilon
 _MAX_HALVINGS = 100
@@ -126,7 +129,8 @@ def bisect(f, lo, hi):
     |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
     Floats run SciPy's loop as written, so a lone lane, as in each
     find_equilibria call, skips the masks' arithmetic in every halving.
-    Arrays run as a ``_Bisection``, so each element equals its scalar run.
+    Array elements run side by side, each masked by 0/1 factors (exact on
+    finite floats), so each equals its scalar run.
     """
     fa, fb = f(lo), f(hi)
     if not any(isinstance(v, np.ndarray) for v in (fa, fb, lo, hi)):
@@ -145,57 +149,21 @@ def bisect(f, lo, hi):
                 return xm
         raise RuntimeError(
             f"bisection not converged in {_MAX_HALVINGS} halvings")
-    return _Bisection(lo, hi, fa, fb).run(f).result()
-
-
-class _Bisection:
-    """bisect's array path as a state that can stop and resume.
-
-    Lanes run side by side, each masked by 0/1 factors (exact on finite
-    floats), so a lane's bits equal its scalar run however its halvings
-    are split between ``run`` calls and whichever lanes share them
-    (``take``).  A finished lane holds its root in ``root``.  An unfinished
-    one's root r lies in [xa, xa + dm + (halvings left) 2^-52] when r < 4:
-    xa never decreases, and a halving that keeps xm = fl(xa + dm/2) moves
-    xa + dm up by at most the half ulp that rounds xm.
-    """
-
-    def __init__(self, lo, hi, fa, fb):
-        self.todo = (fa != 0.0) & (fb != 0.0)
-        self.root = lo * (fa == 0.0) + hi * ((fa != 0.0) & (fb == 0.0))
-        self.xa, self.dm, self.fa = lo, hi - lo, fa
-        self.left = _MAX_HALVINGS
-
-    def run(self, f, halvings=_MAX_HALVINGS):
-        """Up to ``halvings`` more halvings; fewer once every lane is done."""
-        for _ in range(min(halvings, self.left)):
-            if not self.todo.any():
-                break
-            self.left -= 1
-            self.dm = self.dm * 0.5
-            xm = self.xa + self.dm
-            fm = f(xm)
-            keep = fm * self.fa >= 0.0
-            self.xa = xm * keep + self.xa * (1 - keep)
-            stop = self.todo & ((fm == 0.0)
-                                | (abs(self.dm) < PHI0_TOL + _RTOL * abs(xm)))
-            self.root = self.root + xm * stop
-            self.todo = self.todo & ~stop
-        return self
-
-    def take(self, idx):
-        """The lanes at ``idx`` (xa and dm arrays), as a state of their own."""
-        part = copy.copy(self)
-        for name in ("todo", "root", "xa", "dm", "fa"):
-            setattr(part, name, getattr(self, name)[idx])
-        return part
-
-    def result(self):
-        """Every lane's root, once all are done."""
-        if self.todo.any():
-            raise RuntimeError(
-                f"bisection not converged in {_MAX_HALVINGS} halvings")
-        return self.root
+    todo = (fa != 0.0) & (fb != 0.0)
+    root = lo * (fa == 0.0) + hi * ((fa != 0.0) & (fb == 0.0))
+    xa, dm = lo, hi - lo
+    for _ in range(_MAX_HALVINGS):
+        dm = dm * 0.5
+        xm = xa + dm
+        fm = f(xm)
+        keep = fm * fa >= 0.0
+        xa = xm * keep + xa * (1 - keep)
+        stop = todo & ((fm == 0.0) | (abs(dm) < PHI0_TOL + _RTOL * abs(xm)))
+        root = root + xm * stop
+        todo = todo & ~stop
+        if not todo.any():
+            return root
+    raise RuntimeError(f"bisection not converged in {_MAX_HALVINGS} halvings")
 
 
 def second_extremum_threshold(contact_angle: float) -> float:
@@ -203,15 +171,15 @@ def second_extremum_threshold(contact_angle: float) -> float:
 
     Zero for contact angles >= pi/2 (the maximum always exists there);
     cos(gamma) / (2 sin(gamma/2)) for gamma in (0, pi/2); infinite for
-    gamma = 0, where the force is eventually increasing for every C.
+    gamma = 0, where the force is eventually increasing for every C, and
+    where sin(gamma/2) underflows to zero (gamma = 5e-324).
     """
     if not 0.0 <= contact_angle <= PI:
         raise ValueError(f"contact_angle must lie in [0, pi], got {contact_angle!r}")
     if contact_angle >= PI / 2.0:
         return 0.0
-    if contact_angle == 0.0:
-        return math.inf
-    return math.cos(contact_angle) / (2.0 * math.sin(contact_angle / 2.0))
+    half = math.sin(contact_angle / 2.0)
+    return math.cos(contact_angle) / (2.0 * half) if half else math.inf
 
 
 def force_extrema(capillary_ratios, contact_angle: float):
@@ -302,11 +270,10 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     (``_rootless``) has no root and goes no further; when no cell is left,
     the extrema are never found.  Otherwise a node with
     |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi, the tangency
-    at A*); each segment is bisected once over every cell whose ends change
-    sign there, and ``_scan_guard`` backstops the segments.  Of roots closer
+    at A*); every segment whose ends change sign is bisected, and
+    ``_scan_guard`` backstops the segments.  Of roots closer
     than _DEDUP_TOL the first in node, segment, guard order counts.
-    ``_bracket`` is the stage up to the bisections, ``_pack`` the one
-    after the guard.
+    ``_bracket`` is the stage up to the bisections, ``_roots`` the rest.
     """
     extrema = None
     if critical is not None:
@@ -316,26 +283,7 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     block = _bracket(mass_ratios, capillary_ratios, contact_angle, extrema)
     if block.a is None:
         return np.empty(block.shape + (0,))
-    a, c, nodes, found = block.a, block.c, block.nodes, block.found
-    n_nodes = nodes.shape[1]
-    for k in np.flatnonzero(block.bracket.any(axis=0)).tolist():
-        idx = np.flatnonzero(block.bracket[:, k])
-        sa, sc, lo, hi = _lanes(idx, a, c, nodes[:, k], nodes[:, k + 1])
-        found[idx, n_nodes + k] = bisect(
-            lambda x: _force(x, sa, sc, contact_angle), lo, hi)
-    # Sorts are stable here and in the guard: nearly sorted input, and a
-    # smaller code footprint than the default sort.
-    roots = np.sort(found, axis=1, kind="stable")
-    if a.size == 1:
-        windows = [(bisect_left(_SCAN_TO_FLOATS, r),
-                    bisect_right(_SCAN_FROM_FLOATS, r) - 1)
-                   for r in roots[0].tolist() if r == r]
-    else:
-        cell, slot = np.nonzero(roots == roots)
-        windows = (cell, *_window(roots[cell, slot]))
-    roots = _pack(found, roots,
-                  _scan_guard(windows, a, c, block.col, block.rows), a, c,
-                  contact_angle)
+    roots = _roots(block, contact_angle)
     n_cells = math.prod(block.shape)
     if block.live.size < n_cells:
         out = np.full((n_cells, roots.shape[1]), np.nan)
@@ -408,6 +356,42 @@ def _bracket(mass_ratios, capillary_ratios, g, extrema=None) -> _Block:
     found = np.full((a.size, 2 * n_nodes - 1), np.nan)
     found[:, :n_nodes] = np.where(on_node, nodes, np.nan)
     return _Block(ones.shape, live, a, c, col, rows, nodes, found, bracket)
+
+
+def _roots(block, g):
+    """solve's stages after ``_bracket``: each live cell's roots.
+
+    Every segment that brackets a root is bisected, the dense-scan guard
+    (``_scan_guard``) checks the roots' windows, and ``_pack`` dedups and
+    adds what ``_rescan`` finds.  Up to _FLOAT_LANES segments bisect one
+    by one on Python floats, as a lone cell's do; more share one array
+    bisection.  Both give bisect's bits.
+    """
+    a, c, nodes, found = block.a, block.c, block.nodes, block.found
+    n_nodes = nodes.shape[1]
+    lane, k = np.nonzero(block.bracket)
+    if lane.size > _FLOAT_LANES:
+        sa, sc = a[lane], c[lane]
+        found[lane, n_nodes + k] = bisect(lambda x: _force(x, sa, sc, g),
+                                          nodes[lane, k], nodes[lane, k + 1])
+    else:
+        for i, j in zip(lane.tolist(), k.tolist()):
+            a_i, c_i = float(a[i]), float(c[i])
+            found[i, n_nodes + j] = bisect(
+                lambda x: _force(x, a_i, c_i, g),
+                float(nodes[i, j]), float(nodes[i, j + 1]))
+    # Sorts are stable here and in the guard: nearly sorted input, and a
+    # smaller code footprint than the default sort.
+    roots = np.sort(found, axis=1, kind="stable")
+    if a.size == 1:
+        windows = [(bisect_left(_SCAN_TO_FLOATS, r),
+                    bisect_right(_SCAN_FROM_FLOATS, r) - 1)
+                   for r in roots[0].tolist() if r == r]
+    else:
+        cell, slot = np.nonzero(roots == roots)
+        windows = (cell, *_window(roots[cell, slot]))
+    return _pack(found, roots,
+                 _scan_guard(windows, a, c, block.col, block.rows), a, c, g)
 
 
 def _pack(found, roots, rescan, a, c, g):
@@ -521,9 +505,10 @@ def _scan_guard(windows, a, c, col, rows):
     window [first, last] (``_window``).  ``windows`` lists them in
     ascending root order: for a block, as arrays (cell, first, last); for
     a lone cell, as find_equilibria makes, as (first, last) pairs of ints.
-    In a block, per column holding a cell, the sorted interval bounds
-    count the intervals reaching within the slack of every cell's level,
-    and the windows' crossings are subtracted for all cells at once.  A
+    In a block, the cells are grouped by column with one stable sort of
+    ``col``; per column holding a cell, the sorted interval bounds count
+    the intervals reaching within the slack of every cell's level, and
+    the windows' crossings are subtracted for all cells at once.  A
     lone cell lists its crossing intervals and drops those inside a
     window: the same count, since the block's windows differ only by the
     overlap it trims.  A cell returned here rescans its grid with _force
@@ -552,10 +537,11 @@ def _scan_guard(windows, a, c, col, rows):
     lo = np.empty(len(_SCAN_GRID) - 1)
     hi = np.empty_like(lo)
     changes = np.empty(a.size, dtype=np.int64)
-    for j, f0 in enumerate(rows):
-        cells = np.flatnonzero(col == j)
-        if not cells.size:
-            continue
+    # the cells grouped by column, once
+    order = np.argsort(col, kind="stable")
+    bounds = np.searchsorted(col[order], np.arange(len(rows) + 1)).tolist()
+    for j in np.flatnonzero(np.diff(bounds)).tolist():
+        f0, cells = rows[j], order[bounds[j]:bounds[j + 1]]
         np.minimum(f0[:-1], f0[1:], out=lo)
         np.maximum(f0[:-1], f0[1:], out=hi)
         under, over = below[cells], above[cells]

@@ -15,12 +15,13 @@ Each grid cell gets the label find_equilibria plus the validity test would
 give it, from the same solver stages, so labels are self-consistent with
 the library by construction.  A label needs only the root count and, for
 a root in an overhang regime, the sign of the intersection margin there,
-so a root's bisection stops once its bracket settles both: the bracket
-lies in one regime, the margin (monotone in phi0 there) has one sign at
-both ends clear of its rounding, and the bracket decides the dense-scan
-guard and the dedup as the root would.  The final root always lies in the
-bracket, so these labels are the fully bisected ones; a cell where any of
-this fails bisects to the end, as find_equilibria does.
+so most cells need no root at all: the dense-scan guard's rows bound the
+force tightly enough to place each root in one grid interval, and that
+interval settles its regime and its margin's sign (``_count_block`` has
+the proof).  On the default 200 x 200 grid this leaves 0.08-0.24 % of
+the cells open; they go through solve's remaining stages together, once
+per map, as find_equilibria does, and find_equilibria still bisects
+every root it prints.
 """
 
 from __future__ import annotations
@@ -31,25 +32,29 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import (_DEDUP_TOL, _MAX_HALVINGS,
-                         NoSecondCriticalPointError, _Bisection, _bracket,
-                         _pack, _scan_guard, _window, bisect,
+from .equilibria import (_SCAN_GRID, _SCAN_SAG, _SCAN_SLACK, PHI0_TOL,
+                         NoSecondCriticalPointError, _bracket, _roots, bisect,
                          critical_mass_ratio, find_equilibria, force_extrema,
                          second_extremum_threshold)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import DimensionlessParams, _force, total_force
 
 PI = math.pi
-# Cells per region_map block (whole columns, at least one): bounds the
-# solver's temporaries.
-_BLOCK_CELLS = 5000
-# Halvings a segment lane runs before _count_block tests its bracket.
-_SETTLE_HALVINGS = 16
-# A stopped lane's root lies at most (halvings left) 2^-52 above xa + dm
-# (see _Bisection); the pad covers every halving and the two roundings of
-# xa + dm + pad.
-_SETTLE_PAD = (_MAX_HALVINGS + 2) * 2.0 ** -52
-# The margin's rounding band, per unit of C + 4 (see _settle).
+# Cells plus row points per region_map block (whole columns, at least
+# one): a column brings its cells and its guard row, and the temporaries
+# grow with both.
+_BLOCK_SIZE = 30000
+# bisect's root lies within its last bracket, PHI0_TOL + 4 eps pi wide, of
+# a sign change of _force; the rest of _LAST_BRACKET, over 100 slacks (see
+# _count_block), covers _force's rounding there and the rows test's own.
+_LAST_BRACKET = 2.0 * PHI0_TOL
+# The rows test's margin M(C) = 2 _SCAN_SLACK (1+C)^2
+# + (2 + 9C + 2C^2) _SCAN_SAG + (2 + 6C + 2C^2) _LAST_BRACKET, by powers of
+# C (see _count_block)
+_ROWS_MARGIN = (2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG + 2.0 * _LAST_BRACKET,
+                4.0 * _SCAN_SLACK + 9.0 * _SCAN_SAG + 6.0 * _LAST_BRACKET,
+                2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG + 2.0 * _LAST_BRACKET)
+# The margin's rounding band, per unit of C + 4 (see _count_block).
 _MARGIN_BAND = 2.0 ** -40
 
 
@@ -328,8 +333,9 @@ def region_map(contact_angle: float,
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
     validity produce at that point.  The force extrema are found once for
     every column, and the grid is counted a block of columns at a time by
-    ``_count_block``: the solver's stages with each root's bisection
-    stopped once its label can no longer change.  find_equilibria runs the
+    ``_count_block``, from solve's brackets and the dense-scan guard's
+    rows; the few cells those leave open go through solve's remaining
+    stages together (``_count_cells``).  find_equilibria runs the
     kernels on ``math`` and the blocks on NumPy, so the equality also
     needs their sin and cos to agree bit for bit, as
     ``test_float_kernels_match_numpy`` checks on the platform at hand.
@@ -352,24 +358,31 @@ def region_map(contact_angle: float,
     c_axis = np.linspace(c_lo, c_hi, n_c + 1)[1:]
     DimensionlessParams(float(a_axis[0]), float(c_axis[0]), contact_angle)
 
-    labels = np.empty((n_a, n_c), dtype=object)
-    width = max(1, _BLOCK_CELLS // n_a)
+    n = np.empty((n_a, n_c), dtype=np.int64)
+    n_valid = np.empty_like(n)
+    width = max(1, _BLOCK_SIZE // (n_a + len(_SCAN_GRID)))
     minimum, maximum = force_extrema(c_axis, contact_angle)
     for j0 in range(0, n_c, width):
         cols = slice(j0, j0 + width)
-        n, n_valid = _count_block(a_axis, c_axis[cols], contact_angle,
-                                  (minimum[cols], maximum[cols]))
-        block = labels[:, cols]
-        known = np.zeros(n.shape, dtype=bool)
-        for (k, k_valid), label in _LABEL_TABLE.items():
-            cells = (n == k) & (n_valid == k_valid)
-            block[cells] = label
-            known |= cells
-        if not known.all():
-            # the first unclassifiable cell in column order raises
-            j, i = np.argwhere(~known.T)[0].tolist()
-            _label(int(n[i, j]), int(n_valid[i, j]), DimensionlessParams(
-                float(a_axis[i]), float(c_axis[j0 + j]), contact_angle))
+        n[:, cols], n_valid[:, cols] = _count_block(
+            a_axis, c_axis[cols], contact_angle,
+            (minimum[cols], maximum[cols]))
+    # the cells the rows leave open, from every block at once
+    i, j = np.nonzero(n < 0)
+    if i.size:
+        n[i, j], n_valid[i, j] = _count_cells(
+            a_axis[i], c_axis[j], contact_angle, (minimum[j], maximum[j]))
+    labels = np.empty((n_a, n_c), dtype=object)
+    known = np.zeros(n.shape, dtype=bool)
+    for (k, k_valid), label in _LABEL_TABLE.items():
+        cells = (n == k) & (n_valid == k_valid)
+        labels[cells] = label
+        known |= cells
+    if not known.all():
+        # the first unclassifiable cell in column order raises
+        j, i = np.argwhere(~known.T)[0].tolist()
+        _label(int(n[i, j]), int(n_valid[i, j]), DimensionlessParams(
+            float(a_axis[i]), float(c_axis[j]), contact_angle))
 
     curves = [trace_endpoint_curve(contact_angle, (a_lo, a_hi), (c_lo, c_hi),
                                    curve_samples),
@@ -383,137 +396,134 @@ def region_map(contact_angle: float,
 
 
 def _count_block(a_axis, cs, g, extrema):
-    """Equilibria and valid equilibria of each cell of a_axis x cs.
+    """Equilibria and valid equilibria of each cell of a_axis x cs, or -1.
 
-    Both (len(a_axis), len(cs)) int arrays; ``extrema`` is the columns'
-    ``force_extrema``.  The cells go through solve's bracket stage
-    (``_bracket``), and each segment lane through _SETTLE_HALVINGS of
-    bisect's halvings (``_Bisection``); its root then lies in
-    [xa, xa + dm + _SETTLE_PAD].  A cell whose brackets settle its count
-    (``_settle``), and in which the dense-scan guard (``_scan_guard``),
-    run once over every cell's windows, finds nothing to rescan, is
-    counted from its brackets.  Every other cell resumes its lanes to
-    solve's bits and goes through solve's dedup and rescan (``_pack``)
-    and ``intersection_margin`` as before, so every count is exact.
+    Both (len(a_axis), len(cs)) int arrays; ``a_axis`` ascends, and
+    ``extrema`` is the columns' ``force_extrema``.  After solve's bracket
+    stage (``_bracket``) each live cell is counted from the guard's rows,
+    with no bisection.  Its W is the set of grid intervals whose row range
+    [lo, hi], widened by M(C) (_ROWS_MARGIN), holds its level A C^2.  The
+    cell is settled when it has no node root, W has one interval per
+    bracketed segment, no interval of W holds a force extremum, and each
+    interval of W lies in one overhang regime, or in none, with one
+    margin sign at both ends clear of _MARGIN_BAND (C + 4).  Its count is
+    then its number of bracketed segments, and its crossings are the
+    intervals of W with a negative margin; every other cell reads -1, for
+    ``_count_cells``.  These are the counts of solve's roots:
+
+    * Outside W, the exact F lies more than (2 + 6C + 2C^2) _LAST_BRACKET
+      from zero on the whole interval: the rows lie within two slacks of
+      the exact F(.; A=0) at the grid points, and inside an interval
+      F(.; A=0) stays within (2 + 9C + 2C^2) _SCAN_SAG of its range at the
+      ends, as in ``_rootless``.  A root r of solve lies within
+      PHI0_TOL + 4 eps pi of a sign change of _force (bisect's last
+      bracket), and |F'| <= 2 + 6C + 2C^2 (``force_slope``'s terms), so
+      |F(r)| is below that bound: every interval holding r is in W.  The
+      bound's surplus, about PHI0_TOL (2 + 6C + 2C^2), over 100 slacks as
+      2 + 6C + 2C^2 >= 2 (1+C)^2, covers _force's rounding at r, the
+      rounding of the level and of lo - M and hi + M (each a few ulps of
+      (1+C)^2), and the slacks between these rows and solve's own.
+    * A node, an extremum, separates the roots of two bracketed segments,
+      and no interval of W holds one, so they lie in distinct intervals of
+      W, at least one grid step (more than _DEDUP_TOL) apart: none merges,
+      and each interval of W holds exactly one root.
+    * Every crossing the dense-scan guard counts lies within a slack of
+      the level on solve's rows, so in W, and the window (``_window``) of
+      the root that interval holds covers it: the guard adds no root.
+    * With no node root, solve's count is then the number of bracketed
+      segments.  The regimes are intervals within [0, pi] that reach 0 and
+      pi, so an interval with both ends in one regime (or in none) lies in
+      it; the margin is monotone in phi0 there, and its terms add to at
+      most C + 4 in size (see ``intersection``), so ``intersection_margin``
+      and ``_margin`` on NumPy round it by a few ulps of C + 4, far inside
+      the band: the root's margin has the ends' sign.
     """
     n = np.zeros((a_axis.size, cs.size), dtype=np.int64)
     n_valid = n.copy()
     block = _bracket(a_axis[:, None], cs[None, :], g, extrema)
     if block.a is None:
         return n, n_valid
-    a, c, found = block.a, block.c, block.found
-    n_nodes = block.nodes.shape[1]
-    # each cell's roots as brackets [lo, hi], in node, segment, node, ...
-    # order, which ascends
-    lo = np.full((a.size, 2 * n_nodes - 1), np.nan)
-    lo[:, ::2] = found[:, :n_nodes]
-    # every segment's lanes side by side; a segment's lone lane bisects on
-    # floats, as in solve
-    lane, k = np.nonzero(block.bracket)
-    alone = np.bincount(k)[k] == 1
-    for i, j in zip(lane[alone].tolist(), k[alone].tolist()):
-        a_i, c_i = float(a[i]), float(c[i])
-        found[i, n_nodes + j] = lo[i, 2 * j + 1] = bisect(
-            lambda x: _force(x, a_i, c_i, g),
-            float(block.nodes[i, j]), float(block.nodes[i, j + 1]))
-    hi = lo.copy()
-    lane, k = lane[~alone], k[~alone]
-    sa, sc = a[lane], c[lane]
-    x0, x1 = block.nodes[lane, k], block.nodes[lane, k + 1]
-    run = _Bisection(x0, x1, _force(x0, sa, sc, g), _force(x1, sa, sc, g)
-                     ).run(lambda x: _force(x, sa, sc, g), _SETTLE_HALVINGS)
-    lo[lane, 2 * k + 1] = np.where(run.todo, run.xa, run.root)
-    hi[lane, 2 * k + 1] = np.where(run.todo, run.xa + run.dm + _SETTLE_PAD,
-                                   run.root)
+    # A column's levels ascend with a_axis, so the cells whose W holds an
+    # interval are a run [first, end) of a_axis.
+    m0, m1, m2 = _ROWS_MARGIN
+    margin = (m0 + cs * (m1 + cs * m2))[:, None]
+    rows = block.rows
+    lo = np.minimum(rows[:, :-1], rows[:, 1:])
+    lo -= margin
+    hi = np.maximum(rows[:, :-1], rows[:, 1:])
+    hi += margin
+    first = np.empty(lo.shape, dtype=np.int64)
+    span = np.empty_like(first)
+    for j, c in enumerate(cs.tolist()):
+        level = a_axis * c * c
+        first[j] = np.searchsorted(level, lo[j], "right")
+        span[j] = np.searchsorted(level, hi[j], "left")
+    del lo, hi
+    span -= first
+    first, span = first.ravel(), span.ravel()
+    # each (column, interval) that some cell's W holds
+    pair = np.flatnonzero(span > 0)
+    col, t = np.divmod(pair, rows.shape[1] - 1)
+    x0, x1 = _SCAN_GRID[t], _SCAN_GRID[t + 1]
+    ok = np.ones(pair.size, dtype=bool)
+    for node in extrema:
+        ok &= ~((x0 <= node[col]) & (node[col] <= x1))
+    negative, positive = _overhang(x0, g)
+    negative_1, positive_1 = _overhang(x1, g)
+    ok &= (negative == negative_1) & (positive == positive_1)
+    over = np.flatnonzero(negative | positive)
+    c_over = cs[col[over]]
+    m_0, m_1 = (_margin(x[over], c_over, g, np) for x in (x0, x1))
+    band = _MARGIN_BAND * (4.0 + c_over)
+    crossing = np.zeros(pair.size, dtype=bool)
+    crossing[over] = np.maximum(m_0, m_1) < -band
+    ok[over] &= crossing[over] | (np.minimum(m_0, m_1) > band)
 
-    cell, crossing, settled = _settle(lo, hi, c, g)
-    del hi, x0, x1  # not needed by the guard, which peaks next
-
-    def resume(cells):
-        # the lanes of these cells run on to solve's roots
-        sub = np.flatnonzero(cells[lane])
-        if sub.size:
-            la, lc = sa[sub], sc[sub]
-            found[lane[sub], n_nodes + k[sub]] = run.take(sub).run(
-                lambda x: _force(x, la, lc, g)).result()
-
-    # one guard for every cell: a settled root's window is its bracket's,
-    # the others' their roots'
-    resume(~settled)
-    lo[~settled] = np.sort(found[~settled], axis=1, kind="stable")
-    i, j = np.nonzero(lo == lo)
-    windows = (i, *_window(lo[i, j]))
-    if a.size == 1:
-        windows = list(zip(windows[1].tolist(), windows[2].tolist()))
-    rescan = np.zeros(a.size, dtype=bool)
-    rescan[_scan_guard(windows, a, c, block.col, block.rows)] = True
-    resume(settled & rescan)
-    settled &= ~rescan
-
-    count = np.bincount(cell, minlength=a.size)
-    cross = np.bincount(cell, crossing, minlength=a.size).astype(np.int64)
-    u = np.flatnonzero(~settled)
-    if u.size:
-        roots = _pack(found[u], np.sort(found[u], axis=1, kind="stable"),
-                      np.flatnonzero(rescan[u]).tolist(), a[u], c[u], g)
-        count[u] = (roots == roots).sum(axis=1)
-        # only a root in an overhang regime can cross; NaN is in none
-        ii, kk = np.nonzero(np.logical_or(*_overhang(roots, g)))
-        cross[u] = np.bincount(ii, [
-            intersection_margin(r, c_i, g) <= 0.0
-            for r, c_i in zip(roots[ii, kk].tolist(), c[u[ii]].tolist())],
-            minlength=u.size)
-    n.flat[block.live] = count
-    n_valid.flat[block.live] = count - cross
+    # the same per cell: each pair's run of cells, by live position
+    width = span[pair]
+    owner = np.repeat(np.arange(pair.size), width)
+    i = (first[pair][owner] + np.arange(owner.size)
+         - np.repeat(np.cumsum(width) - width, width))
+    position = np.full(n.size, -1)
+    position[block.live] = np.arange(block.live.size)
+    cell = position[i * cs.size + col[owner]]
+    owner, cell = owner[cell >= 0], cell[cell >= 0]
+    size = block.live.size
+    bracketed = block.bracket.sum(axis=1)
+    node_roots = block.found[:, :block.nodes.shape[1]]
+    settled = ((np.bincount(cell, minlength=size) == bracketed)
+               & (np.bincount(cell, ~ok[owner], minlength=size) == 0)
+               & (node_roots != node_roots).all(axis=1))
+    cross = np.bincount(cell, crossing[owner], minlength=size).astype(np.int64)
+    n.flat[block.live] = np.where(settled, bracketed, -1)
+    n_valid.flat[block.live] = np.where(settled, bracketed - cross, -1)
     return n, n_valid
 
 
-def _settle(lo, hi, c, g):
-    """The cells whose root count and crossings their brackets settle.
+def _count_cells(a, c, g, extrema):
+    """Equilibria and valid equilibria of the cells (a[k], c[k]).
 
-    ``lo`` and ``hi`` hold each cell's roots as brackets [lo, hi] that
-    hold them, ascending, NaN where none (a node root's bracket being the
-    root itself), and ``c`` each cell's capillary ratio.  Returns each
-    root's cell and whether it crosses, in row order, and the settled
-    cells: those where for each root
-
-    * the bracket lies in one overhang regime, or in none, over all of it
-      (``_overhang`` at both ends, and the upper end <= pi: the regimes
-      are intervals within [0, pi] that reach 0 and pi respectively);
-    * in a regime, the margin has one sign at both ends, clear of
-      _MARGIN_BAND (C + 4): the margin is monotone in phi0 there, and its
-      terms add to at most C + 4 in size there (see ``intersection``), so
-      ``intersection_margin`` and ``_margin`` on NumPy each round it by a
-      few ulps of C + 4, far inside the band, and the root's margin has
-      that sign in ``intersection_margin`` too;
-    * its guard window [first, last] (``_window``) is the same at both
-      ends, so it is the root's window;
-    * its bracket starts more than _DEDUP_TOL above the end of the one
-      before it, so solve's roots are in this order and none merges.
-
-    Each root of a settled cell is then one of solve's roots, and crosses
-    exactly when ``intersection_margin`` says so there.
+    ``extrema`` holds each cell's ``force_extrema``.  The cells run through
+    solve's stages together, each one a column of its own: ``_bracket``,
+    then ``_roots`` (bisection, dense-scan guard, dedup), and each root in
+    an overhang regime through ``intersection_margin``.
     """
-    cell, slot = np.nonzero(lo == lo)
-    x0, x1 = lo[cell, slot], hi[cell, slot]
-    negative, positive = _overhang(x0, g)
-    negative_1, positive_1 = _overhang(x1, g)
-    first, last = _window(x0)
-    first_1, last_1 = _window(x1)
-    ok = ((negative == negative_1) & (positive == positive_1) & (x1 <= PI)
-          & (first == first_1) & (last == last_1))
-    over = np.flatnonzero(negative | positive)
-    m0, m1 = (_margin(x[over], c[cell[over]], g, np) for x in (x0, x1))
-    band = _MARGIN_BAND * (4.0 + c[cell[over]])
-    crossing = np.zeros(cell.size, dtype=bool)
-    crossing[over] = np.maximum(m0, m1) < -band
-    ok[over] &= crossing[over] | (np.minimum(m0, m1) > band)
-    # apart from the bracket before it, so from every earlier one, as
-    # each bracket starts no higher than it ends
-    ok[1:] &= (cell[1:] != cell[:-1]) | (x0[1:] - x1[:-1] > _DEDUP_TOL)
-    settled = np.ones(lo.shape[0], dtype=bool)
-    settled[cell[~ok]] = False
-    return cell, crossing, settled
+    n = np.zeros(a.size, dtype=np.int64)
+    n_valid = n.copy()
+    block = _bracket(a, c, g, extrema)
+    if block.a is None:
+        return n, n_valid
+    roots = _roots(block, g)
+    count = (roots == roots).sum(axis=1)
+    # only a root in an overhang regime can cross; NaN is in none
+    i, k = np.nonzero(np.logical_or(*_overhang(roots, g)))
+    cross = np.bincount(i, [
+        intersection_margin(r, c_i, g) <= 0.0
+        for r, c_i in zip(roots[i, k].tolist(), block.c[i].tolist())],
+        minlength=count.size)
+    n[block.live] = count
+    n_valid[block.live] = count - cross.astype(np.int64)
+    return n, n_valid
 
 
 def region_map_csv(rm: RegionMap) -> str:

@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from floatcyl import equilibria
+from floatcyl import regions
 from floatcyl.equilibria import (ModelInconsistencyWarning,
                                  NoSecondCriticalPointError,
                                  critical_mass_ratio, find_equilibria,
@@ -268,8 +270,6 @@ class TestRegionMap:
 
     def test_unclassifiable_cell_raises(self, monkeypatch):
         # a cell with three roots raises, naming its own parameters
-        import floatcyl.regions as regions
-
         def three_roots(a_axis, cs, g, extrema):
             three = np.full((a_axis.size, cs.size), 3)
             return three, three
@@ -306,7 +306,7 @@ def bisected_labels(rm):
 
 
 class TestSettledLabels:
-    """Labels read from stopped bisections equal the fully bisected ones."""
+    """Labels read from the guard's rows equal the fully bisected ones."""
 
     @pytest.mark.parametrize("g", [0.0, 0.05, 0.7, PI / 2, 2.3, 3.0, PI])
     def test_default_grid(self, g):
@@ -316,15 +316,8 @@ class TestSettledLabels:
     def test_windows_where_lanes_stay_unsettled(self, monkeypatch):
         # close to the tangency curve the two roots pair up, near the
         # corner the root count changes, near the intersection curve the
-        # margin changes sign: lanes there resume to the end
-        resumed = []
-        take = equilibria._Bisection.take
-
-        def counted(self, idx):
-            resumed.append(idx.size)
-            return take(self, idx)
-
-        monkeypatch.setattr(equilibria._Bisection, "take", counted)
+        # margin changes sign: cells there fall back to solve's stages
+        fallback = _count_fallback(monkeypatch)
         a_star = critical_mass_ratio(1.0, PI / 2)[0]
         a_0, c_0 = two_equilibrium_corner(PI / 4)
         a_i, c_i = intersection_curve_point(3.0, 3 * PI / 4)
@@ -337,7 +330,67 @@ class TestSettledLabels:
                             curve_samples=0)
             assert len({label for row in rm.labels for label in row}) > 1
             assert rm.labels.tolist() == bisected_labels(rm)
-        assert sum(resumed) > 0
+        assert sum(fallback) > 0
+
+    @pytest.mark.parametrize("g", [0.0, 0.05, 0.7, PI / 2, 2.3, 3.0, PI])
+    def test_few_cells_fall_back(self, g, monkeypatch):
+        # the rows settle all but 0.08-0.24 % of the default grid
+        fallback = _count_fallback(monkeypatch)
+        region_map(g, resolution=(200, 200), curve_samples=0)
+        assert sum(fallback) < 0.005 * 200 * 200
+
+    @settings(derandomize=True, max_examples=30, database=None,
+              deadline=None)
+    @given(g=st.one_of(st.sampled_from([0.0, PI / 2, PI]),
+                       st.floats(0.0, PI)))
+    def test_labels_property(self, g):
+        rm = region_map(g, resolution=(40, 40), curve_samples=0)
+        assert rm.labels.tolist() == bisected_labels(rm)
+
+    @settings(derandomize=True, max_examples=60, database=None,
+              deadline=None)
+    @given(where=st.sampled_from(["tangency", "corner", "intersection",
+                                  "endpoint"]),
+           u=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0),
+           log_zoom=st.floats(math.log(1e-6), math.log(0.1)))
+    def test_labels_property_near_curves(self, where, u, t, log_zoom):
+        # a small window centred on a point of one boundary curve
+        g, (a, c) = _on_curve(where, u, t)
+        zoom = math.exp(log_zoom)
+        rm = region_map(g, (a * (1 - zoom), a * (1 + zoom)),
+                        (c * (1 - zoom), c * (1 + zoom)), (30, 30),
+                        curve_samples=0)
+        assert rm.labels.tolist() == bisected_labels(rm)
+
+
+def _count_fallback(monkeypatch):
+    """A list that receives the size of each fallback of region_map."""
+    sizes = []
+    count_cells = regions._count_cells
+
+    def counted(a, c, g, extrema):
+        sizes.append(a.size)
+        return count_cells(a, c, g, extrema)
+
+    monkeypatch.setattr(regions, "_count_cells", counted)
+    return sizes
+
+
+def _on_curve(where, u, t):
+    """A contact angle, from u, and a point (A, C) on the named curve there."""
+    if where == "tangency":
+        g = 0.3 + u * (PI - 0.3)
+        c = max(second_extremum_threshold(g), 0.05) * (1.01 + 4.0 * t)
+        return g, (critical_mass_ratio(c, g)[0], c)
+    if where == "corner":
+        g = 0.05 + u * (PI / 2 - 0.1)
+        return g, two_equilibrium_corner(g)
+    if where == "intersection":
+        g = PI / 2 + 0.1 + u * (PI / 2 - 0.1)
+        lo = 1.5 * PI - g
+        return g, intersection_curve_point(lo + (0.5 + 0.45 * t) * (PI - lo), g)
+    g, c = u * PI, 0.05 + 5.0 * t
+    return g, (PI + 2.0 * math.sin(g) / (c * c), c)
 
 
 class TestEmitters:

@@ -20,7 +20,6 @@ Exit codes: 0 ok, 2 usage, 3 no valid equilibrium, 4 domain/regime error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, astuple, fields
@@ -28,20 +27,22 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .equilibria import (NoSecondCriticalPointError, UnsupportedRegimeError,
-                         asymptotic_critical_mass, critical_mass_ratio,
-                         find_equilibria)
-from .intersection import FlatInterfaceError, validity
+# every subcommand builds its parameters here; each imports the rest of
+# the library it runs, so a process loads only what its command needs
 from .model import (DimensionlessParams, PhysicalParams, center_height,
                     interface_profile, to_dimensionless, total_energy,
                     total_force)
-from .oracles import OracleReport, QuadratureError, run_all
-from .regions import region_map, region_map_csv, region_map_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NO_VALID_EQUILIBRIUM = 3
 EXIT_DOMAIN = 4
+# the library errors that exit EXIT_DOMAIN, by module (ValueError as well)
+_DOMAIN_ERRORS = {
+    "equilibria": ("NoSecondCriticalPointError", "UnsupportedRegimeError"),
+    "intersection": ("FlatInterfaceError",),
+    "oracles": ("QuadratureError",),
+}
 
 _PHYSICAL_FLAGS = ("m", "rho", "sigma", "g", "a")
 
@@ -65,6 +66,11 @@ def _write(args, text: str) -> None:
         fh.write(text)
 
 
+def _write_json(args, payload: dict) -> None:
+    import json
+    _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _emit_table(args, command: str, meta: dict, columns: list[str],
                 rows: list[list]) -> None:
     meta = dict(meta)
@@ -74,7 +80,7 @@ def _emit_table(args, command: str, meta: dict, columns: list[str],
         payload = {"schema": 1, "command": command, "meta": meta,
                    "columns": columns,
                    "rows": [[v for v in row] for row in rows]}
-        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args, payload)
     else:
         lines = ["# schema: 1", f"# command: {command}"]
         lines += [f"# {k}: {_fmt(v)}" for k, v in meta.items()]
@@ -161,6 +167,8 @@ def _params(args, parser: argparse.ArgumentParser):
 
 
 def _cmd_equilibria(args, parser) -> int:
+    from .equilibria import find_equilibria
+    from .intersection import validity
     params, meta = _params(args, parser)
     rows = []
     n_valid = 0
@@ -207,6 +215,7 @@ def _cmd_profile(args, parser) -> int:
 
 
 def _cmd_region_map(args, parser) -> int:
+    from .regions import region_map, region_map_csv, region_map_json
     gamma = _gamma(args)
     rm = region_map(gamma, a_range=(args.a_min, args.a_max),
                     c_range=(args.c_min, args.c_max),
@@ -215,7 +224,7 @@ def _cmd_region_map(args, parser) -> int:
         payload = region_map_json(rm)
         if args.timestamp:
             payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args, payload)
     else:
         header = ["# schema: 1", "# command: region-map",
                   f"# contact_angle: {_fmt(gamma)}"]
@@ -227,6 +236,7 @@ def _cmd_region_map(args, parser) -> int:
 
 
 def _cmd_astar(args, parser) -> int:
+    from .equilibria import asymptotic_critical_mass, critical_mass_ratio
     gamma = _gamma(args)
     if args.C is None:
         parser.error("astar needs --C")
@@ -249,13 +259,14 @@ def _cmd_astar(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .oracles import OracleReport, run_all
     reports = run_all(n_sets=args.samples, seed=args.seed)
     if args.format == "json":
         payload = {"schema": 1, "command": "verify",
                    "reports": [asdict(r) for r in reports]}
         if args.timestamp:
             payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args, payload)
     else:
         rows = [[*astuple(r)[:-1], "true" if r.passed else "false"]
                 for r in reports]
@@ -326,13 +337,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _domain_errors() -> tuple:
+    """The EXIT_DOMAIN classes of the library modules loaded so far.
+
+    A class from a module the command did not load cannot have been raised.
+    """
+    errors = [ValueError]
+    for module, names in _DOMAIN_ERRORS.items():
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors += [getattr(loaded, name) for name in names]
+    return tuple(errors)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args, parser)
-    except (ValueError, NoSecondCriticalPointError, UnsupportedRegimeError,
-            FlatInterfaceError, QuadratureError) as exc:
+    except _domain_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -199,8 +199,11 @@ def trace_endpoint_curve(contact_angle, a_window, c_window,
         return BoundaryCurve(CurveKind.ENDPOINT, pts, analytic=True)
     s = 2.0 * math.sin(contact_angle)
     # C(A) <= c_hi needs A >= pi + s/c_hi^2; C(A) >= c_lo needs A <= pi + s/c_lo^2.
-    # A square that underflows to 0 stands for its limit, A = inf.
-    lo = max(a_lo, PI + s / c_hi ** 2) if c_hi ** 2 else math.inf
+    # A square that underflows to 0 stands for its limit, A = inf.  Where
+    # pi + s/c_hi^2 rounds to pi, the float above pi is the first A with a
+    # finite C(A), and that C is still below c_hi.
+    lo = (max(a_lo, math.nextafter(PI, math.inf), PI + s / c_hi ** 2)
+          if c_hi ** 2 else math.inf)
     hi = min(a_hi, PI + s / c_lo ** 2) if c_lo > 0.0 and c_lo ** 2 else a_hi
     if lo >= hi:
         return BoundaryCurve(CurveKind.ENDPOINT, np.empty((0, 2)), analytic=True)

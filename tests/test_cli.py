@@ -262,6 +262,22 @@ class TestRegionMap:
         assert len(payload["labels"]) == 5
         assert any(c["kind"] == "endpoint" for c in payload["curves"])
 
+    def test_json_one_ulp_below_pi(self):
+        # the endpoint curve's first sample was (pi, inf) there, printed as
+        # Infinity, with NumPy's divide-by-zero warning on stderr
+        proc = run_child(["-m", "floatcyl.cli", "region-map", "--gamma",
+                          "3.1415926535897927", "--resolution", "4",
+                          "--format", "json"])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(proc.stdout, parse_constant=reject)
+        endpoint = [c for c in payload["curves"] if c["kind"] == "endpoint"]
+        assert endpoint and all(a > PI for a, _ in endpoint[0]["points"])
+
 
 class TestVerify:
     def test_all_checks_pass(self, capsys):
@@ -447,6 +463,62 @@ class TestPlumbing:
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["curves", "--gamma", "1", "--A", "1", "--C", "1"], []),
+        (["profile", "--gamma", "1", "--A", "1", "--C", "1", "--phi0", "0.5"],
+         []),
+        (["equilibria", "--gamma", "1", "--A", "1", "--C", "1"],
+         ["equilibria", "intersection"]),
+        (["astar", "--gamma", "2", "--C", "1"], ["equilibria"]),
+        (["verify", "--samples", "1"], ["oracles"]),
+        (["region-map", "--gamma", "2", "--resolution", "4"],
+         ["equilibria", "intersection", "regions"]),
+    ], ids=["curves", "profile", "equilibria", "astar", "verify",
+            "region-map"])
+    def test_command_loads_only_its_modules(self, argv, loaded):
+        # every command builds its parameters in model; the rest of the
+        # library loads only where the command runs it
+        proc = run_child(
+            ["-c",
+             "import sys; from floatcyl.cli import main; "
+             f"code = main({argv!r}); "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'floatcyl'), file=sys.stderr); "
+             "sys.exit(code)"])
+        assert proc.returncode == 0, proc.stderr
+        want = ["floatcyl", "floatcyl.cli", "floatcyl.model",
+                *(f"floatcyl.{m}" for m in loaded)]
+        assert proc.stderr.strip() == repr(sorted(want))
+
+    def test_bare_import_loads_no_submodule(self):
+        proc = run_child(
+            ["-c",
+             "import sys, floatcyl; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'floatcyl'))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['floatcyl']"
+
+    def test_regime_error_in_a_fresh_process(self):
+        # NoSecondCriticalPointError comes from a module loaded by the
+        # command itself, and still exits 4
+        proc = run_child(["-m", "floatcyl.cli", "astar", "--gamma", "0.785398",
+                          "--C", "0.5"])
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_unmapped_error_propagates(self, monkeypatch):
+        import floatcyl.equilibria as equilibria
+
+        def broken(params):
+            raise RuntimeError("not a domain error")
+
+        monkeypatch.setattr(equilibria, "find_equilibria", broken)
+        with pytest.raises(RuntimeError, match="not a domain error"):
+            main(["equilibria", "--gamma", "1", "--A", "1", "--C", "1"])
 
     def test_verify_leaves_scipy_unloaded(self):
         # the oracle suite's quadrature is in-repo: verify needs no SciPy

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floatcyl.equilibria import Stability, find_equilibria
@@ -163,6 +163,28 @@ class TestValiditySweeps:
         assert eqs[1].stability is Stability.UNSTABLE
         assert validity(eqs[1].phi0, p).intersecting
         assert not validity(eqs[0].phi0, p).intersecting
+
+    # the paper's headline claim: at most two equilibria, the smaller
+    # stable, and only the larger can self-intersect
+    @settings(derandomize=True, max_examples=400, database=None,
+              deadline=None)
+    @given(a=st.floats(0.05, 15.0),
+           log_c=st.floats(math.log(1e-2), math.log(1e2)),
+           g=st.one_of(st.sampled_from([0.0, PI / 2, PI]),
+                       st.floats(0.0, PI)))
+    @example(a=1.0, log_c=0.0, g=0.0)
+    @example(a=3.8, log_c=math.log(2.0), g=PI / 2)
+    @example(a=PI, log_c=0.0, g=PI)
+    def test_headline_claim_property(self, a, log_c, g):
+        p = params(a, math.exp(log_c), g)
+        eqs = find_equilibria(p)
+        assert len(eqs) <= 2
+        if len(eqs) == 2:
+            assert eqs[0].stability is not Stability.UNSTABLE
+            assert eqs[1].stability is not Stability.STABLE
+        for eq in eqs:
+            if eq.stability is Stability.STABLE:
+                assert not validity(eq.phi0, p).intersecting
 
     def test_margin_decreasing_in_wetting_angle(self):
         # within the depressed-overhang window the margin falls monotonically

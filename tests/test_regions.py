@@ -62,6 +62,25 @@ class TestEndpointBoundary:
         for a, c in curve.points:
             assert abs(total_force(PI, params(a, c, PI / 3))) < 1e-10
 
+    @pytest.mark.parametrize("g", [math.nextafter(PI, 0.0), 1e-300, 5e-324])
+    def test_trace_where_the_lowest_mass_ratio_rounds_to_pi(self, g):
+        # pi + 2 sin(gamma) / c_hi^2 rounds to pi: no sample may sit on the
+        # pole of C(A) = sqrt(2 sin(gamma) / (A - pi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = trace_endpoint_curve(g, (0.0, 12.0), (0.0, 5.0), n=50)
+        a, c = curve.points.T
+        assert len(a) == 50
+        assert np.all(a > PI) and np.all(np.isfinite(c))
+        assert np.all(c <= 5.0)
+
+    def test_trace_keeps_its_samples_elsewhere(self):
+        # a lower end above pi is kept, so the samples are the usual ones
+        curve = trace_endpoint_curve(PI / 3, (0.0, 12.0), (0.0, 5.0), n=40)
+        lo = PI + 2.0 * math.sin(PI / 3) / 25.0
+        assert curve.points[:, 0].tolist() == np.linspace(lo, 12.0,
+                                                          40).tolist()
+
 
 class TestCorner:
     def test_printed_value(self):

@@ -129,8 +129,13 @@ def bisect(f, lo, hi):
     |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
     Floats run SciPy's loop as written, so a lone lane, as in each
     find_equilibria call, skips the masks' arithmetic in every halving.
-    Array elements run side by side, each masked by 0/1 factors (exact on
-    finite floats), so each equals its scalar run.
+    Array elements run side by side, each selected by ``np.where``, so
+    each equals its scalar run.  When every lane shares one float bracket,
+    as in ``force_extrema``, dm is one float for all of them, and each xm
+    lies within the bracket widened by half an ulp per halving, so within
+    twice its larger end: while |dm| is at least twice
+    PHI0_TOL + 4 eps max(|lo|, |hi|), no lane's tolerance test can pass,
+    and only f(xm) == 0 can stop a lane.
     """
     fa, fb = f(lo), f(hi)
     if not any(isinstance(v, np.ndarray) for v in (fa, fb, lo, hi)):
@@ -150,16 +155,23 @@ def bisect(f, lo, hi):
         raise RuntimeError(
             f"bisection not converged in {_MAX_HALVINGS} halvings")
     todo = (fa != 0.0) & (fb != 0.0)
-    root = lo * (fa == 0.0) + hi * ((fa != 0.0) & (fb == 0.0))
+    root = np.where(fa == 0.0, lo, hi)
     xa, dm = lo, hi - lo
+    # one bracket: the |dm| from which no lane's tolerance test can pass
+    wide = (None if isinstance(dm, np.ndarray)
+            else 2.0 * (PHI0_TOL + _RTOL * max(abs(lo), abs(hi))))
     for _ in range(_MAX_HALVINGS):
         dm = dm * 0.5
         xm = xa + dm
         fm = f(xm)
-        keep = fm * fa >= 0.0
-        xa = xm * keep + xa * (1 - keep)
-        stop = todo & ((fm == 0.0) | (abs(dm) < PHI0_TOL + _RTOL * abs(xm)))
-        root = root + xm * stop
+        xa = np.where(fm * fa >= 0.0, xm, xa)
+        if wide is not None and abs(dm) >= wide:
+            stop = todo & (fm == 0.0)
+            if not stop.any():
+                continue
+        else:
+            stop = todo & ((fm == 0.0) | (abs(dm) < PHI0_TOL + _RTOL * abs(xm)))
+        root = np.where(stop, xm, root)
         todo = todo & ~stop
         if not todo.any():
             return root
@@ -189,7 +201,7 @@ def force_extrema(capillary_ratios, contact_angle: float):
     NaN where that extremum does not exist.  A minimum lies below every
     maximum.  The slope dF/dphi0 does not involve the mass ratio, so the
     extrema depend on (C, gamma) only.  Bracketing follows the regime
-    structure:
+    structure (``_extremum_brackets``):
 
     * gamma = pi/2: one minimum in (0, pi/2), one maximum in (pi/2, pi),
       mirror images about pi/2.
@@ -199,41 +211,57 @@ def force_extrema(capillary_ratios, contact_angle: float):
       exactly when the slope at phi0 = pi is negative.
 
     A bracket whose endpoint slopes do not change sign is dropped.  Each
-    bracket is bisected once over every capillary ratio it holds (see
-    ``_lanes``); a scalar runs on floats throughout.
+    bracket is bisected once over every capillary ratio it holds
+    (``_extremum``), one float bracket shared by all of them; a scalar
+    runs on floats throughout.  Callers that use the maximum alone
+    (``critical_mass_ratio``, ``regions.trace_tangency_curve``) call
+    ``_force_maximum``, which bisects the maximum's bracket only.
     """
+    c = _capillary_ratios(capillary_ratios)
+    minimum, maximum = _extremum_brackets(contact_angle)
+    return (_extremum(c, contact_angle, *minimum),
+            _extremum(c, contact_angle, *maximum))
+
+
+def _force_maximum(capillary_ratios, contact_angle: float):
+    """``force_extrema(capillary_ratios, contact_angle)[1]``, the same bits,
+    without bisecting the minimum."""
+    return _extremum(_capillary_ratios(capillary_ratios), contact_angle,
+                     *_extremum_brackets(contact_angle)[1])
+
+
+def _capillary_ratios(capillary_ratios):
+    """A float for a scalar, else a float array."""
     c = np.asarray(capillary_ratios, dtype=float)
-    lone = c.ndim == 0
-    if lone:
-        c = c.item()
-    g = contact_angle
-    # (lo, hi, the bracket needs slope(lo) < 0, ... needs slope(hi) < 0)
+    return c.item() if c.ndim == 0 else c
+
+
+def _extremum_brackets(g):
+    """The minimum's and the maximum's (lo, hi, the bracket needs
+    slope(lo) < 0, ... needs slope(hi) < 0)."""
     if g == PI / 2.0:
-        brackets = [(0.0, PI / 2.0, False, False), (PI / 2.0, PI, False, False)]
-    elif g > PI / 2.0:
-        brackets = [(0.0, PI / 4.0, True, False), (PI / 2.0, PI, False, False)]
-    else:
-        brackets = [(0.0, PI / 2.0, False, False),
-                    (3.0 * PI / 4.0, PI, False, True)]
-    out = []
-    for lo, hi, lo_negative, hi_negative in brackets:
-        s_lo, s_hi = _slope(lo, c, g), _slope(hi, c, g)
-        ok = s_lo * s_hi < 0.0
-        if lo_negative:
-            ok = ok & (s_lo < 0.0)
-        if hi_negative:
-            ok = ok & (s_hi < 0.0)
-        if lone:
-            out.append(bisect(lambda x: _slope(x, c, g), lo, hi) if ok
-                       else math.nan)
-            continue
-        phi = np.full(c.shape, np.nan)
-        idx = np.flatnonzero(ok)
-        if idx.size:
-            sub, = _lanes(idx, c.ravel())
-            phi.flat[idx] = bisect(lambda x: _slope(x, sub, g), lo, hi)
-        out.append(phi)
-    return out[0], out[1]
+        return (0.0, PI / 2.0, False, False), (PI / 2.0, PI, False, False)
+    if g > PI / 2.0:
+        return (0.0, PI / 4.0, True, False), (PI / 2.0, PI, False, False)
+    return (0.0, PI / 2.0, False, False), (3.0 * PI / 4.0, PI, False, True)
+
+
+def _extremum(c, g, lo, hi, lo_negative, hi_negative):
+    """One bracket of ``force_extrema`` for a float or an array ``c``."""
+    s_lo, s_hi = _slope(lo, c, g), _slope(hi, c, g)
+    ok = s_lo * s_hi < 0.0
+    if lo_negative:
+        ok = ok & (s_lo < 0.0)
+    if hi_negative:
+        ok = ok & (s_hi < 0.0)
+    if isinstance(c, float):
+        return bisect(lambda x: _slope(x, c, g), lo, hi) if ok else math.nan
+    phi = np.full(c.shape, np.nan)
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        sub, = _lanes(idx, c.ravel())
+        phi.flat[idx] = bisect(lambda x: _slope(x, sub, g), lo, hi)
+    return phi
 
 
 def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
@@ -316,7 +344,9 @@ def _bracket(mass_ratios, capillary_ratios, g, extrema=None) -> _Block:
     (minimum, maximum) pair of floats, or of arrays with one entry per
     capillary ratio; None finds them.  ``found`` holds each cell's node
     roots, NaN elsewhere, then one slot per segment for its bisection;
-    ``bracket`` marks the segments whose ends change sign.
+    ``bracket`` marks the segments whose ends change sign.  The rows, the
+    nodes and all of the node forces but the -A C^2 term are per column
+    (``_node_forces``); only that term and the sum run per cell.
     """
     cap = np.asarray(capillary_ratios, dtype=float)
     caps = cap.ravel()
@@ -345,10 +375,11 @@ def _bracket(mass_ratios, capillary_ratios, g, extrema=None) -> _Block:
                                  np.where(maximum == maximum, maximum, pi),
                                  pi])
     nodes = col_nodes[col]
-    # one capillary ratio runs on floats: faster, and the same bits
-    c_cells = cap.item() if cap.size == 1 else c[:, None]
-
-    f_nodes = _force(nodes, a[:, None], c_cells, g)
+    if cap.size == 1:
+        # one capillary ratio runs on floats: faster, and the same bits
+        f_nodes = _force(nodes, a[:, None], cap.item(), g)
+    else:
+        f_nodes = _node_forces(a, c, col, col_nodes, caps, g)
     on_node = np.abs(f_nodes) <= ROOT_VALUE_TOL
     bracket = ((f_nodes[:, :-1] * f_nodes[:, 1:] < 0.0)
                & ~on_node[:, :-1] & ~on_node[:, 1:])
@@ -356,6 +387,22 @@ def _bracket(mass_ratios, capillary_ratios, g, extrema=None) -> _Block:
     found = np.full((a.size, 2 * n_nodes - 1), np.nan)
     found[:, :n_nodes] = np.where(on_node, nodes, np.nan)
     return _Block(ones.shape, live, a, c, col, rows, nodes, found, bracket)
+
+
+def _node_forces(a, c, col, col_nodes, caps, g):
+    """``_force(col_nodes[col], a[:, None], c[:, None], g)``, c = caps[col], bit
+    for bit, with the trig run once per column.
+
+    _force sums -A C^2 - t1 - t2 - t3 + t4 left to right, and t1 to t4
+    depend on the node and C alone, so each is evaluated on the columns'
+    nodes with _force's own operations, and only the sum runs per cell.
+    """
+    x, cc = col_nodes, caps[:, None]
+    f = (-a * c * c)[:, None] - (2.0 * np.sin(x + g)).take(col, axis=0)
+    f -= (4.0 * cc * np.cos((x + g) / 2.0) * np.sin(x)).take(col, axis=0)
+    f -= (0.5 * cc * cc * np.sin(2.0 * x)).take(col, axis=0)
+    f += (cc * cc * x).take(col, axis=0)
+    return f
 
 
 def _roots(block, g):
@@ -505,14 +552,12 @@ def _scan_guard(windows, a, c, col, rows):
     window [first, last] (``_window``).  ``windows`` lists them in
     ascending root order: for a block, as arrays (cell, first, last); for
     a lone cell, as find_equilibria makes, as (first, last) pairs of ints.
-    In a block, the cells are grouped by column with one stable sort of
-    ``col``; per column holding a cell, the sorted interval bounds count
-    the intervals reaching within the slack of every cell's level, and
-    the windows' crossings are subtracted for all cells at once.  A
-    lone cell lists its crossing intervals and drops those inside a
-    window: the same count, since the block's windows differ only by the
-    overlap it trims.  A cell returned here rescans its grid with _force
-    (``_rescan``).
+    In a block, ``_crossings`` counts the intervals reaching within the
+    slack of every cell's level, column by column, and the windows'
+    crossings are subtracted for all cells at once.  A lone cell lists
+    its crossing intervals and drops those inside a window: the same
+    count, since the block's windows differ only by the overlap it trims.
+    A cell returned here rescans its grid with _force (``_rescan``).
     """
     if a.size == 1:
         a_i, c_i = a.item(), c.item()
@@ -531,23 +576,10 @@ def _scan_guard(windows, a, c, col, rows):
     slack = _SCAN_SLACK * (1.0 + c) ** 2
     # An interval counts when lo < above and below < hi.  |F| <= pi (1+C)^2
     # on the grid, so the slack is over 20 ulps of any level a bound can
-    # reach: hi <= below implies lo < above, and the sorted bounds need no
-    # rule for flat intervals.
+    # reach: hi <= below implies lo < above, and _crossings' sorted bounds
+    # need no rule for flat intervals.
     below, above = level - slack, level + slack
-    lo = np.empty(len(_SCAN_GRID) - 1)
-    hi = np.empty_like(lo)
-    changes = np.empty(a.size, dtype=np.int64)
-    # the cells grouped by column, once
-    order = np.argsort(col, kind="stable")
-    bounds = np.searchsorted(col[order], np.arange(len(rows) + 1)).tolist()
-    for j in np.flatnonzero(np.diff(bounds)).tolist():
-        f0, cells = rows[j], order[bounds[j]:bounds[j + 1]]
-        np.minimum(f0[:-1], f0[1:], out=lo)
-        np.maximum(f0[:-1], f0[1:], out=hi)
-        under, over = below[cells], above[cells]
-        changes[cells] = (
-            np.searchsorted(np.sort(lo, kind="stable"), over, "left")
-            - np.searchsorted(np.sort(hi, kind="stable"), under, "right"))
+    changes = _crossings(rows, col, below, above)
     if changes.any():
         # a cell's ascending roots have ascending windows: each starts
         # past its predecessor's
@@ -566,6 +598,48 @@ def _scan_guard(windows, a, c, col, rows):
         changes -= np.bincount(cell, crossed.sum(axis=1),
                                a.size).astype(np.int64)
     return np.flatnonzero(changes > 0).tolist()
+
+
+def _crossings(rows, col, below, above):
+    """Each cell's count of grid intervals of its column's row reaching
+    into (below, above): min(ends) < above and below < max(ends).
+
+    The cells are grouped by column with one stable sort of ``col``.  A
+    column holding more than one cell sorts its interval bounds once and
+    counts every cell's with two searches; a lone cell in its column
+    counts its intervals directly, as ``_scan_guard``'s one-cell branch
+    does, since min(x, y) < above is x < above or y < above, and
+    below < max(x, y) is below < x or below < y.  The lone cells go 128 kB
+    of rows at a time, which keeps the temporaries small beside ``rows``;
+    when every column is a lone cell's, as in ``region_map``'s fallback,
+    the rows are not copied.
+    """
+    lo = np.empty(len(_SCAN_GRID) - 1)
+    hi = np.empty_like(lo)
+    changes = np.empty(below.size, dtype=np.int64)
+    order = np.argsort(col, kind="stable")
+    bounds = np.searchsorted(col[order], np.arange(len(rows) + 1))
+    size = np.diff(bounds)
+    lone = np.flatnonzero(size == 1)
+    step = 2 ** 17 // _SCAN_GRID.nbytes
+    for k in range(0, lone.size, step):
+        part = lone[k:k + step]
+        cells = order[bounds[part]]
+        f0 = rows[k:k + step] if lone.size == len(rows) else rows[part]
+        low = f0 < above[cells, None]
+        high = f0 > below[cells, None]
+        changes[cells] = ((low[:, :-1] | low[:, 1:])
+                          & (high[:, :-1] | high[:, 1:])).sum(axis=1)
+    bounds = bounds.tolist()
+    for j in np.flatnonzero(size > 1).tolist():
+        f0, cells = rows[j], order[bounds[j]:bounds[j + 1]]
+        np.minimum(f0[:-1], f0[1:], out=lo)
+        np.maximum(f0[:-1], f0[1:], out=hi)
+        under, over = below[cells], above[cells]
+        changes[cells] = (
+            np.searchsorted(np.sort(lo, kind="stable"), over, "left")
+            - np.searchsorted(np.sort(hi, kind="stable"), under, "right"))
+    return changes
 
 
 def _rescan(kept, a, c, g):
@@ -639,7 +713,7 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
                          f"scale pi C^2 = {scale:.3g} too large to square")
     DimensionlessParams(mass_ratio=0.0, capillary_ratio=capillary_ratio,
                         contact_angle=contact_angle, exploratory=True)
-    phi0_star = force_extrema(capillary_ratio, contact_angle)[1]
+    phi0_star = _force_maximum(capillary_ratio, contact_angle)
     if not phi0_star > PI / 2.0:
         threshold = second_extremum_threshold(contact_angle)
         above = capillary_ratio > threshold

@@ -33,9 +33,9 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (_SCAN_GRID, _SCAN_SAG, _SCAN_SLACK, PHI0_TOL,
-                         NoSecondCriticalPointError, _bracket, _roots, bisect,
-                         critical_mass_ratio, find_equilibria, force_extrema,
-                         second_extremum_threshold)
+                         NoSecondCriticalPointError, _bracket, _force_maximum,
+                         _roots, bisect, critical_mass_ratio, find_equilibria,
+                         force_extrema, second_extremum_threshold)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import DimensionlessParams, _force, total_force
 
@@ -232,7 +232,7 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
         DimensionlessParams(0.0, c, contact_angle, exploratory=True)
     cs = np.linspace(lo, c_hi, n)
     # critical_mass_ratio over every sample at once, the same bits
-    phi = force_extrema(cs, contact_angle)[1]
+    phi = _force_maximum(cs, contact_angle)
     has = phi > PI / 2.0
     cs = cs[has]
     forces = _force(phi[has], 0.0, cs, contact_angle)
@@ -335,10 +335,14 @@ def region_map(contact_angle: float,
     and include the upper.  labels[i, j] corresponds to
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
     validity produce at that point.  The force extrema are found once for
-    every column, and the grid is counted a block of columns at a time by
-    ``_count_block``, from solve's brackets and the dense-scan guard's
-    rows; the few cells those leave open go through solve's remaining
-    stages together (``_count_cells``).  find_equilibria runs the
+    every column, each bracket one bisection over all columns, and the
+    grid is counted a block of columns at a time by ``_count_block``,
+    from solve's brackets and the dense-scan guard's rows; the node
+    forces' trig runs once per column, and only the (column, interval)
+    pairs that a proven screen keeps are searched for cells.  The few
+    cells those leave open go through solve's remaining stages together
+    (``_count_cells``).  The tangency curve bisects only the force
+    maximum (``_force_maximum``).  find_equilibria runs the
     kernels on ``math`` and the blocks on NumPy, so the equality also
     needs their sin and cos to agree bit for bit, as
     ``test_float_kernels_match_numpy`` checks on the platform at hand.
@@ -403,16 +407,20 @@ def _count_block(a_axis, cs, g, extrema):
 
     Both (len(a_axis), len(cs)) int arrays; ``a_axis`` ascends, and
     ``extrema`` is the columns' ``force_extrema``.  After solve's bracket
-    stage (``_bracket``) each live cell is counted from the guard's rows,
-    with no bisection.  Its W is the set of grid intervals whose row range
-    [lo, hi], widened by M(C) (_ROWS_MARGIN), holds its level A C^2.  The
-    cell is settled when it has no node root, W has one interval per
-    bracketed segment, no interval of W holds a force extremum, and each
-    interval of W lies in one overhang regime, or in none, with one
-    margin sign at both ends clear of _MARGIN_BAND (C + 4).  Its count is
-    then its number of bracketed segments, and its crossings are the
-    intervals of W with a negative margin; every other cell reads -1, for
-    ``_count_cells``.  These are the counts of solve's roots:
+    stage (``_bracket``, its node forces from per-column terms) each live
+    cell is counted from the guard's rows, with no bisection.  Its W is
+    the set of grid intervals whose row range [lo, hi], widened by M(C)
+    (_ROWS_MARGIN), holds its level A C^2; ``_rows_search`` finds, per
+    (column, interval) pair, the run of cells whose W holds it, searching
+    only the pairs a conservative screen on the fractional level index
+    keeps (the proof is its docstring).  The cell is settled when it has
+    no node root, W has one interval per bracketed segment, no interval
+    of W holds a force extremum, and each interval of W lies in one
+    overhang regime, or in none, with one margin sign at both ends clear
+    of _MARGIN_BAND (C + 4).  Its count is then its number of bracketed
+    segments, and its crossings are the intervals of W with a negative
+    margin; every other cell reads -1, for ``_count_cells``.  These are
+    the counts of solve's roots:
 
     * Outside W, the exact F lies more than (2 + 6C + 2C^2) _LAST_BRACKET
       from zero on the whole interval: the rows lie within two slacks of
@@ -446,27 +454,17 @@ def _count_block(a_axis, cs, g, extrema):
     block = _bracket(a_axis[:, None], cs[None, :], g, extrema)
     if block.a is None:
         return n, n_valid
-    # A column's levels ascend with a_axis, so the cells whose W holds an
-    # interval are a run [first, end) of a_axis.
+    # what the count needs of the per-cell arrays, freed before the search
+    live, rows = block.live, block.rows
+    bracketed = block.bracket.sum(axis=1)
+    node_roots = block.found[:, :block.nodes.shape[1]]
+    no_node_root = (node_roots != node_roots).all(axis=1)
+    del block, node_roots
     m0, m1, m2 = _ROWS_MARGIN
-    margin = (m0 + cs * (m1 + cs * m2))[:, None]
-    rows = block.rows
-    lo = np.minimum(rows[:, :-1], rows[:, 1:])
-    lo -= margin
-    hi = np.maximum(rows[:, :-1], rows[:, 1:])
-    hi += margin
-    first = np.empty(lo.shape, dtype=np.int64)
-    span = np.empty_like(first)
-    for j, c in enumerate(cs.tolist()):
-        level = a_axis * c * c
-        first[j] = np.searchsorted(level, lo[j], "right")
-        span[j] = np.searchsorted(level, hi[j], "left")
-    del lo, hi
-    span -= first
-    first, span = first.ravel(), span.ravel()
-    # each (column, interval) that some cell's W holds
-    pair = np.flatnonzero(span > 0)
-    col, t = np.divmod(pair, rows.shape[1] - 1)
+    pair, first, span = _rows_search(a_axis, cs, rows,
+                                     m0 + cs * (m1 + cs * m2))
+    del rows
+    col, t = np.divmod(pair, len(_SCAN_GRID) - 1)
     x0, x1 = _SCAN_GRID[t], _SCAN_GRID[t + 1]
     ok = np.ones(pair.size, dtype=bool)
     for node in extrema:
@@ -483,24 +481,99 @@ def _count_block(a_axis, cs, g, extrema):
     ok[over] &= crossing[over] | (np.minimum(m_0, m_1) > band)
 
     # the same per cell: each pair's run of cells, by live position
-    width = span[pair]
-    owner = np.repeat(np.arange(pair.size), width)
-    i = (first[pair][owner] + np.arange(owner.size)
-         - np.repeat(np.cumsum(width) - width, width))
+    owner = np.repeat(np.arange(pair.size), span)
+    i = (first[owner] + np.arange(owner.size)
+         - np.repeat(np.cumsum(span) - span, span))
     position = np.full(n.size, -1)
-    position[block.live] = np.arange(block.live.size)
+    position[live] = np.arange(live.size)
     cell = position[i * cs.size + col[owner]]
     owner, cell = owner[cell >= 0], cell[cell >= 0]
-    size = block.live.size
-    bracketed = block.bracket.sum(axis=1)
-    node_roots = block.found[:, :block.nodes.shape[1]]
+    size = live.size
     settled = ((np.bincount(cell, minlength=size) == bracketed)
                & (np.bincount(cell, ~ok[owner], minlength=size) == 0)
-               & (node_roots != node_roots).all(axis=1))
+               & no_node_root)
     cross = np.bincount(cell, crossing[owner], minlength=size).astype(np.int64)
-    n.flat[block.live] = np.where(settled, bracketed, -1)
-    n_valid.flat[block.live] = np.where(settled, bracketed - cross, -1)
+    n.flat[live] = np.where(settled, bracketed, -1)
+    n_valid.flat[live] = np.where(settled, bracketed - cross, -1)
     return n, n_valid
+
+
+def _rows_search(a_axis, cs, rows, margin):
+    """The (column, interval) pairs whose widened row range holds a level.
+
+    ``rows`` holds the columns' ``_scan_rows`` and ``margin`` each column's
+    M.  A pair's range is lo = min(row ends) - M, hi = max(row ends) + M,
+    and column j's levels a_axis * cs[j] * cs[j] ascend.  Returns (pair,
+    first, span): the flat indices into (len(cs), len(_SCAN_GRID) - 1) of
+    the pairs with span > 0, ascending, where first and first + span are
+    ``np.searchsorted(level, lo, "right")`` and ``(level, hi, "left")``,
+    the run of cells whose level lies in (lo, hi).
+
+    a_axis is a linspace, so a level y of column C sits near the
+    fractional index y s - o, s = 1 / (C^2 da) and o = a0 / da, with da
+    the axis' step and a0 its first point; dev >= |a_i - a0 - i da| / da
+    is measured on the axis itself.  A pair's x_lo = min(row ends) s -
+    (M s + o + delta), clipped below at 0, and x_hi = max(row ends) s +
+    (M s - o + delta), clipped above at n - 1, and only the pairs with an
+    integer in [x_lo, x_hi] are searched.  The screen is conservative:
+    in index units the axis is off by dev, and a level's two roundings,
+    lo's and hi's one, and the screen's own, fewer than ten, are each at
+    most an ulp of |r s| + M s + |o| + n + dev, where |r s| <= 4 (1+C)^2 s
+    and M s <= (1+C)^2 s; delta = dev + 2^-46 (5 (1+C)^2 s + |o| + n +
+    dev) is dev plus 64 ulps of that bound.  So level_i > lo gives
+    i >= x_lo and level_i < hi gives i <= x_hi: every cell in (lo, hi)
+    lies in [x_lo, x_hi].  The same bounds give level_i <= lo =>
+    i <= x_lo + 2 delta and level_i >= hi => i >= x_hi - 2 delta, so, with
+    delta < 1/4, first is ceil(x_lo) or one more and first + span is
+    floor(x_hi) or one more: one comparison with the level settles each.  A column where C^2 da, a0 C^2 or a product
+    on the way can leave the normal floats (C = 1e-170 on the default
+    window), or whose delta is not below 1/4, keeps the exact search.
+    """
+    n = a_axis.size
+    a0 = a_axis[0]
+    da = (a_axis[-1] - a0) / (n - 1)
+    unit = min(a0, da, 1.0)
+    dev = o = 0.0
+    if unit > 0.0:
+        dev = np.abs(a_axis - (a0 + np.arange(n) * da)).max() / da
+        o = a0 / da
+    screened = np.minimum(cs, 1.0) ** 2 * unit >= 2.0 ** -1000
+    s = np.where(screened, 1.0 / np.where(screened, cs * cs * da, 1.0), 0.0)
+    delta = dev + 2.0 ** -46 * (5.0 * s * (1.0 + cs) ** 2 + abs(o) + n + dev)
+    screened &= delta < 0.25
+    # r s rounds monotonically in r, so the ends' min and max come first
+    x0 = np.minimum(rows[:, :-1], rows[:, 1:])
+    x0 *= s[:, None]
+    x0 -= (margin * s + o + delta)[:, None]
+    np.maximum(x0, 0.0, out=x0)
+    k1 = np.maximum(rows[:, :-1], rows[:, 1:])
+    k1 *= s[:, None]
+    k1 += (margin * s - o + delta)[:, None]
+    np.minimum(k1, n - 1.0, out=k1)
+    np.floor(k1, out=k1)
+    # an unscreened column: every interval, settled by the full search
+    x0[~screened] = 0.0
+    k1[~screened] = 0.0
+    pair = np.flatnonzero(x0 <= k1)
+    col = pair // (rows.shape[1] - 1)
+    ends = rows.take(pair + col), rows.take(pair + col + 1)
+    lo = np.minimum(*ends)
+    hi = np.maximum(*ends)
+    lo -= margin[col]
+    hi += margin[col]
+    i0 = np.ceil(x0.take(pair)).astype(np.int64)
+    i1 = k1.take(pair).astype(np.int64)
+    c = cs[col]
+    first = i0 + (a_axis[i0] * c * c <= lo)
+    end = i1 + (a_axis[i1] * c * c < hi)
+    for j in np.flatnonzero(~screened).tolist():
+        level = a_axis * cs[j] * cs[j]
+        cut = slice(*np.searchsorted(col, [j, j + 1]).tolist())
+        first[cut] = np.searchsorted(level, lo[cut], "right")
+        end[cut] = np.searchsorted(level, hi[cut], "left")
+    end -= first
+    kept = end > 0
+    return pair[kept], first[kept], end[kept]
 
 
 def _count_cells(a, c, g, extrema):

@@ -13,7 +13,8 @@ from floatcyl import equilibria
 from floatcyl.equilibria import (_SCAN_GRID, _SCAN_SLACK, ROOT_VALUE_TOL,
                                  ExtremumKind, ModelInconsistencyWarning,
                                  NoSecondCriticalPointError, Stability,
-                                 UnsupportedRegimeError, _rootless,
+                                 UnsupportedRegimeError, _bracket, _crossings,
+                                 _force_maximum, _node_forces, _rootless,
                                  _scan_rows,
                                  asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
@@ -382,6 +383,117 @@ class TestBisect:
             want = scipy_bisect(f, 0.0, 3.0, xtol=1e-12)
             assert bisect(f, 0.0, 3.0) == want
             assert bisect(f, np.zeros(2), np.full(2, 3.0)).tolist() == [want] * 2
+
+
+    def test_one_bracket_equals_float_loop(self):
+        # every lane shares the float bracket [0, 4]: lanes with f(lo) == 0
+        # or f(hi) == 0, lanes that hit f(xm) == 0 while dm is still wide
+        # (2, 1, 3) or late (3 2^-40), and seeded ones
+        roots = [0.0, 4.0, 2.0, 1.0, 3.0, 3.0 * 2.0 ** -40, PI,
+                 1.2345678901234] + np.random.default_rng(15).uniform(
+                     0.0, 4.0, 40).tolist()
+        r = np.array(roots)
+        got = bisect(lambda x: x - r, 0.0, 4.0)
+        want = [bisect(lambda x, ri=ri: x - ri, 0.0, 4.0) for ri in roots]
+        assert got.tolist() == want
+        assert want == [scipy_bisect(lambda x, ri=ri: x - ri, 0.0, 4.0,
+                                     xtol=1e-12) for ri in roots]
+        # the same lanes with a bracket each take the per-lane path
+        assert bisect(lambda x: x - r, np.zeros(r.size),
+                      np.full(r.size, 4.0)).tolist() == want
+
+    @pytest.mark.parametrize("g", [0.0, PI / 2, 2.3, PI])
+    def test_one_bracket_slope_lanes(self, g):
+        # force_extrema's shape of call: the slope over many C, one bracket
+        cs = np.geomspace(1e-3, 1e3, 60)
+        lo, hi = PI / 2, PI
+        f = _slope(hi, cs, g)
+        cs = cs[_slope(lo, cs, g) * f < 0.0]
+        got = bisect(lambda x: _slope(x, cs, g), lo, hi)
+        assert got.tolist() == [bisect(lambda x, c=c: _slope(x, c, g), lo, hi)
+                                for c in cs.tolist()]
+
+
+class TestForceMaximum:
+    """The maximum-only helper gives force_extrema's maximum bit for bit."""
+
+    @pytest.mark.parametrize("g", [0.0, 1e-9, 0.5, PI / 2 - 1e-9, PI / 2,
+                                   PI / 2 + 1e-9, 2.3, PI])
+    def test_equals_force_extrema(self, g):
+        cs = np.concatenate([np.geomspace(1e-3, 1e3, 300),
+                             np.linspace(0.01, 5.0, 100)])
+        want = force_extrema(cs, g)[1]
+        assert _force_maximum(cs, g).tobytes() == want.tobytes()
+        # below gamma = 0.5 here the maximum needs C past 1e3, or never comes
+        assert np.isfinite(want).any() == (g >= 0.5)
+        for c in cs[::17].tolist():
+            got, want = _force_maximum(c, g), force_extrema(c, g)[1]
+            assert type(got) is float
+            assert got == want or (got != got and want != want)
+
+
+class TestNodeForces:
+    """_bracket's node forces from per-column terms equal _force's bits."""
+
+    @pytest.mark.parametrize("g", [0.0, PI / 2, PI])
+    def test_equal_force_on_seeded_blocks(self, g):
+        rng = np.random.default_rng(16)
+        caps = np.geomspace(1e-3, 1e3, 40)
+        minimum, maximum = force_extrema(caps, g)
+        extrema = np.column_stack([
+            np.zeros(caps.size), np.where(minimum == minimum, minimum, 0.0),
+            np.where(maximum == maximum, maximum, PI), np.full(caps.size, PI)])
+        for col_nodes in (extrema, rng.uniform(0.0, PI, (caps.size, 4))):
+            col = rng.integers(caps.size, size=600)
+            a = rng.uniform(0.05, 15.0, col.size)
+            c = caps[col]
+            got = _node_forces(a, c, col, col_nodes, caps, g)
+            want = _force(col_nodes[col], a[:, None], c[:, None], g)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("g", [0.0, PI / 2, PI])
+    def test_block_brackets(self, g):
+        # the block's node roots and brackets, from _force per cell
+        a_axis = np.linspace(0.0, 12.0, 61)[1:]
+        caps = np.geomspace(1e-3, 1e3, 30)
+        block = _bracket(a_axis[:, None], caps[None, :], g)
+        f = _force(block.nodes, block.a[:, None], block.c[:, None], g)
+        on_node = np.abs(f) <= ROOT_VALUE_TOL
+        assert np.array_equal(block.bracket,
+                              (f[:, :-1] * f[:, 1:] < 0.0)
+                              & ~on_node[:, :-1] & ~on_node[:, 1:])
+        n_nodes = block.nodes.shape[1]
+        assert np.array_equal(block.found[:, :n_nodes],
+                              np.where(on_node, block.nodes, np.nan),
+                              equal_nan=True)
+        assert block.bracket.any()
+
+
+class TestCrossings:
+    """A cell alone in its column counts its crossings with no sort, as the
+    sorted bounds of a shared column count them."""
+
+    def test_lone_and_shared_columns_agree(self):
+        rng = np.random.default_rng(17)
+        for g in (0.0, 0.3, PI / 2, 2.3, PI):
+            # more lone cells than one chunk, levels inside each row's
+            # range, some on a row value exactly
+            caps = rng.uniform(0.05, 6.0, 300)
+            rows = _scan_rows(caps, g)
+            level = (rows.min(axis=1)
+                     + rng.uniform(0.0, 1.0, caps.size) * np.ptp(rows, axis=1))
+            level[::7] = rows[::7, 500]
+            slack = _SCAN_SLACK * (1.0 + caps) ** 2
+            below, above = level - slack, level + slack
+            lone = _crossings(rows, np.arange(caps.size), below, above)
+            shared = _crossings(rows, np.repeat(np.arange(caps.size), 2),
+                                np.repeat(below, 2), np.repeat(above, 2))
+            brute = ((np.minimum(rows[:, :-1], rows[:, 1:]) < above[:, None])
+                     & (below[:, None] < np.maximum(rows[:, :-1], rows[:, 1:]))
+                     ).sum(axis=1)
+            assert lone.tolist() == brute.tolist()
+            assert shared[::2].tolist() == shared[1::2].tolist() == brute.tolist()
+            assert (brute > 0).all() and (brute > 1).any()
 
 
 def cell_roots(padded):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from floatcyl import regions
 from floatcyl.equilibria import (ModelInconsistencyWarning,
-                                 NoSecondCriticalPointError,
+                                 NoSecondCriticalPointError, _scan_rows,
                                  critical_mass_ratio, find_equilibria,
                                  second_extremum_threshold, solve)
 from floatcyl.intersection import _overhang, intersection_margin
 from floatcyl.model import DimensionlessParams, total_force
-from floatcyl.regions import (_LABEL_TABLE, CurveKind, RegionLabel,
+from floatcyl.regions import (_LABEL_TABLE, _ROWS_MARGIN, CurveKind,
+                              RegionLabel, _rows_search,
                               classify_point,
                               endpoint_boundary_c, endpoint_boundary_is_vertical,
                               intersection_curve_point, region_map,
@@ -380,6 +381,75 @@ class TestSettledLabels:
                         (c * (1 - zoom), c * (1 + zoom)), (30, 30),
                         curve_samples=0)
         assert rm.labels.tolist() == bisected_labels(rm)
+
+
+def _searched(a_axis, cs, rows, margin):
+    """_rows_search's result from a per-column searchsorted of every pair."""
+    lo = np.minimum(rows[:, :-1], rows[:, 1:]) - margin[:, None]
+    hi = np.maximum(rows[:, :-1], rows[:, 1:]) + margin[:, None]
+    first = np.empty(lo.shape, dtype=np.int64)
+    end = np.empty_like(first)
+    for j, c in enumerate(cs.tolist()):
+        level = a_axis * c * c
+        first[j] = np.searchsorted(level, lo[j], "right")
+        end[j] = np.searchsorted(level, hi[j], "left")
+    span = (end - first).ravel()
+    pair = np.flatnonzero(span > 0)
+    return pair, first.ravel()[pair], span[pair]
+
+
+class TestRowsSearch:
+    """The screened rows search equals the per-column searchsorted."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.7, PI / 2, 2.3, PI])
+    @pytest.mark.parametrize("a_range, c_range, resolution", [
+        ((0.0, 12.0), (0.0, 5.0), (200, 50)),
+        # C*C*da underflows: every column keeps the exact search
+        ((0.0, 12.0), (0.0, 1e-170), (50, 10)),
+        # delta reaches 1/4 in the first columns only: both searches
+        ((0.0, 12.0), (0.0, 1e-5), (50, 20)),
+        ((0.0, 30.0), (1.0, 1e3), (120, 40)),
+        # a0 / da far above the resolution
+        ((3.0, 3.1), (0.0, 0.1), (40, 20)),
+        ((3.0, 3.000001), (1.0, 1.000001), (60, 30)),
+        # axes that are no linspace to the last ulp, or subnormal
+        ((1.0, 1.0000000000000002), (0.0, 5.0), (3, 20)),
+        ((0.0, 1e-323), (0.0, 5.0), (3, 20))])
+    def test_equals_per_column_search(self, g, a_range, c_range, resolution):
+        a_axis = np.linspace(*a_range, resolution[0] + 1)[1:]
+        cs = np.linspace(*c_range, resolution[1] + 1)[1:]
+        rows = _scan_rows(cs, g)
+        m0, m1, m2 = _ROWS_MARGIN
+        margin = m0 + cs * (m1 + cs * m2)
+        got = _rows_search(a_axis, cs, rows, margin)
+        want = _searched(a_axis, cs, rows, margin)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+        assert want[0].size
+
+    def test_rows_on_the_levels(self):
+        # with no margin, row values equal to levels put lo and hi on a
+        # level exactly: there first is one past the screen's ceil(x_lo),
+        # and first + span is floor(x_hi) itself; flat intervals too
+        rng = np.random.default_rng(18)
+        a_axis = np.linspace(0.0, 12.0, 201)[1:]
+        cs = np.linspace(0.0, 5.0, 11)[1:]
+        level = a_axis[None, :] * cs[:, None] * cs[:, None]
+        rows = rng.uniform(-1.0, 1.0, (cs.size, 1000)) * level[:, -1:]
+        on = rng.random(rows.shape) < 0.5
+        rows[on] = np.take_along_axis(
+            level, rng.integers(0, a_axis.size, rows.shape), axis=1)[on]
+        rows[:, 500:510] = rows[:, 500:501]
+        margin = np.zeros(cs.size)
+        got = _rows_search(a_axis, cs, rows, margin)
+        want = _searched(a_axis, cs, rows, margin)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+    def test_tiny_capillary_window_labels(self):
+        # the columns that keep the exact search label as solve does
+        for c_range in ((0.0, 1e-170), (0.0, 1e-5)):
+            rm = region_map(1.0, c_range=c_range, resolution=(30, 20),
+                            curve_samples=0)
+            assert rm.labels.tolist() == bisected_labels(rm)
 
 
 def _count_fallback(monkeypatch):

@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "model": (
-        "Angles", "DimensionlessParams", "EnergyBreakdown", "InterfaceProfile",
+        "DimensionlessParams", "EnergyBreakdown", "InterfaceProfile",
         "PhysicalParams", "center_height", "center_height_slope",
         "force_curvature", "force_slope", "inclination_at_contact",
         "interface_profile", "to_dimensionless", "total_energy",
@@ -27,16 +27,16 @@ _EXPORTS = {
         "critical_mass_ratio", "critical_points", "find_equilibria",
         "second_extremum_threshold"),
     "intersection": (
-        "FlatInterfaceError", "Regime", "SubConditions", "ValidityReport",
+        "FlatInterfaceError", "Regime", "ValidityReport",
         "intersection_margin", "validity"),
     "regions": (
         "BoundaryCurve", "CurveKind", "RegionLabel", "RegionMap",
         "classify_point", "endpoint_boundary_c",
         "endpoint_boundary_is_vertical", "intersection_curve_point",
         "region_map", "region_map_csv", "region_map_json",
-        "tangency_boundary_c", "tangency_curve_from_mass_ratios",
-        "trace_endpoint_curve", "trace_intersection_curve",
-        "trace_tangency_curve", "two_equilibrium_corner"),
+        "tangency_boundary_c", "trace_endpoint_curve",
+        "trace_intersection_curve", "trace_tangency_curve",
+        "two_equilibrium_corner"),
     "oracles": (
         "OracleReport", "QuadratureError", "buoyancy_closed",
         "buoyancy_geometric", "buoyancy_quadrature",

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import DimensionlessParams, _height
+from .model import DimensionlessParams
 
 PI = math.pi
 
@@ -61,29 +61,10 @@ class Regime(str, Enum):
 
 
 @dataclass(frozen=True)
-class SubConditions:
-    """The three individual overlap conditions, surfaced for diagnostics.
-
-    inclination_in_range: contact inclination reaches past vertical
-        (|psi0| >= pi/2).
-    height_beyond_radius: cylinder center clears the undisturbed level by
-        more than one radius on the overhang side (h > a raised, -h > a
-        depressed).
-    reach_nonpositive: horizontal coordinate of the interface at the
-        vertical-tangent point is <= 0, i.e. the margin is <= 0.
-    """
-
-    inclination_in_range: bool
-    height_beyond_radius: bool
-    reach_nonpositive: bool
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     intersecting: bool
     regime: Regime
     margin: float | None
-    conditions: SubConditions
 
 
 def intersection_margin(phi0: float, capillary_ratio: float,
@@ -126,27 +107,19 @@ def _overhang(phi0, contact_angle: float):
 def validity(phi0: float, params: DimensionlessParams) -> ValidityReport:
     """Classify a configuration as physically realizable or self-intersecting.
 
-    Classification rests on regime membership plus the sign of the margin;
-    the remaining sub-conditions are evaluated and reported but do not
-    enter the verdict (the margin already encodes the decisive reach
-    condition, and the region structure is generated from it alone).
+    Classification rests on regime membership plus the sign of the margin,
+    which encodes the decisive reach condition; the region structure is
+    generated from it alone.
     """
     if not 0.0 <= phi0 <= PI:
         raise ValueError(f"phi0 must lie in [0, pi], got {phi0!r}")
     negative, positive = _overhang(phi0, params.contact_angle)
-    regime = (Regime.PSI_NEGATIVE if negative else
-              Regime.PSI_POSITIVE if positive else Regime.NOT_APPLICABLE)
-    h = float(_height(phi0, params.capillary_ratio, params.contact_angle))
-
-    if regime is Regime.NOT_APPLICABLE:
-        beyond = abs(h) > 1.0
-        return ValidityReport(
-            intersecting=False, regime=regime, margin=None,
-            conditions=SubConditions(False, beyond, False))
-
+    if not (negative or positive):
+        return ValidityReport(intersecting=False,
+                              regime=Regime.NOT_APPLICABLE, margin=None)
     margin = intersection_margin(phi0, params.capillary_ratio,
                                  params.contact_angle)
-    beyond = h > 1.0 if regime is Regime.PSI_NEGATIVE else -h > 1.0
     return ValidityReport(
-        intersecting=margin <= 0.0, regime=regime, margin=margin,
-        conditions=SubConditions(True, beyond, margin <= 0.0))
+        intersecting=margin <= 0.0,
+        regime=Regime.PSI_NEGATIVE if negative else Regime.PSI_POSITIVE,
+        margin=margin)

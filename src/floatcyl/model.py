@@ -112,25 +112,6 @@ def inclination_at_contact(phi0, contact_angle):
     return phi0 + contact_angle - np.pi
 
 
-@dataclass(frozen=True)
-class Angles:
-    """Wetting angle plus the geometrically slaved contact inclination."""
-
-    phi0: float
-    contact_angle: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.phi0 <= math.pi:
-            raise ValueError(f"phi0 must lie in [0, pi], got {self.phi0!r}")
-        if not 0.0 <= self.contact_angle <= math.pi:
-            raise ValueError(
-                f"contact_angle must lie in [0, pi], got {self.contact_angle!r}")
-
-    @property
-    def psi0(self) -> float:
-        return self.phi0 + self.contact_angle - math.pi
-
-
 def _check_phi0(phi0):
     if isinstance(phi0, (float, int)):
         lo = hi = phi0

@@ -12,15 +12,18 @@ At fixed contact angle, three curves organize the plane:
   self-intersection boundary (contact angles above pi/2 only).
 
 Each grid cell gets the label find_equilibria plus the validity test would
-give it, from the same solver stages, so labels are self-consistent with
-the library by construction.  A label needs only the root count and, for
-a root in an overhang regime, the sign of the intersection margin there,
-so most cells need no root at all: the dense-scan guard's rows bound the
-force tightly enough to place each root in one grid interval, and that
-interval settles its regime and its margin's sign (``_count_block`` has
-the proof).  On the default 200 x 200 grid this leaves 0.08-0.24 % of
-the cells open; they go through solve's remaining stages together, once
-per map, as find_equilibria does, and find_equilibria still bisects
+give it, so labels are self-consistent with the library.  A label needs
+only the root count and, for a root in an overhang regime, the sign of
+the intersection margin there, so most cells need no root at all.  In a
+column of fixed C the curves are levels A C^2 of the mass-free force:
+its values at pi, at its maximum, and at the ends of the part of the
+overhang regime where the margin is negative.  The force is monotone
+between its extrema and the margin within each regime, so a cell's label
+follows from where its level falls among at most six such breakpoints
+per column (``_count_block`` has the proof).  The cells within a proven
+band of a breakpoint, none or one of the 40,000 of a default 200 x 200
+map at the contact angles tested, go through solve's stages together,
+once per map, as find_equilibria does; find_equilibria still bisects
 every root it prints.
 """
 
@@ -33,27 +36,31 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (_SCAN_GRID, _SCAN_SAG, _SCAN_SLACK, PHI0_TOL,
-                         NoSecondCriticalPointError, _bracket, _force_maximum,
-                         _roots, bisect, critical_mass_ratio, find_equilibria,
-                         force_extrema, second_extremum_threshold)
+                         ROOT_VALUE_TOL, NoSecondCriticalPointError, _bracket,
+                         _force_maximum, _roots, _scan_rows, bisect,
+                         critical_mass_ratio, find_equilibria, force_extrema,
+                         second_extremum_threshold)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import DimensionlessParams, _force, total_force
 
 PI = math.pi
-# Cells plus row points per region_map block (whole columns, at least
-# one): a column brings its cells and its guard row, and the temporaries
-# grow with both.
+# Guard-row points per block of _widen_flat (whole columns, at least one).
 _BLOCK_SIZE = 30000
-# bisect's root lies within its last bracket, PHI0_TOL + 4 eps pi wide, of
-# a sign change of _force; the rest of _LAST_BRACKET, over 100 slacks (see
-# _count_block), covers _force's rounding there and the rows test's own.
-_LAST_BRACKET = 2.0 * PHI0_TOL
-# The rows test's margin M(C) = 2 _SCAN_SLACK (1+C)^2
-# + (2 + 9C + 2C^2) _SCAN_SAG + (2 + 6C + 2C^2) _LAST_BRACKET, by powers of
-# C (see _count_block)
-_ROWS_MARGIN = (2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG + 2.0 * _LAST_BRACKET,
-                4.0 * _SCAN_SLACK + 9.0 * _SCAN_SAG + 6.0 * _LAST_BRACKET,
-                2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG + 2.0 * _LAST_BRACKET)
+# With S = 2 + 6C + 2C^2 >= |F'| and K = 2 + 9C + 2C^2 >= |F''|
+# (``force_slope``'s and ``force_curvature``'s terms) and
+# s = _SCAN_SLACK (1+C)^2, by powers of C (see _count_block): the band
+# B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S around each breakpoint,
+_BAND = (ROOT_VALUE_TOL + 4.0 * _SCAN_SLACK + 6.0 * PHI0_TOL,
+         8.0 * _SCAN_SLACK + 18.0 * PHI0_TOL,
+         4.0 * _SCAN_SLACK + 6.0 * PHI0_TOL)
+# the rise T = 8 K _SCAN_SAG + 10s + 2 PHI0_TOL S of a flat grid interval,
+_FLAT = (16.0 * _SCAN_SAG + 10.0 * _SCAN_SLACK + 4.0 * PHI0_TOL,
+         72.0 * _SCAN_SAG + 20.0 * _SCAN_SLACK + 12.0 * PHI0_TOL,
+         16.0 * _SCAN_SAG + 10.0 * _SCAN_SLACK + 4.0 * PHI0_TOL)
+# and the widening D = B + K _SCAN_SAG + 4s of a flat interval's rows.
+_WIDEN = (_BAND[0] + 2.0 * _SCAN_SAG + 4.0 * _SCAN_SLACK,
+          _BAND[1] + 9.0 * _SCAN_SAG + 8.0 * _SCAN_SLACK,
+          _BAND[2] + 2.0 * _SCAN_SAG + 4.0 * _SCAN_SLACK)
 # The margin's rounding band, per unit of C + 4 (see _count_block).
 _MARGIN_BAND = 2.0 ** -40
 
@@ -164,25 +171,6 @@ def tangency_boundary_c(contact_angle: float,
         return None
     return bisect(lambda c: critical_mass_ratio(c, contact_angle)[0]
                   - mass_ratio, lo, hi)
-
-
-def tangency_curve_from_mass_ratios(contact_angle: float,
-                                    mass_ratios) -> BoundaryCurve:
-    """Tangency boundary traced at prescribed mass-ratio samples.
-
-    Samples with no solution are omitted and recorded in ``gaps``.
-    """
-    pts, gaps = [], []
-    for a in mass_ratios:
-        c = tangency_boundary_c(contact_angle, float(a))
-        if c is None:
-            gaps.append(float(a))
-        else:
-            pts.append((float(a), c))
-    pts.sort()
-    return BoundaryCurve(kind=CurveKind.TANGENCY,
-                         points=np.array(pts, dtype=float).reshape(-1, 2),
-                         analytic=False, gaps=tuple(gaps))
 
 
 def trace_endpoint_curve(contact_angle, a_window, c_window,
@@ -335,14 +323,14 @@ def region_map(contact_angle: float,
     and include the upper.  labels[i, j] corresponds to
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
     validity produce at that point.  The force extrema are found once for
-    every column, each bracket one bisection over all columns, and the
-    grid is counted a block of columns at a time by ``_count_block``,
-    from solve's brackets and the dense-scan guard's rows; the node
-    forces' trig runs once per column, and only the (column, interval)
-    pairs that a proven screen keeps are searched for cells.  The few
-    cells those leave open go through solve's remaining stages together
-    (``_count_cells``).  The tangency curve bisects only the force
-    maximum (``_force_maximum``).  find_equilibria runs the
+    every column, each bracket one bisection over all columns, and
+    ``_count_block`` reads each cell's label from its column's
+    breakpoints: the mass-free force at the extrema, at 0 and pi, and at
+    the ends of the self-intersecting part of the overhang regime, found
+    by one bisection of the margin over all columns.  The few cells
+    within a proven band of a breakpoint go through solve's stages
+    together (``_count_cells``).  The tangency curve bisects only the
+    force maximum (``_force_maximum``).  find_equilibria runs the
     kernels on ``math`` and the blocks on NumPy, so the equality also
     needs their sin and cos to agree bit for bit, as
     ``test_float_kernels_match_numpy`` checks on the platform at hand.
@@ -365,16 +353,10 @@ def region_map(contact_angle: float,
     c_axis = np.linspace(c_lo, c_hi, n_c + 1)[1:]
     DimensionlessParams(float(a_axis[0]), float(c_axis[0]), contact_angle)
 
-    n = np.empty((n_a, n_c), dtype=np.int64)
-    n_valid = np.empty_like(n)
-    width = max(1, _BLOCK_SIZE // (n_a + len(_SCAN_GRID)))
     minimum, maximum = force_extrema(c_axis, contact_angle)
-    for j0 in range(0, n_c, width):
-        cols = slice(j0, j0 + width)
-        n[:, cols], n_valid[:, cols] = _count_block(
-            a_axis, c_axis[cols], contact_angle,
-            (minimum[cols], maximum[cols]))
-    # the cells the rows leave open, from every block at once
+    n, n_valid = _count_block(a_axis, c_axis, contact_angle,
+                              (minimum, maximum))
+    # the cells the breakpoints leave open
     i, j = np.nonzero(n < 0)
     if i.size:
         n[i, j], n_valid[i, j] = _count_cells(
@@ -405,175 +387,157 @@ def region_map(contact_angle: float,
 def _count_block(a_axis, cs, g, extrema):
     """Equilibria and valid equilibria of each cell of a_axis x cs, or -1.
 
-    Both (len(a_axis), len(cs)) int arrays; ``a_axis`` ascends, and
-    ``extrema`` is the columns' ``force_extrema``.  After solve's bracket
-    stage (``_bracket``, its node forces from per-column terms) each live
-    cell is counted from the guard's rows, with no bisection.  Its W is
-    the set of grid intervals whose row range [lo, hi], widened by M(C)
-    (_ROWS_MARGIN), holds its level A C^2; ``_rows_search`` finds, per
-    (column, interval) pair, the run of cells whose W holds it, searching
-    only the pairs a conservative screen on the fractional level index
-    keeps (the proof is its docstring).  The cell is settled when it has
-    no node root, W has one interval per bracketed segment, no interval
-    of W holds a force extremum, and each interval of W lies in one
-    overhang regime, or in none, with one margin sign at both ends clear
-    of _MARGIN_BAND (C + 4).  Its count is then its number of bracketed
-    segments, and its crossings are the intervals of W with a negative
-    margin; every other cell reads -1, for ``_count_cells``.  These are
-    the counts of solve's roots:
+    Both (len(a_axis), len(cs)) int arrays; ``extrema`` is the columns'
+    ``force_extrema``.  In a column F = F0 - L, with F0 = F(.; A=0) and
+    the level L = A C^2, and F0 is monotone on the segments between the
+    nodes 0, minimum, maximum and pi, which solve's brackets rest on.  So
+    a cell's count is the number of segments whose node values straddle
+    L, and a segment's root lies in [p, q] (clipped to the segment)
+    exactly when F0(p) - L and F0(q) - L differ in sign.  The margin is
+    monotone in each overhang regime (``intersection``), so the part of
+    the regime where it is at most -b, b = _MARGIN_BAND (C + 4), is one
+    interval [p, q] with one end at 0 or pi and the other at z-, and so
+    is the part where it is at most +b, with z+ (``_intersecting_parts``):
+    a root in the first part is invalid, one outside the second valid.
+    The breakpoints are F0 at the nodes, at z- and at z+.  A cell whose
+    level lies within the band B of a breakpoint, or within D of the rows
+    of a flat grid interval, or whose root falls between the two parts,
+    reads -1, for ``_count_cells``.  The rest get solve's counts.  With
+    s = _SCAN_SLACK (1+C)^2, S and K the bounds on |F'| and |F''| (see
+    _BAND), h the grid step and LB = PHI0_TOL + 4 eps pi bisect's last
+    bracket:
 
-    * Outside W, the exact F lies more than (2 + 6C + 2C^2) _LAST_BRACKET
-      from zero on the whole interval: the rows lie within two slacks of
-      the exact F(.; A=0) at the grid points, and inside an interval
-      F(.; A=0) stays within (2 + 9C + 2C^2) _SCAN_SAG of its range at the
-      ends, as in ``_rootless``.  A root r of solve lies within
-      PHI0_TOL + 4 eps pi of a sign change of _force (bisect's last
-      bracket), and |F'| <= 2 + 6C + 2C^2 (``force_slope``'s terms), so
-      |F(r)| is below that bound: every interval holding r is in W.  The
-      bound's surplus, about PHI0_TOL (2 + 6C + 2C^2), over 100 slacks as
-      2 + 6C + 2C^2 >= 2 (1+C)^2, covers _force's rounding at r, the
-      rounding of the level and of lo - M and hi + M (each a few ulps of
-      (1+C)^2), and the slacks between these rows and solve's own.
-    * A node, an extremum, separates the roots of two bracketed segments,
-      and no interval of W holds one, so they lie in distinct intervals of
-      W, at least one grid step (more than _DEDUP_TOL) apart: none merges,
-      and each interval of W holds exactly one root.
-    * Every crossing the dense-scan guard counts lies within a slack of
-      the level on solve's rows, so in W, and the window (``_window``) of
-      the root that interval holds covers it: the guard adds no root.
-    * With no node root, solve's count is then the number of bracketed
-      segments.  The regimes are intervals within [0, pi] that reach 0 and
-      pi, so an interval with both ends in one regime (or in none) lies in
-      it; the margin is monotone in phi0 there, and its terms add to at
-      most C + 4 in size (see ``intersection``), so ``intersection_margin``
-      and ``_margin`` on NumPy round it by a few ulps of C + 4, far inside
-      the band: the root's margin has the ends' sign.
+    * Rounding.  _force at a point, with A = 0 or with a level in the
+      node values' range, lies within s of the exact F: its terms add to
+      a few (1+C)^2, and each rounds by an ulp or two.  Solve's root r of
+      a segment lies within LB of a sign change of _force, so the exact
+      F0(r) lies within E = s + S LB of L.
+    * Nodes.  B > ROOT_VALUE_TOL + 2s, so no node is a root, and each
+      segment brackets exactly when its node values straddle L.  B's
+      first term follows ROOT_VALUE_TOL: should that become force-scaled,
+      so must it.
+    * Parts.  Where F0(x) lies more than B >= E + s + S LB from L, at a
+      node or at z, the exact F0(r) and F0(x) differ by more than S LB,
+      so r lies more than LB from x, on the side their signs say.  So a
+      root in the -b part lies more than LB inside it, and between the
+      root and z- lies a point where NumPy's margin is at most -b
+      (``_intersecting_parts``): by monotony the exact margin at the root
+      is below -b plus a few ulps of C + 4, and ``intersection_margin``'s,
+      a few ulps more, is negative.  A root outside the +b part has such
+      a point where the margin is at least +b, or lies outside the
+      regime: it is valid either way.
+    * Guard.  An interval that the dense-scan guard counts holds a point
+      where F0 lies within 3s of L, as the rows lie within 2s of F0, so
+      L lies within 5s of the range of these rows too.  A grid interval
+      is flat when its rows rise by at most T, and L lies more than
+      D >= E + 5s outside a flat interval's rows, so a counted interval
+      is steep: |F'| > (T - 4s) / h - K h >= (3s + E) / _SCAN_PAD on it,
+      it holds no extremum, and its segment brackets.  F0 moves by at
+      most 3s + E between that point and r, so r lies in the interval or
+      less than _SCAN_PAD past it: within _SCAN_PAD of a steep neighbour
+      F0 moves further, and a flat neighbour's rows would lie within
+      E + 5s of L.  Every counted interval is in r's window, and the
+      guard adds no root.
+    * Extrema.  The interval holding an extremum rises by at most
+      K h^2 / 2 + 4s < T, so it is flat, and L lies beyond the extremum
+      value by more than B, or on the other side of F0 on the whole
+      interval by more than E: the two roots beside the extremum lie in
+      distinct grid intervals, h > _DEDUP_TOL apart, and none merges.
+      So L stays clear of an extremum value by the range of the rows of
+      the flat intervals around it, widened by D: by the rows' slack and
+      sag, about K _SCAN_SAG where F'' is not small.
     """
-    n = np.zeros((a_axis.size, cs.size), dtype=np.int64)
-    n_valid = n.copy()
-    block = _bracket(a_axis[:, None], cs[None, :], g, extrema)
-    if block.a is None:
-        return n, n_valid
-    # what the count needs of the per-cell arrays, freed before the search
-    live, rows = block.live, block.rows
-    bracketed = block.bracket.sum(axis=1)
-    node_roots = block.found[:, :block.nodes.shape[1]]
-    no_node_root = (node_roots != node_roots).all(axis=1)
-    del block, node_roots
-    m0, m1, m2 = _ROWS_MARGIN
-    pair, first, span = _rows_search(a_axis, cs, rows,
-                                     m0 + cs * (m1 + cs * m2))
-    del rows
-    col, t = np.divmod(pair, len(_SCAN_GRID) - 1)
-    x0, x1 = _SCAN_GRID[t], _SCAN_GRID[t + 1]
-    ok = np.ones(pair.size, dtype=bool)
-    for node in extrema:
-        ok &= ~((x0 <= node[col]) & (node[col] <= x1))
-    negative, positive = _overhang(x0, g)
-    negative_1, positive_1 = _overhang(x1, g)
-    ok &= (negative == negative_1) & (positive == positive_1)
-    over = np.flatnonzero(negative | positive)
-    c_over = cs[col[over]]
-    m_0, m_1 = (_margin(x[over], c_over, g, np) for x in (x0, x1))
-    band = _MARGIN_BAND * (4.0 + c_over)
-    crossing = np.zeros(pair.size, dtype=bool)
-    crossing[over] = np.maximum(m_0, m_1) < -band
-    ok[over] &= crossing[over] | (np.minimum(m_0, m_1) > band)
+    minimum, maximum = extrema
+    zero = np.zeros(cs.size)
+    nodes = np.stack([zero, np.where(minimum == minimum, minimum, zero),
+                      np.where(maximum == maximum, maximum, zero + PI),
+                      zero + PI])
+    parts = _intersecting_parts(cs, g)
+    f_nodes = _force(nodes, 0.0, cs, g)
+    # F0 at the ends of each segment's share of each part
+    f_ends = _force(np.stack([np.clip(parts, nodes[k], nodes[k + 1])
+                              for k in range(3)]), 0.0, cs, g)
+    # the parts' other ends, 0 or pi, repeat two node values
+    breakpoints = np.concatenate(
+        [f_nodes, _force(parts, 0.0, cs, g).reshape(4, -1)])
+    band = _by_powers(_BAND, cs)
+    lo, hi = breakpoints - band, breakpoints + band
+    _widen_flat(lo, hi, nodes, cs, g)
 
-    # the same per cell: each pair's run of cells, by live position
-    owner = np.repeat(np.arange(pair.size), span)
-    i = (first[owner] + np.arange(owner.size)
-         - np.repeat(np.cumsum(span) - span, span))
-    position = np.full(n.size, -1)
-    position[live] = np.arange(live.size)
-    cell = position[i * cs.size + col[owner]]
-    owner, cell = owner[cell >= 0], cell[cell >= 0]
-    size = live.size
-    settled = ((np.bincount(cell, minlength=size) == bracketed)
-               & (np.bincount(cell, ~ok[owner], minlength=size) == 0)
-               & no_node_root)
-    cross = np.bincount(cell, crossing[owner], minlength=size).astype(np.int64)
-    n.flat[live] = np.where(settled, bracketed, -1)
-    n_valid.flat[live] = np.where(settled, bracketed - cross, -1)
-    return n, n_valid
+    level = a_axis[:, None] * cs * cs
+    unsettled = np.zeros(level.shape, dtype=bool)
+    for lo_k, hi_k in zip(lo, hi):
+        unsettled |= (lo_k <= level) & (level <= hi_k)
+    above = [f > level for f in f_nodes]
+    n = np.zeros(level.shape, dtype=np.int64)
+    cross = np.zeros_like(n)
+    for k in range(3):
+        bracket = above[k] != above[k + 1]
+        inner, outer = ((start > level) != (end > level)
+                        for start, end in f_ends[k])
+        n += bracket
+        cross += bracket & inner
+        unsettled |= bracket & outer & ~inner
+    return np.where(unsettled, -1, n), np.where(unsettled, -1, n - cross)
 
 
-def _rows_search(a_axis, cs, rows, margin):
-    """The (column, interval) pairs whose widened row range holds a level.
+def _intersecting_parts(cs, g):
+    """Each column's parts of its overhang regime where the margin is at
+    most -b and at most +b, b = _MARGIN_BAND (C + 4), as [start, end]:
+    shaped (2, 2, len(cs)), the -b part first.
 
-    ``rows`` holds the columns' ``_scan_rows`` and ``margin`` each column's
-    M.  A pair's range is lo = min(row ends) - M, hi = max(row ends) + M,
-    and column j's levels a_axis * cs[j] * cs[j] ascend.  Returns (pair,
-    first, span): the flat indices into (len(cs), len(_SCAN_GRID) - 1) of
-    the pairs with span > 0, ascending, where first and first + span are
-    ``np.searchsorted(level, lo, "right")`` and ``(level, hi, "left")``,
-    the run of cells whose level lies in (lo, hi).
-
-    a_axis is a linspace, so a level y of column C sits near the
-    fractional index y s - o, s = 1 / (C^2 da) and o = a0 / da, with da
-    the axis' step and a0 its first point; dev >= |a_i - a0 - i da| / da
-    is measured on the axis itself.  A pair's x_lo = min(row ends) s -
-    (M s + o + delta), clipped below at 0, and x_hi = max(row ends) s +
-    (M s - o + delta), clipped above at n - 1, and only the pairs with an
-    integer in [x_lo, x_hi] are searched.  The screen is conservative:
-    in index units the axis is off by dev, and a level's two roundings,
-    lo's and hi's one, and the screen's own, fewer than ten, are each at
-    most an ulp of |r s| + M s + |o| + n + dev, where |r s| <= 4 (1+C)^2 s
-    and M s <= (1+C)^2 s; delta = dev + 2^-46 (5 (1+C)^2 s + |o| + n +
-    dev) is dev plus 64 ulps of that bound.  So level_i > lo gives
-    i >= x_lo and level_i < hi gives i <= x_hi: every cell in (lo, hi)
-    lies in [x_lo, x_hi].  The same bounds give level_i <= lo =>
-    i <= x_lo + 2 delta and level_i >= hi => i >= x_hi - 2 delta, so, with
-    delta < 1/4, first is ceil(x_lo) or one more and first + span is
-    floor(x_hi) or one more: one comparison with the level settles each.  A column where C^2 da, a0 C^2 or a product
-    on the way can leave the normal floats (C = 1e-170 on the default
-    window), or whose delta is not below 1/4, keeps the exact search.
+    The margin rises through the psi-negative regime [lo, hi] =
+    [0, pi/2 - gamma] (taken for gamma <= pi/2, where the other regime is
+    at most the point pi) and falls through the psi-positive one
+    [3pi/2 - gamma, pi], so each part runs from the regime end where the
+    margin is lowest to a point z, where f = +-(margin -+ b), signed so
+    that it rises with the margin's rise, changes sign.  Where f(lo) < 0
+    < f(hi), z comes from one bisection over every such column of both
+    parts, the regime a bracket shared by all of them, which leaves
+    within PHI0_TOL + 4 eps pi of z a point at or below it with f <= 0
+    and one at or above it with f >= 0.  Elsewhere z = lo where
+    f(lo) >= 0, itself the point above, with none needed below it; else
+    z = hi, where f(hi) <= 0, the point below, with none needed above.
     """
-    n = a_axis.size
-    a0 = a_axis[0]
-    da = (a_axis[-1] - a0) / (n - 1)
-    unit = min(a0, da, 1.0)
-    dev = o = 0.0
-    if unit > 0.0:
-        dev = np.abs(a_axis - (a0 + np.arange(n) * da)).max() / da
-        o = a0 / da
-    screened = np.minimum(cs, 1.0) ** 2 * unit >= 2.0 ** -1000
-    s = np.where(screened, 1.0 / np.where(screened, cs * cs * da, 1.0), 0.0)
-    delta = dev + 2.0 ** -46 * (5.0 * s * (1.0 + cs) ** 2 + abs(o) + n + dev)
-    screened &= delta < 0.25
-    # r s rounds monotonically in r, so the ends' min and max come first
-    x0 = np.minimum(rows[:, :-1], rows[:, 1:])
-    x0 *= s[:, None]
-    x0 -= (margin * s + o + delta)[:, None]
-    np.maximum(x0, 0.0, out=x0)
-    k1 = np.maximum(rows[:, :-1], rows[:, 1:])
-    k1 *= s[:, None]
-    k1 += (margin * s - o + delta)[:, None]
-    np.minimum(k1, n - 1.0, out=k1)
-    np.floor(k1, out=k1)
-    # an unscreened column: every interval, settled by the full search
-    x0[~screened] = 0.0
-    k1[~screened] = 0.0
-    pair = np.flatnonzero(x0 <= k1)
-    col = pair // (rows.shape[1] - 1)
-    ends = rows.take(pair + col), rows.take(pair + col + 1)
-    lo = np.minimum(*ends)
-    hi = np.maximum(*ends)
-    lo -= margin[col]
-    hi += margin[col]
-    i0 = np.ceil(x0.take(pair)).astype(np.int64)
-    i1 = k1.take(pair).astype(np.int64)
-    c = cs[col]
-    first = i0 + (a_axis[i0] * c * c <= lo)
-    end = i1 + (a_axis[i1] * c * c < hi)
-    for j in np.flatnonzero(~screened).tolist():
-        level = a_axis * cs[j] * cs[j]
-        cut = slice(*np.searchsorted(col, [j, j + 1]).tolist())
-        first[cut] = np.searchsorted(level, lo[cut], "right")
-        end[cut] = np.searchsorted(level, hi[cut], "left")
-    end -= first
-    kept = end > 0
-    return pair[kept], first[kept], end[kept]
+    rising = g <= PI / 2.0
+    lo, hi = (0.0, PI / 2.0 - g) if rising else (3.0 * PI / 2.0 - g, PI)
+    c = np.concatenate([cs, cs])
+    shift = _MARGIN_BAND * (4.0 + c) * np.repeat([-1.0, 1.0], cs.size)
+    way = 1.0 if rising else -1.0
+    f_lo, f_hi = (way * (_margin(x, c, g, np) - shift) for x in (lo, hi))
+    z = np.where(f_lo >= 0.0, lo, hi)
+    lanes = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
+    if lanes.size:
+        c, shift = c[lanes], shift[lanes]
+        z[lanes] = bisect(lambda x: _margin(x, c, g, np) - shift, lo, hi)
+    z = z.reshape(2, -1)
+    end = np.full(z.shape, lo if rising else hi)
+    return np.stack([end, z] if rising else [z, end], axis=1)
+
+
+def _widen_flat(lo, hi, nodes, cs, g):
+    """Widen the nodes' bands, the first four rows of ``lo`` and ``hi``,
+    over the rows of each flat grid interval, widened by D and given to
+    the nearest node (see _count_block).  The rows go a block of columns
+    at a time, which keeps them small."""
+    rise, widen = _by_powers(_FLAT, cs), _by_powers(_WIDEN, cs)
+    width = max(1, _BLOCK_SIZE // len(_SCAN_GRID))
+    for j0 in range(0, cs.size, width):
+        rows = _scan_rows(cs[j0:j0 + width], g)
+        step = rows[:, 1:] - rows[:, :-1]
+        col, t = np.nonzero(np.abs(step, out=step)
+                            <= rise[j0:j0 + width, None])
+        f0, f1 = rows[col, t], rows[col, t + 1]
+        col += j0
+        mid = (_SCAN_GRID[t] + _SCAN_GRID[t + 1]) / 2.0
+        k = np.abs(nodes[:, col] - mid).argmin(axis=0)
+        np.minimum.at(lo, (k, col), np.minimum(f0, f1) - widen[col])
+        np.maximum.at(hi, (k, col), np.maximum(f0, f1) + widen[col])
+
+
+def _by_powers(coef, c):
+    """coef[0] + coef[1] C + coef[2] C^2, evaluated by powers of C."""
+    return coef[0] + c * (coef[1] + c * coef[2])
 
 
 def _count_cells(a, c, g, extrema):

@@ -231,7 +231,7 @@ class TestFindEquilibria:
                     assert eqs[1].phi0 > PI / 2
 
     # A >= 0.05 keeps A C^2 above ROOT_VALUE_TOL: below it the absolute
-    # tolerance makes node roots of tiny forces (ROADMAP item 4)
+    # tolerance makes node roots of tiny forces (ROADMAP item 2)
     @settings(derandomize=True, max_examples=400, database=None,
               deadline=None)
     @given(a=st.floats(0.05, 15.0),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from floatcyl.equilibria import Stability, find_equilibria
 from floatcyl.intersection import (FlatInterfaceError, Regime, _margin,
                                    _overhang, intersection_margin, validity)
-from floatcyl.model import DimensionlessParams, center_height
+from floatcyl.model import DimensionlessParams
 from floatcyl.regions import _MARGIN_BAND
 
 PI = math.pi
@@ -100,7 +100,6 @@ class TestValidity:
         assert rep.regime is Regime.PSI_NEGATIVE
         assert rep.intersecting
         assert rep.margin < 0.0
-        assert rep.conditions.reach_nonpositive
 
     def test_boundary_tie_semantics(self):
         # phi0 = pi at neutral contact angle sits exactly on the margin zero;
@@ -110,13 +109,6 @@ class TestValidity:
         assert rep.regime is Regime.PSI_POSITIVE
         assert abs(rep.margin) < 1e-12
         assert rep.intersecting == (rep.margin <= 0.0)
-
-    def test_height_condition_reported(self):
-        p = params(c=5.0, g=PI / 4)
-        rep = validity(0.1, p)
-        assert rep.conditions.inclination_in_range
-        assert rep.conditions.height_beyond_radius == (
-            float(center_height(0.1, p)) > 1.0)
 
     def test_neutral_angle_interior_never_in_regime(self):
         # at contact angle pi/2 the overhang windows shrink to the endpoints,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from floatcyl.model import (Angles, DimensionlessParams, PhysicalParams,
-                            _force, _height, _slope, center_height,
+from floatcyl.model import (DimensionlessParams, PhysicalParams, _force,
+                            _height, _slope, center_height,
                             center_height_slope, force_curvature, force_slope,
                             inclination_at_contact, interface_profile,
                             to_dimensionless, total_energy, total_force)
@@ -80,11 +80,8 @@ class TestParams:
         assert params(a=1e100, c=1e-30).mass_ratio == 1e100
 
     def test_angles_constraint(self):
-        ang = Angles(phi0=0.7, contact_angle=1.1)
-        assert ang.psi0 == pytest.approx(0.7 + 1.1 - PI, abs=0.0)
-        assert inclination_at_contact(0.7, 1.1) == ang.psi0
-        with pytest.raises(ValueError):
-            Angles(phi0=-0.1, contact_angle=1.0)
+        assert inclination_at_contact(0.7, 1.1) == pytest.approx(
+            0.7 + 1.1 - PI, abs=0.0)
 
 
 class TestHeight:

@@ -6,12 +6,12 @@ import floatcyl
 
 SUBMODULES = ["equilibria", "intersection", "model", "oracles", "regions"]
 ALL = [
-    "Angles", "BoundaryCurve", "CriticalPoint", "CurveKind",
+    "BoundaryCurve", "CriticalPoint", "CurveKind",
     "DimensionlessParams", "EnergyBreakdown", "Equilibrium", "ExtremumKind",
     "FlatInterfaceError", "InterfaceProfile", "ModelInconsistencyWarning",
     "NoSecondCriticalPointError", "OracleReport", "PhysicalParams",
     "QuadratureError", "Regime", "RegionLabel", "RegionMap", "Stability",
-    "SubConditions", "UnsupportedRegimeError", "ValidityReport",
+    "UnsupportedRegimeError", "ValidityReport",
     "asymptotic_critical_mass", "buoyancy_closed", "buoyancy_geometric",
     "buoyancy_quadrature", "center_height", "center_height_slope",
     "classify_point", "critical_mass_ratio", "critical_points",
@@ -26,7 +26,7 @@ ALL = [
     "region_map_csv", "region_map_json", "regions", "run_all",
     "second_extremum_threshold", "submerged_segment_force",
     "surface_energy_quadrature", "tangency_boundary_c",
-    "tangency_curve_from_mass_ratios", "to_dimensionless", "total_energy",
+    "to_dimensionless", "total_energy",
     "total_force", "trace_endpoint_curve", "trace_intersection_curve",
     "trace_tangency_curve", "two_equilibrium_corner", "validity",
 ]

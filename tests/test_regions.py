@@ -9,19 +9,18 @@ from hypothesis import strategies as st
 
 from floatcyl import regions
 from floatcyl.equilibria import (ModelInconsistencyWarning,
-                                 NoSecondCriticalPointError, _scan_rows,
+                                 NoSecondCriticalPointError,
                                  critical_mass_ratio, find_equilibria,
-                                 second_extremum_threshold, solve)
+                                 force_extrema, second_extremum_threshold,
+                                 solve)
 from floatcyl.intersection import _overhang, intersection_margin
 from floatcyl.model import DimensionlessParams, total_force
-from floatcyl.regions import (_LABEL_TABLE, _ROWS_MARGIN, CurveKind,
-                              RegionLabel, _rows_search,
+from floatcyl.regions import (_LABEL_TABLE, CurveKind, RegionLabel,
                               classify_point,
                               endpoint_boundary_c, endpoint_boundary_is_vertical,
                               intersection_curve_point, region_map,
                               region_map_csv, region_map_json,
                               tangency_boundary_c,
-                              tangency_curve_from_mass_ratios,
                               trace_endpoint_curve, trace_intersection_curve,
                               trace_tangency_curve, two_equilibrium_corner)
 
@@ -114,13 +113,6 @@ class TestTangencyBoundary:
         assert tangency_boundary_c(0.0, 5.0) is None
         # a threshold C too large for critical_mass_ratio to bracket A*
         assert tangency_boundary_c(1e-9, 5.0) is None
-
-    def test_gap_recording(self):
-        a_star, _ = critical_mass_ratio(1.0, PI / 2)
-        curve = tangency_curve_from_mass_ratios(PI / 2, [2.0, a_star])
-        assert curve.gaps == (2.0,)
-        assert curve.points.shape == (1, 2)
-        assert curve.points[0, 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_count_changes_across_curve(self):
         a_star, _ = critical_mass_ratio(1.0, PI / 2)
@@ -383,69 +375,40 @@ class TestSettledLabels:
         assert rm.labels.tolist() == bisected_labels(rm)
 
 
-def _searched(a_axis, cs, rows, margin):
-    """_rows_search's result from a per-column searchsorted of every pair."""
-    lo = np.minimum(rows[:, :-1], rows[:, 1:]) - margin[:, None]
-    hi = np.maximum(rows[:, :-1], rows[:, 1:]) + margin[:, None]
-    first = np.empty(lo.shape, dtype=np.int64)
-    end = np.empty_like(first)
-    for j, c in enumerate(cs.tolist()):
-        level = a_axis * c * c
-        first[j] = np.searchsorted(level, lo[j], "right")
-        end[j] = np.searchsorted(level, hi[j], "left")
-    span = (end - first).ravel()
-    pair = np.flatnonzero(span > 0)
-    return pair, first.ravel()[pair], span[pair]
+class TestBreakpoints:
+    """Labels read from each column's breakpoints equal the bisected ones."""
 
-
-class TestRowsSearch:
-    """The screened rows search equals the per-column searchsorted."""
-
-    @pytest.mark.parametrize("g", [0.0, 0.7, PI / 2, 2.3, PI])
+    @pytest.mark.parametrize("g", [0.0, 0.7, PI / 2, 2.3, PI, 1e-9,
+                                   PI / 2 - 1e-9, PI / 2 + 1e-9, PI - 1e-9])
     @pytest.mark.parametrize("a_range, c_range, resolution", [
         ((0.0, 12.0), (0.0, 5.0), (200, 50)),
-        # C*C*da underflows: every column keeps the exact search
+        # levels A C^2 that underflow
         ((0.0, 12.0), (0.0, 1e-170), (50, 10)),
-        # delta reaches 1/4 in the first columns only: both searches
         ((0.0, 12.0), (0.0, 1e-5), (50, 20)),
         ((0.0, 30.0), (1.0, 1e3), (120, 40)),
-        # a0 / da far above the resolution
         ((3.0, 3.1), (0.0, 0.1), (40, 20)),
         ((3.0, 3.000001), (1.0, 1.000001), (60, 30)),
-        # axes that are no linspace to the last ulp, or subnormal
+        # axes one ulp wide, or subnormal
         ((1.0, 1.0000000000000002), (0.0, 5.0), (3, 20)),
         ((0.0, 1e-323), (0.0, 5.0), (3, 20))])
-    def test_equals_per_column_search(self, g, a_range, c_range, resolution):
-        a_axis = np.linspace(*a_range, resolution[0] + 1)[1:]
-        cs = np.linspace(*c_range, resolution[1] + 1)[1:]
-        rows = _scan_rows(cs, g)
-        m0, m1, m2 = _ROWS_MARGIN
-        margin = m0 + cs * (m1 + cs * m2)
-        got = _rows_search(a_axis, cs, rows, margin)
-        want = _searched(a_axis, cs, rows, margin)
-        assert [x.tolist() for x in got] == [x.tolist() for x in want]
-        assert want[0].size
+    def test_labels_equal_bisected(self, g, a_range, c_range, resolution):
+        rm = region_map(g, a_range, c_range, resolution, curve_samples=0)
+        assert rm.labels.tolist() == bisected_labels(rm)
 
-    def test_rows_on_the_levels(self):
-        # with no margin, row values equal to levels put lo and hi on a
-        # level exactly: there first is one past the screen's ceil(x_lo),
-        # and first + span is floor(x_hi) itself; flat intervals too
-        rng = np.random.default_rng(18)
-        a_axis = np.linspace(0.0, 12.0, 201)[1:]
-        cs = np.linspace(0.0, 5.0, 11)[1:]
-        level = a_axis[None, :] * cs[:, None] * cs[:, None]
-        rows = rng.uniform(-1.0, 1.0, (cs.size, 1000)) * level[:, -1:]
-        on = rng.random(rows.shape) < 0.5
-        rows[on] = np.take_along_axis(
-            level, rng.integers(0, a_axis.size, rows.shape), axis=1)[on]
-        rows[:, 500:510] = rows[:, 500:501]
-        margin = np.zeros(cs.size)
-        got = _rows_search(a_axis, cs, rows, margin)
-        want = _searched(a_axis, cs, rows, margin)
-        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+    @pytest.mark.parametrize("g", [0.7, PI / 2, 2.3])
+    def test_levels_beside_the_maximum_fall_back(self, g):
+        # the guard's rows are flat beside an extremum: levels within
+        # about K _SCAN_SAG of its value are not read from the breakpoints
+        c = 2.0
+        a_star = critical_mass_ratio(c, g)[0]
+        a_axis = a_star + np.array([-1e-2, -1e-6, 1e-6, 1e-2])
+        n, n_valid = regions._count_block(
+            a_axis, np.array([c]), g, force_extrema(np.array([c]), g))
+        assert n[:, 0].tolist() == [2, -1, -1, 0]
+        assert n_valid[:, 0].tolist() == [2, -1, -1, 0]
 
     def test_tiny_capillary_window_labels(self):
-        # the columns that keep the exact search label as solve does
+        # levels far below every band label as solve does
         for c_range in ((0.0, 1e-170), (0.0, 1e-5)):
             rm = region_map(1.0, c_range=c_range, resolution=(30, 20),
                             curve_samples=0)

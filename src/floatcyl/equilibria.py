@@ -65,9 +65,10 @@ _SCAN_SAG = (PI / (len(_SCAN_GRID) - 1)) ** 2 / 8.0
 _MARGIN = (2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG + ROOT_VALUE_TOL,
            4.0 * _SCAN_SLACK + 9.0 * _SCAN_SAG,
            2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG)
-# Bracketed segments up to which _roots bisects each on floats: an array
+# Bracketed segments up to which solve bisects each on floats: an array
 # bisection's halving costs about as much in NumPy calls as one halving
-# of 20 float lanes.
+# of 20 float lanes.  A lone cell brackets at most three; region_map's
+# fallback over a zoomed window brackets thousands.
 _FLOAT_LANES = 16
 # SciPy's bisect defaults: relative tolerance and iteration cap.
 _RTOL = 4.0 * sys.float_info.epsilon
@@ -285,69 +286,27 @@ def _lanes(idx, *arrays):
 
 
 def solve(mass_ratios, capillary_ratios, contact_angle: float,
-          critical: list[CriticalPoint] | None = None) -> np.ndarray:
+          extrema=None) -> np.ndarray:
     """Ascending zeros of F on [0, pi] for every cell, padded with NaN.
 
     The cells are the broadcast of ``mass_ratios`` against
     ``capillary_ratios``; the result has the broadcast shape plus one
     trailing axis, as wide as the most roots a cell has.  Each capillary
     ratio is a column with the guard's row F(_SCAN_GRID; A=0) and the nodes
-    0, minimum, maximum and pi (the extrema of ``critical`` for every column
-    when given), a missing extremum at 0 or pi.  A cell whose level A C^2
-    lies so far outside its row's range that F provably keeps one sign
-    (``_rootless``) has no root and goes no further; when no cell is left,
-    the extrema are never found.  Otherwise a node with
+    0, minimum, maximum and pi, a missing extremum at 0 or pi.  ``extrema``
+    is the (minimum, maximum) pair of ``force_extrema``, as floats or as
+    arrays with one entry per capillary ratio; None finds them.  A cell
+    whose level A C^2 lies so far outside its row's range that F provably
+    keeps one sign (``_rootless``) has no root and goes no further; when no
+    cell is left, the extrema are never found.  Otherwise a node with
     |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi, the tangency
     at A*); every segment whose ends change sign is bisected, and
-    ``_scan_guard`` backstops the segments.  Of roots closer
-    than _DEDUP_TOL the first in node, segment, guard order counts.
-    ``_bracket`` is the stage up to the bisections, ``_roots`` the rest.
+    ``_scan_guard`` backstops the segments.  Up to _FLOAT_LANES segments
+    bisect one by one on Python floats, as a lone cell's do; more share one
+    array bisection.  Both give bisect's bits.  Of roots closer than
+    _DEDUP_TOL the first in node, segment, guard order counts (``_pack``).
     """
-    extrema = None
-    if critical is not None:
-        phis = {cp.kind: cp.phi0 for cp in critical}
-        extrema = (phis.get(ExtremumKind.MINIMUM, math.nan),
-                   phis.get(ExtremumKind.MAXIMUM, math.nan))
-    block = _bracket(mass_ratios, capillary_ratios, contact_angle, extrema)
-    if block.a is None:
-        return np.empty(block.shape + (0,))
-    roots = _roots(block, contact_angle)
-    n_cells = math.prod(block.shape)
-    if block.live.size < n_cells:
-        out = np.full((n_cells, roots.shape[1]), np.nan)
-        out[block.live] = roots
-        roots = out
-    return roots.reshape(block.shape + roots.shape[1:])
-
-
-@dataclass
-class _Block:
-    """solve's cells up to the bisections (see ``_bracket``)."""
-
-    shape: tuple
-    live: np.ndarray
-    a: np.ndarray | None = None
-    c: np.ndarray | None = None
-    col: np.ndarray | None = None
-    rows: np.ndarray | None = None
-    nodes: np.ndarray | None = None
-    found: np.ndarray | None = None
-    bracket: np.ndarray | None = None
-
-
-def _bracket(mass_ratios, capillary_ratios, g, extrema=None) -> _Block:
-    """solve's bracket stage: cells, rows, ``_rootless``, nodes, brackets.
-
-    ``live`` indexes the cells left in the flattened broadcast of
-    ``shape``; the other arrays hold one row per live cell (``rows`` one
-    per column), or are None when none is left.  ``extrema`` is a
-    (minimum, maximum) pair of floats, or of arrays with one entry per
-    capillary ratio; None finds them.  ``found`` holds each cell's node
-    roots, NaN elsewhere, then one slot per segment for its bisection;
-    ``bracket`` marks the segments whose ends change sign.  The rows, the
-    nodes and all of the node forces but the -A C^2 term are per column
-    (``_node_forces``); only that term and the sum run per cell.
-    """
+    g = contact_angle
     cap = np.asarray(capillary_ratios, dtype=float)
     caps = cap.ravel()
     # each cell's column: its capillary ratio, its row, its nodes.
@@ -360,7 +319,7 @@ def _bracket(mass_ratios, capillary_ratios, g, extrema=None) -> _Block:
     rows = _scan_rows(caps, g)
     live = np.flatnonzero(~_rootless(rows, a, caps, col))
     if not live.size:
-        return _Block(ones.shape, live)
+        return np.empty(ones.shape + (0,))
     a, col = a[live], col[live]
     c = caps[col]
 
@@ -370,53 +329,20 @@ def _bracket(mass_ratios, capillary_ratios, g, extrema=None) -> _Block:
     minimum, maximum = extrema
     zero = np.zeros(cap.size)
     pi = zero + PI
-    col_nodes = np.column_stack([zero,
-                                 np.where(minimum == minimum, minimum, zero),
-                                 np.where(maximum == maximum, maximum, pi),
-                                 pi])
-    nodes = col_nodes[col]
-    if cap.size == 1:
-        # one capillary ratio runs on floats: faster, and the same bits
-        f_nodes = _force(nodes, a[:, None], cap.item(), g)
-    else:
-        f_nodes = _node_forces(a, c, col, col_nodes, caps, g)
+    nodes = np.column_stack([zero,
+                             np.where(minimum == minimum, minimum, zero),
+                             np.where(maximum == maximum, maximum, pi),
+                             pi])[col]
+    # one capillary ratio runs on floats: faster, and the same bits
+    f_nodes = _force(nodes, a[:, None],
+                     cap.item() if cap.size == 1 else c[:, None], g)
     on_node = np.abs(f_nodes) <= ROOT_VALUE_TOL
-    bracket = ((f_nodes[:, :-1] * f_nodes[:, 1:] < 0.0)
-               & ~on_node[:, :-1] & ~on_node[:, 1:])
+    lane, k = np.nonzero((f_nodes[:, :-1] * f_nodes[:, 1:] < 0.0)
+                         & ~on_node[:, :-1] & ~on_node[:, 1:])
+    # each cell's node roots, NaN elsewhere, then one slot per segment
     n_nodes = nodes.shape[1]
     found = np.full((a.size, 2 * n_nodes - 1), np.nan)
     found[:, :n_nodes] = np.where(on_node, nodes, np.nan)
-    return _Block(ones.shape, live, a, c, col, rows, nodes, found, bracket)
-
-
-def _node_forces(a, c, col, col_nodes, caps, g):
-    """``_force(col_nodes[col], a[:, None], c[:, None], g)``, c = caps[col], bit
-    for bit, with the trig run once per column.
-
-    _force sums -A C^2 - t1 - t2 - t3 + t4 left to right, and t1 to t4
-    depend on the node and C alone, so each is evaluated on the columns'
-    nodes with _force's own operations, and only the sum runs per cell.
-    """
-    x, cc = col_nodes, caps[:, None]
-    f = (-a * c * c)[:, None] - (2.0 * np.sin(x + g)).take(col, axis=0)
-    f -= (4.0 * cc * np.cos((x + g) / 2.0) * np.sin(x)).take(col, axis=0)
-    f -= (0.5 * cc * cc * np.sin(2.0 * x)).take(col, axis=0)
-    f += (cc * cc * x).take(col, axis=0)
-    return f
-
-
-def _roots(block, g):
-    """solve's stages after ``_bracket``: each live cell's roots.
-
-    Every segment that brackets a root is bisected, the dense-scan guard
-    (``_scan_guard``) checks the roots' windows, and ``_pack`` dedups and
-    adds what ``_rescan`` finds.  Up to _FLOAT_LANES segments bisect one
-    by one on Python floats, as a lone cell's do; more share one array
-    bisection.  Both give bisect's bits.
-    """
-    a, c, nodes, found = block.a, block.c, block.nodes, block.found
-    n_nodes = nodes.shape[1]
-    lane, k = np.nonzero(block.bracket)
     if lane.size > _FLOAT_LANES:
         sa, sc = a[lane], c[lane]
         found[lane, n_nodes + k] = bisect(lambda x: _force(x, sa, sc, g),
@@ -427,8 +353,8 @@ def _roots(block, g):
             found[i, n_nodes + j] = bisect(
                 lambda x: _force(x, a_i, c_i, g),
                 float(nodes[i, j]), float(nodes[i, j + 1]))
-    # Sorts are stable here and in the guard: nearly sorted input, and a
-    # smaller code footprint than the default sort.
+    # A stable sort: nearly sorted input, and a smaller code footprint than
+    # the default sort.
     roots = np.sort(found, axis=1, kind="stable")
     if a.size == 1:
         windows = [(bisect_left(_SCAN_TO_FLOATS, r),
@@ -437,8 +363,12 @@ def _roots(block, g):
     else:
         cell, slot = np.nonzero(roots == roots)
         windows = (cell, *_window(roots[cell, slot]))
-    return _pack(found, roots,
-                 _scan_guard(windows, a, c, block.col, block.rows), a, c, g)
+    roots = _pack(found, roots, _scan_guard(windows, a, c, col, rows), a, c, g)
+    if live.size < ones.size:
+        out = np.full((ones.size, roots.shape[1]), np.nan)
+        out[live] = roots
+        roots = out
+    return roots.reshape(ones.shape + roots.shape[1:])
 
 
 def _pack(found, roots, rescan, a, c, g):
@@ -553,10 +483,10 @@ def _scan_guard(windows, a, c, col, rows):
     ascending root order: for a block, as arrays (cell, first, last); for
     a lone cell, as find_equilibria makes, as (first, last) pairs of ints.
     In a block, ``_crossings`` counts the intervals reaching within the
-    slack of every cell's level, column by column, and the windows'
-    crossings are subtracted for all cells at once.  A lone cell lists
-    its crossing intervals and drops those inside a window: the same
-    count, since the block's windows differ only by the overlap it trims.
+    slack of every cell's level, and the windows' crossings are
+    subtracted for all cells at once.  A lone cell lists its crossing
+    intervals and drops those inside a window: the same count, since the
+    block's windows differ only by the overlap it trims.
     A cell returned here rescans its grid with _force (``_rescan``).
     """
     if a.size == 1:
@@ -576,8 +506,8 @@ def _scan_guard(windows, a, c, col, rows):
     slack = _SCAN_SLACK * (1.0 + c) ** 2
     # An interval counts when lo < above and below < hi.  |F| <= pi (1+C)^2
     # on the grid, so the slack is over 20 ulps of any level a bound can
-    # reach: hi <= below implies lo < above, and _crossings' sorted bounds
-    # need no rule for flat intervals.
+    # reach: hi <= below implies lo < above, and a flat interval needs no
+    # rule of its own.
     below, above = level - slack, level + slack
     changes = _crossings(rows, col, below, above)
     if changes.any():
@@ -604,41 +534,23 @@ def _crossings(rows, col, below, above):
     """Each cell's count of grid intervals of its column's row reaching
     into (below, above): min(ends) < above and below < max(ends).
 
-    The cells are grouped by column with one stable sort of ``col``.  A
-    column holding more than one cell sorts its interval bounds once and
-    counts every cell's with two searches; a lone cell in its column
-    counts its intervals directly, as ``_scan_guard``'s one-cell branch
-    does, since min(x, y) < above is x < above or y < above, and
-    below < max(x, y) is below < x or below < y.  The lone cells go 128 kB
-    of rows at a time, which keeps the temporaries small beside ``rows``;
-    when every column is a lone cell's, as in ``region_map``'s fallback,
-    the rows are not copied.
+    That is an end below ``above`` and an end above ``below``, since
+    min(x, y) < above is x < above or y < above, and below < max(x, y) is
+    below < x or below < y.  The cells go 128 kB of rows at a time, which
+    keeps the temporaries small beside ``rows``; when each cell has a
+    column of its own, as in ``region_map``'s fallback, the rows are not
+    copied.
     """
-    lo = np.empty(len(_SCAN_GRID) - 1)
-    hi = np.empty_like(lo)
     changes = np.empty(below.size, dtype=np.int64)
-    order = np.argsort(col, kind="stable")
-    bounds = np.searchsorted(col[order], np.arange(len(rows) + 1))
-    size = np.diff(bounds)
-    lone = np.flatnonzero(size == 1)
+    own = np.array_equal(col, np.arange(len(rows)))
     step = 2 ** 17 // _SCAN_GRID.nbytes
-    for k in range(0, lone.size, step):
-        part = lone[k:k + step]
-        cells = order[bounds[part]]
-        f0 = rows[k:k + step] if lone.size == len(rows) else rows[part]
+    for k in range(0, col.size, step):
+        cells = slice(k, k + step)
+        f0 = rows[cells] if own else rows[col[cells]]
         low = f0 < above[cells, None]
         high = f0 > below[cells, None]
         changes[cells] = ((low[:, :-1] | low[:, 1:])
                           & (high[:, :-1] | high[:, 1:])).sum(axis=1)
-    bounds = bounds.tolist()
-    for j in np.flatnonzero(size > 1).tolist():
-        f0, cells = rows[j], order[bounds[j]:bounds[j + 1]]
-        np.minimum(f0[:-1], f0[1:], out=lo)
-        np.maximum(f0[:-1], f0[1:], out=hi)
-        under, over = below[cells], above[cells]
-        changes[cells] = (
-            np.searchsorted(np.sort(lo, kind="stable"), over, "left")
-            - np.searchsorted(np.sort(hi, kind="stable"), under, "right"))
     return changes
 
 
@@ -671,13 +583,19 @@ def find_equilibria(params: DimensionlessParams,
                     ) -> list[Equilibrium]:
     """All zeros of the force curve on [0, pi], ascending, with stability.
 
-    The one-cell call of ``solve``.  The fields are Python floats whatever
-    number type the params hold.
+    The one-cell call of ``solve``; ``critical``, as ``critical_points``
+    gives it, stands in for the extrema.  The fields are Python floats
+    whatever number type the params hold.
     """
     a = params.mass_ratio
     c, g = float(params.capillary_ratio), float(params.contact_angle)
+    extrema = None
+    if critical is not None:
+        phis = {cp.kind: cp.phi0 for cp in critical}
+        extrema = (phis.get(ExtremumKind.MINIMUM, math.nan),
+                   phis.get(ExtremumKind.MAXIMUM, math.nan))
     out = []
-    for r in solve(a, c, g, critical).tolist():
+    for r in solve(a, c, g, extrema).tolist():
         if r != r:  # NaN pads the roots
             break
         slope = _slope(r, c, g)

@@ -22,7 +22,7 @@ between its extrema and the margin within each regime, so a cell's label
 follows from where its level falls among at most six such breakpoints
 per column (``_count_block`` has the proof).  The cells within a proven
 band of a breakpoint, none or one of the 40,000 of a default 200 x 200
-map at the contact angles tested, go through solve's stages together,
+map at the contact angles tested, go through one solve call together,
 once per map, as find_equilibria does; find_equilibria still bisects
 every root it prints.
 """
@@ -36,10 +36,10 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (_SCAN_GRID, _SCAN_SAG, _SCAN_SLACK, PHI0_TOL,
-                         ROOT_VALUE_TOL, NoSecondCriticalPointError, _bracket,
-                         _force_maximum, _roots, _scan_rows, bisect,
+                         ROOT_VALUE_TOL, NoSecondCriticalPointError,
+                         _force_maximum, _scan_rows, bisect,
                          critical_mass_ratio, find_equilibria, force_extrema,
-                         second_extremum_threshold)
+                         second_extremum_threshold, solve)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import DimensionlessParams, _force, total_force
 
@@ -85,7 +85,6 @@ class BoundaryCurve:
     kind: CurveKind
     points: np.ndarray  # (n, 2) columns: mass ratio, capillary ratio
     analytic: bool
-    gaps: tuple = ()    # requested samples with no solution
 
 
 @dataclass(frozen=True)
@@ -328,8 +327,9 @@ def region_map(contact_angle: float,
     breakpoints: the mass-free force at the extrema, at 0 and pi, and at
     the ends of the self-intersecting part of the overhang regime, found
     by one bisection of the margin over all columns.  The few cells
-    within a proven band of a breakpoint go through solve's stages
-    together (``_count_cells``).  The tangency curve bisects only the
+    within a proven band of a breakpoint go through one ``solve`` call
+    together, with the map's extrema (``_count_cells``), so the map finds
+    its extrema once.  The tangency curve bisects only the
     force maximum (``_force_maximum``).  find_equilibria runs the
     kernels on ``math`` and the blocks on NumPy, so the equality also
     needs their sin and cos to agree bit for bit, as
@@ -543,27 +543,20 @@ def _by_powers(coef, c):
 def _count_cells(a, c, g, extrema):
     """Equilibria and valid equilibria of the cells (a[k], c[k]).
 
-    ``extrema`` holds each cell's ``force_extrema``.  The cells run through
-    solve's stages together, each one a column of its own: ``_bracket``,
-    then ``_roots`` (bisection, dense-scan guard, dedup), and each root in
-    an overhang regime through ``intersection_margin``.
+    ``extrema`` holds each cell's ``force_extrema``, taken from the map's,
+    so the cells, each a column of its own, go through one ``solve`` call
+    that finds no extremum, and each root in an overhang regime through
+    ``intersection_margin``.
     """
-    n = np.zeros(a.size, dtype=np.int64)
-    n_valid = n.copy()
-    block = _bracket(a, c, g, extrema)
-    if block.a is None:
-        return n, n_valid
-    roots = _roots(block, g)
-    count = (roots == roots).sum(axis=1)
+    roots = solve(a, c, g, extrema)
+    n = (roots == roots).sum(axis=1)
     # only a root in an overhang regime can cross; NaN is in none
     i, k = np.nonzero(np.logical_or(*_overhang(roots, g)))
     cross = np.bincount(i, [
         intersection_margin(r, c_i, g) <= 0.0
-        for r, c_i in zip(roots[i, k].tolist(), block.c[i].tolist())],
-        minlength=count.size)
-    n[block.live] = count
-    n_valid[block.live] = count - cross.astype(np.int64)
-    return n, n_valid
+        for r, c_i in zip(roots[i, k].tolist(), c[i].tolist())],
+        minlength=n.size)
+    return n, n - cross.astype(np.int64)
 
 
 def region_map_csv(rm: RegionMap) -> str:
@@ -589,7 +582,7 @@ def region_map_json(rm: RegionMap) -> dict:
                 "kind": c.kind.value,
                 "analytic": c.analytic,
                 "points": [[float(a), float(cc)] for a, cc in c.points],
-                "gaps": list(c.gaps),
+                "gaps": [],
             }
             for c in rm.curves
         ],

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 
@@ -13,9 +13,8 @@ from floatcyl import equilibria
 from floatcyl.equilibria import (_SCAN_GRID, _SCAN_SLACK, ROOT_VALUE_TOL,
                                  ExtremumKind, ModelInconsistencyWarning,
                                  NoSecondCriticalPointError, Stability,
-                                 UnsupportedRegimeError, _bracket, _crossings,
-                                 _force_maximum, _node_forces, _rootless,
-                                 _scan_rows,
+                                 UnsupportedRegimeError, _crossings,
+                                 _force_maximum, _rootless, _scan_rows,
                                  asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, force_extrema,
@@ -269,6 +268,23 @@ class TestCriticalMass:
         with pytest.raises(NoSecondCriticalPointError):
             critical_mass_ratio(0.5, PI / 4)
 
+    # A* falls strictly in C toward its large-C limit pi.  C starts 0.1 %
+    # above the second-extremum threshold, clear of the band where the
+    # slope at pi rounds to zero (ROADMAP item 2)
+    @settings(derandomize=True, max_examples=300, database=None,
+              deadline=None)
+    @given(g=st.floats(0.0, PI), u=st.floats(0.0, 1.0),
+           v=st.floats(0.0, 1.0))
+    def test_critical_mass_decreases_in_c_property(self, g, u, v):
+        lo = math.log(max(1e-2, 1.001 * second_extremum_threshold(g)))
+        gap, hi = math.log(1.001), math.log(1e2)
+        assume(lo < hi - gap)
+        # log C1 < log C2 in [lo, hi], at least 0.1 % apart in C
+        x1 = lo + u * (hi - gap - lo)
+        x2 = x1 + gap + v * (hi - gap - x1)
+        a1, a2 = (critical_mass_ratio(math.exp(x), g)[0] for x in (x1, x2))
+        assert a1 > a2 > PI
+
     @pytest.mark.parametrize("c,g,a_star,phi0_star", [
         (1e3, 1.6, 3.141665115649953, 3.104419563380662),
         (1e10, 1.6, 3.1415926535897953, 3.1415806757137235),
@@ -432,46 +448,9 @@ class TestForceMaximum:
             assert got == want or (got != got and want != want)
 
 
-class TestNodeForces:
-    """_bracket's node forces from per-column terms equal _force's bits."""
-
-    @pytest.mark.parametrize("g", [0.0, PI / 2, PI])
-    def test_equal_force_on_seeded_blocks(self, g):
-        rng = np.random.default_rng(16)
-        caps = np.geomspace(1e-3, 1e3, 40)
-        minimum, maximum = force_extrema(caps, g)
-        extrema = np.column_stack([
-            np.zeros(caps.size), np.where(minimum == minimum, minimum, 0.0),
-            np.where(maximum == maximum, maximum, PI), np.full(caps.size, PI)])
-        for col_nodes in (extrema, rng.uniform(0.0, PI, (caps.size, 4))):
-            col = rng.integers(caps.size, size=600)
-            a = rng.uniform(0.05, 15.0, col.size)
-            c = caps[col]
-            got = _node_forces(a, c, col, col_nodes, caps, g)
-            want = _force(col_nodes[col], a[:, None], c[:, None], g)
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("g", [0.0, PI / 2, PI])
-    def test_block_brackets(self, g):
-        # the block's node roots and brackets, from _force per cell
-        a_axis = np.linspace(0.0, 12.0, 61)[1:]
-        caps = np.geomspace(1e-3, 1e3, 30)
-        block = _bracket(a_axis[:, None], caps[None, :], g)
-        f = _force(block.nodes, block.a[:, None], block.c[:, None], g)
-        on_node = np.abs(f) <= ROOT_VALUE_TOL
-        assert np.array_equal(block.bracket,
-                              (f[:, :-1] * f[:, 1:] < 0.0)
-                              & ~on_node[:, :-1] & ~on_node[:, 1:])
-        n_nodes = block.nodes.shape[1]
-        assert np.array_equal(block.found[:, :n_nodes],
-                              np.where(on_node, block.nodes, np.nan),
-                              equal_nan=True)
-        assert block.bracket.any()
-
-
 class TestCrossings:
-    """A cell alone in its column counts its crossings with no sort, as the
-    sorted bounds of a shared column count them."""
+    """Each cell counts its crossings on its column's row, whether it has
+    the column to itself or shares it, as a brute-force count does."""
 
     def test_lone_and_shared_columns_agree(self):
         rng = np.random.default_rng(17)
@@ -496,6 +475,10 @@ class TestCrossings:
             assert (brute > 0).all() and (brute > 1).any()
 
 
+# solve's extrema when there are none: one segment [0, pi]
+NO_EXTREMA = (math.nan, math.nan)
+
+
 def cell_roots(padded):
     """solve's NaN-padded roots as one list per cell, in C order."""
     return [[x for x in row if x == x]
@@ -513,14 +496,14 @@ class TestSolve:
                               for x in a.tolist()]
 
     def test_block_without_extrema_matches_find_equilibria(self):
-        # critical=[] leaves one segment [0, pi]: the guard must recover
+        # no extrema leave one segment [0, pi]: the guard must recover
         # every missed root, in a block as in a single cell
         a = np.concatenate([np.linspace(0.5, 12.0, 24), [3.7, 3.8, 3.9]])
         c = np.array([0.7, 2.0, 3.1])
         for g in (PI / 2, 2.6):
             with pytest.warns(ModelInconsistencyWarning):
                 block = cell_roots(solve(a[:, None], c[None, :], g,
-                                         critical=[]))
+                                         NO_EXTREMA))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ModelInconsistencyWarning)
                 want = [[eq.phi0 for eq in find_equilibria(
@@ -529,12 +512,24 @@ class TestSolve:
             assert block == want
             assert max(len(roots) for roots in want) == 2
 
+    @pytest.mark.parametrize("g", [0.0, PI / 2, PI])
+    def test_block_brackets(self, g):
+        # a block's node roots and brackets, from _force over its columns,
+        # give each cell the roots it has alone, from _force on floats
+        a_axis = np.linspace(0.0, 12.0, 61)[1:]
+        caps = np.geomspace(1e-3, 1e3, 30)
+        block = cell_roots(solve(a_axis[:, None], caps[None, :], g))
+        alone = [[x for x in solve(x, y, g).tolist() if x == x]
+                 for x in a_axis.tolist() for y in caps.tolist()]
+        assert _bits(block) == _bits(alone)
+        assert any(block)
+
     def test_guard_root_joins_on_node_zeros(self):
         # zeros on the nodes at 0 and a guard root in one row: one root at
         # 0, the guard's, one warning, no padding column (captured values)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            roots = solve(0.0, 1.0, 0.0, critical=[])
+            roots = solve(0.0, 1.0, 0.0, NO_EXTREMA)
         assert roots.shape == (2,)
         assert roots.tolist() == [0.0, 2.282271149032337]
         assert [(w.category, str(w.message)) for w in caught] == [(
@@ -554,7 +549,7 @@ class TestSolve:
             roots = solve(a, c, g)
             assert roots.shape == (1,)
             assert roots.tolist() == [PI]
-            column = solve(np.array([0.0, a]), c, g, critical=[])
+            column = solve(np.array([0.0, a]), c, g, NO_EXTREMA)
         assert column.shape == (2, 1)
         assert column.tolist() == [[2.0703197066879953], [PI]]
 
@@ -577,7 +572,7 @@ class TestSolve:
                                    for x, a in zip(c.tolist(), a_end)])
                 a = np.concatenate([near[:, None] * a_end,
                                     near[:, None] * a_star, [2.0 * a_star]])
-                block = solve(a, c, g, critical=[])
+                block = solve(a, c, g, NO_EXTREMA)
                 pinned.append((block.shape, block.tolist()))
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", ModelInconsistencyWarning)
@@ -617,8 +612,8 @@ class TestSolve:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             pinned = [solve(a, c, g) for a, c, g in cells]
-            pinned += [solve(a, c, g, critical) for g, a, c in _by_angle(cells)
-                       for critical in (None, [])]
+            pinned += [solve(a, c, g, extrema) for g, a, c in _by_angle(cells)
+                       for extrema in (None, NO_EXTREMA)]
         texts = [str(w.message) for w in caught]
         digest = repr(([(x.shape, x.tolist()) for x in pinned], texts))
         assert len(texts) == 308
@@ -675,11 +670,11 @@ class TestSolve:
             a = np.vstack([a.reshape(-1, 26).T,
                            rng.uniform(0.05, 15.0, (6, a.size // 26))])
             c = c.reshape(-1, 26)[:, 0]
-            for critical in (None, []):
+            for extrema in (None, NO_EXTREMA):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    block = cell_roots(solve(a, c, g, critical))
-                    alone = [[x for x in solve(x, y, g, critical).tolist()
+                    block = cell_roots(solve(a, c, g, extrema))
+                    alone = [[x for x in solve(x, y, g, extrema).tolist()
                               if x == x]
                              for x, y in zip(a.ravel().tolist(),
                                              np.resize(c, a.size).tolist())]
@@ -687,7 +682,7 @@ class TestSolve:
                 n = len(texts) // 2
                 assert texts[:n] == texts[n:]
                 assert _bits(block) == _bits(alone)
-                if critical == []:
+                if extrema is NO_EXTREMA:
                     assert n > 0
                 # one live cell in a block of rootless ones takes the lone
                 # branches with its own column's row.  Row 20 of a column's
@@ -698,9 +693,9 @@ class TestSolve:
                     solo[k] = a[20, k]
                     with warnings.catch_warnings(record=True) as caught:
                         warnings.simplefilter("always")
-                        block = cell_roots(solve(solo, c, g, critical))
+                        block = cell_roots(solve(solo, c, g, extrema))
                         alone = [x for x in solve(solo[k], c[k], g,
-                                                  critical).tolist() if x == x]
+                                                  extrema).tolist() if x == x]
                     texts = [str(w.message) for w in caught]
                     n = len(texts) // 2
                     assert texts[:n] == texts[n:]

@@ -1,8 +1,13 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import floatcyl
+
+SOURCES = {path.stem: ast.parse(path.read_text())
+           for path in Path(floatcyl.__file__).resolve().parent.glob("*.py")}
 
 SUBMODULES = ["equilibria", "intersection", "model", "oracles", "regions"]
 ALL = [
@@ -56,3 +61,70 @@ class TestNamespace:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             floatcyl.no_such_name
+
+
+def _imported(tree):
+    """The names a module's imports bind, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _read(tree):
+    """The names a module reads, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _private_definitions(tree):
+    """The private names a module binds at module level, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [leaf.id for target in targets for leaf in ast.walk(target)
+                     if isinstance(leaf, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.endswith("__"))
+
+
+def _unused_imports(tree):
+    bare = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(set(_imported(tree)) - bare)
+
+
+def _unreferenced(sources):
+    read = {name for tree in sources.values() for name in _read(tree)}
+    return sorted(f"{module}.{name}" for module, tree in sources.items()
+                  for name in _private_definitions(tree) if name not in read)
+
+
+class TestSourceHygiene:
+    """What a refactor leaves behind, checked with ``ast``: tests do not
+    count as references."""
+
+    @pytest.mark.parametrize("module", sorted(SOURCES))
+    def test_every_import_is_used(self, module):
+        assert _unused_imports(SOURCES[module]) == []
+
+    def test_every_private_name_is_referenced(self):
+        assert _unreferenced(SOURCES) == []
+
+    def test_leftovers_are_caught(self):
+        stale = ast.parse("from .equilibria import _bracket, solve\n"
+                          "_STEP = 2\n_a, (_b, c) = 1, (2, 3)\n"
+                          "def _stage():\n    return solve(_b)\n")
+        assert _unused_imports(stale) == ["_bracket"]
+        assert _unreferenced({"m": stale}) == ["m._STEP", "m._a", "m._stage"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floatcyl import regions
+from floatcyl import equilibria, regions
 from floatcyl.equilibria import (ModelInconsistencyWarning,
                                  NoSecondCriticalPointError,
                                  critical_mass_ratio, find_equilibria,
@@ -318,7 +318,8 @@ def bisected_labels(rm):
 
 
 class TestSettledLabels:
-    """Labels read from the guard's rows equal the fully bisected ones."""
+    """Labels read from the breakpoints, with the fallback's for the cells
+    they leave open, equal the fully bisected ones."""
 
     @pytest.mark.parametrize("g", [0.0, 0.05, 0.7, PI / 2, 2.3, 3.0, PI])
     def test_default_grid(self, g):
@@ -328,7 +329,7 @@ class TestSettledLabels:
     def test_windows_where_lanes_stay_unsettled(self, monkeypatch):
         # close to the tangency curve the two roots pair up, near the
         # corner the root count changes, near the intersection curve the
-        # margin changes sign: cells there fall back to solve's stages
+        # margin changes sign: cells there fall back to one solve call
         fallback = _count_fallback(monkeypatch)
         a_star = critical_mass_ratio(1.0, PI / 2)[0]
         a_0, c_0 = two_equilibrium_corner(PI / 4)
@@ -346,10 +347,29 @@ class TestSettledLabels:
 
     @pytest.mark.parametrize("g", [0.0, 0.05, 0.7, PI / 2, 2.3, 3.0, PI])
     def test_few_cells_fall_back(self, g, monkeypatch):
-        # the rows settle all but 0.08-0.24 % of the default grid
+        # the breakpoints settle all but none or one cell of the default
+        # grid at these angles
         fallback = _count_fallback(monkeypatch)
         region_map(g, resolution=(200, 200), curve_samples=0)
-        assert sum(fallback) < 0.005 * 200 * 200
+        assert sum(fallback) <= 2
+
+    def test_fallback_takes_the_map_extrema(self, monkeypatch):
+        # a window around A* at C = 1 sends thousands of cells through the
+        # fallback, which finds no extremum of its own: the map's one call
+        # serves every column and every fallback cell
+        fallback = _count_fallback(monkeypatch)
+        calls = []
+        force_extrema = equilibria.force_extrema
+
+        def counted(*args):
+            calls.append(args)
+            return force_extrema(*args)
+
+        for module in (regions, equilibria):
+            monkeypatch.setattr(module, "force_extrema", counted)
+        region_map(PI / 2, (5.8092, 5.8094), (0.9999, 1.0001))
+        assert len(calls) == 1
+        assert sum(fallback) > 5000
 
     @settings(derandomize=True, max_examples=30, database=None,
               deadline=None)

@@ -60,11 +60,6 @@ _SCAN_SLACK = 64.0 * sys.float_info.epsilon
 # An interior extremum of F lies within half a grid step h of a grid point,
 # where F' = 0, so F there is within |F''| h^2 / 8 of that point's value.
 _SCAN_SAG = (PI / (len(_SCAN_GRID) - 1)) ** 2 / 8.0
-# _rootless's margin 2 _SCAN_SLACK (1+C)^2 + (2 + 9C + 2C^2) _SCAN_SAG
-# + ROOT_VALUE_TOL, by powers of C
-_MARGIN = (2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG + ROOT_VALUE_TOL,
-           4.0 * _SCAN_SLACK + 9.0 * _SCAN_SAG,
-           2.0 * _SCAN_SLACK + 2.0 * _SCAN_SAG)
 # Bracketed segments up to which solve bisects each on floats: an array
 # bisection's halving costs about as much in NumPy calls as one halving
 # of 20 float lanes.  A lone cell brackets at most three; region_map's
@@ -86,11 +81,11 @@ class ExtremumKind(str, Enum):
     MAXIMUM = "maximum"
 
 
-class NoSecondCriticalPointError(Exception):
+class NoSecondCriticalPointError(ValueError):
     """The force curve has no interior maximum past pi/2 in this regime."""
 
 
-class UnsupportedRegimeError(Exception):
+class UnsupportedRegimeError(ValueError):
     """Asked for an asymptotic series outside its derivation regime."""
 
 
@@ -285,6 +280,24 @@ def _lanes(idx, *arrays):
     return [float(x[idx[0]]) for x in arrays]
 
 
+def _bounds(c):
+    """(s, S, K) for a float or array C, which the solver's proofs rest on:
+    _force and the guard's rows round within s = _SCAN_SLACK (1+C)^2 of the
+    exact F, and the sizes of the terms of F' and F'' add to
+    S = 2 + 6C + 2C^2 and K = 2 + 9C + 2C^2 (``test_curvature_bound``)."""
+    u = 1.0 + c
+    return (_SCAN_SLACK * (u * u), 2.0 + c * (6.0 + 2.0 * c),
+            2.0 + c * (9.0 + 2.0 * c))
+
+
+def _nodes(minimum, maximum, size):
+    """The (4, size) segment nodes [0, minimum or 0, maximum or pi, pi]."""
+    zero = np.zeros(size)
+    pi = zero + PI
+    return np.stack([zero, np.where(minimum == minimum, minimum, zero),
+                     np.where(maximum == maximum, maximum, pi), pi])
+
+
 def solve(mass_ratios, capillary_ratios, contact_angle: float,
           extrema=None) -> np.ndarray:
     """Ascending zeros of F on [0, pi] for every cell, padded with NaN.
@@ -293,7 +306,8 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     ``capillary_ratios``; the result has the broadcast shape plus one
     trailing axis, as wide as the most roots a cell has.  Each capillary
     ratio is a column with the guard's row F(_SCAN_GRID; A=0) and the nodes
-    0, minimum, maximum and pi, a missing extremum at 0 or pi.  ``extrema``
+    0, minimum, maximum and pi (``_nodes``, which ``regions._count_block``
+    reads its labels from too), a missing extremum at 0 or pi.  ``extrema``
     is the (minimum, maximum) pair of ``force_extrema``, as floats or as
     arrays with one entry per capillary ratio; None finds them.  A cell
     whose level A C^2 lies so far outside its row's range that F provably
@@ -326,13 +340,7 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     if extrema is None:
         # a lone column finds its extrema on floats
         extrema = force_extrema(cap.item() if cap.size == 1 else caps, g)
-    minimum, maximum = extrema
-    zero = np.zeros(cap.size)
-    pi = zero + PI
-    nodes = np.column_stack([zero,
-                             np.where(minimum == minimum, minimum, zero),
-                             np.where(maximum == maximum, maximum, pi),
-                             pi])[col]
+    nodes = _nodes(*extrema, cap.size).T[col]
     # one capillary ratio runs on floats: faster, and the same bits
     f_nodes = _force(nodes, a[:, None],
                      cap.item() if cap.size == 1 else c[:, None], g)
@@ -412,39 +420,39 @@ def _rootless(rows, a, caps, col):
     ``rows`` holds each column's ``_scan_rows``, and ``col`` each cell's
     column.  A cell is rootless when its level A C^2 lies above its row's
     maximum, or below its minimum, by more than the margin
-    2 _SCAN_SLACK (1+C)^2 + K _SCAN_SAG + ROOT_VALUE_TOL, K = 2 + 9C + 2C^2.
-    A lone cell, as in each find_equilibria call, runs the same operations
-    in the same order on Python floats, so it decides as the arrays do.
-    Proof, for the level above (below is its mirror image):
+    M = 2s + K _SCAN_SAG + ROOT_VALUE_TOL, with the slack s and the bound
+    K on |F''| from ``_bounds``.  A lone cell, as in each find_equilibria
+    call, runs the same operations in the same order on Python floats, so
+    it decides as the arrays do.  Proof, for the level above (below is its
+    mirror image):
 
-    * The rows lie within one slack of _force on the grid
+    * The rows lie within s of _force on the grid
       (``test_scan_slack_bounds_the_expansion``), and _force, on the grid
-      or at a node, within one slack of the exact F: its terms add to a few
+      or at a node, within s of the exact F: its terms add to a few
       (1+C)^2 and each rounds by an ulp or two.  A level far past the rows
       adds rounding of a few ulps of itself, far below |F|, which grows
       with it.  The test's own rounding is far below the K term (> 2e-6).
-    * ``force_curvature``'s four terms bound |F''| by K.  The largest
+    * |F''| <= K (``test_curvature_bound``).  The largest
       F(x; A=0) on [0, pi] lies at a grid end, or at an interior x* with
       F'(x*) = 0 and some grid point within h/2 of it, where F is within
       K h^2 / 8 = K _SCAN_SAG of F(x*).
 
     So F < -ROOT_VALUE_TOL on all of [0, pi]: every node value has one sign
     with |F| > ROOT_VALUE_TOL, no segment brackets, and ``_scan_guard``,
-    widened by one slack, counts no crossing.  ``solve`` without the test
-    finds no root for these cells either.  The proof does not rest on the
-    monotone-segment structure, so it needs no guard behind it.  The margin
-    follows ROOT_VALUE_TOL: should that become force-scaled, so must the
-    margin's last term.
+    widened by s, counts no crossing.  ``solve`` without the test finds no
+    root for these cells either.  The proof does not rest on the
+    monotone-segment structure, so it needs no guard behind it.  M follows
+    ROOT_VALUE_TOL: should that become force-scaled, so must M's last term.
     """
-    m0, m1, m2 = _MARGIN
-    if a.size == 1:  # so one column too
-        c = caps.item()
-        margin = m0 + c * (m1 + c * m2)
+    lone = a.size == 1  # so one column too
+    c = caps.item() if lone else caps
+    s, _, K = _bounds(c)
+    margin = 2.0 * s + K * _SCAN_SAG + ROOT_VALUE_TOL
+    if lone:
         level = a.item() * c * c
         row, = rows
         return np.array([level > row.max() + margin
                          or level < row.min() - margin])
-    margin = m0 + caps * (m1 + caps * m2)
     c = caps[col]
     level = a * c * c
     return ((level > (rows.max(axis=1) + margin)[col])
@@ -477,9 +485,9 @@ def _scan_guard(windows, a, c, col, rows):
 
     Each grid interval where F(.; A=0) strictly crosses the level A C^2
     needs a root within _SCAN_PAD.  The count runs on ``rows``, each
-    column's ``_scan_rows``, widened by the slack so that it never falls
-    below _force's crossings, and leaves out the intervals in a root's
-    window [first, last] (``_window``).  ``windows`` lists them in
+    column's ``_scan_rows``, widened by the slack s of ``_bounds`` so that
+    it never falls below _force's crossings, and leaves out the intervals
+    in a root's window [first, last] (``_window``).  ``windows`` lists them in
     ascending root order: for a block, as arrays (cell, first, last); for
     a lone cell, as find_equilibria makes, as (first, last) pairs of ints.
     In a block, ``_crossings`` counts the intervals reaching within the
@@ -492,7 +500,7 @@ def _scan_guard(windows, a, c, col, rows):
     if a.size == 1:
         a_i, c_i = a.item(), c.item()
         level = a_i * c_i * c_i
-        slack = _SCAN_SLACK * ((1.0 + c_i) * (1.0 + c_i))
+        slack = _bounds(c_i)[0]
         f0 = rows[col[0]]
         crossing = np.flatnonzero(
             (np.minimum(f0[:-1], f0[1:]) < level + slack)
@@ -503,7 +511,7 @@ def _scan_guard(windows, a, c, col, rows):
         return [0]
 
     level = a * c * c
-    slack = _SCAN_SLACK * (1.0 + c) ** 2
+    slack = _bounds(c)[0]
     # An interval counts when lo < above and below < hi.  |F| <= pi (1+C)^2
     # on the grid, so the slack is over 20 ulps of any level a bound can
     # reach: hi <= below implies lo < above, and a flat interval needs no
@@ -674,24 +682,33 @@ def asymptotic_critical_mass(capillary_ratio: float, contact_angle: float,
                              + (7/3) 2^(-13/4) / C^(3/2)
 
     The series exist only for contact angle pi/2; anything else raises
-    UnsupportedRegimeError, and a C too small for a finite A* ValueError.
+    UnsupportedRegimeError.  A C that is not positive and finite, too small
+    for a finite A*, or so large that a power of it overflows raises
+    ValueError.
     """
     if contact_angle != PI / 2.0:
         raise UnsupportedRegimeError(
             f"asymptotic series are derived for contact_angle = pi/2 only, "
             f"got {contact_angle!r}")
-    if not capillary_ratio > 0.0:
-        raise ValueError(f"capillary_ratio must be positive, got {capillary_ratio!r}")
     c = capillary_ratio
-    if regime == "small":
-        a_star = _finite_mass(2.0, c ** 2, c) + 2.0 + PI - 2.0 * math.sqrt(2.0) * c
-        phi0_star = (PI - math.sqrt(2.0) * c + 2.0 * c ** 2
-                     - (7.0 / 12.0) * math.sqrt(2.0) * c ** 3)
-    elif regime == "large":
-        a_star = PI + _finite_mass((1.0 / 3.0) * 2.0 ** (11.0 / 4.0),
-                                   c ** 1.5, c)
-        phi0_star = (PI - 2.0 ** 0.25 / math.sqrt(c) + 2.0 ** -0.5 / c
-                     + (7.0 / 3.0) * 2.0 ** (-13.0 / 4.0) / c ** 1.5)
-    else:
-        raise ValueError(f'regime must be "small" or "large", got {regime!r}')
+    if not 0.0 < c < math.inf:
+        raise ValueError(
+            f"capillary_ratio must be strictly positive and finite, got {c!r}")
+    try:
+        if regime == "small":
+            a_star = (_finite_mass(2.0, c ** 2, c) + 2.0 + PI
+                      - 2.0 * math.sqrt(2.0) * c)
+            phi0_star = (PI - math.sqrt(2.0) * c + 2.0 * c ** 2
+                         - (7.0 / 12.0) * math.sqrt(2.0) * c ** 3)
+        elif regime == "large":
+            a_star = PI + _finite_mass((1.0 / 3.0) * 2.0 ** (11.0 / 4.0),
+                                       c ** 1.5, c)
+            phi0_star = (PI - 2.0 ** 0.25 / math.sqrt(c) + 2.0 ** -0.5 / c
+                         + (7.0 / 3.0) * 2.0 ** (-13.0 / 4.0) / c ** 1.5)
+        else:
+            raise ValueError(
+                f'regime must be "small" or "large", got {regime!r}')
+    except OverflowError:
+        raise ValueError(f"capillary_ratio={c!r} is too large for the "
+                         f"{regime} series: a power of C overflows") from None
     return a_star, phi0_star

@@ -50,7 +50,7 @@ PI = math.pi
 _MARGIN_CONST = math.sqrt(2.0) + math.log(math.tan(PI / 8.0))
 
 
-class FlatInterfaceError(Exception):
+class FlatInterfaceError(ValueError):
     """phi0 + gamma = pi: the interface is flat and can never self-intersect."""
 
 
@@ -74,11 +74,14 @@ def intersection_margin(phi0: float, capillary_ratio: float,
     Positive means the interfaces stay apart; <= 0 means they cross (when
     the overhang regime applies).  Raises FlatInterfaceError at
     phi0 + gamma = pi, where the logarithm diverges and no crossing is
-    possible.
+    possible, and ValueError for a non-finite phi0 or a capillary ratio
+    that is not positive and finite.
     """
-    if not capillary_ratio > 0.0:
-        raise ValueError(
-            f"capillary_ratio must be positive, got {capillary_ratio!r}")
+    if not 0.0 < capillary_ratio < math.inf:
+        raise ValueError(f"capillary_ratio must be strictly positive and "
+                         f"finite, got {capillary_ratio!r}")
+    if not math.isfinite(phi0):
+        raise ValueError(f"phi0 must be finite, got {phi0!r}")
     if (phi0 + contact_angle - PI) / 4.0 == 0.0:
         raise FlatInterfaceError(
             f"flat interface at phi0={phi0!r}, contact_angle={contact_angle!r}")

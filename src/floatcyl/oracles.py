@@ -31,7 +31,7 @@ from .model import (DimensionlessParams, _force, center_height,
 PI = math.pi
 
 
-class QuadratureError(Exception):
+class QuadratureError(ValueError):
     """The in-repo QUADPACK rule missed its accuracy target.
 
     Raised where ``dqagse`` would bisect a second time (this port stops at

@@ -35,9 +35,8 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import (_SCAN_GRID, _SCAN_SAG, _SCAN_SLACK, PHI0_TOL,
-                         ROOT_VALUE_TOL, NoSecondCriticalPointError,
-                         _force_maximum, _scan_rows, bisect,
+from .equilibria import (_SCAN_GRID, _SCAN_SAG, PHI0_TOL, ROOT_VALUE_TOL,
+                         _bounds, _force_maximum, _nodes, _scan_rows, bisect,
                          critical_mass_ratio, find_equilibria, force_extrema,
                          second_extremum_threshold, solve)
 from .intersection import _margin, _overhang, intersection_margin, validity
@@ -46,21 +45,6 @@ from .model import DimensionlessParams, _force, total_force
 PI = math.pi
 # Guard-row points per block of _widen_flat (whole columns, at least one).
 _BLOCK_SIZE = 30000
-# With S = 2 + 6C + 2C^2 >= |F'| and K = 2 + 9C + 2C^2 >= |F''|
-# (``force_slope``'s and ``force_curvature``'s terms) and
-# s = _SCAN_SLACK (1+C)^2, by powers of C (see _count_block): the band
-# B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S around each breakpoint,
-_BAND = (ROOT_VALUE_TOL + 4.0 * _SCAN_SLACK + 6.0 * PHI0_TOL,
-         8.0 * _SCAN_SLACK + 18.0 * PHI0_TOL,
-         4.0 * _SCAN_SLACK + 6.0 * PHI0_TOL)
-# the rise T = 8 K _SCAN_SAG + 10s + 2 PHI0_TOL S of a flat grid interval,
-_FLAT = (16.0 * _SCAN_SAG + 10.0 * _SCAN_SLACK + 4.0 * PHI0_TOL,
-         72.0 * _SCAN_SAG + 20.0 * _SCAN_SLACK + 12.0 * PHI0_TOL,
-         16.0 * _SCAN_SAG + 10.0 * _SCAN_SLACK + 4.0 * PHI0_TOL)
-# and the widening D = B + K _SCAN_SAG + 4s of a flat interval's rows.
-_WIDEN = (_BAND[0] + 2.0 * _SCAN_SAG + 4.0 * _SCAN_SLACK,
-          _BAND[1] + 9.0 * _SCAN_SAG + 8.0 * _SCAN_SLACK,
-          _BAND[2] + 2.0 * _SCAN_SAG + 4.0 * _SCAN_SLACK)
 # The margin's rounding band, per unit of C + 4 (see _count_block).
 _MARGIN_BAND = 2.0 ** -40
 
@@ -107,8 +91,10 @@ def endpoint_boundary_c(contact_angle: float, mass_ratio: float) -> float | None
     For contact angles away from 0 and pi: C = sqrt(2 sin(gamma)/(A - pi)),
     defined for A > pi only.  At gamma in {0, pi} the condition is the
     vertical line A = pi, which has no single-valued C(A) form; this
-    returns None there (use endpoint_boundary_is_vertical).
+    returns None there (use endpoint_boundary_is_vertical).  A non-finite
+    mass ratio raises ValueError.
     """
+    _check_finite_mass(mass_ratio)
     if endpoint_boundary_is_vertical(contact_angle):
         return None
     if mass_ratio <= PI:
@@ -132,10 +118,15 @@ def two_equilibrium_corner(contact_angle: float) -> tuple[float, float]:
     return a0, c0
 
 
+def _check_finite_mass(mass_ratio):
+    if not math.isfinite(mass_ratio):
+        raise ValueError(f"mass_ratio must be finite, got {mass_ratio!r}")
+
+
 def _critical_mass_or_none(capillary_ratio, contact_angle):
     try:
         return critical_mass_ratio(capillary_ratio, contact_angle)[0]
-    except (NoSecondCriticalPointError, ValueError):
+    except ValueError:
         return None  # no maximum, or a C too large to bracket it
 
 
@@ -149,8 +140,9 @@ def tangency_boundary_c(contact_angle: float,
     ratio at or below pi, no bracket below C = 1e6 (nor where the
     threshold C of a contact angle below about 1e-8 is too large for
     ``critical_mass_ratio``), or, for contact angles below pi/2, at or
-    above the corner value A0.
+    above the corner value A0.  A non-finite mass ratio raises ValueError.
     """
+    _check_finite_mass(mass_ratio)
     if mass_ratio <= PI:
         return None
     thr = second_extremum_threshold(contact_angle)
@@ -390,7 +382,7 @@ def _count_block(a_axis, cs, g, extrema):
     Both (len(a_axis), len(cs)) int arrays; ``extrema`` is the columns'
     ``force_extrema``.  In a column F = F0 - L, with F0 = F(.; A=0) and
     the level L = A C^2, and F0 is monotone on the segments between the
-    nodes 0, minimum, maximum and pi, which solve's brackets rest on.  So
+    nodes (``_nodes``) 0, minimum, maximum and pi, solve's brackets.  So
     a cell's count is the number of segments whose node values straddle
     L, and a segment's root lies in [p, q] (clipped to the segment)
     exactly when F0(p) - L and F0(q) - L differ in sign.  The margin is
@@ -399,13 +391,14 @@ def _count_block(a_axis, cs, g, extrema):
     interval [p, q] with one end at 0 or pi and the other at z-, and so
     is the part where it is at most +b, with z+ (``_intersecting_parts``):
     a root in the first part is invalid, one outside the second valid.
-    The breakpoints are F0 at the nodes, at z- and at z+.  A cell whose
-    level lies within the band B of a breakpoint, or within D of the rows
-    of a flat grid interval, or whose root falls between the two parts,
-    reads -1, for ``_count_cells``.  The rest get solve's counts.  With
-    s = _SCAN_SLACK (1+C)^2, S and K the bounds on |F'| and |F''| (see
-    _BAND), h the grid step and LB = PHI0_TOL + 4 eps pi bisect's last
-    bracket:
+    The breakpoints are F0 at the nodes, at z- and at z+.  With the slack
+    s, S >= |F'| and K >= |F''| from ``_bounds``, h the grid step and
+    LB = PHI0_TOL + 4 eps pi bisect's last bracket, a cell whose level lies
+    within B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S of a breakpoint, or within
+    D = B + K _SCAN_SAG + 4s of the rows of a flat grid interval, one whose
+    rows rise by at most T = 8K _SCAN_SAG + 10s + 2 PHI0_TOL S, or whose
+    root falls between the two parts, reads -1, for ``_count_cells``.  The
+    rest get solve's counts:
 
     * Rounding.  _force at a point, with A = 0 or with a level in the
       node values' range, lies within s of the exact F: its terms add to
@@ -447,11 +440,7 @@ def _count_block(a_axis, cs, g, extrema):
       the flat intervals around it, widened by D: by the rows' slack and
       sag, about K _SCAN_SAG where F'' is not small.
     """
-    minimum, maximum = extrema
-    zero = np.zeros(cs.size)
-    nodes = np.stack([zero, np.where(minimum == minimum, minimum, zero),
-                      np.where(maximum == maximum, maximum, zero + PI),
-                      zero + PI])
+    nodes = _nodes(*extrema, cs.size)
     parts = _intersecting_parts(cs, g)
     f_nodes = _force(nodes, 0.0, cs, g)
     # F0 at the ends of each segment's share of each part
@@ -460,9 +449,12 @@ def _count_block(a_axis, cs, g, extrema):
     # the parts' other ends, 0 or pi, repeat two node values
     breakpoints = np.concatenate(
         [f_nodes, _force(parts, 0.0, cs, g).reshape(4, -1)])
-    band = _by_powers(_BAND, cs)
-    lo, hi = breakpoints - band, breakpoints + band
-    _widen_flat(lo, hi, nodes, cs, g)
+    s, S, K = _bounds(cs)
+    B = ROOT_VALUE_TOL + 4.0 * s + 3.0 * PHI0_TOL * S
+    T = 8.0 * K * _SCAN_SAG + 10.0 * s + 2.0 * PHI0_TOL * S
+    D = B + K * _SCAN_SAG + 4.0 * s
+    lo, hi = breakpoints - B, breakpoints + B
+    _widen_flat(lo, hi, nodes, cs, g, T, D)
 
     level = a_axis[:, None] * cs * cs
     unsettled = np.zeros(level.shape, dtype=bool)
@@ -515,12 +507,12 @@ def _intersecting_parts(cs, g):
     return np.stack([end, z] if rising else [z, end], axis=1)
 
 
-def _widen_flat(lo, hi, nodes, cs, g):
+def _widen_flat(lo, hi, nodes, cs, g, rise, widen):
     """Widen the nodes' bands, the first four rows of ``lo`` and ``hi``,
-    over the rows of each flat grid interval, widened by D and given to
-    the nearest node (see _count_block).  The rows go a block of columns
-    at a time, which keeps them small."""
-    rise, widen = _by_powers(_FLAT, cs), _by_powers(_WIDEN, cs)
+    over the rows of each flat grid interval, one whose rows rise by at
+    most ``rise`` (_count_block's T), widened by ``widen`` (its D) and
+    given to the nearest node.  The rows go a block of columns at a time,
+    which keeps them small."""
     width = max(1, _BLOCK_SIZE // len(_SCAN_GRID))
     for j0 in range(0, cs.size, width):
         rows = _scan_rows(cs[j0:j0 + width], g)
@@ -533,11 +525,6 @@ def _widen_flat(lo, hi, nodes, cs, g):
         k = np.abs(nodes[:, col] - mid).argmin(axis=0)
         np.minimum.at(lo, (k, col), np.minimum(f0, f1) - widen[col])
         np.maximum.at(hi, (k, col), np.maximum(f0, f1) + widen[col])
-
-
-def _by_powers(coef, c):
-    """coef[0] + coef[1] C + coef[2] C^2, evaluated by powers of C."""
-    return coef[0] + c * (coef[1] + c * coef[2])
 
 
 def _count_cells(a, c, g, extrema):

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 
 from floatcyl import equilibria
-from floatcyl.equilibria import (_SCAN_GRID, _SCAN_SLACK, ROOT_VALUE_TOL,
-                                 ExtremumKind, ModelInconsistencyWarning,
+from floatcyl.equilibria import (_SCAN_GRID, ROOT_VALUE_TOL, ExtremumKind,
+                                 ModelInconsistencyWarning,
                                  NoSecondCriticalPointError, Stability,
-                                 UnsupportedRegimeError, _crossings,
+                                 UnsupportedRegimeError, _bounds, _crossings,
                                  _force_maximum, _rootless, _scan_rows,
                                  asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
@@ -344,8 +344,12 @@ class TestCriticalMass:
             asymptotic_critical_mass(1.0, PI / 3, "small")
         with pytest.raises(ValueError, match="regime"):
             asymptotic_critical_mass(1.0, PI / 2, "medium")
-        with pytest.raises(ValueError, match="capillary_ratio"):
-            asymptotic_critical_mass(-1.0, PI / 2, "small")
+        # not positive and finite, or a power of C that overflows
+        for c, regime in ((-1.0, "small"), (math.inf, "small"),
+                          (math.inf, "large"), (1e160, "small"),
+                          (1e300, "large")):
+            with pytest.raises(ValueError, match="capillary_ratio"):
+                asymptotic_critical_mass(c, PI / 2, regime)
 
 
 def _random_brackets(kernel, n, seed):
@@ -462,7 +466,7 @@ class TestCrossings:
             level = (rows.min(axis=1)
                      + rng.uniform(0.0, 1.0, caps.size) * np.ptp(rows, axis=1))
             level[::7] = rows[::7, 500]
-            slack = _SCAN_SLACK * (1.0 + caps) ** 2
+            slack = _bounds(caps)[0]
             below, above = level - slack, level + slack
             lone = _crossings(rows, np.arange(caps.size), below, above)
             shared = _crossings(rows, np.repeat(np.arange(caps.size), 2),
@@ -752,7 +756,7 @@ class TestScanGuard:
         for c_i, g_i in zip(c.tolist(), g.tolist()):
             row, = _scan_rows(np.array([c_i]), g_i)
             gap = np.max(np.abs(row - _force(_SCAN_GRID, 0.0, c_i, g_i)))
-            worst = max(worst, gap / (_SCAN_SLACK * (1.0 + c_i) ** 2))
+            worst = max(worst, gap / _bounds(c_i)[0])
         assert worst <= 1.0
         # a lone row is one vector product, a block's rows one matrix
         # product, which may sum in another order
@@ -761,4 +765,4 @@ class TestScanGuard:
             c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 1000))
             gap = np.abs(_scan_rows(c, g)
                          - _force(_SCAN_GRID, 0.0, c[:, None], g)).max(axis=1)
-            assert np.all(gap <= _SCAN_SLACK * (1.0 + c) ** 2), g
+            assert np.all(gap <= _bounds(c)[0]), g

@@ -48,6 +48,10 @@ class TestMargin:
     def test_validation(self):
         with pytest.raises(ValueError, match="capillary_ratio"):
             intersection_margin(0.3, -1.0, 0.2)
+        with pytest.raises(ValueError, match="capillary_ratio"):
+            intersection_margin(1.0, math.inf, 2.0)
+        with pytest.raises(ValueError, match="phi0"):
+            intersection_margin(math.nan, 1.0, 2.0)
 
     # region_map reads a root's margin sign off the ends of its bracket:
     # that needs the margin monotone in each overhang regime, and its math

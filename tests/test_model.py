@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from floatcyl.equilibria import _bounds
 from floatcyl.model import (DimensionlessParams, PhysicalParams, _force,
                             _height, _slope, center_height,
                             center_height_slope, force_curvature, force_slope,
@@ -196,7 +197,8 @@ class TestForce:
             assert force_curvature(phi0, p) == pytest.approx(fd, abs=1e-7)
 
     def test_curvature_bound(self):
-        # the solver's rootless margin bounds |F''| by its four terms' sizes
+        # the solver's proven margins bound |F'| and |F''| by their terms'
+        # sizes, S and K of _bounds
         rng = np.random.default_rng(14)
         grid = np.linspace(0.0, PI, 2001)
         cases = [(c, g) for c in np.logspace(-3.0, 3.0, 61).tolist()
@@ -204,8 +206,11 @@ class TestForce:
         cases += zip(np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 200)
                             ).tolist(), rng.uniform(0.0, PI, 200).tolist())
         for c, g in cases:
+            _, slope_bound, curvature_bound = _bounds(c)
+            slope = force_slope(grid, params(1.0, c, g))
             curvature = force_curvature(grid, params(1.0, c, g))
-            assert np.max(np.abs(curvature)) <= 2.0 + 9.0 * c + 2.0 * c * c
+            assert np.max(np.abs(slope)) <= slope_bound
+            assert np.max(np.abs(curvature)) <= curvature_bound
 
     def test_float_kernels_match_numpy(self):
         # a float phi0 runs on math, an array on NumPy: the scalar solver

@@ -58,6 +58,13 @@ class TestNamespace:
     def test_dir_lists_every_name(self):
         assert set(ALL) <= set(dir(floatcyl))
 
+    def test_every_error_is_a_value_error(self):
+        # so cli.main's one ValueError clause exits 4 on each of them
+        errors = [name for name in ALL if name.endswith("Error")]
+        assert len(errors) == 4
+        for name in errors:
+            assert issubclass(getattr(floatcyl, name), ValueError), name
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             floatcyl.no_such_name

@@ -46,6 +46,10 @@ class TestEndpointBoundary:
     def test_undefined_below_pi(self):
         assert endpoint_boundary_c(PI / 4, PI) is None
         assert endpoint_boundary_c(PI / 4, 1.0) is None
+        # a non-finite mass ratio is not a point of the plane
+        for a in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mass_ratio"):
+                endpoint_boundary_c(1.0, a)
 
     def test_vertical_degeneration(self):
         assert endpoint_boundary_is_vertical(0.0)
@@ -113,6 +117,8 @@ class TestTangencyBoundary:
         assert tangency_boundary_c(0.0, 5.0) is None
         # a threshold C too large for critical_mass_ratio to bracket A*
         assert tangency_boundary_c(1e-9, 5.0) is None
+        with pytest.raises(ValueError, match="mass_ratio"):
+            tangency_boundary_c(1.0, math.nan)
 
     def test_count_changes_across_curve(self):
         a_star, _ = critical_mass_ratio(1.0, PI / 2)

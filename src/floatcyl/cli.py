@@ -141,11 +141,6 @@ def _params(args, parser: argparse.ArgumentParser):
                               surface_tension=args.sigma, gravity=args.g,
                               radius=args.a, contact_angle=gamma)
         params = to_dimensionless(phys)
-        if args.exploratory:
-            params = DimensionlessParams(params.mass_ratio,
-                                         params.capillary_ratio,
-                                         params.contact_angle,
-                                         exploratory=True)
         meta = {"input_mode": "physical",
                 "mass_ratio": params.mass_ratio,
                 "capillary_ratio": params.capillary_ratio,

@@ -20,7 +20,8 @@ from enum import Enum
 
 import numpy as np
 
-from .model import DimensionlessParams, _force, _height, _slope
+from .model import (DimensionlessParams, _check_contact_angle, _force,
+                    _height, _slope)
 
 PI = math.pi
 
@@ -182,8 +183,7 @@ def second_extremum_threshold(contact_angle: float) -> float:
     gamma = 0, where the force is eventually increasing for every C, and
     where sin(gamma/2) underflows to zero (gamma = 5e-324).
     """
-    if not 0.0 <= contact_angle <= PI:
-        raise ValueError(f"contact_angle must lie in [0, pi], got {contact_angle!r}")
+    _check_contact_angle(contact_angle)
     if contact_angle >= PI / 2.0:
         return 0.0
     half = math.sin(contact_angle / 2.0)
@@ -243,7 +243,10 @@ def _extremum_brackets(g):
 
 
 def _extremum(c, g, lo, hi, lo_negative, hi_negative):
-    """One bracket of ``force_extrema`` for a float or an array ``c``."""
+    """One bracket of ``force_extrema`` for a float or an array ``c``.
+
+    An array bisects the lanes that bracket as one array, even a lone one:
+    ``bisect`` gives each lane its float run's bits."""
     s_lo, s_hi = _slope(lo, c, g), _slope(hi, c, g)
     ok = s_lo * s_hi < 0.0
     if lo_negative:
@@ -255,7 +258,7 @@ def _extremum(c, g, lo, hi, lo_negative, hi_negative):
     phi = np.full(c.shape, np.nan)
     idx = np.flatnonzero(ok)
     if idx.size:
-        sub, = _lanes(idx, c.ravel())
+        sub = c.ravel()[idx]
         phi.flat[idx] = bisect(lambda x: _slope(x, sub, g), lo, hi)
     return phi
 
@@ -271,13 +274,6 @@ def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
             for phi, kind in ((minimum, ExtremumKind.MINIMUM),
                               (maximum, ExtremumKind.MAXIMUM))
             if phi == phi]
-
-
-def _lanes(idx, *arrays):
-    """Each 1-D array at ``idx``; a lone lane as floats, which run on math."""
-    if idx.size > 1:
-        return [x[idx] for x in arrays]
-    return [float(x[idx[0]]) for x in arrays]
 
 
 def _bounds(c):
@@ -544,17 +540,14 @@ def _crossings(rows, col, below, above):
 
     That is an end below ``above`` and an end above ``below``, since
     min(x, y) < above is x < above or y < above, and below < max(x, y) is
-    below < x or below < y.  The cells go 128 kB of rows at a time, which
-    keeps the temporaries small beside ``rows``; when each cell has a
-    column of its own, as in ``region_map``'s fallback, the rows are not
-    copied.
+    below < x or below < y.  The cells gather their rows 128 kB at a
+    time, which keeps the temporaries small beside ``rows``.
     """
     changes = np.empty(below.size, dtype=np.int64)
-    own = np.array_equal(col, np.arange(len(rows)))
     step = 2 ** 17 // _SCAN_GRID.nbytes
     for k in range(0, col.size, step):
         cells = slice(k, k + step)
-        f0 = rows[cells] if own else rows[col[cells]]
+        f0 = rows[col[cells]]
         low = f0 < above[cells, None]
         high = f0 > below[cells, None]
         changes[cells] = ((low[:, :-1] | low[:, 1:])

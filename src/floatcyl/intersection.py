@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import DimensionlessParams
+from .model import DimensionlessParams, _check_contact_angle
 
 PI = math.pi
 
@@ -74,9 +74,10 @@ def intersection_margin(phi0: float, capillary_ratio: float,
     Positive means the interfaces stay apart; <= 0 means they cross (when
     the overhang regime applies).  Raises FlatInterfaceError at
     phi0 + gamma = pi, where the logarithm diverges and no crossing is
-    possible, and ValueError for a non-finite phi0 or a capillary ratio
-    that is not positive and finite.
+    possible, and ValueError for a contact angle outside [0, pi], a
+    non-finite phi0 or a capillary ratio that is not positive and finite.
     """
+    _check_contact_angle(contact_angle)
     if not 0.0 < capillary_ratio < math.inf:
         raise ValueError(f"capillary_ratio must be strictly positive and "
                          f"finite, got {capillary_ratio!r}")

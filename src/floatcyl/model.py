@@ -23,6 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_contact_angle(contact_angle) -> None:
+    """ValueError unless 0 <= contact_angle <= pi; NaN fails."""
+    if not 0.0 <= contact_angle <= math.pi:
+        raise ValueError(
+            f"contact_angle must lie in [0, pi], got {contact_angle!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dimensional inputs (any coherent unit system, e.g. CGS).
@@ -49,9 +56,7 @@ class PhysicalParams:
             if not 0.0 < value < math.inf:
                 raise ValueError(
                     f"{name} must be strictly positive and finite, got {value!r}")
-        if not 0.0 <= self.contact_angle <= math.pi:
-            raise ValueError(
-                f"contact_angle must lie in [0, pi], got {self.contact_angle!r}")
+        _check_contact_angle(self.contact_angle)
 
     @property
     def capillary_constant(self) -> float:
@@ -78,9 +83,7 @@ class DimensionlessParams:
         if not 0.0 < c < math.inf:
             raise ValueError(
                 f"capillary_ratio must be strictly positive and finite, got {c!r}")
-        if not 0.0 <= self.contact_angle <= math.pi:
-            raise ValueError(
-                f"contact_angle must lie in [0, pi], got {self.contact_angle!r}")
+        _check_contact_angle(self.contact_angle)
         if not self.exploratory and not a > 0.0:
             raise ValueError(
                 f"mass_ratio must be strictly positive, got {a!r} "
@@ -275,7 +278,6 @@ class InterfaceProfile:
     samples: np.ndarray
     psi0: float
     contact: tuple
-    side: str = "right"
     flat: bool = False
 
     @property

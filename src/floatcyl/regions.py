@@ -22,9 +22,9 @@ between its extrema and the margin within each regime, so a cell's label
 follows from where its level falls among at most six such breakpoints
 per column (``_count_block`` has the proof).  The cells within a proven
 band of a breakpoint, none or one of the 40,000 of a default 200 x 200
-map at the contact angles tested, go through one solve call together,
-once per map, as find_equilibria does; find_equilibria still bisects
-every root it prints.
+map at the contact angles tested, go through solve together, once per
+map, as find_equilibria does; find_equilibria still bisects every root
+it prints.
 """
 
 from __future__ import annotations
@@ -40,13 +40,16 @@ from .equilibria import (_SCAN_GRID, _SCAN_SAG, PHI0_TOL, ROOT_VALUE_TOL,
                          critical_mass_ratio, find_equilibria, force_extrema,
                          second_extremum_threshold, solve)
 from .intersection import _margin, _overhang, intersection_margin, validity
-from .model import DimensionlessParams, _force, total_force
+from .model import (DimensionlessParams, _check_contact_angle, _force,
+                    total_force)
 
 PI = math.pi
 # Guard-row points per block of _widen_flat (whole columns, at least one).
 _BLOCK_SIZE = 30000
 # The margin's rounding band, per unit of C + 4 (see _count_block).
 _MARGIN_BAND = 2.0 ** -40
+# Fallback cells per solve call, each with its own 8 kB guard row.
+_FALLBACK_CELLS = 1024
 
 
 class RegionLabel(str, Enum):
@@ -68,7 +71,11 @@ class BoundaryCurve:
 
     kind: CurveKind
     points: np.ndarray  # (n, 2) columns: mass ratio, capillary ratio
-    analytic: bool
+
+    @property
+    def analytic(self) -> bool:
+        """True for the endpoint curve, the one sampled from a closed form."""
+        return self.kind is CurveKind.ENDPOINT
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,7 @@ class RegionMap:
 
 def endpoint_boundary_is_vertical(contact_angle: float) -> bool:
     """True when the endpoint curve degenerates to the line A = pi."""
+    _check_contact_angle(contact_angle)
     return contact_angle in (0.0, PI)
 
 
@@ -91,9 +99,10 @@ def endpoint_boundary_c(contact_angle: float, mass_ratio: float) -> float | None
     For contact angles away from 0 and pi: C = sqrt(2 sin(gamma)/(A - pi)),
     defined for A > pi only.  At gamma in {0, pi} the condition is the
     vertical line A = pi, which has no single-valued C(A) form; this
-    returns None there (use endpoint_boundary_is_vertical).  A non-finite
-    mass ratio raises ValueError.
+    returns None there (use endpoint_boundary_is_vertical).  A contact
+    angle outside [0, pi] or a non-finite mass ratio raises ValueError.
     """
+    _check_contact_angle(contact_angle)
     _check_finite_mass(mass_ratio)
     if endpoint_boundary_is_vertical(contact_angle):
         return None
@@ -118,6 +127,11 @@ def two_equilibrium_corner(contact_angle: float) -> tuple[float, float]:
     return a0, c0
 
 
+def _check_samples(name, n):
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative, got {n!r}")
+
+
 def _check_finite_mass(mass_ratio):
     if not math.isfinite(mass_ratio):
         raise ValueError(f"mass_ratio must be finite, got {mass_ratio!r}")
@@ -140,8 +154,10 @@ def tangency_boundary_c(contact_angle: float,
     ratio at or below pi, no bracket below C = 1e6 (nor where the
     threshold C of a contact angle below about 1e-8 is too large for
     ``critical_mass_ratio``), or, for contact angles below pi/2, at or
-    above the corner value A0.  A non-finite mass ratio raises ValueError.
+    above the corner value A0.  A contact angle outside [0, pi] or a
+    non-finite mass ratio raises ValueError.
     """
+    _check_contact_angle(contact_angle)
     _check_finite_mass(mass_ratio)
     if mass_ratio <= PI:
         return None
@@ -167,6 +183,8 @@ def tangency_boundary_c(contact_angle: float,
 def trace_endpoint_curve(contact_angle, a_window, c_window,
                          n: int = 200) -> BoundaryCurve:
     """Endpoint curve clipped to a plotting window, sampled in mass ratio."""
+    _check_contact_angle(contact_angle)
+    _check_samples("n", n)
     a_lo, a_hi = a_window
     c_lo, c_hi = c_window
     if endpoint_boundary_is_vertical(contact_angle):
@@ -175,7 +193,7 @@ def trace_endpoint_curve(contact_angle, a_window, c_window,
         else:
             cs = np.linspace(max(c_lo, 1e-12), c_hi, n)
             pts = np.column_stack([np.full(n, PI), cs])
-        return BoundaryCurve(CurveKind.ENDPOINT, pts, analytic=True)
+        return BoundaryCurve(CurveKind.ENDPOINT, pts)
     s = 2.0 * math.sin(contact_angle)
     # C(A) <= c_hi needs A >= pi + s/c_hi^2; C(A) >= c_lo needs A <= pi + s/c_lo^2.
     # A square that underflows to 0 stands for its limit, A = inf.  Where
@@ -185,11 +203,10 @@ def trace_endpoint_curve(contact_angle, a_window, c_window,
           if c_hi ** 2 else math.inf)
     hi = min(a_hi, PI + s / c_lo ** 2) if c_lo > 0.0 and c_lo ** 2 else a_hi
     if lo >= hi:
-        return BoundaryCurve(CurveKind.ENDPOINT, np.empty((0, 2)), analytic=True)
+        return BoundaryCurve(CurveKind.ENDPOINT, np.empty((0, 2)))
     a = np.linspace(lo, hi, n)
     c = np.sqrt(s / (a - PI))
-    return BoundaryCurve(CurveKind.ENDPOINT, np.column_stack([a, c]),
-                         analytic=True)
+    return BoundaryCurve(CurveKind.ENDPOINT, np.column_stack([a, c]))
 
 
 def trace_tangency_curve(contact_angle, a_window, c_window,
@@ -199,13 +216,14 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
     The critical mass ratio is single-valued in C, so sampling in C and
     reading off A is the robust parameterization.
     """
+    _check_samples("n", n)
     a_lo, a_hi = a_window
     c_lo, c_hi = c_window
     thr = second_extremum_threshold(contact_angle)
     lo = max(c_lo, thr * (1.0 + 1e-9), 1e-6)
     # no sample in the window, as when the maximum never appears (thr = inf)
     if lo >= c_hi:
-        return BoundaryCurve(CurveKind.TANGENCY, np.empty((0, 2)), analytic=False)
+        return BoundaryCurve(CurveKind.TANGENCY, np.empty((0, 2)))
     # the samples span [lo, c_hi]: check them as critical_mass_ratio would
     for c in (lo, c_hi):
         DimensionlessParams(0.0, c, contact_angle, exploratory=True)
@@ -221,8 +239,7 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
         if a_lo <= a <= a_hi:
             pts.append((a, c))
     return BoundaryCurve(CurveKind.TANGENCY,
-                         np.array(pts, dtype=float).reshape(-1, 2),
-                         analytic=False)
+                         np.array(pts, dtype=float).reshape(-1, 2))
 
 
 def intersection_curve_point(phi02: float, contact_angle: float
@@ -233,6 +250,7 @@ def intersection_curve_point(phi02: float, contact_angle: float
     condition; the force balance is then linear in A.  None when the
     resulting capillary ratio is not positive.
     """
+    _check_contact_angle(contact_angle)
     s = math.sin(phi02)
     if s <= 0.0:
         return None
@@ -253,9 +271,10 @@ def trace_intersection_curve(contact_angle, a_window, c_window,
     Empty for contact angles at or below pi/2 (no invalid equilibria
     there).
     """
+    _check_contact_angle(contact_angle)
+    _check_samples("n", n)
     if contact_angle <= PI / 2.0:
-        return BoundaryCurve(CurveKind.INTERSECTION, np.empty((0, 2)),
-                             analytic=False)
+        return BoundaryCurve(CurveKind.INTERSECTION, np.empty((0, 2)))
     a_lo, a_hi = a_window
     c_lo, c_hi = c_window
     lo = 3.0 * PI / 2.0 - contact_angle
@@ -270,8 +289,7 @@ def trace_intersection_curve(contact_angle, a_window, c_window,
             pts.append((a, c))
     pts.sort(key=lambda p: p[1])
     return BoundaryCurve(CurveKind.INTERSECTION,
-                         np.array(pts, dtype=float).reshape(-1, 2),
-                         analytic=False)
+                         np.array(pts, dtype=float).reshape(-1, 2))
 
 
 _LABEL_TABLE = {
@@ -319,9 +337,9 @@ def region_map(contact_angle: float,
     breakpoints: the mass-free force at the extrema, at 0 and pi, and at
     the ends of the self-intersecting part of the overhang regime, found
     by one bisection of the margin over all columns.  The few cells
-    within a proven band of a breakpoint go through one ``solve`` call
-    together, with the map's extrema (``_count_cells``), so the map finds
-    its extrema once.  The tangency curve bisects only the
+    within a proven band of a breakpoint go through ``solve`` together,
+    with the map's extrema (``_count_cells``), so the map finds its
+    extrema once.  The tangency curve bisects only the
     force maximum (``_force_maximum``).  find_equilibria runs the
     kernels on ``math`` and the blocks on NumPy, so the equality also
     needs their sin and cos to agree bit for bit, as
@@ -330,6 +348,7 @@ def region_map(contact_angle: float,
     n_a, n_c = resolution
     if n_a < 2 or n_c < 2:
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution!r}")
+    _check_samples("curve_samples", curve_samples)
     # written so that a NaN bound fails
     bad = [f"{name}={(lo, hi)!r}"
            for name, (lo, hi) in (("a_range", a_range), ("c_range", c_range))
@@ -531,19 +550,25 @@ def _count_cells(a, c, g, extrema):
     """Equilibria and valid equilibria of the cells (a[k], c[k]).
 
     ``extrema`` holds each cell's ``force_extrema``, taken from the map's,
-    so the cells, each a column of its own, go through one ``solve`` call
-    that finds no extremum, and each root in an overhang regime through
-    ``intersection_margin``.
+    so the cells, each a column of its own, go through ``solve`` calls
+    that find no extremum, and each root in an overhang regime through
+    ``intersection_margin``.  A call takes at most _FALLBACK_CELLS cells,
+    which bounds the guard rows held at once whatever the cell count.
     """
-    roots = solve(a, c, g, extrema)
-    n = (roots == roots).sum(axis=1)
-    # only a root in an overhang regime can cross; NaN is in none
-    i, k = np.nonzero(np.logical_or(*_overhang(roots, g)))
-    cross = np.bincount(i, [
-        intersection_margin(r, c_i, g) <= 0.0
-        for r, c_i in zip(roots[i, k].tolist(), c[i].tolist())],
-        minlength=n.size)
-    return n, n - cross.astype(np.int64)
+    n = np.empty(a.size, dtype=np.int64)
+    cross = np.empty_like(n)
+    for k in range(0, a.size, _FALLBACK_CELLS):
+        cells = slice(k, k + _FALLBACK_CELLS)
+        c_k = c[cells]
+        roots = solve(a[cells], c_k, g, tuple(x[cells] for x in extrema))
+        n[cells] = (roots == roots).sum(axis=1)
+        # only a root in an overhang regime can cross; NaN is in none
+        i, j = np.nonzero(np.logical_or(*_overhang(roots, g)))
+        cross[cells] = np.bincount(i, [
+            intersection_margin(r, c_i, g) <= 0.0
+            for r, c_i in zip(roots[i, j].tolist(), c_k[i].tolist())],
+            minlength=c_k.size)
+    return n, n - cross
 
 
 def region_map_csv(rm: RegionMap) -> str:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floatcyl.equilibria import _bounds
 from floatcyl.model import (DimensionlessParams, PhysicalParams, _force,
@@ -300,6 +302,23 @@ class TestEnergy:
             resid = np.abs(-de / center_height_slope(grid, p)
                            - total_force(grid, p))
             assert resid.max() < 1e-6
+
+    # F_T = -dE_T/dh (criterion 6) across the C range of the other
+    # properties, with a tolerance that scales like the force
+    @settings(derandomize=True, max_examples=400, database=None,
+              deadline=None)
+    @given(log_c=st.floats(math.log(1e-2), math.log(1e2)),
+           g=st.one_of(st.sampled_from([0.0, PI / 2, PI]),
+                       st.floats(0.0, PI)),
+           a=st.floats(0.05, 15.0), phi0=st.floats(0.05, PI - 0.05))
+    def test_energy_force_identity_property(self, log_c, g, a, phi0):
+        c = math.exp(log_c)
+        p = params(a, c, g)
+        h = 1e-5 * max(1.0, phi0)
+        de = (total_energy(phi0 + h, p).total
+              - total_energy(phi0 - h, p).total) / (2 * h)
+        assert -de / center_height_slope(phi0, p) == pytest.approx(
+            total_force(phi0, p), rel=0.0, abs=1e-6 * max(1.0, c * c))
 
 
 class TestInterfaceProfile:

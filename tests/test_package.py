@@ -1,5 +1,7 @@
 import ast
 import importlib
+import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,34 @@ class TestNamespace:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             floatcyl.no_such_name
+
+
+# a valid value for each other required argument of a public function
+# taking a contact angle; A < pi and sin(phi02) = 0 take early returns
+# (None), which the check must come before
+VALID = {"mass_ratio": 2.0, "capillary_ratio": 1.0, "phi0": 1.0,
+         "phi02": 0.0, "a_window": (0.0, 12.0), "c_window": (0.0, 5.0),
+         "regime": "small"}
+# the public functions with a contact_angle parameter, but for
+# inclination_at_contact, a formula that also runs on arrays
+TAKE_CONTACT_ANGLE = sorted(
+    name for names in floatcyl._EXPORTS.values() for name in names
+    if inspect.isfunction(getattr(floatcyl, name))
+    and "contact_angle" in inspect.signature(getattr(floatcyl, name)).parameters
+    and name != "inclination_at_contact")
+
+
+class TestContactAngle:
+    @pytest.mark.parametrize("name", TAKE_CONTACT_ANGLE)
+    @pytest.mark.parametrize("gamma", [math.nan, 4.0])
+    def test_every_entry_point_checks_it(self, name, gamma):
+        # the angle is checked where it enters, with a ValueError naming it
+        fn = getattr(floatcyl, name)
+        args = {arg: gamma if arg == "contact_angle" else VALID[arg]
+                for arg, param in inspect.signature(fn).parameters.items()
+                if param.default is param.empty}
+        with pytest.raises(ValueError, match="contact.angle"):
+            fn(**args)
 
 
 def _imported(tree):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -274,6 +275,13 @@ class TestRegionMap:
         assert np.all(np.diff(rm.a_axis) > 0)
         with pytest.raises(ValueError):
             region_map(PI / 2, resolution=(1, 5))
+        # a negative sample count is named, not left to NumPy
+        with pytest.raises(ValueError, match="^curve_samples must be non-neg"):
+            region_map(PI / 2, resolution=(2, 2), curve_samples=-1)
+        for trace in (trace_endpoint_curve, trace_tangency_curve,
+                      trace_intersection_curve):
+            with pytest.raises(ValueError, match="^n must be non-negative"):
+                trace(2.3, (0.0, 12.0), (0.0, 5.0), n=-1)
 
     @pytest.mark.parametrize("g", [0.0, 0.4, PI / 2, 2.3, PI])
     def test_every_cell_matches_classify_point(self, g):
@@ -373,9 +381,19 @@ class TestSettledLabels:
 
         for module in (regions, equilibria):
             monkeypatch.setattr(module, "force_extrema", counted)
-        region_map(PI / 2, (5.8092, 5.8094), (0.9999, 1.0001))
+        tracemalloc.start()
+        try:
+            rm = region_map(PI / 2, (5.8092, 5.8094), (0.9999, 1.0001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert len(calls) == 1
         assert sum(fallback) > 5000
+        # the fallback solves its cells in chunks, each cell with an 8 kB
+        # guard row: its memory stays bounded whatever the cell count, and
+        # its labels are the bisected ones across the chunks
+        assert peak < 20e6
+        assert rm.labels.tolist() == bisected_labels(rm)
 
     @settings(derandomize=True, max_examples=30, database=None,
               deadline=None)

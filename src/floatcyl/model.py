@@ -30,6 +30,17 @@ def _check_contact_angle(contact_angle) -> None:
             f"contact_angle must lie in [0, pi], got {contact_angle!r}")
 
 
+def _check_integer(name, value) -> None:
+    """ValueError naming ``name`` unless ``value``, or each entry of a tuple
+    or list ``value``, is an int or a NumPy integer; 2.5 and NaN fail.
+    Callers test a count's range first, which keeps their messages, and
+    call this before the count sizes any work."""
+    values = value if isinstance(value, (tuple, list)) else (value,)
+    if not all(isinstance(v, (int, np.integer)) for v in values):
+        what = "integers" if values is value else "an integer"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dimensional inputs (any coherent unit system, e.g. CGS).
@@ -311,6 +322,7 @@ def interface_profile(phi0, params: DimensionlessParams, n: int = 1000,
     _check_phi0(phi0)
     if n < 2:
         raise ValueError(f"need at least two samples, got n={n}")
+    _check_integer("n", n)
     c = params.capillary_ratio
     g = params.contact_angle
     psi0 = float(inclination_at_contact(phi0, g))

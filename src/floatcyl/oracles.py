@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DimensionlessParams, _force, center_height,
-                    center_height_slope, force_curvature, force_slope,
-                    inclination_at_contact, interface_profile, total_energy,
-                    total_force)
+from .model import (DimensionlessParams, _check_integer, _force,
+                    center_height, center_height_slope, force_curvature,
+                    force_slope, inclination_at_contact, interface_profile,
+                    total_energy, total_force)
 
 PI = math.pi
 
@@ -417,6 +417,7 @@ def _draw_params(rng, n):
 
 def run_all(n_sets: int = 100, seed: int = 20240801) -> list[OracleReport]:
     """Run the full oracle suite over randomized parameter sets."""
+    _check_integer("n_sets", n_sets)
     rng = np.random.default_rng(seed)
     draws = _draw_params(rng, n_sets)
 

@@ -36,12 +36,12 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (_SCAN_GRID, _SCAN_SAG, PHI0_TOL, ROOT_VALUE_TOL,
-                         _bounds, _force_maximum, _nodes, _scan_rows, bisect,
-                         critical_mass_ratio, find_equilibria, force_extrema,
+                         _bounds, _extremum_brackets, _force_maximum, _nodes,
+                         _scan_rows, bisect, find_equilibria, force_extrema,
                          second_extremum_threshold, solve)
 from .intersection import _margin, _overhang, intersection_margin, validity
-from .model import (DimensionlessParams, _check_contact_angle, _force,
-                    total_force)
+from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
+                    _force, _slope, total_force)
 
 PI = math.pi
 # Guard-row points per block of _widen_flat (whole columns, at least one).
@@ -116,20 +116,21 @@ def two_equilibrium_corner(contact_angle: float) -> tuple[float, float]:
 
     Defined for contact angles in (0, pi/2): C0 is the capillary ratio at
     which the second force extremum first appears, and A0 puts the endpoint
-    zero exactly there: A0 = pi + 2 sin(gamma) / C0^2.
+    zero exactly there: A0 = pi + 2 sin(gamma) / C0^2 (pi once C0^2 overflows).
     """
     if not 0.0 < contact_angle < PI / 2.0:
         raise ValueError(
             "corner exists for contact angles in (0, pi/2) only, got "
             f"{contact_angle!r}")
     c0 = second_extremum_threshold(contact_angle)
-    a0 = PI + 2.0 * math.sin(contact_angle) / c0 ** 2
+    a0 = PI + 2.0 * math.sin(contact_angle) / c0 ** 2 if c0 < 1e154 else PI
     return a0, c0
 
 
 def _check_samples(name, n):
     if n < 0:
         raise ValueError(f"{name} must be non-negative, got {n!r}")
+    _check_integer(name, n)
 
 
 def _check_finite_mass(mass_ratio):
@@ -137,47 +138,44 @@ def _check_finite_mass(mass_ratio):
         raise ValueError(f"mass_ratio must be finite, got {mass_ratio!r}")
 
 
-def _critical_mass_or_none(capillary_ratio, contact_angle):
-    try:
-        return critical_mass_ratio(capillary_ratio, contact_angle)[0]
-    except ValueError:
-        return None  # no maximum, or a C too large to bracket it
-
-
 def tangency_boundary_c(contact_angle: float,
                         mass_ratio: float) -> float | None:
-    """Capillary ratio whose critical mass ratio equals ``mass_ratio``.
+    """Capillary ratio C* whose critical mass ratio is ``mass_ratio``, or None.
 
-    The critical mass ratio decreases strictly in C (from large values at
-    small C down to pi), so the inverse is found by bracketing and
-    bisection, doubling C up to 1e6.  None when no solution exists: mass
-    ratio at or below pi, no bracket below C = 1e6 (nor where the
-    threshold C of a contact angle below about 1e-8 is too large for
-    ``critical_mass_ratio``), or, for contact angles below pi/2, at or
-    above the corner value A0.  A contact angle outside [0, pi] or a
-    non-finite mass ratio raises ValueError.
+    None for A <= pi, and at gamma < pi/2 for gamma = 0 or A >= A0; a contact
+    angle outside [0, pi] or a non-finite A raises ValueError.  At fixed
+    phi0 = x, F = p C^2 + q C + r with p = x - sin x cos x - A < 0,
+    q = -4 cos((x+gamma)/2) sin x and r = -2 sin(x+gamma), so F < 0 where
+    x + gamma < pi, as q, r < 0 there.  On [lo, pi], lo = max(the maximum's
+    bracket start, pi - gamma), q, r >= 0: the larger root C+ =
+    (q + sqrt(q^2 - 4pr)) / (-2p) >= 0 does not cancel (over w = sqrt(-p), so
+    nothing overflows; disc clamped at 0).  F >= 0 exactly for C <= C+(x), and
+    A* falls strictly in C, so C* = max C+.  C+' has the sign of
+    f(x) = F'(x; C+(x)), as dF/dC = -sqrt(disc) < 0, and a zero of f is an
+    interior maximum of F(.; C+(x)) touching zero: f has at most one, and
+    f(lo) > 0 (f = 2 at pi - gamma; at pi/2 and 3pi/4, -2 cos(x + gamma), the C
+    terms together and C^2 are positive).  F'(pi; C) = 2 cos gamma -
+    4 C sin(gamma/2) < 0 exactly when C > C0 (the threshold), or A < A0: one
+    ``bisect``, reading signs only, finds the zero; else C+ peaks at pi, on the
+    endpoint curve, and C* does not exist.  C+ is flat there, so C* is exact to
+    rounding, also near pi, near A0 and at large A.
     """
     _check_contact_angle(contact_angle)
     _check_finite_mass(mass_ratio)
     if mass_ratio <= PI:
         return None
-    thr = second_extremum_threshold(contact_angle)
-    if math.isinf(thr):
+
+    def c_plus(x):
+        w = math.sqrt(mass_ratio - x + 0.5 * math.sin(2.0 * x))
+        u = -4.0 * math.cos((x + contact_angle) / 2.0) * math.sin(x) / w
+        r = -2.0 * math.sin(x + contact_angle)
+        return (u + math.sqrt(max(u * u + 4.0 * r, 0.0))) / (2.0 * w)
+
+    if not c_plus(PI) > second_extremum_threshold(contact_angle):
         return None
-    lo = max(thr * (1.0 + 1e-9), 1e-9)
-    a_lo = _critical_mass_or_none(lo, contact_angle)
-    if a_lo is None or a_lo <= mass_ratio:
-        return None  # above the attainable range (corner) already at lo
-    hi = max(2.0 * lo, 1.0)
-    while hi < 1e6:
-        a_hi = _critical_mass_or_none(hi, contact_angle)
-        if a_hi is not None and a_hi < mass_ratio:
-            break
-        hi *= 2.0
-    else:
-        return None
-    return bisect(lambda c: critical_mass_ratio(c, contact_angle)[0]
-                  - mass_ratio, lo, hi)
+    lo = max(_extremum_brackets(contact_angle)[1][0], PI - contact_angle)
+    return c_plus(bisect(lambda x: _slope(x, c_plus(x), contact_angle)
+                         if x < PI else -1.0, lo, PI))
 
 
 def trace_endpoint_curve(contact_angle, a_window, c_window,
@@ -348,6 +346,7 @@ def region_map(contact_angle: float,
     n_a, n_c = resolution
     if n_a < 2 or n_c < 2:
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution!r}")
+    _check_integer("resolution", resolution)
     _check_samples("curve_samples", curve_samples)
     # written so that a NaN bound fails
     bad = [f"{name}={(lo, hi)!r}"

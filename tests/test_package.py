@@ -100,6 +100,32 @@ class TestContactAngle:
             fn(**args)
 
 
+# the count parameters of the public functions; a resolution is a pair
+COUNTS = ("n", "n_sets", "resolution", "curve_samples")
+TAKE_COUNT = sorted(
+    (name, arg) for names in floatcyl._EXPORTS.values() for name in names
+    if inspect.isfunction(getattr(floatcyl, name))
+    for arg in inspect.signature(getattr(floatcyl, name)).parameters
+    if arg in COUNTS)
+
+
+class TestCounts:
+    @pytest.mark.parametrize("name,arg", TAKE_COUNT)
+    @pytest.mark.parametrize("value", [2.5, math.nan])
+    def test_every_count_is_checked(self, name, arg, value):
+        # a count that is no integer fails where it enters, naming itself,
+        # not in NumPy after the work it sizes
+        fn = getattr(floatcyl, name)
+        valid = {**VALID, "contact_angle": 1.0,
+                 "params": floatcyl.DimensionlessParams(2.0, 1.0, 1.0)}
+        args = {a: valid[a]
+                for a, param in inspect.signature(fn).parameters.items()
+                if param.default is param.empty}
+        args[arg] = (3, value) if arg == "resolution" else value
+        with pytest.raises(ValueError, match=rf"\b{arg}\b"):
+            fn(**args)
+
+
 def _imported(tree):
     """The names a module's imports bind, at any depth."""
     for node in ast.walk(tree):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from floatcyl import equilibria, regions
 from floatcyl.equilibria import (ModelInconsistencyWarning,
-                                 NoSecondCriticalPointError,
+                                 NoSecondCriticalPointError, _bounds,
                                  critical_mass_ratio, find_equilibria,
                                  force_extrema, second_extremum_threshold,
                                  solve)
 from floatcyl.intersection import _overhang, intersection_margin
-from floatcyl.model import DimensionlessParams, total_force
+from floatcyl.model import DimensionlessParams, _force, total_force
 from floatcyl.regions import (_LABEL_TABLE, CurveKind, RegionLabel,
                               classify_point,
                               endpoint_boundary_c, endpoint_boundary_is_vertical,
@@ -100,6 +100,12 @@ class TestCorner:
         with pytest.raises(ValueError):
             two_equilibrium_corner(PI / 2)
 
+    @pytest.mark.parametrize("g", [1e-300, 1e-160, 5e-324])
+    def test_tiny_angle(self, g):
+        # C0^2 overflows, or C0 is inf: 2 sin(gamma) / C0^2 is far below
+        # an ulp of pi
+        assert two_equilibrium_corner(g)[0] == PI
+
 
 class TestTangencyBoundary:
     def test_round_trip_neutral_angle(self):
@@ -116,10 +122,54 @@ class TestTangencyBoundary:
         a0, _ = two_equilibrium_corner(PI / 4)
         assert tangency_boundary_c(PI / 4, a0 + 0.5) is None  # past the corner
         assert tangency_boundary_c(0.0, 5.0) is None
-        # a threshold C too large for critical_mass_ratio to bracket A*
+        # past the corner, where A0 rounds to pi (C0 is about 1e9)
         assert tangency_boundary_c(1e-9, 5.0) is None
         with pytest.raises(ValueError, match="mass_ratio"):
             tangency_boundary_c(1.0, math.nan)
+
+    # A - pi from 1e-3 to 1e3, log-uniform, so C* spans about 0.04 to 250
+    @settings(derandomize=True, max_examples=300, database=None,
+              deadline=None)
+    @given(g=st.one_of(st.sampled_from([0.0, PI / 2, PI, PI / 2 - 1e-9,
+                                        PI / 2 + 1e-9]),
+                       st.floats(0.0, PI)),
+           log_excess=st.floats(math.log(1e-3), math.log(1e3)))
+    def test_inverts_critical_mass_ratio_property(self, g, log_excess):
+        a = PI + math.exp(log_excess)
+        c = tangency_boundary_c(g, a)
+        past_corner = g < PI / 2 and (
+            g == 0.0 or a >= two_equilibrium_corner(g)[0])
+        assert (c is None) == past_corner
+        if c is not None:
+            assert abs(critical_mass_ratio(c, g)[0] - a) <= 1e-12 * a
+
+    @pytest.mark.parametrize("g,a,c_want", [
+        # C* far above the 1e6 where a doubling search over C stopped
+        (PI / 2, PI + 1e-9, 1.713e6),
+        # just below the corner, where C* is just above the threshold C0
+        (1.0, two_equilibrium_corner(1.0)[0] * (1.0 - 1e-9), None),
+        # large A, small C*: a tolerance on C of 1e-12 would miss A by 1e-8
+        (PI / 2, 1e10, math.sqrt(2e-10)),
+    ])
+    def test_edges(self, g, a, c_want):
+        c = tangency_boundary_c(g, a)
+        assert c is not None
+        assert abs(critical_mass_ratio(c, g)[0] - a) <= 1e-12 * a
+        if c_want is not None:
+            assert c == pytest.approx(c_want, rel=1e-3)
+
+    def test_force_is_quadratic_in_c(self):
+        # the decomposition the inversion solves: F = p C^2 + q C + r
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            x, g = rng.uniform(0.0, PI, 2).tolist()
+            a = float(rng.uniform(0.0, 15.0))
+            c = float(10.0 ** rng.uniform(-3.0, 3.0))
+            p = x - math.sin(x) * math.cos(x) - a
+            q = -4.0 * math.cos((x + g) / 2.0) * math.sin(x)
+            r = -2.0 * math.sin(x + g)
+            assert abs(p * c * c + q * c + r - _force(x, a, c, g)) <= \
+                _bounds(c)[0]
 
     def test_count_changes_across_curve(self):
         a_star, _ = critical_mass_ratio(1.0, PI / 2)

@@ -26,8 +26,6 @@ import sys
 from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 
-import numpy as np
-
 # every subcommand builds its parameters here; each imports the rest of
 # the library it runs, so a process loads only what its command needs
 from .model import (DimensionlessParams, PhysicalParams, center_height,
@@ -178,12 +176,12 @@ def _cmd_equilibria(args, parser) -> int:
 
 def _cmd_curves(args, parser) -> int:
     params, meta = _params(args, parser)
-    grid = np.linspace(0.0, math.pi, args.resolution)
-    force = total_force(grid, params)
-    energy = total_energy(grid, params).total
-    height = center_height(grid, params)
-    rows = [[float(p), float(f), float(e), float(h)]
-            for p, f, e, h in zip(grid, force, energy, height)]
+    # np.linspace(0, pi, n) on floats: i times its step, the end set to pi
+    n = args.resolution
+    grid = ([i * (math.pi / (n - 1)) for i in range(n - 1)] + [math.pi]
+            if n > 1 else [0.0])
+    rows = [[p, total_force(p, params), total_energy(p, params).total,
+             center_height(p, params)] for p in grid]
     _emit_table(args, "curves", meta,
                 ["phi0_rad", "force_over_sigma", "energy_over_sigma_a",
                  "height_over_a"], rows)

@@ -11,17 +11,17 @@ local minimum).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .model import (DimensionlessParams, _check_contact_angle, _force,
-                    _height, _slope)
+                    _height, _numpy, _slope)
 
 PI = math.pi
 
@@ -34,33 +34,18 @@ ROOT_VALUE_TOL = 1e-9
 TANGENCY_TOL = 1e-6
 # Distinct roots closer than this collapse to one.
 _DEDUP_TOL = 1e-7
-# Fallback dense-scan grid guarding the monotone-segment brackets.
-_SCAN_GRID = np.linspace(0.0, PI, 1000)
-# A root within _SCAN_PAD of grid interval j, i.e. in
-# [_SCAN_FROM[j], _SCAN_TO[j]], accounts for a sign change there.
-_SCAN_PAD = PI / len(_SCAN_GRID)
-_SCAN_FROM = _SCAN_GRID[:-1] - _SCAN_PAD
-_SCAN_TO = _SCAN_GRID[1:] + _SCAN_PAD
-# the same bounds as floats, for a lone cell's windows
-_SCAN_FROM_FLOATS = _SCAN_FROM.tolist()
-_SCAN_TO_FLOATS = _SCAN_TO.tolist()
-# pad < grid step: a root's window spans at most three intervals
-_WINDOW = np.arange(3)
-# The guard's basis: sin(phi+gamma) and cos((phi+gamma)/2) expanded give
-# F(grid; A=0) = cos(gamma) b0 + sin(gamma) b1 + C cos(gamma/2) b2
-# + C sin(gamma/2) b3 + C^2 b4 (see _scan_rows).
-_SCAN_BASIS = np.stack([-2.0 * np.sin(_SCAN_GRID),
-                        -2.0 * np.cos(_SCAN_GRID),
-                        -4.0 * np.cos(_SCAN_GRID / 2.0) * np.sin(_SCAN_GRID),
-                        4.0 * np.sin(_SCAN_GRID / 2.0) * np.sin(_SCAN_GRID),
-                        _SCAN_GRID - 0.5 * np.sin(2.0 * _SCAN_GRID)])
+# Points of the fallback dense-scan grid guarding the monotone-segment
+# brackets, _SCAN_GRID; ``_scan`` builds it on first use.
+_SCAN_SIZE = 1000
+# How near a root must lie to a grid interval to account for it (_scan).
+_SCAN_PAD = PI / _SCAN_SIZE
 # The expansion rounds apart from _force by at most _SCAN_SLACK (1+C)^2
 # (test_scan_slack_bounds_the_expansion); a count widened by that never
 # falls below _force's.
 _SCAN_SLACK = 64.0 * sys.float_info.epsilon
 # An interior extremum of F lies within half a grid step h of a grid point,
 # where F' = 0, so F there is within |F''| h^2 / 8 of that point's value.
-_SCAN_SAG = (PI / (len(_SCAN_GRID) - 1)) ** 2 / 8.0
+_SCAN_SAG = (PI / (_SCAN_SIZE - 1)) ** 2 / 8.0
 # Bracketed segments up to which solve bisects each on floats: an array
 # bisection's halving costs about as much in NumPy calls as one halving
 # of 20 float lanes.  A lone cell brackets at most three; region_map's
@@ -110,6 +95,35 @@ class Equilibrium:
     height: float
 
 
+_Scan = namedtuple("_Scan", "grid lo hi lo_floats hi_floats basis")
+
+
+@functools.cache
+def _scan():
+    """The dense scan's arrays, loading NumPy on the first call."""
+    np = _numpy()
+    grid = np.linspace(0.0, PI, _SCAN_SIZE)
+    # a root within _SCAN_PAD of grid interval j, i.e. in [lo[j], hi[j]],
+    # accounts for a sign change there; as floats for a lone cell's windows
+    lo, hi = grid[:-1] - _SCAN_PAD, grid[1:] + _SCAN_PAD
+    # The guard's basis: sin(phi+gamma) and cos((phi+gamma)/2) expanded
+    # give F(grid; A=0) = cos(gamma) b0 + sin(gamma) b1 + C cos(gamma/2) b2
+    # + C sin(gamma/2) b3 + C^2 b4 (see _scan_rows).
+    return _Scan(grid, lo, hi, lo.tolist(), hi.tolist(), np.stack([
+        -2.0 * np.sin(grid), -2.0 * np.cos(grid),
+        -4.0 * np.cos(grid / 2.0) * np.sin(grid),
+        4.0 * np.sin(grid / 2.0) * np.sin(grid),
+        grid - 0.5 * np.sin(2.0 * grid)]))
+
+
+def __getattr__(name):
+    """``from .equilibria import _SCAN_GRID`` (PEP 562), as regions and the
+    tests import it: the grid of ``_scan``."""
+    if name == "_SCAN_GRID":
+        return _scan().grid
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _classify(slope: float) -> Stability:
     if slope > TANGENCY_TOL:
         return Stability.STABLE
@@ -118,24 +132,28 @@ def _classify(slope: float) -> Stability:
     return Stability.MARGINAL_UNSTABLE
 
 
-def bisect(f, lo, hi):
+def bisect(f, lo, hi, f_hi=None):
     """SciPy's ``bisect(f, lo, hi, xtol=PHI0_TOL)``, bit for bit, elementwise.
 
     Halve dm, probe xm = xa + dm, keep xm as the new xa when
     f(xm) f(xa) >= 0, and return xm once f(xm) == 0 or
     |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
-    Floats run SciPy's loop as written, so a lone lane, as in each
-    find_equilibria call, skips the masks' arithmetic in every halving.
-    Array elements run side by side, each selected by ``np.where``, so
-    each equals its scalar run.  When every lane shares one float bracket,
-    as in ``force_extrema``, dm is one float for all of them, and each xm
-    lies within the bracket widened by half an ulp per halving, so within
-    twice its larger end: while |dm| is at least twice
-    PHI0_TOL + 4 eps max(|lo|, |hi|), no lane's tolerance test can pass,
-    and only f(xm) == 0 can stop a lane.
+    f(hi) is read only to test it against zero, so ``f_hi``, when given,
+    stands in for it: any value with its sign.  Floats run SciPy's loop as
+    written, so a lone lane, as in each find_equilibria call, skips the
+    masks' arithmetic in every halving; no array can exist unless NumPy is
+    loaded, so a float call never loads it.  Array elements run side by
+    side, each selected by ``np.where``, so each equals its scalar run.
+    When every lane shares one float bracket, as in ``force_extrema``, dm
+    is one float for all of them, and each xm lies within the bracket
+    widened by half an ulp per halving, so within twice its larger end:
+    while |dm| is at least twice PHI0_TOL + 4 eps max(|lo|, |hi|), no
+    lane's tolerance test can pass, and only f(xm) == 0 can stop a lane.
     """
-    fa, fb = f(lo), f(hi)
-    if not any(isinstance(v, np.ndarray) for v in (fa, fb, lo, hi)):
+    fa, fb = f(lo), f(hi) if f_hi is None else f_hi
+    np = sys.modules.get("numpy")
+    if np is None or not any(isinstance(v, np.ndarray)
+                             for v in (fa, fb, lo, hi)):
         if fa == 0.0:
             return lo
         if fb == 0.0:
@@ -181,7 +199,13 @@ def second_extremum_threshold(contact_angle: float) -> float:
     Zero for contact angles >= pi/2 (the maximum always exists there);
     cos(gamma) / (2 sin(gamma/2)) for gamma in (0, pi/2); infinite for
     gamma = 0, where the force is eventually increasing for every C, and
-    where sin(gamma/2) underflows to zero (gamma = 5e-324).
+    where sin(gamma/2) underflows to zero (gamma = 5e-324).  ``math.pi / 2``
+    stands for pi/2 exactly, here and in ``critical_mass_ratio``: zero,
+    though that float lies 6.1e-17 below pi/2, where the threshold is
+    4.3e-17.  The slope at pi, F'(pi) = 2 cos(gamma) - 4 C sin(gamma/2),
+    has the sign of threshold - C, and ``force_extrema`` reads its sign
+    from that difference: for gamma < pi/2 it is 4 sin(gamma/2)
+    (threshold - C); for gamma >= pi/2 both are negative when C > 0.
     """
     _check_contact_angle(contact_angle)
     if contact_angle >= PI / 2.0:
@@ -206,10 +230,12 @@ def force_extrema(capillary_ratios, contact_angle: float):
     * gamma < pi/2: a minimum in (0, pi/2) always; a maximum in (3pi/4, pi)
       exactly when the slope at phi0 = pi is negative.
 
-    A bracket whose endpoint slopes do not change sign is dropped.  Each
-    bracket is bisected once over every capillary ratio it holds
-    (``_extremum``), one float bracket shared by all of them; a scalar
-    runs on floats throughout.  Callers that use the maximum alone
+    A bracket whose endpoint slopes do not change sign is dropped, and so is
+    the maximum's where 4 C sin(gamma/2), the size of the slope's O(C)
+    terms at pi, rounds away against its C^2 terms: F' near pi is then
+    rounding.  Each bracket is bisected once over every capillary ratio it
+    holds (``_extremum``), one float bracket shared by all of them; a
+    scalar runs on floats throughout.  Callers that use the maximum alone
     (``critical_mass_ratio``, ``regions.trace_tangency_curve``) call
     ``_force_maximum``, which bisects the maximum's bracket only.
     """
@@ -228,7 +254,9 @@ def _force_maximum(capillary_ratios, contact_angle: float):
 
 def _capillary_ratios(capillary_ratios):
     """A float for a scalar, else a float array."""
-    c = np.asarray(capillary_ratios, dtype=float)
+    if isinstance(capillary_ratios, (int, float)):
+        return float(capillary_ratios)
+    c = _numpy().asarray(capillary_ratios, dtype=float)
     return c.item() if c.ndim == 0 else c
 
 
@@ -245,21 +273,34 @@ def _extremum_brackets(g):
 def _extremum(c, g, lo, hi, lo_negative, hi_negative):
     """One bracket of ``force_extrema`` for a float or an array ``c``.
 
+    At hi = pi, _slope's C^2 terms cancel, and their rounding can swamp
+    the rest just above the threshold t; the slope there has the sign of
+    t - C (``second_extremum_threshold``), which stands in for it.  The
+    bracket is dropped where 4 C sin(g/2) <= C^2 eps: the slope near pi is
+    then rounding, and no bisection on it places the maximum to PHI0_TOL.
     An array bisects the lanes that bracket as one array, even a lone one:
     ``bisect`` gives each lane its float run's bits."""
-    s_lo, s_hi = _slope(lo, c, g), _slope(hi, c, g)
-    ok = s_lo * s_hi < 0.0
+    s_lo = _slope(lo, c, g)
+    if hi == PI:
+        s_hi = second_extremum_threshold(g) - c
+        ok = (s_lo * s_hi < 0.0) & (4.0 * math.sin(g / 2.0) > c * 2.0 ** -52)
+    else:
+        s_hi = _slope(hi, c, g)
+        ok = s_lo * s_hi < 0.0
     if lo_negative:
         ok = ok & (s_lo < 0.0)
     if hi_negative:
         ok = ok & (s_hi < 0.0)
     if isinstance(c, float):
-        return bisect(lambda x: _slope(x, c, g), lo, hi) if ok else math.nan
+        return (bisect(lambda x: _slope(x, c, g), lo, hi, s_hi) if ok
+                else math.nan)
+    np = _numpy()
     phi = np.full(c.shape, np.nan)
     idx = np.flatnonzero(ok)
     if idx.size:
         sub = c.ravel()[idx]
-        phi.flat[idx] = bisect(lambda x: _slope(x, sub, g), lo, hi)
+        phi.flat[idx] = bisect(lambda x: _slope(x, sub, g), lo, hi,
+                               s_hi.ravel()[idx])
     return phi
 
 
@@ -288,6 +329,7 @@ def _bounds(c):
 
 def _nodes(minimum, maximum, size):
     """The (4, size) segment nodes [0, minimum or 0, maximum or pi, pi]."""
+    np = _numpy()
     zero = np.zeros(size)
     pi = zero + PI
     return np.stack([zero, np.where(minimum == minimum, minimum, zero),
@@ -316,6 +358,7 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     array bisection.  Both give bisect's bits.  Of roots closer than
     _DEDUP_TOL the first in node, segment, guard order counts (``_pack``).
     """
+    np = _numpy()
     g = contact_angle
     cap = np.asarray(capillary_ratios, dtype=float)
     caps = cap.ravel()
@@ -361,8 +404,9 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     # the default sort.
     roots = np.sort(found, axis=1, kind="stable")
     if a.size == 1:
-        windows = [(bisect_left(_SCAN_TO_FLOATS, r),
-                    bisect_right(_SCAN_FROM_FLOATS, r) - 1)
+        scan = _scan()
+        windows = [(bisect_left(scan.hi_floats, r),
+                    bisect_right(scan.lo_floats, r) - 1)
                    for r in roots[0].tolist() if r == r]
     else:
         cell, slot = np.nonzero(roots == roots)
@@ -384,6 +428,7 @@ def _pack(found, roots, rescan, a, c, g):
     roots closer than _DEDUP_TOL the first in node, segment, guard order
     counts.
     """
+    np = _numpy()
     guard = {}
     for i in rescan:
         added = _rescan([x for x in roots[i].tolist() if x == x],
@@ -447,8 +492,8 @@ def _rootless(rows, a, caps, col):
     if lone:
         level = a.item() * c * c
         row, = rows
-        return np.array([level > row.max() + margin
-                         or level < row.min() - margin])
+        return _numpy().array([level > row.max() + margin
+                               or level < row.min() - margin])
     c = caps[col]
     level = a * c * c
     return ((level > (rows.max(axis=1) + margin)[col])
@@ -458,22 +503,24 @@ def _rootless(rows, a, caps, col):
 def _scan_rows(caps, g):
     """F(_SCAN_GRID; A=0) for each capillary ratio, one row each, no trig.
 
-    One matrix product of each row's five coefficients with _SCAN_BASIS,
+    One matrix product of each row's five coefficients with the basis,
     written straight into the result.
     """
-    coef = np.empty((caps.size, len(_SCAN_BASIS)))
+    basis = _scan().basis
+    coef = _numpy().empty((caps.size, len(basis)))
     coef[:, 0] = math.cos(g)
     coef[:, 1] = math.sin(g)
     coef[:, 2] = caps * math.cos(g / 2.0)
     coef[:, 3] = caps * math.sin(g / 2.0)
     coef[:, 4] = caps * caps
-    return coef @ _SCAN_BASIS
+    return coef @ basis
 
 
 def _window(x):
     """(first, last): the grid intervals within _SCAN_PAD of each x."""
-    return (np.searchsorted(_SCAN_TO, x, "left"),
-            np.searchsorted(_SCAN_FROM, x, "right") - 1)
+    np, scan = _numpy(), _scan()
+    return (np.searchsorted(scan.hi, x, "left"),
+            np.searchsorted(scan.lo, x, "right") - 1)
 
 
 def _scan_guard(windows, a, c, col, rows):
@@ -493,6 +540,7 @@ def _scan_guard(windows, a, c, col, rows):
     block's windows differ only by the overlap it trims.
     A cell returned here rescans its grid with _force (``_rescan``).
     """
+    np = _numpy()
     if a.size == 1:
         a_i, c_i = a.item(), c.item()
         level = a_i * c_i * c_i
@@ -522,9 +570,10 @@ def _scan_guard(windows, a, c, col, rows):
             first[:1], np.where(cell[1:] == cell[:-1],
                                 np.maximum(first[1:], last[:-1] + 1),
                                 first[1:])])
-        window = first[:, None] + _WINDOW
-        at = (np.minimum(window, len(_SCAN_GRID) - 2)
-              + (col[cell] * len(_SCAN_GRID))[:, None])
+        # pad < grid step: a root's window spans at most three intervals
+        window = first[:, None] + np.arange(3)
+        at = (np.minimum(window, _SCAN_SIZE - 2)
+              + (col[cell] * _SCAN_SIZE)[:, None])
         f_at, f_next = rows.take(at), rows.take(at + 1)
         crossed = ((window <= last[:, None])
                    & (np.minimum(f_at, f_next) < above[cell, None])
@@ -543,8 +592,8 @@ def _crossings(rows, col, below, above):
     below < x or below < y.  The cells gather their rows 128 kB at a
     time, which keeps the temporaries small beside ``rows``.
     """
-    changes = np.empty(below.size, dtype=np.int64)
-    step = 2 ** 17 // _SCAN_GRID.nbytes
+    changes = _numpy().empty(below.size, dtype="int64")
+    step = 2 ** 17 // (8 * _SCAN_SIZE)
     for k in range(0, col.size, step):
         cells = slice(k, k + step)
         f0 = rows[col[cells]]
@@ -563,9 +612,10 @@ def _rescan(kept, a, c, g):
     ModelInconsistencyWarning and joins ``kept``.
     """
     added = []
-    shifted = _force(_SCAN_GRID, 0.0, c, g) - a * c * c
-    for j in np.flatnonzero(shifted[:-1] * shifted[1:] < 0.0).tolist():
-        lo, hi = float(_SCAN_GRID[j]), float(_SCAN_GRID[j + 1])
+    grid = _scan().grid
+    shifted = _force(grid, 0.0, c, g) - a * c * c
+    for j in _numpy().flatnonzero(shifted[:-1] * shifted[1:] < 0.0).tolist():
+        lo, hi = float(grid[j]), float(grid[j + 1])
         if any(lo - _SCAN_PAD <= x <= hi + _SCAN_PAD for x in kept):
             continue
         x = bisect(lambda x: _force(x, a, c, g), lo, hi)
@@ -614,16 +664,14 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
     equilibrium pair is gone; below it (but past the endpoint-zero line)
     there are two equilibria.
 
-    Raises NoSecondCriticalPointError when the regime has no interior
-    maximum (contact angle < pi/2 with capillary ratio at or below the
-    second-extremum threshold, or so little above it that the slope at pi
-    rounds to zero or above: a few ulps at gamma = 0.5, a relative 3e-5 at
-    gamma = 1e-6, where the slope's C^2 terms cancel and their rounding
-    swamps the rest), and ValueError when C is so small that A* is not
-    finite, so large that the force scale pi C^2 cannot be squared,
-    or so large that the slope's O(C) terms at pi, 4 C sin(gamma/2) in
-    size, round away against its C^2 terms and leave the maximum with no
-    bracket (from C between about 2e16 and 5e16 at gamma >= 1).
+    Raises NoSecondCriticalPointError exactly when C is at or below
+    ``second_extremum_threshold(contact_angle)``, so never for
+    gamma = ``math.pi / 2``, which stands for pi/2 as there.  Raises
+    ValueError when C is so small that A* is not finite, so large that the
+    force scale pi C^2 cannot be squared, or so large that the slope's O(C)
+    terms at pi, 4 C sin(gamma/2) in size, round away against its C^2
+    terms (4 sin(gamma/2) <= C 2^-52: from C of about 1.3e16 at
+    gamma = 1.6, 9e12 at gamma = 1e-3): the slope near pi is then rounding.
     """
     # the A = 0 scale test of DimensionlessParams, named for C alone
     scale = PI * capillary_ratio * capillary_ratio
@@ -635,21 +683,16 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
     phi0_star = _force_maximum(capillary_ratio, contact_angle)
     if not phi0_star > PI / 2.0:
         threshold = second_extremum_threshold(contact_angle)
-        above = capillary_ratio > threshold
-        if above and 4.0 * math.sin(contact_angle / 2.0) <= (
-                capillary_ratio * 2.0 ** -52):
+        # above the threshold, with the slope at the bracket's low end
+        # over C^2, only the rounding test of _extremum drops the bracket
+        if capillary_ratio > threshold:
             raise ValueError(
                 f"capillary_ratio={capillary_ratio!r} is too large: the "
                 f"force slope near pi rounds to zero against C^2")
-        why = f" (threshold C = {threshold!r})"
-        if above and contact_angle < PI / 2.0:
-            why = (f": C is within rounding of the threshold C = "
-                   f"{threshold!r}; the force slope at pi, "
-                   f"2 cos(gamma) - 4 C sin(gamma/2), is below the rounding "
-                   f"of its terms and comes out zero or above")
         raise NoSecondCriticalPointError(
             f"no interior force maximum past pi/2 for contact_angle="
-            f"{contact_angle!r}, capillary_ratio={capillary_ratio!r}{why}")
+            f"{contact_angle!r}, capillary_ratio={capillary_ratio!r} "
+            f"(threshold C = {threshold!r})")
     f_star = _force(phi0_star, 0.0, capillary_ratio, contact_angle)
     return _finite_mass(f_star, capillary_ratio ** 2, capillary_ratio), phi0_star
 

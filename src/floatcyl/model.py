@@ -20,7 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+_np = None  # NumPy, once _numpy has imported it
+
+
+def _numpy():
+    """NumPy, imported by the first call that needs it: float inputs run on
+    math, so a process passing no array (astar, curves) never loads it."""
+    global _np
+    if _np is None:
+        import numpy as _np
+    return _np
 
 
 def _check_contact_angle(contact_angle) -> None:
@@ -36,7 +45,7 @@ def _check_integer(name, value) -> None:
     Callers test a count's range first, which keeps their messages, and
     call this before the count sizes any work."""
     values = value if isinstance(value, (tuple, list)) else (value,)
-    if not all(isinstance(v, (int, np.integer)) for v in values):
+    if not all(isinstance(v, (int, _numpy().integer)) for v in values):
         what = "integers" if values is value else "an integer"
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
@@ -123,13 +132,14 @@ def to_dimensionless(p: PhysicalParams) -> DimensionlessParams:
 
 def inclination_at_contact(phi0, contact_angle):
     """Meniscus inclination at the contact point: psi0 = phi0 + gamma - pi."""
-    return phi0 + contact_angle - np.pi
+    return phi0 + contact_angle - math.pi
 
 
 def _check_phi0(phi0):
     if isinstance(phi0, (float, int)):
         lo = hi = phi0
     else:
+        np = _numpy()
         lo = np.min(phi0)
         hi = np.max(phi0)
     # written so that NaN fails
@@ -149,13 +159,14 @@ def center_height(phi0, params: DimensionlessParams):
 
 def _height(phi0, c, g):
     """center_height without the domain check; see _force for the float case."""
-    xp = math if isinstance(phi0, float) else np
+    xp = math if isinstance(phi0, float) else _numpy()
     return xp.cos(phi0) + (2.0 / c) * xp.cos((phi0 + g) / 2.0)
 
 
 def center_height_slope(phi0, params: DimensionlessParams):
     """d(h/a)/d(phi0); strictly negative on (0, pi) except phi0 = gamma = 0 or pi."""
     _check_phi0(phi0)
+    np = _numpy()
     c = params.capillary_ratio
     g = params.contact_angle
     return -np.sin(phi0) - (1.0 / c) * np.sin((phi0 + g) / 2.0)
@@ -187,7 +198,7 @@ def _force(phi0, a, c, g):
     NumPy's bits, a property of the platform that
     ``test_float_kernels_match_numpy`` checks.
     """
-    xp = math if isinstance(phi0, float) else np
+    xp = math if isinstance(phi0, float) else _numpy()
     return (-a * c * c - 2.0 * xp.sin(phi0 + g)
             - 4.0 * c * xp.cos((phi0 + g) / 2.0) * xp.sin(phi0)
             - 0.5 * c * c * xp.sin(2.0 * phi0) + c * c * phi0)
@@ -201,7 +212,7 @@ def force_slope(phi0, params: DimensionlessParams):
 
 def _slope(phi0, c, g):
     """force_slope without the domain check; see _force for the float case."""
-    xp = math if isinstance(phi0, float) else np
+    xp = math if isinstance(phi0, float) else _numpy()
     return (-2.0 * xp.cos(phi0 + g)
             + 2.0 * c * xp.sin((phi0 + g) / 2.0) * xp.sin(phi0)
             - 4.0 * c * xp.cos((phi0 + g) / 2.0) * xp.cos(phi0)
@@ -211,6 +222,7 @@ def _slope(phi0, c, g):
 def force_curvature(phi0, params: DimensionlessParams):
     """d2F/d(phi0)^2, also independent of the mass ratio."""
     _check_phi0(phi0)
+    np = _numpy()
     c = params.capillary_ratio
     g = params.contact_angle
     return (2.0 * np.sin(phi0 + g)
@@ -246,28 +258,30 @@ class EnergyBreakdown:
 def total_energy(phi0, params: DimensionlessParams) -> EnergyBreakdown:
     """Component-wise total potential energy at wetting angle phi0.
 
-    Accepts scalars or arrays; components are then arrays of the same shape.
-    Every component is continuous through the flat-interface configuration
-    phi0 + gamma = pi.
+    Accepts scalars or arrays; components are then arrays of the same shape,
+    and a float phi0 runs on ``math``, as in ``_force``.  Every component is
+    continuous through the flat-interface configuration phi0 + gamma = pi.
     """
     _check_phi0(phi0)
     a = params.mass_ratio
     c = params.capillary_ratio
     g = params.contact_angle
+    xp = math if isinstance(phi0, float) else _numpy()
     psi0 = inclination_at_contact(phi0, g)
     half = (phi0 + g) / 2.0
+    cos_half, sin_half = xp.cos(psi0 / 2.0), xp.sin(psi0 / 2.0)
 
-    e_gravity = a * c * c * (np.cos(phi0) + (2.0 / c) * np.cos(half))
-    e_wetting = -2.0 * phi0 * np.cos(g)
-    e_surface = (4.0 / c) * (1.0 - np.cos(psi0 / 2.0)) - 2.0 * np.sin(phi0)
-    e_outer = -(4.0 / (3.0 * c)) * (1.0 - 2.0 * np.cos(psi0 / 2.0)
-                                    + np.cos(psi0 / 2.0) * np.cos(psi0))
-    e_inner = (c * c / 12.0 * np.sin(3.0 * phi0)
-               - c * c * phi0 * np.cos(phi0)
-               + 0.75 * c * c * np.sin(phi0)
-               - c * np.sin(psi0 / 2.0) * np.sin(2.0 * phi0)
-               + 2.0 * c * phi0 * np.sin(psi0 / 2.0)
-               + 4.0 * np.sin(psi0 / 2.0) ** 2 * np.sin(phi0))
+    e_gravity = a * c * c * (xp.cos(phi0) + (2.0 / c) * xp.cos(half))
+    e_wetting = -2.0 * phi0 * xp.cos(g)
+    e_surface = (4.0 / c) * (1.0 - cos_half) - 2.0 * xp.sin(phi0)
+    e_outer = -(4.0 / (3.0 * c)) * (1.0 - 2.0 * cos_half
+                                    + cos_half * xp.cos(psi0))
+    e_inner = (c * c / 12.0 * xp.sin(3.0 * phi0)
+               - c * c * phi0 * xp.cos(phi0)
+               + 0.75 * c * c * xp.sin(phi0)
+               - c * sin_half * xp.sin(2.0 * phi0)
+               + 2.0 * c * phi0 * sin_half
+               + 4.0 * (sin_half * sin_half) * xp.sin(phi0))
     return EnergyBreakdown(gravity=e_gravity, wetting=e_wetting,
                            surface=e_surface, fluid_inner=e_inner,
                            fluid_outer=e_outer)
@@ -323,6 +337,7 @@ def interface_profile(phi0, params: DimensionlessParams, n: int = 1000,
     if n < 2:
         raise ValueError(f"need at least two samples, got n={n}")
     _check_integer("n", n)
+    np = _numpy()
     c = params.capillary_ratio
     g = params.contact_angle
     psi0 = float(inclination_at_contact(phi0, g))

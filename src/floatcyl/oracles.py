@@ -417,6 +417,8 @@ def _draw_params(rng, n):
 
 def run_all(n_sets: int = 100, seed: int = 20240801) -> list[OracleReport]:
     """Run the full oracle suite over randomized parameter sets."""
+    if n_sets < 1:
+        raise ValueError(f"n_sets must be at least 1, got {n_sets!r}")
     _check_integer("n_sets", n_sets)
     rng = np.random.default_rng(seed)
     draws = _draw_params(rng, n_sets)

@@ -7,11 +7,15 @@ import subprocess
 import sys
 from datetime import datetime, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import floatcyl
-from floatcyl.cli import main
+from floatcyl.cli import _emit_table, main
+from floatcyl.model import (DimensionlessParams, center_height, total_energy,
+                            total_force)
 
 PI = math.pi
 # children import the floatcyl these tests import
@@ -170,6 +174,36 @@ class TestCurves:
         assert f0 == pytest.approx(-2.5 * 2.25 - 2 * math.sin(0.9), rel=1e-9)
         assert fpi == pytest.approx(2 * math.sin(0.9) + 2.25 * (PI - 2.5),
                                     rel=1e-9)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_float_rows_match_the_array_kernels(self, capsys, fmt):
+        # curves runs each point on floats; its bytes equal the rows of
+        # np.linspace through the array kernels (JSON prints every bit)
+        rng = np.random.default_rng(21)
+        cases = [(g, 4.0, 1.0) for g in (0.0, PI / 2, PI)] + [
+            (rng.uniform(0.0, PI), rng.uniform(0.05, 15.0),
+             math.exp(rng.uniform(math.log(1e-2), math.log(1e2))))
+            for _ in range(3)]
+        columns = ["phi0_rad", "force_over_sigma", "energy_over_sigma_a",
+                   "height_over_a"]
+        for g, a, c in cases:
+            p = DimensionlessParams(a, c, g)
+            meta = {"input_mode": "dimensionless", "mass_ratio": a,
+                    "capillary_ratio": c, "contact_angle": g}
+            for n in (1, 2, 3, 200, 400, 1000):
+                grid = np.linspace(0.0, PI, n)
+                rows = np.column_stack([grid, total_force(grid, p),
+                                        total_energy(grid, p).total,
+                                        center_height(grid, p)]).tolist()
+                _emit_table(SimpleNamespace(format=fmt, out=None,
+                                            timestamp=False),
+                            "curves", meta, columns, rows)
+                want = capsys.readouterr().out
+                code, out = run_cli(capsys, [
+                    "curves", "--gamma", repr(g), "--A", repr(a), "--C",
+                    repr(c), "--resolution", str(n), "--format", fmt])
+                assert code == 0
+                assert out == want, (g, a, c, n)
 
 
 class TestProfile:
@@ -464,32 +498,52 @@ class TestPlumbing:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("argv,loaded", [
-        (["curves", "--gamma", "1", "--A", "1", "--C", "1"], []),
+    @pytest.mark.parametrize("argv,loaded,code", [
+        (["curves", "--gamma", "1", "--A", "1", "--C", "1"], [], 0),
+        (["curves", "--gamma", "1", "--A", "1", "--C", "1", "--format",
+          "json"], [], 0),
         (["profile", "--gamma", "1", "--A", "1", "--C", "1", "--phi0", "0.5"],
-         []),
+         ["numpy"], 0),
         (["equilibria", "--gamma", "1", "--A", "1", "--C", "1"],
-         ["equilibria", "intersection"]),
-        (["astar", "--gamma", "2", "--C", "1"], ["equilibria"]),
-        (["verify", "--samples", "1"], ["oracles"]),
+         ["equilibria", "intersection", "numpy"], 0),
+        (["astar", "--gamma", "2", "--C", "1"], ["equilibria"], 0),
+        (["astar", "--gamma", "1.5707963", "--C", "1"], ["equilibria"], 0),
+        (["astar", "--gamma", "1.2", "--C", "2"], ["equilibria"], 0),
+        (["astar", "--gamma", "0.785398", "--C", "0.5"], ["equilibria"], 4),
+        (["verify", "--samples", "1"], ["numpy", "oracles"], 0),
         (["region-map", "--gamma", "2", "--resolution", "4"],
-         ["equilibria", "intersection", "regions"]),
-    ], ids=["curves", "profile", "equilibria", "astar", "verify",
+         ["equilibria", "intersection", "numpy", "regions"], 0),
+    ], ids=["curves", "curves-json", "profile", "equilibria", "astar",
+            "astar-series", "astar-gamma-1.2", "astar-error", "verify",
             "region-map"])
-    def test_command_loads_only_its_modules(self, argv, loaded):
+    def test_command_loads_only_its_modules(self, argv, loaded, code):
         # every command builds its parameters in model; the rest of the
-        # library loads only where the command runs it
+        # library, and NumPy, load only where the command runs them:
+        # astar and curves pass no array, so NumPy never loads
         proc = run_child(
             ["-c",
              "import sys; from floatcyl.cli import main; "
              f"code = main({argv!r}); "
-             "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'floatcyl'), file=sys.stderr); "
+             "print(sorted(m for m in sys.modules if m == 'numpy' "
+             "or m.split('.')[0] == 'floatcyl'), file=sys.stderr); "
              "sys.exit(code)"])
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == code, proc.stderr
         want = ["floatcyl", "floatcyl.cli", "floatcyl.model",
-                *(f"floatcyl.{m}" for m in loaded)]
-        assert proc.stderr.strip() == repr(sorted(want))
+                *(m if m == "numpy" else f"floatcyl.{m}" for m in loaded)]
+        if code == 0:
+            assert proc.stderr.strip() == repr(sorted(want))
+        else:
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 2 and lines[0].startswith("error: ")
+            assert lines[1] == repr(sorted(want))
+
+    def test_model_and_equilibria_import_without_numpy(self):
+        proc = run_child(
+            ["-c",
+             "import sys, floatcyl.model, floatcyl.equilibria; "
+             "print('numpy' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_bare_import_loads_no_submodule(self):
         proc = run_child(
@@ -532,7 +586,8 @@ class TestPlumbing:
         assert proc.stderr.strip() == "[]"
 
     def test_astar_too_large_for_the_slope(self):
-        # from C of about 5e16 the slope at pi rounds to zero against C^2
+        # from 4 sin(gamma/2) <= C 2^-52 (C of about 1.5e16 here) the slope
+        # at pi rounds to zero against C^2
         proc = run_child(["-m", "floatcyl.cli", "astar", "--gamma", "2",
                           "--C", "1e20"])
         assert proc.returncode == 4
@@ -543,15 +598,17 @@ class TestPlumbing:
         assert "threshold" not in lines[0]
 
     def test_astar_within_rounding_of_the_threshold(self):
-        # a C one ulp above the threshold, where the slope at pi rounds to 0
-        proc = run_child(["-m", "floatcyl.cli", "astar", "--gamma", "0.5",
-                          "--C", "1.7735822913560129"])
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert ("C is within rounding of the threshold C = "
-                "1.7735822913560126" in lines[0])
+        # a C one ulp above the threshold, where _slope(pi) rounds to 0,
+        # prints the maximum, as a 50-digit bisection finds it
+        from test_equilibria import mp_maximum
+        c, g = 1.7735822913560129, 0.5
+        proc = run_child(["-m", "floatcyl.cli", "astar", "--gamma", repr(g),
+                          "--C", repr(c)])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        _, rows = csv_rows(proc.stdout)
+        assert rows == [[f"{float(v):.12g}" for v in (c, *mp_maximum(c, g))]
+                        + [""] * 4]
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "eq.csv"

@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +27,42 @@ PI = math.pi
 
 def params(a=1.0, c=1.0, g=PI / 2, exploratory=False):
     return DimensionlessParams(a, c, g, exploratory=exploratory)
+
+
+def mp_maximum(c, g):
+    """(A*, phi0*) at 50 digits: F' bisected on the maximum's bracket
+    to 1e-45, math.pi / 2 standing for pi/2."""
+    with mpmath.workdps(50):
+        c = mpmath.mpf(c)
+        g = mpmath.pi / 2 if g == PI / 2 else mpmath.mpf(g)
+        lo = 3 * mpmath.pi / 4 if g < mpmath.pi / 2 else mpmath.pi / 2
+        hi = mpmath.pi
+
+        def slope(x):
+            return (-2 * mpmath.cos(x + g)
+                    + 2 * c * mpmath.sin((x + g) / 2) * mpmath.sin(x)
+                    - 4 * c * mpmath.cos((x + g) / 2) * mpmath.cos(x)
+                    + 2 * c * c * mpmath.sin(x) ** 2)
+
+        assert slope(lo) > 0 > slope(hi)
+        while hi - lo > mpmath.mpf(10) ** -45:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        x = (lo + hi) / 2
+        f = (-2 * mpmath.sin(x + g) - 4 * c * mpmath.cos((x + g) / 2)
+             * mpmath.sin(x) - c * c * mpmath.sin(2 * x) / 2 + c * c * x)
+        return f / (c * c), x
+
+
+def assert_is_maximum(got, c, g):
+    """critical_mass_ratio's (A*, phi0*) against mp_maximum: A* to 1e-15
+    relative; phi0* to twice the bisection's tolerance plus the slope's
+    rounding, the s of _bounds, over |F''(pi)| = 2 sin(g) + 4 C cos(g/2)."""
+    a_star, phi0_star = mp_maximum(c, g)
+    assert abs(got[0] - a_star) <= 1e-15 * a_star
+    curvature = 2.0 * math.sin(g) + 4.0 * c * math.cos(g / 2.0)
+    tol = 2.0 * equilibria.PHI0_TOL + _bounds(c)[0] / curvature
+    assert abs(got[1] - phi0_star) <= tol
 
 
 class TestCriticalPoints:
@@ -269,8 +306,7 @@ class TestCriticalMass:
             critical_mass_ratio(0.5, PI / 4)
 
     # A* falls strictly in C toward its large-C limit pi.  C starts 0.1 %
-    # above the second-extremum threshold, clear of the band where the
-    # slope at pi rounds to zero (ROADMAP item 2)
+    # above the second-extremum threshold
     @settings(derandomize=True, max_examples=300, database=None,
               deadline=None)
     @given(g=st.floats(0.0, PI), u=st.floats(0.0, 1.0),
@@ -309,18 +345,48 @@ class TestCriticalMass:
                            match=r"capillary_ratio=.* is too large"):
             critical_mass_ratio(c, g)
 
+    @pytest.mark.parametrize("g", [1e-6, 1e-3, 0.5, 1.6, 3.0])
+    def test_too_large_from_the_rounding_test(self, g):
+        # the error starts exactly where 4 sin(g/2) <= C 2^-52, below which
+        # the slope near pi still brackets a maximum
+        cut = 4.0 * math.sin(g / 2.0) * 2.0 ** 52
+        assert PI / 2 < critical_mass_ratio(math.nextafter(cut, 0.0), g)[1]
+        with pytest.raises(ValueError,
+                           match=r"capillary_ratio=.* is too large"):
+            critical_mass_ratio(cut, g)
+
     @pytest.mark.parametrize("c,g", [
         (1.7735822913560129, 0.5),
         (math.nextafter(999999.9999995417, math.inf), 1e-6)])
     def test_within_rounding_of_the_threshold(self, c, g):
-        # above the threshold, but the slope at pi rounds to zero or above:
-        # the message says so instead of quoting a threshold below C
-        threshold = second_extremum_threshold(g)
-        assert c > threshold
-        with pytest.raises(NoSecondCriticalPointError, match=re.escape(
-                f"capillary_ratio={c!r}: C is within rounding of the "
-                f"threshold C = {threshold!r}")):
-            critical_mass_ratio(c, g)
+        # one ulp above the threshold, where _slope(pi) rounds to zero: the
+        # bracket reads the slope's sign at pi from C - threshold instead
+        assert c == math.nextafter(second_extremum_threshold(g), math.inf)
+        assert_is_maximum(critical_mass_ratio(c, g), c, g)
+
+    @pytest.mark.parametrize("c", [1e-17, 1e-16, 1e-15])
+    def test_neutral_angle_has_a_maximum_at_every_c(self, c):
+        # math.pi / 2 stands for pi/2, threshold 0, though that float lies
+        # 6.1e-17 below pi/2, where the threshold would be 4.3e-17
+        assert second_extremum_threshold(PI / 2) == 0.0
+        assert_is_maximum(critical_mass_ratio(c, PI / 2), c, PI / 2)
+
+    def test_error_exactly_at_the_threshold(self):
+        # no band: NoSecondCriticalPointError at the threshold, a maximum
+        # one ulp above it and from there up, at every angle in (1e-6, pi/2)
+        rng = np.random.default_rng(5)
+        for g in [1e-6, 1e-3, 0.5, PI / 2 - 1e-9] + rng.uniform(
+                1e-6, PI / 2, 40).tolist():
+            t = second_extremum_threshold(g)
+            with pytest.raises(NoSecondCriticalPointError,
+                               match=re.escape(f"(threshold C = {t!r})")):
+                critical_mass_ratio(t, g)
+            c = t
+            for _ in range(4):
+                c = math.nextafter(c, math.inf)
+                assert PI / 2 < critical_mass_ratio(c, g)[1] <= PI
+            for rel in (1e-12, 1e-9, 1e-6, 2e-5):
+                assert PI / 2 < critical_mass_ratio(t * (1 + rel), g)[1] <= PI
 
     def test_small_c_series(self):
         for c in (0.1, 0.05):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floatcyl.equilibria import _bounds
-from floatcyl.model import (DimensionlessParams, PhysicalParams, _force,
-                            _height, _slope, center_height,
-                            center_height_slope, force_curvature, force_slope,
+from floatcyl.model import (DimensionlessParams, EnergyBreakdown,
+                            PhysicalParams, _force, _height, _slope,
+                            center_height, center_height_slope,
+                            force_curvature, force_slope,
                             inclination_at_contact, interface_profile,
                             to_dimensionless, total_energy, total_force)
 
@@ -216,16 +218,24 @@ class TestForce:
 
     def test_float_kernels_match_numpy(self):
         # a float phi0 runs on math, an array on NumPy: the scalar solver
-        # relies on both giving the same bits
+        # and curves rely on both giving the same bits
         rng = np.random.default_rng(13)
         for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 7).tolist():
             for phi0 in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 40).tolist():
                 a = rng.uniform(0.05, 15.0)
                 c = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
                 one = np.array([phi0])
+                p = params(a, c, g)
+                energy = total_energy(phi0, p)
+                energy_one = total_energy(one, p)
                 for got, want in ((_force(phi0, a, c, g), _force(one, a, c, g)),
                                   (_slope(phi0, c, g), _slope(one, c, g)),
-                                  (_height(phi0, c, g), _height(one, c, g))):
+                                  (_height(phi0, c, g), _height(one, c, g)),
+                                  (center_height(phi0, p),
+                                   center_height(one, p)),
+                                  *((getattr(energy, f.name),
+                                     getattr(energy_one, f.name))
+                                    for f in fields(EnergyBreakdown))):
                     assert type(got) is float
                     assert got == want[0], (phi0, a, c, g)
 

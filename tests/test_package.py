@@ -125,6 +125,12 @@ class TestCounts:
         with pytest.raises(ValueError, match=rf"\b{arg}\b"):
             fn(**args)
 
+    @pytest.mark.parametrize("n_sets", [0, -1])
+    def test_run_all_needs_a_draw(self, n_sets):
+        # over no draws, a check would pass with samples=0
+        with pytest.raises(ValueError, match=r"\bn_sets\b.*at least 1"):
+            floatcyl.run_all(n_sets)
+
 
 def _imported(tree):
     """The names a module's imports bind, at any depth."""

@@ -327,6 +327,13 @@ def _bounds(c):
             2.0 + c * (9.0 + 2.0 * c))
 
 
+def _margin(c):
+    """(s, M) for a float or array C: the slack s of ``_bounds`` and
+    ``_rootless``'s margin M = 2s + K _SCAN_SAG + ROOT_VALUE_TOL."""
+    s, _, K = _bounds(c)
+    return s, 2.0 * s + K * _SCAN_SAG + ROOT_VALUE_TOL
+
+
 def _nodes(minimum, maximum, size):
     """The (4, size) segment nodes [0, minimum or 0, maximum or pi, pi]."""
     np = _numpy()
@@ -483,12 +490,13 @@ def _rootless(rows, a, caps, col):
     widened by s, counts no crossing.  ``solve`` without the test finds no
     root for these cells either.  The proof does not rest on the
     monotone-segment structure, so it needs no guard behind it.  M follows
-    ROOT_VALUE_TOL: should that become force-scaled, so must M's last term.
+    ROOT_VALUE_TOL: should that become force-scaled, so must M's last term,
+    and with it ``find_equilibria``'s closed-form test, which clears a
+    subset of these cells before any row exists.
     """
     lone = a.size == 1  # so one column too
     c = caps.item() if lone else caps
-    s, _, K = _bounds(c)
-    margin = 2.0 * s + K * _SCAN_SAG + ROOT_VALUE_TOL
+    _, margin = _margin(c)
     if lone:
         level = a.item() * c * c
         row, = rows
@@ -637,9 +645,28 @@ def find_equilibria(params: DimensionlessParams,
     The one-cell call of ``solve``; ``critical``, as ``critical_points``
     gives it, stands in for the extrema.  The fields are Python floats
     whatever number type the params hold.
+
+    A cell whose level A C^2 clears F(.; A=0)'s closed-form range by the
+    margin 2s + M of ``_margin`` returns [] on floats, before ``solve``
+    builds an array.  On [0, pi], F(.; A=0) = -2 sin(phi+gamma)
+    - 4C cos((phi+gamma)/2) sin(phi) + C^2 (phi - sin(phi) cos(phi)) lies in
+    [-2 - 4C, 2 + 4C + pi C^2], since the last term rises from 0 to pi C^2.
+    ``_rootless`` marks every such cell: its row lies within s of _force,
+    _force within a few ulps of pi (1+C)^2 of the exact F, and the bound
+    rounds by as little; both fall far below the other s.  So a level
+    above the bound lies above its row's maximum plus M (below is the
+    mirror image), and ``solve`` finds no root either.  The margin follows
+    M, and with it ROOT_VALUE_TOL.
     """
-    a = params.mass_ratio
+    # one float A for the test and solve: a NumPy float32 times a float
+    # stays float32, whose rounding would swamp the margin
+    a = float(params.mass_ratio)
     c, g = float(params.capillary_ratio), float(params.contact_angle)
+    s, margin = _margin(c)
+    level = a * c * c
+    if (level > 2.0 + 4.0 * c + PI * c * c + 2.0 * s + margin
+            or level < -2.0 - 4.0 * c - 2.0 * s - margin):
+        return []
     extrema = None
     if critical is not None:
         phis = {cp.kind: cp.phi0 for cp in critical}

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -20,6 +21,7 @@ from floatcyl.model import (DimensionlessParams, center_height, total_energy,
 PI = math.pi
 # children import the floatcyl these tests import
 SRC = str(Path(floatcyl.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_child(args):
@@ -357,6 +359,59 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestReadmeCommands:
+    # each README command's exit code and the SHA-256 of what it writes:
+    # its stdout, or its --out file
+    PINNED = [
+        ("equilibria --gamma 1.5707963 --A 3.8 --C 2", 0,
+         "7a94b5d33364eb2221e32ca2510ffe6400d3e07b3b5e8b7cd0bd53bb25ee8423"),
+        ("equilibria --gamma 1.5707963 --m 1.2 --rho 1 --sigma 72 --g 980 "
+         "--a 0.56418958", 0,
+         "a5547cb4ad79c5bdc258cdf15303951726b3176b23210a76e670ef381a76e8cb"),
+        ("equilibria --gamma 0.7853982 --A 2 --C 1", 0,
+         "6c265be9810177571038aea8acdc90baa53ae531649487ccc882281d8f3ad6b7"),
+        ("equilibria --gamma 1 --A 10 --C 2", 3,
+         "4205b0f981e607f6c5fc254a4c2e78542e866f02908b0fdf7679423acdddcba8"),
+        ("curves --gamma 1.5707963 --A 4 --C 1 --resolution 400 --out "
+         "curves.csv", 0,
+         "baefd757faad2013c059b75831004eb71ba349278794c4a9db2cb758b1ed0966"),
+        ("profile --gamma 0.7853982 --A 1 --C 2 --phi0 0.4", 0,
+         "83d70802701d978cdcc750b4f7e253c470e9b936fafd39ead0933f5b45446787"),
+        ("astar --gamma 1.5707963 --C 1", 0,
+         "c0c578e2966ac5365624d7afe37d4b8bf1376182399b9c60070856932a46a6ab"),
+        ("region-map --gamma 2.3561945 --resolution 200 --format json --out "
+         "map.json", 0,
+         "6ed5089eb7af3d48756b2dc2c2aa00d1e9c593df52b5f29c63056d3cba522a67"),
+        ("verify --samples 100 --format json", 0,
+         "e0e8acc0e3a389ca0160334f9fb1ccf0fef6e2f597be36443e0f1d329d55ef78"),
+    ]
+
+    def test_every_command_is_pinned(self):
+        section = README.read_text().split("## Command line", 1)[1]
+        block = section.split("```\n", 2)[1].replace("\\\n", " ")
+        assert [shlex.join(shlex.split(line)[1:])
+                for line in block.splitlines()
+                if line.startswith("floatcyl ")] == [
+                    command for command, _, _ in self.PINNED]
+
+    @pytest.mark.parametrize("command,code,digest", PINNED,
+                             ids=[command for command, _, _ in PINNED])
+    def test_output_bytes(self, capsys, tmp_path, command, code, digest):
+        argv = shlex.split(command)
+        out = None
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            out = argv[i] = str(tmp_path / argv[i])
+        assert main(argv) == code
+        stdout = capsys.readouterr().out
+        if out:
+            assert stdout == ""
+            data = Path(out).read_bytes()
+        else:
+            data = stdout.encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestTimestamp:
     ISO = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?\+00:00")
 
@@ -506,6 +561,12 @@ class TestPlumbing:
          ["numpy"], 0),
         (["equilibria", "--gamma", "1", "--A", "1", "--C", "1"],
          ["equilibria", "intersection", "numpy"], 0),
+        # a weight past the force's closed-form ceiling builds no array
+        (["equilibria", "--gamma", "1", "--A", "10", "--C", "2"],
+         ["equilibria", "intersection"], 3),
+        (["equilibria", "--gamma", "1.5707963", "--m", "12", "--rho", "1",
+          "--sigma", "72", "--g", "980", "--a", "0.56418958"],
+         ["equilibria", "intersection"], 3),
         (["astar", "--gamma", "2", "--C", "1"], ["equilibria"], 0),
         (["astar", "--gamma", "1.5707963", "--C", "1"], ["equilibria"], 0),
         (["astar", "--gamma", "1.2", "--C", "2"], ["equilibria"], 0),
@@ -513,13 +574,15 @@ class TestPlumbing:
         (["verify", "--samples", "1"], ["numpy", "oracles"], 0),
         (["region-map", "--gamma", "2", "--resolution", "4"],
          ["equilibria", "intersection", "numpy", "regions"], 0),
-    ], ids=["curves", "curves-json", "profile", "equilibria", "astar",
+    ], ids=["curves", "curves-json", "profile", "equilibria",
+            "equilibria-rootless", "equilibria-rootless-physical", "astar",
             "astar-series", "astar-gamma-1.2", "astar-error", "verify",
             "region-map"])
     def test_command_loads_only_its_modules(self, argv, loaded, code):
         # every command builds its parameters in model; the rest of the
         # library, and NumPy, load only where the command runs them:
-        # astar and curves pass no array, so NumPy never loads
+        # astar and curves pass no array, so NumPy never loads, nor does
+        # equilibria for a weight that clears the force's ceiling (exit 3)
         proc = run_child(
             ["-c",
              "import sys; from floatcyl.cli import main; "
@@ -530,7 +593,7 @@ class TestPlumbing:
         assert proc.returncode == code, proc.stderr
         want = ["floatcyl", "floatcyl.cli", "floatcyl.model",
                 *(m if m == "numpy" else f"floatcyl.{m}" for m in loaded)]
-        if code == 0:
+        if code != 4:
             assert proc.stderr.strip() == repr(sorted(want))
         else:
             lines = proc.stderr.splitlines()
@@ -538,12 +601,16 @@ class TestPlumbing:
             assert lines[1] == repr(sorted(want))
 
     def test_model_and_equilibria_import_without_numpy(self):
+        # nor does find_equilibria load it on a cell past the ceiling
         proc = run_child(
             ["-c",
              "import sys, floatcyl.model, floatcyl.equilibria; "
+             "print('numpy' in sys.modules); "
+             "print(floatcyl.equilibria.find_equilibria("
+             "floatcyl.model.DimensionlessParams(10.0, 2.0, 1.0))); "
              "print('numpy' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "[]", "False"]
 
     def test_bare_import_loads_no_submodule(self):
         proc = run_child(

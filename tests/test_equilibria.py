@@ -15,8 +15,8 @@ from floatcyl.equilibria import (_SCAN_GRID, ROOT_VALUE_TOL, ExtremumKind,
                                  ModelInconsistencyWarning,
                                  NoSecondCriticalPointError, Stability,
                                  UnsupportedRegimeError, _bounds, _crossings,
-                                 _force_maximum, _rootless, _scan_rows,
-                                 asymptotic_critical_mass, bisect,
+                                 _force_maximum, _margin, _rootless,
+                                 _scan_rows, asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, force_extrema,
                                  second_extremum_threshold, solve)
@@ -286,6 +286,89 @@ class TestFindEquilibria:
             phis = [0.0] + [cp.phi0 for cp in critical_points(p)] + [PI]
             f = total_force(np.array(phis), p)
             assert np.all(f < 0.0) or np.all(f > 0.0)
+
+    def test_ceiling_clears_only_rootless_cells(self, monkeypatch):
+        # find_equilibria answers a level past F(.; A=0)'s closed-form range
+        # without calling solve: every cell it clears is one _rootless marks
+        # from its row, where solve finds no root either
+        rng = np.random.default_rng(48)
+        cells = _edge_cells(41)
+        for g in (0.0, PI / 2, PI):
+            for c in [1e-6, *np.exp(rng.uniform(math.log(1e-6), math.log(1e8),
+                                                40)).tolist()]:
+                s, margin = _margin(c)
+                top = 2.0 + 4.0 * c + PI * c * c + 2.0 * s + margin
+                bottom = -2.0 - 4.0 * c - 2.0 * s - margin
+                cells += [(rng.uniform(0.05, 15.0), c, g),
+                          (-rng.uniform(0.05, 15.0), c, g)]
+                cells += [(level / (c * c) * f, c, g)
+                          for level in (top, bottom)
+                          for f in (1.0 - 1e-6, 1.0 - 1e-12,
+                                    1.0 + 1e-12, 1.0 + 1e-6)]
+        cells += _criterion_9_draws(49, 2000)
+        calls = _counting_solve(monkeypatch)
+        cleared = []
+        for a, c, g in cells:
+            n = len(calls)
+            eqs = find_equilibria(params(a, c, g, exploratory=True))
+            if len(calls) == n:
+                assert eqs == []
+                cleared.append((a, c, g))
+        for a, c, g in cleared:
+            one = np.array([c])
+            assert _rootless(_scan_rows(one, g), np.array([a]), one,
+                             np.array([0])).item(), (a, c, g)
+            assert solve(a, c, g).shape == (0,), (a, c, g)
+        assert 1500 < len(cleared) < len(cells)
+
+    def test_ceiling_count_on_criterion_9_draws(self, monkeypatch):
+        # the share the ceiling clears: 58 % of criterion-9 cells, pinned so
+        # that a ceiling which stops clearing fails here
+        calls = _counting_solve(monkeypatch)
+        for a, c, g in _criterion_9_draws(49, 2000):
+            find_equilibria(params(a, c, g))
+        assert 2000 - len(calls) == 1163
+
+    @pytest.mark.parametrize("a,c,g,cleared,roots", [
+        (10, 2.0, 1.0, True, 0),
+        (3, 2.0, PI / 2, False, 1),
+        (np.float32(10.0), 2.0, 1.0, True, 0),
+        (np.float32(3.8), 2.0, PI / 2, False, 2),
+        # its float32 level A C C would clear the ceiling, its float level
+        # does not, nor does _rootless mark it
+        (np.float32(3.1415951), 1e8, PI / 2, False, 0),
+    ])
+    def test_mass_ratio_of_any_number_type(self, monkeypatch, a, c, g,
+                                           cleared, roots):
+        # the ceiling tests the float of A, as solve does
+        calls = _counting_solve(monkeypatch)
+        eqs = find_equilibria(params(a, c, g))
+        assert (not calls) is cleared
+        assert len(eqs) == roots
+        assert repr(eqs) == repr(find_equilibria(params(float(a), c, g)))
+
+
+def _criterion_9_draws(seed, n):
+    """n (A, C, gamma) triples drawn as criterion 9 draws them."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for _ in range(n):
+        g = rng.uniform(0.0, PI)
+        cells.append((rng.uniform(0.05, 15.0), rng.uniform(0.05, 6.0), g))
+    return cells
+
+
+def _counting_solve(monkeypatch):
+    """A list that grows by one with each call find_equilibria makes to
+    solve."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(equilibria, "solve", counting)
+    return calls
 
 
 class TestCriticalMass:

@@ -144,11 +144,12 @@ def bisect(f, lo, hi, f_hi=None):
     masks' arithmetic in every halving; no array can exist unless NumPy is
     loaded, so a float call never loads it.  Array elements run side by
     side, each selected by ``np.where``, so each equals its scalar run.
-    When every lane shares one float bracket, as in ``force_extrema``, dm
-    is one float for all of them, and each xm lies within the bracket
-    widened by half an ulp per halving, so within twice its larger end:
-    while |dm| is at least twice PHI0_TOL + 4 eps max(|lo|, |hi|), no
-    lane's tolerance test can pass, and only f(xm) == 0 can stop a lane.
+    Each lane's dm halves exactly, and so does the least |dm| of all
+    lanes; each xm lies within its lane's bracket widened by half an ulp
+    per halving, so within twice the largest end of any bracket.  So
+    while the least |dm| is at least twice PHI0_TOL + 4 eps max(|lo|, |hi|)
+    over all lanes, no lane's tolerance test can pass, and only
+    f(xm) == 0 can stop a lane.
     """
     fa, fb = f(lo), f(hi) if f_hi is None else f_hi
     np = sys.modules.get("numpy")
@@ -172,15 +173,20 @@ def bisect(f, lo, hi, f_hi=None):
     todo = (fa != 0.0) & (fb != 0.0)
     root = np.where(fa == 0.0, lo, hi)
     xa, dm = lo, hi - lo
-    # one bracket: the |dm| from which no lane's tolerance test can pass
-    wide = (None if isinstance(dm, np.ndarray)
-            else 2.0 * (PHI0_TOL + _RTOL * max(abs(lo), abs(hi))))
+    # the least |dm| of any lane, and the |dm| from which no lane's
+    # tolerance test can pass; with no lane, no shortcut
+    least, wide = 0.0, 1.0
+    if np.size(dm):
+        least = float(np.abs(dm).min())
+        wide = 2.0 * (PHI0_TOL + _RTOL * float(
+            np.maximum(np.abs(lo), np.abs(hi)).max()))
     for _ in range(_MAX_HALVINGS):
         dm = dm * 0.5
+        least *= 0.5
         xm = xa + dm
         fm = f(xm)
         xa = np.where(fm * fa >= 0.0, xm, xa)
-        if wide is not None and abs(dm) >= wide:
+        if least >= wide:
             stop = todo & (fm == 0.0)
             if not stop.any():
                 continue
@@ -233,23 +239,29 @@ def force_extrema(capillary_ratios, contact_angle: float):
     A bracket whose endpoint slopes do not change sign is dropped, and so is
     the maximum's where 4 C sin(gamma/2), the size of the slope's O(C)
     terms at pi, rounds away against its C^2 terms: F' near pi is then
-    rounding.  Each bracket is bisected once over every capillary ratio it
-    holds (``_extremum``), one float bracket shared by all of them; a
-    scalar runs on floats throughout.  Callers that use the maximum alone
-    (``critical_mass_ratio``, ``regions.trace_tangency_curve``) call
-    ``_force_maximum``, which bisects the maximum's bracket only.
+    rounding (``_bracketed``).  A scalar runs on floats throughout.  An
+    array bisects the lanes of both brackets in one call (``_extrema``),
+    each lane with its own bracket.  ``_force_maximum`` bisects the
+    maximum's bracket alone, for ``critical_mass_ratio`` and
+    ``regions.trace_tangency_curve``; ``regions.region_map`` sends its
+    columns' extrema and its tangency samples' maxima through one
+    ``_extrema`` call.
     """
     c = _capillary_ratios(capillary_ratios)
-    minimum, maximum = _extremum_brackets(contact_angle)
-    return (_extremum(c, contact_angle, *minimum),
-            _extremum(c, contact_angle, *maximum))
+    brackets = _extremum_brackets(contact_angle)
+    if isinstance(c, float):
+        return tuple(_extremum(c, contact_angle, b) for b in brackets)
+    return tuple(_extrema(contact_angle, [(c, b) for b in brackets]))
 
 
 def _force_maximum(capillary_ratios, contact_angle: float):
     """``force_extrema(capillary_ratios, contact_angle)[1]``, the same bits,
     without bisecting the minimum."""
-    return _extremum(_capillary_ratios(capillary_ratios), contact_angle,
-                     *_extremum_brackets(contact_angle)[1])
+    c = _capillary_ratios(capillary_ratios)
+    maximum = _extremum_brackets(contact_angle)[1]
+    if isinstance(c, float):
+        return _extremum(c, contact_angle, maximum)
+    return _extrema(contact_angle, [(c, maximum)])[0]
 
 
 def _capillary_ratios(capillary_ratios):
@@ -270,16 +282,17 @@ def _extremum_brackets(g):
     return (0.0, PI / 2.0, False, False), (3.0 * PI / 4.0, PI, False, True)
 
 
-def _extremum(c, g, lo, hi, lo_negative, hi_negative):
-    """One bracket of ``force_extrema`` for a float or an array ``c``.
+def _bracketed(c, g, lo, hi, lo_negative, hi_negative):
+    """(ok, s_hi) of a bracket of ``_extremum_brackets`` at a float or an
+    array ``c``: whether it holds an extremum, and the slope at hi, or a
+    value with its sign.
 
     At hi = pi, _slope's C^2 terms cancel, and their rounding can swamp
     the rest just above the threshold t; the slope there has the sign of
     t - C (``second_extremum_threshold``), which stands in for it.  The
     bracket is dropped where 4 C sin(g/2) <= C^2 eps: the slope near pi is
     then rounding, and no bisection on it places the maximum to PHI0_TOL.
-    An array bisects the lanes that bracket as one array, even a lone one:
-    ``bisect`` gives each lane its float run's bits."""
+    """
     s_lo = _slope(lo, c, g)
     if hi == PI:
         s_hi = second_extremum_threshold(g) - c
@@ -291,17 +304,43 @@ def _extremum(c, g, lo, hi, lo_negative, hi_negative):
         ok = ok & (s_lo < 0.0)
     if hi_negative:
         ok = ok & (s_hi < 0.0)
-    if isinstance(c, float):
-        return (bisect(lambda x: _slope(x, c, g), lo, hi, s_hi) if ok
-                else math.nan)
+    return ok, s_hi
+
+
+def _extremum(c, g, bracket):
+    """The extremum a bracket of ``_extremum_brackets`` holds at a float
+    ``c``, NaN where it is dropped, on floats."""
+    ok, s_hi = _bracketed(c, g, *bracket)
+    return (bisect(lambda x: _slope(x, c, g), *bracket[:2], s_hi) if ok
+            else math.nan)
+
+
+def _extrema(g, lanes):
+    """``_extremum`` at every entry of each pair (c, bracket) of ``lanes``,
+    c a float array: one float array shaped like c per pair.
+
+    Every entry whose bracket holds an extremum (``_bracketed``), of every
+    pair, is one lane of a single ``bisect`` call with its own lo, hi and
+    f_hi, which gives each lane its float run's bits.  One call halves
+    every bracket at once: each halving's NumPy calls cost about as much
+    as 400 more lanes do.
+    """
     np = _numpy()
-    phi = np.full(c.shape, np.nan)
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        sub = c.ravel()[idx]
-        phi.flat[idx] = bisect(lambda x: _slope(x, sub, g), lo, hi,
-                               s_hi.ravel()[idx])
-    return phi
+    out, parts = [], []
+    for c, bracket in lanes:
+        ok, s_hi = _bracketed(c, g, *bracket)
+        idx = np.flatnonzero(ok)
+        out.append((np.full(c.shape, np.nan), idx))
+        parts.append((c.ravel()[idx], np.full(idx.size, bracket[0]),
+                      np.full(idx.size, bracket[1]), s_hi.ravel()[idx]))
+    c, lo, hi, s_hi = map(np.concatenate, zip(*parts))
+    if c.size:
+        root = bisect(lambda x: _slope(x, c, g), lo, hi, s_hi)
+        start = 0
+        for phi, idx in out:
+            phi.flat[idx] = root[start:start + idx.size]
+            start += idx.size
+    return [phi for phi, _ in out]
 
 
 def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
@@ -650,13 +689,17 @@ def find_equilibria(params: DimensionlessParams,
     margin 2s + M of ``_margin`` returns [] on floats, before ``solve``
     builds an array.  On [0, pi], F(.; A=0) = -2 sin(phi+gamma)
     - 4C cos((phi+gamma)/2) sin(phi) + C^2 (phi - sin(phi) cos(phi)) lies in
-    [-2 - 4C, 2 + 4C + pi C^2], since the last term rises from 0 to pi C^2.
-    ``_rootless`` marks every such cell: its row lies within s of _force,
-    _force within a few ulps of pi (1+C)^2 of the exact F, and the bound
-    rounds by as little; both fall far below the other s.  So a level
-    above the bound lies above its row's maximum plus M (below is the
-    mirror image), and ``solve`` finds no root either.  The margin follows
-    M, and with it ROOT_VALUE_TOL.
+    [-2 - 4C, 2 + 4C sin(gamma/2) + pi C^2].  The last term rises from 0
+    to pi C^2.  The middle one is at most 0 for phi <= pi - gamma, where
+    (phi+gamma)/2 <= pi/2 and both factors are >= 0; beyond, the cosine
+    lies in [-sin(gamma/2), 0] and sin(phi) in [0, 1], so the term is at
+    most 4C sin(gamma/2).  ``_rootless`` marks every such cell: its row
+    lies within s of _force, _force within a few ulps of pi (1+C)^2 of the
+    exact F, and the bound rounds by as little, sin(gamma/2) by a few ulps
+    of 4C; both fall far below the other s.  So a level above the bound
+    lies above its row's maximum plus M (below is the mirror image), and
+    ``solve`` finds no root either.  The margin follows M, and with it
+    ROOT_VALUE_TOL.
     """
     # one float A for the test and solve: a NumPy float32 times a float
     # stays float32, whose rounding would swamp the margin
@@ -664,7 +707,8 @@ def find_equilibria(params: DimensionlessParams,
     c, g = float(params.capillary_ratio), float(params.contact_angle)
     s, margin = _margin(c)
     level = a * c * c
-    if (level > 2.0 + 4.0 * c + PI * c * c + 2.0 * s + margin
+    if (level > (2.0 + 4.0 * c * math.sin(g / 2.0) + PI * c * c + 2.0 * s
+                 + margin)
             or level < -2.0 - 4.0 * c - 2.0 * s - margin):
         return []
     extrema = None

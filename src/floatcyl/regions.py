@@ -36,8 +36,8 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (_SCAN_GRID, _SCAN_SAG, PHI0_TOL, ROOT_VALUE_TOL,
-                         _bounds, _extremum_brackets, _force_maximum, _nodes,
-                         _scan_rows, bisect, find_equilibria, force_extrema,
+                         _bounds, _extrema, _extremum_brackets, _force_maximum,
+                         _nodes, _scan_rows, bisect, find_equilibria,
                          second_extremum_threshold, solve)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
@@ -214,20 +214,31 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
     The critical mass ratio is single-valued in C, so sampling in C and
     reading off A is the robust parameterization.
     """
+    cs = _tangency_samples(contact_angle, c_window, n)
+    # critical_mass_ratio over every sample at once, the same bits
+    return _tangency_curve(contact_angle, a_window, cs,
+                           _force_maximum(cs, contact_angle))
+
+
+def _tangency_samples(contact_angle, c_window, n):
+    """The capillary ratios ``trace_tangency_curve`` samples, an array."""
     _check_samples("n", n)
-    a_lo, a_hi = a_window
     c_lo, c_hi = c_window
     thr = second_extremum_threshold(contact_angle)
     lo = max(c_lo, thr * (1.0 + 1e-9), 1e-6)
     # no sample in the window, as when the maximum never appears (thr = inf)
     if lo >= c_hi:
-        return BoundaryCurve(CurveKind.TANGENCY, np.empty((0, 2)))
+        return np.empty(0)
     # the samples span [lo, c_hi]: check them as critical_mass_ratio would
     for c in (lo, c_hi):
         DimensionlessParams(0.0, c, contact_angle, exploratory=True)
-    cs = np.linspace(lo, c_hi, n)
-    # critical_mass_ratio over every sample at once, the same bits
-    phi = _force_maximum(cs, contact_angle)
+    return np.linspace(lo, c_hi, n)
+
+
+def _tangency_curve(contact_angle, a_window, cs, phi):
+    """The tangency curve's points from the samples ``cs`` and their force
+    maxima ``phi`` (``_force_maximum``), clipped to ``a_window``."""
+    a_lo, a_hi = a_window
     has = phi > PI / 2.0
     cs = cs[has]
     forces = _force(phi[has], 0.0, cs, contact_angle)
@@ -296,6 +307,14 @@ _LABEL_TABLE = {
     (2, 2): RegionLabel.TWO,
     (2, 1): RegionLabel.ONE_VALID_ONE_INVALID,
 }
+# region_map's label codes: the count pair (n, n_valid), 0 <= n_valid <= n,
+# has the key 3 n + n_valid, and _LABEL_CODES[key] is its position in
+# _LABEL_TABLE; every other key, and any past the last, takes the code
+# len(_LABEL_TABLE), whose entry in _LABELS is None.
+_LABEL_CODES = np.full(10, len(_LABEL_TABLE))
+_LABEL_CODES[[3 * k + k_valid for k, k_valid in _LABEL_TABLE]] = range(
+    len(_LABEL_TABLE))
+_LABELS = np.array([*_LABEL_TABLE.values(), None], dtype=object)
 
 
 def _label(n: int, n_valid: int, params) -> RegionLabel:
@@ -329,16 +348,17 @@ def region_map(contact_angle: float,
     Axes exclude the lower edge of each range (A and C must stay positive)
     and include the upper.  labels[i, j] corresponds to
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
-    validity produce at that point.  The force extrema are found once for
-    every column, each bracket one bisection over all columns, and
+    validity produce at that point.  One bisection (``equilibria._extrema``)
+    finds the force extrema of every column and the force maxima of the
+    tangency curve's samples, the points of ``trace_tangency_curve``.
     ``_count_block`` reads each cell's label from its column's
     breakpoints: the mass-free force at the extrema, at 0 and pi, and at
     the ends of the self-intersecting part of the overhang regime, found
     by one bisection of the margin over all columns.  The few cells
     within a proven band of a breakpoint go through ``solve`` together,
     with the map's extrema (``_count_cells``), so the map finds its
-    extrema once.  The tangency curve bisects only the
-    force maximum (``_force_maximum``).  find_equilibria runs the
+    extrema once.  The counts become labels through one table lookup
+    (``_LABEL_CODES``).  find_equilibria runs the
     kernels on ``math`` and the blocks on NumPy, so the equality also
     needs their sin and cos to agree bit for bit, as
     ``test_float_kernels_match_numpy`` checks on the platform at hand.
@@ -363,30 +383,30 @@ def region_map(contact_angle: float,
     c_axis = np.linspace(c_lo, c_hi, n_c + 1)[1:]
     DimensionlessParams(float(a_axis[0]), float(c_axis[0]), contact_angle)
 
-    minimum, maximum = force_extrema(c_axis, contact_angle)
+    # the columns' extrema and the tangency samples' maxima: one bisection
+    cs = _tangency_samples(contact_angle, c_range, curve_samples)
+    low, high = _extremum_brackets(contact_angle)
+    minimum, maximum, phi = _extrema(
+        contact_angle, [(c_axis, low), (c_axis, high), (cs, high)])
     n, n_valid = _count_block(a_axis, c_axis, contact_angle,
                               (minimum, maximum))
     # the cells the breakpoints leave open
-    i, j = np.nonzero(n < 0)
+    i, j = divmod(np.flatnonzero(n < 0), n_c)
     if i.size:
         n[i, j], n_valid[i, j] = _count_cells(
             a_axis[i], c_axis[j], contact_angle, (minimum[j], maximum[j]))
-    labels = np.empty((n_a, n_c), dtype=object)
-    known = np.zeros(n.shape, dtype=bool)
-    for (k, k_valid), label in _LABEL_TABLE.items():
-        cells = (n == k) & (n_valid == k_valid)
-        labels[cells] = label
-        known |= cells
-    if not known.all():
+    code = _LABEL_CODES.take(3 * n + n_valid, mode="clip")
+    unknown = np.flatnonzero(code.T == len(_LABEL_TABLE))
+    if unknown.size:
         # the first unclassifiable cell in column order raises
-        j, i = np.argwhere(~known.T)[0].tolist()
+        j, i = divmod(int(unknown[0]), n_a)
         _label(int(n[i, j]), int(n_valid[i, j]), DimensionlessParams(
             float(a_axis[i]), float(c_axis[j]), contact_angle))
+    labels = _LABELS.take(code)
 
     curves = [trace_endpoint_curve(contact_angle, (a_lo, a_hi), (c_lo, c_hi),
                                    curve_samples),
-              trace_tangency_curve(contact_angle, (a_lo, a_hi), (c_lo, c_hi),
-                                   curve_samples),
+              _tangency_curve(contact_angle, (a_lo, a_hi), cs, phi),
               trace_intersection_curve(contact_angle, (a_lo, a_hi),
                                        (c_lo, c_hi), curve_samples)]
     curves = [c for c in curves if len(c.points)]
@@ -535,8 +555,9 @@ def _widen_flat(lo, hi, nodes, cs, g, rise, widen):
     for j0 in range(0, cs.size, width):
         rows = _scan_rows(cs[j0:j0 + width], g)
         step = rows[:, 1:] - rows[:, :-1]
-        col, t = np.nonzero(np.abs(step, out=step)
-                            <= rise[j0:j0 + width, None])
+        col, t = divmod(np.flatnonzero(np.abs(step, out=step)
+                                       <= rise[j0:j0 + width, None]),
+                        step.shape[1])
         f0, f1 = rows[col, t], rows[col, t + 1]
         col += j0
         mid = (_SCAN_GRID[t] + _SCAN_GRID[t + 1]) / 2.0

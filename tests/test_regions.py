@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -30,6 +31,38 @@ PI = math.pi
 
 def params(a, c, g):
     return DimensionlessParams(a, c, g)
+
+
+# region_map's labels and curve points, one SHA-256 per contact angle over
+# three maps: the CLI default (200 x 200 with curves), 60 x 40, and 200 x 200
+# without curves; pinned from maps made with one bisection per bracket,
+# before the brackets shared one
+_MAP_DIGESTS = [
+    (0.0, "8465a0ae33bd653916576a8ae7a61cf547ab69fa50ac0f7ec90eed962853f2d9"),
+    (0.01, "74bdf25a5ab793e4995585ced89eddfe38a1c01e12aefb1b2d64082d62d78543"),
+    (0.05, "be38cfa2bdc80b3e2abe45a8b44a377b56bf173de785b3111dc69f3c108e4569"),
+    (0.3, "a8e177d1a07c7d63566b50cc0cb5ec682996db002cf33cac768812fc974d824e"),
+    (0.7, "42d9193342ab8d71f3281e0469c93bd22b3d32d6f79d72c36a24e31f2d93a4e4"),
+    (1.2, "f6bd2181c83711a403a6e9c148ea27bb1793fd6f0ebd18fd9a28f843362e265e"),
+    (PI / 2, "d71f0d310ba87009d0398f58b47de71cfd9c6862698a104fc4164098d723e21e"),
+    (1.5707963, "72c9f2e636931a50bc31a62ccae26bb663a993a4368d1ab50a525c798ff4280f"),
+    (2.0, "56c528159ec3d2cac36ff585fe540e77d949436a578808bbc20c2bb6d078203d"),
+    (2.3, "caa00a005b65c965b7f032bad65e9a20c0b530f5bbfeee4f0dfe3e0fb77a49c1"),
+    (2.8, "a57a727e220a8c452ba87ffa362cf824217c3da3826a701c353a29dd3726ba9f"),
+    (3.0, "7fc4c62ee225654665242ecaf1c23ab296b2e756530ed39563a51e22ce67beb2"),
+    (3.1, "2ce9911583479921fa63ffef7b411007aead2dd0c0ed43a12400f8b24ee5d048"),
+    (PI, "2dee22176ea0f3f30f4d324afb3d13b7bed8edc82a875039160f0947fb948b59"),
+]
+
+
+def _map_digest(maps):
+    h = hashlib.sha256()
+    for rm in maps:
+        h.update(" ".join(label.value for label in rm.labels.flat).encode())
+        for curve in rm.curves:
+            h.update(curve.kind.value.encode())
+            h.update(curve.points.tobytes())
+    return h.hexdigest()
 
 
 class TestEndpointBoundary:
@@ -288,6 +321,14 @@ class TestRegionMap:
         assert found == {RegionLabel.ZERO, RegionLabel.ONE, RegionLabel.TWO,
                          RegionLabel.ONE_VALID_ONE_INVALID}
 
+    @pytest.mark.parametrize("g,digest", _MAP_DIGESTS,
+                             ids=[repr(g) for g, _ in _MAP_DIGESTS])
+    def test_pinned_bytes(self, g, digest):
+        # the columns' extrema and the tangency samples' maxima share one
+        # bisection, and the labels one table lookup: the same bytes
+        assert _map_digest([region_map(g), region_map(g, resolution=(60, 40)),
+                            region_map(g, curve_samples=0)]) == digest
+
     def test_two_configuration_cell(self):
         label, details = classify_point(params(3.8, 2.0, PI / 2))
         assert label is RegionLabel.TWO
@@ -419,18 +460,19 @@ class TestSettledLabels:
 
     def test_fallback_takes_the_map_extrema(self, monkeypatch):
         # a window around A* at C = 1 sends thousands of cells through the
-        # fallback, which finds no extremum of its own: the map's one call
-        # serves every column and every fallback cell
+        # fallback, which finds no extremum of its own: the map's one
+        # extremum bisection serves every column, every fallback cell and
+        # the tangency curve
         fallback = _count_fallback(monkeypatch)
         calls = []
-        force_extrema = equilibria.force_extrema
+        extrema = equilibria._extrema
 
         def counted(*args):
             calls.append(args)
-            return force_extrema(*args)
+            return extrema(*args)
 
         for module in (regions, equilibria):
-            monkeypatch.setattr(module, "force_extrema", counted)
+            monkeypatch.setattr(module, "_extrema", counted)
         tracemalloc.start()
         try:
             rm = region_map(PI / 2, (5.8092, 5.8094), (0.9999, 1.0001))
@@ -438,6 +480,8 @@ class TestSettledLabels:
         finally:
             tracemalloc.stop()
         assert len(calls) == 1
+        # the minima and maxima of the 200 columns, the 200 samples' maxima
+        assert [c.size for c, _ in calls[0][1]] == [200, 200, 200]
         assert sum(fallback) > 5000
         # the fallback solves its cells in chunks, each cell with an 8 kB
         # guard row: its memory stays bounded whatever the cell count, and

@@ -14,8 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
@@ -34,14 +32,11 @@ ROOT_VALUE_TOL = 1e-9
 TANGENCY_TOL = 1e-6
 # Distinct roots closer than this collapse to one.
 _DEDUP_TOL = 1e-7
-# Points of the fallback dense-scan grid guarding the monotone-segment
-# brackets, _SCAN_GRID; ``_scan`` builds it on first use.
+# Points of the grid on which ``_rootless`` bounds F; ``_scan`` builds it
+# on first use.
 _SCAN_SIZE = 1000
-# How near a root must lie to a grid interval to account for it (_scan).
-_SCAN_PAD = PI / _SCAN_SIZE
 # The expansion rounds apart from _force by at most _SCAN_SLACK (1+C)^2
-# (test_scan_slack_bounds_the_expansion); a count widened by that never
-# falls below _force's.
+# (test_scan_slack_bounds_the_expansion).
 _SCAN_SLACK = 64.0 * sys.float_info.epsilon
 # An interior extremum of F lies within half a grid step h of a grid point,
 # where F' = 0, so F there is within |F''| h^2 / 8 of that point's value.
@@ -76,7 +71,12 @@ class UnsupportedRegimeError(ValueError):
 
 
 class ModelInconsistencyWarning(UserWarning):
-    """The dense scan found a root the monotone-segment structure missed."""
+    """A root the monotone-segment structure missed.
+
+    No code path raises it: ``force_extrema``'s proof replaced the dense
+    scan that did.  It stays exported while the benchmark counts it; its
+    removal goes with the next change to the benchmark.
+    """
 
 
 @dataclass(frozen=True)
@@ -95,33 +95,22 @@ class Equilibrium:
     height: float
 
 
-_Scan = namedtuple("_Scan", "grid lo hi lo_floats hi_floats basis")
+_Scan = namedtuple("_Scan", "grid basis")
 
 
 @functools.cache
 def _scan():
-    """The dense scan's arrays, loading NumPy on the first call."""
+    """The rows' grid and basis, loading NumPy on the first call."""
     np = _numpy()
     grid = np.linspace(0.0, PI, _SCAN_SIZE)
-    # a root within _SCAN_PAD of grid interval j, i.e. in [lo[j], hi[j]],
-    # accounts for a sign change there; as floats for a lone cell's windows
-    lo, hi = grid[:-1] - _SCAN_PAD, grid[1:] + _SCAN_PAD
-    # The guard's basis: sin(phi+gamma) and cos((phi+gamma)/2) expanded
-    # give F(grid; A=0) = cos(gamma) b0 + sin(gamma) b1 + C cos(gamma/2) b2
-    # + C sin(gamma/2) b3 + C^2 b4 (see _scan_rows).
-    return _Scan(grid, lo, hi, lo.tolist(), hi.tolist(), np.stack([
+    # sin(phi+gamma) and cos((phi+gamma)/2) expanded give F(grid; A=0) =
+    # cos(gamma) b0 + sin(gamma) b1 + C cos(gamma/2) b2 + C sin(gamma/2) b3
+    # + C^2 b4 (see _scan_rows).
+    return _Scan(grid, np.stack([
         -2.0 * np.sin(grid), -2.0 * np.cos(grid),
         -4.0 * np.cos(grid / 2.0) * np.sin(grid),
         4.0 * np.sin(grid / 2.0) * np.sin(grid),
         grid - 0.5 * np.sin(2.0 * grid)]))
-
-
-def __getattr__(name):
-    """``from .equilibria import _SCAN_GRID`` (PEP 562), as regions and the
-    tests import it: the grid of ``_scan``."""
-    if name == "_SCAN_GRID":
-        return _scan().grid
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _classify(slope: float) -> Stability:
@@ -239,13 +228,62 @@ def force_extrema(capillary_ratios, contact_angle: float):
     A bracket whose endpoint slopes do not change sign is dropped, and so is
     the maximum's where 4 C sin(gamma/2), the size of the slope's O(C)
     terms at pi, rounds away against its C^2 terms: F' near pi is then
-    rounding (``_bracketed``).  A scalar runs on floats throughout.  An
-    array bisects the lanes of both brackets in one call (``_extrema``),
-    each lane with its own bracket.  ``_force_maximum`` bisects the
-    maximum's bracket alone, for ``critical_mass_ratio`` and
-    ``regions.trace_tangency_curve``; ``regions.region_map`` sends its
-    columns' extrema and its tangency samples' maxima through one
-    ``_extrema`` call.
+    rounding (``_bracketed``).
+
+    The brackets rest on the paper's structural result: F' rises, then
+    falls, on (0, pi).  Proof, with s = (phi+gamma)/2:
+
+        F''  = 2 sin(phi+gamma) + 5C cos(s) sin(phi) + 4C sin(s) cos(phi)
+               + 2C^2 sin(2 phi)
+             = 2 sin(phi+gamma) + (C/2) sin((phi-gamma)/2)
+               + (9C/2) sin((3 phi+gamma)/2) + 2C^2 sin(2 phi),
+        F''' = 2 cos(phi+gamma) + (C/4) cos((phi-gamma)/2)
+               + (27C/4) cos((3 phi+gamma)/2) + 4C^2 cos(2 phi).
+
+    * Symmetry.  F'(pi-phi; pi-gamma) = F'(phi; gamma), and the mirror
+      image of a slope that rises, then falls, does too: take gamma in
+      [0, pi/2].
+    * Claim: F''' < 0 wherever F'' = 0 on (0, pi).  Then F'' crosses zero
+      only from + to -, two such zeros would need a crossing from - to +
+      between them, so F'' has at most one zero and F' rises, then falls.
+    * L1.  On phi in (0, pi/4] every term of the first form of F'' is
+      >= 0, and 2 sin(phi+gamma) > 0: F'' > 0.
+    * L4.  On phi in [3pi/4, pi) with C >= 2.2, 2 sin(phi+gamma) <= sqrt 2,
+      5 cos(s) sin(phi) <= 5 cos(3pi/8) sin(pi/4) < 1.354,
+      4 sin(s) cos(phi) <= -2 and sin(2 phi) <= 0: F'' <= sqrt 2 - 0.646 C
+      < 0.
+    * The rest, by certificate.  With w = 1/(1+C) in [0, 1],
+      f = F''/(1+C)^2 and d = F'''/(1+C)^2 are sums of sines and cosines
+      of phi and gamma with the weights w^2, w (1-w) and (1-w)^2, so
+      |grad f| <= (4, 2, 9) and |grad d| <= (8, 2, 15) in (phi, gamma, w).
+      Of the 64^3 boxes of [pi/4, pi] x [0, pi/2] x [0, 1], each outside
+      L4's region has |f(centre)| above f's bound over the box, so
+      F'' != 0 on it, or d(centre) plus d's bound below 0, so F''' < 0
+      on it (``test_slope_rises_then_falls``; boxes over L1's or L4's
+      region would fail).
+    * Bracket ends.  F'(0) = -2 cos(gamma) - 4C cos(gamma/2);
+      F'(pi/2) = 2 sin(gamma) + 2C sin(pi/4 + gamma/2) + 2C^2 > 0;
+      F'(3pi/4) for gamma <= pi/2 and F'(pi/4) for gamma >= pi/2 are
+      > 0: their O(1) term is >= sqrt 2, their O(C) term is sqrt 2 C
+      (sin(t) +- 2 cos(t)) >= 0.158 sqrt 2 C, t in [3pi/8, 5pi/8], and
+      their C^2 term is C^2; F'(pi) = 2 cos(gamma) - 4C sin(gamma/2).
+
+    On an interval a slope that rises, then falls, is least at an end.
+    So F' > 0 between the brackets, whose inner ends have F' > 0; a
+    bracket whose end slopes differ in sign holds exactly one zero of F',
+    and one whose end slopes agree holds none.  So F is monotone on
+    ``solve``'s segments between the extrema found.  An extremum that
+    ``_bracketed`` drops for rounding lies within about sqrt(eps/2) of pi,
+    and F falls past it by about C^2 eps^(3/2), far below F's own
+    rounding.  ``test_slope_sign_pattern_at_50_digits`` checks the sign
+    pattern of F' on the brackets against a 50-digit evaluation.
+
+    A scalar runs on floats throughout.  An array bisects the lanes of both
+    brackets in one call (``_extrema``), each lane with its own bracket.
+    ``_force_maximum`` bisects the maximum's bracket alone, for
+    ``critical_mass_ratio`` and ``regions.trace_tangency_curve``;
+    ``regions.region_map`` sends its columns' extrema and its tangency
+    samples' maxima through one ``_extrema`` call.
     """
     c = _capillary_ratios(capillary_ratios)
     brackets = _extremum_brackets(contact_angle)
@@ -358,7 +396,7 @@ def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
 
 def _bounds(c):
     """(s, S, K) for a float or array C, which the solver's proofs rest on:
-    _force and the guard's rows round within s = _SCAN_SLACK (1+C)^2 of the
+    _force and ``_scan_rows`` round within s = _SCAN_SLACK (1+C)^2 of the
     exact F, and the sizes of the terms of F' and F'' add to
     S = 2 + 6C + 2C^2 and K = 2 + 9C + 2C^2 (``test_curvature_bound``)."""
     u = 1.0 + c
@@ -389,20 +427,23 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     The cells are the broadcast of ``mass_ratios`` against
     ``capillary_ratios``; the result has the broadcast shape plus one
     trailing axis, as wide as the most roots a cell has.  Each capillary
-    ratio is a column with the guard's row F(_SCAN_GRID; A=0) and the nodes
-    0, minimum, maximum and pi (``_nodes``, which ``regions._count_block``
-    reads its labels from too), a missing extremum at 0 or pi.  ``extrema``
-    is the (minimum, maximum) pair of ``force_extrema``, as floats or as
-    arrays with one entry per capillary ratio; None finds them.  A cell
-    whose level A C^2 lies so far outside its row's range that F provably
-    keeps one sign (``_rootless``) has no root and goes no further; when no
-    cell is left, the extrema are never found.  Otherwise a node with
-    |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi, the tangency
-    at A*); every segment whose ends change sign is bisected, and
-    ``_scan_guard`` backstops the segments.  Up to _FLOAT_LANES segments
-    bisect one by one on Python floats, as a lone cell's do; more share one
-    array bisection.  Both give bisect's bits.  Of roots closer than
-    _DEDUP_TOL the first in node, segment, guard order counts (``_pack``).
+    ratio is a column with its row F(grid; A=0) (``_scan_rows``) and the
+    nodes 0, minimum, maximum and pi (``_nodes``, which
+    ``regions._count_block`` reads its labels from too), a missing extremum
+    at 0 or pi.  ``extrema`` is the (minimum, maximum) pair of
+    ``force_extrema``, as floats or as arrays with one entry per capillary
+    ratio; None finds them.  A cell whose level A C^2 lies so far outside
+    its row's range that F provably keeps one sign (``_rootless``) has no
+    root and goes no further; when no cell is left, the extrema are never
+    found.  Otherwise a node with |F| <= ROOT_VALUE_TOL is a root (the
+    endpoint root at pi, the tangency at A*), and every segment whose ends
+    change sign is bisected.  F is monotone on each segment
+    (``force_extrema`` has the proof), so a segment holds a root exactly
+    when its ends change sign; other extrema than ``force_extrema``'s void
+    that.  Up to _FLOAT_LANES segments bisect one by one on Python floats,
+    as a lone cell's do; more share one array bisection.  Both give
+    bisect's bits.  Of roots closer than _DEDUP_TOL the first in node,
+    segment order counts (``_pack``).
     """
     np = _numpy()
     g = contact_angle
@@ -448,16 +489,7 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
                 float(nodes[i, j]), float(nodes[i, j + 1]))
     # A stable sort: nearly sorted input, and a smaller code footprint than
     # the default sort.
-    roots = np.sort(found, axis=1, kind="stable")
-    if a.size == 1:
-        scan = _scan()
-        windows = [(bisect_left(scan.hi_floats, r),
-                    bisect_right(scan.lo_floats, r) - 1)
-                   for r in roots[0].tolist() if r == r]
-    else:
-        cell, slot = np.nonzero(roots == roots)
-        windows = (cell, *_window(roots[cell, slot]))
-    roots = _pack(found, roots, _scan_guard(windows, a, c, col, rows), a, c, g)
+    roots = _pack(found, np.sort(found, axis=1, kind="stable"))
     if live.size < ones.size:
         out = np.full((ones.size, roots.shape[1]), np.nan)
         out[live] = roots
@@ -465,39 +497,28 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     return roots.reshape(ones.shape + roots.shape[1:])
 
 
-def _pack(found, roots, rescan, a, c, g):
+def _pack(found, roots):
     """Each cell's distinct roots, ascending, padded with NaN to the most
     roots a cell has.
 
-    ``roots`` is ``found`` sorted along each row.  The cells listed in
-    ``rescan`` (by ``_scan_guard``) add the roots ``_rescan`` finds.  Of
-    roots closer than _DEDUP_TOL the first in node, segment, guard order
-    counts.
+    ``roots`` is ``found`` sorted along each row.  Of roots closer than
+    _DEDUP_TOL the first in node, segment order counts.
     """
     np = _numpy()
-    guard = {}
-    for i in rescan:
-        added = _rescan([x for x in roots[i].tolist() if x == x],
-                        float(a[i]), float(c[i]), g)
-        if added:
-            guard[i] = added
     close = (roots[:, 1:] - roots[:, :-1] <= _DEDUP_TOL).any(axis=1)
-    # one first-wins pass over the rows holding a close pair or a guard root
+    # one first-wins pass over the rows holding a close pair
     count = (roots == roots).sum(axis=1)
     kept = {}
-    for i in guard.keys() | np.flatnonzero(close).tolist():
+    for i in np.flatnonzero(close).tolist():
         row = kept[i] = []
-        for x in found[i].tolist() + guard.get(i, []):
+        for x in found[i].tolist():
             if x == x and all(abs(r - x) > _DEDUP_TOL for r in row):
                 row.append(x)
         count[i] = len(row)
-    width = max(count.tolist(), default=0)
-    out = roots[:, :width]
-    if kept:
-        out = np.full((roots.shape[0], width), np.nan)
-        out[:, :roots.shape[1]] = roots[:, :width]
-        for i, row in kept.items():
-            out[i] = sorted(row) + [np.nan] * (width - len(row))
+    out = roots[:, :max(count.tolist(), default=0)]
+    # roots is solve's own sorted copy of found: its rows take the kept roots
+    for i, row in kept.items():
+        out[i] = sorted(row) + [np.nan] * (out.shape[1] - len(row))
     return out
 
 
@@ -521,17 +542,16 @@ def _rootless(rows, a, caps, col):
       with it.  The test's own rounding is far below the K term (> 2e-6).
     * |F''| <= K (``test_curvature_bound``).  The largest
       F(x; A=0) on [0, pi] lies at a grid end, or at an interior x* with
-      F'(x*) = 0 and some grid point within h/2 of it, where F is within
-      K h^2 / 8 = K _SCAN_SAG of F(x*).
+      F'(x*) = 0 and some grid point within h/2 of it, h the grid step,
+      where F is within K h^2 / 8 = K _SCAN_SAG of F(x*).
 
     So F < -ROOT_VALUE_TOL on all of [0, pi]: every node value has one sign
-    with |F| > ROOT_VALUE_TOL, no segment brackets, and ``_scan_guard``,
-    widened by s, counts no crossing.  ``solve`` without the test finds no
-    root for these cells either.  The proof does not rest on the
-    monotone-segment structure, so it needs no guard behind it.  M follows
-    ROOT_VALUE_TOL: should that become force-scaled, so must M's last term,
-    and with it ``find_equilibria``'s closed-form test, which clears a
-    subset of these cells before any row exists.
+    with |F| > ROOT_VALUE_TOL and no segment brackets, so ``solve`` without
+    the test finds no root for these cells either.  The proof does not rest
+    on the monotone-segment structure.  M follows ROOT_VALUE_TOL: should
+    that become force-scaled, so must M's last term, and with it
+    ``find_equilibria``'s closed-form test, which clears a subset of these
+    cells before any row exists.
     """
     lone = a.size == 1  # so one column too
     c = caps.item() if lone else caps
@@ -548,7 +568,7 @@ def _rootless(rows, a, caps, col):
 
 
 def _scan_rows(caps, g):
-    """F(_SCAN_GRID; A=0) for each capillary ratio, one row each, no trig.
+    """F(.; A=0) on ``_scan``'s grid, one row per capillary ratio, no trig.
 
     One matrix product of each row's five coefficients with the basis,
     written straight into the result.
@@ -563,127 +583,18 @@ def _scan_rows(caps, g):
     return coef @ basis
 
 
-def _window(x):
-    """(first, last): the grid intervals within _SCAN_PAD of each x."""
-    np, scan = _numpy(), _scan()
-    return (np.searchsorted(scan.hi, x, "left"),
-            np.searchsorted(scan.lo, x, "right") - 1)
-
-
-def _scan_guard(windows, a, c, col, rows):
-    """The cells with a dense-scan crossing that no root window covers.
-
-    Each grid interval where F(.; A=0) strictly crosses the level A C^2
-    needs a root within _SCAN_PAD.  The count runs on ``rows``, each
-    column's ``_scan_rows``, widened by the slack s of ``_bounds`` so that
-    it never falls below _force's crossings, and leaves out the intervals
-    in a root's window [first, last] (``_window``).  ``windows`` lists them in
-    ascending root order: for a block, as arrays (cell, first, last); for
-    a lone cell, as find_equilibria makes, as (first, last) pairs of ints.
-    In a block, ``_crossings`` counts the intervals reaching within the
-    slack of every cell's level, and the windows' crossings are
-    subtracted for all cells at once.  A lone cell lists its crossing
-    intervals and drops those inside a window: the same count, since the
-    block's windows differ only by the overlap it trims.
-    A cell returned here rescans its grid with _force (``_rescan``).
-    """
-    np = _numpy()
-    if a.size == 1:
-        a_i, c_i = a.item(), c.item()
-        level = a_i * c_i * c_i
-        slack = _bounds(c_i)[0]
-        f0 = rows[col[0]]
-        crossing = np.flatnonzero(
-            (np.minimum(f0[:-1], f0[1:]) < level + slack)
-            & (level - slack < np.maximum(f0[:-1], f0[1:]))).tolist()
-        if all(any(first <= j <= last for first, last in windows)
-               for j in crossing):
-            return []
-        return [0]
-
-    level = a * c * c
-    slack = _bounds(c)[0]
-    # An interval counts when lo < above and below < hi.  |F| <= pi (1+C)^2
-    # on the grid, so the slack is over 20 ulps of any level a bound can
-    # reach: hi <= below implies lo < above, and a flat interval needs no
-    # rule of its own.
-    below, above = level - slack, level + slack
-    changes = _crossings(rows, col, below, above)
-    if changes.any():
-        # a cell's ascending roots have ascending windows: each starts
-        # past its predecessor's
-        cell, first, last = windows
-        first = np.concatenate([
-            first[:1], np.where(cell[1:] == cell[:-1],
-                                np.maximum(first[1:], last[:-1] + 1),
-                                first[1:])])
-        # pad < grid step: a root's window spans at most three intervals
-        window = first[:, None] + np.arange(3)
-        at = (np.minimum(window, _SCAN_SIZE - 2)
-              + (col[cell] * _SCAN_SIZE)[:, None])
-        f_at, f_next = rows.take(at), rows.take(at + 1)
-        crossed = ((window <= last[:, None])
-                   & (np.minimum(f_at, f_next) < above[cell, None])
-                   & (below[cell, None] < np.maximum(f_at, f_next)))
-        changes -= np.bincount(cell, crossed.sum(axis=1),
-                               a.size).astype(np.int64)
-    return np.flatnonzero(changes > 0).tolist()
-
-
-def _crossings(rows, col, below, above):
-    """Each cell's count of grid intervals of its column's row reaching
-    into (below, above): min(ends) < above and below < max(ends).
-
-    That is an end below ``above`` and an end above ``below``, since
-    min(x, y) < above is x < above or y < above, and below < max(x, y) is
-    below < x or below < y.  The cells gather their rows 128 kB at a
-    time, which keeps the temporaries small beside ``rows``.
-    """
-    changes = _numpy().empty(below.size, dtype="int64")
-    step = 2 ** 17 // (8 * _SCAN_SIZE)
-    for k in range(0, col.size, step):
-        cells = slice(k, k + step)
-        f0 = rows[col[cells]]
-        low = f0 < above[cells, None]
-        high = f0 > below[cells, None]
-        changes[cells] = ((low[:, :-1] | low[:, 1:])
-                          & (high[:, :-1] | high[:, 1:])).sum(axis=1)
-    return changes
-
-
-def _rescan(kept, a, c, g):
-    """One cell's roots that the guard's count says ``kept`` misses.
-
-    Each grid interval where _force changes sign with no root of ``kept``
-    within _SCAN_PAD is bisected; each root found comes with a
-    ModelInconsistencyWarning and joins ``kept``.
-    """
-    added = []
-    grid = _scan().grid
-    shifted = _force(grid, 0.0, c, g) - a * c * c
-    for j in _numpy().flatnonzero(shifted[:-1] * shifted[1:] < 0.0).tolist():
-        lo, hi = float(grid[j]), float(grid[j + 1])
-        if any(lo - _SCAN_PAD <= x <= hi + _SCAN_PAD for x in kept):
-            continue
-        x = bisect(lambda x: _force(x, a, c, g), lo, hi)
-        warnings.warn(
-            f"dense scan found a root at phi0={x:.12g} outside the "
-            f"monotone-segment structure (A={a!r}, C={c!r}, "
-            f"gamma={g!r}); the force curve shape assumption is violated "
-            "here", ModelInconsistencyWarning)
-        kept.append(x)
-        added.append(x)
-    return added
-
-
 def find_equilibria(params: DimensionlessParams,
                     critical: list[CriticalPoint] | None = None
                     ) -> list[Equilibrium]:
     """All zeros of the force curve on [0, pi], ascending, with stability.
 
     The one-cell call of ``solve``; ``critical``, as ``critical_points``
-    gives it, stands in for the extrema.  The fields are Python floats
-    whatever number type the params hold.
+    gives it, stands in for the extrema.  ``solve`` finds every root only
+    with the true extrema, so ``critical`` must list one point of each kind
+    whose bracket ``_bracketed`` accepts, inside that bracket, and nothing
+    else; else ValueError.  That check costs a few float ``_slope`` calls
+    and no bisection.  The fields are Python floats whatever number type
+    the params hold.
 
     A cell whose level A C^2 clears F(.; A=0)'s closed-form range by the
     margin 2s + M of ``_margin`` returns [] on floats, before ``solve``
@@ -705,17 +616,26 @@ def find_equilibria(params: DimensionlessParams,
     # stays float32, whose rounding would swamp the margin
     a = float(params.mass_ratio)
     c, g = float(params.capillary_ratio), float(params.contact_angle)
+    extrema = None
+    if critical is not None:
+        phis = {cp.kind: cp.phi0 for cp in critical}
+        want = {kind: bracket[:2] for kind, bracket
+                in zip(ExtremumKind, _extremum_brackets(g))
+                if _bracketed(c, g, *bracket)[0]}
+        if (len(critical) != len(want) or phis.keys() != want.keys()
+                or not all(lo <= phis[k] <= hi
+                           for k, (lo, hi) in want.items())):
+            expected = " and ".join(f"a {k.value} in [{lo!r}, {hi!r}]"
+                                    for k, (lo, hi) in want.items())
+            raise ValueError(f"critical={critical!r} must list "
+                             f"{expected or 'nothing'} at {params}")
+        extrema = tuple(phis.get(kind, math.nan) for kind in ExtremumKind)
     s, margin = _margin(c)
     level = a * c * c
     if (level > (2.0 + 4.0 * c * math.sin(g / 2.0) + PI * c * c + 2.0 * s
                  + margin)
             or level < -2.0 - 4.0 * c - 2.0 * s - margin):
         return []
-    extrema = None
-    if critical is not None:
-        phis = {cp.kind: cp.phi0 for cp in critical}
-        extrema = (phis.get(ExtremumKind.MINIMUM, math.nan),
-                   phis.get(ExtremumKind.MAXIMUM, math.nan))
     out = []
     for r in solve(a, c, g, extrema).tolist():
         if r != r:  # NaN pads the roots

@@ -21,10 +21,10 @@ overhang regime where the margin is negative.  The force is monotone
 between its extrema and the margin within each regime, so a cell's label
 follows from where its level falls among at most six such breakpoints
 per column (``_count_block`` has the proof).  The cells within a proven
-band of a breakpoint, none or one of the 40,000 of a default 200 x 200
-map at the contact angles tested, go through solve together, once per
-map, as find_equilibria does; find_equilibria still bisects every root
-it prints.
+band of a breakpoint, none of the 40,000 of a default 200 x 200 map at
+the contact angles tested, go through solve together, once per map, as
+find_equilibria does; find_equilibria still bisects every root it
+prints.
 """
 
 from __future__ import annotations
@@ -35,20 +35,17 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import (_SCAN_GRID, _SCAN_SAG, PHI0_TOL, ROOT_VALUE_TOL,
-                         _bounds, _extrema, _extremum_brackets, _force_maximum,
-                         _nodes, _scan_rows, bisect, find_equilibria,
-                         second_extremum_threshold, solve)
+from .equilibria import (PHI0_TOL, ROOT_VALUE_TOL, _bounds, _extrema,
+                         _extremum_brackets, _force_maximum, _nodes, bisect,
+                         find_equilibria, second_extremum_threshold, solve)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
                     _force, _slope, total_force)
 
 PI = math.pi
-# Guard-row points per block of _widen_flat (whole columns, at least one).
-_BLOCK_SIZE = 30000
 # The margin's rounding band, per unit of C + 4 (see _count_block).
 _MARGIN_BAND = 2.0 ** -40
-# Fallback cells per solve call, each with its own 8 kB guard row.
+# Fallback cells per solve call, each with its own 8 kB row (_scan_rows).
 _FALLBACK_CELLS = 1024
 
 
@@ -354,7 +351,7 @@ def region_map(contact_angle: float,
     ``_count_block`` reads each cell's label from its column's
     breakpoints: the mass-free force at the extrema, at 0 and pi, and at
     the ends of the self-intersecting part of the overhang regime, found
-    by one bisection of the margin over all columns.  The few cells
+    by one bisection of the margin over all columns.  The cells, if any,
     within a proven band of a breakpoint go through ``solve`` together,
     with the map's extrema (``_count_cells``), so the map finds its
     extrema once.  The counts become labels through one table lookup
@@ -420,23 +417,22 @@ def _count_block(a_axis, cs, g, extrema):
     Both (len(a_axis), len(cs)) int arrays; ``extrema`` is the columns'
     ``force_extrema``.  In a column F = F0 - L, with F0 = F(.; A=0) and
     the level L = A C^2, and F0 is monotone on the segments between the
-    nodes (``_nodes``) 0, minimum, maximum and pi, solve's brackets.  So
-    a cell's count is the number of segments whose node values straddle
-    L, and a segment's root lies in [p, q] (clipped to the segment)
-    exactly when F0(p) - L and F0(q) - L differ in sign.  The margin is
+    nodes (``_nodes``) 0, minimum, maximum and pi, solve's brackets
+    (``equilibria.force_extrema`` has the proof).  So a cell's count is
+    the number of segments whose node values straddle L, and a segment's
+    root lies in [p, q] (clipped to the segment) exactly when F0(p) - L
+    and F0(q) - L differ in sign.  The margin is
     monotone in each overhang regime (``intersection``), so the part of
     the regime where it is at most -b, b = _MARGIN_BAND (C + 4), is one
     interval [p, q] with one end at 0 or pi and the other at z-, and so
     is the part where it is at most +b, with z+ (``_intersecting_parts``):
     a root in the first part is invalid, one outside the second valid.
     The breakpoints are F0 at the nodes, at z- and at z+.  With the slack
-    s, S >= |F'| and K >= |F''| from ``_bounds``, h the grid step and
-    LB = PHI0_TOL + 4 eps pi bisect's last bracket, a cell whose level lies
-    within B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S of a breakpoint, or within
-    D = B + K _SCAN_SAG + 4s of the rows of a flat grid interval, one whose
-    rows rise by at most T = 8K _SCAN_SAG + 10s + 2 PHI0_TOL S, or whose
-    root falls between the two parts, reads -1, for ``_count_cells``.  The
-    rest get solve's counts:
+    s, S >= |F'| and K >= |F''| from ``_bounds`` and LB = PHI0_TOL
+    + 4 eps pi bisect's last bracket, a cell whose level lies within
+    B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S of a breakpoint, or whose root
+    falls between the two parts, reads -1, for ``_count_cells``.  The rest
+    get solve's counts:
 
     * Rounding.  _force at a point, with A = 0 or with a level in the
       node values' range, lies within s of the exact F: its terms add to
@@ -457,26 +453,18 @@ def _count_block(a_axis, cs, g, extrema):
       a few ulps more, is negative.  A root outside the +b part has such
       a point where the margin is at least +b, or lies outside the
       regime: it is valid either way.
-    * Guard.  An interval that the dense-scan guard counts holds a point
-      where F0 lies within 3s of L, as the rows lie within 2s of F0, so
-      L lies within 5s of the range of these rows too.  A grid interval
-      is flat when its rows rise by at most T, and L lies more than
-      D >= E + 5s outside a flat interval's rows, so a counted interval
-      is steep: |F'| > (T - 4s) / h - K h >= (3s + E) / _SCAN_PAD on it,
-      it holds no extremum, and its segment brackets.  F0 moves by at
-      most 3s + E between that point and r, so r lies in the interval or
-      less than _SCAN_PAD past it: within _SCAN_PAD of a steep neighbour
-      F0 moves further, and a flat neighbour's rows would lie within
-      E + 5s of L.  Every counted interval is in r's window, and the
-      guard adds no root.
-    * Extrema.  The interval holding an extremum rises by at most
-      K h^2 / 2 + 4s < T, so it is flat, and L lies beyond the extremum
-      value by more than B, or on the other side of F0 on the whole
-      interval by more than E: the two roots beside the extremum lie in
-      distinct grid intervals, h > _DEDUP_TOL apart, and none merges.
-      So L stays clear of an extremum value by the range of the rows of
-      the flat intervals around it, widened by D: by the rows' slack and
-      sag, about K _SCAN_SAG where F'' is not small.
+    * Extrema.  Solve merges roots closer than _DEDUP_TOL.  No node is a
+      root, and the segments meet at the extremum nodes, so between any
+      two roots lies an extremum node m, the bisected zero of _slope.
+      The exact F0(m) lies more than B - s from L, so more than
+      B' = B - s - E = ROOT_VALUE_TOL + 2s + S (2 PHI0_TOL - 4 eps pi)
+      from the exact F0(r) of a root r.  _slope changes sign within LB
+      of m and rounds by a few ulps of S <= K, so |F0'(m)| <= K mu with
+      mu = LB + 8 eps < 2 LB, and with d = |r - m|, Taylor's theorem
+      gives B' < K mu d + K d^2 / 2: d > sqrt(2B'/K + mu^2) - mu.  The
+      least S/K, (2 + 6C + 2C^2) / (2 + 9C + 2C^2), is 10/13, at C = 1,
+      so 2B'/K > 3e-12, d > 1.7e-6, and any two roots lie more than
+      3.4e-6 > _DEDUP_TOL apart: none merges.
     """
     nodes = _nodes(*extrema, cs.size)
     parts = _intersecting_parts(cs, g)
@@ -487,12 +475,9 @@ def _count_block(a_axis, cs, g, extrema):
     # the parts' other ends, 0 or pi, repeat two node values
     breakpoints = np.concatenate(
         [f_nodes, _force(parts, 0.0, cs, g).reshape(4, -1)])
-    s, S, K = _bounds(cs)
+    s, S, _ = _bounds(cs)
     B = ROOT_VALUE_TOL + 4.0 * s + 3.0 * PHI0_TOL * S
-    T = 8.0 * K * _SCAN_SAG + 10.0 * s + 2.0 * PHI0_TOL * S
-    D = B + K * _SCAN_SAG + 4.0 * s
     lo, hi = breakpoints - B, breakpoints + B
-    _widen_flat(lo, hi, nodes, cs, g, T, D)
 
     level = a_axis[:, None] * cs * cs
     unsettled = np.zeros(level.shape, dtype=bool)
@@ -545,27 +530,6 @@ def _intersecting_parts(cs, g):
     return np.stack([end, z] if rising else [z, end], axis=1)
 
 
-def _widen_flat(lo, hi, nodes, cs, g, rise, widen):
-    """Widen the nodes' bands, the first four rows of ``lo`` and ``hi``,
-    over the rows of each flat grid interval, one whose rows rise by at
-    most ``rise`` (_count_block's T), widened by ``widen`` (its D) and
-    given to the nearest node.  The rows go a block of columns at a time,
-    which keeps them small."""
-    width = max(1, _BLOCK_SIZE // len(_SCAN_GRID))
-    for j0 in range(0, cs.size, width):
-        rows = _scan_rows(cs[j0:j0 + width], g)
-        step = rows[:, 1:] - rows[:, :-1]
-        col, t = divmod(np.flatnonzero(np.abs(step, out=step)
-                                       <= rise[j0:j0 + width, None]),
-                        step.shape[1])
-        f0, f1 = rows[col, t], rows[col, t + 1]
-        col += j0
-        mid = (_SCAN_GRID[t] + _SCAN_GRID[t + 1]) / 2.0
-        k = np.abs(nodes[:, col] - mid).argmin(axis=0)
-        np.minimum.at(lo, (k, col), np.minimum(f0, f1) - widen[col])
-        np.maximum.at(hi, (k, col), np.maximum(f0, f1) + widen[col])
-
-
 def _count_cells(a, c, g, extrema):
     """Equilibria and valid equilibria of the cells (a[k], c[k]).
 
@@ -573,7 +537,7 @@ def _count_cells(a, c, g, extrema):
     so the cells, each a column of its own, go through ``solve`` calls
     that find no extremum, and each root in an overhang regime through
     ``intersection_margin``.  A call takes at most _FALLBACK_CELLS cells,
-    which bounds the guard rows held at once whatever the cell count.
+    which bounds the rows held at once whatever the cell count.
     """
     n = np.empty(a.size, dtype=np.int64)
     cross = np.empty_like(n)

@@ -11,23 +11,31 @@ from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 
 from floatcyl import equilibria
-from floatcyl.equilibria import (_SCAN_GRID, ROOT_VALUE_TOL, ExtremumKind,
-                                 ModelInconsistencyWarning,
+from floatcyl.equilibria import (ROOT_VALUE_TOL, CriticalPoint, ExtremumKind,
                                  NoSecondCriticalPointError, Stability,
-                                 UnsupportedRegimeError, _bounds, _crossings,
+                                 UnsupportedRegimeError, _bounds, _bracketed,
                                  _extrema, _extremum_brackets, _force_maximum,
-                                 _margin, _rootless,
-                                 _scan_rows, asymptotic_critical_mass, bisect,
+                                 _margin, _rootless, _scan_rows,
+                                 asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, force_extrema,
                                  second_extremum_threshold, solve)
-from floatcyl.model import DimensionlessParams, _force, _slope, total_force
+from floatcyl.model import (DimensionlessParams, _force, _slope,
+                            force_curvature, total_force)
 
 PI = math.pi
 
 
 def params(a=1.0, c=1.0, g=PI / 2, exploratory=False):
     return DimensionlessParams(a, c, g, exploratory=exploratory)
+
+
+def mp_slope(x, c, g):
+    """F'(x) in mpmath at its working precision, for mpf x, c and g."""
+    return (-2 * mpmath.cos(x + g)
+            + 2 * c * mpmath.sin((x + g) / 2) * mpmath.sin(x)
+            - 4 * c * mpmath.cos((x + g) / 2) * mpmath.cos(x)
+            + 2 * c * c * mpmath.sin(x) ** 2)
 
 
 def mp_maximum(c, g):
@@ -40,10 +48,7 @@ def mp_maximum(c, g):
         hi = mpmath.pi
 
         def slope(x):
-            return (-2 * mpmath.cos(x + g)
-                    + 2 * c * mpmath.sin((x + g) / 2) * mpmath.sin(x)
-                    - 4 * c * mpmath.cos((x + g) / 2) * mpmath.cos(x)
-                    + 2 * c * c * mpmath.sin(x) ** 2)
+            return mp_slope(x, c, g)
 
         assert slope(lo) > 0 > slope(hi)
         while hi - lo > mpmath.mpf(10) ** -45:
@@ -204,38 +209,73 @@ class TestFindEquilibria:
                 assert abs(total_force(eq.phi0, p)) < 1e-8
 
     def test_matches_dense_scan(self):
-        # independent root finder: fine sign scan plus bisection refinement
+        # independent root finder, the root-count oracle behind solve's
+        # brackets: fine sign scan plus bisection refinement.  C is
+        # log-uniform on [1e-3, 1e3], edge contact angles alternate with
+        # random ones, and two levels in three are drawn near the endpoint
+        # or the tangency line.  Each level lies at least 1e-6 (1+C)^2,
+        # the force's scale, from both lines: the scan then resolves both
+        # roots, and no node value falls within the absolute
+        # ROOT_VALUE_TOL that would report a node root the scan misses
         from scipy.optimize import bisect
         rng = np.random.default_rng(23)
         grid = np.linspace(0.0, PI, 10_000)
-        for _ in range(500):
-            p = params(rng.uniform(0.1, 12.0), rng.uniform(0.1, 5.0),
-                       rng.uniform(0.0, PI))
+        edge = [0.0, 1e-12, PI / 2 - 1e-9, PI / 2 + 1e-9, PI]
+        counts = []
+        for k in range(600):
+            g = edge[k // 2 % 5] if k % 2 else rng.uniform(0.0, PI)
+            c = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            lines = [PI + 2.0 * math.sin(g) / c ** 2]
+            if c > second_extremum_threshold(g):
+                lines.append(critical_mass_ratio(c, g)[0])
+            a = rng.uniform(0.1, 12.0)
+            if k % 3:
+                a = lines[k % len(lines)] * (1.0 + rng.choice([-1.0, 1.0])
+                                             * math.exp(rng.uniform(
+                                                 math.log(1e-6), 0.0)))
+            if min(abs(a - x) for x in lines) * c * c < 1e-6 * (1 + c) ** 2:
+                continue
+            p = params(a, c, g, exploratory=True)
             vals = total_force(grid, p)
             brackets = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
             scan_roots = [bisect(lambda x: float(total_force(x, p)),
                                  grid[i], grid[i + 1], xtol=1e-10)
                           for i in brackets]
             eqs = find_equilibria(p)
-            assert len(eqs) == len(scan_roots)
+            assert len(eqs) == len(scan_roots), (a, c, g)
             for eq, r in zip(eqs, scan_roots):
                 assert abs(eq.phi0 - r) < 1e-6
+            counts.append(len(eqs))
+        assert len(counts) > 400
+        assert counts.count(2) > 60 and counts.count(0) > 30
 
-    def test_scan_guard_recovers_missing_brackets(self):
-        # deliberately degraded segment structure: the dense-scan fallback
-        # must still find both roots and flag the inconsistency
-        import warnings
-
-        from floatcyl.equilibria import ModelInconsistencyWarning
-
+    def test_rejects_wrong_critical(self):
+        # solve finds every root only with the true extrema: critical must
+        # hold the kinds whose brackets _bracketed accepts, each inside its
+        # bracket, and nothing else
         p = params(a=3.8, c=2.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            eqs = find_equilibria(p, critical=[])
-        assert len(eqs) == 2
-        assert eqs[0].phi0 == pytest.approx(2.3915, abs=1e-3)
-        assert any(issubclass(w.category, ModelInconsistencyWarning)
-                   for w in caught)
+        cps = critical_points(p)
+        assert [cp.kind for cp in cps] == list(ExtremumKind)
+        assert find_equilibria(p, cps) == find_equilibria(p)
+        assert len(find_equilibria(p, cps)) == 2
+        minimum, maximum = cps
+        for wrong in ([], [minimum], [maximum], [minimum, maximum, maximum],
+                      [minimum, CriticalPoint(1.0, ExtremumKind.MAXIMUM)],
+                      [CriticalPoint(2.0, ExtremumKind.MINIMUM), maximum],
+                      [minimum, CriticalPoint(math.nan,
+                                              ExtremumKind.MAXIMUM)]):
+            with pytest.raises(ValueError, match="^critical="):
+                find_equilibria(p, wrong)
+        # below the threshold there is no maximum to list, and far above
+        # the level the closed-form answer still checks critical first
+        q = params(a=1.0, c=0.1, g=0.5)
+        assert [cp.kind for cp in critical_points(q)] == [ExtremumKind.MINIMUM]
+        with pytest.raises(ValueError, match=r"must list a minimum in "
+                           r"\[0\.0, 1\.5707963267948966\] at Dim"):
+            find_equilibria(q, critical_points(q) + [maximum])
+        with pytest.raises(ValueError, match="^critical="):
+            find_equilibria(params(a=1e6, c=2.0), [])
+        assert find_equilibria(params(a=1e6, c=2.0), cps) == []
 
     def test_pinned_digest(self):
         # every bit of the scalar path over 500 criterion-9 triples, captured
@@ -658,31 +698,77 @@ class TestForceMaximum:
             assert got == want or (got != got and want != want)
 
 
-class TestCrossings:
-    """Each cell counts its crossings on its column's row, whether it has
-    the column to itself or shares it, as a brute-force count does."""
+class TestSlopeShape:
+    """force_extrema's proof: F' rises, then falls, on (0, pi)."""
 
-    def test_lone_and_shared_columns_agree(self):
-        rng = np.random.default_rng(17)
-        for g in (0.0, 0.3, PI / 2, 2.3, PI):
-            # more lone cells than one chunk, levels inside each row's
-            # range, some on a row value exactly
-            caps = rng.uniform(0.05, 6.0, 300)
-            rows = _scan_rows(caps, g)
-            level = (rows.min(axis=1)
-                     + rng.uniform(0.0, 1.0, caps.size) * np.ptp(rows, axis=1))
-            level[::7] = rows[::7, 500]
-            slack = _bounds(caps)[0]
-            below, above = level - slack, level + slack
-            lone = _crossings(rows, np.arange(caps.size), below, above)
-            shared = _crossings(rows, np.repeat(np.arange(caps.size), 2),
-                                np.repeat(below, 2), np.repeat(above, 2))
-            brute = ((np.minimum(rows[:, :-1], rows[:, 1:]) < above[:, None])
-                     & (below[:, None] < np.maximum(rows[:, :-1], rows[:, 1:]))
-                     ).sum(axis=1)
-            assert lone.tolist() == brute.tolist()
-            assert shared[::2].tolist() == shared[1::2].tolist() == brute.tolist()
-            assert (brute > 0).all() and (brute > 1).any()
+    def test_slope_rises_then_falls(self):
+        # The certificate: with w = 1/(1+C), f = F''/(1+C)^2 and
+        # d = F'''/(1+C)^2 have |grad f| <= (4, 2, 9) and
+        # |grad d| <= (8, 2, 15) in (phi, gamma, w).  On every box of
+        # [pi/4, pi] x [0, pi/2] x [0, 1] outside L4's region
+        # (phi >= 3pi/4, C >= 2.2), f keeps its sign, or F''' < 0 on all
+        # of it.  L1 covers phi < pi/4.  1e-12 covers the rounding.
+        n, phi_from = 64, PI / 4
+        half = np.array([(PI - phi_from) / n, PI / 2 / n, 1.0 / n]) / 2.0
+        phi, g, w = np.meshgrid(*(lo + (2 * np.arange(n) + 1) * h
+                                  for lo, h in zip((phi_from, 0.0, 0.0),
+                                                   half)), indexing="ij")
+        u, v, q = w * w, w * (1.0 - w), (1.0 - w) ** 2
+        f = (2.0 * u * np.sin(phi + g)
+             + v * (0.5 * np.sin((phi - g) / 2.0)
+                    + 4.5 * np.sin((3.0 * phi + g) / 2.0))
+             + 2.0 * q * np.sin(2.0 * phi))
+        d = (2.0 * u * np.cos(phi + g)
+             + v * (0.25 * np.cos((phi - g) / 2.0)
+                    + 6.75 * np.cos((3.0 * phi + g) / 2.0))
+             + 4.0 * q * np.cos(2.0 * phi))
+        ok = ((np.abs(f) > half @ [4.0, 2.0, 9.0] + 1e-12)
+              | (d + half @ [8.0, 2.0, 15.0] + 1e-12 < 0.0))
+        l4 = (phi - half[0] >= 3.0 * PI / 4.0) & (w + half[2] <= 1.0 / 3.2)
+        assert np.all(ok | l4)
+        # the second form of F'' equals model.force_curvature, which
+        # evaluates the first; L1 and L4 hold on samples of their regions
+        rng = np.random.default_rng(61)
+        g = rng.uniform(0.0, PI / 2, 20_000)
+        c = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), g.size))
+        for phi, c, sign in ((rng.uniform(0.0, PI / 4, g.size), c, 1.0),
+                             (rng.uniform(3.0 * PI / 4, PI, g.size),
+                              2.2 + c, -1.0)):
+            second = (2.0 * np.sin(phi + g)
+                      + c / 2.0 * np.sin((phi - g) / 2.0)
+                      + 4.5 * c * np.sin((3.0 * phi + g) / 2.0)
+                      + 2.0 * c * c * np.sin(2.0 * phi))
+            k = slice(200)
+            curvature = [force_curvature(x, params(1.0, y, z)) for x, y, z
+                         in zip(phi[k].tolist(), c[k].tolist(), g[k].tolist())]
+            assert np.all(np.abs(second[k] - curvature)
+                          <= 1e-12 * (1.0 + c[k]) ** 2)
+            assert np.all(sign * second[phi > 0.0] > 0.0)
+
+    def test_slope_sign_pattern_at_50_digits(self):
+        # An mpmath oracle: on each bracket of _extremum_brackets, F' at 50
+        # digits changes sign at most once, from - to + on the minimum's
+        # and from + to - on the maximum's, and does exactly where
+        # _bracketed accepts the bracket; between the brackets F' > 0
+        ends = np.geomspace(1e-9, 0.2, 15)
+        xs = sorted({*np.linspace(0.0, PI, 91).tolist(), *ends.tolist(),
+                     *(PI - ends).tolist(), PI / 4, PI / 2, 3 * PI / 4})
+        with mpmath.workdps(50):
+            for g in (0.0, 1e-12, 1e-9, PI / 2 - 1e-9, PI / 2 + 1e-9,
+                      PI - 1e-9, PI):
+                low, high = _extremum_brackets(g)
+                for c in np.geomspace(1e-6, 1e3, 19).tolist():
+                    sign = {x: int(mpmath.sign(mp_slope(
+                        mpmath.mpf(x), mpmath.mpf(c), mpmath.mpf(g))))
+                        for x in xs}
+                    for (lo, hi, *rest), rise in ((low, 1), (high, -1)):
+                        seen = [sign[x] for x in xs if lo <= x <= hi]
+                        assert 0 not in seen
+                        assert seen == sorted(seen, key=lambda v: rise * v)
+                        assert bool(_bracketed(c, g, lo, hi, *rest)[0]) == (
+                            seen[0] != seen[-1]), (g, c, lo)
+                    assert all(sign[x] > 0 for x in xs
+                               if low[1] <= x <= high[0])
 
 
 # solve's extrema when there are none: one segment [0, pi]
@@ -705,23 +791,6 @@ class TestSolve:
             assert column == [[eq.phi0 for eq in find_equilibria(params(x, c, g))]
                               for x in a.tolist()]
 
-    def test_block_without_extrema_matches_find_equilibria(self):
-        # no extrema leave one segment [0, pi]: the guard must recover
-        # every missed root, in a block as in a single cell
-        a = np.concatenate([np.linspace(0.5, 12.0, 24), [3.7, 3.8, 3.9]])
-        c = np.array([0.7, 2.0, 3.1])
-        for g in (PI / 2, 2.6):
-            with pytest.warns(ModelInconsistencyWarning):
-                block = cell_roots(solve(a[:, None], c[None, :], g,
-                                         NO_EXTREMA))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ModelInconsistencyWarning)
-                want = [[eq.phi0 for eq in find_equilibria(
-                    params(x, y, g), critical=[])]
-                    for x in a.tolist() for y in c.tolist()]
-            assert block == want
-            assert max(len(roots) for roots in want) == 2
-
     @pytest.mark.parametrize("g", [0.0, PI / 2, PI])
     def test_block_brackets(self, g):
         # a block's node roots and brackets, from _force over its columns,
@@ -733,20 +802,6 @@ class TestSolve:
                  for x in a_axis.tolist() for y in caps.tolist()]
         assert _bits(block) == _bits(alone)
         assert any(block)
-
-    def test_guard_root_joins_on_node_zeros(self):
-        # zeros on the nodes at 0 and a guard root in one row: one root at
-        # 0, the guard's, one warning, no padding column (captured values)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            roots = solve(0.0, 1.0, 0.0, NO_EXTREMA)
-        assert roots.shape == (2,)
-        assert roots.tolist() == [0.0, 2.282271149032337]
-        assert [(w.category, str(w.message)) for w in caught] == [(
-            ModelInconsistencyWarning,
-            "dense scan found a root at phi0=2.28227114903 outside the "
-            "monotone-segment structure (A=0.0, C=1.0, gamma=0.0); the force "
-            "curve shape assumption is violated here")]
 
     def test_endpoint_root_without_maximum_counts_once(self):
         # below the second-extremum threshold the missing maximum sits on
@@ -764,44 +819,36 @@ class TestSolve:
         assert column.tolist() == [[2.0703197066879953], [PI]]
 
     def test_block_at_extreme_capillary_ratios(self):
-        # C from 1e-3 to 1e3, where the guard's slack is widest (about
+        # C from 1e-3 to 1e3, where the rows' slack is widest (about
         # 1.4e-8 at C = 1e3).  Each column's mass ratios straddle its
         # root-count changes, near the endpoint line pi + 2 sin(gamma)/C^2
         # and the tangency A* (the line stands in for A* at gamma = 0,
-        # where there is none).  Arrays, shapes and warning texts are
-        # pinned (captured values).
+        # where there is none).  Arrays and shapes are pinned (captured
+        # values).
         c = np.array([1e-3, 1e-2, 30.0, 1e3])
         near = np.array([0.5, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-9, 1.0,
                          1.0 + 1e-9, 1.001])
         pinned = []
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for g in (0.0, PI / 2, 2.6, PI):
-                a_end = PI + 2.0 * math.sin(g) / c ** 2
-                a_star = np.array([critical_mass_ratio(x, g)[0] if g else a
-                                   for x, a in zip(c.tolist(), a_end)])
-                a = np.concatenate([near[:, None] * a_end,
-                                    near[:, None] * a_star, [2.0 * a_star]])
-                block = solve(a, c, g, NO_EXTREMA)
-                pinned.append((block.shape, block.tolist()))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ModelInconsistencyWarning)
-                    assert cell_roots(block) == [
-                        [eq.phi0 for eq in find_equilibria(
-                            params(x, y, g), critical=[])]
-                        for x, y in zip(a.ravel().tolist(),
-                                        np.resize(c, a.size).tolist())]
-        texts = [str(w.message) for w in caught
-                 if w.category is ModelInconsistencyWarning]
-        assert len(texts) == len(caught) == 89
+        for g in (0.0, PI / 2, 2.6, PI):
+            a_end = PI + 2.0 * math.sin(g) / c ** 2
+            a_star = np.array([critical_mass_ratio(x, g)[0] if g else a
+                               for x, a in zip(c.tolist(), a_end)])
+            a = np.concatenate([near[:, None] * a_end,
+                                near[:, None] * a_star, [2.0 * a_star]])
+            block = solve(a, c, g)
+            pinned.append((block.shape, block.tolist()))
+            assert cell_roots(block) == [
+                [eq.phi0 for eq in find_equilibria(params(x, y, g))]
+                for x, y in zip(a.ravel().tolist(),
+                                np.resize(c, a.size).tolist())]
         assert [shape for shape, _ in pinned] == [
             (19, 4, 1), (19, 4, 2), (19, 4, 2), (19, 4, 2)]
-        assert hashlib.sha256(repr((pinned, texts)).encode()).hexdigest() == (
-            "e7950b736082f669dc6d55e4621340edb8c8926b79efc88542d5219bd9b1c817")
+        assert hashlib.sha256(repr(pinned).encode()).hexdigest() == (
+            "741996c6f0a501f69098ae897a7387f2af6ad5deab50e1a34e4fc99f8097466f")
 
     def test_rootless_cells_keep_one_sign(self):
-        # the cells solve answers from the guard's rows alone must have F of
-        # one sign, |F| > ROOT_VALUE_TOL, at their nodes and between them
+        # the cells solve answers from the rows alone must have F of one
+        # sign, |F| > ROOT_VALUE_TOL, at their nodes and between them
         cells = _edge_cells(41)
         fine = np.linspace(0.0, PI, 100_001)
         marked = []
@@ -817,61 +864,17 @@ class TestSolve:
             for f in (_force(nodes, a, c, g), _force(fine, a, c, g)):
                 assert np.all(np.abs(f) > ROOT_VALUE_TOL), (a, c, g)
                 assert np.all(np.sign(f) == np.sign(f[0])), (a, c, g)
-        # solve over the same cells, one at a time and in blocks per angle,
-        # with warning texts in order (captured values)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pinned = [solve(a, c, g) for a, c, g in cells]
-            pinned += [solve(a, c, g, extrema) for g, a, c in _by_angle(cells)
-                       for extrema in (None, NO_EXTREMA)]
-        texts = [str(w.message) for w in caught]
-        digest = repr(([(x.shape, x.tolist()) for x in pinned], texts))
-        assert len(texts) == 308
+        # solve over the same cells, one at a time and in blocks per angle
+        # (captured values)
+        pinned = [solve(a, c, g) for a, c, g in cells]
+        pinned += [solve(a, c, g) for g, a, c in _by_angle(cells)]
+        digest = repr([(x.shape, x.tolist()) for x in pinned])
         assert hashlib.sha256(digest.encode()).hexdigest() == (
-            "5319d1a6217c7fef64c398db90e456e131dd52bb2779bc2358eb9268ffd1c731")
-
-    def test_guard_rescans_no_sound_cell(self, monkeypatch):
-        # an over-counting guard changes no output, only the time it takes:
-        # no cell whose segments found every root may rescan its grid,
-        # alone or in a block, not even where root windows overlap.  (A
-        # level within the slack of a row value, as on the endpoint line
-        # at gamma = 0 and C ~ 500, rescans rightly: the count cannot tell.)
-        force = equilibria._force
-        rescans = []
-
-        def counting(phi, *args):
-            if phi is _SCAN_GRID:
-                rescans.append(args)
-            return force(phi, *args)
-
-        rng = np.random.default_rng(43)
-        cells = []
-        for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 5).tolist():
-            cells += [(rng.uniform(0.05, 15.0), rng.uniform(0.05, 6.0), g)
-                      for _ in range(60)]
-            for c in rng.uniform(0.05, 6.0, 6).tolist():
-                # a root on a grid point, one next to each end node, and
-                # near the tangency a pair within a grid step of each other
-                for j in (int(rng.integers(2, 998)), 1, 998):
-                    cells.append((force(float(_SCAN_GRID[j]), 0.0, c, g)
-                                  / c ** 2, c, g))
-                if c > second_extremum_threshold(g):
-                    a_star = critical_mass_ratio(c, g)[0]
-                    cells += [(a_star * (1.0 - eps), c, g)
-                              for eps in (1e-4, 1e-6, 1e-9)]
-        monkeypatch.setattr(equilibria, "_force", counting)
-        lone = [find_equilibria(params(a, c, g, exploratory=True))
-                for a, c, g in cells]
-        for g, a, c in _by_angle(cells):
-            solve(a, c, g)
-        assert rescans == []
-        assert sum(len(roots) for roots in lone) > 500
-        assert sum(len(roots) == 2 for roots in lone) > 150
+            "2d38c74e1f63ed2eb3f370a4860614a027e2aba96df4c8fdabda2e4123815c7d")
 
     def test_lone_cell_matches_its_block(self):
         # solve decides a lone cell on floats and a block on arrays: each
-        # cell alone gives its block row bit for bit, with the same
-        # warnings in the same order, with and without the extrema
+        # cell alone gives its block row bit for bit
         cells = _edge_cells(45)
         rng = np.random.default_rng(46)
         for g, a, c in _by_angle(cells):
@@ -880,37 +883,21 @@ class TestSolve:
             a = np.vstack([a.reshape(-1, 26).T,
                            rng.uniform(0.05, 15.0, (6, a.size // 26))])
             c = c.reshape(-1, 26)[:, 0]
-            for extrema in (None, NO_EXTREMA):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    block = cell_roots(solve(a, c, g, extrema))
-                    alone = [[x for x in solve(x, y, g, extrema).tolist()
-                              if x == x]
-                             for x, y in zip(a.ravel().tolist(),
-                                             np.resize(c, a.size).tolist())]
-                texts = [str(w.message) for w in caught]
-                n = len(texts) // 2
-                assert texts[:n] == texts[n:]
-                assert _bits(block) == _bits(alone)
-                if extrema is NO_EXTREMA:
-                    assert n > 0
-                # one live cell in a block of rootless ones takes the lone
-                # branches with its own column's row.  Row 20 of a column's
-                # edge cells is A*(1 - 1e-4): two roots that only the guard
-                # finds without the extrema
-                for k in range(c.size):
-                    solo = np.full(c.size, 1e12)
-                    solo[k] = a[20, k]
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        block = cell_roots(solve(solo, c, g, extrema))
-                        alone = [x for x in solve(solo[k], c[k], g,
-                                                  extrema).tolist() if x == x]
-                    texts = [str(w.message) for w in caught]
-                    n = len(texts) // 2
-                    assert texts[:n] == texts[n:]
-                    assert _bits(block) == _bits(
-                        [alone if j == k else [] for j in range(c.size)])
+            block = cell_roots(solve(a, c, g))
+            alone = [[x for x in solve(x, y, g).tolist() if x == x]
+                     for x, y in zip(a.ravel().tolist(),
+                                     np.resize(c, a.size).tolist())]
+            assert _bits(block) == _bits(alone)
+            # one live cell in a block of rootless ones takes the lone
+            # branches with its own column's row.  Row 20 of a column's
+            # edge cells is A*(1 - 1e-4), two roots where there is a maximum
+            for k in range(c.size):
+                solo = np.full(c.size, 1e12)
+                solo[k] = a[20, k]
+                block = cell_roots(solve(solo, c, g))
+                alone = [x for x in solve(solo[k], c[k], g).tolist() if x == x]
+                assert _bits(block) == _bits(
+                    [alone if j == k else [] for j in range(c.size)])
 
 
 def _bits(rows):
@@ -950,18 +937,19 @@ def _by_angle(cells):
         yield g, np.array(a), np.array(c)
 
 
-class TestScanGuard:
+class TestScanRows:
     def test_scan_slack_bounds_the_expansion(self):
-        # the widened count never falls below _force's crossings only if
-        # the guard's rows stay within the slack of _force on the grid
+        # _rootless's margin holds only if the rows stay within the slack
+        # of _force on the grid
         rng = np.random.default_rng(31)
         c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 20_900))
         g = np.concatenate([rng.uniform(0.0, PI, 20_000),
                             np.repeat([0.0, PI / 2, PI], 300)])
+        grid = equilibria._scan().grid
         worst = 0.0
         for c_i, g_i in zip(c.tolist(), g.tolist()):
             row, = _scan_rows(np.array([c_i]), g_i)
-            gap = np.max(np.abs(row - _force(_SCAN_GRID, 0.0, c_i, g_i)))
+            gap = np.max(np.abs(row - _force(grid, 0.0, c_i, g_i)))
             worst = max(worst, gap / _bounds(c_i)[0])
         assert worst <= 1.0
         # a lone row is one vector product, a block's rows one matrix
@@ -970,5 +958,5 @@ class TestScanGuard:
         for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 18).tolist():
             c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 1000))
             gap = np.abs(_scan_rows(c, g)
-                         - _force(_SCAN_GRID, 0.0, c[:, None], g)).max(axis=1)
+                         - _force(grid, 0.0, c[:, None], g)).max(axis=1)
             assert np.all(gap <= _bounds(c)[0]), g

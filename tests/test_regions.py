@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floatcyl import equilibria, regions
-from floatcyl.equilibria import (ModelInconsistencyWarning,
-                                 NoSecondCriticalPointError, _bounds,
+from floatcyl.equilibria import (NoSecondCriticalPointError, _bounds,
                                  critical_mass_ratio, find_equilibria,
                                  force_extrema, second_extremum_threshold,
                                  solve)
@@ -376,11 +375,8 @@ class TestRegionMap:
 
     @pytest.mark.parametrize("g", [0.0, 0.4, PI / 2, 2.3, PI])
     def test_every_cell_matches_classify_point(self, g):
-        # the block solver labels each cell as the one-cell path does, and
-        # its dense-scan guard stays silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ModelInconsistencyWarning)
-            rm = region_map(g, resolution=(23, 17))
+        # the block solver labels each cell as the one-cell path does
+        rm = region_map(g, resolution=(23, 17))
         for i, a in enumerate(rm.a_axis.tolist()):
             for j, c in enumerate(rm.c_axis.tolist()):
                 assert rm.labels[i, j] is classify_point(params(a, c, g))[0]
@@ -452,17 +448,18 @@ class TestSettledLabels:
 
     @pytest.mark.parametrize("g", [0.0, 0.05, 0.7, PI / 2, 2.3, 3.0, PI])
     def test_few_cells_fall_back(self, g, monkeypatch):
-        # the breakpoints settle all but none or one cell of the default
-        # grid at these angles
+        # the breakpoints settle every cell of the default grid at these
+        # angles
         fallback = _count_fallback(monkeypatch)
         region_map(g, resolution=(200, 200), curve_samples=0)
-        assert sum(fallback) <= 2
+        assert sum(fallback) == 0
 
     def test_fallback_takes_the_map_extrema(self, monkeypatch):
-        # a window around A* at C = 1 sends thousands of cells through the
-        # fallback, which finds no extremum of its own: the map's one
-        # extremum bisection serves every column, every fallback cell and
-        # the tangency curve
+        # a window 2e-10 wide around A* at C = 1, 2e-12 wide in C, lies
+        # within the B band of the maximum's value, so every cell goes
+        # through the fallback, which finds no extremum of its own: the
+        # map's one extremum bisection serves every column, every fallback
+        # cell and the tangency curve
         fallback = _count_fallback(monkeypatch)
         calls = []
         extrema = equilibria._extrema
@@ -475,17 +472,19 @@ class TestSettledLabels:
             monkeypatch.setattr(module, "_extrema", counted)
         tracemalloc.start()
         try:
-            rm = region_map(PI / 2, (5.8092, 5.8094), (0.9999, 1.0001))
+            a_star = critical_mass_ratio(1.0, PI / 2)[0]
+            rm = region_map(PI / 2, (a_star - 1e-10, a_star + 1e-10),
+                            (1.0 - 1e-12, 1.0 + 1e-12))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(calls) == 1
         # the minima and maxima of the 200 columns, the 200 samples' maxima
         assert [c.size for c, _ in calls[0][1]] == [200, 200, 200]
-        assert sum(fallback) > 5000
+        assert sum(fallback) == 200 * 200
         # the fallback solves its cells in chunks, each cell with an 8 kB
-        # guard row: its memory stays bounded whatever the cell count, and
-        # its labels are the bisected ones across the chunks
+        # row: its memory stays bounded whatever the cell count, and its
+        # labels are the bisected ones across the chunks
         assert peak < 20e6
         assert rm.labels.tolist() == bisected_labels(rm)
 
@@ -534,16 +533,18 @@ class TestBreakpoints:
         assert rm.labels.tolist() == bisected_labels(rm)
 
     @pytest.mark.parametrize("g", [0.7, PI / 2, 2.3])
-    def test_levels_beside_the_maximum_fall_back(self, g):
-        # the guard's rows are flat beside an extremum: levels within
-        # about K _SCAN_SAG of its value are not read from the breakpoints
+    def test_levels_beside_the_maximum_settle(self, g):
+        # a level more than the band B from the maximum's value is read
+        # from the breakpoints, however near: the two roots beside the
+        # maximum lie more than _DEDUP_TOL apart
         c = 2.0
         a_star = critical_mass_ratio(c, g)[0]
         a_axis = a_star + np.array([-1e-2, -1e-6, 1e-6, 1e-2])
         n, n_valid = regions._count_block(
             a_axis, np.array([c]), g, force_extrema(np.array([c]), g))
-        assert n[:, 0].tolist() == [2, -1, -1, 0]
-        assert n_valid[:, 0].tolist() == [2, -1, -1, 0]
+        assert n[:, 0].tolist() == n_valid[:, 0].tolist() == [2, 2, 0, 0]
+        assert [_LABEL_TABLE[k, k] for k in n[:, 0].tolist()] == [
+            classify_point(params(a, c, g))[0] for a in a_axis.tolist()]
 
     def test_tiny_capillary_window_labels(self):
         # levels far below every band label as solve does

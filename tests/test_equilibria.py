@@ -818,6 +818,66 @@ class TestSolve:
         assert column.shape == (2, 1)
         assert column.tolist() == [[2.0703197066879953], [PI]]
 
+    def test_node_root_and_bracketed_root_share_a_row(self):
+        # at A = 0, gamma = 0 the node at 0 is a zero of F and a segment
+        # brackets the other root: one row holds both, the node's first,
+        # with no padding column, alone, in a column and in
+        # find_equilibria (captured values)
+        assert _force(0.0, 0.0, 1.0, 0.0) == 0.0
+        roots = solve(0.0, 1.0, 0.0)
+        assert roots.shape == (2,)
+        assert roots.tolist() == [0.0, 2.2822711490320837]
+        column = solve(np.array([0.0, 1e12]), 1.0, 0.0)
+        assert cell_roots(column) == [roots.tolist(), []]
+        assert [eq.phi0 for eq in find_equilibria(
+            params(0.0, 1.0, 0.0, exploratory=True))] == roots.tolist()
+        # an independent bisection on another bracket agrees to its xtol
+        want = scipy_bisect(lambda x: _force(x, 0.0, 1.0, 0.0), PI / 2, PI,
+                            xtol=1e-12)
+        assert abs(roots[1] - want) < 2.0 * equilibria.PHI0_TOL
+
+    def test_hard_cells_keep_every_root(self):
+        # cells where a root count is easy to get wrong, each with its
+        # expected roots: a root on a scan grid point, one next to each end
+        # node, and below the tangency a pair within a grid step of each
+        # other, either side of the maximum.  Each root has F ~ 0, and a
+        # block gives each cell's lone roots bit for bit
+        grid = equilibria._scan().grid
+        rng = np.random.default_rng(43)
+        cells, expect = [], []
+        for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 5).tolist():
+            cells += [(rng.uniform(0.05, 15.0), rng.uniform(0.05, 6.0), g)
+                      for _ in range(60)]
+            expect += [None] * 60
+            for c in rng.uniform(0.05, 6.0, 6).tolist():
+                for j in (int(rng.integers(2, 998)), 1, 998):
+                    x = float(grid[j])
+                    cells.append((_force(x, 0.0, c, g) / c ** 2, c, g))
+                    expect.append(("on", x))
+                if c > second_extremum_threshold(g):
+                    a_star, phi_star = critical_mass_ratio(c, g)[:2]
+                    cells += [(a_star * (1.0 - eps), c, g)
+                              for eps in (1e-4, 1e-6, 1e-9)]
+                    expect += [("around", phi_star)] * 3
+        lone = [[eq.phi0 for eq in find_equilibria(
+            params(a, c, g, exploratory=True))] for a, c, g in cells]
+        for (a, c, g), want, roots in zip(cells, expect, lone):
+            assert all(abs(_force(x, a, c, g)) <= 1e-11 * (1.0 + c) ** 2
+                       for x in roots), (a, c, g)
+            if want and want[0] == "on":
+                assert min(abs(x - want[1]) for x in roots) < 1e-9, (a, c, g)
+            elif want:
+                assert len(roots) == 2 and roots[0] < want[1] < roots[1], (
+                    a, c, g)
+        block = []
+        for g, a, c in _by_angle(cells):
+            block += cell_roots(solve(a, c, g))
+        assert _bits(block) == _bits(
+            [roots for _, roots in sorted(zip([g for *_, g in cells], lone),
+                                          key=lambda x: x[0])])
+        assert sum(map(len, lone)) > 500
+        assert sum(len(roots) == 2 for roots in lone) > 150
+
     def test_block_at_extreme_capillary_ratios(self):
         # C from 1e-3 to 1e3, where the rows' slack is widest (about
         # 1.4e-8 at C = 1e3).  Each column's mass ratios straddle its

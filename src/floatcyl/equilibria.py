@@ -6,15 +6,15 @@ two (a minimum then a maximum), so it admits at most two zeros.  Roots are
 bracketed on the monotone segments between the extrema and refined by
 bisection; a zero is stable when F increases through it (the center height
 decreases monotonically with phi0, so dF/dphi0 > 0 means the energy is at a
-local minimum).
+local minimum).  A level A C^2 past the closed-form range of the mass-free
+force leaves F of one sign at every node, so find_equilibria answers such
+a cell before it finds the extrema.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,15 +32,9 @@ ROOT_VALUE_TOL = 1e-9
 TANGENCY_TOL = 1e-6
 # Distinct roots closer than this collapse to one.
 _DEDUP_TOL = 1e-7
-# Points of the grid on which ``_rootless`` bounds F; ``_scan`` builds it
-# on first use.
-_SCAN_SIZE = 1000
-# The expansion rounds apart from _force by at most _SCAN_SLACK (1+C)^2
-# (test_scan_slack_bounds_the_expansion).
-_SCAN_SLACK = 64.0 * sys.float_info.epsilon
-# An interior extremum of F lies within half a grid step h of a grid point,
-# where F' = 0, so F there is within |F''| h^2 / 8 of that point's value.
-_SCAN_SAG = (PI / (_SCAN_SIZE - 1)) ** 2 / 8.0
+# _force rounds apart from the exact F by at most _FORCE_SLACK (1+C)^2
+# (test_force_slack_bounds_the_rounding).
+_FORCE_SLACK = 64.0 * sys.float_info.epsilon
 # Bracketed segments up to which solve bisects each on floats: an array
 # bisection's halving costs about as much in NumPy calls as one halving
 # of 20 float lanes.  A lone cell brackets at most three; region_map's
@@ -93,24 +87,6 @@ class Equilibrium:
     stability: Stability
     force_slope: float
     height: float
-
-
-_Scan = namedtuple("_Scan", "grid basis")
-
-
-@functools.cache
-def _scan():
-    """The rows' grid and basis, loading NumPy on the first call."""
-    np = _numpy()
-    grid = np.linspace(0.0, PI, _SCAN_SIZE)
-    # sin(phi+gamma) and cos((phi+gamma)/2) expanded give F(grid; A=0) =
-    # cos(gamma) b0 + sin(gamma) b1 + C cos(gamma/2) b2 + C sin(gamma/2) b3
-    # + C^2 b4 (see _scan_rows).
-    return _Scan(grid, np.stack([
-        -2.0 * np.sin(grid), -2.0 * np.cos(grid),
-        -4.0 * np.cos(grid / 2.0) * np.sin(grid),
-        4.0 * np.sin(grid / 2.0) * np.sin(grid),
-        grid - 0.5 * np.sin(2.0 * grid)]))
 
 
 def _classify(slope: float) -> Stability:
@@ -395,20 +371,18 @@ def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
 
 
 def _bounds(c):
-    """(s, S, K) for a float or array C, which the solver's proofs rest on:
-    _force and ``_scan_rows`` round within s = _SCAN_SLACK (1+C)^2 of the
-    exact F, and the sizes of the terms of F' and F'' add to
-    S = 2 + 6C + 2C^2 and K = 2 + 9C + 2C^2 (``test_curvature_bound``)."""
+    """(s, S, K) for a float or array C, which the solver's proofs rest on.
+
+    _force at a point of [0, pi], with A = 0 or with a level in the node
+    values' range, rounds within s = _FORCE_SLACK (1+C)^2 of the exact F:
+    its terms add to a few (1+C)^2 and each rounds by an ulp or two
+    (``test_force_slack_bounds_the_rounding``).  The sizes of the terms of
+    F' and F'' add to S = 2 + 6C + 2C^2 and K = 2 + 9C + 2C^2
+    (``test_curvature_bound``).
+    """
     u = 1.0 + c
-    return (_SCAN_SLACK * (u * u), 2.0 + c * (6.0 + 2.0 * c),
+    return (_FORCE_SLACK * (u * u), 2.0 + c * (6.0 + 2.0 * c),
             2.0 + c * (9.0 + 2.0 * c))
-
-
-def _margin(c):
-    """(s, M) for a float or array C: the slack s of ``_bounds`` and
-    ``_rootless``'s margin M = 2s + K _SCAN_SAG + ROOT_VALUE_TOL."""
-    s, _, K = _bounds(c)
-    return s, 2.0 * s + K * _SCAN_SAG + ROOT_VALUE_TOL
 
 
 def _nodes(minimum, maximum, size):
@@ -427,40 +401,34 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     The cells are the broadcast of ``mass_ratios`` against
     ``capillary_ratios``; the result has the broadcast shape plus one
     trailing axis, as wide as the most roots a cell has.  Each capillary
-    ratio is a column with its row F(grid; A=0) (``_scan_rows``) and the
-    nodes 0, minimum, maximum and pi (``_nodes``, which
-    ``regions._count_block`` reads its labels from too), a missing extremum
-    at 0 or pi.  ``extrema`` is the (minimum, maximum) pair of
-    ``force_extrema``, as floats or as arrays with one entry per capillary
-    ratio; None finds them.  A cell whose level A C^2 lies so far outside
-    its row's range that F provably keeps one sign (``_rootless``) has no
-    root and goes no further; when no cell is left, the extrema are never
-    found.  Otherwise a node with |F| <= ROOT_VALUE_TOL is a root (the
-    endpoint root at pi, the tangency at A*), and every segment whose ends
-    change sign is bisected.  F is monotone on each segment
-    (``force_extrema`` has the proof), so a segment holds a root exactly
-    when its ends change sign; other extrema than ``force_extrema``'s void
-    that.  Up to _FLOAT_LANES segments bisect one by one on Python floats,
-    as a lone cell's do; more share one array bisection.  Both give
-    bisect's bits.  Of roots closer than _DEDUP_TOL the first in node,
-    segment order counts (``_pack``).
+    ratio is a column with the nodes 0, minimum, maximum and pi
+    (``_nodes``, which ``regions._count_block`` reads its labels from
+    too), a missing extremum at 0 or pi.  ``extrema`` is the (minimum,
+    maximum) pair of ``force_extrema``, as floats or as arrays with one
+    entry per capillary ratio; None finds them.  A node with
+    |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi, the tangency
+    at A*), and every segment whose ends change sign is bisected.  F is
+    monotone on each segment (``force_extrema`` has the proof), so a
+    segment holds a root exactly when its ends change sign; other extrema
+    than ``force_extrema``'s void that.  So a cell whose node values share
+    one sign, each with |F| > ROOT_VALUE_TOL, has no root, and needs no
+    test of its own; ``find_equilibria`` answers most such cells before
+    any array exists.  Up to _FLOAT_LANES segments bisect one by one on
+    Python floats, as a lone cell's do; more share one array bisection.
+    Both give bisect's bits.  Of roots closer than _DEDUP_TOL the first in
+    node, segment order counts (``_pack``).
     """
     np = _numpy()
     g = contact_angle
     cap = np.asarray(capillary_ratios, dtype=float)
     caps = cap.ravel()
-    # each cell's column: its capillary ratio, its row, its nodes.
+    # each cell's column: its capillary ratio and its nodes.
     # Broadcast by arithmetic: x * 1.0 and j + 0 are exact.
     a = np.asarray(mass_ratios, dtype=float)
     ones = np.ones(np.broadcast(a, cap).shape)
     col = (np.arange(cap.size).reshape(cap.shape) + ones.astype(np.int64) - 1
            ).ravel()
     a = (a * ones).ravel()
-    rows = _scan_rows(caps, g)
-    live = np.flatnonzero(~_rootless(rows, a, caps, col))
-    if not live.size:
-        return np.empty(ones.shape + (0,))
-    a, col = a[live], col[live]
     c = caps[col]
 
     if extrema is None:
@@ -490,10 +458,6 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     # A stable sort: nearly sorted input, and a smaller code footprint than
     # the default sort.
     roots = _pack(found, np.sort(found, axis=1, kind="stable"))
-    if live.size < ones.size:
-        out = np.full((ones.size, roots.shape[1]), np.nan)
-        out[live] = roots
-        roots = out
     return roots.reshape(ones.shape + roots.shape[1:])
 
 
@@ -522,67 +486,6 @@ def _pack(found, roots):
     return out
 
 
-def _rootless(rows, a, caps, col):
-    """The cells whose F keeps one sign on [0, pi], with |F| > ROOT_VALUE_TOL.
-
-    ``rows`` holds each column's ``_scan_rows``, and ``col`` each cell's
-    column.  A cell is rootless when its level A C^2 lies above its row's
-    maximum, or below its minimum, by more than the margin
-    M = 2s + K _SCAN_SAG + ROOT_VALUE_TOL, with the slack s and the bound
-    K on |F''| from ``_bounds``.  A lone cell, as in each find_equilibria
-    call, runs the same operations in the same order on Python floats, so
-    it decides as the arrays do.  Proof, for the level above (below is its
-    mirror image):
-
-    * The rows lie within s of _force on the grid
-      (``test_scan_slack_bounds_the_expansion``), and _force, on the grid
-      or at a node, within s of the exact F: its terms add to a few
-      (1+C)^2 and each rounds by an ulp or two.  A level far past the rows
-      adds rounding of a few ulps of itself, far below |F|, which grows
-      with it.  The test's own rounding is far below the K term (> 2e-6).
-    * |F''| <= K (``test_curvature_bound``).  The largest
-      F(x; A=0) on [0, pi] lies at a grid end, or at an interior x* with
-      F'(x*) = 0 and some grid point within h/2 of it, h the grid step,
-      where F is within K h^2 / 8 = K _SCAN_SAG of F(x*).
-
-    So F < -ROOT_VALUE_TOL on all of [0, pi]: every node value has one sign
-    with |F| > ROOT_VALUE_TOL and no segment brackets, so ``solve`` without
-    the test finds no root for these cells either.  The proof does not rest
-    on the monotone-segment structure.  M follows ROOT_VALUE_TOL: should
-    that become force-scaled, so must M's last term, and with it
-    ``find_equilibria``'s closed-form test, which clears a subset of these
-    cells before any row exists.
-    """
-    lone = a.size == 1  # so one column too
-    c = caps.item() if lone else caps
-    _, margin = _margin(c)
-    if lone:
-        level = a.item() * c * c
-        row, = rows
-        return _numpy().array([level > row.max() + margin
-                               or level < row.min() - margin])
-    c = caps[col]
-    level = a * c * c
-    return ((level > (rows.max(axis=1) + margin)[col])
-            | (level < (rows.min(axis=1) - margin)[col]))
-
-
-def _scan_rows(caps, g):
-    """F(.; A=0) on ``_scan``'s grid, one row per capillary ratio, no trig.
-
-    One matrix product of each row's five coefficients with the basis,
-    written straight into the result.
-    """
-    basis = _scan().basis
-    coef = _numpy().empty((caps.size, len(basis)))
-    coef[:, 0] = math.cos(g)
-    coef[:, 1] = math.sin(g)
-    coef[:, 2] = caps * math.cos(g / 2.0)
-    coef[:, 3] = caps * math.sin(g / 2.0)
-    coef[:, 4] = caps * caps
-    return coef @ basis
-
-
 def find_equilibria(params: DimensionlessParams,
                     critical: list[CriticalPoint] | None = None
                     ) -> list[Equilibrium]:
@@ -596,21 +499,37 @@ def find_equilibria(params: DimensionlessParams,
     and no bisection.  The fields are Python floats whatever number type
     the params hold.
 
-    A cell whose level A C^2 clears F(.; A=0)'s closed-form range by the
-    margin 2s + M of ``_margin`` returns [] on floats, before ``solve``
-    builds an array.  On [0, pi], F(.; A=0) = -2 sin(phi+gamma)
-    - 4C cos((phi+gamma)/2) sin(phi) + C^2 (phi - sin(phi) cos(phi)) lies in
+    A cell whose level L = A C^2 clears F(.; A=0)'s closed-form range by
+    the margin 2s + ROOT_VALUE_TOL, with the slack s of ``_bounds``,
+    returns [] on floats, before ``solve`` builds an array.  On [0, pi],
+    F(.; A=0) = -2 sin(phi+gamma) - 4C cos((phi+gamma)/2) sin(phi)
+    + C^2 (phi - sin(phi) cos(phi)) lies in
     [-2 - 4C, 2 + 4C sin(gamma/2) + pi C^2].  The last term rises from 0
     to pi C^2.  The middle one is at most 0 for phi <= pi - gamma, where
     (phi+gamma)/2 <= pi/2 and both factors are >= 0; beyond, the cosine
     lies in [-sin(gamma/2), 0] and sin(phi) in [0, 1], so the term is at
-    most 4C sin(gamma/2).  ``_rootless`` marks every such cell: its row
-    lies within s of _force, _force within a few ulps of pi (1+C)^2 of the
-    exact F, and the bound rounds by as little, sin(gamma/2) by a few ulps
-    of 4C; both fall far below the other s.  So a level above the bound
-    lies above its row's maximum plus M (below is the mirror image), and
-    ``solve`` finds no root either.  The margin follows M, and with it
-    ROOT_VALUE_TOL.
+    most 4C sin(gamma/2).  Proof that ``solve`` finds no root for such a
+    cell, for L above the bound U (below is the mirror image):
+
+    * Every node of ``solve`` lies in [0, pi], ``critical``'s included, so
+      F(.; A=0) there is at most U.
+    * _force computes -A C^2 as L is computed here, then adds its other
+      terms, each within an ulp or two of its exact value: with A = 0 it
+      rounds within s of the exact F (``_bounds``).  The level adds to the
+      rounding of its four sums at most 2 eps (L + 4 (1+C)^2), so at a
+      node _force < U - (1 - 2 eps) L + s + 8 eps (1+C)^2.  A level far
+      past the bound adds only a few ulps of itself, far below |F|, which
+      grows with it.
+    * The computed U rounds by a few ulps of pi (1+C)^2, sin(gamma/2) by a
+      few ulps of 4C, and the margin's sums by as little.  With
+      8 eps (1+C)^2 and 2 eps (U + s + ROOT_VALUE_TOL), that stays below
+      the second s = 64 eps (1+C)^2.
+
+    So _force < -ROOT_VALUE_TOL at every node: no node is a root and no
+    segment's ends change sign, so ``solve`` finds no root.  The proof
+    rests neither on the extrema nor on the monotone-segment structure.
+    The margin follows ROOT_VALUE_TOL: should that become force-scaled,
+    so must the margin's last term.
     """
     # one float A for the test and solve: a NumPy float32 times a float
     # stays float32, whose rounding would swamp the margin
@@ -630,11 +549,11 @@ def find_equilibria(params: DimensionlessParams,
             raise ValueError(f"critical={critical!r} must list "
                              f"{expected or 'nothing'} at {params}")
         extrema = tuple(phis.get(kind, math.nan) for kind in ExtremumKind)
-    s, margin = _margin(c)
+    s = _bounds(c)[0]
     level = a * c * c
     if (level > (2.0 + 4.0 * c * math.sin(g / 2.0) + PI * c * c + 2.0 * s
-                 + margin)
-            or level < -2.0 - 4.0 * c - 2.0 * s - margin):
+                 + ROOT_VALUE_TOL)
+            or level < -2.0 - 4.0 * c - 2.0 * s - ROOT_VALUE_TOL):
         return []
     out = []
     for r in solve(a, c, g, extrema).tolist():

@@ -45,7 +45,7 @@ from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
 PI = math.pi
 # The margin's rounding band, per unit of C + 4 (see _count_block).
 _MARGIN_BAND = 2.0 ** -40
-# Fallback cells per solve call, each with its own 8 kB row (_scan_rows).
+# Fallback cells per solve call, which bounds solve's per-cell arrays.
 _FALLBACK_CELLS = 1024
 
 
@@ -537,7 +537,7 @@ def _count_cells(a, c, g, extrema):
     so the cells, each a column of its own, go through ``solve`` calls
     that find no extremum, and each root in an overhang regime through
     ``intersection_margin``.  A call takes at most _FALLBACK_CELLS cells,
-    which bounds the rows held at once whatever the cell count.
+    which bounds solve's arrays held at once whatever the cell count.
     """
     n = np.empty(a.size, dtype=np.int64)
     cross = np.empty_like(n)

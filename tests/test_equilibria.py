@@ -15,8 +15,7 @@ from floatcyl.equilibria import (ROOT_VALUE_TOL, CriticalPoint, ExtremumKind,
                                  NoSecondCriticalPointError, Stability,
                                  UnsupportedRegimeError, _bounds, _bracketed,
                                  _extrema, _extremum_brackets, _force_maximum,
-                                 _margin, _rootless, _scan_rows,
-                                 asymptotic_critical_mass, bisect,
+                                 _nodes, asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, force_extrema,
                                  second_extremum_threshold, solve)
@@ -28,6 +27,15 @@ PI = math.pi
 
 def params(a=1.0, c=1.0, g=PI / 2, exploratory=False):
     return DimensionlessParams(a, c, g, exploratory=exploratory)
+
+
+def mp_force(x, a, c, g):
+    """F(x) in mpmath at its working precision, for float x, a, c and g."""
+    x, a, c, g = map(mpmath.mpf, (x, a, c, g))
+    cos_x, sin_x = mpmath.cos_sin(x)
+    return (-a * c * c - 2 * mpmath.sin(x + g)
+            - 4 * c * mpmath.cos((x + g) / 2) * sin_x
+            - c * c * sin_x * cos_x + c * c * x)
 
 
 def mp_slope(x, c, g):
@@ -330,17 +338,16 @@ class TestFindEquilibria:
 
     def test_ceiling_clears_only_rootless_cells(self, monkeypatch):
         # find_equilibria answers a level past F(.; A=0)'s closed-form range
-        # without calling solve: every cell it clears is one _rootless marks
-        # from its row, where solve finds no root either
+        # without calling solve: every cell it clears has F of one sign,
+        # |F| > ROOT_VALUE_TOL, at its four nodes, where solve finds no root
         rng = np.random.default_rng(48)
         cells = _edge_cells(41)
         for g in (0.0, PI / 2, PI):
             for c in [1e-6, *np.exp(rng.uniform(math.log(1e-6), math.log(1e8),
                                                 40)).tolist()]:
-                s, margin = _margin(c)
-                top = (2.0 + 4.0 * c * math.sin(g / 2.0) + PI * c * c
-                       + 2.0 * s + margin)
-                bottom = -2.0 - 4.0 * c - 2.0 * s - margin
+                margin = 2.0 * _bounds(c)[0] + ROOT_VALUE_TOL
+                top = 2.0 + 4.0 * c * math.sin(g / 2.0) + PI * c * c + margin
+                bottom = -2.0 - 4.0 * c - margin
                 cells += [(rng.uniform(0.05, 15.0), c, g),
                           (-rng.uniform(0.05, 15.0), c, g)]
                 cells += [(level / (c * c) * f, c, g)
@@ -361,9 +368,9 @@ class TestFindEquilibria:
                 assert eqs == []
                 cleared.append((a, c, g))
         for a, c, g in cleared:
-            one = np.array([c])
-            assert _rootless(_scan_rows(one, g), np.array([a]), one,
-                             np.array([0])).item(), (a, c, g)
+            f = _force(_cell_nodes(c, g), a, c, g)
+            assert np.all(np.abs(f) > ROOT_VALUE_TOL), (a, c, g)
+            assert np.all(np.sign(f) == np.sign(f[0])), (a, c, g)
             assert solve(a, c, g).shape == (0,), (a, c, g)
         assert 1500 < len(cleared) < len(cells)
 
@@ -381,8 +388,8 @@ class TestFindEquilibria:
         (np.float32(10.0), 2.0, 1.0, True, 0),
         (np.float32(3.8), 2.0, PI / 2, False, 2),
         # its float32 level A C C would clear the ceiling, its float level
-        # does not, nor does _rootless mark it
-        (np.float32(3.1415951), 1e8, PI / 2, False, 0),
+        # does not, and solve finds no root
+        (np.float32(3.1415927), 3e7, PI / 2, False, 0),
     ])
     def test_mass_ratio_of_any_number_type(self, monkeypatch, a, c, g,
                                            cleared, roots):
@@ -402,6 +409,12 @@ def _criterion_9_draws(seed, n):
         g = rng.uniform(0.0, PI)
         cells.append((rng.uniform(0.05, 15.0), rng.uniform(0.05, 6.0), g))
     return cells
+
+
+def _cell_nodes(c, g):
+    """solve's four nodes of one cell: 0, its minimum or 0, its maximum or
+    pi, and pi."""
+    return _nodes(*force_extrema(c, g), 1)[:, 0]
 
 
 def _counting_solve(monkeypatch):
@@ -838,11 +851,11 @@ class TestSolve:
 
     def test_hard_cells_keep_every_root(self):
         # cells where a root count is easy to get wrong, each with its
-        # expected roots: a root on a scan grid point, one next to each end
-        # node, and below the tangency a pair within a grid step of each
-        # other, either side of the maximum.  Each root has F ~ 0, and a
-        # block gives each cell's lone roots bit for bit
-        grid = equilibria._scan().grid
+        # expected roots: a root on a point of a 1000-point grid, one next
+        # to each end node, and below the tangency a pair within a grid
+        # step of each other, either side of the maximum.  Each root has
+        # F ~ 0, and a block gives each cell's lone roots bit for bit
+        grid = np.linspace(0.0, PI, 1000)
         rng = np.random.default_rng(43)
         cells, expect = [], []
         for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 5).tolist():
@@ -879,7 +892,7 @@ class TestSolve:
         assert sum(len(roots) == 2 for roots in lone) > 150
 
     def test_block_at_extreme_capillary_ratios(self):
-        # C from 1e-3 to 1e3, where the rows' slack is widest (about
+        # C from 1e-3 to 1e3, where _force's slack is widest (about
         # 1.4e-8 at C = 1e3).  Each column's mass ratios straddle its
         # root-count changes, near the endpoint line pi + 2 sin(gamma)/C^2
         # and the tangency A* (the line stands in for A* at gamma = 0,
@@ -907,23 +920,23 @@ class TestSolve:
             "741996c6f0a501f69098ae897a7387f2af6ad5deab50e1a34e4fc99f8097466f")
 
     def test_rootless_cells_keep_one_sign(self):
-        # the cells solve answers from the rows alone must have F of one
-        # sign, |F| > ROOT_VALUE_TOL, at their nodes and between them
+        # the cells for which solve finds no root must have F of one sign,
+        # |F| > ROOT_VALUE_TOL, at their nodes and between them
         cells = _edge_cells(41)
         fine = np.linspace(0.0, PI, 100_001)
-        marked = []
+        marked = {}
         for g, a, c in _by_angle(cells):
-            rootless = _rootless(_scan_rows(c, g), a, c, np.arange(c.size))
-            marked += [(x, y, g) for x, y in zip(a[rootless].tolist(),
-                                                 c[rootless].tolist())]
-        assert 150 < len(marked) < len(cells)
-        for a, c, g in marked:
-            minimum, maximum = force_extrema(c, g)
-            nodes = np.array([0.0, minimum if minimum == minimum else 0.0,
-                              maximum if maximum == maximum else PI, PI])
-            for f in (_force(nodes, a, c, g), _force(fine, a, c, g)):
-                assert np.all(np.abs(f) > ROOT_VALUE_TOL), (a, c, g)
-                assert np.all(np.sign(f) == np.sign(f[0])), (a, c, g)
+            rootless = np.isnan(solve(a, c, g)).all(axis=-1)
+            for x, y in zip(a[rootless].tolist(), c[rootless].tolist()):
+                marked.setdefault((y, g), []).append(x)
+        assert 150 < sum(map(len, marked.values())) < len(cells)
+        # each column's marked levels at once
+        for (c, g), a in marked.items():
+            a = np.array(a)[:, None]
+            for f in (_force(_cell_nodes(c, g), a, c, g),
+                      _force(fine, a, c, g)):
+                assert np.all(np.abs(f) > ROOT_VALUE_TOL), (c, g)
+                assert np.all(np.sign(f) == np.sign(f[:, :1])), (c, g)
         # solve over the same cells, one at a time and in blocks per angle
         # (captured values)
         pinned = [solve(a, c, g) for a, c, g in cells]
@@ -948,9 +961,9 @@ class TestSolve:
                      for x, y in zip(a.ravel().tolist(),
                                      np.resize(c, a.size).tolist())]
             assert _bits(block) == _bits(alone)
-            # one live cell in a block of rootless ones takes the lone
-            # branches with its own column's row.  Row 20 of a column's
-            # edge cells is A*(1 - 1e-4), two roots where there is a maximum
+            # one rooted cell in a block of rootless ones bisects on floats,
+            # as it does alone.  Row 20 of a column's edge cells is
+            # A*(1 - 1e-4), two roots where there is a maximum
             for k in range(c.size):
                 solo = np.full(c.size, 1e12)
                 solo[k] = a[20, k]
@@ -997,26 +1010,29 @@ def _by_angle(cells):
         yield g, np.array(a), np.array(c)
 
 
-class TestScanRows:
-    def test_scan_slack_bounds_the_expansion(self):
-        # _rootless's margin holds only if the rows stay within the slack
-        # of _force on the grid
+class TestForceSlack:
+    def test_force_slack_bounds_the_rounding(self):
+        # _force, on floats and on arrays, lies within the slack s of
+        # _bounds of a 40-digit F at solve's nodes and a random point, with
+        # A = 0 and with a level inside the node values' range: the
+        # ceiling's proof and _count_block's rounding bullet rest on it
         rng = np.random.default_rng(31)
-        c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 20_900))
-        g = np.concatenate([rng.uniform(0.0, PI, 20_000),
-                            np.repeat([0.0, PI / 2, PI], 300)])
-        grid = equilibria._scan().grid
+        c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 600))
+        g = np.concatenate([np.repeat([0.0, PI / 2, PI], 100),
+                            rng.uniform(0.0, PI, 300)])
         worst = 0.0
-        for c_i, g_i in zip(c.tolist(), g.tolist()):
-            row, = _scan_rows(np.array([c_i]), g_i)
-            gap = np.max(np.abs(row - _force(grid, 0.0, c_i, g_i)))
-            worst = max(worst, gap / _bounds(c_i)[0])
+        with mpmath.workdps(40):
+            for c_i, g_i in zip(c.tolist(), g.tolist()):
+                x = np.append(_cell_nodes(c_i, g_i), rng.uniform(0.0, PI))
+                f0 = _force(x, 0.0, c_i, g_i)
+                level = rng.uniform(f0.min(), f0.max())
+                f_exact = [mp_force(x_i, 0.0, c_i, g_i) for x_i in x.tolist()]
+                for a in (0.0, level / (c_i * c_i)):
+                    shift = mpmath.mpf(a) * mpmath.mpf(c_i) ** 2
+                    exact = np.array([float(f - shift) for f in f_exact])
+                    gap = np.abs(np.concatenate([
+                        _force(x, a, c_i, g_i),
+                        [_force(x_i, a, c_i, g_i) for x_i in x.tolist()]])
+                        - np.tile(exact, 2))
+                    worst = max(worst, gap.max() / _bounds(c_i)[0])
         assert worst <= 1.0
-        # a lone row is one vector product, a block's rows one matrix
-        # product, which may sum in another order
-        rng = np.random.default_rng(32)
-        for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 18).tolist():
-            c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 1000))
-            gap = np.abs(_scan_rows(c, g)
-                         - _force(grid, 0.0, c[:, None], g)).max(axis=1)
-            assert np.all(gap <= _bounds(c)[0]), g

@@ -1,15 +1,24 @@
 import ast
 import importlib
 import inspect
+import io
 import math
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
 import floatcyl
 
-SOURCES = {path.stem: ast.parse(path.read_text())
-           for path in Path(floatcyl.__file__).resolve().parent.glob("*.py")}
+TEXTS = {path.stem: path.read_text()
+         for path in Path(floatcyl.__file__).resolve().parent.glob("*.py")}
+SOURCES = {module: ast.parse(text) for module, text in TEXTS.items()}
+# every test function's name under tests/
+TESTS = {node.name for path in Path(__file__).resolve().parent.glob("*.py")
+         for node in ast.walk(ast.parse(path.read_text()))
+         if isinstance(node, ast.FunctionDef)
+         and node.name.startswith("test_")}
 
 SUBMODULES = ["equilibria", "intersection", "model", "oracles", "regions"]
 ALL = [
@@ -152,20 +161,50 @@ def _read(tree):
             yield node.attr
 
 
-def _private_definitions(tree):
-    """The private names a module binds at module level, dunders aside."""
+def _module_names(tree):
+    """The names a module binds at module level, imports aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
-            names = [leaf.id for target in targets for leaf in ast.walk(target)
-                     if isinstance(leaf, ast.Name)]
-        else:
-            continue
-        yield from (name for name in names
-                    if name.startswith("_") and not name.endswith("__"))
+            yield from (leaf.id for target in targets
+                        for leaf in ast.walk(target)
+                        if isinstance(leaf, ast.Name))
+
+
+def _private_definitions(tree):
+    """The private names a module binds at module level, dunders aside."""
+    return (name for name in _module_names(tree)
+            if name.startswith("_") and not name.endswith("__"))
+
+
+def _prose(text):
+    """A module's docstrings and comments."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            yield ast.get_docstring(node, clean=False) or ""
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.string
+
+
+def _stale_names(texts, tests):
+    """The ``test_*`` names in the modules that no test in ``tests`` has,
+    and the private names in their prose that no module binds."""
+    bound = {name for text in texts.values()
+             for name in _module_names(ast.parse(text))}
+    stale = set()
+    for module, text in texts.items():
+        stale.update(f"{module}: {name}"
+                     for name in re.findall(r"\btest_\w+", text)
+                     if name not in tests)
+        # a single leading underscore: dunders never match
+        stale.update(f"{module}: {name}" for prose in _prose(text)
+                     for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", prose)
+                     if name not in bound)
+    return sorted(stale)
 
 
 def _unused_imports(tree):
@@ -191,9 +230,19 @@ class TestSourceHygiene:
     def test_every_private_name_is_referenced(self):
         assert _unreferenced(SOURCES) == []
 
+    def test_prose_names_what_exists(self):
+        # a test or a private name that a docstring or comment cites
+        # outlives the code it named unless something checks it
+        assert _stale_names(TEXTS, TESTS) == []
+
     def test_leftovers_are_caught(self):
         stale = ast.parse("from .equilibria import _bracket, solve\n"
                           "_STEP = 2\n_a, (_b, c) = 1, (2, 3)\n"
                           "def _stage():\n    return solve(_b)\n")
         assert _unused_imports(stale) == ["_bracket"]
         assert _unreferenced({"m": stale}) == ["m._STEP", "m._a", "m._stage"]
+        text = ('"""Rows from ``_rows()`` (test_rows)."""\n'
+                "_KEPT = 1  # _KEPT once held _gone; see test_kept\n"
+                "def f():\n    \"\"\"_KEPT, not __init__ or a_b.\"\"\"\n")
+        assert _stale_names({"m": text}, {"test_kept"}) == [
+            "m: _gone", "m: _rows", "m: test_rows"]

@@ -482,9 +482,9 @@ class TestSettledLabels:
         # the minima and maxima of the 200 columns, the 200 samples' maxima
         assert [c.size for c, _ in calls[0][1]] == [200, 200, 200]
         assert sum(fallback) == 200 * 200
-        # the fallback solves its cells in chunks, each cell with an 8 kB
-        # row: its memory stays bounded whatever the cell count, and its
-        # labels are the bisected ones across the chunks
+        # the fallback solves its cells in chunks, which bound solve's
+        # per-cell arrays: its memory stays bounded whatever the cell count,
+        # and its labels are the bisected ones across the chunks
         assert peak < 20e6
         assert rm.labels.tolist() == bisected_labels(rm)
 

@@ -254,28 +254,20 @@ def force_extrema(capillary_ratios, contact_angle: float):
     rounding.  ``test_slope_sign_pattern_at_50_digits`` checks the sign
     pattern of F' on the brackets against a 50-digit evaluation.
 
-    A scalar runs on floats throughout.  An array bisects the lanes of both
-    brackets in one call (``_extrema``), each lane with its own bracket.
-    ``_force_maximum`` bisects the maximum's bracket alone, for
-    ``critical_mass_ratio`` and ``regions.trace_tangency_curve``;
-    ``regions.region_map`` sends its columns' extrema and its tangency
-    samples' maxima through one ``_extrema`` call.
+    A scalar runs on floats throughout, as ``solve`` does for a lone
+    cell.  An array bisects the lanes of both brackets in one call
+    (``_extrema``), each lane with its own bracket: ``solve`` finds each
+    cell's own.  ``critical_mass_ratio`` bisects the maximum's bracket
+    alone (``_extremum``), and ``regions.trace_tangency_curve`` the
+    maximum's lanes alone; ``regions.region_map`` sends its columns'
+    extrema and its tangency samples' maxima through one ``_extrema``
+    call.
     """
     c = _capillary_ratios(capillary_ratios)
     brackets = _extremum_brackets(contact_angle)
     if isinstance(c, float):
         return tuple(_extremum(c, contact_angle, b) for b in brackets)
     return tuple(_extrema(contact_angle, [(c, b) for b in brackets]))
-
-
-def _force_maximum(capillary_ratios, contact_angle: float):
-    """``force_extrema(capillary_ratios, contact_angle)[1]``, the same bits,
-    without bisecting the minimum."""
-    c = _capillary_ratios(capillary_ratios)
-    maximum = _extremum_brackets(contact_angle)[1]
-    if isinstance(c, float):
-        return _extremum(c, contact_angle, maximum)
-    return _extrema(contact_angle, [(c, maximum)])[0]
 
 
 def _capillary_ratios(capillary_ratios):
@@ -287,19 +279,23 @@ def _capillary_ratios(capillary_ratios):
 
 
 def _extremum_brackets(g):
-    """The minimum's and the maximum's (lo, hi, the bracket needs
-    slope(lo) < 0, ... needs slope(hi) < 0)."""
+    """The minimum's and the maximum's (lo, hi)."""
     if g == PI / 2.0:
-        return (0.0, PI / 2.0, False, False), (PI / 2.0, PI, False, False)
+        return (0.0, PI / 2.0), (PI / 2.0, PI)
     if g > PI / 2.0:
-        return (0.0, PI / 4.0, True, False), (PI / 2.0, PI, False, False)
-    return (0.0, PI / 2.0, False, False), (3.0 * PI / 4.0, PI, False, True)
+        return (0.0, PI / 4.0), (PI / 2.0, PI)
+    return (0.0, PI / 2.0), (3.0 * PI / 4.0, PI)
 
 
-def _bracketed(c, g, lo, hi, lo_negative, hi_negative):
+def _bracketed(c, g, lo, hi):
     """(ok, s_hi) of a bracket of ``_extremum_brackets`` at a float or an
     array ``c``: whether it holds an extremum, and the slope at hi, or a
     value with its sign.
+
+    A sign change decides: the inner ends, the minimum's hi and the
+    maximum's lo, have F' > 0 (``force_extrema``'s bracket ends), so a
+    minimum's bracket that changes sign has F' < 0 at lo, a maximum's
+    F' < 0 at hi (``test_inner_bracket_ends_rise``).
 
     At hi = pi, _slope's C^2 terms cancel, and their rounding can swamp
     the rest just above the threshold t; the slope there has the sign of
@@ -314,10 +310,6 @@ def _bracketed(c, g, lo, hi, lo_negative, hi_negative):
     else:
         s_hi = _slope(hi, c, g)
         ok = s_lo * s_hi < 0.0
-    if lo_negative:
-        ok = ok & (s_lo < 0.0)
-    if hi_negative:
-        ok = ok & (s_hi < 0.0)
     return ok, s_hi
 
 
@@ -325,7 +317,7 @@ def _extremum(c, g, bracket):
     """The extremum a bracket of ``_extremum_brackets`` holds at a float
     ``c``, NaN where it is dropped, on floats."""
     ok, s_hi = _bracketed(c, g, *bracket)
-    return (bisect(lambda x: _slope(x, c, g), *bracket[:2], s_hi) if ok
+    return (bisect(lambda x: _slope(x, c, g), *bracket, s_hi) if ok
             else math.nan)
 
 
@@ -400,44 +392,37 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
 
     The cells are the broadcast of ``mass_ratios`` against
     ``capillary_ratios``; the result has the broadcast shape plus one
-    trailing axis, as wide as the most roots a cell has.  Each capillary
-    ratio is a column with the nodes 0, minimum, maximum and pi
-    (``_nodes``, which ``regions._count_block`` reads its labels from
-    too), a missing extremum at 0 or pi.  ``extrema`` is the (minimum,
-    maximum) pair of ``force_extrema``, as floats or as arrays with one
-    entry per capillary ratio; None finds them.  A node with
-    |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi, the tangency
-    at A*), and every segment whose ends change sign is bisected.  F is
-    monotone on each segment (``force_extrema`` has the proof), so a
-    segment holds a root exactly when its ends change sign; other extrema
-    than ``force_extrema``'s void that.  So a cell whose node values share
-    one sign, each with |F| > ROOT_VALUE_TOL, has no root, and needs no
-    test of its own; ``find_equilibria`` answers most such cells before
-    any array exists.  Up to _FLOAT_LANES segments bisect one by one on
-    Python floats, as a lone cell's do; more share one array bisection.
-    Both give bisect's bits.  Of roots closer than _DEDUP_TOL the first in
-    node, segment order counts (``_pack``).
+    trailing axis, as wide as the most roots a cell has.  Each cell has
+    the nodes 0, minimum, maximum and pi (``_nodes``, which
+    ``regions._count_block`` reads its labels from too), a missing
+    extremum at 0 or pi.  ``extrema`` is the (minimum, maximum) pair of
+    ``force_extrema``, as floats or as arrays with one entry per cell in C
+    order; None finds them, per cell.  A lone cell finds its extrema and
+    its node forces on floats.  A node with |F| <= ROOT_VALUE_TOL is a
+    root (the endpoint root at pi, the tangency at A*), and every segment
+    whose ends change sign is bisected.  F is monotone on each segment
+    (``force_extrema`` has the proof), so a segment holds a root exactly
+    when its ends change sign; other extrema than ``force_extrema``'s void
+    that.  So a cell whose node values share one sign, each with |F| >
+    ROOT_VALUE_TOL, has no root, and needs no test of its own;
+    ``find_equilibria`` answers most such cells before any array exists.
+    Up to _FLOAT_LANES segments bisect one by one on Python floats, as a
+    lone cell's do; more share one array bisection.  Both give bisect's
+    bits.  Of roots closer than _DEDUP_TOL the first in node, segment
+    order counts (``_pack``).
     """
     np = _numpy()
     g = contact_angle
-    cap = np.asarray(capillary_ratios, dtype=float)
-    caps = cap.ravel()
-    # each cell's column: its capillary ratio and its nodes.
-    # Broadcast by arithmetic: x * 1.0 and j + 0 are exact.
-    a = np.asarray(mass_ratios, dtype=float)
-    ones = np.ones(np.broadcast(a, cap).shape)
-    col = (np.arange(cap.size).reshape(cap.shape) + ones.astype(np.int64) - 1
-           ).ravel()
-    a = (a * ones).ravel()
-    c = caps[col]
-
+    a, c = np.broadcast_arrays(np.asarray(mass_ratios, dtype=float),
+                               np.asarray(capillary_ratios, dtype=float))
+    shape, a, c = a.shape, a.ravel(), c.ravel()
+    # a lone cell runs on floats: faster, and the same bits
+    lone = c.item() if c.size == 1 else None
     if extrema is None:
-        # a lone column finds its extrema on floats
-        extrema = force_extrema(cap.item() if cap.size == 1 else caps, g)
-    nodes = _nodes(*extrema, cap.size).T[col]
-    # one capillary ratio runs on floats: faster, and the same bits
+        extrema = force_extrema(c if lone is None else lone, g)
+    nodes = _nodes(*extrema, c.size).T
     f_nodes = _force(nodes, a[:, None],
-                     cap.item() if cap.size == 1 else c[:, None], g)
+                     c[:, None] if lone is None else lone, g)
     on_node = np.abs(f_nodes) <= ROOT_VALUE_TOL
     lane, k = np.nonzero((f_nodes[:, :-1] * f_nodes[:, 1:] < 0.0)
                          & ~on_node[:, :-1] & ~on_node[:, 1:])
@@ -458,7 +443,7 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     # A stable sort: nearly sorted input, and a smaller code footprint than
     # the default sort.
     roots = _pack(found, np.sort(found, axis=1, kind="stable"))
-    return roots.reshape(ones.shape + roots.shape[1:])
+    return roots.reshape(shape + roots.shape[1:])
 
 
 def _pack(found, roots):
@@ -538,7 +523,7 @@ def find_equilibria(params: DimensionlessParams,
     extrema = None
     if critical is not None:
         phis = {cp.kind: cp.phi0 for cp in critical}
-        want = {kind: bracket[:2] for kind, bracket
+        want = {kind: bracket for kind, bracket
                 in zip(ExtremumKind, _extremum_brackets(g))
                 if _bracketed(c, g, *bracket)[0]}
         if (len(critical) != len(want) or phis.keys() != want.keys()
@@ -557,8 +542,6 @@ def find_equilibria(params: DimensionlessParams,
         return []
     out = []
     for r in solve(a, c, g, extrema).tolist():
-        if r != r:  # NaN pads the roots
-            break
         slope = _slope(r, c, g)
         out.append(Equilibrium(r, _classify(slope), slope, _height(r, c, g)))
     return out
@@ -590,7 +573,8 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
                          f"scale pi C^2 = {scale:.3g} too large to square")
     DimensionlessParams(mass_ratio=0.0, capillary_ratio=capillary_ratio,
                         contact_angle=contact_angle, exploratory=True)
-    phi0_star = _force_maximum(capillary_ratio, contact_angle)
+    phi0_star = _extremum(float(capillary_ratio), contact_angle,
+                          _extremum_brackets(contact_angle)[1])
     if not phi0_star > PI / 2.0:
         threshold = second_extremum_threshold(contact_angle)
         # above the threshold, with the slope at the bracket's low end

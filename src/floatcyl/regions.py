@@ -36,8 +36,8 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (PHI0_TOL, ROOT_VALUE_TOL, _bounds, _extrema,
-                         _extremum_brackets, _force_maximum, _nodes, bisect,
-                         find_equilibria, second_extremum_threshold, solve)
+                         _extremum_brackets, _nodes, bisect, find_equilibria,
+                         second_extremum_threshold, solve)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
                     _force, _slope, total_force)
@@ -213,8 +213,9 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
     """
     cs = _tangency_samples(contact_angle, c_window, n)
     # critical_mass_ratio over every sample at once, the same bits
+    maximum = _extremum_brackets(contact_angle)[1]
     return _tangency_curve(contact_angle, a_window, cs,
-                           _force_maximum(cs, contact_angle))
+                           _extrema(contact_angle, [(cs, maximum)])[0])
 
 
 def _tangency_samples(contact_angle, c_window, n):
@@ -234,7 +235,7 @@ def _tangency_samples(contact_angle, c_window, n):
 
 def _tangency_curve(contact_angle, a_window, cs, phi):
     """The tangency curve's points from the samples ``cs`` and their force
-    maxima ``phi`` (``_force_maximum``), clipped to ``a_window``."""
+    maxima ``phi`` (``equilibria._extrema``), clipped to ``a_window``."""
     a_lo, a_hi = a_window
     has = phi > PI / 2.0
     cs = cs[has]
@@ -534,10 +535,10 @@ def _count_cells(a, c, g, extrema):
     """Equilibria and valid equilibria of the cells (a[k], c[k]).
 
     ``extrema`` holds each cell's ``force_extrema``, taken from the map's,
-    so the cells, each a column of its own, go through ``solve`` calls
-    that find no extremum, and each root in an overhang regime through
-    ``intersection_margin``.  A call takes at most _FALLBACK_CELLS cells,
-    which bounds solve's arrays held at once whatever the cell count.
+    so the cells go through ``solve`` calls that find no extremum, and
+    each root in an overhang regime through ``intersection_margin``.  A
+    call takes at most _FALLBACK_CELLS cells, which bounds solve's arrays
+    held at once whatever the cell count.
     """
     n = np.empty(a.size, dtype=np.int64)
     cross = np.empty_like(n)

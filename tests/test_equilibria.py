@@ -14,7 +14,7 @@ from floatcyl import equilibria
 from floatcyl.equilibria import (ROOT_VALUE_TOL, CriticalPoint, ExtremumKind,
                                  NoSecondCriticalPointError, Stability,
                                  UnsupportedRegimeError, _bounds, _bracketed,
-                                 _extrema, _extremum_brackets, _force_maximum,
+                                 _extrema, _extremum, _extremum_brackets,
                                  _nodes, asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, force_extrema,
@@ -316,7 +316,7 @@ class TestFindEquilibria:
                     assert eqs[1].phi0 > PI / 2
 
     # A >= 0.05 keeps A C^2 above ROOT_VALUE_TOL: below it the absolute
-    # tolerance makes node roots of tiny forces (ROADMAP item 2)
+    # tolerance makes node roots of tiny forces (ROADMAP item 1)
     @settings(derandomize=True, max_examples=400, database=None,
               deadline=None)
     @given(a=st.floats(0.05, 15.0),
@@ -496,6 +496,34 @@ class TestCriticalMass:
         with pytest.raises(ValueError,
                            match=r"capillary_ratio=.* is too large"):
             critical_mass_ratio(cut, g)
+
+    def test_force_scale_too_large_to_square(self):
+        # pi C^2 = 3.1e200 squares to inf: named for C before
+        # DimensionlessParams sees it
+        with pytest.raises(ValueError, match=re.escape(
+                "capillary_ratio=1e+100 gives a force scale pi C^2 = "
+                "3.14e+200 too large to square")):
+            critical_mass_ratio(1e100, 1.0)
+
+    @pytest.mark.parametrize("g", [0.0, 1e-9, 0.5, PI / 2 - 1e-9, PI / 2,
+                                   PI / 2 + 1e-9, 2.3, PI])
+    def test_equals_force_extrema_maximum(self, g):
+        # critical_mass_ratio bisects the maximum's bracket alone: its phi0*
+        # is force_extrema's maximum bit for bit, a Python float, and it
+        # raises exactly where that maximum is NaN
+        cs = np.concatenate([np.geomspace(1e-3, 1e3, 300),
+                             np.linspace(0.01, 5.0, 100)])
+        want = force_extrema(cs, g)[1]
+        # below gamma = 0.5 here the maximum needs C past 1e3, or never comes
+        assert np.isfinite(want).any() == (g >= 0.5)
+        got = []
+        for c in cs.tolist():
+            try:
+                got.append(critical_mass_ratio(c, g)[1])
+            except NoSecondCriticalPointError:
+                got.append(math.nan)
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("c,g", [
         (1.7735822913560129, 0.5),
@@ -679,36 +707,21 @@ class TestSharedBisection:
         want = [np.array(x) for x in zip(*floats)]
         got = force_extrema(np.array(cs), g)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        assert _force_maximum(np.array(cs), g).tobytes() == want[1].tobytes()
-        assert np.array([_force_maximum(c, g) for c in cs]).tobytes() == (
+        # the maximum's bracket alone, as trace_tangency_curve and
+        # critical_mass_ratio bisect it
+        low, high = _extremum_brackets(g)
+        assert _extrema(g, [(np.array(cs), high)])[0].tobytes() == (
+            want[1].tobytes())
+        assert np.array([_extremum(c, g, high) for c in cs]).tobytes() == (
             want[1].tobytes())
         # columns and tangency samples in one call, as region_map makes it
         samples = np.linspace(1e-3, 6.0, 150)
-        low, high = _extremum_brackets(g)
         mixed = _extrema(g, [(np.array(cs), low), (np.array(cs), high),
                              (samples, high)])
         assert [x.tobytes() for x in mixed] == [
             *(x.tobytes() for x in want),
-            np.array([_force_maximum(c, g) for c in samples.tolist()]
+            np.array([_extremum(c, g, high) for c in samples.tolist()]
                      ).tobytes()]
-
-
-class TestForceMaximum:
-    """The maximum-only helper gives force_extrema's maximum bit for bit."""
-
-    @pytest.mark.parametrize("g", [0.0, 1e-9, 0.5, PI / 2 - 1e-9, PI / 2,
-                                   PI / 2 + 1e-9, 2.3, PI])
-    def test_equals_force_extrema(self, g):
-        cs = np.concatenate([np.geomspace(1e-3, 1e3, 300),
-                             np.linspace(0.01, 5.0, 100)])
-        want = force_extrema(cs, g)[1]
-        assert _force_maximum(cs, g).tobytes() == want.tobytes()
-        # below gamma = 0.5 here the maximum needs C past 1e3, or never comes
-        assert np.isfinite(want).any() == (g >= 0.5)
-        for c in cs[::17].tolist():
-            got, want = _force_maximum(c, g), force_extrema(c, g)[1]
-            assert type(got) is float
-            assert got == want or (got != got and want != want)
 
 
 class TestSlopeShape:
@@ -758,6 +771,29 @@ class TestSlopeShape:
                           <= 1e-12 * (1.0 + c[k]) ** 2)
             assert np.all(sign * second[phi > 0.0] > 0.0)
 
+    def test_inner_bracket_ends_rise(self):
+        # _bracketed decides on a sign change alone: the inner ends of
+        # _extremum_brackets, the minimum's hi and the maximum's lo (pi/4
+        # and pi/2 for gamma > pi/2, pi/2 and 3pi/4 below), have a computed
+        # F' > 0, so a minimum's accepted bracket has F' < 0 at lo, and a
+        # maximum's at hi.  C log-spaced over [1e-12, 1e15], on floats at
+        # the edge angles, and on arrays at those and a grid of angles
+        cs = np.geomspace(1e-12, 1e15, 4000)
+        edges = [0.0, 5e-324, math.nextafter(PI / 2, 0.0), PI / 2,
+                 math.nextafter(PI / 2, PI), PI]
+        for g in edges + np.linspace(0.0, PI, 401).tolist():
+            low, high = _extremum_brackets(g)
+            assert low[0] == 0.0 < low[1] <= high[0] < high[1] == PI
+            for end in (low[1], high[0]):
+                assert np.all(_slope(end, cs, g) > 0.0), (g, end)
+                if g in edges:
+                    assert all(_slope(end, c, g) > 0.0
+                               for c in cs.tolist()), (g, end)
+            ok = _bracketed(cs, g, *low)[0]
+            assert np.all(_slope(0.0, cs[ok], g) < 0.0), g
+            ok, s_hi = _bracketed(cs, g, *high)
+            assert np.all(s_hi[ok] < 0.0), g
+
     def test_slope_sign_pattern_at_50_digits(self):
         # An mpmath oracle: on each bracket of _extremum_brackets, F' at 50
         # digits changes sign at most once, from - to + on the minimum's
@@ -774,11 +810,11 @@ class TestSlopeShape:
                     sign = {x: int(mpmath.sign(mp_slope(
                         mpmath.mpf(x), mpmath.mpf(c), mpmath.mpf(g))))
                         for x in xs}
-                    for (lo, hi, *rest), rise in ((low, 1), (high, -1)):
+                    for (lo, hi), rise in ((low, 1), (high, -1)):
                         seen = [sign[x] for x in xs if lo <= x <= hi]
                         assert 0 not in seen
                         assert seen == sorted(seen, key=lambda v: rise * v)
-                        assert bool(_bracketed(c, g, lo, hi, *rest)[0]) == (
+                        assert bool(_bracketed(c, g, lo, hi)[0]) == (
                             seen[0] != seen[-1]), (g, c, lo)
                     assert all(sign[x] > 0 for x in xs
                                if low[1] <= x <= high[0])

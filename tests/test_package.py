@@ -4,7 +4,9 @@ import inspect
 import io
 import math
 import re
+import sys
 import tokenize
+from importlib.metadata import packages_distributions
 from pathlib import Path
 
 import pytest
@@ -246,3 +248,52 @@ class TestSourceHygiene:
                 "def f():\n    \"\"\"_KEPT, not __init__ or a_b.\"\"\"\n")
         assert _stale_names({"m": text}, {"test_kept"}) == [
             "m: _gone", "m: _rows", "m: test_rows"]
+
+
+def _third_party_imports(trees):
+    """The top-level modules the trees import at any depth, the standard
+    library and floatcyl aside."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names) - {"floatcyl"})
+
+
+def _normalized(name):
+    """A distribution's name as PEP 503 compares it."""
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+class TestDeclaredDependencies:
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="tomllib is new in Python 3.11")
+    def test_tests_import_only_declared_packages(self):
+        # a fresh install of the package with its test extra collects
+        # every test module
+        import tomllib
+        project = tomllib.loads((Path(__file__).resolve().parents[1]
+                                 / "pyproject.toml").read_text())["project"]
+        declared = {_normalized(re.match(r"[\w.-]+", req).group())
+                    for req in (project["dependencies"]
+                                + project["optional-dependencies"]["test"])}
+        # a test module may import another: that one is not a package
+        paths = list(Path(__file__).resolve().parent.glob("*.py"))
+        imported = [module for module in _third_party_imports(
+            ast.parse(path.read_text()) for path in paths)
+            if module not in {path.stem for path in paths}]
+        assert {"mpmath", "numpy", "pytest"} <= set(imported)
+        dists = packages_distributions()
+        assert [module for module in imported
+                if not declared & {_normalized(d)
+                                   for d in dists.get(module, [module])}
+                ] == []
+
+    def test_imports_are_read_at_any_depth(self):
+        tree = ast.parse("import os, numpy.linalg\nfrom . import x\n"
+                         "def f():\n    from scipy.optimize import bisect\n"
+                         "from floatcyl import model\n")
+        assert _third_party_imports([tree]) == ["numpy", "scipy"]

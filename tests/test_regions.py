@@ -217,8 +217,12 @@ class TestTangencyBoundary:
 
     @pytest.mark.parametrize("g", [0.3, 1.2, PI / 2, 2.3, PI])
     def test_trace_equals_critical_mass_ratio(self, g):
-        # one batched extrema call gives critical_mass_ratio's bits
+        # one batched extrema call gives critical_mass_ratio's bits, and
+        # region_map's curve, whose samples share a call with its columns
         curve = trace_tangency_curve(g, (0.0, 12.0), (0.0, 5.0), n=60)
+        rm = region_map(g, resolution=(20, 20), curve_samples=60)
+        assert [c.points.tobytes() for c in rm.curves
+                if c.kind is CurveKind.TANGENCY] == [curve.points.tobytes()]
         lo = max(0.0, second_extremum_threshold(g) * (1.0 + 1e-9), 1e-6)
         want = []
         for c in np.linspace(lo, 5.0, 60).tolist():
@@ -280,6 +284,15 @@ class TestIntersectionCurve:
         lab_hi, _ = classify_point(params(a + 0.05, c, PI))
         assert lab_lo is RegionLabel.ONE_VALID_ONE_INVALID
         assert lab_hi is RegionLabel.TWO
+
+    def test_no_point_without_a_positive_capillary_ratio(self):
+        # sin(phi0) <= 0 leaves the margin without its C term; at
+        # (pi/2, pi) the C-free offset is exactly 0, so C would be 0
+        for g in (0.0, 1.0, PI / 2, 2.3, PI):
+            assert intersection_curve_point(0.0, g) is None
+            assert intersection_curve_point(-0.0, g) is None
+        assert intersection_margin(PI / 2, 1.0, PI) - 1.0 == 0.0
+        assert intersection_curve_point(PI / 2, PI) is None
 
     def test_empty_for_low_contact_angles(self):
         curve = trace_intersection_curve(PI / 4, (0.0, 12.0), (0.0, 5.0))

@@ -35,11 +35,6 @@ _DEDUP_TOL = 1e-7
 # _force rounds apart from the exact F by at most _FORCE_SLACK (1+C)^2
 # (test_force_slack_bounds_the_rounding).
 _FORCE_SLACK = 64.0 * sys.float_info.epsilon
-# Bracketed segments up to which solve bisects each on floats: an array
-# bisection's halving costs about as much in NumPy calls as one halving
-# of 20 float lanes.  A lone cell brackets at most three; region_map's
-# fallback over a zoomed window brackets thousands.
-_FLOAT_LANES = 16
 # SciPy's bisect defaults: relative tolerance and iteration cap.
 _RTOL = 4.0 * sys.float_info.epsilon
 _MAX_HALVINGS = 100
@@ -254,8 +249,8 @@ def force_extrema(capillary_ratios, contact_angle: float):
     rounding.  ``test_slope_sign_pattern_at_50_digits`` checks the sign
     pattern of F' on the brackets against a 50-digit evaluation.
 
-    A scalar runs on floats throughout, as ``solve`` does for a lone
-    cell.  An array bisects the lanes of both brackets in one call
+    A scalar runs on floats throughout, as ``solve``'s extrema of a lone
+    cell do.  An array bisects the lanes of both brackets in one call
     (``_extrema``), each lane with its own bracket: ``solve`` finds each
     cell's own.  ``critical_mass_ratio`` bisects the maximum's bracket
     alone (``_extremum``), and ``regions.trace_tangency_curve`` the
@@ -397,8 +392,7 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     ``regions._count_block`` reads its labels from too), a missing
     extremum at 0 or pi.  ``extrema`` is the (minimum, maximum) pair of
     ``force_extrema``, as floats or as arrays with one entry per cell in C
-    order; None finds them, per cell.  A lone cell finds its extrema and
-    its node forces on floats.  A node with |F| <= ROOT_VALUE_TOL is a
+    order; None finds them, per cell.  A node with |F| <= ROOT_VALUE_TOL is a
     root (the endpoint root at pi, the tangency at A*), and every segment
     whose ends change sign is bisected.  F is monotone on each segment
     (``force_extrema`` has the proof), so a segment holds a root exactly
@@ -406,8 +400,10 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     that.  So a cell whose node values share one sign, each with |F| >
     ROOT_VALUE_TOL, has no root, and needs no test of its own;
     ``find_equilibria`` answers most such cells before any array exists.
-    Up to _FLOAT_LANES segments bisect one by one on Python floats, as a
-    lone cell's do; more share one array bisection.  Both give bisect's
+    Every cell's node forces come from one array ``_force`` call.  A lone
+    cell, as in each find_equilibria call, finds its extrema and bisects
+    its segments, at most three, one by one on Python floats; a block of
+    cells bisects all its segments in one array call.  Both give bisect's
     bits.  Of roots closer than _DEDUP_TOL the first in node, segment
     order counts (``_pack``).
     """
@@ -416,13 +412,13 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     a, c = np.broadcast_arrays(np.asarray(mass_ratios, dtype=float),
                                np.asarray(capillary_ratios, dtype=float))
     shape, a, c = a.shape, a.ravel(), c.ravel()
-    # a lone cell runs on floats: faster, and the same bits
-    lone = c.item() if c.size == 1 else None
+    # a lone cell finds its extrema and roots on floats: faster, the same
+    # bits
+    lone = c.size == 1
     if extrema is None:
-        extrema = force_extrema(c if lone is None else lone, g)
+        extrema = force_extrema(c.item() if lone else c, g)
     nodes = _nodes(*extrema, c.size).T
-    f_nodes = _force(nodes, a[:, None],
-                     c[:, None] if lone is None else lone, g)
+    f_nodes = _force(nodes, a[:, None], c[:, None], g)
     on_node = np.abs(f_nodes) <= ROOT_VALUE_TOL
     lane, k = np.nonzero((f_nodes[:, :-1] * f_nodes[:, 1:] < 0.0)
                          & ~on_node[:, :-1] & ~on_node[:, 1:])
@@ -430,16 +426,16 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     n_nodes = nodes.shape[1]
     found = np.full((a.size, 2 * n_nodes - 1), np.nan)
     found[:, :n_nodes] = np.where(on_node, nodes, np.nan)
-    if lane.size > _FLOAT_LANES:
+    if lone:
+        a_0, c_0 = a.item(), c.item()
+        for j in k.tolist():
+            found[0, n_nodes + j] = bisect(lambda x: _force(x, a_0, c_0, g),
+                                           nodes[0, j].item(),
+                                           nodes[0, j + 1].item())
+    elif lane.size:
         sa, sc = a[lane], c[lane]
         found[lane, n_nodes + k] = bisect(lambda x: _force(x, sa, sc, g),
                                           nodes[lane, k], nodes[lane, k + 1])
-    else:
-        for i, j in zip(lane.tolist(), k.tolist()):
-            a_i, c_i = float(a[i]), float(c[i])
-            found[i, n_nodes + j] = bisect(
-                lambda x: _force(x, a_i, c_i, g),
-                float(nodes[i, j]), float(nodes[i, j + 1]))
     # A stable sort: nearly sorted input, and a smaller code footprint than
     # the default sort.
     roots = _pack(found, np.sort(found, axis=1, kind="stable"))

@@ -214,8 +214,9 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
     cs = _tangency_samples(contact_angle, c_window, n)
     # critical_mass_ratio over every sample at once, the same bits
     maximum = _extremum_brackets(contact_angle)[1]
-    return _tangency_curve(contact_angle, a_window, cs,
-                           _extrema(contact_angle, [(cs, maximum)])[0])
+    return _curve(CurveKind.TANGENCY, contact_angle,
+                  _extrema(contact_angle, [(cs, maximum)])[0], cs, a_window,
+                  c_window)
 
 
 def _tangency_samples(contact_angle, c_window, n):
@@ -233,20 +234,32 @@ def _tangency_samples(contact_angle, c_window, n):
     return np.linspace(lo, c_hi, n)
 
 
-def _tangency_curve(contact_angle, a_window, cs, phi):
-    """The tangency curve's points from the samples ``cs`` and their force
-    maxima ``phi`` (``equilibria._extrema``), clipped to ``a_window``."""
-    a_lo, a_hi = a_window
-    has = phi > PI / 2.0
-    cs = cs[has]
-    forces = _force(phi[has], 0.0, cs, contact_angle)
+def _curve(kind, g, phi, cs, a_window, c_window):
+    """The points (F(phi; A=0) / C^2, C) of the samples (phi, C) in the
+    windows, sorted by C; a NaN phi or C gives a NaN A, so no point.
+
+    The tangency curve's phi are its samples' force maxima, NaN where
+    there is none, which makes A ``critical_mass_ratio``'s bit for bit.
+    """
+    (a_lo, a_hi), (c_lo, c_hi) = a_window, c_window
     pts = []
-    for f, c in zip(forces.tolist(), cs.tolist()):
+    for f, c in zip(_force(phi, 0.0, cs, g).tolist(), cs.tolist()):
         a = f / c ** 2  # Python's c ** 2 is not always c * c
-        if a_lo <= a <= a_hi:
+        if a_lo <= a <= a_hi and c_lo <= c <= c_hi:
             pts.append((a, c))
-    return BoundaryCurve(CurveKind.TANGENCY,
-                         np.array(pts, dtype=float).reshape(-1, 2))
+    pts.sort(key=lambda p: p[1])
+    return BoundaryCurve(kind, np.array(pts, dtype=float).reshape(-1, 2))
+
+
+def _crossing_c(phi0, margin):
+    """The C whose margin is zero at phi0, given sin(phi0) > 0 and the
+    margin at C = 1: C sin(phi0) plus a C-free offset.  NaN unless the
+    offset is below -4 _MARGIN_BAND, its rounding band (``_count_block``):
+    an offset of exactly 0, at phi0 + gamma = pi/2 or 3pi/2, rounds to as
+    low as -3e-16, and -1.1e-17 over sin(pi) gave C = 0.09 at (pi, pi/2)."""
+    s = math.sin(phi0)
+    offset = margin - s
+    return -offset / s if offset < -4.0 * _MARGIN_BAND else math.nan
 
 
 def intersection_curve_point(phi02: float, contact_angle: float
@@ -255,20 +268,16 @@ def intersection_curve_point(phi02: float, contact_angle: float
 
     The margin is linear in C, so C follows directly from the zero
     condition; the force balance is then linear in A.  None when the
-    resulting capillary ratio is not positive.
+    resulting capillary ratio is not positive past rounding.
     """
     _check_contact_angle(contact_angle)
-    s = math.sin(phi02)
-    if s <= 0.0:
+    if math.sin(phi02) <= 0.0:
         return None
-    # the margin is C sin(phi0) plus a C-free offset
-    offset = intersection_margin(phi02, 1.0, contact_angle) - s
-    if offset >= 0.0:
+    c = _crossing_c(phi02, intersection_margin(phi02, 1.0, contact_angle))
+    if c != c:
         return None
-    c = -offset / s
     params = DimensionlessParams(0.0, c, contact_angle, exploratory=True)
-    a = total_force(phi02, params) / c ** 2
-    return a, c
+    return total_force(phi02, params) / c ** 2, c
 
 
 def trace_intersection_curve(contact_angle, a_window, c_window,
@@ -276,27 +285,18 @@ def trace_intersection_curve(contact_angle, a_window, c_window,
     """Intersection-validity boundary, sampled in the larger root's angle.
 
     Empty for contact angles at or below pi/2 (no invalid equilibria
-    there).
+    there).  Its points are ``intersection_curve_point``'s, bit for bit.
     """
     _check_contact_angle(contact_angle)
     _check_samples("n", n)
     if contact_angle <= PI / 2.0:
         return BoundaryCurve(CurveKind.INTERSECTION, np.empty((0, 2)))
-    a_lo, a_hi = a_window
-    c_lo, c_hi = c_window
     lo = 3.0 * PI / 2.0 - contact_angle
-    pts = []
-    for t in np.linspace(1e-6, 1.0 - 1e-6, n):
-        phi02 = lo + t * (PI - lo)
-        pc = intersection_curve_point(phi02, contact_angle)
-        if pc is None:
-            continue
-        a, c = pc
-        if a_lo <= a <= a_hi and c_lo <= c <= c_hi:
-            pts.append((a, c))
-    pts.sort(key=lambda p: p[1])
-    return BoundaryCurve(CurveKind.INTERSECTION,
-                         np.array(pts, dtype=float).reshape(-1, 2))
+    phi = lo + np.linspace(1e-6, 1.0 - 1e-6, n) * (PI - lo)
+    cs = np.array([_crossing_c(x, _margin(x, 1.0, contact_angle, math))
+                   for x in phi.tolist()])
+    return _curve(CurveKind.INTERSECTION, contact_angle, phi, cs, a_window,
+                  c_window)
 
 
 _LABEL_TABLE = {
@@ -404,7 +404,8 @@ def region_map(contact_angle: float,
 
     curves = [trace_endpoint_curve(contact_angle, (a_lo, a_hi), (c_lo, c_hi),
                                    curve_samples),
-              _tangency_curve(contact_angle, (a_lo, a_hi), cs, phi),
+              _curve(CurveKind.TANGENCY, contact_angle, phi, cs,
+                     (a_lo, a_hi), (c_lo, c_hi)),
               trace_intersection_curve(contact_angle, (a_lo, a_hi),
                                        (c_lo, c_hi), curve_samples)]
     curves = [c for c in curves if len(c.points)]

@@ -982,8 +982,8 @@ class TestSolve:
             "2d38c74e1f63ed2eb3f370a4860614a027e2aba96df4c8fdabda2e4123815c7d")
 
     def test_lone_cell_matches_its_block(self):
-        # solve decides a lone cell on floats and a block on arrays: each
-        # cell alone gives its block row bit for bit
+        # solve bisects a lone cell's segments on floats and a block's on
+        # arrays: each cell alone gives its block row bit for bit
         cells = _edge_cells(45)
         rng = np.random.default_rng(46)
         for g, a, c in _by_angle(cells):
@@ -997,9 +997,10 @@ class TestSolve:
                      for x, y in zip(a.ravel().tolist(),
                                      np.resize(c, a.size).tolist())]
             assert _bits(block) == _bits(alone)
-            # one rooted cell in a block of rootless ones bisects on floats,
-            # as it does alone.  Row 20 of a column's edge cells is
-            # A*(1 - 1e-4), two roots where there is a maximum
+            # one rooted cell in a block of rootless ones bisects its few
+            # segments on arrays, and alone on floats.  Row 20 of a
+            # column's edge cells is A*(1 - 1e-4), two roots where there
+            # is a maximum
             for k in range(c.size):
                 solo = np.full(c.size, 1e12)
                 solo[k] = a[20, k]

@@ -286,13 +286,44 @@ class TestIntersectionCurve:
         assert lab_hi is RegionLabel.TWO
 
     def test_no_point_without_a_positive_capillary_ratio(self):
-        # sin(phi0) <= 0 leaves the margin without its C term; at
-        # (pi/2, pi) the C-free offset is exactly 0, so C would be 0
+        # sin(phi0) <= 0 leaves the margin without its C term.  Where
+        # phi0 + gamma is pi/2 or 3pi/2 the C-free offset is exactly 0, so
+        # C would be 0: it rounds to 0.0 at (pi/2, pi), and within the
+        # margin's rounding band elsewhere, where C of 1e-16 with A of
+        # -1e31 (phi0 + gamma = pi/2), and C = 0.09 over sin(pi) = 1.2e-16
+        # at (pi, pi/2), once came out
         for g in (0.0, 1.0, PI / 2, 2.3, PI):
             assert intersection_curve_point(0.0, g) is None
             assert intersection_curve_point(-0.0, g) is None
         assert intersection_margin(PI / 2, 1.0, PI) - 1.0 == 0.0
         assert intersection_curve_point(PI / 2, PI) is None
+        assert intersection_curve_point(PI / 2, 0.0) is None
+        assert intersection_curve_point(PI, PI / 2) is None
+        for g in (0.1, 0.5, 1.0, 1.5):
+            assert intersection_curve_point(PI / 2 - g, g) is None
+
+    def test_trace_equals_its_points(self):
+        # the tracer finds each sample's C on floats and F on arrays; its
+        # points are intersection_curve_point's at the same samples,
+        # clipped to the windows and sorted by C, bit for bit
+        n, total = 200, 0
+        for g in (math.nextafter(PI / 2, 4.0), 1.7, 2.0, 2.3, 2.9, 3.1, PI):
+            lo = 3.0 * PI / 2.0 - g
+            points = [intersection_curve_point(lo + t * (PI - lo), g)
+                      for t in np.linspace(1e-6, 1.0 - 1e-6, n).tolist()]
+            for (a_lo, a_hi), (c_lo, c_hi) in (
+                    ((0.0, 12.0), (0.0, 5.0)), ((-1e3, 1e3), (0.0, 1e3)),
+                    ((2.0, 6.0), (0.5, 1.5))):
+                want = sorted((p for p in points if p is not None
+                               and a_lo <= p[0] <= a_hi
+                               and c_lo <= p[1] <= c_hi),
+                              key=lambda p: p[1])
+                got = trace_intersection_curve(g, (a_lo, a_hi), (c_lo, c_hi),
+                                               n).points
+                assert got.tobytes() == np.array(
+                    want, dtype=float).reshape(-1, 2).tobytes()
+                total += len(want)
+        assert total > 1000
 
     def test_empty_for_low_contact_angles(self):
         curve = trace_intersection_curve(PI / 4, (0.0, 12.0), (0.0, 5.0))

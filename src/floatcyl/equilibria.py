@@ -18,8 +18,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import (DimensionlessParams, _check_contact_angle, _force,
-                    _height, _numpy, _slope)
+from .model import (DimensionlessParams, _check_contact_angle, _curv,
+                    _force, _height, _numpy, _slope)
 
 PI = math.pi
 
@@ -110,6 +110,16 @@ def bisect(f, lo, hi, f_hi=None):
     while the least |dm| is at least twice PHI0_TOL + 4 eps max(|lo|, |hi|)
     over all lanes, no lane's tolerance test can pass, and only
     f(xm) == 0 can stop a lane.
+
+    On floats, ``find_equilibria``'s roots and ``force_extrema``'s extrema
+    come from ``_replay``, which gives this loop's bits from about a third
+    of its calls of f.  Its result depends only on the sign of each f(xm):
+    Newton's iteration locates the zero, two points around it where |f|
+    exceeds three times the rounding bound s of ``_bounds`` certify that
+    the exact |F| exceeds 2s on the rest of the bracket (F is monotone on
+    ``solve``'s segments, and F' rises, then falls), and there the sign of
+    f(xm) is known without f.  Where that certificate fails, it runs this
+    loop.
     """
     fa, fb = f(lo), f(hi) if f_hi is None else f_hi
     np = sys.modules.get("numpy")
@@ -156,6 +166,94 @@ def bisect(f, lo, hi, f_hi=None):
         todo = todo & ~stop
         if not todo.any():
             return root
+    raise RuntimeError(f"bisection not converged in {_MAX_HALVINGS} halvings")
+
+
+def _replay(f, df, lo, hi, f_lo, f_hi, c):
+    """``bisect(f, lo, hi, f_hi)`` on floats, bit for bit, from about a
+    third of its calls of f.
+
+    f is ``_force`` of a cell on one of ``solve``'s segments, or ``_slope``
+    on a bracket of ``_extremum_brackets``; df is its derivative, ``_slope``
+    or ``_curv``.  f_lo is f(lo) as computed, f_hi f(hi) or, at hi = pi on
+    the maximum's bracket, a value with its sign (``_bracketed``).  With
+    tau = s of ``_bounds(c)``, which bounds both kernels' rounding:
+
+    1. Newton's iteration from the chord's zero, kept inside the bracket
+       of the signs seen, locates the zero x.  It stops once K s^2 <=
+       tau, s its last step and K of ``_bounds``: the error left is then
+       about K s^2 / 2|f'| (none of the proof rests on it).
+    2. Certificate: the computed f at rl = x - h and rh = x + h, with
+       h = 6 tau / |f'(x)|, and at lo and hi, exceeds 3 tau in size, with
+       f_lo's sign at rl and f_hi's at rh.  The exact |F| then exceeds
+       2 tau at those four points.
+    3. On the outer zones [lo, rl) and (rh, hi] the exact |F| is least at
+       a zone end, so it exceeds 2 tau there, and the computed f, within
+       tau of it, has the sign of its zone end and |f| > tau.  For
+       ``_force``, F is monotone on ``solve``'s segments (``force_extrema``)
+       but where a computed extremum end lies past the true one by a
+       rounding; there F turns back toward larger |F|.  For ``_slope``,
+       F' rises, then falls: before the minimum's zero it rises, past the
+       maximum's it falls, and on the other two zones it is least at an
+       end.  Those two ends, f(hi) on the minimum's bracket and f(lo) on
+       the maximum's, are why hi's and lo's values are checked; the
+       maximum's f_hi, t - C, has F'(pi)'s sign but not its size, and
+       its check only costs a fallback within 3 tau of the threshold.
+    4. The halvings of ``bisect`` are replayed.  f runs only for
+       midpoints in [rl, rh], and for any that round past hi.  A midpoint
+       in an outer zone has f(xm) != 0 of its zone end's sign, and, with
+       |f_lo| > 3 tau and tau >= 64 eps, f(xm) f_lo does not underflow:
+       ``bisect`` keeps it as xa below rl, and not above rh.  With
+       0 <= lo < hi, dm and xm are positive, so the tolerance test needs
+       no abs.
+    5. A failed certificate, a zero f' or a Newton iteration that does not
+       settle in 12 steps runs plain ``bisect``.
+
+    Newton's x is never returned: every output is a midpoint of the
+    halvings, as ``bisect`` gives it.
+    """
+    tau, _, k = _bounds(c)
+    a, b = lo, hi
+    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(12):
+        fx, d = f(x), df(x)
+        if not d:
+            return bisect(f, lo, hi, f_hi)
+        if fx * f_lo > 0.0:
+            a = x
+        else:
+            b = x
+        step = x - fx / d
+        if not a <= step <= b:
+            step = 0.5 * (a + b)
+        s, x = abs(step - x), step
+        if k * s * s <= tau:
+            break
+    else:
+        return bisect(f, lo, hi, f_hi)
+    h = 6.0 * tau / abs(d)
+    rl, rh = x - h, x + h
+    fl, fh = f(rl), f(rh)
+    # the products first: a NaN fails them, and min may drop one
+    if not (fl * f_lo > 0.0 and fh * f_hi > 0.0
+            and min(abs(f_lo), abs(f_hi), abs(fl), abs(fh)) > 3.0 * tau):
+        return bisect(f, lo, hi, f_hi)
+    xa, dm = lo, hi - lo
+    for _ in range(_MAX_HALVINGS):
+        dm *= 0.5
+        xm = xa + dm
+        if xm < rl:
+            xa = xm
+        elif not rh < xm <= hi:
+            fm = f(xm)
+            if fm * f_lo >= 0.0:
+                xa = xm
+            if fm == 0.0:
+                return xm
+        if dm < PHI0_TOL + _RTOL * xm:
+            return xm
     raise RuntimeError(f"bisection not converged in {_MAX_HALVINGS} halvings")
 
 
@@ -250,13 +348,13 @@ def force_extrema(capillary_ratios, contact_angle: float):
     pattern of F' on the brackets against a 50-digit evaluation.
 
     A scalar runs on floats throughout, as ``solve``'s extrema of a lone
-    cell do.  An array bisects the lanes of both brackets in one call
-    (``_extrema``), each lane with its own bracket: ``solve`` finds each
-    cell's own.  ``critical_mass_ratio`` bisects the maximum's bracket
-    alone (``_extremum``), and ``regions.trace_tangency_curve`` the
-    maximum's lanes alone; ``regions.region_map`` sends its columns'
-    extrema and its tangency samples' maxima through one ``_extrema``
-    call.
+    cell do, and replays the bisection (``_replay``).  An array bisects
+    the lanes of both brackets in one call (``_extrema``), each lane with
+    its own bracket: ``solve`` finds each cell's own.
+    ``critical_mass_ratio`` bisects the maximum's bracket alone
+    (``_extremum``), and ``regions.trace_tangency_curve`` the maximum's
+    lanes alone; ``regions.region_map`` sends its columns' extrema and its
+    tangency samples' maxima through one ``_extrema`` call.
     """
     c = _capillary_ratios(capillary_ratios)
     brackets = _extremum_brackets(contact_angle)
@@ -283,9 +381,9 @@ def _extremum_brackets(g):
 
 
 def _bracketed(c, g, lo, hi):
-    """(ok, s_hi) of a bracket of ``_extremum_brackets`` at a float or an
-    array ``c``: whether it holds an extremum, and the slope at hi, or a
-    value with its sign.
+    """(ok, s_lo, s_hi) of a bracket of ``_extremum_brackets`` at a float
+    or an array ``c``: whether it holds an extremum, the slope at lo, and
+    the slope at hi, or a value with its sign.
 
     A sign change decides: the inner ends, the minimum's hi and the
     maximum's lo, have F' > 0 (``force_extrema``'s bracket ends), so a
@@ -305,14 +403,16 @@ def _bracketed(c, g, lo, hi):
     else:
         s_hi = _slope(hi, c, g)
         ok = s_lo * s_hi < 0.0
-    return ok, s_hi
+    return ok, s_lo, s_hi
 
 
 def _extremum(c, g, bracket):
     """The extremum a bracket of ``_extremum_brackets`` holds at a float
-    ``c``, NaN where it is dropped, on floats."""
-    ok, s_hi = _bracketed(c, g, *bracket)
-    return (bisect(lambda x: _slope(x, c, g), *bracket, s_hi) if ok
+    ``c``, NaN where it is dropped, on floats: ``bisect``'s bits, from
+    ``_replay``."""
+    ok, s_lo, s_hi = _bracketed(c, g, *bracket)
+    return (_replay(lambda x: _slope(x, c, g), lambda x: _curv(x, c, g),
+                    *bracket, s_lo, s_hi, c) if ok
             else math.nan)
 
 
@@ -329,7 +429,7 @@ def _extrema(g, lanes):
     np = _numpy()
     out, parts = [], []
     for c, bracket in lanes:
-        ok, s_hi = _bracketed(c, g, *bracket)
+        ok, _, s_hi = _bracketed(c, g, *bracket)
         idx = np.flatnonzero(ok)
         out.append((np.full(c.shape, np.nan), idx))
         parts.append((c.ravel()[idx], np.full(idx.size, bracket[0]),
@@ -366,6 +466,19 @@ def _bounds(c):
     (``test_force_slack_bounds_the_rounding``).  The sizes of the terms of
     F' and F'' add to S = 2 + 6C + 2C^2 and K = 2 + 9C + 2C^2
     (``test_curvature_bound``).
+
+    _slope rounds within s of the exact F' too, near pi as well, where
+    its C^2 - C^2 cos(2 phi) cancels: that error is absolute, an ulp or two
+    of C^2.  Proof, with eps = 2^-52: phi + gamma < 8 rounds by at most
+    2 eps, which moves a sine or cosine of it, or of its half, by as much;
+    each sine and cosine rounds by at most eps, and each product by half
+    an ulp of its size.  So the terms 2 cos(phi+gamma),
+    2C sin((phi+gamma)/2) sin(phi), 4C cos((phi+gamma)/2) cos(phi),
+    C^2 cos(2 phi) and C^2 err by at most 6, 10C, 20C, 2C^2 and C^2/2
+    eps, and the four sums, each within S, by 2 S eps.  The total,
+    (10 + 42C + 6.5C^2) eps, is below s = 64 eps (1+C)^2
+    (``test_slope_slack_bounds_the_rounding``).  ``_replay`` rests on
+    both bounds.
     """
     u = 1.0 + c
     return (_FORCE_SLACK * (u * u), 2.0 + c * (6.0 + 2.0 * c),
@@ -402,9 +515,11 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     ``find_equilibria`` answers most such cells before any array exists.
     Every cell's node forces come from one array ``_force`` call.  A lone
     cell, as in each find_equilibria call, finds its extrema and bisects
-    its segments, at most three, one by one on Python floats; a block of
-    cells bisects all its segments in one array call.  Both give bisect's
-    bits.  Of roots closer than _DEDUP_TOL the first in node, segment
+    its segments, at most three, one by one on Python floats, replaying
+    each bisection (``_replay``) from its node forces, which have the
+    float kernel's bits (``test_float_kernels_match_numpy``); a block of
+    cells bisects all its segments in one array call.  Both give
+    bisect's bits.  Of roots closer than _DEDUP_TOL the first in node, segment
     order counts (``_pack``).
     """
     np = _numpy()
@@ -429,9 +544,10 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     if lone:
         a_0, c_0 = a.item(), c.item()
         for j in k.tolist():
-            found[0, n_nodes + j] = bisect(lambda x: _force(x, a_0, c_0, g),
-                                           nodes[0, j].item(),
-                                           nodes[0, j + 1].item())
+            found[0, n_nodes + j] = _replay(
+                lambda x: _force(x, a_0, c_0, g), lambda x: _slope(x, c_0, g),
+                nodes[0, j].item(), nodes[0, j + 1].item(),
+                f_nodes[0, j].item(), f_nodes[0, j + 1].item(), c_0)
     elif lane.size:
         sa, sc = a[lane], c[lane]
         found[lane, n_nodes + k] = bisect(lambda x: _force(x, sa, sc, g),

@@ -222,13 +222,17 @@ def _slope(phi0, c, g):
 def force_curvature(phi0, params: DimensionlessParams):
     """d2F/d(phi0)^2, also independent of the mass ratio."""
     _check_phi0(phi0)
-    np = _numpy()
-    c = params.capillary_ratio
-    g = params.contact_angle
-    return (2.0 * np.sin(phi0 + g)
-            + 5.0 * c * np.cos((phi0 + g) / 2.0) * np.sin(phi0)
-            + 4.0 * c * np.sin((phi0 + g) / 2.0) * np.cos(phi0)
-            + 2.0 * c * c * np.sin(2.0 * phi0))
+    return _curv(phi0, params.capillary_ratio, params.contact_angle)
+
+
+def _curv(phi0, c, g):
+    """force_curvature without the domain check; see _force for the float
+    case."""
+    xp = math if isinstance(phi0, float) else _numpy()
+    return (2.0 * xp.sin(phi0 + g)
+            + 5.0 * c * xp.cos((phi0 + g) / 2.0) * xp.sin(phi0)
+            + 4.0 * c * xp.sin((phi0 + g) / 2.0) * xp.cos(phi0)
+            + 2.0 * c * c * xp.sin(2.0 * phi0))
 
 
 @dataclass(frozen=True)

@@ -236,10 +236,17 @@ def _tangency_samples(contact_angle, c_window, n):
 
 def _curve(kind, g, phi, cs, a_window, c_window):
     """The points (F(phi; A=0) / C^2, C) of the samples (phi, C) in the
-    windows, sorted by C; a NaN phi or C gives a NaN A, so no point.
+    windows, in sample order, which is C's; a NaN phi or C gives a NaN A,
+    so no point.
 
     The tangency curve's phi are its samples' force maxima, NaN where
-    there is none, which makes A ``critical_mass_ratio``'s bit for bit.
+    there is none, which makes A ``critical_mass_ratio``'s bit for bit;
+    its C are ascending (``_tangency_samples``).  The intersection curve's
+    C rise with its ascending phi: C = -O / sin(phi), with O the margin's
+    C-free offset, and on the psi-positive regime, with
+    w = -cos((phi+gamma)/2) in [1/sqrt 2, 1], O' = (1 - 2w^2) / 2w <= 0
+    and cos(phi) <= 0, so C' = (O cos(phi) - O' sin(phi)) / sin(phi)^2
+    >= 0 wherever O < 0, the only samples with a C.
     """
     (a_lo, a_hi), (c_lo, c_hi) = a_window, c_window
     pts = []
@@ -247,7 +254,6 @@ def _curve(kind, g, phi, cs, a_window, c_window):
         a = f / c ** 2  # Python's c ** 2 is not always c * c
         if a_lo <= a <= a_hi and c_lo <= c <= c_hi:
             pts.append((a, c))
-    pts.sort(key=lambda p: p[1])
     return BoundaryCurve(kind, np.array(pts, dtype=float).reshape(-1, 2))
 
 

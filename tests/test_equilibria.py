@@ -791,7 +791,7 @@ class TestSlopeShape:
                                for c in cs.tolist()), (g, end)
             ok = _bracketed(cs, g, *low)[0]
             assert np.all(_slope(0.0, cs[ok], g) < 0.0), g
-            ok, s_hi = _bracketed(cs, g, *high)
+            ok, _, s_hi = _bracketed(cs, g, *high)
             assert np.all(s_hi[ok] < 0.0), g
 
     def test_slope_sign_pattern_at_50_digits(self):
@@ -1073,3 +1073,153 @@ class TestForceSlack:
                         - np.tile(exact, 2))
                     worst = max(worst, gap.max() / _bounds(c_i)[0])
         assert worst <= 1.0
+
+
+class TestSlopeSlack:
+    def test_slope_slack_bounds_the_rounding(self):
+        # _slope, on floats and on arrays, lies within the slack s of
+        # _bounds of a 40-digit F' at solve's nodes and a random point, over
+        # TestForceSlack's (C, gamma) pairs, and within 1e-3 of pi at C up
+        # to 1e9, where its C^2 - C^2 cos(2 phi) cancels: _replay rests on it
+        rng = np.random.default_rng(31)
+        c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 600))
+        g = np.concatenate([np.repeat([0.0, PI / 2, PI], 100),
+                            rng.uniform(0.0, PI, 300)])
+        points = [(np.append(_cell_nodes(c_i, g_i), rng.uniform(0.0, PI)),
+                   c_i, g_i) for c_i, g_i in zip(c.tolist(), g.tolist())]
+        for g_i in (0.0, PI / 2, 2.3, PI) + tuple(rng.uniform(0.0, PI, 4)):
+            for c_i in np.geomspace(1e3, 1e9, 13).tolist():
+                x = PI - np.append(np.geomspace(1e-12, 1e-3, 7),
+                                   rng.uniform(0.0, 1e-3, 3))
+                points.append((x, c_i, g_i))
+        worst = 0.0
+        with mpmath.workdps(40):
+            for x, c_i, g_i in points:
+                exact = np.array([float(mp_slope(*map(mpmath.mpf, (x_i, c_i,
+                                                                 g_i))))
+                                  for x_i in x.tolist()])
+                gap = np.abs(np.concatenate([
+                    _slope(x, c_i, g_i),
+                    [_slope(x_i, c_i, g_i) for x_i in x.tolist()]])
+                    - np.tile(exact, 2))
+                worst = max(worst, gap.max() / _bounds(c_i)[0])
+        assert worst <= 1.0
+
+
+def _noisy_kernels(seed):
+    """(f, df, lo, hi) of kernels whose rounding, within the slack tau of
+    _bounds(1.0), flips their sign away from their zero r: a line of slope
+    1e-5 flipped where 0.8 tau < |F| < 0.99 tau, and a rise of slope 1
+    through r to 8 tau, a drop to 0.8 tau and a fall to 0.5 tau at hi,
+    flipped where 0.6 tau < F < 0.99 tau on the fall.  The second is least
+    in size at hi, as F' may be on the minimum's bracket."""
+    tau = _bounds(1.0)[0]
+    kernels = []
+    for r in np.random.default_rng(seed).uniform(0.2, 0.8, 20).tolist():
+        def line(x, r=r):
+            v = 1e-5 * (x - r)
+            flip = 0.8 * tau < abs(v) < 0.99 * tau
+            return v - 0.95 * tau * math.copysign(1.0, v) if flip else v
+        kernels.append((line, lambda x: 1e-5, 0.0, 1.0))
+        top, foot = r + 8.0 * tau, r + 8.0 * tau + 1e-12
+
+        def peak(x, r=r, top=top, foot=foot):
+            if x <= top:
+                return x - r
+            if x <= foot:
+                return 8.0 * tau - 7.2 * tau * (x - top) / 1e-12
+            v = 0.8 * tau - 0.3 * tau * (x - foot) / 1e-9
+            return v - 0.99 * tau if 0.6 * tau < v < 0.99 * tau else v
+
+        def peak_slope(x, top=top, foot=foot):
+            return (1.0 if x <= top else -7.2 * tau / 1e-12 if x <= foot
+                    else -0.3 * tau / 1e-9)
+        kernels.append((peak, peak_slope, 0.0, foot + 1e-9))
+    return kernels
+
+
+def _checked_replays(monkeypatch, compare=True):
+    """A count of _replay's calls and of its fallbacks to bisect, with each
+    call's result compared with plain bisect bit for bit, if ``compare``."""
+    seen = {"calls": 0, "fallbacks": 0}
+    replay, plain = equilibria._replay, equilibria.bisect
+
+    def fallback(*args):
+        seen["fallbacks"] += 1
+        return plain(*args)
+
+    def checked(f, df, lo, hi, f_lo, f_hi, c):
+        seen["calls"] += 1
+        got = replay(f, df, lo, hi, f_lo, f_hi, c)
+        if compare:
+            assert got.hex() == plain(f, lo, hi, f_hi).hex(), (lo, hi, c)
+        return got
+
+    monkeypatch.setattr(equilibria, "bisect", fallback)
+    monkeypatch.setattr(equilibria, "_replay", checked)
+    return seen
+
+
+class TestReplay:
+    """_replay gives bisect's bits from a third of its kernel calls."""
+
+    def test_replays_criterion_9_draws(self, monkeypatch):
+        # every bisection of 2,000 criterion-9 cells replays, at under 16
+        # kernel calls a bisection, node and stability calls included
+        # (about 44 with plain bisect).  No digest sees a replay that
+        # always falls back: its bits are bisect's
+        calls = []
+        for name in ("_force", "_slope", "_curv"):
+            kernel = getattr(equilibria, name)
+            monkeypatch.setattr(equilibria, name,
+                                lambda *args, k=kernel: calls.append(1)
+                                or k(*args))
+        seen = _checked_replays(monkeypatch, compare=False)
+        for a, c, g in _criterion_9_draws(51, 2000):
+            find_equilibria(params(a, c, g))
+        assert seen["fallbacks"] == 0
+        assert seen["calls"] > 1500
+        assert len(calls) <= 16 * seen["calls"]
+
+    def test_equals_bisect_on_edge_cells(self, monkeypatch):
+        # every replay of find_equilibria, force_extrema and
+        # critical_mass_ratio equals plain bisect bit for bit: on edge
+        # cells, next to the tangency A* and on the endpoint line, at the
+        # edge angles and C from 1e-6 to 1e9, where some fall back
+        cells = _edge_cells(41) + _edge_cells(47)
+        edges = [0.0, 5e-324, math.nextafter(PI / 2, 0.0), PI / 2,
+                 math.nextafter(PI / 2, PI), PI - 1e-9, PI]
+        caps = np.geomspace(1e-6, 1e9, 25).tolist()
+        for g in edges:
+            for c in caps:
+                a_end = PI + 2.0 * math.sin(g) / c ** 2
+                cells.append((a_end, c, g))
+                try:
+                    a_star = critical_mass_ratio(c, g)[0]
+                except ValueError:
+                    continue
+                cells += [(a_star * (1.0 + sign * eps), c, g)
+                          for eps in (1e-15, 1e-12, 1e-9, 1e-6, 1e-4)
+                          for sign in (-1.0, 1.0)]
+        seen = _checked_replays(monkeypatch)
+        for a, c, g in cells:
+            find_equilibria(params(a, c, g, exploratory=True))
+        for g in edges:
+            for c in caps:
+                force_extrema(c, g)
+                try:
+                    critical_mass_ratio(c, g)
+                except ValueError:
+                    pass
+        assert seen["calls"] > 8000
+        assert 0 < seen["fallbacks"] < seen["calls"] / 4
+
+    def test_certificate_holds_against_adverse_rounding(self, monkeypatch):
+        # kernels whose rounding, within tau, flips their sign near the
+        # certificate's points or near hi: each replay equals bisect, by
+        # replaying where the certificate holds and falling back where
+        # the end value at hi is under 3 tau
+        seen = _checked_replays(monkeypatch)
+        for f, df, lo, hi in _noisy_kernels(3):
+            equilibria._replay(f, df, lo, hi, f(lo), f(hi), 1.0)
+        assert seen == {"calls": 40, "fallbacks": 20}

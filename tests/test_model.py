@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from floatcyl.equilibria import _bounds
 from floatcyl.model import (DimensionlessParams, EnergyBreakdown,
-                            PhysicalParams, _force, _height, _slope,
+                            PhysicalParams, _curv, _force, _height, _slope,
                             center_height, center_height_slope,
                             force_curvature, force_slope,
                             inclination_at_contact, interface_profile,
@@ -218,7 +218,8 @@ class TestForce:
 
     def test_float_kernels_match_numpy(self):
         # a float phi0 runs on math, an array on NumPy: the scalar solver
-        # and curves rely on both giving the same bits
+        # and curves rely on both giving the same bits, and _replay takes
+        # solve's array node forces for the float kernel's
         rng = np.random.default_rng(13)
         for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 7).tolist():
             for phi0 in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 40).tolist():
@@ -230,6 +231,7 @@ class TestForce:
                 energy_one = total_energy(one, p)
                 for got, want in ((_force(phi0, a, c, g), _force(one, a, c, g)),
                                   (_slope(phi0, c, g), _slope(one, c, g)),
+                                  (_curv(phi0, c, g), _curv(one, c, g)),
                                   (_height(phi0, c, g), _height(one, c, g)),
                                   (center_height(phi0, p),
                                    center_height(one, p)),

@@ -325,6 +325,24 @@ class TestIntersectionCurve:
                 total += len(want)
         assert total > 1000
 
+    def test_traced_curves_ascend_in_c(self):
+        # _curve keeps its samples' order: C never falls along the
+        # intersection curve, over 200 angles, or along the tangency
+        # curve, whose samples are a linspace, over every tenth of them
+        total = 0
+        for k, g in enumerate(np.linspace(PI / 2, PI, 201)[1:].tolist()):
+            traces = [trace_intersection_curve]
+            if k % 10 == 0:
+                traces.append(trace_tangency_curve)
+            for a_window, c_window in (((0.0, 12.0), (0.0, 5.0)),
+                                       ((-1e3, 1e3), (0.0, 1e3)),
+                                       ((2.0, 6.0), (0.5, 1.5))):
+                for trace in traces:
+                    c = trace(g, a_window, c_window, 50).points[:, 1]
+                    assert np.all(np.diff(c) >= 0.0), (g, trace)
+                    total += c.size
+        assert total > 10_000
+
     def test_empty_for_low_contact_angles(self):
         curve = trace_intersection_curve(PI / 4, (0.0, 12.0), (0.0, 5.0))
         assert len(curve.points) == 0

@@ -100,10 +100,10 @@ def bisect(f, lo, hi, f_hi=None):
     |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
     f(hi) is read only to test it against zero, so ``f_hi``, when given,
     stands in for it: any value with its sign.  Floats run SciPy's loop as
-    written, so a lone lane, as in each find_equilibria call, skips the
-    masks' arithmetic in every halving; no array can exist unless NumPy is
-    loaded, so a float call never loads it.  Array elements run side by
-    side, each selected by ``np.where``, so each equals its scalar run.
+    written, as ``_replay``'s fallback, with none of the masks' arithmetic;
+    no array can exist unless NumPy is loaded, so a float call never loads
+    it.  Array elements run side by side, each selected by ``np.where``,
+    so each equals its scalar run.
     Each lane's dm halves exactly, and so does the least |dm| of all
     lanes; each xm lies within its lane's bracket widened by half an ulp
     per halving, so within twice the largest end of any bracket.  So
@@ -111,13 +111,13 @@ def bisect(f, lo, hi, f_hi=None):
     over all lanes, no lane's tolerance test can pass, and only
     f(xm) == 0 can stop a lane.
 
-    On floats, ``find_equilibria``'s roots and ``force_extrema``'s extrema
+    On floats, ``_cell_roots``' roots and ``force_extrema``'s extrema
     come from ``_replay``, which gives this loop's bits from about a third
     of its calls of f.  Its result depends only on the sign of each f(xm):
     Newton's iteration locates the zero, two points around it where |f|
     exceeds three times the rounding bound s of ``_bounds`` certify that
     the exact |F| exceeds 2s on the rest of the bracket (F is monotone on
-    ``solve``'s segments, and F' rises, then falls), and there the sign of
+    a cell's segments, and F' rises, then falls), and there the sign of
     f(xm) is known without f.  Where that certificate fails, it runs this
     loop.
     """
@@ -173,11 +173,12 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
     """``bisect(f, lo, hi, f_hi)`` on floats, bit for bit, from about a
     third of its calls of f.
 
-    f is ``_force`` of a cell on one of ``solve``'s segments, or ``_slope``
-    on a bracket of ``_extremum_brackets``; df is its derivative, ``_slope``
-    or ``_curv``.  f_lo is f(lo) as computed, f_hi f(hi) or, at hi = pi on
-    the maximum's bracket, a value with its sign (``_bracketed``).  With
-    tau = s of ``_bounds(c)``, which bounds both kernels' rounding:
+    f is ``_force`` of a cell on one of its segments (``_cell_roots``), or
+    ``_slope`` on a bracket of ``_extremum_brackets``; df is its
+    derivative, ``_slope`` or ``_curv``.  f_lo is f(lo) as computed, f_hi
+    f(hi) or, at hi = pi on the maximum's bracket, a value with its sign
+    (``_bracketed``).  With tau = s of ``_bounds(c)``, which bounds both
+    kernels' rounding:
 
     1. Newton's iteration from the chord's zero, kept inside the bracket
        of the signs seen, locates the zero x.  It stops once K s^2 <=
@@ -190,7 +191,7 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
     3. On the outer zones [lo, rl) and (rh, hi] the exact |F| is least at
        a zone end, so it exceeds 2 tau there, and the computed f, within
        tau of it, has the sign of its zone end and |f| > tau.  For
-       ``_force``, F is monotone on ``solve``'s segments (``force_extrema``)
+       ``_force``, F is monotone on a cell's segments (``force_extrema``)
        but where a computed extremum end lies past the true one by a
        rounding; there F turns back toward larger |F|.  For ``_slope``,
        F' rises, then falls: before the minimum's zero it rises, past the
@@ -207,7 +208,14 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
        0 <= lo < hi, dm and xm are positive, so the tolerance test needs
        no abs.
     5. A failed certificate, a zero f' or a Newton iteration that does not
-       settle in 12 steps runs plain ``bisect``.
+       settle in 12 steps runs plain ``bisect``, and so does one that
+       closes on a nearly double zero too slowly to settle in the steps
+       left.  On the parabola through f(x) with f'(x) and the f'' of the
+       last two f', with q = 2 f f'' / f'^2 in (0, 1), the zero lies
+       1/sqrt(1 - q) times closer to the vertex than x does, and Newton's
+       steps toward it at best halve: with n steps left, q > 1 - 4^-n
+       (tested after a step that does not settle) leaves too few.  Near a
+       tangency this falls back after a few steps instead of 12.
 
     Newton's x is never returned: every output is a midpoint of the
     halvings, as ``bisect`` gives it.
@@ -217,7 +225,8 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
     x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
-    for _ in range(12):
+    x_1 = d_1 = math.nan  # the last Newton point and its f'
+    for left in range(11, -1, -1):
         fx, d = f(x), df(x)
         if not d:
             return bisect(f, lo, hi, f_hi)
@@ -228,9 +237,15 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
         step = x - fx / d
         if not a <= step <= b:
             step = 0.5 * (a + b)
-        s, x = abs(step - x), step
+        s = abs(step - x)
         if k * s * s <= tau:
+            x = step
             break
+        # q = 2 f f'' / f'^2, f'' from the last two f'
+        if (1.0 - 0.25 ** left
+                < 2.0 * fx / d * ((d - d_1) / (x - x_1)) / d < 1.0):
+            return bisect(f, lo, hi, f_hi)
+        x_1, d_1, x = x, d, step
     else:
         return bisect(f, lo, hi, f_hi)
     h = 6.0 * tau / abs(d)
@@ -347,8 +362,8 @@ def force_extrema(capillary_ratios, contact_angle: float):
     rounding.  ``test_slope_sign_pattern_at_50_digits`` checks the sign
     pattern of F' on the brackets against a 50-digit evaluation.
 
-    A scalar runs on floats throughout, as ``solve``'s extrema of a lone
-    cell do, and replays the bisection (``_replay``).  An array bisects
+    A scalar runs on floats throughout, as ``_cell_roots``' extrema do,
+    and replays the bisection (``_replay``).  An array bisects
     the lanes of both brackets in one call (``_extrema``), each lane with
     its own bracket: ``solve`` finds each cell's own.
     ``critical_mass_ratio`` bisects the maximum's bracket alone
@@ -513,25 +528,24 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     that.  So a cell whose node values share one sign, each with |F| >
     ROOT_VALUE_TOL, has no root, and needs no test of its own;
     ``find_equilibria`` answers most such cells before any array exists.
-    Every cell's node forces come from one array ``_force`` call.  A lone
-    cell, as in each find_equilibria call, finds its extrema and bisects
-    its segments, at most three, one by one on Python floats, replaying
-    each bisection (``_replay``) from its node forces, which have the
-    float kernel's bits (``test_float_kernels_match_numpy``); a block of
-    cells bisects all its segments in one array call.  Both give
-    bisect's bits.  Of roots closer than _DEDUP_TOL the first in node, segment
-    order counts (``_pack``).
+    A lone cell is ``_cell_roots``' on Python floats; a block of cells
+    takes its node forces from one array ``_force`` call and bisects all
+    its segments in one array call.  Both give bisect's bits
+    (``test_float_kernels_match_numpy``).  Of roots closer than
+    _DEDUP_TOL the first in node, segment order counts (``_first_wins``).
     """
     np = _numpy()
     g = contact_angle
     a, c = np.broadcast_arrays(np.asarray(mass_ratios, dtype=float),
                                np.asarray(capillary_ratios, dtype=float))
     shape, a, c = a.shape, a.ravel(), c.ravel()
-    # a lone cell finds its extrema and roots on floats: faster, the same
-    # bits
-    lone = c.size == 1
+    if c.size == 1:
+        if extrema is not None:
+            extrema = [np.asarray(x, dtype=float).item() for x in extrema]
+        roots = _cell_roots(a.item(), c.item(), g, extrema)
+        return np.array(roots, dtype=float).reshape(shape + (len(roots),))
     if extrema is None:
-        extrema = force_extrema(c.item() if lone else c, g)
+        extrema = force_extrema(c, g)
     nodes = _nodes(*extrema, c.size).T
     f_nodes = _force(nodes, a[:, None], c[:, None], g)
     on_node = np.abs(f_nodes) <= ROOT_VALUE_TOL
@@ -541,14 +555,7 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     n_nodes = nodes.shape[1]
     found = np.full((a.size, 2 * n_nodes - 1), np.nan)
     found[:, :n_nodes] = np.where(on_node, nodes, np.nan)
-    if lone:
-        a_0, c_0 = a.item(), c.item()
-        for j in k.tolist():
-            found[0, n_nodes + j] = _replay(
-                lambda x: _force(x, a_0, c_0, g), lambda x: _slope(x, c_0, g),
-                nodes[0, j].item(), nodes[0, j + 1].item(),
-                f_nodes[0, j].item(), f_nodes[0, j + 1].item(), c_0)
-    elif lane.size:
+    if lane.size:
         sa, sc = a[lane], c[lane]
         found[lane, n_nodes + k] = bisect(lambda x: _force(x, sa, sc, g),
                                           nodes[lane, k], nodes[lane, k + 1])
@@ -558,28 +565,59 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
     return roots.reshape(shape + roots.shape[1:])
 
 
+def _cell_roots(a, c, g, extrema):
+    """``solve``'s roots of one cell, a list, on Python floats; None for
+    ``extrema`` finds them.
+
+    The same nodes, node test and segments as a block's row, each
+    bracketed segment replayed (``_replay``) from its node forces.
+    Distinct roots pass ``_first_wins`` whether or not two lie within
+    _DEDUP_TOL: where none do, it keeps them all, as ``_pack`` does.
+    """
+    minimum, maximum = force_extrema(c, g) if extrema is None else extrema
+    nodes = (0.0, minimum if minimum == minimum else 0.0,
+             maximum if maximum == maximum else PI, PI)
+    f = [_force(x, a, c, g) for x in nodes]
+    found = [x for x, v in zip(nodes, f) if abs(v) <= ROOT_VALUE_TOL]
+    for j in range(3):
+        f_lo, f_hi = f[j], f[j + 1]
+        if (f_lo * f_hi < 0.0 and abs(f_lo) > ROOT_VALUE_TOL
+                and abs(f_hi) > ROOT_VALUE_TOL):
+            found.append(_replay(
+                lambda x: _force(x, a, c, g), lambda x: _slope(x, c, g),
+                nodes[j], nodes[j + 1], f_lo, f_hi, c))
+    return _first_wins(found)
+
+
+def _first_wins(found):
+    """The roots of ``found``, NaN skipped, ascending, each closer than
+    _DEDUP_TOL to one before it in ``found``'s order dropped."""
+    row = []
+    for x in found:
+        if x == x and all(abs(r - x) > _DEDUP_TOL for r in row):
+            row.append(x)
+    return sorted(row)
+
+
 def _pack(found, roots):
     """Each cell's distinct roots, ascending, padded with NaN to the most
     roots a cell has.
 
-    ``roots`` is ``found`` sorted along each row.  Of roots closer than
-    _DEDUP_TOL the first in node, segment order counts.
+    ``roots`` is ``found`` sorted along each row.  Only a row with two
+    roots within _DEDUP_TOL runs ``_first_wins``: in any other it keeps
+    every root.
     """
     np = _numpy()
     close = (roots[:, 1:] - roots[:, :-1] <= _DEDUP_TOL).any(axis=1)
-    # one first-wins pass over the rows holding a close pair
     count = (roots == roots).sum(axis=1)
     kept = {}
     for i in np.flatnonzero(close).tolist():
-        row = kept[i] = []
-        for x in found[i].tolist():
-            if x == x and all(abs(r - x) > _DEDUP_TOL for r in row):
-                row.append(x)
+        row = kept[i] = _first_wins(found[i].tolist())
         count[i] = len(row)
     out = roots[:, :max(count.tolist(), default=0)]
     # roots is solve's own sorted copy of found: its rows take the kept roots
     for i, row in kept.items():
-        out[i] = sorted(row) + [np.nan] * (out.shape[1] - len(row))
+        out[i] = row + [np.nan] * (out.shape[1] - len(row))
     return out
 
 
@@ -588,17 +626,18 @@ def find_equilibria(params: DimensionlessParams,
                     ) -> list[Equilibrium]:
     """All zeros of the force curve on [0, pi], ascending, with stability.
 
-    The one-cell call of ``solve``; ``critical``, as ``critical_points``
-    gives it, stands in for the extrema.  ``solve`` finds every root only
-    with the true extrema, so ``critical`` must list one point of each kind
-    whose bracket ``_bracketed`` accepts, inside that bracket, and nothing
-    else; else ValueError.  That check costs a few float ``_slope`` calls
-    and no bisection.  The fields are Python floats whatever number type
-    the params hold.
+    ``solve``'s roots of one cell, from ``_cell_roots`` on Python floats,
+    which builds no array and needs no NumPy.  ``critical``, as
+    ``critical_points`` gives it, stands in for the extrema.  The solver
+    finds every root only with the true extrema, so ``critical`` must list
+    one point of each kind whose bracket ``_bracketed`` accepts, inside
+    that bracket, and nothing else; else ValueError.  That check costs a
+    few float ``_slope`` calls and no bisection.  The fields are Python
+    floats whatever number type the params hold.
 
     A cell whose level L = A C^2 clears F(.; A=0)'s closed-form range by
     the margin 2s + ROOT_VALUE_TOL, with the slack s of ``_bounds``,
-    returns [] on floats, before ``solve`` builds an array.  On [0, pi],
+    returns [] before it finds the extrema.  On [0, pi],
     F(.; A=0) = -2 sin(phi+gamma) - 4C cos((phi+gamma)/2) sin(phi)
     + C^2 (phi - sin(phi) cos(phi)) lies in
     [-2 - 4C, 2 + 4C sin(gamma/2) + pi C^2].  The last term rises from 0
@@ -628,13 +667,15 @@ def find_equilibria(params: DimensionlessParams,
     The margin follows ROOT_VALUE_TOL: should that become force-scaled,
     so must the margin's last term.
     """
-    # one float A for the test and solve: a NumPy float32 times a float
+    # one float A for the test and the cell: a NumPy float32 times a float
     # stays float32, whose rounding would swamp the margin
     a = float(params.mass_ratio)
     c, g = float(params.capillary_ratio), float(params.contact_angle)
     extrema = None
     if critical is not None:
-        phis = {cp.kind: cp.phi0 for cp in critical}
+        # a NumPy scalar phi0, float32 say, would send the float kernels
+        # down their array path
+        phis = {cp.kind: float(cp.phi0) for cp in critical}
         want = {kind: bracket for kind, bracket
                 in zip(ExtremumKind, _extremum_brackets(g))
                 if _bracketed(c, g, *bracket)[0]}
@@ -653,7 +694,7 @@ def find_equilibria(params: DimensionlessParams,
             or level < -2.0 - 4.0 * c - 2.0 * s - ROOT_VALUE_TOL):
         return []
     out = []
-    for r in solve(a, c, g, extrema).tolist():
+    for r in _cell_roots(a, c, g, extrema):
         slope = _slope(r, c, g)
         out.append(Equilibrium(r, _classify(slope), slope, _height(r, c, g)))
     return out

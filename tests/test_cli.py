@@ -560,8 +560,8 @@ class TestPlumbing:
         (["profile", "--gamma", "1", "--A", "1", "--C", "1", "--phi0", "0.5"],
          ["numpy"], 0),
         (["equilibria", "--gamma", "1", "--A", "1", "--C", "1"],
-         ["equilibria", "intersection", "numpy"], 0),
-        # a weight past the force's closed-form ceiling builds no array
+         ["equilibria", "intersection"], 0),
+        # nor does a weight past the force's closed-form ceiling
         (["equilibria", "--gamma", "1", "--A", "10", "--C", "2"],
          ["equilibria", "intersection"], 3),
         (["equilibria", "--gamma", "1.5707963", "--m", "12", "--rho", "1",
@@ -581,8 +581,7 @@ class TestPlumbing:
     def test_command_loads_only_its_modules(self, argv, loaded, code):
         # every command builds its parameters in model; the rest of the
         # library, and NumPy, load only where the command runs them:
-        # astar and curves pass no array, so NumPy never loads, nor does
-        # equilibria for a weight that clears the force's ceiling (exit 3)
+        # astar, curves and equilibria pass no array, so NumPy never loads
         proc = run_child(
             ["-c",
              "import sys; from floatcyl.cli import main; "
@@ -601,16 +600,19 @@ class TestPlumbing:
             assert lines[1] == repr(sorted(want))
 
     def test_model_and_equilibria_import_without_numpy(self):
-        # nor does find_equilibria load it on a cell past the ceiling
+        # nor does find_equilibria load it, on a cell past the ceiling or
+        # on a cell with two roots
         proc = run_child(
             ["-c",
-             "import sys, floatcyl.model, floatcyl.equilibria; "
+             "import math, sys, floatcyl.model, floatcyl.equilibria; "
+             "from floatcyl.equilibria import find_equilibria; "
+             "from floatcyl.model import DimensionlessParams as P; "
              "print('numpy' in sys.modules); "
-             "print(floatcyl.equilibria.find_equilibria("
-             "floatcyl.model.DimensionlessParams(10.0, 2.0, 1.0))); "
+             "print(find_equilibria(P(10.0, 2.0, 1.0))); "
+             "print(len(find_equilibria(P(3.8, 2.0, math.pi / 2)))); "
              "print('numpy' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "[]", "False"]
+        assert proc.stdout.split() == ["False", "[]", "2", "False"]
 
     def test_bare_import_loads_no_submodule(self):
         proc = run_child(

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 
-from floatcyl import equilibria
+from floatcyl import equilibria, model
 from floatcyl.equilibria import (ROOT_VALUE_TOL, CriticalPoint, ExtremumKind,
                                  NoSecondCriticalPointError, Stability,
                                  UnsupportedRegimeError, _bounds, _bracketed,
@@ -400,6 +400,32 @@ class TestFindEquilibria:
         assert len(eqs) == roots
         assert repr(eqs) == repr(find_equilibria(params(float(a), c, g)))
 
+    def test_cells_run_without_numpy(self, monkeypatch):
+        # find_equilibria and critical_points run on Python floats
+        # throughout: with NumPy out of reach of both modules, every
+        # criterion-9 draw and edge cell still runs, rooted cells too
+        cells = _criterion_9_draws(53, 2000) + _edge_cells(41)
+
+        def unreachable():
+            raise AssertionError("NumPy reached")
+
+        monkeypatch.setattr(model, "_numpy", unreachable)
+        monkeypatch.setattr(equilibria, "_numpy", unreachable)
+        roots = 0
+        for a, c, g in cells:
+            p = params(a, c, g, exploratory=True)
+            roots += len(find_equilibria(p, critical_points(p)))
+            roots += len(find_equilibria(p))
+        assert roots > 2000
+        # critical points that hold a NumPy scalar count as their floats
+        for a, c, g in cells[:300]:
+            p = params(a, c, g)
+            narrow = [CriticalPoint(np.float32(cp.phi0), cp.kind)
+                      for cp in critical_points(p)]
+            wide = [CriticalPoint(float(cp.phi0), cp.kind) for cp in narrow]
+            assert repr(find_equilibria(p, narrow)) == repr(
+                find_equilibria(p, wide))
+
 
 def _criterion_9_draws(seed, n):
     """n (A, C, gamma) triples drawn as criterion 9 draws them."""
@@ -418,15 +444,16 @@ def _cell_nodes(c, g):
 
 
 def _counting_solve(monkeypatch):
-    """A list that grows by one with each call find_equilibria makes to
-    solve."""
+    """A list that grows by one with each cell find_equilibria solves,
+    each call it makes to _cell_roots."""
     calls = []
+    cell_roots = equilibria._cell_roots
 
     def counting(*args):
         calls.append(args)
-        return solve(*args)
+        return cell_roots(*args)
 
-    monkeypatch.setattr(equilibria, "solve", counting)
+    monkeypatch.setattr(equilibria, "_cell_roots", counting)
     return calls
 
 
@@ -1009,6 +1036,37 @@ class TestSolve:
                 assert _bits(block) == _bits(
                     [alone if j == k else [] for j in range(c.size)])
 
+    def test_first_wins_rows_match_the_float_cell(self, monkeypatch):
+        # rows whose sorted roots hold a pair within _DEDUP_TOL run the
+        # first-wins pass in _pack, and the float cell gives each such
+        # row bit for bit: a missing extremum's node repeats 0 or pi, so
+        # a node root at 0 (A = -2 sin(gamma)/C^2) or on the endpoint line
+        # appears twice
+        rng = np.random.default_rng(52)
+        cells = []
+        for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 5).tolist():
+            for c in np.geomspace(1e-3, 1e3, 12).tolist():
+                cells += [(PI + 2.0 * math.sin(g) / c ** 2, c, g),
+                          (-2.0 * math.sin(g) / c ** 2, c, g),
+                          (rng.uniform(0.05, 15.0), c, g)]
+        alone = [equilibria._cell_roots(a, c, g, None) for a, c, g in
+                 sorted(cells, key=lambda cell: cell[2])]
+        runs = []
+        first_wins = equilibria._first_wins
+
+        def counting(found):
+            kept = first_wins(found)
+            runs.append(sum(x == x for x in found) - len(kept))
+            return kept
+
+        monkeypatch.setattr(equilibria, "_first_wins", counting)
+        block = []
+        for g, a, c in _by_angle(cells):
+            block += cell_roots(solve(a, c, g))
+        assert _bits(block) == _bits(alone)
+        # 51 rows run the pass, and each drops one root there
+        assert runs == [1] * 51
+
 
 def _bits(rows):
     """Each root's exact bits, for comparisons that -0.0 == 0.0 would hide."""
@@ -1213,6 +1271,40 @@ class TestReplay:
                     pass
         assert seen["calls"] > 8000
         assert 0 < seen["fallbacks"] < seen["calls"] / 4
+
+    def test_falls_back_early_near_a_tangency(self, monkeypatch):
+        # next to the tangency Newton's steps only halve, and a replay
+        # that cannot settle in the steps left falls back before its 12th
+        # step: count the kernel calls each replay makes before it falls
+        # back (24 after 12 steps)
+        calls, start, before = [], [0], []
+        for name in ("_force", "_slope", "_curv"):
+            kernel = getattr(equilibria, name)
+            monkeypatch.setattr(equilibria, name,
+                                lambda *args, k=kernel: calls.append(1)
+                                or k(*args))
+        replay, plain = equilibria._replay, equilibria.bisect
+
+        def counted(*args):
+            start[0] = len(calls)
+            return replay(*args)
+
+        def fallback(*args):
+            before.append(len(calls) - start[0])
+            return plain(*args)
+
+        monkeypatch.setattr(equilibria, "_replay", counted)
+        monkeypatch.setattr(equilibria, "bisect", fallback)
+        for g in (PI / 2, PI):
+            for c in np.geomspace(1e-3, 1e9, 13).tolist():
+                a_star = critical_mass_ratio(c, g)[0]
+                for eps in (1e-15, 1e-12, 1e-9, 1e-6, 1e-4):
+                    for sign in (-1.0, 1.0):
+                        find_equilibria(params(a_star * (1.0 + sign * eps),
+                                               c, g))
+        # 220 fallbacks, 107 of them early; 9 with 12 steps always run
+        assert len(before) == 220
+        assert sum(n < 24 for n in before) == 107
 
     def test_certificate_holds_against_adverse_rounding(self, monkeypatch):
         # kernels whose rounding, within tau, flips their sign near the

@@ -362,10 +362,10 @@ def force_extrema(capillary_ratios, contact_angle: float):
     rounding.  ``test_slope_sign_pattern_at_50_digits`` checks the sign
     pattern of F' on the brackets against a 50-digit evaluation.
 
-    A scalar runs on floats throughout, as ``_cell_roots``' extrema do,
-    and replays the bisection (``_replay``).  An array bisects
-    the lanes of both brackets in one call (``_extrema``), each lane with
-    its own bracket: ``solve`` finds each cell's own.
+    A scalar runs on floats throughout and replays the bisection
+    (``_replay``), as ``_cell_roots`` does for each cell it is given no
+    extrema for.  An array bisects the lanes of both brackets in one call
+    (``_extrema``), each lane with its own bracket.
     ``critical_mass_ratio`` bisects the maximum's bracket alone
     (``_extremum``), and ``regions.trace_tangency_curve`` the maximum's
     lanes alone; ``regions.region_map`` sends its columns' extrema and its
@@ -501,7 +501,8 @@ def _bounds(c):
 
 
 def _nodes(minimum, maximum, size):
-    """The (4, size) segment nodes [0, minimum or 0, maximum or pi, pi]."""
+    """The (4, size) segment nodes [0, minimum or 0, maximum or pi, pi],
+    ``_cell_roots``' nodes on arrays."""
     np = _numpy()
     zero = np.zeros(size)
     pi = zero + PI
@@ -515,64 +516,44 @@ def solve(mass_ratios, capillary_ratios, contact_angle: float,
 
     The cells are the broadcast of ``mass_ratios`` against
     ``capillary_ratios``; the result has the broadcast shape plus one
-    trailing axis, as wide as the most roots a cell has.  Each cell has
-    the nodes 0, minimum, maximum and pi (``_nodes``, which
-    ``regions._count_block`` reads its labels from too), a missing
-    extremum at 0 or pi.  ``extrema`` is the (minimum, maximum) pair of
-    ``force_extrema``, as floats or as arrays with one entry per cell in C
-    order; None finds them, per cell.  A node with |F| <= ROOT_VALUE_TOL is a
-    root (the endpoint root at pi, the tangency at A*), and every segment
-    whose ends change sign is bisected.  F is monotone on each segment
-    (``force_extrema`` has the proof), so a segment holds a root exactly
-    when its ends change sign; other extrema than ``force_extrema``'s void
-    that.  So a cell whose node values share one sign, each with |F| >
-    ROOT_VALUE_TOL, has no root, and needs no test of its own;
-    ``find_equilibria`` answers most such cells before any array exists.
-    A lone cell is ``_cell_roots``' on Python floats; a block of cells
-    takes its node forces from one array ``_force`` call and bisects all
-    its segments in one array call.  Both give bisect's bits
-    (``test_float_kernels_match_numpy``).  Of roots closer than
-    _DEDUP_TOL the first in node, segment order counts (``_first_wins``).
+    trailing axis, as wide as the most roots a cell has.  ``extrema`` is
+    the (minimum, maximum) pair of ``force_extrema``, as floats or as
+    arrays with one entry per cell in C order; None finds them, per cell.
+    Each cell's roots are ``_cell_roots``', on its Python floats: with no
+    ``extrema``, ``find_equilibria``'s roots of that cell, bit for bit.
     """
     np = _numpy()
-    g = contact_angle
     a, c = np.broadcast_arrays(np.asarray(mass_ratios, dtype=float),
                                np.asarray(capillary_ratios, dtype=float))
-    shape, a, c = a.shape, a.ravel(), c.ravel()
-    if c.size == 1:
-        if extrema is not None:
-            extrema = [np.asarray(x, dtype=float).item() for x in extrema]
-        roots = _cell_roots(a.item(), c.item(), g, extrema)
-        return np.array(roots, dtype=float).reshape(shape + (len(roots),))
-    if extrema is None:
-        extrema = force_extrema(c, g)
-    nodes = _nodes(*extrema, c.size).T
-    f_nodes = _force(nodes, a[:, None], c[:, None], g)
-    on_node = np.abs(f_nodes) <= ROOT_VALUE_TOL
-    lane, k = np.nonzero((f_nodes[:, :-1] * f_nodes[:, 1:] < 0.0)
-                         & ~on_node[:, :-1] & ~on_node[:, 1:])
-    # each cell's node roots, NaN elsewhere, then one slot per segment
-    n_nodes = nodes.shape[1]
-    found = np.full((a.size, 2 * n_nodes - 1), np.nan)
-    found[:, :n_nodes] = np.where(on_node, nodes, np.nan)
-    if lane.size:
-        sa, sc = a[lane], c[lane]
-        found[lane, n_nodes + k] = bisect(lambda x: _force(x, sa, sc, g),
-                                          nodes[lane, k], nodes[lane, k + 1])
-    # A stable sort: nearly sorted input, and a smaller code footprint than
-    # the default sort.
-    roots = _pack(found, np.sort(found, axis=1, kind="stable"))
-    return roots.reshape(shape + roots.shape[1:])
+    cells = [a.ravel(), c.ravel()]
+    if extrema is not None:
+        cells += [np.broadcast_to(np.asarray(x, dtype=float).ravel(), a.size)
+                  for x in extrema]
+    # e is [] without extrema, which _cell_roots takes as None
+    rows = [_cell_roots(x, y, contact_angle, e or None)
+            for x, y, *e in zip(*(v.tolist() for v in cells))]
+    out = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
+    for out_row, row in zip(out, rows):
+        out_row[:len(row)] = row
+    return out.reshape(a.shape + out.shape[1:])
 
 
 def _cell_roots(a, c, g, extrema):
-    """``solve``'s roots of one cell, a list, on Python floats; None for
-    ``extrema`` finds them.
+    """The ascending zeros of F on [0, pi] of one cell, a list, on Python
+    floats; None for ``extrema`` finds them (``force_extrema``).
 
-    The same nodes, node test and segments as a block's row, each
-    bracketed segment replayed (``_replay``) from its node forces.
-    Distinct roots pass ``_first_wins`` whether or not two lie within
-    _DEDUP_TOL: where none do, it keeps them all, as ``_pack`` does.
+    The nodes are 0, minimum, maximum and pi, a missing extremum at 0 or
+    pi (``_nodes`` builds them on arrays for ``regions._count_block``).  A
+    node with |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi,
+    the tangency at A*), and every segment whose ends change sign, neither
+    end a root, is bisected (``_replay``) from its node forces.  F is
+    monotone on each segment (``force_extrema`` has the proof), so a
+    segment holds a root exactly when its ends change sign; other extrema
+    than ``force_extrema``'s void that.  So a cell whose node values share
+    one sign, each with |F| > ROOT_VALUE_TOL, has no root, and needs no
+    test of its own; ``find_equilibria`` answers most such cells before it
+    finds the extrema.  Of roots closer than _DEDUP_TOL the first in node,
+    segment order counts (``_first_wins``).
     """
     minimum, maximum = force_extrema(c, g) if extrema is None else extrema
     nodes = (0.0, minimum if minimum == minimum else 0.0,
@@ -590,35 +571,13 @@ def _cell_roots(a, c, g, extrema):
 
 
 def _first_wins(found):
-    """The roots of ``found``, NaN skipped, ascending, each closer than
-    _DEDUP_TOL to one before it in ``found``'s order dropped."""
+    """The roots of ``found``, ascending, each closer than _DEDUP_TOL to
+    one before it in ``found``'s order dropped."""
     row = []
     for x in found:
-        if x == x and all(abs(r - x) > _DEDUP_TOL for r in row):
+        if all(abs(r - x) > _DEDUP_TOL for r in row):
             row.append(x)
     return sorted(row)
-
-
-def _pack(found, roots):
-    """Each cell's distinct roots, ascending, padded with NaN to the most
-    roots a cell has.
-
-    ``roots`` is ``found`` sorted along each row.  Only a row with two
-    roots within _DEDUP_TOL runs ``_first_wins``: in any other it keeps
-    every root.
-    """
-    np = _numpy()
-    close = (roots[:, 1:] - roots[:, :-1] <= _DEDUP_TOL).any(axis=1)
-    count = (roots == roots).sum(axis=1)
-    kept = {}
-    for i in np.flatnonzero(close).tolist():
-        row = kept[i] = _first_wins(found[i].tolist())
-        count[i] = len(row)
-    out = roots[:, :max(count.tolist(), default=0)]
-    # roots is solve's own sorted copy of found: its rows take the kept roots
-    for i, row in kept.items():
-        out[i] = row + [np.nan] * (out.shape[1] - len(row))
-    return out
 
 
 def find_equilibria(params: DimensionlessParams,

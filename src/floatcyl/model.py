@@ -164,12 +164,15 @@ def _height(phi0, c, g):
 
 
 def center_height_slope(phi0, params: DimensionlessParams):
-    """d(h/a)/d(phi0); strictly negative on (0, pi) except phi0 = gamma = 0 or pi."""
+    """d(h/a)/d(phi0); strictly negative on (0, pi) except phi0 = gamma = 0 or pi.
+
+    A float phi0 runs on ``math``, as in ``_force``.
+    """
     _check_phi0(phi0)
-    np = _numpy()
     c = params.capillary_ratio
     g = params.contact_angle
-    return -np.sin(phi0) - (1.0 / c) * np.sin((phi0 + g) / 2.0)
+    xp = math if isinstance(phi0, float) else _numpy()
+    return -xp.sin(phi0) - (1.0 / c) * xp.sin((phi0 + g) / 2.0)
 
 
 def total_force(phi0, params: DimensionlessParams):

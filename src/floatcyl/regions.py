@@ -22,9 +22,9 @@ between its extrema and the margin within each regime, so a cell's label
 follows from where its level falls among at most six such breakpoints
 per column (``_count_block`` has the proof).  The cells within a proven
 band of a breakpoint, none of the 40,000 of a default 200 x 200 map at
-the contact angles tested, go through solve together, once per map, as
-find_equilibria does; find_equilibria still bisects every root it
-prints.
+the contact angles tested, go through find_equilibria's cell solver one
+by one, with the map's extrema; find_equilibria still bisects every root
+it prints.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
 PI = math.pi
 # The margin's rounding band, per unit of C + 4 (see _count_block).
 _MARGIN_BAND = 2.0 ** -40
-# Fallback cells per solve call, which bounds solve's per-cell arrays.
+# Fallback cells per solve call, which bounds the roots solve holds.
 _FALLBACK_CELLS = 1024
 
 
@@ -258,14 +258,31 @@ def _curve(kind, g, phi, cs, a_window, c_window):
 
 
 def _crossing_c(phi0, margin):
-    """The C whose margin is zero at phi0, given sin(phi0) > 0 and the
-    margin at C = 1: C sin(phi0) plus a C-free offset.  NaN unless the
-    offset is below -4 _MARGIN_BAND, its rounding band (``_count_block``):
-    an offset of exactly 0, at phi0 + gamma = pi/2 or 3pi/2, rounds to as
-    low as -3e-16, and -1.1e-17 over sin(pi) gave C = 0.09 at (pi, pi/2)."""
+    """The C whose margin is zero at phi0 in (0, pi), given sin(phi0) > 0
+    and the margin at C = 1: C sin(phi0) plus a C-free offset
+    O = -k + 2 sin(t/2) + ln|tan((t - pi)/4)|, with t = phi0 + gamma and
+    k = sqrt 2 + ln tan(pi/8).  NaN unless the offset is below -2^-48.
+
+    O' = cos(t) / (2 cos(t/2)), so on (0, 2pi) O <= 0, zero only on the
+    lines t = pi/2 and 3pi/2, and O < -0.29 where |t - pi| < pi/4 (O is
+    symmetric about pi, and O(3pi/4) = -0.2999).  Where |t - pi| >= pi/4
+    the offset, margin - sin(phi0), rounds within 13.3 eps of O, with
+    eps = 2^-52: the two sin(phi0) are one float and cancel; k's float is
+    0.34 eps off; t < 8 rounds by 2 eps, so 2 sin(t/2) by 2 (eps + eps/2);
+    with pi's float 0.55 eps off and the subtraction's eps, (t - pi)/4 by
+    0.89 eps, so the logarithm, whose slope 2/|sin((t - pi)/2)| is below
+    5.3 there, by 4.7 eps, plus an ulp each of tan and log, 2 eps; and
+    the four sums, each below 4 in size, by 3.25 eps
+    (``test_crossing_band_bounds_the_offset``).  Where |t - pi| < pi/4
+    the computed logarithm is below -1.61, so the offset is below -0.14.
+    So an offset below -2^-48 = -16 eps has O < 0, and a C > 0.  A sample
+    on a line, t within rounding of pi/2 or 3pi/2, has |O| of order
+    eps^2, so its offset lies within 2^-48 of 0: NaN, as at
+    (pi/2 - gamma, gamma), and at (pi, pi/2), where -1.1e-17 over
+    sin(pi) once gave C = 0.09."""
     s = math.sin(phi0)
     offset = margin - s
-    return -offset / s if offset < -4.0 * _MARGIN_BAND else math.nan
+    return -offset / s if offset < -2.0 ** -48 else math.nan
 
 
 def intersection_curve_point(phi02: float, contact_angle: float
@@ -359,10 +376,10 @@ def region_map(contact_angle: float,
     breakpoints: the mass-free force at the extrema, at 0 and pi, and at
     the ends of the self-intersecting part of the overhang regime, found
     by one bisection of the margin over all columns.  The cells, if any,
-    within a proven band of a breakpoint go through ``solve`` together,
-    with the map's extrema (``_count_cells``), so the map finds its
-    extrema once.  The counts become labels through one table lookup
-    (``_LABEL_CODES``).  find_equilibria runs the
+    within a proven band of a breakpoint go through ``solve``, one cell
+    at a time on floats, with the map's extrema (``_count_cells``), so
+    the map finds its extrema once.  The counts become labels through one
+    table lookup (``_LABEL_CODES``).  find_equilibria runs the
     kernels on ``math`` and the blocks on NumPy, so the equality also
     needs their sin and cos to agree bit for bit, as
     ``test_float_kernels_match_numpy`` checks on the platform at hand.
@@ -542,10 +559,11 @@ def _count_cells(a, c, g, extrema):
     """Equilibria and valid equilibria of the cells (a[k], c[k]).
 
     ``extrema`` holds each cell's ``force_extrema``, taken from the map's,
-    so the cells go through ``solve`` calls that find no extremum, and
+    so the cells go through ``solve`` calls that find no extremum, each
+    cell ``find_equilibria``'s solver on its floats (``_cell_roots``), and
     each root in an overhang regime through ``intersection_margin``.  A
-    call takes at most _FALLBACK_CELLS cells, which bounds solve's arrays
-    held at once whatever the cell count.
+    call takes at most _FALLBACK_CELLS cells, which bounds the roots solve
+    holds at once whatever the cell count.
     """
     n = np.empty(a.size, dtype=np.int64)
     cross = np.empty_like(n)

@@ -869,15 +869,21 @@ class TestSolve:
 
     @pytest.mark.parametrize("g", [0.0, PI / 2, PI])
     def test_block_brackets(self, g):
-        # a block's node roots and brackets, from _force over its columns,
-        # give each cell the roots it has alone, from _force on floats
+        # a block's rows, broadcast from its axes and padded with NaN, are
+        # its cells' roots alone; the map's extrema, one per cell in C
+        # order, give the same rows as the ones solve finds per cell
         a_axis = np.linspace(0.0, 12.0, 61)[1:]
         caps = np.geomspace(1e-3, 1e3, 30)
-        block = cell_roots(solve(a_axis[:, None], caps[None, :], g))
+        padded = solve(a_axis[:, None], caps[None, :], g)
+        assert padded.shape[:2] == (60, 30)
+        block = cell_roots(padded)
         alone = [[x for x in solve(x, y, g).tolist() if x == x]
                  for x in a_axis.tolist() for y in caps.tolist()]
         assert _bits(block) == _bits(alone)
         assert any(block)
+        given = [np.tile(x, a_axis.size) for x in force_extrema(caps, g)]
+        assert _bits(cell_roots(solve(a_axis[:, None], caps[None, :], g,
+                                      given))) == _bits(block)
 
     def test_endpoint_root_without_maximum_counts_once(self):
         # below the second-extremum threshold the missing maximum sits on
@@ -1009,8 +1015,9 @@ class TestSolve:
             "2d38c74e1f63ed2eb3f370a4860614a027e2aba96df4c8fdabda2e4123815c7d")
 
     def test_lone_cell_matches_its_block(self):
-        # solve bisects a lone cell's segments on floats and a block's on
-        # arrays: each cell alone gives its block row bit for bit
+        # each cell alone gives its block row bit for bit: columns of edge
+        # cells and criterion-9 levels, and one rooted cell among rootless
+        # ones, whose row alone is filled and whose width sets the padding
         cells = _edge_cells(45)
         rng = np.random.default_rng(46)
         for g, a, c in _by_angle(cells):
@@ -1024,10 +1031,8 @@ class TestSolve:
                      for x, y in zip(a.ravel().tolist(),
                                      np.resize(c, a.size).tolist())]
             assert _bits(block) == _bits(alone)
-            # one rooted cell in a block of rootless ones bisects its few
-            # segments on arrays, and alone on floats.  Row 20 of a
-            # column's edge cells is A*(1 - 1e-4), two roots where there
-            # is a maximum
+            # row 20 of a column's edge cells is A*(1 - 1e-4), two roots
+            # where there is a maximum
             for k in range(c.size):
                 solo = np.full(c.size, 1e12)
                 solo[k] = a[20, k]
@@ -1037,11 +1042,10 @@ class TestSolve:
                     [alone if j == k else [] for j in range(c.size)])
 
     def test_first_wins_rows_match_the_float_cell(self, monkeypatch):
-        # rows whose sorted roots hold a pair within _DEDUP_TOL run the
-        # first-wins pass in _pack, and the float cell gives each such
-        # row bit for bit: a missing extremum's node repeats 0 or pi, so
-        # a node root at 0 (A = -2 sin(gamma)/C^2) or on the endpoint line
-        # appears twice
+        # a missing extremum's node repeats 0 or pi, so a node root at 0
+        # (A = -2 sin(gamma)/C^2) or on the endpoint line appears twice:
+        # _cell_roots' first-wins pass drops the repeat, in exactly the
+        # cells where a root has a twin, and solve's rows are its roots
         rng = np.random.default_rng(52)
         cells = []
         for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 5).tolist():
@@ -1056,7 +1060,7 @@ class TestSolve:
 
         def counting(found):
             kept = first_wins(found)
-            runs.append(sum(x == x for x in found) - len(kept))
+            runs.append(len(found) - len(kept))
             return kept
 
         monkeypatch.setattr(equilibria, "_first_wins", counting)
@@ -1064,8 +1068,9 @@ class TestSolve:
         for g, a, c in _by_angle(cells):
             block += cell_roots(solve(a, c, g))
         assert _bits(block) == _bits(alone)
-        # 51 rows run the pass, and each drops one root there
-        assert runs == [1] * 51
+        # every cell runs the pass; 51 drop one root there, the rest none
+        assert len(runs) == len(cells)
+        assert sorted(runs) == [0] * (len(cells) - 51) + [1] * 51
 
 
 def _bits(rows):

@@ -217,9 +217,10 @@ class TestForce:
             assert np.max(np.abs(curvature)) <= curvature_bound
 
     def test_float_kernels_match_numpy(self):
-        # a float phi0 runs on math, an array on NumPy: the scalar solver
-        # and curves rely on both giving the same bits, and _replay takes
-        # solve's array node forces for the float kernel's
+        # a float phi0 runs on math, an array on NumPy: the float solver
+        # and curves rely on both giving the same bits, and so does
+        # region_map, whose labels read array forces and equal
+        # find_equilibria's
         rng = np.random.default_rng(13)
         for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 7).tolist():
             for phi0 in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 40).tolist():
@@ -235,6 +236,8 @@ class TestForce:
                                   (_height(phi0, c, g), _height(one, c, g)),
                                   (center_height(phi0, p),
                                    center_height(one, p)),
+                                  (center_height_slope(phi0, p),
+                                   center_height_slope(one, p)),
                                   *((getattr(energy, f.name),
                                      getattr(energy_one, f.name))
                                     for f in fields(EnergyBreakdown))):

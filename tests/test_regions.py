@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from floatcyl.equilibria import (NoSecondCriticalPointError, _bounds,
                                  critical_mass_ratio, find_equilibria,
                                  force_extrema, second_extremum_threshold,
                                  solve)
-from floatcyl.intersection import _overhang, intersection_margin
+from floatcyl.intersection import _margin, _overhang, intersection_margin
 from floatcyl.model import DimensionlessParams, _force, total_force
 from floatcyl.regions import (_LABEL_TABLE, CurveKind, RegionLabel,
                               classify_point,
@@ -305,15 +306,20 @@ class TestIntersectionCurve:
     def test_trace_equals_its_points(self):
         # the tracer finds each sample's C on floats and F on arrays; its
         # points are intersection_curve_point's at the same samples,
-        # clipped to the windows and sorted by C, bit for bit
+        # clipped to the windows and sorted by C, bit for bit.  In a wide
+        # window every sample is a point at gamma = 2.3 and 3.1, the
+        # first at C of 2.8e-13 and 8.3e-13 and A of 2.5e25 and 2.9e24
         n, total = 200, 0
+        wide = ((-1e30, 1e30), (0.0, 1e9))
         for g in (math.nextafter(PI / 2, 4.0), 1.7, 2.0, 2.3, 2.9, 3.1, PI):
             lo = 3.0 * PI / 2.0 - g
             points = [intersection_curve_point(lo + t * (PI - lo), g)
                       for t in np.linspace(1e-6, 1.0 - 1e-6, n).tolist()]
-            for (a_lo, a_hi), (c_lo, c_hi) in (
-                    ((0.0, 12.0), (0.0, 5.0)), ((-1e3, 1e3), (0.0, 1e3)),
-                    ((2.0, 6.0), (0.5, 1.5))):
+            windows = [((0.0, 12.0), (0.0, 5.0)), ((-1e3, 1e3), (0.0, 1e3)),
+                       ((2.0, 6.0), (0.5, 1.5))]
+            if g in (2.3, 3.1):
+                windows.append(wide)
+            for (a_lo, a_hi), (c_lo, c_hi) in windows:
                 want = sorted((p for p in points if p is not None
                                and a_lo <= p[0] <= a_hi
                                and c_lo <= p[1] <= c_hi),
@@ -322,8 +328,37 @@ class TestIntersectionCurve:
                                                n).points
                 assert got.tobytes() == np.array(
                     want, dtype=float).reshape(-1, 2).tobytes()
+                if (a_lo, a_hi) == wide[0]:
+                    assert len(got) == n, g
                 total += len(want)
         assert total > 1000
+
+    def test_crossing_band_bounds_the_offset(self):
+        # _crossing_c's proof: where |phi0 + gamma - pi| >= pi/4 the
+        # computed offset lies within 13.3 eps of a 50-digit one, and
+        # nearer pi it lies below -0.14; samples on the zero-offset
+        # lines, random points and the tracer's first samples
+        rng = np.random.default_rng(57)
+        eps = 2.0 ** -52
+        cases = [(x, g) for x, g in zip(rng.uniform(0.0, PI, 3000).tolist(),
+                                        rng.uniform(0.0, PI, 3000).tolist())]
+        for g in np.linspace(0.0, PI, 121).tolist():
+            cases += [(x, g) for x in (PI / 2 - g, 3 * PI / 2 - g,
+                                       3 * PI / 2 - g + 1e-6 * (g - PI / 2))
+                      if 0.0 < x < PI]
+        worst = 0.0
+        with mpmath.workdps(50):
+            k = mpmath.sqrt(2) + mpmath.log(mpmath.tan(mpmath.pi / 8))
+            for x, g in cases:
+                offset = _margin(x, 1.0, g, math) - math.sin(x)
+                t = mpmath.mpf(x) + mpmath.mpf(g)
+                if abs(t - mpmath.pi) < mpmath.pi / 4:
+                    assert offset < -0.14, (x, g)
+                    continue
+                exact = (-k + 2 * mpmath.sin(t / 2)
+                         + mpmath.log(abs(mpmath.tan((t - mpmath.pi) / 4))))
+                worst = max(worst, abs(offset - float(exact)) / eps)
+        assert 0.5 < worst <= 13.3
 
     def test_traced_curves_ascend_in_c(self):
         # _curve keeps its samples' order: C never falls along the
@@ -466,9 +501,13 @@ class TestRegionMap:
 
 
 def bisected_labels(rm):
-    """rm's labels from solve's fully bisected roots and the margin."""
+    """rm's labels from solve's fully bisected roots and the margin.
+
+    Each cell takes its column's force_extrema, repeated per cell in C
+    order: the bits solve finds per cell, at one array bisection."""
     g = rm.contact_angle
-    roots = solve(rm.a_axis[:, None], rm.c_axis[None, :], g)
+    roots = solve(rm.a_axis[:, None], rm.c_axis[None, :], g, [
+        np.tile(x, rm.a_axis.size) for x in force_extrema(rm.c_axis, g)])
     n = (roots == roots).sum(axis=-1)
     n_valid = n.copy()
     c_axis = rm.c_axis.tolist()
@@ -544,8 +583,8 @@ class TestSettledLabels:
         # the minima and maxima of the 200 columns, the 200 samples' maxima
         assert [c.size for c, _ in calls[0][1]] == [200, 200, 200]
         assert sum(fallback) == 200 * 200
-        # the fallback solves its cells in chunks, which bound solve's
-        # per-cell arrays: its memory stays bounded whatever the cell count,
+        # the fallback solves its cells in chunks, which bound the roots
+        # solve holds: its memory stays bounded whatever the cell count,
         # and its labels are the bisected ones across the chunks
         assert peak < 20e6
         assert rm.labels.tolist() == bisected_labels(rm)

@@ -367,11 +367,15 @@ def force_extrema(capillary_ratios, contact_angle: float):
     extrema for.  An array bisects the lanes of both brackets in one call
     (``_extrema``), each lane with its own bracket.
     ``critical_mass_ratio`` bisects the maximum's bracket alone
-    (``_extremum``), and ``regions.trace_tangency_curve`` the maximum's
-    lanes alone; ``regions.region_map`` sends its columns' extrema and its
-    tangency samples' maxima through one ``_extrema`` call.
+    (``_extremum``); ``regions.trace_tangency_curve`` the maximum's
+    lanes alone, and ``regions.region_map`` those of its columns and its
+    tangency samples in one ``_extrema`` call.
+
+    A C that is not positive and finite, as a float or at any entry of an
+    array, and a contact angle outside [0, pi] raise ValueError.
     """
     c = _capillary_ratios(capillary_ratios)
+    _check_contact_angle(contact_angle)
     brackets = _extremum_brackets(contact_angle)
     if isinstance(c, float):
         return tuple(_extremum(c, contact_angle, b) for b in brackets)
@@ -379,11 +383,20 @@ def force_extrema(capillary_ratios, contact_angle: float):
 
 
 def _capillary_ratios(capillary_ratios):
-    """A float for a scalar, else a float array."""
+    """A float for a scalar, else a float array; ValueError unless every
+    entry is positive and finite, as DimensionlessParams checks a C."""
     if isinstance(capillary_ratios, (int, float)):
-        return float(capillary_ratios)
-    c = _numpy().asarray(capillary_ratios, dtype=float)
-    return c.item() if c.ndim == 0 else c
+        c = float(capillary_ratios)
+        bad = [] if 0.0 < c < math.inf else [c]
+    else:
+        c = _numpy().asarray(capillary_ratios, dtype=float)
+        bad = c[~((0.0 < c) & (c < math.inf))].ravel().tolist()
+        if c.ndim == 0:
+            c = c.item()
+    if bad:
+        raise ValueError("capillary_ratio must be strictly positive and "
+                         f"finite, got {bad[0]!r}")
+    return c
 
 
 def _extremum_brackets(g):
@@ -500,16 +513,6 @@ def _bounds(c):
             2.0 + c * (9.0 + 2.0 * c))
 
 
-def _nodes(minimum, maximum, size):
-    """The (4, size) segment nodes [0, minimum or 0, maximum or pi, pi],
-    ``_cell_roots``' nodes on arrays."""
-    np = _numpy()
-    zero = np.zeros(size)
-    pi = zero + PI
-    return np.stack([zero, np.where(minimum == minimum, minimum, zero),
-                     np.where(maximum == maximum, maximum, pi), pi])
-
-
 def solve(mass_ratios, capillary_ratios, contact_angle: float,
           extrema=None) -> np.ndarray:
     """Ascending zeros of F on [0, pi] for every cell, padded with NaN.
@@ -543,7 +546,7 @@ def _cell_roots(a, c, g, extrema):
     floats; None for ``extrema`` finds them (``force_extrema``).
 
     The nodes are 0, minimum, maximum and pi, a missing extremum at 0 or
-    pi (``_nodes`` builds them on arrays for ``regions._count_block``).  A
+    pi (``regions._count_block`` needs no minimum, as A C^2 >= 0).  A
     node with |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi,
     the tangency at A*), and every segment whose ends change sign, neither
     end a root, is bisected (``_replay``) from its node forces.  F is

@@ -17,14 +17,14 @@ only the root count and, for a root in an overhang regime, the sign of
 the intersection margin there, so most cells need no root at all.  In a
 column of fixed C the curves are levels A C^2 of the mass-free force:
 its values at pi, at its maximum, and at the ends of the part of the
-overhang regime where the margin is negative.  The force is monotone
-between its extrema and the margin within each regime, so a cell's label
-follows from where its level falls among at most six such breakpoints
-per column (``_count_block`` has the proof).  The cells within a proven
-band of a breakpoint, none of the 40,000 of a default 200 x 200 map at
-the contact angles tested, go through find_equilibria's cell solver one
-by one, with the map's extrema; find_equilibria still bisects every root
-it prints.
+overhang regime where the margin is negative.  No root lies before the
+force minimum, where the force is at most -2 sin(gamma) <= A C^2, so a
+cell's label follows from where its level falls among five breakpoints
+per column, those four and the force at 0 (``_count_block`` has the
+proof).  The cells within a proven band of a breakpoint, none of the
+40,000 of a default 200 x 200 map at the contact angles tested, go
+through find_equilibria's cell solver one by one, with the map's maxima
+and their columns' minima; find_equilibria still bisects every root.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (PHI0_TOL, ROOT_VALUE_TOL, _bounds, _extrema,
-                         _extremum_brackets, _nodes, bisect, find_equilibria,
+                         _extremum_brackets, bisect, find_equilibria,
                          second_extremum_threshold, solve)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
@@ -130,6 +130,21 @@ def _check_samples(name, n):
     _check_integer(name, n)
 
 
+def _check_windows(a_window, c_window):
+    """ValueError for a NaN bound in either window or a C bound below 0.
+
+    An A bound may be negative, and a reversed window (lo > hi) is no
+    error: it holds no point, and each tracer gives it an empty curve.
+    """
+    (a_lo, a_hi), (c_lo, c_hi) = a_window, c_window
+    # written so that a NaN bound fails
+    if not (a_lo == a_lo and a_hi == a_hi):
+        raise ValueError(f"mass_ratio window {a_window!r} has a NaN bound")
+    if not (c_lo >= 0.0 and c_hi >= 0.0):
+        raise ValueError(f"capillary_ratio window {c_window!r} needs bounds "
+                         "at or above 0, not NaN")
+
+
 def _check_finite_mass(mass_ratio):
     if not math.isfinite(mass_ratio):
         raise ValueError(f"mass_ratio must be finite, got {mass_ratio!r}")
@@ -177,17 +192,23 @@ def tangency_boundary_c(contact_angle: float,
 
 def trace_endpoint_curve(contact_angle, a_window, c_window,
                          n: int = 200) -> BoundaryCurve:
-    """Endpoint curve clipped to a plotting window, sampled in mass ratio."""
+    """Endpoint curve clipped to a plotting window, sampled in mass ratio.
+
+    A window with a NaN bound, or with a C bound below 0, raises
+    ValueError (``_check_windows``); a reversed one gives an empty curve.
+    """
     _check_contact_angle(contact_angle)
     _check_samples("n", n)
+    _check_windows(a_window, c_window)
     a_lo, a_hi = a_window
     c_lo, c_hi = c_window
     if endpoint_boundary_is_vertical(contact_angle):
-        if not a_lo <= PI <= a_hi:
+        c_lo = max(c_lo, 1e-12)
+        if not (a_lo <= PI <= a_hi and c_lo <= c_hi):
             pts = np.empty((0, 2))
         else:
-            cs = np.linspace(max(c_lo, 1e-12), c_hi, n)
-            pts = np.column_stack([np.full(n, PI), cs])
+            pts = np.column_stack([np.full(n, PI),
+                                   np.linspace(c_lo, c_hi, n)])
         return BoundaryCurve(CurveKind.ENDPOINT, pts)
     s = 2.0 * math.sin(contact_angle)
     # C(A) <= c_hi needs A >= pi + s/c_hi^2; C(A) >= c_lo needs A <= pi + s/c_lo^2.
@@ -209,8 +230,11 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
     """Tangency curve clipped to a window, sampled in capillary ratio.
 
     The critical mass ratio is single-valued in C, so sampling in C and
-    reading off A is the robust parameterization.
+    reading off A is the robust parameterization.  A window with a NaN
+    bound, or with a C bound below 0, raises ValueError
+    (``_check_windows``); a reversed one gives an empty curve.
     """
+    _check_windows(a_window, c_window)
     cs = _tangency_samples(contact_angle, c_window, n)
     # critical_mass_ratio over every sample at once, the same bits
     maximum = _extremum_brackets(contact_angle)[1]
@@ -309,9 +333,12 @@ def trace_intersection_curve(contact_angle, a_window, c_window,
 
     Empty for contact angles at or below pi/2 (no invalid equilibria
     there).  Its points are ``intersection_curve_point``'s, bit for bit.
+    A window with a NaN bound, or with a C bound below 0, raises
+    ValueError (``_check_windows``); a reversed one gives an empty curve.
     """
     _check_contact_angle(contact_angle)
     _check_samples("n", n)
+    _check_windows(a_window, c_window)
     if contact_angle <= PI / 2.0:
         return BoundaryCurve(CurveKind.INTERSECTION, np.empty((0, 2)))
     lo = 3.0 * PI / 2.0 - contact_angle
@@ -370,16 +397,16 @@ def region_map(contact_angle: float,
     and include the upper.  labels[i, j] corresponds to
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
     validity produce at that point.  One bisection (``equilibria._extrema``)
-    finds the force extrema of every column and the force maxima of the
-    tangency curve's samples, the points of ``trace_tangency_curve``.
-    ``_count_block`` reads each cell's label from its column's
-    breakpoints: the mass-free force at the extrema, at 0 and pi, and at
-    the ends of the self-intersecting part of the overhang regime, found
-    by one bisection of the margin over all columns.  The cells, if any,
-    within a proven band of a breakpoint go through ``solve``, one cell
-    at a time on floats, with the map's extrema (``_count_cells``), so
-    the map finds its extrema once.  The counts become labels through one
-    table lookup (``_LABEL_CODES``).  find_equilibria runs the
+    finds the force maxima of every column and of the tangency curve's
+    samples, the points of ``trace_tangency_curve``.  ``_count_block``
+    reads each cell's label from its column's breakpoints: the mass-free
+    force at 0, at the maximum, at pi, and at the ends of the
+    self-intersecting part of the overhang regime, found by one bisection
+    of the margin over all columns.  The cells, if any, within a proven
+    band of a breakpoint go through ``solve``, one cell at a time on
+    floats (``_count_cells``), with the map's maxima and their columns'
+    minima, which one more bisection finds.  The counts become labels
+    through one table lookup (``_LABEL_CODES``).  find_equilibria runs the
     kernels on ``math`` and the blocks on NumPy, so the equality also
     needs their sin and cos to agree bit for bit, as
     ``test_float_kernels_match_numpy`` checks on the platform at hand.
@@ -404,18 +431,19 @@ def region_map(contact_angle: float,
     c_axis = np.linspace(c_lo, c_hi, n_c + 1)[1:]
     DimensionlessParams(float(a_axis[0]), float(c_axis[0]), contact_angle)
 
-    # the columns' extrema and the tangency samples' maxima: one bisection
+    # the columns' maxima and the tangency samples' maxima: one bisection
     cs = _tangency_samples(contact_angle, c_range, curve_samples)
     low, high = _extremum_brackets(contact_angle)
-    minimum, maximum, phi = _extrema(
-        contact_angle, [(c_axis, low), (c_axis, high), (cs, high)])
-    n, n_valid = _count_block(a_axis, c_axis, contact_angle,
-                              (minimum, maximum))
-    # the cells the breakpoints leave open
+    maximum, phi = _extrema(contact_angle, [(c_axis, high), (cs, high)])
+    n, n_valid = _count_block(a_axis, c_axis, contact_angle, maximum)
+    # the cells the breakpoints leave open, with their columns' minima
     i, j = divmod(np.flatnonzero(n < 0), n_c)
     if i.size:
+        columns, column = np.unique(j, return_inverse=True)
+        minimum = _extrema(contact_angle, [(c_axis[columns], low)])[0]
         n[i, j], n_valid[i, j] = _count_cells(
-            a_axis[i], c_axis[j], contact_angle, (minimum[j], maximum[j]))
+            a_axis[i], c_axis[j], contact_angle,
+            (minimum[column], maximum[j]))
     code = _LABEL_CODES.take(3 * n + n_valid, mode="clip")
     unknown = np.flatnonzero(code.T == len(_LABEL_TABLE))
     if unknown.size:
@@ -436,36 +464,43 @@ def region_map(contact_angle: float,
                      labels=labels, curves=curves)
 
 
-def _count_block(a_axis, cs, g, extrema):
+def _count_block(a_axis, cs, g, maximum):
     """Equilibria and valid equilibria of each cell of a_axis x cs, or -1.
 
-    Both (len(a_axis), len(cs)) int arrays; ``extrema`` is the columns'
-    ``force_extrema``.  In a column F = F0 - L, with F0 = F(.; A=0) and
-    the level L = A C^2, and F0 is monotone on the segments between the
-    nodes (``_nodes``) 0, minimum, maximum and pi, solve's brackets
-    (``equilibria.force_extrema`` has the proof).  So a cell's count is
-    the number of segments whose node values straddle L, and a segment's
-    root lies in [p, q] (clipped to the segment) exactly when F0(p) - L
-    and F0(q) - L differ in sign.  The margin is
-    monotone in each overhang regime (``intersection``), so the part of
-    the regime where it is at most -b, b = _MARGIN_BAND (C + 4), is one
-    interval [p, q] with one end at 0 or pi and the other at z-, and so
-    is the part where it is at most +b, with z+ (``_intersecting_parts``):
-    a root in the first part is invalid, one outside the second valid.
-    The breakpoints are F0 at the nodes, at z- and at z+.  With the slack
-    s, S >= |F'| and K >= |F''| from ``_bounds`` and LB = PHI0_TOL
-    + 4 eps pi bisect's last bracket, a cell whose level lies within
-    B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S of a breakpoint, or whose root
-    falls between the two parts, reads -1, for ``_count_cells``.  The rest
-    get solve's counts:
+    Both (len(a_axis), len(cs)) int arrays; ``maximum`` holds the
+    columns' force maxima, NaN where there is none.  In a column
+    F = F0 - L, with F0 = F(.; A=0) and the level L = A C^2 >= 0.  F0
+    falls from 0 to the minimum, rises to the maximum and falls to pi
+    (``equilibria.force_extrema`` has the proof), so F0 <= F0(0) =
+    -2 sin(gamma) <= L on [0, minimum]; where F0(0) < L, the sign of
+    F0(x) - L tells on which side of its segment's root x lies, for the
+    segments between the nodes 0, maximum (pi where there is none) and
+    pi.  So a cell's count is the number of segments whose node values
+    straddle L, and a segment's root lies in [p, q] (clipped to the
+    segment) exactly when F0(p) - L and F0(q) - L differ in sign.  The
+    margin is monotone in each overhang regime (``intersection``), so the
+    part of the regime where it is at most -b, b = _MARGIN_BAND (C + 4),
+    is one interval [p, q] with one end at 0 or pi and the other at z-,
+    and so is the part where it is at most +b, with z+
+    (``_intersecting_parts``): a root in the first part is invalid, one
+    outside the second valid.  The breakpoints are F0 at the nodes, at
+    z- and at z+.  With the slack s, S >= |F'| and K >= |F''| from
+    ``_bounds`` and LB = PHI0_TOL + 4 eps pi bisect's last bracket, a cell
+    whose level lies within B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S of a
+    breakpoint, or whose root falls between the two parts, reads -1, for
+    ``_count_cells``.  The rest get solve's counts:
 
     * Rounding.  _force at a point, with A = 0 or with a level in the
       node values' range, lies within s of the exact F: its terms add to
       a few (1+C)^2, and each rounds by an ulp or two.  Solve's root r of
       a segment lies within LB of a sign change of _force, so the exact
       F0(r) lies within E = s + S LB of L.
-    * Nodes.  B > ROOT_VALUE_TOL + 2s, so no node is a root, and each
-      segment brackets exactly when its node values straddle L.  B's
+    * Nodes.  B > ROOT_VALUE_TOL + 2s, so no node is a root of solve's,
+      whose nodes add the minimum (``equilibria._cell_roots``): L >= F0(0),
+      so L > F0(0) + B, and solve's minimum lies within LB of the exact
+      one, so F0 there is at most F0(0) + K LB^2.  So [0, minimum]
+      brackets in neither, and
+      each segment brackets exactly when its node values straddle L.  B's
       first term follows ROOT_VALUE_TOL: should that become force-scaled,
       so must it.
     * Parts.  Where F0(x) lies more than B >= E + s + S LB from L, at a
@@ -479,8 +514,8 @@ def _count_block(a_axis, cs, g, extrema):
       a point where the margin is at least +b, or lies outside the
       regime: it is valid either way.
     * Extrema.  Solve merges roots closer than _DEDUP_TOL.  No node is a
-      root, and the segments meet at the extremum nodes, so between any
-      two roots lies an extremum node m, the bisected zero of _slope.
+      root and none lies on [0, minimum], so between any two roots lies
+      the maximum m, the bisected zero of _slope.
       The exact F0(m) lies more than B - s from L, so more than
       B' = B - s - E = ROOT_VALUE_TOL + 2s + S (2 PHI0_TOL - 4 eps pi)
       from the exact F0(r) of a root r.  _slope changes sign within LB
@@ -491,15 +526,15 @@ def _count_block(a_axis, cs, g, extrema):
       so 2B'/K > 3e-12, d > 1.7e-6, and any two roots lie more than
       3.4e-6 > _DEDUP_TOL apart: none merges.
     """
-    nodes = _nodes(*extrema, cs.size)
+    nodes = np.stack([np.zeros(cs.size), np.where(
+        maximum == maximum, maximum, PI), np.full(cs.size, PI)])
     parts = _intersecting_parts(cs, g)
     f_nodes = _force(nodes, 0.0, cs, g)
     # F0 at the ends of each segment's share of each part
     f_ends = _force(np.stack([np.clip(parts, nodes[k], nodes[k + 1])
-                              for k in range(3)]), 0.0, cs, g)
-    # the parts' other ends, 0 or pi, repeat two node values
-    breakpoints = np.concatenate(
-        [f_nodes, _force(parts, 0.0, cs, g).reshape(4, -1)])
+                              for k in range(2)]), 0.0, cs, g)
+    # each part's other end, 0 or pi, is a node: z- and z+ add two rows
+    breakpoints = np.concatenate([f_nodes, _force(parts[:, 1], 0.0, cs, g)])
     s, S, _ = _bounds(cs)
     B = ROOT_VALUE_TOL + 4.0 * s + 3.0 * PHI0_TOL * S
     lo, hi = breakpoints - B, breakpoints + B
@@ -511,7 +546,7 @@ def _count_block(a_axis, cs, g, extrema):
     above = [f > level for f in f_nodes]
     n = np.zeros(level.shape, dtype=np.int64)
     cross = np.zeros_like(n)
-    for k in range(3):
+    for k in range(2):
         bracket = above[k] != above[k + 1]
         inner, outer = ((start > level) != (end > level)
                         for start, end in f_ends[k])
@@ -523,8 +558,8 @@ def _count_block(a_axis, cs, g, extrema):
 
 def _intersecting_parts(cs, g):
     """Each column's parts of its overhang regime where the margin is at
-    most -b and at most +b, b = _MARGIN_BAND (C + 4), as [start, end]:
-    shaped (2, 2, len(cs)), the -b part first.
+    most -b and at most +b, b = _MARGIN_BAND (C + 4), as [its regime
+    end, z]: shaped (2, 2, len(cs)), the -b part first.
 
     The margin rises through the psi-negative regime [lo, hi] =
     [0, pi/2 - gamma] (taken for gamma <= pi/2, where the other regime is
@@ -551,19 +586,19 @@ def _intersecting_parts(cs, g):
         c, shift = c[lanes], shift[lanes]
         z[lanes] = bisect(lambda x: _margin(x, c, g, np) - shift, lo, hi)
     z = z.reshape(2, -1)
-    end = np.full(z.shape, lo if rising else hi)
-    return np.stack([end, z] if rising else [z, end], axis=1)
+    return np.stack([np.full(z.shape, lo if rising else hi), z], axis=1)
 
 
 def _count_cells(a, c, g, extrema):
     """Equilibria and valid equilibria of the cells (a[k], c[k]).
 
-    ``extrema`` holds each cell's ``force_extrema``, taken from the map's,
-    so the cells go through ``solve`` calls that find no extremum, each
-    cell ``find_equilibria``'s solver on its floats (``_cell_roots``), and
-    each root in an overhang regime through ``intersection_margin``.  A
-    call takes at most _FALLBACK_CELLS cells, which bounds the roots solve
-    holds at once whatever the cell count.
+    ``extrema`` holds each cell's ``force_extrema``, from the map's
+    maxima and its columns' minima, so the cells go through ``solve``
+    calls that find no extremum, each cell ``find_equilibria``'s solver
+    on its floats (``_cell_roots``), and each root in an overhang regime
+    through ``intersection_margin``.  A call takes at most _FALLBACK_CELLS
+    cells, which bounds the roots solve holds at once whatever the cell
+    count.
     """
     n = np.empty(a.size, dtype=np.int64)
     cross = np.empty_like(n)

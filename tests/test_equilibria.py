@@ -15,7 +15,7 @@ from floatcyl.equilibria import (ROOT_VALUE_TOL, CriticalPoint, ExtremumKind,
                                  NoSecondCriticalPointError, Stability,
                                  UnsupportedRegimeError, _bounds, _bracketed,
                                  _extrema, _extremum, _extremum_brackets,
-                                 _nodes, asymptotic_critical_mass, bisect,
+                                 asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, force_extrema,
                                  second_extremum_threshold, solve)
@@ -134,6 +134,19 @@ class TestCriticalPoints:
                   math.nextafter(PI / 2, 0.0), math.nextafter(PI / 2, 4.0)):
             for near, exact in zip(force_extrema(c, g), at):
                 assert np.all(np.abs(near - exact) <= 1e-11)
+
+    @pytest.mark.parametrize("c", [math.nan, -1.0, math.inf, 0.0, -0.0, 0])
+    def test_force_extrema_rejects_unusable_capillary_ratio(self, c):
+        # as DimensionlessParams rejects it for critical_points: a float,
+        # and any entry of an array; no NaN pair, no minimum at C = 0
+        want = "^capillary_ratio must be strictly positive and finite"
+        for cs in (c, [1.0, c], np.array([[2.0], [c]]), np.array(c)):
+            with pytest.raises(ValueError, match=want):
+                force_extrema(cs, 1.0)
+        with pytest.raises(ValueError, match=want):
+            critical_points(params(c=c, g=1.0))
+        with pytest.raises(ValueError, match="^contact_angle"):
+            force_extrema(1.0, math.nan)
 
 
 class TestFindEquilibria:
@@ -440,7 +453,9 @@ def _criterion_9_draws(seed, n):
 def _cell_nodes(c, g):
     """solve's four nodes of one cell: 0, its minimum or 0, its maximum or
     pi, and pi."""
-    return _nodes(*force_extrema(c, g), 1)[:, 0]
+    minimum, maximum = force_extrema(c, g)
+    return np.array([0.0, minimum if minimum == minimum else 0.0,
+                     maximum if maximum == maximum else PI, PI])
 
 
 def _counting_solve(monkeypatch):
@@ -728,7 +743,8 @@ class TestSharedBisection:
         cs = np.geomspace(1e-3, 1e3, 200).tolist()
         t = second_extremum_threshold(g)
         if t < math.inf:
-            cs += [t, math.nextafter(t, math.inf)]
+            # C = 0, the threshold from pi/2 on, is no capillary ratio
+            cs += [x for x in (t, math.nextafter(t, math.inf)) if x > 0.0]
             cs.append(math.nextafter(cs[-1], math.inf))
         floats = [force_extrema(c, g) for c in cs]
         want = [np.array(x) for x in zip(*floats)]

@@ -385,6 +385,43 @@ class TestIntersectionCurve:
         assert len(curve.points) > 0
 
 
+_TRACES = (trace_endpoint_curve, trace_tangency_curve,
+           trace_intersection_curve)
+
+
+class TestTraceWindows:
+    """The three tracers check their windows alike, before any sample."""
+
+    @pytest.mark.parametrize("a_window, c_window, name", [
+        ((0.0, 12.0), (0.0, math.nan), "capillary_ratio"),
+        ((0.0, math.nan), (0.0, 5.0), "mass_ratio"),
+        ((math.nan, 12.0), (0.0, 5.0), "mass_ratio"),
+        ((0.0, 12.0), (-1.0, 5.0), "capillary_ratio")])
+    @pytest.mark.parametrize("g", [0.0, 1.0, 2.0, PI])
+    def test_unusable_window_raises(self, g, a_window, c_window, name):
+        # each row once gave some tracer points: up to C = 6.4e7 for a NaN
+        # C bound at gamma = 2, NaN points for a NaN A bound, and points
+        # for C from -1, which region_map rejects
+        for trace in _TRACES:
+            with pytest.raises(ValueError, match=f"^{name} window"):
+                trace(g, a_window, c_window)
+
+    @pytest.mark.parametrize("a_window, c_window", [
+        ((0.0, 12.0), (5.0, 1.0)), ((12.0, 0.0), (0.0, 5.0)),
+        ((0.0, 12.0), (0.0, 1e-13))])
+    @pytest.mark.parametrize("g", [0.0, 1.0, 2.0, PI])
+    def test_reversed_window_is_empty(self, g, a_window, c_window):
+        # the vertical endpoint line once ran its samples down a reversed
+        # C window, and from 1e-12 down to a C bound below it
+        for trace in _TRACES:
+            assert trace(g, a_window, c_window).points.shape == (0, 2)
+
+    def test_mass_ratio_bounds_may_be_negative(self):
+        for trace in _TRACES:
+            got = trace(2.0, (-1e3, 1e3), (0.0, 5.0)).points
+            assert len(got) > 0 and np.all(got[:, 0] >= -1e3)
+
+
 class TestRegionMap:
     def test_fully_wetting_split(self):
         rm = region_map(0.0, a_range=(0.0, 6.0), c_range=(0.0, 2.0),
@@ -550,27 +587,24 @@ class TestSettledLabels:
     @pytest.mark.parametrize("g", [0.0, 0.05, 0.7, PI / 2, 2.3, 3.0, PI])
     def test_few_cells_fall_back(self, g, monkeypatch):
         # the breakpoints settle every cell of the default grid at these
-        # angles
+        # angles, so the map bisects its columns' maxima and no minimum
         fallback = _count_fallback(monkeypatch)
+        calls = _count_extrema(monkeypatch)
         region_map(g, resolution=(200, 200), curve_samples=0)
         assert sum(fallback) == 0
+        high = equilibria._extremum_brackets(g)[1]
+        assert [[(c.size, bracket) for c, bracket in lanes]
+                for _, lanes in calls] == [[(200, high), (0, high)]]
 
     def test_fallback_takes_the_map_extrema(self, monkeypatch):
         # a window 2e-10 wide around A* at C = 1, 2e-12 wide in C, lies
         # within the B band of the maximum's value, so every cell goes
         # through the fallback, which finds no extremum of its own: the
-        # map's one extremum bisection serves every column, every fallback
-        # cell and the tangency curve
+        # map's maximum bisection serves every column, every fallback
+        # cell and the tangency curve, and one more bisects the minima of
+        # the fallback's columns
         fallback = _count_fallback(monkeypatch)
-        calls = []
-        extrema = equilibria._extrema
-
-        def counted(*args):
-            calls.append(args)
-            return extrema(*args)
-
-        for module in (regions, equilibria):
-            monkeypatch.setattr(module, "_extrema", counted)
+        calls = _count_extrema(monkeypatch)
         tracemalloc.start()
         try:
             a_star = critical_mass_ratio(1.0, PI / 2)[0]
@@ -579,9 +613,13 @@ class TestSettledLabels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(calls) == 1
-        # the minima and maxima of the 200 columns, the 200 samples' maxima
-        assert [c.size for c, _ in calls[0][1]] == [200, 200, 200]
+        low, high = equilibria._extremum_brackets(PI / 2)
+        # the maxima of the 200 columns and of the 200 samples, then the
+        # minima of the 200 columns, each one fallback column
+        assert [[(c.size, bracket) for c, bracket in lanes]
+                for _, lanes in calls] == [[(200, high), (200, high)],
+                                           [(200, low)]]
+        assert calls[1][1][0][0].tolist() == rm.c_axis.tolist()
         assert sum(fallback) == 200 * 200
         # the fallback solves its cells in chunks, which bound the roots
         # solve holds: its memory stays bounded whatever the cell count,
@@ -642,10 +680,45 @@ class TestBreakpoints:
         a_star = critical_mass_ratio(c, g)[0]
         a_axis = a_star + np.array([-1e-2, -1e-6, 1e-6, 1e-2])
         n, n_valid = regions._count_block(
-            a_axis, np.array([c]), g, force_extrema(np.array([c]), g))
+            a_axis, np.array([c]), g, force_extrema(np.array([c]), g)[1])
         assert n[:, 0].tolist() == n_valid[:, 0].tolist() == [2, 2, 0, 0]
         assert [_LABEL_TABLE[k, k] for k in n[:, 0].tolist()] == [
             classify_point(params(a, c, g))[0] for a in a_axis.tolist()]
+
+    @pytest.mark.parametrize("g", [PI / 2 + 1e-9, PI / 2 + 1e-3,
+                                   PI / 2 + 0.1])
+    @pytest.mark.parametrize("width", [0.5, 1e-3, 1e-9])
+    def test_labels_where_the_minimum_appears(self, g, width):
+        # the minimum's bracket opens where F'(0) = -2 cos(gamma)
+        # - 4 C cos(gamma/2) turns negative: columns on both sides of that
+        # C, A across the endpoint curve there; no label reads a minimum
+        c_open = -math.cos(g) / (2.0 * math.cos(g / 2.0))
+        a_end = PI + 2.0 * math.sin(g) / c_open ** 2
+        rm = region_map(g, (0.0, 2.0 * a_end),
+                        (c_open * (1.0 - width), c_open * (1.0 + width)),
+                        (40, 40), curve_samples=0)
+        minimum = force_extrema(rm.c_axis, g)[0]
+        assert 0 < np.isnan(minimum).sum() < minimum.size
+        assert len({label for row in rm.labels for label in row}) > 1
+        assert rm.labels.tolist() == bisected_labels(rm)
+
+    @pytest.mark.parametrize("g", [0.0, PI])
+    @pytest.mark.parametrize("a_range, c_range", [
+        # levels that underflow to 0
+        ((0.0, 12.0), (0.0, 1e-170)),
+        # levels below ROOT_VALUE_TOL, with F(pi) above it: at gamma = 0
+        # the fallback's cell has a node root at 0 and, past the minimum
+        # the map did not bisect, a root to bisect
+        ((0.0, 0.1), (0.0, 1e-4))])
+    def test_levels_at_the_force_at_zero_fall_back(self, g, a_range, c_range,
+                                                    monkeypatch):
+        # F0(0) = -2 sin(gamma) lies within the band B of every level, so
+        # no count is read from the segment [0, maximum]: every cell goes
+        # to the fallback
+        fallback = _count_fallback(monkeypatch)
+        rm = region_map(g, a_range, c_range, (50, 10), curve_samples=0)
+        assert sum(fallback) == 50 * 10
+        assert rm.labels.tolist() == bisected_labels(rm)
 
     def test_tiny_capillary_window_labels(self):
         # levels far below every band label as solve does
@@ -666,6 +739,20 @@ def _count_fallback(monkeypatch):
 
     monkeypatch.setattr(regions, "_count_cells", counted)
     return sizes
+
+
+def _count_extrema(monkeypatch):
+    """A list that receives the arguments of each _extrema call."""
+    calls = []
+    extrema = equilibria._extrema
+
+    def counted(*args):
+        calls.append(args)
+        return extrema(*args)
+
+    for module in (regions, equilibria):
+        monkeypatch.setattr(module, "_extrema", counted)
+    return calls
 
 
 def _on_curve(where, u, t):

@@ -356,7 +356,7 @@ def force_extrema(capillary_ratios, contact_angle: float):
     So F' > 0 between the brackets, whose inner ends have F' > 0; a
     bracket whose end slopes differ in sign holds exactly one zero of F',
     and one whose end slopes agree holds none.  So F is monotone on
-    ``solve``'s segments between the extrema found.  An extremum that
+    ``_cell_roots``' segments between the extrema found.  An extremum that
     ``_bracketed`` drops for rounding lies within about sqrt(eps/2) of pi,
     and F falls past it by about C^2 eps^(3/2), far below F's own
     rounding.  ``test_slope_sign_pattern_at_50_digits`` checks the sign
@@ -513,34 +513,6 @@ def _bounds(c):
             2.0 + c * (9.0 + 2.0 * c))
 
 
-def solve(mass_ratios, capillary_ratios, contact_angle: float,
-          extrema=None) -> np.ndarray:
-    """Ascending zeros of F on [0, pi] for every cell, padded with NaN.
-
-    The cells are the broadcast of ``mass_ratios`` against
-    ``capillary_ratios``; the result has the broadcast shape plus one
-    trailing axis, as wide as the most roots a cell has.  ``extrema`` is
-    the (minimum, maximum) pair of ``force_extrema``, as floats or as
-    arrays with one entry per cell in C order; None finds them, per cell.
-    Each cell's roots are ``_cell_roots``', on its Python floats: with no
-    ``extrema``, ``find_equilibria``'s roots of that cell, bit for bit.
-    """
-    np = _numpy()
-    a, c = np.broadcast_arrays(np.asarray(mass_ratios, dtype=float),
-                               np.asarray(capillary_ratios, dtype=float))
-    cells = [a.ravel(), c.ravel()]
-    if extrema is not None:
-        cells += [np.broadcast_to(np.asarray(x, dtype=float).ravel(), a.size)
-                  for x in extrema]
-    # e is [] without extrema, which _cell_roots takes as None
-    rows = [_cell_roots(x, y, contact_angle, e or None)
-            for x, y, *e in zip(*(v.tolist() for v in cells))]
-    out = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
-    for out_row, row in zip(out, rows):
-        out_row[:len(row)] = row
-    return out.reshape(a.shape + out.shape[1:])
-
-
 def _cell_roots(a, c, g, extrema):
     """The ascending zeros of F on [0, pi] of one cell, a list, on Python
     floats; None for ``extrema`` finds them (``force_extrema``).
@@ -588,8 +560,8 @@ def find_equilibria(params: DimensionlessParams,
                     ) -> list[Equilibrium]:
     """All zeros of the force curve on [0, pi], ascending, with stability.
 
-    ``solve``'s roots of one cell, from ``_cell_roots`` on Python floats,
-    which builds no array and needs no NumPy.  ``critical``, as
+    The roots of one cell from ``_cell_roots``, on Python floats, which
+    builds no array and needs no NumPy.  ``critical``, as
     ``critical_points`` gives it, stands in for the extrema.  The solver
     finds every root only with the true extrema, so ``critical`` must list
     one point of each kind whose bracket ``_bracketed`` accepts, inside
@@ -606,11 +578,11 @@ def find_equilibria(params: DimensionlessParams,
     to pi C^2.  The middle one is at most 0 for phi <= pi - gamma, where
     (phi+gamma)/2 <= pi/2 and both factors are >= 0; beyond, the cosine
     lies in [-sin(gamma/2), 0] and sin(phi) in [0, 1], so the term is at
-    most 4C sin(gamma/2).  Proof that ``solve`` finds no root for such a
-    cell, for L above the bound U (below is the mirror image):
+    most 4C sin(gamma/2).  Proof that ``_cell_roots`` finds no root for
+    such a cell, for L above the bound U (below is the mirror image):
 
-    * Every node of ``solve`` lies in [0, pi], ``critical``'s included, so
-      F(.; A=0) there is at most U.
+    * Every node of ``_cell_roots`` lies in [0, pi], ``critical``'s
+      included, so F(.; A=0) there is at most U.
     * _force computes -A C^2 as L is computed here, then adds its other
       terms, each within an ulp or two of its exact value: with A = 0 it
       rounds within s of the exact F (``_bounds``).  The level adds to the
@@ -624,8 +596,9 @@ def find_equilibria(params: DimensionlessParams,
       the second s = 64 eps (1+C)^2.
 
     So _force < -ROOT_VALUE_TOL at every node: no node is a root and no
-    segment's ends change sign, so ``solve`` finds no root.  The proof
-    rests neither on the extrema nor on the monotone-segment structure.
+    segment's ends change sign, so ``_cell_roots`` finds no root.  The
+    proof rests neither on the extrema nor on the monotone-segment
+    structure.
     The margin follows ROOT_VALUE_TOL: should that become force-scaled,
     so must the margin's last term.
     """

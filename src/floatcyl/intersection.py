@@ -96,10 +96,10 @@ def _margin(phi0, c, g, xp):
 
 
 def _overhang(phi0, contact_angle: float):
-    """(psi-negative, psi-positive) regime membership of phi0, float or array.
+    """(psi-negative, psi-positive) regime membership of a float phi0.
 
     The two never hold together: both need gamma = pi/2, and then phi0 = 0
-    and phi0 = pi respectively.  NaN belongs to neither.
+    and phi0 = pi respectively.
     """
     g = contact_angle
     negative = (0.0 <= g <= PI / 2.0) & (0.0 <= phi0) & (phi0 <= PI / 2.0 - g)

@@ -9,7 +9,7 @@ parameter sets and returns machine-checkable reports.
 
 The quadrature is QUADPACK's (Piessens, de Doncker-Kapenga, Ueberhuber and
 Kahaner, *QUADPACK*, Springer 1983): the 21-point Gauss-Kronrod rule
-``dqk21`` and the adaptive routine ``dqagse`` up to its first bisection, in
+dqk21 and the adaptive routine dqagse up to its first bisection, in
 QUADPACK's order of operations, so that value and error estimate equal
 ``scipy.integrate.quad``'s bit for bit.  An integrand that needs a third
 interval raises ``QuadratureError``; none of the suite's draws needs one.
@@ -34,7 +34,7 @@ PI = math.pi
 class QuadratureError(ValueError):
     """The in-repo QUADPACK rule missed its accuracy target.
 
-    Raised where ``dqagse`` would bisect a second time (this port stops at
+    Raised where dqagse would bisect a second time (this port stops at
     two intervals), and where the error estimate exceeds 50 times the
     target.
     """

@@ -35,9 +35,9 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import (PHI0_TOL, ROOT_VALUE_TOL, _bounds, _extrema,
-                         _extremum_brackets, bisect, find_equilibria,
-                         second_extremum_threshold, solve)
+from .equilibria import (PHI0_TOL, ROOT_VALUE_TOL, _bounds, _cell_roots,
+                         _extrema, _extremum_brackets, bisect,
+                         find_equilibria, second_extremum_threshold)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
                     _force, _slope, total_force)
@@ -45,8 +45,6 @@ from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
 PI = math.pi
 # The margin's rounding band, per unit of C + 4 (see _count_block).
 _MARGIN_BAND = 2.0 ** -40
-# Fallback cells per solve call, which bounds the roots solve holds.
-_FALLBACK_CELLS = 1024
 
 
 class RegionLabel(str, Enum):
@@ -131,11 +129,10 @@ def _check_samples(name, n):
 
 
 def _check_windows(a_window, c_window):
-    """ValueError for a NaN bound in either window or a C bound below 0.
-
-    An A bound may be negative, and a reversed window (lo > hi) is no
-    error: it holds no point, and each tracer gives it an empty curve.
-    """
+    """Whether the windows hold a point: none where lo >= hi on either
+    axis, reversed or of zero width, as ``region_map`` requires lo < hi.
+    ValueError for a NaN bound in either window or a C bound below 0; an
+    A bound may be negative."""
     (a_lo, a_hi), (c_lo, c_hi) = a_window, c_window
     # written so that a NaN bound fails
     if not (a_lo == a_lo and a_hi == a_hi):
@@ -143,6 +140,7 @@ def _check_windows(a_window, c_window):
     if not (c_lo >= 0.0 and c_hi >= 0.0):
         raise ValueError(f"capillary_ratio window {c_window!r} needs bounds "
                          "at or above 0, not NaN")
+    return a_lo < a_hi and c_lo < c_hi
 
 
 def _check_finite_mass(mass_ratio):
@@ -195,16 +193,18 @@ def trace_endpoint_curve(contact_angle, a_window, c_window,
     """Endpoint curve clipped to a plotting window, sampled in mass ratio.
 
     A window with a NaN bound, or with a C bound below 0, raises
-    ValueError (``_check_windows``); a reversed one gives an empty curve.
+    ValueError; one with lo >= hi on either axis gives an empty curve
+    (``_check_windows``).
     """
     _check_contact_angle(contact_angle)
     _check_samples("n", n)
-    _check_windows(a_window, c_window)
+    if not _check_windows(a_window, c_window):
+        return BoundaryCurve(CurveKind.ENDPOINT, np.empty((0, 2)))
     a_lo, a_hi = a_window
     c_lo, c_hi = c_window
     if endpoint_boundary_is_vertical(contact_angle):
         c_lo = max(c_lo, 1e-12)
-        if not (a_lo <= PI <= a_hi and c_lo <= c_hi):
+        if not (a_lo <= PI <= a_hi and c_lo < c_hi):
             pts = np.empty((0, 2))
         else:
             pts = np.column_stack([np.full(n, PI),
@@ -231,10 +231,13 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
 
     The critical mass ratio is single-valued in C, so sampling in C and
     reading off A is the robust parameterization.  A window with a NaN
-    bound, or with a C bound below 0, raises ValueError
-    (``_check_windows``); a reversed one gives an empty curve.
+    bound, or with a C bound below 0, raises ValueError; one with
+    lo >= hi on either axis gives an empty curve (``_check_windows``).
     """
-    _check_windows(a_window, c_window)
+    _check_contact_angle(contact_angle)
+    _check_samples("n", n)
+    if not _check_windows(a_window, c_window):
+        return BoundaryCurve(CurveKind.TANGENCY, np.empty((0, 2)))
     cs = _tangency_samples(contact_angle, c_window, n)
     # critical_mass_ratio over every sample at once, the same bits
     maximum = _extremum_brackets(contact_angle)[1]
@@ -245,7 +248,6 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
 
 def _tangency_samples(contact_angle, c_window, n):
     """The capillary ratios ``trace_tangency_curve`` samples, an array."""
-    _check_samples("n", n)
     c_lo, c_hi = c_window
     thr = second_extremum_threshold(contact_angle)
     lo = max(c_lo, thr * (1.0 + 1e-9), 1e-6)
@@ -334,12 +336,12 @@ def trace_intersection_curve(contact_angle, a_window, c_window,
     Empty for contact angles at or below pi/2 (no invalid equilibria
     there).  Its points are ``intersection_curve_point``'s, bit for bit.
     A window with a NaN bound, or with a C bound below 0, raises
-    ValueError (``_check_windows``); a reversed one gives an empty curve.
+    ValueError; one with lo >= hi on either axis gives an empty curve
+    (``_check_windows``).
     """
     _check_contact_angle(contact_angle)
     _check_samples("n", n)
-    _check_windows(a_window, c_window)
-    if contact_angle <= PI / 2.0:
+    if not _check_windows(a_window, c_window) or contact_angle <= PI / 2.0:
         return BoundaryCurve(CurveKind.INTERSECTION, np.empty((0, 2)))
     lo = 3.0 * PI / 2.0 - contact_angle
     phi = lo + np.linspace(1e-6, 1.0 - 1e-6, n) * (PI - lo)
@@ -403,12 +405,12 @@ def region_map(contact_angle: float,
     force at 0, at the maximum, at pi, and at the ends of the
     self-intersecting part of the overhang regime, found by one bisection
     of the margin over all columns.  The cells, if any, within a proven
-    band of a breakpoint go through ``solve``, one cell at a time on
-    floats (``_count_cells``), with the map's maxima and their columns'
-    minima, which one more bisection finds.  The counts become labels
-    through one table lookup (``_LABEL_CODES``).  find_equilibria runs the
-    kernels on ``math`` and the blocks on NumPy, so the equality also
-    needs their sin and cos to agree bit for bit, as
+    band of a breakpoint go through ``_cell_roots``, one cell at a time
+    on floats (``_count_cells``), with the map's maxima and their
+    columns' minima, which one more bisection finds.  The counts become
+    labels through one table lookup (``_LABEL_CODES``).  find_equilibria
+    runs the kernels on ``math`` and the blocks on NumPy, so the equality
+    also needs their sin and cos to agree bit for bit, as
     ``test_float_kernels_match_numpy`` checks on the platform at hand.
     """
     n_a, n_c = resolution
@@ -488,21 +490,20 @@ def _count_block(a_axis, cs, g, maximum):
     ``_bounds`` and LB = PHI0_TOL + 4 eps pi bisect's last bracket, a cell
     whose level lies within B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S of a
     breakpoint, or whose root falls between the two parts, reads -1, for
-    ``_count_cells``.  The rest get solve's counts:
+    ``_count_cells``.  The rest get ``_cell_roots``' counts:
 
     * Rounding.  _force at a point, with A = 0 or with a level in the
       node values' range, lies within s of the exact F: its terms add to
-      a few (1+C)^2, and each rounds by an ulp or two.  Solve's root r of
-      a segment lies within LB of a sign change of _force, so the exact
-      F0(r) lies within E = s + S LB of L.
-    * Nodes.  B > ROOT_VALUE_TOL + 2s, so no node is a root of solve's,
-      whose nodes add the minimum (``equilibria._cell_roots``): L >= F0(0),
-      so L > F0(0) + B, and solve's minimum lies within LB of the exact
-      one, so F0 there is at most F0(0) + K LB^2.  So [0, minimum]
-      brackets in neither, and
-      each segment brackets exactly when its node values straddle L.  B's
-      first term follows ROOT_VALUE_TOL: should that become force-scaled,
-      so must it.
+      a few (1+C)^2, and each rounds by an ulp or two.  _cell_roots'
+      root r of a segment lies within LB of a sign change of _force, so
+      the exact F0(r) lies within E = s + S LB of L.
+    * Nodes.  B > ROOT_VALUE_TOL + 2s, so no node is a root of
+      _cell_roots', whose nodes add the minimum: L >= F0(0), so
+      L > F0(0) + B, and its minimum lies within LB of the exact one, so
+      F0 there is at most F0(0) + K LB^2.  So [0, minimum] brackets in
+      neither, and each segment brackets exactly when its node values
+      straddle L.  B's first term follows ROOT_VALUE_TOL: should that
+      become force-scaled, so must it.
     * Parts.  Where F0(x) lies more than B >= E + s + S LB from L, at a
       node or at z, the exact F0(r) and F0(x) differ by more than S LB,
       so r lies more than LB from x, on the side their signs say.  So a
@@ -513,10 +514,10 @@ def _count_block(a_axis, cs, g, maximum):
       a few ulps more, is negative.  A root outside the +b part has such
       a point where the margin is at least +b, or lies outside the
       regime: it is valid either way.
-    * Extrema.  Solve merges roots closer than _DEDUP_TOL.  No node is a
-      root and none lies on [0, minimum], so between any two roots lies
-      the maximum m, the bisected zero of _slope.
-      The exact F0(m) lies more than B - s from L, so more than
+    * Extrema.  _cell_roots merges roots closer than _DEDUP_TOL.  No
+      node is a root and none lies on [0, minimum], so between any two
+      roots lies the maximum m, the bisected zero of _slope.  The exact
+      F0(m) lies more than B - s from L, so more than
       B' = B - s - E = ROOT_VALUE_TOL + 2s + S (2 PHI0_TOL - 4 eps pi)
       from the exact F0(r) of a root r.  _slope changes sign within LB
       of m and rounds by a few ulps of S <= K, so |F0'(m)| <= K mu with
@@ -590,30 +591,23 @@ def _intersecting_parts(cs, g):
 
 
 def _count_cells(a, c, g, extrema):
-    """Equilibria and valid equilibria of the cells (a[k], c[k]).
+    """Equilibria and valid equilibria of the cells (a[k], c[k]), two lists.
 
-    ``extrema`` holds each cell's ``force_extrema``, from the map's
-    maxima and its columns' minima, so the cells go through ``solve``
-    calls that find no extremum, each cell ``find_equilibria``'s solver
-    on its floats (``_cell_roots``), and each root in an overhang regime
-    through ``intersection_margin``.  A call takes at most _FALLBACK_CELLS
-    cells, which bounds the roots solve holds at once whatever the cell
-    count.
+    ``extrema`` holds each cell's ``force_extrema``, the map's maxima and
+    its columns' minima, so each cell runs ``find_equilibria``'s solver
+    on its floats (``_cell_roots``) and finds no extremum; a root in an
+    overhang regime is invalid where ``intersection_margin`` is <= 0.
     """
-    n = np.empty(a.size, dtype=np.int64)
-    cross = np.empty_like(n)
-    for k in range(0, a.size, _FALLBACK_CELLS):
-        cells = slice(k, k + _FALLBACK_CELLS)
-        c_k = c[cells]
-        roots = solve(a[cells], c_k, g, tuple(x[cells] for x in extrema))
-        n[cells] = (roots == roots).sum(axis=1)
-        # only a root in an overhang regime can cross; NaN is in none
-        i, j = np.nonzero(np.logical_or(*_overhang(roots, g)))
-        cross[cells] = np.bincount(i, [
-            intersection_margin(r, c_i, g) <= 0.0
-            for r, c_i in zip(roots[i, j].tolist(), c_k[i].tolist())],
-            minlength=c_k.size)
-    return n, n - cross
+    n, n_valid = [], []
+    for a_k, c_k, minimum, maximum in zip(
+            a.tolist(), c.tolist(), *(x.tolist() for x in extrema)):
+        roots = _cell_roots(a_k, c_k, g, (minimum, maximum))
+        n.append(len(roots))
+        # only a root in an overhang regime can cross
+        n_valid.append(len(roots) - sum(
+            intersection_margin(r, c_k, g) <= 0.0
+            for r in roots if any(_overhang(r, g))))
+    return n, n_valid
 
 
 def region_map_csv(rm: RegionMap) -> str:

@@ -18,7 +18,7 @@ from floatcyl.equilibria import (ROOT_VALUE_TOL, CriticalPoint, ExtremumKind,
                                  asymptotic_critical_mass, bisect,
                                  critical_mass_ratio, critical_points,
                                  find_equilibria, force_extrema,
-                                 second_extremum_threshold, solve)
+                                 second_extremum_threshold)
 from floatcyl.model import (DimensionlessParams, _force, _slope,
                             force_curvature, total_force)
 
@@ -230,13 +230,13 @@ class TestFindEquilibria:
                 assert abs(total_force(eq.phi0, p)) < 1e-8
 
     def test_matches_dense_scan(self):
-        # independent root finder, the root-count oracle behind solve's
-        # brackets: fine sign scan plus bisection refinement.  C is
-        # log-uniform on [1e-3, 1e3], edge contact angles alternate with
-        # random ones, and two levels in three are drawn near the endpoint
-        # or the tangency line.  Each level lies at least 1e-6 (1+C)^2,
-        # the force's scale, from both lines: the scan then resolves both
-        # roots, and no node value falls within the absolute
+        # independent root finder, the root-count oracle behind
+        # _cell_roots' brackets: fine sign scan plus bisection refinement.
+        # C is log-uniform on [1e-3, 1e3], edge contact angles alternate
+        # with random ones, and two levels in three are drawn near the
+        # endpoint or the tangency line.  Each level lies at least
+        # 1e-6 (1+C)^2, the force's scale, from both lines: the scan then
+        # resolves both roots, and no node value falls within the absolute
         # ROOT_VALUE_TOL that would report a node root the scan misses
         from scipy.optimize import bisect
         rng = np.random.default_rng(23)
@@ -271,9 +271,9 @@ class TestFindEquilibria:
         assert counts.count(2) > 60 and counts.count(0) > 30
 
     def test_rejects_wrong_critical(self):
-        # solve finds every root only with the true extrema: critical must
-        # hold the kinds whose brackets _bracketed accepts, each inside its
-        # bracket, and nothing else
+        # _cell_roots finds every root only with the true extrema: critical
+        # must hold the kinds whose brackets _bracketed accepts, each inside
+        # its bracket, and nothing else
         p = params(a=3.8, c=2.0)
         cps = critical_points(p)
         assert [cp.kind for cp in cps] == list(ExtremumKind)
@@ -351,8 +351,9 @@ class TestFindEquilibria:
 
     def test_ceiling_clears_only_rootless_cells(self, monkeypatch):
         # find_equilibria answers a level past F(.; A=0)'s closed-form range
-        # without calling solve: every cell it clears has F of one sign,
-        # |F| > ROOT_VALUE_TOL, at its four nodes, where solve finds no root
+        # without calling _cell_roots: every cell it clears has F of one
+        # sign, |F| > ROOT_VALUE_TOL, at its four nodes, where _cell_roots
+        # finds no root
         rng = np.random.default_rng(48)
         cells = _edge_cells(41)
         for g in (0.0, PI / 2, PI):
@@ -372,7 +373,7 @@ class TestFindEquilibria:
         # ceiling's middle term is 0, 4C sin(pi/4) and 4C
         cells += [(a, c, g) for g in (0.0, PI / 2, PI)
                   for a, c, _ in _criterion_9_draws(50, 300)]
-        calls = _counting_solve(monkeypatch)
+        calls = _counting_cell_roots(monkeypatch)
         cleared = []
         for a, c, g in cells:
             n = len(calls)
@@ -384,13 +385,13 @@ class TestFindEquilibria:
             f = _force(_cell_nodes(c, g), a, c, g)
             assert np.all(np.abs(f) > ROOT_VALUE_TOL), (a, c, g)
             assert np.all(np.sign(f) == np.sign(f[0])), (a, c, g)
-            assert solve(a, c, g).shape == (0,), (a, c, g)
+            assert equilibria._cell_roots(a, c, g, None) == [], (a, c, g)
         assert 1500 < len(cleared) < len(cells)
 
     def test_ceiling_count_on_criterion_9_draws(self, monkeypatch):
         # the share the ceiling clears: 63 % of criterion-9 cells, pinned so
         # that a ceiling which stops clearing fails here
-        calls = _counting_solve(monkeypatch)
+        calls = _counting_cell_roots(monkeypatch)
         for a, c, g in _criterion_9_draws(49, 2000):
             find_equilibria(params(a, c, g))
         assert 2000 - len(calls) == 1254
@@ -401,13 +402,13 @@ class TestFindEquilibria:
         (np.float32(10.0), 2.0, 1.0, True, 0),
         (np.float32(3.8), 2.0, PI / 2, False, 2),
         # its float32 level A C C would clear the ceiling, its float level
-        # does not, and solve finds no root
+        # does not, and _cell_roots finds no root
         (np.float32(3.1415927), 3e7, PI / 2, False, 0),
     ])
     def test_mass_ratio_of_any_number_type(self, monkeypatch, a, c, g,
                                            cleared, roots):
-        # the ceiling tests the float of A, as solve does
-        calls = _counting_solve(monkeypatch)
+        # the ceiling tests the float of A that _cell_roots solves
+        calls = _counting_cell_roots(monkeypatch)
         eqs = find_equilibria(params(a, c, g))
         assert (not calls) is cleared
         assert len(eqs) == roots
@@ -451,14 +452,14 @@ def _criterion_9_draws(seed, n):
 
 
 def _cell_nodes(c, g):
-    """solve's four nodes of one cell: 0, its minimum or 0, its maximum or
-    pi, and pi."""
+    """_cell_roots' four nodes of one cell: 0, its minimum or 0, its
+    maximum or pi, and pi."""
     minimum, maximum = force_extrema(c, g)
     return np.array([0.0, minimum if minimum == minimum else 0.0,
                      maximum if maximum == maximum else PI, PI])
 
 
-def _counting_solve(monkeypatch):
+def _counting_cell_roots(monkeypatch):
     """A list that grows by one with each cell find_equilibria solves,
     each call it makes to _cell_roots."""
     calls = []
@@ -863,43 +864,57 @@ class TestSlopeShape:
                                if low[1] <= x <= high[0])
 
 
-# solve's extrema when there are none: one segment [0, pi]
+# _cell_roots' extrema when there are none: one segment [0, pi]
 NO_EXTREMA = (math.nan, math.nan)
 
 
-def cell_roots(padded):
-    """solve's NaN-padded roots as one list per cell, in C order."""
-    return [[x for x in row if x == x]
-            for row in padded.reshape(math.prod(padded.shape[:-1]),
-                                      padded.shape[-1]).tolist()]
+def _rows(a, c, g):
+    """_cell_roots of each cell of A broadcast against C, in C order.
+
+    Each distinct C's extrema come from one array force_extrema call,
+    which gives the float replay's bits (test_arrays_equal_floats)."""
+    a, c = (x.ravel().tolist() for x in np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(c, dtype=float)))
+    caps = sorted(set(c))
+    extrema = dict(zip(caps, zip(*(x.tolist() for x in force_extrema(
+        np.array(caps), g)))))
+    return [equilibria._cell_roots(x, y, g, extrema[y])
+            for x, y in zip(a, c)]
 
 
-class TestSolve:
+def _padded(a, c, g):
+    """_rows padded with NaN to the most roots a cell has, shaped as the
+    broadcast of A against C plus one axis: the arrays of the pinned
+    digests."""
+    rows = _rows(a, c, g)
+    out = np.full((len(rows), max(map(len, rows), default=0)), np.nan)
+    for out_row, row in zip(out, rows):
+        out_row[:len(row)] = row
+    return out.reshape(np.broadcast_shapes(np.shape(a), np.shape(c))
+                       + out.shape[1:])
+
+
+class TestCellRoots:
     def test_column_matches_find_equilibria(self):
-        # one call over many mass ratios gives each cell's roots bit for bit
+        # a column's extrema from one array force_extrema call give each
+        # cell find_equilibria's roots bit for bit, the cleared cells too
         a = np.linspace(0.0, 12.0, 121)[1:]
         for c, g in ((2.0, PI / 2), (0.7, 0.4), (3.1, 2.6), (1.3, PI)):
-            column = cell_roots(solve(a, c, g))
-            assert column == [[eq.phi0 for eq in find_equilibria(params(x, c, g))]
-                              for x in a.tolist()]
+            assert _bits(_rows(a, c, g)) == _bits(
+                [[eq.phi0 for eq in find_equilibria(params(x, c, g))]
+                 for x in a.tolist()])
 
     @pytest.mark.parametrize("g", [0.0, PI / 2, PI])
     def test_block_brackets(self, g):
-        # a block's rows, broadcast from its axes and padded with NaN, are
-        # its cells' roots alone; the map's extrema, one per cell in C
-        # order, give the same rows as the ones solve finds per cell
+        # a grid's extrema, one array force_extrema call over its C, give
+        # every cell the rows _cell_roots finds with its own float extrema
         a_axis = np.linspace(0.0, 12.0, 61)[1:]
         caps = np.geomspace(1e-3, 1e3, 30)
-        padded = solve(a_axis[:, None], caps[None, :], g)
-        assert padded.shape[:2] == (60, 30)
-        block = cell_roots(padded)
-        alone = [[x for x in solve(x, y, g).tolist() if x == x]
+        block = _rows(a_axis[:, None], caps[None, :], g)
+        alone = [equilibria._cell_roots(x, y, g, None)
                  for x in a_axis.tolist() for y in caps.tolist()]
         assert _bits(block) == _bits(alone)
         assert any(block)
-        given = [np.tile(x, a_axis.size) for x in force_extrema(caps, g)]
-        assert _bits(cell_roots(solve(a_axis[:, None], caps[None, :], g,
-                                      given))) == _bits(block)
 
     def test_endpoint_root_without_maximum_counts_once(self):
         # below the second-extremum threshold the missing maximum sits on
@@ -909,26 +924,20 @@ class TestSolve:
         a = PI + 2.0 * math.sin(g) / c ** 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            roots = solve(a, c, g)
-            assert roots.shape == (1,)
-            assert roots.tolist() == [PI]
-            column = solve(np.array([0.0, a]), c, g, NO_EXTREMA)
-        assert column.shape == (2, 1)
-        assert column.tolist() == [[2.0703197066879953], [PI]]
+            assert equilibria._cell_roots(a, c, g, None) == [PI]
+            assert equilibria._cell_roots(a, c, g, NO_EXTREMA) == [PI]
+            assert equilibria._cell_roots(0.0, c, g, NO_EXTREMA) == [
+                2.0703197066879953]
 
     def test_node_root_and_bracketed_root_share_a_row(self):
         # at A = 0, gamma = 0 the node at 0 is a zero of F and a segment
         # brackets the other root: one row holds both, the node's first,
-        # with no padding column, alone, in a column and in
-        # find_equilibria (captured values)
+        # alone and in find_equilibria (captured values)
         assert _force(0.0, 0.0, 1.0, 0.0) == 0.0
-        roots = solve(0.0, 1.0, 0.0)
-        assert roots.shape == (2,)
-        assert roots.tolist() == [0.0, 2.2822711490320837]
-        column = solve(np.array([0.0, 1e12]), 1.0, 0.0)
-        assert cell_roots(column) == [roots.tolist(), []]
+        roots = equilibria._cell_roots(0.0, 1.0, 0.0, None)
+        assert roots == [0.0, 2.2822711490320837]
         assert [eq.phi0 for eq in find_equilibria(
-            params(0.0, 1.0, 0.0, exploratory=True))] == roots.tolist()
+            params(0.0, 1.0, 0.0, exploratory=True))] == roots
         # an independent bisection on another bracket agrees to its xtol
         want = scipy_bisect(lambda x: _force(x, 0.0, 1.0, 0.0), PI / 2, PI,
                             xtol=1e-12)
@@ -939,7 +948,8 @@ class TestSolve:
         # expected roots: a root on a point of a 1000-point grid, one next
         # to each end node, and below the tangency a pair within a grid
         # step of each other, either side of the maximum.  Each root has
-        # F ~ 0, and a block gives each cell's lone roots bit for bit
+        # F ~ 0, and one array force_extrema call per angle gives each
+        # cell its lone roots bit for bit
         grid = np.linspace(0.0, PI, 1000)
         rng = np.random.default_rng(43)
         cells, expect = [], []
@@ -969,7 +979,7 @@ class TestSolve:
                     a, c, g)
         block = []
         for g, a, c in _by_angle(cells):
-            block += cell_roots(solve(a, c, g))
+            block += _rows(a, c, g)
         assert _bits(block) == _bits(
             [roots for _, roots in sorted(zip([g for *_, g in cells], lone),
                                           key=lambda x: x[0])])
@@ -993,9 +1003,10 @@ class TestSolve:
                                for x, a in zip(c.tolist(), a_end)])
             a = np.concatenate([near[:, None] * a_end,
                                 near[:, None] * a_star, [2.0 * a_star]])
-            block = solve(a, c, g)
+            block = _padded(a, c, g)
             pinned.append((block.shape, block.tolist()))
-            assert cell_roots(block) == [
+            assert [[x for x in row if x == x] for row in block.reshape(
+                -1, block.shape[-1]).tolist()] == [
                 [eq.phi0 for eq in find_equilibria(params(x, y, g))]
                 for x, y in zip(a.ravel().tolist(),
                                 np.resize(c, a.size).tolist())]
@@ -1005,13 +1016,13 @@ class TestSolve:
             "741996c6f0a501f69098ae897a7387f2af6ad5deab50e1a34e4fc99f8097466f")
 
     def test_rootless_cells_keep_one_sign(self):
-        # the cells for which solve finds no root must have F of one sign,
-        # |F| > ROOT_VALUE_TOL, at their nodes and between them
+        # the cells for which _cell_roots finds no root must have F of one
+        # sign, |F| > ROOT_VALUE_TOL, at their nodes and between them
         cells = _edge_cells(41)
         fine = np.linspace(0.0, PI, 100_001)
         marked = {}
         for g, a, c in _by_angle(cells):
-            rootless = np.isnan(solve(a, c, g)).all(axis=-1)
+            rootless = np.array([not row for row in _rows(a, c, g)])
             for x, y in zip(a[rootless].tolist(), c[rootless].tolist()):
                 marked.setdefault((y, g), []).append(x)
         assert 150 < sum(map(len, marked.values())) < len(cells)
@@ -1022,46 +1033,20 @@ class TestSolve:
                       _force(fine, a, c, g)):
                 assert np.all(np.abs(f) > ROOT_VALUE_TOL), (c, g)
                 assert np.all(np.sign(f) == np.sign(f[:, :1])), (c, g)
-        # solve over the same cells, one at a time and in blocks per angle
-        # (captured values)
-        pinned = [solve(a, c, g) for a, c, g in cells]
-        pinned += [solve(a, c, g) for g, a, c in _by_angle(cells)]
+        # the same cells' roots, one at a time with their float extrema and
+        # padded in blocks per angle (captured values)
+        pinned = [np.array(equilibria._cell_roots(a, c, g, None))
+                  for a, c, g in cells]
+        pinned += [_padded(a, c, g) for g, a, c in _by_angle(cells)]
         digest = repr([(x.shape, x.tolist()) for x in pinned])
         assert hashlib.sha256(digest.encode()).hexdigest() == (
             "2d38c74e1f63ed2eb3f370a4860614a027e2aba96df4c8fdabda2e4123815c7d")
-
-    def test_lone_cell_matches_its_block(self):
-        # each cell alone gives its block row bit for bit: columns of edge
-        # cells and criterion-9 levels, and one rooted cell among rootless
-        # ones, whose row alone is filled and whose width sets the padding
-        cells = _edge_cells(45)
-        rng = np.random.default_rng(46)
-        for g, a, c in _by_angle(cells):
-            # 26 edge cells per capillary ratio, plus criterion-9 levels:
-            # one column per capillary ratio, many cells each
-            a = np.vstack([a.reshape(-1, 26).T,
-                           rng.uniform(0.05, 15.0, (6, a.size // 26))])
-            c = c.reshape(-1, 26)[:, 0]
-            block = cell_roots(solve(a, c, g))
-            alone = [[x for x in solve(x, y, g).tolist() if x == x]
-                     for x, y in zip(a.ravel().tolist(),
-                                     np.resize(c, a.size).tolist())]
-            assert _bits(block) == _bits(alone)
-            # row 20 of a column's edge cells is A*(1 - 1e-4), two roots
-            # where there is a maximum
-            for k in range(c.size):
-                solo = np.full(c.size, 1e12)
-                solo[k] = a[20, k]
-                block = cell_roots(solve(solo, c, g))
-                alone = [x for x in solve(solo[k], c[k], g).tolist() if x == x]
-                assert _bits(block) == _bits(
-                    [alone if j == k else [] for j in range(c.size)])
 
     def test_first_wins_rows_match_the_float_cell(self, monkeypatch):
         # a missing extremum's node repeats 0 or pi, so a node root at 0
         # (A = -2 sin(gamma)/C^2) or on the endpoint line appears twice:
         # _cell_roots' first-wins pass drops the repeat, in exactly the
-        # cells where a root has a twin, and solve's rows are its roots
+        # cells where a root has a twin
         rng = np.random.default_rng(52)
         cells = []
         for g in [0.0, PI / 2, PI] + rng.uniform(0.0, PI, 5).tolist():
@@ -1069,8 +1054,6 @@ class TestSolve:
                 cells += [(PI + 2.0 * math.sin(g) / c ** 2, c, g),
                           (-2.0 * math.sin(g) / c ** 2, c, g),
                           (rng.uniform(0.05, 15.0), c, g)]
-        alone = [equilibria._cell_roots(a, c, g, None) for a, c, g in
-                 sorted(cells, key=lambda cell: cell[2])]
         runs = []
         first_wins = equilibria._first_wins
 
@@ -1080,13 +1063,13 @@ class TestSolve:
             return kept
 
         monkeypatch.setattr(equilibria, "_first_wins", counting)
-        block = []
-        for g, a, c in _by_angle(cells):
-            block += cell_roots(solve(a, c, g))
-        assert _bits(block) == _bits(alone)
-        # every cell runs the pass; 51 drop one root there, the rest none
+        rows = [equilibria._cell_roots(a, c, g, None) for a, c, g in cells]
+        # every cell runs the pass; 51 drop one root there, the rest none,
+        # and no row keeps two roots within _DEDUP_TOL
         assert len(runs) == len(cells)
         assert sorted(runs) == [0] * (len(cells) - 51) + [1] * 51
+        assert all(y - x > equilibria._DEDUP_TOL
+                   for row in rows for x, y in zip(row, row[1:]))
 
 
 def _bits(rows):
@@ -1129,8 +1112,8 @@ def _by_angle(cells):
 class TestForceSlack:
     def test_force_slack_bounds_the_rounding(self):
         # _force, on floats and on arrays, lies within the slack s of
-        # _bounds of a 40-digit F at solve's nodes and a random point, with
-        # A = 0 and with a level inside the node values' range: the
+        # _bounds of a 40-digit F at _cell_roots' nodes and a random point,
+        # with A = 0 and with a level inside the node values' range: the
         # ceiling's proof and _count_block's rounding bullet rest on it
         rng = np.random.default_rng(31)
         c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 600))
@@ -1157,9 +1140,10 @@ class TestForceSlack:
 class TestSlopeSlack:
     def test_slope_slack_bounds_the_rounding(self):
         # _slope, on floats and on arrays, lies within the slack s of
-        # _bounds of a 40-digit F' at solve's nodes and a random point, over
-        # TestForceSlack's (C, gamma) pairs, and within 1e-3 of pi at C up
-        # to 1e9, where its C^2 - C^2 cos(2 phi) cancels: _replay rests on it
+        # _bounds of a 40-digit F' at _cell_roots' nodes and a random point,
+        # over TestForceSlack's (C, gamma) pairs, and within 1e-3 of pi at C
+        # up to 1e9, where its C^2 - C^2 cos(2 phi) cancels: _replay rests
+        # on it
         rng = np.random.default_rng(31)
         c = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 600))
         g = np.concatenate([np.repeat([0.0, PI / 2, PI], 100),

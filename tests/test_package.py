@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import inspect
 import io
@@ -192,11 +193,30 @@ def _prose(text):
             yield token.string
 
 
+def _bound_anywhere(tree):
+    """The names a module binds at any depth, as a def, class, argument,
+    assignment target, import or attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+    yield from _imported(tree)
+
+
 def _stale_names(texts, tests):
     """The ``test_*`` names in the modules that no test in ``tests`` has,
-    and the private names in their prose that no module binds."""
-    bound = {name for text in texts.values()
-             for name in _module_names(ast.parse(text))}
+    the private names in their prose that no module binds, and the
+    double-backticked bare names there that no module binds anywhere,
+    submodule names, builtins and test names aside."""
+    trees = [ast.parse(text) for text in texts.values()]
+    bound = {name for tree in trees for name in _module_names(tree)}
+    known = ({name for tree in trees for name in _bound_anywhere(tree)}
+             | set(texts) | set(dir(builtins)) | set(tests))
     stale = set()
     for module, text in texts.items():
         stale.update(f"{module}: {name}"
@@ -206,6 +226,9 @@ def _stale_names(texts, tests):
         stale.update(f"{module}: {name}" for prose in _prose(text)
                      for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", prose)
                      if name not in bound)
+        stale.update(f"{module}: {name}" for prose in _prose(text)
+                     for name in re.findall(r"``([A-Za-z_]\w*)``", prose)
+                     if name not in known)
     return sorted(stale)
 
 
@@ -245,9 +268,13 @@ class TestSourceHygiene:
         assert _unreferenced({"m": stale}) == ["m._STEP", "m._a", "m._stage"]
         text = ('"""Rows from ``_rows()`` (test_rows)."""\n'
                 "_KEPT = 1  # _KEPT once held _gone; see test_kept\n"
-                "def f():\n    \"\"\"_KEPT, not __init__ or a_b.\"\"\"\n")
+                "def f():\n    \"\"\"_KEPT, not __init__ or a_b.\"\"\"\n"
+                # a public name in double backticks is known when a module
+                # binds it anywhere, names the module, or is a builtin
+                "def g(x):\n    \"\"\"``x``, ``f``, ``m``, ``len``, ``real``,"
+                " ``test_kept``, not ``solve``.\"\"\"\n    return x.real\n")
         assert _stale_names({"m": text}, {"test_kept"}) == [
-            "m: _gone", "m: _rows", "m: test_rows"]
+            "m: _gone", "m: _rows", "m: solve", "m: test_rows"]
 
 
 def _third_party_imports(trees):

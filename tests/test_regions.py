@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from floatcyl import equilibria, regions
 from floatcyl.equilibria import (NoSecondCriticalPointError, _bounds,
                                  critical_mass_ratio, find_equilibria,
-                                 force_extrema, second_extremum_threshold,
-                                 solve)
+                                 force_extrema, second_extremum_threshold)
 from floatcyl.intersection import _margin, _overhang, intersection_margin
 from floatcyl.model import DimensionlessParams, _force, total_force
 from floatcyl.regions import (_LABEL_TABLE, CurveKind, RegionLabel,
@@ -408,11 +407,15 @@ class TestTraceWindows:
 
     @pytest.mark.parametrize("a_window, c_window", [
         ((0.0, 12.0), (5.0, 1.0)), ((12.0, 0.0), (0.0, 5.0)),
-        ((0.0, 12.0), (0.0, 1e-13))])
+        ((0.0, 12.0), (0.0, 1e-13)), ((0.0, 12.0), (0.0, 1e-12)),
+        ((0.0, 12.0), (5.0, 5.0)), ((PI, PI), (0.0, 5.0))])
     @pytest.mark.parametrize("g", [0.0, 1.0, 2.0, PI])
     def test_reversed_window_is_empty(self, g, a_window, c_window):
         # the vertical endpoint line once ran its samples down a reversed
-        # C window, and from 1e-12 down to a C bound below it
+        # C window, and from 1e-12 down to a C bound below it; at gamma
+        # in {0, pi} it gave 200 copies of one point for a zero-width
+        # window, or one that its floor C >= 1e-12 left zero-width, where
+        # the other angles gave none
         for trace in _TRACES:
             assert trace(g, a_window, c_window).points.shape == (0, 2)
 
@@ -538,22 +541,23 @@ class TestRegionMap:
 
 
 def bisected_labels(rm):
-    """rm's labels from solve's fully bisected roots and the margin.
+    """rm's labels from _cell_roots' fully bisected roots and the margin.
 
-    Each cell takes its column's force_extrema, repeated per cell in C
-    order: the bits solve finds per cell, at one array bisection."""
+    Each cell takes its column's force_extrema, from one array bisection:
+    the bits _cell_roots finds per cell with its float extrema."""
     g = rm.contact_angle
-    roots = solve(rm.a_axis[:, None], rm.c_axis[None, :], g, [
-        np.tile(x, rm.a_axis.size) for x in force_extrema(rm.c_axis, g)])
-    n = (roots == roots).sum(axis=-1)
-    n_valid = n.copy()
-    c_axis = rm.c_axis.tolist()
-    for i, j, k in zip(*(x.tolist() for x in np.nonzero(
-            np.logical_or(*_overhang(roots, g))))):
-        if intersection_margin(float(roots[i, j, k]), c_axis[j], g) <= 0.0:
-            n_valid[i, j] -= 1
-    return [[_LABEL_TABLE[pair] for pair in zip(*counts)]
-            for counts in zip(n.tolist(), n_valid.tolist())]
+    columns = list(zip(rm.c_axis.tolist(), zip(*(
+        x.tolist() for x in force_extrema(rm.c_axis, g)))))
+    labels = []
+    for a in rm.a_axis.tolist():
+        row = []
+        for c, extrema in columns:
+            roots = equilibria._cell_roots(a, c, g, extrema)
+            invalid = sum(intersection_margin(r, c, g) <= 0.0
+                          for r in roots if any(_overhang(r, g)))
+            row.append(_LABEL_TABLE[len(roots), len(roots) - invalid])
+        labels.append(row)
+    return labels
 
 
 class TestSettledLabels:
@@ -568,7 +572,7 @@ class TestSettledLabels:
     def test_windows_where_lanes_stay_unsettled(self, monkeypatch):
         # close to the tangency curve the two roots pair up, near the
         # corner the root count changes, near the intersection curve the
-        # margin changes sign: cells there fall back to one solve call
+        # margin changes sign: cells there fall back to _cell_roots
         fallback = _count_fallback(monkeypatch)
         a_star = critical_mass_ratio(1.0, PI / 2)[0]
         a_0, c_0 = two_equilibrium_corner(PI / 4)
@@ -621,9 +625,9 @@ class TestSettledLabels:
                                            [(200, low)]]
         assert calls[1][1][0][0].tolist() == rm.c_axis.tolist()
         assert sum(fallback) == 200 * 200
-        # the fallback solves its cells in chunks, which bound the roots
-        # solve holds: its memory stays bounded whatever the cell count,
-        # and its labels are the bisected ones across the chunks
+        # the fallback holds one cell's roots at a time: its memory stays
+        # bounded whatever the cell count, and its labels are the bisected
+        # ones
         assert peak < 20e6
         assert rm.labels.tolist() == bisected_labels(rm)
 
@@ -721,7 +725,7 @@ class TestBreakpoints:
         assert rm.labels.tolist() == bisected_labels(rm)
 
     def test_tiny_capillary_window_labels(self):
-        # levels far below every band label as solve does
+        # levels far below every band label as _cell_roots does
         for c_range in ((0.0, 1e-170), (0.0, 1e-5)):
             rm = region_map(1.0, c_range=c_range, resolution=(30, 20),
                             curve_samples=0)

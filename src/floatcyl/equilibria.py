@@ -18,8 +18,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import (DimensionlessParams, _check_contact_angle, _curv,
-                    _force, _height, _numpy, _slope)
+from .model import (DimensionlessParams, _check_contact_angle,
+                    _check_positive, _curv, _force, _height, _numpy, _slope)
 
 PI = math.pi
 
@@ -99,11 +99,11 @@ def bisect(f, lo, hi, f_hi=None):
     f(xm) f(xa) >= 0, and return xm once f(xm) == 0 or
     |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
     f(hi) is read only to test it against zero, so ``f_hi``, when given,
-    stands in for it: any value with its sign.  Floats run SciPy's loop as
-    written, as ``_replay``'s fallback, with none of the masks' arithmetic;
-    no array can exist unless NumPy is loaded, so a float call never loads
-    it.  Array elements run side by side, each selected by ``np.where``,
-    so each equals its scalar run.
+    stands in for it: any value with its sign.  Floats, with
+    0 <= lo < hi, run SciPy's loop as written (``_halve``), with none of
+    the masks' arithmetic; no array can exist unless NumPy is loaded, so
+    a float call never loads it.  Array elements run side by side, each
+    selected by ``np.where``, so each equals its scalar run.
     Each lane's dm halves exactly, and so does the least |dm| of all
     lanes; each xm lies within its lane's bracket widened by half an ulp
     per halving, so within twice the largest end of any bracket.  So
@@ -113,13 +113,7 @@ def bisect(f, lo, hi, f_hi=None):
 
     On floats, ``_cell_roots``' roots and ``force_extrema``'s extrema
     come from ``_replay``, which gives this loop's bits from about a third
-    of its calls of f.  Its result depends only on the sign of each f(xm):
-    Newton's iteration locates the zero, two points around it where |f|
-    exceeds three times the rounding bound s of ``_bounds`` certify that
-    the exact |F| exceeds 2s on the rest of the bracket (F is monotone on
-    a cell's segments, and F' rises, then falls), and there the sign of
-    f(xm) is known without f.  Where that certificate fails, it runs this
-    loop.
+    of its calls of f.
     """
     fa, fb = f(lo), f(hi) if f_hi is None else f_hi
     np = sys.modules.get("numpy")
@@ -129,17 +123,7 @@ def bisect(f, lo, hi, f_hi=None):
             return lo
         if fb == 0.0:
             return hi
-        xa, dm = lo, hi - lo
-        for _ in range(_MAX_HALVINGS):
-            dm *= 0.5
-            xm = xa + dm
-            fm = f(xm)
-            if fm * fa >= 0.0:
-                xa = xm
-            if fm == 0.0 or abs(dm) < PHI0_TOL + _RTOL * abs(xm):
-                return xm
-        raise RuntimeError(
-            f"bisection not converged in {_MAX_HALVINGS} halvings")
+        return _halve(f, lo, hi, fa)
     todo = (fa != 0.0) & (fb != 0.0)
     root = np.where(fa == 0.0, lo, hi)
     xa, dm = lo, hi - lo
@@ -177,8 +161,8 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
     ``_slope`` on a bracket of ``_extremum_brackets``; df is its
     derivative, ``_slope`` or ``_curv``.  f_lo is f(lo) as computed, f_hi
     f(hi) or, at hi = pi on the maximum's bracket, a value with its sign
-    (``_bracketed``).  With tau = s of ``_bounds(c)``, which bounds both
-    kernels' rounding:
+    (``_bracketed``); they differ in sign, and neither is zero.  With
+    tau = s of ``_bounds(c)``, which bounds both kernels' rounding:
 
     1. Newton's iteration from the chord's zero, kept inside the bracket
        of the signs seen, locates the zero x.  It stops once K s^2 <=
@@ -200,15 +184,14 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
        the maximum's, are why hi's and lo's values are checked; the
        maximum's f_hi, t - C, has F'(pi)'s sign but not its size, and
        its check only costs a fallback within 3 tau of the threshold.
-    4. The halvings of ``bisect`` are replayed.  f runs only for
-       midpoints in [rl, rh], and for any that round past hi.  A midpoint
-       in an outer zone has f(xm) != 0 of its zone end's sign, and, with
-       |f_lo| > 3 tau and tau >= 64 eps, f(xm) f_lo does not underflow:
-       ``bisect`` keeps it as xa below rl, and not above rh.  With
-       0 <= lo < hi, dm and xm are positive, so the tolerance test needs
-       no abs.
+    4. ``_halve`` replays the halvings with the window (rl, rh).  f runs
+       only for midpoints in [rl, rh], and for any that round past hi.  A
+       midpoint in an outer zone has f(xm) != 0 of its zone end's sign,
+       and, with |f_lo| > 3 tau and tau >= 64 eps, f(xm) f_lo does not
+       underflow: ``bisect`` keeps it as xa below rl, and not above rh.
     5. A failed certificate, a zero f' or a Newton iteration that does not
-       settle in 12 steps runs plain ``bisect``, and so does one that
+       settle in 12 steps runs ``_halve`` with no window, from f_lo, so
+       f(lo) is not computed again; so does one that
        closes on a nearly double zero too slowly to settle in the steps
        left.  On the parabola through f(x) with f'(x) and the f'' of the
        last two f', with q = 2 f f'' / f'^2 in (0, 1), the zero lies
@@ -229,7 +212,7 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
     for left in range(11, -1, -1):
         fx, d = f(x), df(x)
         if not d:
-            return bisect(f, lo, hi, f_hi)
+            return _halve(f, lo, hi, f_lo)
         if fx * f_lo > 0.0:
             a = x
         else:
@@ -244,17 +227,30 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
         # q = 2 f f'' / f'^2, f'' from the last two f'
         if (1.0 - 0.25 ** left
                 < 2.0 * fx / d * ((d - d_1) / (x - x_1)) / d < 1.0):
-            return bisect(f, lo, hi, f_hi)
+            return _halve(f, lo, hi, f_lo)
         x_1, d_1, x = x, d, step
     else:
-        return bisect(f, lo, hi, f_hi)
+        return _halve(f, lo, hi, f_lo)
     h = 6.0 * tau / abs(d)
     rl, rh = x - h, x + h
     fl, fh = f(rl), f(rh)
     # the products first: a NaN fails them, and min may drop one
     if not (fl * f_lo > 0.0 and fh * f_hi > 0.0
             and min(abs(f_lo), abs(f_hi), abs(fl), abs(fh)) > 3.0 * tau):
-        return bisect(f, lo, hi, f_hi)
+        return _halve(f, lo, hi, f_lo)
+    return _halve(f, lo, hi, f_lo, rl, rh)
+
+
+def _halve(f, lo, hi, f_lo, rl=-math.inf, rh=math.inf):
+    """The halvings of ``bisect`` on floats 0 <= lo < hi, from
+    f_lo = f(lo), f(lo) and f(hi) nonzero and of opposite signs.
+
+    A midpoint below rl is kept as xa, and one in (rh, hi] is not, both
+    without f: ``_replay`` passes the window whose outer zones it has
+    certified, and its fallbacks and ``bisect`` pass none.  With
+    0 <= lo < hi, dm and xm are positive, so the tolerance test needs no
+    abs.
+    """
     xa, dm = lo, hi - lo
     for _ in range(_MAX_HALVINGS):
         dm *= 0.5
@@ -293,14 +289,14 @@ def second_extremum_threshold(contact_angle: float) -> float:
     return math.cos(contact_angle) / (2.0 * half) if half else math.inf
 
 
-def force_extrema(capillary_ratios, contact_angle: float):
-    """Interior minimum and maximum of the force curve for each capillary ratio.
+def force_extrema(capillary_ratio, contact_angle: float):
+    """Interior minimum and maximum of the force curve at one capillary ratio.
 
-    A scalar gives two floats, an array two float arrays shaped like it;
-    NaN where that extremum does not exist.  A minimum lies below every
-    maximum.  The slope dF/dphi0 does not involve the mass ratio, so the
-    extrema depend on (C, gamma) only.  Bracketing follows the regime
-    structure (``_extremum_brackets``):
+    Two floats, NaN where that extremum does not exist; C may be a float,
+    an int or a NumPy scalar.  A minimum lies below every maximum.  The
+    slope dF/dphi0 does not involve the mass ratio, so the extrema depend
+    on (C, gamma) only.  Bracketing follows the regime structure
+    (``_extremum_brackets``):
 
     * gamma = pi/2: one minimum in (0, pi/2), one maximum in (pi/2, pi),
       mirror images about pi/2.
@@ -362,41 +358,22 @@ def force_extrema(capillary_ratios, contact_angle: float):
     rounding.  ``test_slope_sign_pattern_at_50_digits`` checks the sign
     pattern of F' on the brackets against a 50-digit evaluation.
 
-    A scalar runs on floats throughout and replays the bisection
-    (``_replay``), as ``_cell_roots`` does for each cell it is given no
-    extrema for.  An array bisects the lanes of both brackets in one call
-    (``_extrema``), each lane with its own bracket.
+    It runs on floats throughout and replays the bisection (``_replay``),
+    as ``_cell_roots`` does for each cell it is given no extrema for.
     ``critical_mass_ratio`` bisects the maximum's bracket alone
-    (``_extremum``); ``regions.trace_tangency_curve`` the maximum's
-    lanes alone, and ``regions.region_map`` those of its columns and its
-    tangency samples in one ``_extrema`` call.
+    (``_extremum``).  Many C on one bracket go to ``_extrema``:
+    ``regions.trace_tangency_curve`` bisects its samples' maxima there,
+    and ``regions.region_map`` those of its columns and its tangency
+    samples in one call.
 
-    A C that is not positive and finite, as a float or at any entry of an
-    array, and a contact angle outside [0, pi] raise ValueError.
+    A C that is not positive and finite, and a contact angle outside
+    [0, pi], raise ValueError.
     """
-    c = _capillary_ratios(capillary_ratios)
+    c = float(capillary_ratio)
+    _check_positive("capillary_ratio", c)
     _check_contact_angle(contact_angle)
-    brackets = _extremum_brackets(contact_angle)
-    if isinstance(c, float):
-        return tuple(_extremum(c, contact_angle, b) for b in brackets)
-    return tuple(_extrema(contact_angle, [(c, b) for b in brackets]))
-
-
-def _capillary_ratios(capillary_ratios):
-    """A float for a scalar, else a float array; ValueError unless every
-    entry is positive and finite, as DimensionlessParams checks a C."""
-    if isinstance(capillary_ratios, (int, float)):
-        c = float(capillary_ratios)
-        bad = [] if 0.0 < c < math.inf else [c]
-    else:
-        c = _numpy().asarray(capillary_ratios, dtype=float)
-        bad = c[~((0.0 < c) & (c < math.inf))].ravel().tolist()
-        if c.ndim == 0:
-            c = c.item()
-    if bad:
-        raise ValueError("capillary_ratio must be strictly positive and "
-                         f"finite, got {bad[0]!r}")
-    return c
+    return tuple(_extremum(c, contact_angle, b)
+                 for b in _extremum_brackets(contact_angle))
 
 
 def _extremum_brackets(g):
@@ -444,32 +421,24 @@ def _extremum(c, g, bracket):
             else math.nan)
 
 
-def _extrema(g, lanes):
-    """``_extremum`` at every entry of each pair (c, bracket) of ``lanes``,
-    c a float array: one float array shaped like c per pair.
+def _extrema(g, c, bracket):
+    """``_extremum`` at every entry of the float array c on one bracket of
+    ``_extremum_brackets``: a float array shaped like c.
 
-    Every entry whose bracket holds an extremum (``_bracketed``), of every
-    pair, is one lane of a single ``bisect`` call with its own lo, hi and
-    f_hi, which gives each lane its float run's bits.  One call halves
-    every bracket at once: each halving's NumPy calls cost about as much
-    as 400 more lanes do.
+    Every entry whose bracket holds an extremum (``_bracketed``) is one
+    lane of a single ``bisect`` call with its own f_hi, which gives each
+    lane its float run's bits.  Each halving's NumPy calls cost about as
+    much as 400 more lanes do, so callers pass all their C at once.
     """
     np = _numpy()
-    out, parts = [], []
-    for c, bracket in lanes:
-        ok, _, s_hi = _bracketed(c, g, *bracket)
-        idx = np.flatnonzero(ok)
-        out.append((np.full(c.shape, np.nan), idx))
-        parts.append((c.ravel()[idx], np.full(idx.size, bracket[0]),
-                      np.full(idx.size, bracket[1]), s_hi.ravel()[idx]))
-    c, lo, hi, s_hi = map(np.concatenate, zip(*parts))
-    if c.size:
-        root = bisect(lambda x: _slope(x, c, g), lo, hi, s_hi)
-        start = 0
-        for phi, idx in out:
-            phi.flat[idx] = root[start:start + idx.size]
-            start += idx.size
-    return [phi for phi, _ in out]
+    phi = np.full(c.shape, np.nan)
+    ok, _, s_hi = _bracketed(c, g, *bracket)
+    idx = np.flatnonzero(ok)
+    if idx.size:
+        lanes = c.ravel()[idx]
+        phi.flat[idx] = bisect(lambda x: _slope(x, lanes, g), *bracket,
+                               s_hi.ravel()[idx])
+    return phi
 
 
 def critical_points(params: DimensionlessParams) -> list[CriticalPoint]:
@@ -709,9 +678,7 @@ def asymptotic_critical_mass(capillary_ratio: float, contact_angle: float,
             f"asymptotic series are derived for contact_angle = pi/2 only, "
             f"got {contact_angle!r}")
     c = capillary_ratio
-    if not 0.0 < c < math.inf:
-        raise ValueError(
-            f"capillary_ratio must be strictly positive and finite, got {c!r}")
+    _check_positive("capillary_ratio", c)
     try:
         if regime == "small":
             a_star = (_finite_mass(2.0, c ** 2, c) + 2.0 + PI

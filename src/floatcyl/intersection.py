@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import DimensionlessParams, _check_contact_angle
+from .model import DimensionlessParams, _check_contact_angle, _check_positive
 
 PI = math.pi
 
@@ -78,9 +78,7 @@ def intersection_margin(phi0: float, capillary_ratio: float,
     non-finite phi0 or a capillary ratio that is not positive and finite.
     """
     _check_contact_angle(contact_angle)
-    if not 0.0 < capillary_ratio < math.inf:
-        raise ValueError(f"capillary_ratio must be strictly positive and "
-                         f"finite, got {capillary_ratio!r}")
+    _check_positive("capillary_ratio", capillary_ratio)
     if not math.isfinite(phi0):
         raise ValueError(f"phi0 must be finite, got {phi0!r}")
     if (phi0 + contact_angle - PI) / 4.0 == 0.0:

@@ -39,6 +39,13 @@ def _check_contact_angle(contact_angle) -> None:
             f"contact_angle must lie in [0, pi], got {contact_angle!r}")
 
 
+def _check_positive(name, value) -> None:
+    """ValueError naming ``name`` unless 0 < value < inf; NaN fails."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(
+            f"{name} must be strictly positive and finite, got {value!r}")
+
+
 def _check_integer(name, value) -> None:
     """ValueError naming ``name`` unless ``value``, or each entry of a tuple
     or list ``value``, is an int or a NumPy integer; 2.5 and NaN fail.
@@ -72,10 +79,7 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("mass_per_length", "density_diff", "surface_tension",
                      "gravity", "radius"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(
-                    f"{name} must be strictly positive and finite, got {value!r}")
+            _check_positive(name, getattr(self, name))
         _check_contact_angle(self.contact_angle)
 
     @property
@@ -100,9 +104,7 @@ class DimensionlessParams:
 
     def __post_init__(self):
         a, c = self.mass_ratio, self.capillary_ratio
-        if not 0.0 < c < math.inf:
-            raise ValueError(
-                f"capillary_ratio must be strictly positive and finite, got {c!r}")
+        _check_positive("capillary_ratio", c)
         _check_contact_angle(self.contact_angle)
         if not self.exploratory and not a > 0.0:
             raise ValueError(

@@ -383,11 +383,7 @@ def energy_factored_identity_check(params: DimensionlessParams
     lhs = energy_slope(grid, params)
     common = -center_height_slope(grid, params)
     rhs = total_force(grid, params) * common
-    resid = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-    return OracleReport(name="energy_force_factored", samples=grid.size,
-                        max_abs_err=float(np.abs(lhs - rhs).max()),
-                        max_rel_err=float(resid.max()),
-                        tolerance=1e-10, passed=bool(resid.max() <= 1e-10))
+    return _compare("energy_force_factored", list(zip(rhs, lhs)), 1e-10)
 
 
 def fourier_projection_check(params: DimensionlessParams) -> OracleReport:

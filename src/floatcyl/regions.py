@@ -131,15 +131,16 @@ def _check_samples(name, n):
 def _check_windows(a_window, c_window):
     """Whether the windows hold a point: none where lo >= hi on either
     axis, reversed or of zero width, as ``region_map`` requires lo < hi.
-    ValueError for a NaN bound in either window or a C bound below 0; an
-    A bound may be negative."""
+    ValueError for a NaN or infinite bound in either window or a C bound
+    below 0; an A bound may be negative."""
     (a_lo, a_hi), (c_lo, c_hi) = a_window, c_window
+    if not (math.isfinite(a_lo) and math.isfinite(a_hi)):
+        raise ValueError(f"mass_ratio window {a_window!r} has a NaN or "
+                         "infinite bound")
     # written so that a NaN bound fails
-    if not (a_lo == a_lo and a_hi == a_hi):
-        raise ValueError(f"mass_ratio window {a_window!r} has a NaN bound")
-    if not (c_lo >= 0.0 and c_hi >= 0.0):
-        raise ValueError(f"capillary_ratio window {c_window!r} needs bounds "
-                         "at or above 0, not NaN")
+    if not (0.0 <= c_lo < math.inf and 0.0 <= c_hi < math.inf):
+        raise ValueError(f"capillary_ratio window {c_window!r} needs finite "
+                         "bounds at or above 0, not NaN")
     return a_lo < a_hi and c_lo < c_hi
 
 
@@ -192,9 +193,9 @@ def trace_endpoint_curve(contact_angle, a_window, c_window,
                          n: int = 200) -> BoundaryCurve:
     """Endpoint curve clipped to a plotting window, sampled in mass ratio.
 
-    A window with a NaN bound, or with a C bound below 0, raises
-    ValueError; one with lo >= hi on either axis gives an empty curve
-    (``_check_windows``).
+    A window with a NaN or infinite bound, or with a C bound below 0,
+    raises ValueError; one with lo >= hi on either axis gives an empty
+    curve (``_check_windows``).
     """
     _check_contact_angle(contact_angle)
     _check_samples("n", n)
@@ -212,12 +213,15 @@ def trace_endpoint_curve(contact_angle, a_window, c_window,
         return BoundaryCurve(CurveKind.ENDPOINT, pts)
     s = 2.0 * math.sin(contact_angle)
     # C(A) <= c_hi needs A >= pi + s/c_hi^2; C(A) >= c_lo needs A <= pi + s/c_lo^2.
-    # A square that underflows to 0 stands for its limit, A = inf.  Where
-    # pi + s/c_hi^2 rounds to pi, the float above pi is the first A with a
-    # finite C(A), and that C is still below c_hi.
-    lo = (max(a_lo, math.nextafter(PI, math.inf), PI + s / c_hi ** 2)
-          if c_hi ** 2 else math.inf)
-    hi = min(a_hi, PI + s / c_lo ** 2) if c_lo > 0.0 and c_lo ** 2 else a_hi
+    # A square that underflows to 0 stands for its limit, A = inf, and one
+    # that overflows for its own, A = pi: from C = 1e154 on, where Python's
+    # C ** 2 may raise, pi + s/C^2 rounds to pi anyway.  Where it does, the
+    # float above pi is the first A with a finite C(A), and that C is still
+    # below c_hi.
+    sq_lo, sq_hi = (c ** 2 if c < 1e154 else math.inf for c in c_window)
+    lo = (max(a_lo, math.nextafter(PI, math.inf), PI + s / sq_hi)
+          if sq_hi else math.inf)
+    hi = min(a_hi, PI + s / sq_lo) if sq_lo else a_hi
     if lo >= hi:
         return BoundaryCurve(CurveKind.ENDPOINT, np.empty((0, 2)))
     a = np.linspace(lo, hi, n)
@@ -230,8 +234,8 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
     """Tangency curve clipped to a window, sampled in capillary ratio.
 
     The critical mass ratio is single-valued in C, so sampling in C and
-    reading off A is the robust parameterization.  A window with a NaN
-    bound, or with a C bound below 0, raises ValueError; one with
+    reading off A is the robust parameterization.  A window with a NaN or
+    infinite bound, or with a C bound below 0, raises ValueError; one with
     lo >= hi on either axis gives an empty curve (``_check_windows``).
     """
     _check_contact_angle(contact_angle)
@@ -240,9 +244,8 @@ def trace_tangency_curve(contact_angle, a_window, c_window,
         return BoundaryCurve(CurveKind.TANGENCY, np.empty((0, 2)))
     cs = _tangency_samples(contact_angle, c_window, n)
     # critical_mass_ratio over every sample at once, the same bits
-    maximum = _extremum_brackets(contact_angle)[1]
-    return _curve(CurveKind.TANGENCY, contact_angle,
-                  _extrema(contact_angle, [(cs, maximum)])[0], cs, a_window,
+    phi = _extrema(contact_angle, cs, _extremum_brackets(contact_angle)[1])
+    return _curve(CurveKind.TANGENCY, contact_angle, phi, cs, a_window,
                   c_window)
 
 
@@ -335,9 +338,9 @@ def trace_intersection_curve(contact_angle, a_window, c_window,
 
     Empty for contact angles at or below pi/2 (no invalid equilibria
     there).  Its points are ``intersection_curve_point``'s, bit for bit.
-    A window with a NaN bound, or with a C bound below 0, raises
-    ValueError; one with lo >= hi on either axis gives an empty curve
-    (``_check_windows``).
+    A window with a NaN or infinite bound, or with a C bound below 0,
+    raises ValueError; one with lo >= hi on either axis gives an empty
+    curve (``_check_windows``).
     """
     _check_contact_angle(contact_angle)
     _check_samples("n", n)
@@ -398,9 +401,10 @@ def region_map(contact_angle: float,
     Axes exclude the lower edge of each range (A and C must stay positive)
     and include the upper.  labels[i, j] corresponds to
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
-    validity produce at that point.  One bisection (``equilibria._extrema``)
-    finds the force maxima of every column and of the tangency curve's
-    samples, the points of ``trace_tangency_curve``.  ``_count_block``
+    validity produce at that point.  One bisection (``equilibria._extrema``
+    over the columns' C and the samples' C on the maximum's bracket) finds
+    the force maxima of every column and of the tangency curve's samples,
+    the points of ``trace_tangency_curve``.  ``_count_block``
     reads each cell's label from its column's breakpoints: the mass-free
     force at 0, at the maximum, at pi, and at the ends of the
     self-intersecting part of the overhang regime, found by one bisection
@@ -436,13 +440,14 @@ def region_map(contact_angle: float,
     # the columns' maxima and the tangency samples' maxima: one bisection
     cs = _tangency_samples(contact_angle, c_range, curve_samples)
     low, high = _extremum_brackets(contact_angle)
-    maximum, phi = _extrema(contact_angle, [(c_axis, high), (cs, high)])
+    maximum, phi = np.split(
+        _extrema(contact_angle, np.concatenate([c_axis, cs]), high), [n_c])
     n, n_valid = _count_block(a_axis, c_axis, contact_angle, maximum)
     # the cells the breakpoints leave open, with their columns' minima
     i, j = divmod(np.flatnonzero(n < 0), n_c)
     if i.size:
         columns, column = np.unique(j, return_inverse=True)
-        minimum = _extrema(contact_angle, [(c_axis[columns], low)])[0]
+        minimum = _extrema(contact_angle, c_axis[columns], low)
         n[i, j], n_valid[i, j] = _count_cells(
             a_axis[i], c_axis[j], contact_angle,
             (minimum[column], maximum[j]))

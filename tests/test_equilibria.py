@@ -129,24 +129,34 @@ class TestCriticalPoints:
         # force_extrema switches brackets at gamma == pi/2 exactly: the
         # extrema on either side stay with those at pi/2
         c = np.geomspace(1e-3, 1e3, 61)
-        at = force_extrema(c, PI / 2)
+        at = _column_extrema(c, PI / 2)
         for g in (PI / 2 - 1e-12, PI / 2 + 1e-12,
                   math.nextafter(PI / 2, 0.0), math.nextafter(PI / 2, 4.0)):
-            for near, exact in zip(force_extrema(c, g), at):
+            for near, exact in zip(_column_extrema(c, g), at):
                 assert np.all(np.abs(near - exact) <= 1e-11)
 
     @pytest.mark.parametrize("c", [math.nan, -1.0, math.inf, 0.0, -0.0, 0])
     def test_force_extrema_rejects_unusable_capillary_ratio(self, c):
-        # as DimensionlessParams rejects it for critical_points: a float,
-        # and any entry of an array; no NaN pair, no minimum at C = 0
+        # as DimensionlessParams rejects it for critical_points, as any
+        # number type; no NaN pair, no minimum at C = 0
         want = "^capillary_ratio must be strictly positive and finite"
-        for cs in (c, [1.0, c], np.array([[2.0], [c]]), np.array(c)):
+        for cs in (c, np.float32(c)):
             with pytest.raises(ValueError, match=want):
                 force_extrema(cs, 1.0)
         with pytest.raises(ValueError, match=want):
             critical_points(params(c=c, g=1.0))
         with pytest.raises(ValueError, match="^contact_angle"):
             force_extrema(1.0, math.nan)
+
+    @pytest.mark.parametrize("g", [0.5, PI / 2, 2.3, PI])
+    def test_force_extrema_of_any_number_type(self, g):
+        # an int or a NumPy scalar C gives the float's extrema, as floats
+        for c in (1, 3, np.int64(2), np.float32(0.7), np.float32(2.5),
+                  np.float64(1.5)):
+            got = force_extrema(c, g)
+            assert all(type(x) is float for x in got)
+            assert [x.hex() for x in got] == [
+                x.hex() for x in force_extrema(float(c), g)]
 
 
 class TestFindEquilibria:
@@ -451,6 +461,12 @@ def _criterion_9_draws(seed, n):
     return cells
 
 
+def _column_extrema(cs, g):
+    """force_extrema of each C of the array cs, two arrays: one _extrema
+    call per bracket."""
+    return [_extrema(g, cs, b) for b in _extremum_brackets(g)]
+
+
 def _cell_nodes(c, g):
     """_cell_roots' four nodes of one cell: 0, its minimum or 0, its
     maximum or pi, and pi."""
@@ -556,7 +572,7 @@ class TestCriticalMass:
         # raises exactly where that maximum is NaN
         cs = np.concatenate([np.geomspace(1e-3, 1e3, 300),
                              np.linspace(0.01, 5.0, 100)])
-        want = force_extrema(cs, g)[1]
+        want = _extrema(g, cs, _extremum_brackets(g)[1])
         # below gamma = 0.5 here the maximum needs C past 1e3, or never comes
         assert np.isfinite(want).any() == (g >= 0.5)
         got = []
@@ -658,9 +674,10 @@ class TestBisect:
             def f(x):
                 return float(kernel(x, a, c, g))
             want = scipy_bisect(f, lo, hi, xtol=1e-12)
-            got = bisect(f, lo, hi)
-            assert type(got) is float
-            assert got == want
+            halved = equilibria._halve(f, lo, hi, f(lo))
+            for got in (bisect(f, lo, hi), halved):
+                assert type(got) is float
+                assert got == want
             expected.append(want)
         a, c, g, lo, hi = (np.array(col) for col in zip(*draws))
         got = bisect(lambda x: kernel(x, a, c, g), lo, hi)
@@ -702,10 +719,9 @@ class TestBisect:
                       np.full(r.size, 4.0)).tolist() == want
 
     def test_lane_brackets_equal_float_loop(self):
-        # a bracket per lane, as force_extrema's: widths from 4e-12 to 50,
-        # ends up to 50, roots met early (dyadic) or late; a narrow lane
-        # keeps every lane on the tolerance test, so each set also runs
-        # without one
+        # a bracket per lane: widths from 4e-12 to 50, ends up to 50, roots
+        # met early (dyadic) or late; a narrow lane keeps every lane on the
+        # tolerance test, so each set also runs without one
         rng = np.random.default_rng(16)
         r = np.concatenate([[1.0, 0.5, 3.0, 2.0 ** -30, PI, 48.0],
                             rng.uniform(0.0, 50.0, 40)])
@@ -724,7 +740,7 @@ class TestBisect:
 
     @pytest.mark.parametrize("g", [0.0, PI / 2, 2.3, PI])
     def test_one_bracket_slope_lanes(self, g):
-        # force_extrema's shape of call: the slope over many C, one bracket
+        # _extrema's shape of call: the slope over many C, one bracket
         cs = np.geomspace(1e-3, 1e3, 60)
         lo, hi = PI / 2, PI
         f = _slope(hi, cs, g)
@@ -735,8 +751,8 @@ class TestBisect:
 
 
 class TestSharedBisection:
-    """Array extrema, each lane with its own bracket in one bisection, equal
-    the float calls bit for bit."""
+    """Array extrema, each lane with its own f_hi in one bisection per
+    bracket, equal the float calls bit for bit."""
 
     @pytest.mark.parametrize("g", [0.0, 1e-12, 0.5, math.pi / 2,
                                    PI / 2 - 1e-9, PI / 2 + 1e-9, 2.3, PI])
@@ -749,23 +765,17 @@ class TestSharedBisection:
             cs.append(math.nextafter(cs[-1], math.inf))
         floats = [force_extrema(c, g) for c in cs]
         want = [np.array(x) for x in zip(*floats)]
-        got = force_extrema(np.array(cs), g)
+        got = _column_extrema(np.array(cs), g)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
-        # the maximum's bracket alone, as trace_tangency_curve and
-        # critical_mass_ratio bisect it
-        low, high = _extremum_brackets(g)
-        assert _extrema(g, [(np.array(cs), high)])[0].tobytes() == (
-            want[1].tobytes())
+        # the maximum's bracket alone, as critical_mass_ratio bisects it
+        high = _extremum_brackets(g)[1]
         assert np.array([_extremum(c, g, high) for c in cs]).tobytes() == (
             want[1].tobytes())
         # columns and tangency samples in one call, as region_map makes it
         samples = np.linspace(1e-3, 6.0, 150)
-        mixed = _extrema(g, [(np.array(cs), low), (np.array(cs), high),
-                             (samples, high)])
-        assert [x.tobytes() for x in mixed] == [
-            *(x.tobytes() for x in want),
-            np.array([_extremum(c, g, high) for c in samples.tolist()]
-                     ).tobytes()]
+        mixed = _extrema(g, np.concatenate([cs, samples]), high)
+        assert mixed.tobytes() == np.concatenate([want[1], [
+            _extremum(c, g, high) for c in samples.tolist()]]).tobytes()
 
 
 class TestSlopeShape:
@@ -871,12 +881,12 @@ NO_EXTREMA = (math.nan, math.nan)
 def _rows(a, c, g):
     """_cell_roots of each cell of A broadcast against C, in C order.
 
-    Each distinct C's extrema come from one array force_extrema call,
+    Each distinct C's extrema come from one _extrema call per bracket,
     which gives the float replay's bits (test_arrays_equal_floats)."""
     a, c = (x.ravel().tolist() for x in np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(c, dtype=float)))
     caps = sorted(set(c))
-    extrema = dict(zip(caps, zip(*(x.tolist() for x in force_extrema(
+    extrema = dict(zip(caps, zip(*(x.tolist() for x in _column_extrema(
         np.array(caps), g)))))
     return [equilibria._cell_roots(x, y, g, extrema[y])
             for x, y in zip(a, c)]
@@ -896,7 +906,7 @@ def _padded(a, c, g):
 
 class TestCellRoots:
     def test_column_matches_find_equilibria(self):
-        # a column's extrema from one array force_extrema call give each
+        # a column's extrema from one _extrema call per bracket give each
         # cell find_equilibria's roots bit for bit, the cleared cells too
         a = np.linspace(0.0, 12.0, 121)[1:]
         for c, g in ((2.0, PI / 2), (0.7, 0.4), (3.1, 2.6), (1.3, PI)):
@@ -906,7 +916,7 @@ class TestCellRoots:
 
     @pytest.mark.parametrize("g", [0.0, PI / 2, PI])
     def test_block_brackets(self, g):
-        # a grid's extrema, one array force_extrema call over its C, give
+        # a grid's extrema, one _extrema call per bracket over its C, give
         # every cell the rows _cell_roots finds with its own float extrema
         a_axis = np.linspace(0.0, 12.0, 61)[1:]
         caps = np.geomspace(1e-3, 1e3, 30)
@@ -948,7 +958,7 @@ class TestCellRoots:
         # expected roots: a root on a point of a 1000-point grid, one next
         # to each end node, and below the tangency a pair within a grid
         # step of each other, either side of the maximum.  Each root has
-        # F ~ 0, and one array force_extrema call per angle gives each
+        # F ~ 0, and one _extrema call per bracket and angle gives each
         # cell its lone roots bit for bit
         grid = np.linspace(0.0, PI, 1000)
         rng = np.random.default_rng(43)
@@ -1202,23 +1212,26 @@ def _noisy_kernels(seed):
 
 
 def _checked_replays(monkeypatch, compare=True):
-    """A count of _replay's calls and of its fallbacks to bisect, with each
-    call's result compared with plain bisect bit for bit, if ``compare``."""
+    """A count of _replay's calls and of its fallbacks, the _halve calls
+    with no window, with each call's result compared with SciPy's bisect
+    bit for bit, f_hi standing in for f(hi), if ``compare``."""
     seen = {"calls": 0, "fallbacks": 0}
-    replay, plain = equilibria._replay, equilibria.bisect
+    replay, halve = equilibria._replay, equilibria._halve
 
-    def fallback(*args):
-        seen["fallbacks"] += 1
-        return plain(*args)
+    def counted(f, lo, hi, f_lo, *window):
+        seen["fallbacks"] += not window
+        return halve(f, lo, hi, f_lo, *window)
 
     def checked(f, df, lo, hi, f_lo, f_hi, c):
         seen["calls"] += 1
         got = replay(f, df, lo, hi, f_lo, f_hi, c)
         if compare:
-            assert got.hex() == plain(f, lo, hi, f_hi).hex(), (lo, hi, c)
+            want = scipy_bisect(lambda x: f_hi if x == hi else f(x), lo, hi,
+                                xtol=1e-12)
+            assert got.hex() == want.hex(), (lo, hi, c)
         return got
 
-    monkeypatch.setattr(equilibria, "bisect", fallback)
+    monkeypatch.setattr(equilibria, "_halve", counted)
     monkeypatch.setattr(equilibria, "_replay", checked)
     return seen
 
@@ -1229,8 +1242,8 @@ class TestReplay:
     def test_replays_criterion_9_draws(self, monkeypatch):
         # every bisection of 2,000 criterion-9 cells replays, at under 16
         # kernel calls a bisection, node and stability calls included
-        # (about 44 with plain bisect).  No digest sees a replay that
-        # always falls back: its bits are bisect's
+        # (about 44 with no window).  No digest sees a replay that always
+        # falls back: its bits are bisect's
         calls = []
         for name in ("_force", "_slope", "_curv"):
             kernel = getattr(equilibria, name)
@@ -1246,7 +1259,7 @@ class TestReplay:
 
     def test_equals_bisect_on_edge_cells(self, monkeypatch):
         # every replay of find_equilibria, force_extrema and
-        # critical_mass_ratio equals plain bisect bit for bit: on edge
+        # critical_mass_ratio equals SciPy's bisect bit for bit: on edge
         # cells, next to the tangency A* and on the endpoint line, at the
         # edge angles and C from 1e-6 to 1e9, where some fall back
         cells = _edge_cells(41) + _edge_cells(47)
@@ -1288,18 +1301,19 @@ class TestReplay:
             monkeypatch.setattr(equilibria, name,
                                 lambda *args, k=kernel: calls.append(1)
                                 or k(*args))
-        replay, plain = equilibria._replay, equilibria.bisect
+        replay, halve = equilibria._replay, equilibria._halve
 
         def counted(*args):
             start[0] = len(calls)
             return replay(*args)
 
-        def fallback(*args):
-            before.append(len(calls) - start[0])
-            return plain(*args)
+        def fallback(f, lo, hi, f_lo, *window):
+            if not window:
+                before.append(len(calls) - start[0])
+            return halve(f, lo, hi, f_lo, *window)
 
         monkeypatch.setattr(equilibria, "_replay", counted)
-        monkeypatch.setattr(equilibria, "bisect", fallback)
+        monkeypatch.setattr(equilibria, "_halve", fallback)
         for g in (PI / 2, PI):
             for c in np.geomspace(1e-3, 1e9, 13).tolist():
                 a_star = critical_mass_ratio(c, g)[0]
@@ -1313,9 +1327,9 @@ class TestReplay:
 
     def test_certificate_holds_against_adverse_rounding(self, monkeypatch):
         # kernels whose rounding, within tau, flips their sign near the
-        # certificate's points or near hi: each replay equals bisect, by
-        # replaying where the certificate holds and falling back where
-        # the end value at hi is under 3 tau
+        # certificate's points or near hi: each replay equals SciPy's
+        # bisect, by replaying where the certificate holds and falling back
+        # where the end value at hi is under 3 tau
         seen = _checked_replays(monkeypatch)
         for f, df, lo, hi in _noisy_kernels(3):
             equilibria._replay(f, df, lo, hi, f(lo), f(hi), 1.0)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from floatcyl import equilibria, regions
 from floatcyl.equilibria import (NoSecondCriticalPointError, _bounds,
+                                 _extrema, _extremum_brackets,
                                  critical_mass_ratio, find_equilibria,
                                  force_extrema, second_extremum_threshold)
 from floatcyl.intersection import _margin, _overhang, intersection_margin
@@ -395,12 +396,18 @@ class TestTraceWindows:
         ((0.0, 12.0), (0.0, math.nan), "capillary_ratio"),
         ((0.0, math.nan), (0.0, 5.0), "mass_ratio"),
         ((math.nan, 12.0), (0.0, 5.0), "mass_ratio"),
-        ((0.0, 12.0), (-1.0, 5.0), "capillary_ratio")])
+        ((0.0, 12.0), (-1.0, 5.0), "capillary_ratio"),
+        ((0.0, math.inf), (0.0, 5.0), "mass_ratio"),
+        ((-math.inf, 12.0), (0.0, 5.0), "mass_ratio"),
+        ((0.0, 12.0), (0.0, math.inf), "capillary_ratio"),
+        ((0.0, 12.0), (math.inf, math.inf), "capillary_ratio")])
     @pytest.mark.parametrize("g", [0.0, 1.0, 2.0, PI])
     def test_unusable_window_raises(self, g, a_window, c_window, name):
         # each row once gave some tracer points: up to C = 6.4e7 for a NaN
-        # C bound at gamma = 2, NaN points for a NaN A bound, and points
-        # for C from -1, which region_map rejects
+        # C bound at gamma = 2, NaN points for a NaN A bound, points for C
+        # from -1, which region_map rejects, and a NaN point with a NumPy
+        # warning for an infinite A bound at gamma = 1 or C bound at
+        # gamma = 0
         for trace in _TRACES:
             with pytest.raises(ValueError, match=f"^{name} window"):
                 trace(g, a_window, c_window)
@@ -418,6 +425,21 @@ class TestTraceWindows:
         # the other angles gave none
         for trace in _TRACES:
             assert trace(g, a_window, c_window).points.shape == (0, 2)
+
+    @pytest.mark.parametrize("c_window, like", [
+        ((0.0, 1e200), (0.0, 1e150)), ((1e-3, 1e200), (1e-3, 1e150)),
+        ((1e200, 1e201), (1e150, 1e151)), ((1e150, 1e200), (1e150, 1e151))])
+    @pytest.mark.parametrize("g", [0.0, 1.0, 2.0, PI])
+    def test_capillary_bound_whose_square_overflows(self, g, c_window, like):
+        # the endpoint curve's C ** 2 once raised OverflowError past
+        # C = 1.3e154; such a bound stands for its limit, as
+        # pi + s/C^2 rounds to pi from C = 1e8 on
+        got = trace_endpoint_curve(g, (0.0, 12.0), c_window).points
+        if g not in (0.0, PI):
+            assert got.tolist() == trace_endpoint_curve(
+                g, (0.0, 12.0), like).points.tolist()
+        assert np.all(np.isfinite(got))
+        assert (len(got) > 0) == (c_window[0] < 1.0 or g in (0.0, PI))
 
     def test_mass_ratio_bounds_may_be_negative(self):
         for trace in _TRACES:
@@ -543,11 +565,11 @@ class TestRegionMap:
 def bisected_labels(rm):
     """rm's labels from _cell_roots' fully bisected roots and the margin.
 
-    Each cell takes its column's force_extrema, from one array bisection:
-    the bits _cell_roots finds per cell with its float extrema."""
+    Each cell takes its column's extrema, from one _extrema call per
+    bracket: the bits _cell_roots finds per cell with its float extrema."""
     g = rm.contact_angle
     columns = list(zip(rm.c_axis.tolist(), zip(*(
-        x.tolist() for x in force_extrema(rm.c_axis, g)))))
+        _extrema(g, rm.c_axis, b).tolist() for b in _extremum_brackets(g)))))
     labels = []
     for a in rm.a_axis.tolist():
         row = []
@@ -596,9 +618,9 @@ class TestSettledLabels:
         calls = _count_extrema(monkeypatch)
         region_map(g, resolution=(200, 200), curve_samples=0)
         assert sum(fallback) == 0
-        high = equilibria._extremum_brackets(g)[1]
-        assert [[(c.size, bracket) for c, bracket in lanes]
-                for _, lanes in calls] == [[(200, high), (0, high)]]
+        high = _extremum_brackets(g)[1]
+        assert [(c.size, bracket) for _, c, bracket in calls] == [
+            (200, high)]
 
     def test_fallback_takes_the_map_extrema(self, monkeypatch):
         # a window 2e-10 wide around A* at C = 1, 2e-12 wide in C, lies
@@ -617,13 +639,12 @@ class TestSettledLabels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        low, high = equilibria._extremum_brackets(PI / 2)
+        low, high = _extremum_brackets(PI / 2)
         # the maxima of the 200 columns and of the 200 samples, then the
         # minima of the 200 columns, each one fallback column
-        assert [[(c.size, bracket) for c, bracket in lanes]
-                for _, lanes in calls] == [[(200, high), (200, high)],
-                                           [(200, low)]]
-        assert calls[1][1][0][0].tolist() == rm.c_axis.tolist()
+        assert [(c.size, bracket) for _, c, bracket in calls] == [
+            (400, high), (200, low)]
+        assert calls[1][1].tolist() == rm.c_axis.tolist()
         assert sum(fallback) == 200 * 200
         # the fallback holds one cell's roots at a time: its memory stays
         # bounded whatever the cell count, and its labels are the bisected
@@ -684,7 +705,7 @@ class TestBreakpoints:
         a_star = critical_mass_ratio(c, g)[0]
         a_axis = a_star + np.array([-1e-2, -1e-6, 1e-6, 1e-2])
         n, n_valid = regions._count_block(
-            a_axis, np.array([c]), g, force_extrema(np.array([c]), g)[1])
+            a_axis, np.array([c]), g, np.array([force_extrema(c, g)[1]]))
         assert n[:, 0].tolist() == n_valid[:, 0].tolist() == [2, 2, 0, 0]
         assert [_LABEL_TABLE[k, k] for k in n[:, 0].tolist()] == [
             classify_point(params(a, c, g))[0] for a in a_axis.tolist()]
@@ -701,7 +722,7 @@ class TestBreakpoints:
         rm = region_map(g, (0.0, 2.0 * a_end),
                         (c_open * (1.0 - width), c_open * (1.0 + width)),
                         (40, 40), curve_samples=0)
-        minimum = force_extrema(rm.c_axis, g)[0]
+        minimum = _extrema(g, rm.c_axis, _extremum_brackets(g)[0])
         assert 0 < np.isnan(minimum).sum() < minimum.size
         assert len({label for row in rm.labels for label in row}) > 1
         assert rm.labels.tolist() == bisected_labels(rm)

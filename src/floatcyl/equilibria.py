@@ -92,69 +92,42 @@ def _classify(slope: float) -> Stability:
     return Stability.MARGINAL_UNSTABLE
 
 
-def bisect(f, lo, hi, f_hi=None):
-    """SciPy's ``bisect(f, lo, hi, xtol=PHI0_TOL)``, bit for bit, elementwise.
+def bisect(f, lo, hi, f_lo):
+    """``_halve`` with no window on lanes side by side, bit for bit: one
+    float bracket 0 <= lo < hi shared by every lane, and f_lo = f(lo), an
+    array whose entries are nonzero and opposite in sign to f(hi).
 
-    Halve dm, probe xm = xa + dm, keep xm as the new xa when
-    f(xm) f(xa) >= 0, and return xm once f(xm) == 0 or
-    |dm| < PHI0_TOL + 4 eps |xm|.  f(lo) and f(hi) must not share a sign.
-    f(hi) is read only to test it against zero, so ``f_hi``, when given,
-    stands in for it: any value with its sign.  Floats, with
-    0 <= lo < hi, run SciPy's loop as written (``_halve``), with none of
-    the masks' arithmetic; no array can exist unless NumPy is loaded, so
-    a float call never loads it.  Array elements run side by side, each
-    selected by ``np.where``, so each equals its scalar run.
-    Each lane's dm halves exactly, and so does the least |dm| of all
-    lanes; each xm lies within its lane's bracket widened by half an ulp
-    per halving, so within twice the largest end of any bracket.  So
-    while the least |dm| is at least twice PHI0_TOL + 4 eps max(|lo|, |hi|)
-    over all lanes, no lane's tolerance test can pass, and only
+    Each lane keeps its own xa and stops at its own xm, selected by
+    ``np.where``, so each equals its float run; f runs at neither end.
+    dm halves exactly, and each xm lies in [lo, hi] widened by half an ulp
+    per halving, so below 2 hi: while dm is at least twice
+    PHI0_TOL + 4 eps hi, no lane's tolerance test can pass, and only
     f(xm) == 0 can stop a lane.
-
-    On floats, ``_cell_roots``' roots and ``force_extrema``'s extrema
-    come from ``_replay``, which gives this loop's bits from about a third
-    of its calls of f.
     """
-    fa, fb = f(lo), f(hi) if f_hi is None else f_hi
-    np = sys.modules.get("numpy")
-    if np is None or not any(isinstance(v, np.ndarray)
-                             for v in (fa, fb, lo, hi)):
-        if fa == 0.0:
-            return lo
-        if fb == 0.0:
-            return hi
-        return _halve(f, lo, hi, fa)
-    todo = (fa != 0.0) & (fb != 0.0)
-    root = np.where(fa == 0.0, lo, hi)
+    np = _numpy()
+    root = np.empty(f_lo.shape)
+    todo = np.ones(f_lo.shape, dtype=bool)
     xa, dm = lo, hi - lo
-    # the least |dm| of any lane, and the |dm| from which no lane's
-    # tolerance test can pass; with no lane, no shortcut
-    least, wide = 0.0, 1.0
-    if np.size(dm):
-        least = float(np.abs(dm).min())
-        wide = 2.0 * (PHI0_TOL + _RTOL * float(
-            np.maximum(np.abs(lo), np.abs(hi)).max()))
+    wide = 2.0 * (PHI0_TOL + _RTOL * hi)
     for _ in range(_MAX_HALVINGS):
-        dm = dm * 0.5
-        least *= 0.5
+        dm *= 0.5
         xm = xa + dm
         fm = f(xm)
-        xa = np.where(fm * fa >= 0.0, xm, xa)
-        if least >= wide:
-            stop = todo & (fm == 0.0)
-            if not stop.any():
-                continue
-        else:
-            stop = todo & ((fm == 0.0) | (abs(dm) < PHI0_TOL + _RTOL * abs(xm)))
-        root = np.where(stop, xm, root)
-        todo = todo & ~stop
-        if not todo.any():
-            return root
+        xa = np.where(fm * f_lo >= 0.0, xm, xa)
+        stop = fm == 0.0
+        if dm < wide:
+            stop |= dm < PHI0_TOL + _RTOL * xm
+        stop &= todo
+        if stop.any():
+            root = np.where(stop, xm, root)
+            todo &= ~stop
+            if not todo.any():
+                return root
     raise RuntimeError(f"bisection not converged in {_MAX_HALVINGS} halvings")
 
 
 def _replay(f, df, lo, hi, f_lo, f_hi, c):
-    """``bisect(f, lo, hi, f_hi)`` on floats, bit for bit, from about a
+    """``_halve(f, lo, hi, f_lo)``'s result, bit for bit, from about a
     third of its calls of f.
 
     f is ``_force`` of a cell on one of its segments (``_cell_roots``), or
@@ -188,20 +161,19 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
        only for midpoints in [rl, rh], and for any that round past hi.  A
        midpoint in an outer zone has f(xm) != 0 of its zone end's sign,
        and, with |f_lo| > 3 tau and tau >= 64 eps, f(xm) f_lo does not
-       underflow: ``bisect`` keeps it as xa below rl, and not above rh.
+       underflow: the halvings keep it as xa below rl, and not above rh.
     5. A failed certificate, a zero f' or a Newton iteration that does not
-       settle in 12 steps runs ``_halve`` with no window, from f_lo, so
-       f(lo) is not computed again; so does one that
-       closes on a nearly double zero too slowly to settle in the steps
-       left.  On the parabola through f(x) with f'(x) and the f'' of the
-       last two f', with q = 2 f f'' / f'^2 in (0, 1), the zero lies
+       settle in 12 steps runs ``_halve`` with no window, from f_lo; so
+       does one that closes on a nearly double zero too slowly to settle in
+       the steps left.  On the parabola through f(x) with f'(x) and the f''
+       of the last two f', with q = 2 f f'' / f'^2 in (0, 1), the zero lies
        1/sqrt(1 - q) times closer to the vertex than x does, and Newton's
        steps toward it at best halve: with n steps left, q > 1 - 4^-n
        (tested after a step that does not settle) leaves too few.  Near a
        tangency this falls back after a few steps instead of 12.
 
     Newton's x is never returned: every output is a midpoint of the
-    halvings, as ``bisect`` gives it.
+    halvings, as ``_halve`` with no window gives it.
     """
     tau, _, k = _bounds(c)
     a, b = lo, hi
@@ -242,14 +214,14 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
 
 
 def _halve(f, lo, hi, f_lo, rl=-math.inf, rh=math.inf):
-    """The halvings of ``bisect`` on floats 0 <= lo < hi, from
-    f_lo = f(lo), f(lo) and f(hi) nonzero and of opposite signs.
+    """SciPy's bisect with xtol=PHI0_TOL, bit for bit, on floats
+    0 <= lo < hi, from f_lo = f(lo), f(lo) and f(hi) nonzero and of
+    opposite signs; f runs at neither end, and the tolerance test needs
+    no abs, as dm and xm are positive.
 
     A midpoint below rl is kept as xa, and one in (rh, hi] is not, both
     without f: ``_replay`` passes the window whose outer zones it has
-    certified, and its fallbacks and ``bisect`` pass none.  With
-    0 <= lo < hi, dm and xm are positive, so the tolerance test needs no
-    abs.
+    certified; its fallbacks and ``regions.tangency_boundary_c`` pass none.
     """
     xa, dm = lo, hi - lo
     for _ in range(_MAX_HALVINGS):
@@ -413,7 +385,7 @@ def _bracketed(c, g, lo, hi):
 
 def _extremum(c, g, bracket):
     """The extremum a bracket of ``_extremum_brackets`` holds at a float
-    ``c``, NaN where it is dropped, on floats: ``bisect``'s bits, from
+    ``c``, NaN where it is dropped, on floats: ``_halve``'s bits, from
     ``_replay``."""
     ok, s_lo, s_hi = _bracketed(c, g, *bracket)
     return (_replay(lambda x: _slope(x, c, g), lambda x: _curv(x, c, g),
@@ -422,22 +394,20 @@ def _extremum(c, g, bracket):
 
 
 def _extrema(g, c, bracket):
-    """``_extremum`` at every entry of the float array c on one bracket of
-    ``_extremum_brackets``: a float array shaped like c.
+    """``_extremum`` at every entry of the 1-D float array c on one bracket
+    of ``_extremum_brackets``: a float array shaped like c.
 
     Every entry whose bracket holds an extremum (``_bracketed``) is one
-    lane of a single ``bisect`` call with its own f_hi, which gives each
-    lane its float run's bits.  Each halving's NumPy calls cost about as
-    much as 400 more lanes do, so callers pass all their C at once.
+    lane of a single ``bisect`` call, from its slope at lo, which gives
+    each lane its float run's bits.  Each halving's NumPy calls cost about
+    as much as 400 more lanes do, so callers pass all their C at once.
     """
     np = _numpy()
     phi = np.full(c.shape, np.nan)
-    ok, _, s_hi = _bracketed(c, g, *bracket)
-    idx = np.flatnonzero(ok)
-    if idx.size:
-        lanes = c.ravel()[idx]
-        phi.flat[idx] = bisect(lambda x: _slope(x, lanes, g), *bracket,
-                               s_hi.ravel()[idx])
+    ok, s_lo, _ = _bracketed(c, g, *bracket)
+    if ok.any():
+        lanes = c[ok]
+        phi[ok] = bisect(lambda x: _slope(x, lanes, g), *bracket, s_lo[ok])
     return phi
 
 
@@ -623,13 +593,7 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
     terms (4 sin(gamma/2) <= C 2^-52: from C of about 1.3e16 at
     gamma = 1.6, 9e12 at gamma = 1e-3): the slope near pi is then rounding.
     """
-    # the A = 0 scale test of DimensionlessParams, named for C alone
-    scale = PI * capillary_ratio * capillary_ratio
-    if 0.0 < capillary_ratio < math.inf and not math.isfinite(scale * scale):
-        raise ValueError(f"capillary_ratio={capillary_ratio!r} gives a force "
-                         f"scale pi C^2 = {scale:.3g} too large to square")
-    DimensionlessParams(mass_ratio=0.0, capillary_ratio=capillary_ratio,
-                        contact_angle=contact_angle, exploratory=True)
+    _check_mass_free(capillary_ratio, contact_angle)
     phi0_star = _extremum(float(capillary_ratio), contact_angle,
                           _extremum_brackets(contact_angle)[1])
     if not phi0_star > PI / 2.0:
@@ -646,6 +610,17 @@ def critical_mass_ratio(capillary_ratio: float, contact_angle: float
             f"(threshold C = {threshold!r})")
     f_star = _force(phi0_star, 0.0, capillary_ratio, contact_angle)
     return _finite_mass(f_star, capillary_ratio ** 2, capillary_ratio), phi0_star
+
+
+def _check_mass_free(capillary_ratio, contact_angle):
+    """``DimensionlessParams``' checks at A = 0, its scale test named for C
+    alone: ``critical_mass_ratio``'s and ``regions._tangency_samples``'."""
+    scale = PI * capillary_ratio * capillary_ratio
+    if 0.0 < capillary_ratio < math.inf and not math.isfinite(scale * scale):
+        raise ValueError(f"capillary_ratio={capillary_ratio!r} gives a force "
+                         f"scale pi C^2 = {scale:.3g} too large to square")
+    DimensionlessParams(mass_ratio=0.0, capillary_ratio=capillary_ratio,
+                        contact_angle=contact_angle, exploratory=True)
 
 
 def _finite_mass(numerator, denominator, capillary_ratio) -> float:

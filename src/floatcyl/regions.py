@@ -36,8 +36,9 @@ from enum import Enum
 import numpy as np
 
 from .equilibria import (PHI0_TOL, ROOT_VALUE_TOL, _bounds, _cell_roots,
-                         _extrema, _extremum_brackets, bisect,
-                         find_equilibria, second_extremum_threshold)
+                         _check_mass_free, _extrema, _extremum_brackets,
+                         _halve, bisect, find_equilibria,
+                         second_extremum_threshold)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
                     _force, _slope, total_force)
@@ -166,10 +167,10 @@ def tangency_boundary_c(contact_angle: float,
     interior maximum of F(.; C+(x)) touching zero: f has at most one, and
     f(lo) > 0 (f = 2 at pi - gamma; at pi/2 and 3pi/4, -2 cos(x + gamma), the C
     terms together and C^2 are positive).  F'(pi; C) = 2 cos gamma -
-    4 C sin(gamma/2) < 0 exactly when C > C0 (the threshold), or A < A0: one
-    ``bisect``, reading signs only, finds the zero; else C+ peaks at pi, on the
-    endpoint curve, and C* does not exist.  C+ is flat there, so C* is exact to
-    rounding, also near pi, near A0 and at large A.
+    4 C sin(gamma/2) < 0 exactly when C > C0 (the threshold), or A < A0:
+    ``_halve`` from f(lo), reading signs only, finds the zero; else C+ peaks
+    at pi, on the endpoint curve, and C* does not exist.  C+ is flat there,
+    so C* is exact to rounding, also near pi, near A0 and at large A.
     """
     _check_contact_angle(contact_angle)
     _check_finite_mass(mass_ratio)
@@ -182,11 +183,13 @@ def tangency_boundary_c(contact_angle: float,
         r = -2.0 * math.sin(x + contact_angle)
         return (u + math.sqrt(max(u * u + 4.0 * r, 0.0))) / (2.0 * w)
 
+    def f(x):
+        return _slope(x, c_plus(x), contact_angle) if x < PI else -1.0
+
     if not c_plus(PI) > second_extremum_threshold(contact_angle):
         return None
     lo = max(_extremum_brackets(contact_angle)[1][0], PI - contact_angle)
-    return c_plus(bisect(lambda x: _slope(x, c_plus(x), contact_angle)
-                         if x < PI else -1.0, lo, PI))
+    return c_plus(_halve(f, lo, PI, f(lo)))
 
 
 def trace_endpoint_curve(contact_angle, a_window, c_window,
@@ -257,9 +260,9 @@ def _tangency_samples(contact_angle, c_window, n):
     # no sample in the window, as when the maximum never appears (thr = inf)
     if lo >= c_hi:
         return np.empty(0)
-    # the samples span [lo, c_hi]: check them as critical_mass_ratio would
-    for c in (lo, c_hi):
-        DimensionlessParams(0.0, c, contact_angle, exploratory=True)
+    # the largest sample has the largest force scale: check it as
+    # critical_mass_ratio does
+    _check_mass_free(c_hi, contact_angle)
     return np.linspace(lo, c_hi, n)
 
 
@@ -574,11 +577,12 @@ def _intersecting_parts(cs, g):
     margin is lowest to a point z, where f = +-(margin -+ b), signed so
     that it rises with the margin's rise, changes sign.  Where f(lo) < 0
     < f(hi), z comes from one bisection over every such column of both
-    parts, the regime a bracket shared by all of them, which leaves
-    within PHI0_TOL + 4 eps pi of z a point at or below it with f <= 0
-    and one at or above it with f >= 0.  Elsewhere z = lo where
-    f(lo) >= 0, itself the point above, with none needed below it; else
-    z = hi, where f(hi) <= 0, the point below, with none needed above.
+    parts, the regime a bracket shared by all of them, from their values
+    at lo, which leaves within PHI0_TOL + 4 eps pi of z a point at or
+    below it with f <= 0 and one at or above it with f >= 0.  Elsewhere
+    z = lo where f(lo) >= 0, itself the point above, with none needed
+    below it; else z = hi, where f(hi) <= 0, the point below, with none
+    needed above.
     """
     rising = g <= PI / 2.0
     lo, hi = (0.0, PI / 2.0 - g) if rising else (3.0 * PI / 2.0 - g, PI)
@@ -590,7 +594,8 @@ def _intersecting_parts(cs, g):
     lanes = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
     if lanes.size:
         c, shift = c[lanes], shift[lanes]
-        z[lanes] = bisect(lambda x: _margin(x, c, g, np) - shift, lo, hi)
+        z[lanes] = bisect(lambda x: _margin(x, c, g, np) - shift, lo, hi,
+                          way * f_lo[lanes])
     z = z.reshape(2, -1)
     return np.stack([np.full(z.shape, lo if rising else hi), z], axis=1)
 

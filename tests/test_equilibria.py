@@ -668,91 +668,73 @@ class TestBisect:
 
     @pytest.mark.parametrize("kernel", [_force, _slope_of])
     def test_equals_scipy_on_random_brackets(self, kernel):
-        draws = _random_brackets(kernel, 200, seed=31)
-        expected = []
-        for a, c, g, lo, hi in draws:
+        for a, c, g, lo, hi in _random_brackets(kernel, 200, seed=31):
             def f(x):
                 return float(kernel(x, a, c, g))
-            want = scipy_bisect(f, lo, hi, xtol=1e-12)
-            halved = equilibria._halve(f, lo, hi, f(lo))
-            for got in (bisect(f, lo, hi), halved):
-                assert type(got) is float
-                assert got == want
-            expected.append(want)
-        a, c, g, lo, hi = (np.array(col) for col in zip(*draws))
-        got = bisect(lambda x: kernel(x, a, c, g), lo, hi)
-        assert got.tolist() == expected
+            got = equilibria._halve(f, lo, hi, f(lo))
+            assert type(got) is float
+            assert got == scipy_bisect(f, lo, hi, xtol=1e-12)
+        # lanes that share one bracket, each with its own (a, c, g)
+        rng = np.random.default_rng(32)
+        for lo, hi in ((0.0, PI), (0.3, 2.9), (PI / 2, PI), (1.0, 1.5)):
+            a, c, g = (rng.uniform(x, y, 400)
+                       for x, y in ((0.05, 15.0), (0.05, 6.0), (0.0, PI)))
+            ok = (kernel(np.asarray(lo), a, c, g)
+                  * kernel(np.asarray(hi), a, c, g) < 0.0)
+            a, c, g = a[ok], c[ok], g[ok]
+            assert a.size >= 10
 
-    def test_zero_at_either_end(self):
-        def f(x):
-            return x - 1.0
-        for lo, hi in ((1.0, 2.0), (0.0, 1.0), (0.3, 2.5)):
-            assert bisect(f, lo, hi) == scipy_bisect(f, lo, hi, xtol=1e-12)
-        lo = np.array([1.0, 0.0, 0.3])
-        hi = np.array([2.0, 1.0, 2.5])
-        assert bisect(f, lo, hi).tolist() == [
-            1.0, 1.0, scipy_bisect(f, 0.3, 2.5, xtol=1e-12)]
+            def f(x):
+                return kernel(np.asarray(x), a, c, g)
+            got = bisect(f, lo, hi, f(lo))
+            assert got.tolist() == [
+                scipy_bisect(lambda x: float(kernel(x, *p)), lo, hi,
+                             xtol=1e-12)
+                for p in zip(a.tolist(), c.tolist(), g.tolist())]
 
     def test_increasing_and_decreasing(self):
         for f in (np.cos, lambda x: -np.cos(x), lambda x: 1.0 - x * x,
                   lambda x: x ** 3 - 2.0):
             want = scipy_bisect(f, 0.0, 3.0, xtol=1e-12)
-            assert bisect(f, 0.0, 3.0) == want
-            assert bisect(f, np.zeros(2), np.full(2, 3.0)).tolist() == [want] * 2
-
+            assert equilibria._halve(f, 0.0, 3.0, f(0.0)) == want
+            assert bisect(lambda x: f(np.full(2, x)), 0.0, 3.0,
+                          f(np.zeros(2))).tolist() == [want] * 2
 
     def test_one_bracket_equals_float_loop(self):
-        # every lane shares the float bracket [0, 4]: lanes with f(lo) == 0
-        # or f(hi) == 0, lanes that hit f(xm) == 0 while dm is still wide
-        # (2, 1, 3) or late (3 2^-40), and seeded ones
-        roots = [0.0, 4.0, 2.0, 1.0, 3.0, 3.0 * 2.0 ** -40, PI,
+        # every lane shares the float bracket [0, 4]: lanes that hit
+        # f(xm) == 0 while dm is still wide (2, 1, 3) or late (3 2^-40),
+        # and seeded ones
+        roots = [2.0, 1.0, 3.0, 3.0 * 2.0 ** -40, PI,
                  1.2345678901234] + np.random.default_rng(15).uniform(
                      0.0, 4.0, 40).tolist()
         r = np.array(roots)
-        got = bisect(lambda x: x - r, 0.0, 4.0)
-        want = [bisect(lambda x, ri=ri: x - ri, 0.0, 4.0) for ri in roots]
+        got = bisect(lambda x: x - r, 0.0, 4.0, -r)
+        want = [equilibria._halve(lambda x, ri=ri: x - ri, 0.0, 4.0, -ri)
+                for ri in roots]
         assert got.tolist() == want
         assert want == [scipy_bisect(lambda x, ri=ri: x - ri, 0.0, 4.0,
                                      xtol=1e-12) for ri in roots]
-        # the same lanes with a bracket each, as arrays
-        assert bisect(lambda x: x - r, np.zeros(r.size),
-                      np.full(r.size, 4.0)).tolist() == want
-
-    def test_lane_brackets_equal_float_loop(self):
-        # a bracket per lane: widths from 4e-12 to 50, ends up to 50, roots
-        # met early (dyadic) or late; a narrow lane keeps every lane on the
-        # tolerance test, so each set also runs without one
-        rng = np.random.default_rng(16)
-        r = np.concatenate([[1.0, 0.5, 3.0, 2.0 ** -30, PI, 48.0],
-                            rng.uniform(0.0, 50.0, 40)])
-        below = np.concatenate([[1.0, 0.25, 1.0, 1.0, 1e-12, 2.0],
-                                rng.uniform(1e-12, 4.0, 40)])
-        above = np.concatenate([[3.0, 0.75, 1.0, 1.0, 3e-12, 2.0],
-                                np.exp(rng.uniform(-27.0, 0.0, 40))])
-        for lanes in (slice(None), slice(None, 4), slice(6, None),
-                      np.flatnonzero(below + above > 1e-3)):
-            ri, lo, hi = r[lanes], (r - below)[lanes], (r + above)[lanes]
-            got = bisect(lambda x: x - ri, lo, hi)
-            assert got.tolist() == [
-                scipy_bisect(lambda x, c=c: x - c, a, b, xtol=1e-12)
-                for c, a, b in zip(ri.tolist(), lo.tolist(), hi.tolist())]
-        assert bisect(lambda x: x, np.empty(0), np.empty(0)).size == 0
 
     @pytest.mark.parametrize("g", [0.0, PI / 2, 2.3, PI])
     def test_one_bracket_slope_lanes(self, g):
-        # _extrema's shape of call: the slope over many C, one bracket
-        cs = np.geomspace(1e-3, 1e3, 60)
-        lo, hi = PI / 2, PI
-        f = _slope(hi, cs, g)
-        cs = cs[_slope(lo, cs, g) * f < 0.0]
-        got = bisect(lambda x: _slope(x, cs, g), lo, hi)
-        assert got.tolist() == [bisect(lambda x, c=c: _slope(x, c, g), lo, hi)
-                                for c in cs.tolist()]
+        # _extrema's shape of call: the slope over the C whose bracket of
+        # _extremum_brackets holds an extremum, one bracket per call
+        caps = np.geomspace(1e-3, 1e3, 60)
+        for lo, hi in _extremum_brackets(g):
+            cs = caps[_bracketed(caps, g, lo, hi)[0]]
+            if not cs.size:
+                continue
+            got = bisect(lambda x: _slope(x, cs, g), lo, hi,
+                         _slope(lo, cs, g))
+            assert got.tolist() == [
+                equilibria._halve(lambda x, c=c: _slope(x, c, g), lo, hi,
+                                  _slope(lo, c, g))
+                for c in cs.tolist()]
 
 
 class TestSharedBisection:
-    """Array extrema, each lane with its own f_hi in one bisection per
-    bracket, equal the float calls bit for bit."""
+    """Array extrema, each lane from its own slope at the bracket's start
+    in one bisection per bracket, equal the float calls bit for bit."""
 
     @pytest.mark.parametrize("g", [0.0, 1e-12, 0.5, math.pi / 2,
                                    PI / 2 - 1e-9, PI / 2 + 1e-9, 2.3, PI])

@@ -208,15 +208,71 @@ def _bound_anywhere(tree):
     yield from _imported(tree)
 
 
+def _signature(args):
+    """The ``inspect.Signature`` of a def's ``ast.arguments``, each default
+    a placeholder."""
+    Parameter = inspect.Parameter
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    params = []
+    for k, arg in enumerate(positional):
+        kind = (Parameter.POSITIONAL_ONLY if k < len(args.posonlyargs)
+                else Parameter.POSITIONAL_OR_KEYWORD)
+        params.append(Parameter(arg.arg, kind, default=(
+            None if k >= first_default else Parameter.empty)))
+    if args.vararg:
+        params.append(Parameter(args.vararg.arg, Parameter.VAR_POSITIONAL))
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        params.append(Parameter(arg.arg, Parameter.KEYWORD_ONLY, default=(
+            Parameter.empty if default is None else None)))
+    if args.kwarg:
+        params.append(Parameter(args.kwarg.arg, Parameter.VAR_KEYWORD))
+    return inspect.Signature(params)
+
+
+def _binds(signatures, call, constants):
+    """Whether the call, ``name(args)`` as written in prose, binds to one
+    of the signatures, each argument that is a bare name, no name in
+    ``constants``, to the parameter of that name.  A call that is no
+    Python expression, or that unpacks arguments, is not checked."""
+    try:
+        node = ast.parse(call, mode="eval").body
+    except SyntaxError:
+        return True
+    if not isinstance(node, ast.Call) or any(
+            isinstance(arg, ast.Starred) for arg in node.args) or any(
+            keyword.arg is None for keyword in node.keywords):
+        return True
+    for signature in signatures:
+        try:
+            bound = signature.bind(*node.args, **{
+                keyword.arg: keyword.value for keyword in node.keywords})
+        except TypeError:
+            continue
+        if all(value.id == name
+               for name, value in bound.arguments.items()
+               if isinstance(value, ast.Name) and value.id not in constants):
+            return True
+    return False
+
+
 def _stale_names(texts, tests):
     """The ``test_*`` names in the modules that no test in ``tests`` has,
-    the private names in their prose that no module binds, and the
+    the private names in their prose that no module binds, the
     double-backticked bare names there that no module binds anywhere,
-    submodule names, builtins and test names aside."""
+    submodule names, builtins and test names aside, and the
+    double-backticked calls there of a module-level function that do not
+    bind to its signature (``_binds``)."""
     trees = [ast.parse(text) for text in texts.values()]
     bound = {name for tree in trees for name in _module_names(tree)}
     known = ({name for tree in trees for name in _bound_anywhere(tree)}
              | set(texts) | set(dir(builtins)) | set(tests))
+    signatures = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                signatures.setdefault(node.name, []).append(
+                    _signature(node.args))
     stale = set()
     for module, text in texts.items():
         stale.update(f"{module}: {name}"
@@ -229,6 +285,11 @@ def _stale_names(texts, tests):
         stale.update(f"{module}: {name}" for prose in _prose(text)
                      for name in re.findall(r"``([A-Za-z_]\w*)``", prose)
                      if name not in known)
+        stale.update(f"{module}: {call}" for prose in _prose(text)
+                     for call, name in re.findall(
+                         r"``((?:\w+\.)*(\w+)\([^`]*\))``", prose)
+                     if name in signatures
+                     and not _binds(signatures[name], call, bound))
     return sorted(stale)
 
 
@@ -272,9 +333,16 @@ class TestSourceHygiene:
                 # a public name in double backticks is known when a module
                 # binds it anywhere, names the module, or is a builtin
                 "def g(x):\n    \"\"\"``x``, ``f``, ``m``, ``len``, ``real``,"
-                " ``test_kept``, not ``solve``.\"\"\"\n    return x.real\n")
+                " ``test_kept``, not ``solve``.\"\"\"\n    return x.real\n"
+                # a call of a module-level function binds to its signature,
+                # a bare name that no module binds to the parameter of
+                # that name; SciPy's keyword or a renamed argument does not
+                "def h(f, lo, f_lo=_KEPT):\n    \"\"\"``h(f, lo)``, "
+                "``h(f, _KEPT, f_lo=1)``, ``h(*p)``, ``m.h(f, lo, x + 1)``, not"
+                " ``h(f, lo, xtol=1)``, ``h(f, lo, f_hi)`` or ``g()``.\"\"\"\n")
         assert _stale_names({"m": text}, {"test_kept"}) == [
-            "m: _gone", "m: _rows", "m: solve", "m: test_rows"]
+            "m: _gone", "m: _rows", "m: g()", "m: h(f, lo, f_hi)",
+            "m: h(f, lo, xtol=1)", "m: solve", "m: test_rows"]
 
 
 def _third_party_imports(trees):

@@ -16,7 +16,7 @@ from floatcyl.equilibria import (NoSecondCriticalPointError, _bounds,
                                  critical_mass_ratio, find_equilibria,
                                  force_extrema, second_extremum_threshold)
 from floatcyl.intersection import _margin, _overhang, intersection_margin
-from floatcyl.model import DimensionlessParams, _force, total_force
+from floatcyl.model import DimensionlessParams, _force, _slope, total_force
 from floatcyl.regions import (_LABEL_TABLE, CurveKind, RegionLabel,
                               classify_point,
                               endpoint_boundary_c, endpoint_boundary_is_vertical,
@@ -236,15 +236,47 @@ class TestTangencyBoundary:
         assert want
         assert curve.points.tolist() == want
 
-    @pytest.mark.parametrize("c_window", [(0.0, 1e300), (0.0, math.inf),
-                                          (0.0, math.nan), (math.nan, 5.0)])
+    @pytest.mark.parametrize("c_window", [(0.0, 1e300), (0.0, 1e200),
+                                          (0.0, math.inf), (0.0, math.nan),
+                                          (math.nan, 5.0)])
     def test_trace_rejects_unusable_window(self, c_window):
         # checked once up front, as each critical_mass_ratio sample was:
-        # no NumPy warning, no silently dropped samples
+        # no NumPy warning, no silently dropped samples; a finite C bound
+        # too large gets critical_mass_ratio's message, which names no
+        # mass ratio (one of 0.0 was once named)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="capillary_ratio"):
+            with pytest.raises(ValueError, match="capillary_ratio") as got:
                 trace_tangency_curve(2.0, (0.0, 12.0), c_window)
+        if all(map(math.isfinite, c_window)):
+            with pytest.raises(ValueError) as want:
+                critical_mass_ratio(c_window[1], 2.0)
+            assert str(got.value) == str(want.value)
+
+    def test_inversion_equals_scipy_bisect(self):
+        # tangency_boundary_c halves [lo, pi] from f(lo) > 0, f(pi) = -1
+        # standing for the slope there: C+ of SciPy's bisect on the same
+        # f, bit for bit, where the slope at pi is negative
+        from scipy.optimize import bisect as scipy_bisect
+        for g in np.linspace(0.0, PI, 41)[1:].tolist() + [PI / 2, 1e-9]:
+            lo = max(_extremum_brackets(g)[1][0], PI - g)
+            for a in np.geomspace(PI * (1.0 + 1e-14), 1e15, 60).tolist():
+                def c_plus(x):
+                    w = math.sqrt(a - x + 0.5 * math.sin(2.0 * x))
+                    u = -4.0 * math.cos((x + g) / 2.0) * math.sin(x) / w
+                    r = -2.0 * math.sin(x + g)
+                    return (u + math.sqrt(max(u * u + 4.0 * r, 0.0))) / (
+                        2.0 * w)
+
+                def f(x):
+                    return (_slope(x, c_plus(x), g) if x < PI
+                            else -1.0)
+                got = tangency_boundary_c(g, a)
+                if not c_plus(PI) > second_extremum_threshold(g):
+                    assert got is None
+                    continue
+                assert f(lo) > 0.0, (g, a)
+                assert got == c_plus(scipy_bisect(f, lo, PI, xtol=1e-12))
 
     def test_large_mass_leading_order(self):
         # heavy cylinders: inverting the leading small-C behavior of the

@@ -92,29 +92,48 @@ def _classify(slope: float) -> Stability:
     return Stability.MARGINAL_UNSTABLE
 
 
-def bisect(f, lo, hi, f_lo):
-    """``_halve`` with no window on lanes side by side, bit for bit: one
-    float bracket 0 <= lo < hi shared by every lane, and f_lo = f(lo), an
-    array whose entries are nonzero and opposite in sign to f(hi).
+def bisect(f, lo, hi, f_lo, rl=None, rh=None):
+    """``_halve`` on lanes side by side, bit for bit: one float bracket
+    0 <= lo < hi shared by every lane, f_lo = f(lo), an array whose
+    entries are nonzero and opposite in sign to f(hi), and each lane's
+    window (rl, rh), two arrays, or none.
 
-    Each lane keeps its own xa and stops at its own xm, selected by
-    ``np.where``, so each equals its float run; f runs at neither end.
-    dm halves exactly, and each xm lies in [lo, hi] widened by half an ulp
-    per halving, so below 2 hi: while dm is at least twice
-    PHI0_TOL + 4 eps hi, no lane's tolerance test can pass, and only
-    f(xm) == 0 can stop a lane.
+    f(x, k) is f of the lanes k at their midpoints x: k is an index array,
+    or slice(None) for every lane, whose first x is one float.  Each lane
+    keeps its own xa and stops at its own xm, selected by ``np.where``, so
+    each equals its float run; f runs at neither end.  Without windows f runs on every lane at every
+    midpoint.  With them, as in ``_halve``, a lane's midpoint below rl is
+    kept as xa and one in (rh, hi] is not, both without f, and f runs on
+    the other lanes only: ``_replay_lanes`` passes the windows it has
+    certified, and (-inf, inf) for a lane it has not, whose halvings are
+    then the window-free ones.  dm halves exactly, and each xm lies in
+    [lo, hi] widened by half an ulp per halving, so below 2 hi: while dm
+    is at least wide = 2 (PHI0_TOL + 4 eps hi), no lane's tolerance test
+    can pass, and only f(xm) == 0 can stop a lane.
     """
     np = _numpy()
     root = np.empty(f_lo.shape)
     todo = np.ones(f_lo.shape, dtype=bool)
-    xa, dm = lo, hi - lo
+    # windows index the midpoints from the first halving on
+    xa, dm = lo if rl is None else np.full(f_lo.shape, float(lo)), hi - lo
     wide = 2.0 * (PHI0_TOL + _RTOL * hi)
+    every = slice(None)
     for _ in range(_MAX_HALVINGS):
         dm *= 0.5
         xm = xa + dm
-        fm = f(xm)
-        xa = np.where(fm * f_lo >= 0.0, xm, xa)
-        stop = fm == 0.0
+        if rl is None:
+            fm = f(xm, every)
+            go, stop = fm * f_lo >= 0.0, fm == 0.0
+        else:
+            go = xm < rl
+            k = np.flatnonzero(~(go | ((rh < xm) & (xm <= hi))))
+            stop = np.zeros(f_lo.shape, dtype=bool)
+            if k.size:
+                x = xm[k]
+                fm = f(x, k)
+                go[k] = fm * f_lo[k] >= 0.0
+                stop[k] = fm == 0.0
+        xa = np.where(go, xm, xa)
         if dm < wide:
             stop |= dm < PHI0_TOL + _RTOL * xm
         stop &= todo
@@ -173,7 +192,9 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
        tangency this falls back after a few steps instead of 12.
 
     Newton's x is never returned: every output is a midpoint of the
-    halvings, as ``_halve`` with no window gives it.
+    halvings, as ``_halve`` with no window gives it.  Its twin on lanes
+    side by side is ``_replay_lanes``, which ends in ``bisect`` with each
+    lane's window.
     """
     tau, _, k = _bounds(c)
     a, b = lo, hi
@@ -213,6 +234,56 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
     return _halve(f, lo, hi, f_lo, rl, rh)
 
 
+def _replay_lanes(f, df, lo, hi, f_lo, f_hi, c):
+    """``_replay`` on lanes side by side: ``bisect(f, lo, hi, f_lo)``'s
+    result, bit for bit, from far fewer calls of f.
+
+    f(x, k) and df(x, k) are a kernel and its derivative at the lanes k
+    (``bisect``), ``_slope`` and ``_curv`` for ``_extrema``; c, f_lo and
+    f_hi are arrays of each lane's C and end values, as ``_replay``'s.
+    Steps 1-4 run lane by lane, with tau and K of ``_bounds(c)``: Newton
+    from each lane's chord zero, f and df only on the lanes not yet
+    settled, then the four-point certificate on one call of f over both
+    points of every settled lane.  A lane whose |f_lo| or |f_hi| is at most
+    3 tau, whose f' is zero, that does not settle in 12 steps, or that
+    fails the certificate gets the window (-inf, inf), so ``bisect`` runs
+    f at each of its midpoints, as ``_replay``'s fallback does.  The early
+    fallback near a nearly double zero is left out: it saves kernel calls,
+    not bits.
+    """
+    np = _numpy()
+    tau, _, big_k = _bounds(c)
+    rl, rh = np.full(c.shape, -math.inf), np.full(c.shape, math.inf)
+    u = np.flatnonzero((np.abs(f_lo) > 3.0 * tau)
+                       & (np.abs(f_hi) > 3.0 * tau))
+    x = lo + (hi - lo) * (f_lo[u] / (f_lo[u] - f_hi[u]))
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    a, b = np.full(u.shape, lo), np.full(u.shape, hi)
+    for _ in range(12):
+        if not u.size:
+            break
+        fx, d = f(x, u), df(x, u)
+        up = fx * f_lo[u] > 0.0
+        a, b = np.where(up, x, a), np.where(up, b, x)
+        flat = d == 0.0
+        step = x - fx / np.where(flat, 1.0, d)
+        step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+        s = np.abs(step - x)
+        done = (big_k[u] * s * s <= tau[u]) & ~flat
+        w = u[done]
+        h = 6.0 * tau[w] / np.abs(d[done])
+        rl[w], rh[w] = step[done] - h, step[done] + h
+        more = ~(done | flat)
+        u, x, a, b = u[more], step[more], a[more], b[more]
+    w = np.flatnonzero(rl > -math.inf)
+    fl, fh = np.split(f(np.concatenate([rl[w], rh[w]]),
+                        np.concatenate([w, w])), 2)
+    bad = w[~((fl * f_lo[w] > 0.0) & (fh * f_hi[w] > 0.0)
+              & (np.minimum(np.abs(fl), np.abs(fh)) > 3.0 * tau[w]))]
+    rl[bad], rh[bad] = -math.inf, math.inf
+    return bisect(f, lo, hi, f_lo, rl, rh)
+
+
 def _halve(f, lo, hi, f_lo, rl=-math.inf, rh=math.inf):
     """SciPy's bisect with xtol=PHI0_TOL, bit for bit, on floats
     0 <= lo < hi, from f_lo = f(lo), f(lo) and f(hi) nonzero and of
@@ -222,8 +293,10 @@ def _halve(f, lo, hi, f_lo, rl=-math.inf, rh=math.inf):
     A midpoint below rl is kept as xa, and one in (rh, hi] is not, both
     without f: ``_replay`` passes the window whose outer zones it has
     certified; its fallbacks and ``regions.tangency_boundary_c`` pass none.
+    The stop test is ``bisect``'s, wide shortcut included.
     """
     xa, dm = lo, hi - lo
+    wide = 2.0 * (PHI0_TOL + _RTOL * hi)
     for _ in range(_MAX_HALVINGS):
         dm *= 0.5
         xm = xa + dm
@@ -235,7 +308,7 @@ def _halve(f, lo, hi, f_lo, rl=-math.inf, rh=math.inf):
                 xa = xm
             if fm == 0.0:
                 return xm
-        if dm < PHI0_TOL + _RTOL * xm:
+        if dm < wide and dm < PHI0_TOL + _RTOL * xm:
             return xm
     raise RuntimeError(f"bisection not converged in {_MAX_HALVINGS} halvings")
 
@@ -333,10 +406,11 @@ def force_extrema(capillary_ratio, contact_angle: float):
     It runs on floats throughout and replays the bisection (``_replay``),
     as ``_cell_roots`` does for each cell it is given no extrema for.
     ``critical_mass_ratio`` bisects the maximum's bracket alone
-    (``_extremum``).  Many C on one bracket go to ``_extrema``:
-    ``regions.trace_tangency_curve`` bisects its samples' maxima there,
-    and ``regions.region_map`` those of its columns and its tangency
-    samples in one call.
+    (``_extremum``).  Many C on one bracket go to ``_extrema``, which
+    replays them as lanes of one ``_replay_lanes`` call, to the same bits:
+    ``regions.trace_tangency_curve`` finds its samples' maxima there, and
+    ``regions.region_map`` those of its columns and its tangency samples
+    in one call.
 
     A C that is not positive and finite, and a contact angle outside
     [0, pi], raise ValueError.
@@ -398,16 +472,19 @@ def _extrema(g, c, bracket):
     of ``_extremum_brackets``: a float array shaped like c.
 
     Every entry whose bracket holds an extremum (``_bracketed``) is one
-    lane of a single ``bisect`` call, from its slope at lo, which gives
-    each lane its float run's bits.  Each halving's NumPy calls cost about
-    as much as 400 more lanes do, so callers pass all their C at once.
+    lane of a single ``_replay_lanes`` call, from its slopes at the
+    bracket's ends, which gives each lane its float run's bits.  The
+    halvings' NumPy calls are shared by all lanes, so callers pass all
+    their C at once.
     """
     np = _numpy()
     phi = np.full(c.shape, np.nan)
-    ok, s_lo, _ = _bracketed(c, g, *bracket)
+    ok, s_lo, s_hi = _bracketed(c, g, *bracket)
     if ok.any():
         lanes = c[ok]
-        phi[ok] = bisect(lambda x: _slope(x, lanes, g), *bracket, s_lo[ok])
+        phi[ok] = _replay_lanes(lambda x, k: _slope(x, lanes[k], g),
+                                lambda x, k: _curv(x, lanes[k], g),
+                                *bracket, s_lo[ok], s_hi[ok], lanes)
     return phi
 
 

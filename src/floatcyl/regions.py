@@ -404,10 +404,11 @@ def region_map(contact_angle: float,
     Axes exclude the lower edge of each range (A and C must stay positive)
     and include the upper.  labels[i, j] corresponds to
     (a_axis[i], c_axis[j]).  Every label equals what find_equilibria plus
-    validity produce at that point.  One bisection (``equilibria._extrema``
-    over the columns' C and the samples' C on the maximum's bracket) finds
-    the force maxima of every column and of the tangency curve's samples,
-    the points of ``trace_tangency_curve``.  ``_count_block``
+    validity produce at that point.  One lane replay of the slope's
+    bisection (``equilibria._extrema`` over the columns' C and the
+    samples' C on the maximum's bracket) finds the force maxima of every
+    column and of the tangency curve's samples, the points of
+    ``trace_tangency_curve``.  ``_count_block``
     reads each cell's label from its column's breakpoints: the mass-free
     force at 0, at the maximum, at pi, and at the ends of the
     self-intersecting part of the overhang regime, found by one bisection
@@ -440,7 +441,7 @@ def region_map(contact_angle: float,
     c_axis = np.linspace(c_lo, c_hi, n_c + 1)[1:]
     DimensionlessParams(float(a_axis[0]), float(c_axis[0]), contact_angle)
 
-    # the columns' maxima and the tangency samples' maxima: one bisection
+    # the columns' maxima and the tangency samples' maxima: one call
     cs = _tangency_samples(contact_angle, c_range, curve_samples)
     low, high = _extremum_brackets(contact_angle)
     maximum, phi = np.split(
@@ -594,8 +595,8 @@ def _intersecting_parts(cs, g):
     lanes = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
     if lanes.size:
         c, shift = c[lanes], shift[lanes]
-        z[lanes] = bisect(lambda x: _margin(x, c, g, np) - shift, lo, hi,
-                          way * f_lo[lanes])
+        z[lanes] = bisect(lambda x, k: _margin(x, c[k], g, np) - shift[k],
+                          lo, hi, way * f_lo[lanes])
     z = z.reshape(2, -1)
     return np.stack([np.full(z.shape, lo if rising else hi), z], axis=1)
 

@@ -668,12 +668,22 @@ class TestBisect:
 
     @pytest.mark.parametrize("kernel", [_force, _slope_of])
     def test_equals_scipy_on_random_brackets(self, kernel):
+        narrow = 0
         for a, c, g, lo, hi in _random_brackets(kernel, 200, seed=31):
             def f(x):
                 return float(kernel(x, a, c, g))
             got = equilibria._halve(f, lo, hi, f(lo))
             assert type(got) is float
             assert got == scipy_bisect(f, lo, hi, xtol=1e-12)
+            # a bracket about the root narrower than the wide shortcut,
+            # 2 (PHI0_TOL + 4 eps hi): the first midpoint stops
+            lo, hi = got - 3e-13, got + 6e-13
+            if f(lo) * f(hi) < 0.0:
+                narrow += 1
+                want = scipy_bisect(f, lo, hi, xtol=1e-12)
+                assert equilibria._halve(f, lo, hi, f(lo)) == want
+                assert want == lo + 0.5 * (hi - lo)
+        assert narrow > 100
         # lanes that share one bracket, each with its own (a, c, g)
         rng = np.random.default_rng(32)
         for lo, hi in ((0.0, PI), (0.3, 2.9), (PI / 2, PI), (1.0, 1.5)):
@@ -684,9 +694,9 @@ class TestBisect:
             a, c, g = a[ok], c[ok], g[ok]
             assert a.size >= 10
 
-            def f(x):
-                return kernel(np.asarray(x), a, c, g)
-            got = bisect(f, lo, hi, f(lo))
+            def f(x, k):
+                return kernel(np.asarray(x), a[k], c[k], g[k])
+            got = bisect(f, lo, hi, f(lo, slice(None)))
             assert got.tolist() == [
                 scipy_bisect(lambda x: float(kernel(x, *p)), lo, hi,
                              xtol=1e-12)
@@ -697,7 +707,7 @@ class TestBisect:
                   lambda x: x ** 3 - 2.0):
             want = scipy_bisect(f, 0.0, 3.0, xtol=1e-12)
             assert equilibria._halve(f, 0.0, 3.0, f(0.0)) == want
-            assert bisect(lambda x: f(np.full(2, x)), 0.0, 3.0,
+            assert bisect(lambda x, k: f(x), 0.0, 3.0,
                           f(np.zeros(2))).tolist() == [want] * 2
 
     def test_one_bracket_equals_float_loop(self):
@@ -708,7 +718,7 @@ class TestBisect:
                  1.2345678901234] + np.random.default_rng(15).uniform(
                      0.0, 4.0, 40).tolist()
         r = np.array(roots)
-        got = bisect(lambda x: x - r, 0.0, 4.0, -r)
+        got = bisect(lambda x, k: x - r[k], 0.0, 4.0, -r)
         want = [equilibria._halve(lambda x, ri=ri: x - ri, 0.0, 4.0, -ri)
                 for ri in roots]
         assert got.tolist() == want
@@ -724,7 +734,7 @@ class TestBisect:
             cs = caps[_bracketed(caps, g, lo, hi)[0]]
             if not cs.size:
                 continue
-            got = bisect(lambda x: _slope(x, cs, g), lo, hi,
+            got = bisect(lambda x, k: _slope(x, cs[k], g), lo, hi,
                          _slope(lo, cs, g))
             assert got.tolist() == [
                 equilibria._halve(lambda x, c=c: _slope(x, c, g), lo, hi,
@@ -758,6 +768,129 @@ class TestSharedBisection:
         mixed = _extrema(g, np.concatenate([cs, samples]), high)
         assert mixed.tobytes() == np.concatenate([want[1], [
             _extremum(c, g, high) for c in samples.tolist()]]).tobytes()
+
+    @pytest.mark.parametrize("g", [0.0, 1e-12, 1e-9, PI / 2 - 1e-9,
+                                   PI / 2 + 1e-9, PI - 1e-9, PI]
+                             + np.linspace(0.2, 3.0, 8).tolist())
+    def test_replayed_lanes_equal_bisect_and_floats(self, g):
+        # the lane replay against window-free bisect and the float replay,
+        # on both brackets, C log-uniform on [1e-6, 1e9] and just above
+        # the threshold
+        rng = np.random.default_rng(int(g * 1e3))
+        cs = np.exp(rng.uniform(math.log(1e-6), math.log(1e9), 150))
+        t = second_extremum_threshold(g)
+        if 0.0 < t < math.inf:
+            cs = np.concatenate([cs, t * (1.0 + 10.0 ** -np.arange(1, 16))])
+        for bracket in _extremum_brackets(g):
+            got = _extrema(g, cs, bracket)
+            ok, s_lo, _ = _bracketed(cs, g, *bracket)
+            free = np.full(cs.shape, np.nan)
+            if ok.any():
+                lanes = cs[ok]
+                free[ok] = bisect(lambda x, k: _slope(x, lanes[k], g),
+                                  *bracket, s_lo[ok])
+            floats = np.array([_extremum(c, g, bracket) for c in cs.tolist()])
+            assert got.tobytes() == free.tobytes() == floats.tobytes()
+
+    def test_one_and_two_lanes(self):
+        for g in (0.7, PI / 2, 2.3):
+            for bracket in _extremum_brackets(g):
+                for cs in ([2.0], [0.5, 40.0]):
+                    got = _extrema(g, np.array(cs), bracket)
+                    assert got.tobytes() == np.array(
+                        [_extremum(c, g, bracket) for c in cs]).tobytes()
+
+    @pytest.mark.parametrize("g", [0.3, 1.0])
+    def test_failed_certificates_share_a_call(self, monkeypatch, g):
+        # just above the threshold t the maximum's stand-in f_hi = t - C is
+        # at most 3 tau in size: those lanes get no window, and bisect runs
+        # them with the certified lanes in one call
+        seen = _windows(monkeypatch)
+        t = second_extremum_threshold(g)
+        cs = np.concatenate([t * (1.0 + 10.0 ** -np.arange(1, 16)),
+                             np.geomspace(2.0 * t, 1e3, 20)])
+        high = _extremum_brackets(g)[1]
+        got = _extrema(g, cs, high)
+        (rl, rh), = seen
+        assert rl.size == cs.size
+        free = (rl == -math.inf) & (rh == math.inf)
+        assert np.all(free[np.abs(t - cs) <= 3.0 * _bounds(cs)[0]])
+        assert 3 <= free.sum() and (~free).sum() >= 20
+        assert got.tobytes() == np.array(
+            [_extremum(c, g, high) for c in cs.tolist()]).tobytes()
+
+    def test_windowed_lanes_equal_float_loop(self):
+        # lines x - r on [0, 4], some with a window about r, some with
+        # (-inf, inf); r = 2 and r = 1 are midpoints, where f is zero and
+        # only that lane stops
+        rng = np.random.default_rng(35)
+        r = np.array([2.0, 1.0, 2.0, 1.0, 3.0 * 2.0 ** -40, PI,
+                      1.2345678901234] + rng.uniform(0.0, 4.0, 30).tolist())
+        h = np.where(np.arange(r.size) % 4 == 3, math.inf,
+                     10.0 ** -rng.uniform(3.0, 12.0, r.size))
+        rl, rh = r - h, r + h
+        ran = []
+
+        def f(x, k):
+            ran.append((x, k))
+            return x - r[k]
+        got = bisect(f, 0.0, 4.0, -r, rl, rh)
+        want = [equilibria._halve(lambda x, ri=ri: x - ri, 0.0, 4.0, -ri,
+                                  a, b)
+                for ri, a, b in zip(r.tolist(), rl.tolist(), rh.tolist())]
+        assert got.tolist() == want
+        assert want == bisect(lambda x, k: x - r[k], 0.0, 4.0, -r).tolist()
+        assert want[:4] == [2.0, 1.0, 2.0, 1.0]
+        # f runs only on lanes whose midpoint lies in their window
+        assert all(np.all((rl[k] <= x) & (x <= rh[k])) for x, k in ran)
+
+    def test_certificate_rejects_a_false_settle(self, monkeypatch):
+        # parabolas x^2 - r^2 on [0, 4]; on odd lanes df overstates f' a
+        # trillionfold, so Newton settles at once on the chord's zero r^2/4,
+        # whose window misses r: those lanes fail the certificate, the
+        # others pass it, and every lane keeps its float bits
+        seen = _windows(monkeypatch)
+        r = np.linspace(0.5, 3.5, 12)
+        lying = np.arange(r.size) % 2 == 1
+        got = equilibria._replay_lanes(
+            lambda x, k: x * x - r[k] * r[k],
+            lambda x, k: np.where(lying[k], 1e12, 2.0 * x),
+            0.0, 4.0, -r * r, 16.0 - r * r, np.ones(r.size))
+        (rl, rh), = seen
+        free = (rl == -math.inf) & (rh == math.inf)
+        assert free.tolist() == lying.tolist()
+        assert got.tolist() == [
+            equilibria._halve(lambda x, ri=ri: x * x - ri * ri, 0.0, 4.0,
+                              -ri * ri) for ri in r.tolist()]
+
+    def test_flat_derivative_gets_no_window(self, monkeypatch):
+        # a lane whose f' is zero drops out of Newton without a division,
+        # and its halvings run f at every midpoint
+        seen = _windows(monkeypatch)
+        r = np.array([4.0 / 3.0, 2.5, 0.7])
+        got = equilibria._replay_lanes(
+            lambda x, k: x - r[k], lambda x, k: np.where(k == 0, 0.0, 1.0),
+            0.0, 4.0, -r, 4.0 - r, np.ones(3))
+        (rl, rh), = seen
+        assert (rl[0], rh[0]) == (-math.inf, math.inf)
+        assert np.all(np.isfinite(rl[1:])) and np.all(np.isfinite(rh[1:]))
+        assert got.tolist() == [
+            equilibria._halve(lambda x, ri=ri: x - ri, 0.0, 4.0, -ri)
+            for ri in r.tolist()]
+
+
+def _windows(monkeypatch):
+    """A list that receives the windows (rl, rh) each ``_replay_lanes``
+    call passes to ``bisect``."""
+    seen = []
+    halve = equilibria.bisect
+
+    def recorded(f, lo, hi, f_lo, rl=None, rh=None):
+        seen.append((rl, rh))
+        return halve(f, lo, hi, f_lo, rl, rh)
+
+    monkeypatch.setattr(equilibria, "bisect", recorded)
+    return seen
 
 
 class TestSlopeShape:

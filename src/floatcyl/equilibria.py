@@ -101,18 +101,22 @@ def bisect(f, lo, hi, f_lo, rl=None, rh=None):
     f(x, k) is f of the lanes k at their midpoints x: k is an index array,
     or slice(None) for every lane, whose first x is one float.  Each lane
     keeps its own xa and stops at its own xm, selected by ``np.where``, so
-    each equals its float run; f runs at neither end.  Without windows f runs on every lane at every
-    midpoint.  With them, as in ``_halve``, a lane's midpoint below rl is
-    kept as xa and one in (rh, hi] is not, both without f, and f runs on
-    the other lanes only: ``_replay_lanes`` passes the windows it has
-    certified, and (-inf, inf) for a lane it has not, whose halvings are
-    then the window-free ones.  dm halves exactly, and each xm lies in
-    [lo, hi] widened by half an ulp per halving, so below 2 hi: while dm
-    is at least wide = 2 (PHI0_TOL + 4 eps hi), no lane's tolerance test
-    can pass, and only f(xm) == 0 can stop a lane.
+    each equals its float run; f runs at neither end.  Without windows f
+    runs on every lane at every midpoint.  With them, as in ``_halve``, a
+    lane's midpoint below rl is kept as xa and one in (rh, hi] is not,
+    both without f, and f runs on the other lanes only: ``_replay_lanes``
+    passes the windows it has certified, and (-inf, inf) for a lane it
+    has not, whose halvings are then the window-free ones.  dm halves
+    exactly, and each xm lies in [lo, hi] widened by half an ulp per
+    halving, so below 2 hi: while dm is at least wide = 2 (PHI0_TOL +
+    4 eps hi), no lane's tolerance test can pass, and only f(xm) == 0 can
+    stop a lane.  With no lanes it returns the empty array and never
+    runs f.
     """
     np = _numpy()
     root = np.empty(f_lo.shape)
+    if not root.size:
+        return root
     todo = np.ones(f_lo.shape, dtype=bool)
     # windows index the midpoints from the first halving on
     xa, dm = lo if rl is None else np.full(f_lo.shape, float(lo)), hi - lo
@@ -156,15 +160,18 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
     (``_bracketed``); they differ in sign, and neither is zero.  With
     tau = s of ``_bounds(c)``, which bounds both kernels' rounding:
 
-    1. Newton's iteration from the chord's zero, kept inside the bracket
+    1. Screen: |f_lo| and |f_hi| exceed 3 tau.  The exact |F| then exceeds
+       2 tau at lo and hi.  The maximum's f_hi, t - C, has F'(pi)'s sign
+       but not its size, and its screen only costs a fallback within
+       3 tau of the threshold.
+    2. Newton's iteration from the chord's zero, kept inside the bracket
        of the signs seen, locates the zero x.  It stops once K s^2 <=
        tau, s its last step and K of ``_bounds``: the error left is then
        about K s^2 / 2|f'| (none of the proof rests on it).
-    2. Certificate: the computed f at rl = x - h and rh = x + h, with
-       h = 6 tau / |f'(x)|, and at lo and hi, exceeds 3 tau in size, with
-       f_lo's sign at rl and f_hi's at rh.  The exact |F| then exceeds
-       2 tau at those four points.
-    3. On the outer zones [lo, rl) and (rh, hi] the exact |F| is least at
+    3. Certificate: the computed f at rl = x - h and rh = x + h, with
+       h = 6 tau / |f'(x)|, exceeds 3 tau in size, with f_lo's sign at rl
+       and f_hi's at rh.  The exact |F| then exceeds 2 tau there too.
+    4. On the outer zones [lo, rl) and (rh, hi] the exact |F| is least at
        a zone end, so it exceeds 2 tau there, and the computed f, within
        tau of it, has the sign of its zone end and |f| > tau.  For
        ``_force``, F is monotone on a cell's segments (``force_extrema``)
@@ -173,36 +180,28 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
        F' rises, then falls: before the minimum's zero it rises, past the
        maximum's it falls, and on the other two zones it is least at an
        end.  Those two ends, f(hi) on the minimum's bracket and f(lo) on
-       the maximum's, are why hi's and lo's values are checked; the
-       maximum's f_hi, t - C, has F'(pi)'s sign but not its size, and
-       its check only costs a fallback within 3 tau of the threshold.
-    4. ``_halve`` replays the halvings with the window (rl, rh).  f runs
+       the maximum's, are why step 1 screens both end values.
+    5. ``_halve`` replays the halvings with the window (rl, rh).  f runs
        only for midpoints in [rl, rh], and for any that round past hi.  A
        midpoint in an outer zone has f(xm) != 0 of its zone end's sign,
        and, with |f_lo| > 3 tau and tau >= 64 eps, f(xm) f_lo does not
        underflow: the halvings keep it as xa below rl, and not above rh.
-    5. A failed certificate, a zero f' or a Newton iteration that does not
-       settle in 12 steps runs ``_halve`` with no window, from f_lo; so
-       does one that closes on a nearly double zero too slowly to settle in
-       the steps left.  On the parabola through f(x) with f'(x) and the f''
-       of the last two f', with q = 2 f f'' / f'^2 in (0, 1), the zero lies
-       1/sqrt(1 - q) times closer to the vertex than x does, and Newton's
-       steps toward it at best halve: with n steps left, q > 1 - 4^-n
-       (tested after a step that does not settle) leaves too few.  Near a
-       tangency this falls back after a few steps instead of 12.
+    6. A failed screen, a zero f', a Newton iteration that does not settle
+       in 12 steps or a failed certificate runs ``_halve`` with no window,
+       from f_lo.
 
     Newton's x is never returned: every output is a midpoint of the
-    halvings, as ``_halve`` with no window gives it.  Its twin on lanes
-    side by side is ``_replay_lanes``, which ends in ``bisect`` with each
-    lane's window.
+    halvings, as ``_halve`` with no window gives it.  ``_replay_lanes``
+    takes these steps on lanes side by side.
     """
     tau, _, k = _bounds(c)
+    if min(abs(f_lo), abs(f_hi)) <= 3.0 * tau:
+        return _halve(f, lo, hi, f_lo)
     a, b = lo, hi
     x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
-    x_1 = d_1 = math.nan  # the last Newton point and its f'
-    for left in range(11, -1, -1):
+    for _ in range(12):
         fx, d = f(x), df(x)
         if not d:
             return _halve(f, lo, hi, f_lo)
@@ -214,14 +213,9 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
         if not a <= step <= b:
             step = 0.5 * (a + b)
         s = abs(step - x)
+        x = step
         if k * s * s <= tau:
-            x = step
             break
-        # q = 2 f f'' / f'^2, f'' from the last two f'
-        if (1.0 - 0.25 ** left
-                < 2.0 * fx / d * ((d - d_1) / (x - x_1)) / d < 1.0):
-            return _halve(f, lo, hi, f_lo)
-        x_1, d_1, x = x, d, step
     else:
         return _halve(f, lo, hi, f_lo)
     h = 6.0 * tau / abs(d)
@@ -229,27 +223,22 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
     fl, fh = f(rl), f(rh)
     # the products first: a NaN fails them, and min may drop one
     if not (fl * f_lo > 0.0 and fh * f_hi > 0.0
-            and min(abs(f_lo), abs(f_hi), abs(fl), abs(fh)) > 3.0 * tau):
+            and min(abs(fl), abs(fh)) > 3.0 * tau):
         return _halve(f, lo, hi, f_lo)
     return _halve(f, lo, hi, f_lo, rl, rh)
 
 
 def _replay_lanes(f, df, lo, hi, f_lo, f_hi, c):
-    """``_replay`` on lanes side by side: ``bisect(f, lo, hi, f_lo)``'s
+    """``_replay``'s steps, lane by lane: ``bisect(f, lo, hi, f_lo)``'s
     result, bit for bit, from far fewer calls of f.
 
     f(x, k) and df(x, k) are a kernel and its derivative at the lanes k
     (``bisect``), ``_slope`` and ``_curv`` for ``_extrema``; c, f_lo and
     f_hi are arrays of each lane's C and end values, as ``_replay``'s.
-    Steps 1-4 run lane by lane, with tau and K of ``_bounds(c)``: Newton
-    from each lane's chord zero, f and df only on the lanes not yet
-    settled, then the four-point certificate on one call of f over both
-    points of every settled lane.  A lane whose |f_lo| or |f_hi| is at most
-    3 tau, whose f' is zero, that does not settle in 12 steps, or that
-    fails the certificate gets the window (-inf, inf), so ``bisect`` runs
-    f at each of its midpoints, as ``_replay``'s fallback does.  The early
-    fallback near a nearly double zero is left out: it saves kernel calls,
-    not bits.
+    Newton runs f and df only on the lanes not yet settled, and the
+    certificate is one call of f over both points of every settled lane.
+    A lane that falls back gets the window (-inf, inf), and one ``bisect``
+    call runs every lane with its window.
     """
     np = _numpy()
     tau, _, big_k = _bounds(c)
@@ -480,6 +469,7 @@ def _extrema(g, c, bracket):
     np = _numpy()
     phi = np.full(c.shape, np.nan)
     ok, s_lo, s_hi = _bracketed(c, g, *bracket)
+    # no lanes would still pay _replay_lanes' NumPy setup
     if ok.any():
         lanes = c[ok]
         phi[ok] = _replay_lanes(lambda x, k: _slope(x, lanes[k], g),

@@ -593,10 +593,9 @@ def _intersecting_parts(cs, g):
     f_lo, f_hi = (way * (_margin(x, c, g, np) - shift) for x in (lo, hi))
     z = np.where(f_lo >= 0.0, lo, hi)
     lanes = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
-    if lanes.size:
-        c, shift = c[lanes], shift[lanes]
-        z[lanes] = bisect(lambda x, k: _margin(x, c[k], g, np) - shift[k],
-                          lo, hi, way * f_lo[lanes])
+    c, shift = c[lanes], shift[lanes]
+    z[lanes] = bisect(lambda x, k: _margin(x, c[k], g, np) - shift[k],
+                      lo, hi, way * f_lo[lanes])
     z = z.reshape(2, -1)
     return np.stack([np.full(z.shape, lo if rising else hi), z], axis=1)
 

@@ -741,6 +741,19 @@ class TestBisect:
                                   _slope(lo, c, g))
                 for c in cs.tolist()]
 
+    def test_no_lanes(self):
+        # an empty f_lo returns the empty float array at once, with and
+        # without windows, and never runs f
+        ran = []
+
+        def f(x, k):
+            ran.append(k)
+            return x
+        for window in ((), (np.empty(0), np.empty(0))):
+            got = bisect(f, 0.0, 1.0, np.empty(0), *window)
+            assert got.dtype == np.float64 and got.shape == (0,)
+        assert ran == []
+
 
 class TestSharedBisection:
     """Array extrema, each lane from its own slope at the bracket's start
@@ -877,6 +890,93 @@ class TestSharedBisection:
         assert got.tolist() == [
             equilibria._halve(lambda x, ri=ri: x - ri, 0.0, 4.0, -ri)
             for ri in r.tolist()]
+
+    @pytest.mark.parametrize("g", [0.0, 5e-324, math.nextafter(PI / 2, 0.0),
+                                   PI / 2, math.nextafter(PI / 2, PI),
+                                   PI - 1e-9, PI, 0.3, 1.0])
+    def test_lanes_get_the_float_windows(self, monkeypatch, g):
+        # the lane replay gives each lane the window the float replay
+        # gives its C, not just the same bits, on both brackets: C
+        # log-uniform on [1e-6, 1e12] and just above the threshold t,
+        # where the maximum's f_hi = t - C lies on either side of 3 tau
+        lanes, floats = _windows(monkeypatch), _float_windows(monkeypatch)
+        rng = np.random.default_rng(int(g * 1e3) + 7)
+        cs = np.exp(rng.uniform(math.log(1e-6), math.log(1e12), 150))
+        t = second_extremum_threshold(g)
+        if 0.0 < t < math.inf:
+            cs = np.concatenate([cs, t * (1.0 + 10.0 ** -np.arange(1, 16)),
+                                 t + _bounds(t)[0] * np.array(
+                                     [1.0, 2.5, 2.9, 3.1, 3.5, 6.0])])
+        for bracket in _extremum_brackets(g):
+            _extrema(g, cs, bracket)
+            for c in cs.tolist():
+                _extremum(c, g, bracket)
+        _assert_same_windows(lanes, floats)
+
+    def test_force_lanes_get_the_float_windows(self, monkeypatch):
+        # as above for _cell_roots' segments next to the tangency A*, many
+        # of which fall back: the lanes are the cells A*(1 +- eps) of one
+        # (C, gamma), which share their extrema and so their segments, and
+        # f is _force over the lanes' A
+        eps = np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-4])
+        cells = []
+        for g in (0.7, PI / 2, 2.3, PI):
+            for c in np.geomspace(1e-3, 1e9, 13).tolist():
+                try:
+                    a_star = critical_mass_ratio(c, g)[0]
+                except NoSecondCriticalPointError:
+                    continue
+                minimum, maximum = force_extrema(c, g)
+                cells.append((g, c, a_star * np.concatenate([1.0 - eps,
+                                                             1.0 + eps]),
+                              (0.0, minimum if minimum == minimum else 0.0,
+                               maximum, PI)))
+        lanes, floats = _windows(monkeypatch), _float_windows(monkeypatch)
+        for g, c, a, nodes in cells:
+            f = np.array([[_force(x, a_i, c, g) for x in nodes]
+                          for a_i in a.tolist()])
+            for j in range(3):
+                f_lo, f_hi = f[:, j], f[:, j + 1]
+                k = np.flatnonzero((f_lo * f_hi < 0.0)
+                                   & (np.abs(f_lo) > ROOT_VALUE_TOL)
+                                   & (np.abs(f_hi) > ROOT_VALUE_TOL))
+                if not k.size:
+                    continue
+                lo, hi, ak = nodes[j], nodes[j + 1], a[k]
+                got = equilibria._replay_lanes(
+                    lambda x, i: _force(x, ak[i], c, g),
+                    lambda x, i: _slope(x, c, g), lo, hi, f_lo[k], f_hi[k],
+                    np.full(k.size, c))
+                want = [equilibria._replay(
+                    lambda x, a_i=a_i: _force(x, a_i, c, g),
+                    lambda x: _slope(x, c, g), lo, hi, u, v, c)
+                    for a_i, u, v in zip(ak.tolist(), f_lo[k].tolist(),
+                                         f_hi[k].tolist())]
+                assert got.tolist() == want
+        _assert_same_windows(lanes, floats)
+
+
+def _float_windows(monkeypatch):
+    """A list that receives the window (rl, rh) of each ``_halve`` call,
+    (-inf, inf) for one with none."""
+    seen = []
+    halve = equilibria._halve
+
+    def recorded(f, lo, hi, f_lo, rl=-math.inf, rh=math.inf):
+        seen.append((rl, rh))
+        return halve(f, lo, hi, f_lo, rl, rh)
+
+    monkeypatch.setattr(equilibria, "_halve", recorded)
+    return seen
+
+
+def _assert_same_windows(lanes, floats):
+    """The lanes' windows, in call and lane order, equal the float
+    replays' bit for bit; some replays fall back and some are certified."""
+    rl, rh = (np.concatenate(x) for x in zip(*lanes))
+    assert np.array(floats).T.tobytes() == np.stack([rl, rh]).tobytes()
+    free = (rl == -math.inf) & (rh == math.inf)
+    assert free.any() and not free.all()
 
 
 def _windows(monkeypatch):
@@ -1405,17 +1505,17 @@ class TestReplay:
         assert seen["calls"] > 8000
         assert 0 < seen["fallbacks"] < seen["calls"] / 4
 
-    def test_falls_back_early_near_a_tangency(self, monkeypatch):
-        # next to the tangency Newton's steps only halve, and a replay
-        # that cannot settle in the steps left falls back before its 12th
-        # step: count the kernel calls each replay makes before it falls
-        # back (24 after 12 steps)
+    def test_falls_back_near_a_tangency(self, monkeypatch):
+        # next to the tangency every replay equals SciPy's bisect; one that
+        # falls back either fails the end-value screen before any kernel
+        # call or runs Newton's 12 steps (24 calls) without settling
         calls, start, before = [], [0], []
         for name in ("_force", "_slope", "_curv"):
             kernel = getattr(equilibria, name)
             monkeypatch.setattr(equilibria, name,
                                 lambda *args, k=kernel: calls.append(1)
                                 or k(*args))
+        seen = _checked_replays(monkeypatch)
         replay, halve = equilibria._replay, equilibria._halve
 
         def counted(*args):
@@ -1436,9 +1536,34 @@ class TestReplay:
                     for sign in (-1.0, 1.0):
                         find_equilibria(params(a_star * (1.0 + sign * eps),
                                                c, g))
-        # 220 fallbacks, 107 of them early; 9 with 12 steps always run
-        assert len(before) == 220
-        assert sum(n < 24 for n in before) == 107
+        assert seen["fallbacks"] == len(before) == 220
+        assert sorted(set(before)) == [0, 24]
+        assert before.count(0) == 28
+
+    def test_screens_the_end_values_first(self, monkeypatch):
+        # lines x - r on [0, 1]: a replay whose |f_lo| or |f_hi| is at most
+        # 3 tau, at hi a stand-in as for the maximum's bracket, runs no
+        # kernel before its window-free _halve; r = 4 tau passes the screen
+        tau = _bounds(1.0)[0]
+        ran, at_halve = [], []
+        halve = equilibria._halve
+
+        def first(f, lo, hi, f_lo, *window):
+            at_halve.append((len(ran), bool(window)))
+            return halve(f, lo, hi, f_lo, *window)
+        monkeypatch.setattr(equilibria, "_halve", first)
+        for r, f_hi in ((2.0 * tau, None), (3.0 * tau, None),
+                        (0.6, 3.0 * tau), (4.0 * tau, None)):
+            def f(x, r=r):
+                ran.append(x)
+                return x - r
+            ends = f(0.0), f(1.0) if f_hi is None else f_hi
+            del ran[:]
+            got = equilibria._replay(f, lambda x: ran.append(x) or 1.0,
+                                     0.0, 1.0, *ends, 1.0)
+            assert got == scipy_bisect(lambda x, r=r: x - r, 0.0, 1.0,
+                                       xtol=1e-12)
+        assert at_halve == [(0, False)] * 3 + [(4, True)]
 
     def test_certificate_holds_against_adverse_rounding(self, monkeypatch):
         # kernels whose rounding, within tau, flips their sign near the

@@ -35,6 +35,33 @@ pi/2, so the logarithm's argument stays in [tan(pi/8), 1]: its terms add
 to at most C + 4 in size, and each evaluation rounds within a few ulps of
 that.  ``region_map`` rests on both facts to read a margin's sign from
 the ends of a root's bracket.
+
+No equilibrium self-intersects at gamma <= pi/2.  In a column of fixed C
+the force is F = F0 - A C^2, with the mass-free force
+
+    F0(phi) = C^2 w - 4 C cos(s) sin(phi) - 2 sin(phi + gamma),
+    w = phi - sin(phi) cos(phi),  s = (phi + gamma)/2.
+
+Let gamma in [0, pi/2], A > 0 and phi a zero of F in the psi-negative
+regime.  phi = 0 is never one, as F0(0) = -2 sin(gamma) <= 0 < A C^2.  At
+a zero phi in (0, pi/2 - gamma], F0(phi) = A C^2 > 0, and the terms
+-4 C cos(s) sin(phi) and -2 sin(phi + gamma) are <= 0, so
+C^2 w > 4 C cos(s) sin(phi), and
+
+    C sin(phi) > 4 cos(s) sin(phi)^2 / w >= 4 (sqrt(2)/2) (2/pi),
+
+which is 4 sqrt(2)/pi, as s <= pi/4, and by the lemma w <= (pi/2)
+sin(phi)^2 on [0, pi/2]: h(phi) = sin(phi)^2 - (2/pi) w is 0 at 0 and at
+pi/2, and h' = 2 sin(phi) (cos(phi) - (2/pi) sin(phi)) changes sign once
+on (0, pi/2), from + to -, so h >= 0 there.  The margin is C sin(phi)
+plus the C-free offset O(t), t = phi + gamma, and
+O' = cos(t) / (2 cos(t/2)) >= 0 on [0, pi/2] (``regions._crossing_c``),
+so O(t) >= O(0) = -k, with k = sqrt(2) + ln tan(pi/8) = 0.5328.  So the
+margin exceeds 4 sqrt(2)/pi - k = 1.268.  Conversely a zero margin at phi
+in (0, pi/2 - gamma] puts C sin(phi) = -O(t) <= k, so
+C w / sin(phi) <= k pi/2 < 2 sqrt(2) <= 4 cos(s), and F0(phi) < 0: a
+configuration on the margin's zero there has A < 0.
+``regions._count_block`` carries the bound through rounding.
 """
 
 from __future__ import annotations

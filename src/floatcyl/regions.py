@@ -16,11 +16,13 @@ give it, so labels are self-consistent with the library.  A label needs
 only the root count and, for a root in an overhang regime, the sign of
 the intersection margin there, so most cells need no root at all.  In a
 column of fixed C the curves are levels A C^2 of the mass-free force:
-its values at pi, at its maximum, and at the ends of the part of the
-overhang regime where the margin is negative.  No root lies before the
-force minimum, where the force is at most -2 sin(gamma) <= A C^2, so a
-cell's label follows from where its level falls among five breakpoints
-per column, those four and the force at 0 (``_count_block`` has the
+its values at pi, at its maximum, and, above pi/2 only, at the ends of
+the part of the overhang regime where the margin is negative: no
+equilibrium self-intersects at or below pi/2 (``intersection`` has the
+proof).  No root lies before the force minimum, where the force is at
+most -2 sin(gamma) <= A C^2, so a cell's label follows from where its
+level falls among the breakpoints of its column, those values and the
+force at 0: three at or below pi/2, five above (``_count_block`` has the
 proof).  The cells within a proven band of a breakpoint, none of the
 40,000 of a default 200 x 200 map at the contact angles tested, go
 through find_equilibria's cell solver one by one, with the map's maxima
@@ -323,9 +325,12 @@ def intersection_curve_point(phi02: float, contact_angle: float
 
     The margin is linear in C, so C follows directly from the zero
     condition; the force balance is then linear in A.  None when the
-    resulting capillary ratio is not positive past rounding.
+    resulting capillary ratio is not positive past rounding.  ValueError
+    for a contact angle outside [0, pi] or a non-finite phi02.
     """
     _check_contact_angle(contact_angle)
+    if not math.isfinite(phi02):
+        raise ValueError(f"phi0 must be finite, got {phi02!r}")
     if math.sin(phi02) <= 0.0:
         return None
     c = _crossing_c(phi02, intersection_margin(phi02, 1.0, contact_angle))
@@ -339,11 +344,13 @@ def trace_intersection_curve(contact_angle, a_window, c_window,
                              n: int = 200) -> BoundaryCurve:
     """Intersection-validity boundary, sampled in the larger root's angle.
 
-    Empty for contact angles at or below pi/2 (no invalid equilibria
-    there).  Its points are ``intersection_curve_point``'s, bit for bit.
-    A window with a NaN or infinite bound, or with a C bound below 0,
-    raises ValueError; one with lo >= hi on either axis gives an empty
-    curve (``_check_windows``).
+    Empty for contact angles at or below pi/2, even in a window of
+    negative A: no equilibrium with A > 0 self-intersects there, and the
+    margin's zeros in the psi-negative regime all have A < 0
+    (``intersection`` has the proof).  Its points are
+    ``intersection_curve_point``'s, bit for bit.  A window with a NaN or
+    infinite bound, or with a C bound below 0, raises ValueError; one with
+    lo >= hi on either axis gives an empty curve (``_check_windows``).
     """
     _check_contact_angle(contact_angle)
     _check_samples("n", n)
@@ -410,12 +417,13 @@ def region_map(contact_angle: float,
     column and of the tangency curve's samples, the points of
     ``trace_tangency_curve``.  ``_count_block``
     reads each cell's label from its column's breakpoints: the mass-free
-    force at 0, at the maximum, at pi, and at the ends of the
-    self-intersecting part of the overhang regime, found by one bisection
-    of the margin over all columns.  The cells, if any, within a proven
-    band of a breakpoint go through ``_cell_roots``, one cell at a time
-    on floats (``_count_cells``), with the map's maxima and their
-    columns' minima, which one more bisection finds.  The counts become
+    force at 0, at the maximum, at pi, and, at contact angles above
+    pi/2, at the ends of the self-intersecting part of the overhang
+    regime, found by one bisection of the margin over all columns.  The
+    cells, if any, within a proven band of a breakpoint go through
+    ``_cell_roots``, one cell at a time on floats (``_count_cells``),
+    with the map's maxima and their columns' minima, which one more
+    bisection finds.  The counts become
     labels through one table lookup (``_LABEL_CODES``).  find_equilibria
     runs the kernels on ``math`` and the blocks on NumPy, so the equality
     also needs their sin and cos to agree bit for bit, as
@@ -488,18 +496,20 @@ def _count_block(a_axis, cs, g, maximum):
     segments between the nodes 0, maximum (pi where there is none) and
     pi.  So a cell's count is the number of segments whose node values
     straddle L, and a segment's root lies in [p, q] (clipped to the
-    segment) exactly when F0(p) - L and F0(q) - L differ in sign.  The
-    margin is monotone in each overhang regime (``intersection``), so the
-    part of the regime where it is at most -b, b = _MARGIN_BAND (C + 4),
-    is one interval [p, q] with one end at 0 or pi and the other at z-,
-    and so is the part where it is at most +b, with z+
-    (``_intersecting_parts``): a root in the first part is invalid, one
-    outside the second valid.  The breakpoints are F0 at the nodes, at
-    z- and at z+.  With the slack s, S >= |F'| and K >= |F''| from
-    ``_bounds`` and LB = PHI0_TOL + 4 eps pi bisect's last bracket, a cell
-    whose level lies within B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S of a
-    breakpoint, or whose root falls between the two parts, reads -1, for
-    ``_count_cells``.  The rest get ``_cell_roots``' counts:
+    segment) exactly when F0(p) - L and F0(q) - L differ in sign.  At
+    gamma <= pi/2 every settled root is valid (Low angles, below), and
+    the breakpoints are F0 at the three nodes.  At gamma > pi/2 the
+    margin falls through the psi-positive regime [3pi/2 - gamma, pi]
+    (``intersection``), so the part of it where the margin is at most -b,
+    b = _MARGIN_BAND (C + 4), is one interval [z-, pi], and so is the part
+    where it is at most +b, [z+, pi] (``_intersecting_parts``): a root in
+    the first part is invalid, one outside the second valid, and F0 at z-
+    and at z+ adds two breakpoints.  With the slack s, S >= |F'| and
+    K >= |F''| from ``_bounds`` and LB = PHI0_TOL + 4 eps pi bisect's last
+    bracket, a cell whose level lies within
+    B = ROOT_VALUE_TOL + 4s + 3 PHI0_TOL S of a breakpoint, or whose root
+    falls between the two parts, reads -1, for ``_count_cells``.  The
+    rest get ``_cell_roots``' counts:
 
     * Rounding.  _force at a point, with A = 0 or with a level in the
       node values' range, lies within s of the exact F: its terms add to
@@ -523,6 +533,21 @@ def _count_block(a_axis, cs, g, maximum):
       a few ulps more, is negative.  A root outside the +b part has such
       a point where the margin is at least +b, or lies outside the
       regime: it is valid either way.
+    * Low angles.  At gamma <= pi/2 the psi-positive regime is at most
+      the node pi, which a root lies more than LB from (Parts), so a
+      root r that may cross lies in the psi-negative regime
+      [0, pi/2 - gamma], more than LB from 0.  With w = r - sin r cos r
+      and u = (r + gamma)/2 <= pi/4,
+      F0(r) = C sin(r) (C w / sin(r) - 4 cos u) - 2 sin(r + gamma).
+      Were C sin(r) < 1.6, then C w / sin(r) <= 1.6 pi/2 < 2 sqrt 2
+      <= 4 cos u, as w <= (pi/2) sin(r)^2 (``intersection``'s lemma), so
+      F0(r) <= -2 sin(r + gamma) <= F0(0) <= L, as r + gamma <= pi/2;
+      and F0(r) >= L - E would put L within E < B of F0(0), a
+      breakpoint.  So C sin(r) >= 1.6, and the margin, C sin(r) plus an
+      offset of at least -k = -0.533 (``intersection``), is at least 1.06
+      and at least C sin(r) / 1.5: far outside the few ulps of
+      C sin(r) + 4 that ``intersection_margin`` rounds by.  So
+      n_valid = n.
     * Extrema.  _cell_roots merges roots closer than _DEDUP_TOL.  No
       node is a root and none lies on [0, minimum], so between any two
       roots lies the maximum m, the bisected zero of _slope.  The exact
@@ -538,66 +563,57 @@ def _count_block(a_axis, cs, g, maximum):
     """
     nodes = np.stack([np.zeros(cs.size), np.where(
         maximum == maximum, maximum, PI), np.full(cs.size, PI)])
-    parts = _intersecting_parts(cs, g)
     f_nodes = _force(nodes, 0.0, cs, g)
-    # F0 at the ends of each segment's share of each part
-    f_ends = _force(np.stack([np.clip(parts, nodes[k], nodes[k + 1])
-                              for k in range(2)]), 0.0, cs, g)
-    # each part's other end, 0 or pi, is a node: z- and z+ add two rows
-    breakpoints = np.concatenate([f_nodes, _force(parts[:, 1], 0.0, cs, g)])
+    level = a_axis[:, None] * cs * cs
+    above = [f > level for f in f_nodes]
+    brackets = [above[k] != above[k + 1] for k in range(2)]
+    n = np.add(*brackets, dtype=np.int64)
+    n_valid, breakpoints = n, list(f_nodes)
+    unsettled = np.zeros(level.shape, dtype=bool)
+    if g > PI / 2.0:
+        z = _intersecting_parts(cs, g)
+        breakpoints += list(_force(z, 0.0, cs, g))
+        # a segment's share of a part [z, pi] runs from z, clipped to the
+        # segment, to the segment's upper node
+        f_z = _force(np.stack([np.clip(z, nodes[k], nodes[k + 1])
+                               for k in range(2)]), 0.0, cs, g)
+        for bracket, upper, ends in zip(brackets, above[1:], f_z):
+            inner, outer = ((f > level) != upper for f in ends)
+            n_valid = n_valid - (bracket & inner)
+            unsettled |= bracket & outer & ~inner
     s, S, _ = _bounds(cs)
     B = ROOT_VALUE_TOL + 4.0 * s + 3.0 * PHI0_TOL * S
-    lo, hi = breakpoints - B, breakpoints + B
-
-    level = a_axis[:, None] * cs * cs
-    unsettled = np.zeros(level.shape, dtype=bool)
-    for lo_k, hi_k in zip(lo, hi):
-        unsettled |= (lo_k <= level) & (level <= hi_k)
-    above = [f > level for f in f_nodes]
-    n = np.zeros(level.shape, dtype=np.int64)
-    cross = np.zeros_like(n)
-    for k in range(2):
-        bracket = above[k] != above[k + 1]
-        inner, outer = ((start > level) != (end > level)
-                        for start, end in f_ends[k])
-        n += bracket
-        cross += bracket & inner
-        unsettled |= bracket & outer & ~inner
-    return np.where(unsettled, -1, n), np.where(unsettled, -1, n - cross)
+    for f in breakpoints:
+        unsettled |= (f - B <= level) & (level <= f + B)
+    return np.where(unsettled, -1, n), np.where(unsettled, -1, n_valid)
 
 
 def _intersecting_parts(cs, g):
-    """Each column's parts of its overhang regime where the margin is at
-    most -b and at most +b, b = _MARGIN_BAND (C + 4), as [its regime
-    end, z]: shaped (2, 2, len(cs)), the -b part first.
+    """Each column's parts [z, pi] of the psi-positive regime [lo, pi],
+    lo = 3pi/2 - gamma, where the margin is at most -b and at most +b,
+    b = _MARGIN_BAND (C + 4), as their ends z- and z+: shaped
+    (2, len(cs)), z- first.
 
-    The margin rises through the psi-negative regime [lo, hi] =
-    [0, pi/2 - gamma] (taken for gamma <= pi/2, where the other regime is
-    at most the point pi) and falls through the psi-positive one
-    [3pi/2 - gamma, pi], so each part runs from the regime end where the
-    margin is lowest to a point z, where f = +-(margin -+ b), signed so
-    that it rises with the margin's rise, changes sign.  Where f(lo) < 0
-    < f(hi), z comes from one bisection over every such column of both
-    parts, the regime a bracket shared by all of them, from their values
-    at lo, which leaves within PHI0_TOL + 4 eps pi of z a point at or
-    below it with f <= 0 and one at or above it with f >= 0.  Elsewhere
-    z = lo where f(lo) >= 0, itself the point above, with none needed
-    below it; else z = hi, where f(hi) <= 0, the point below, with none
-    needed above.
+    The margin falls through the regime (``intersection``), so each part
+    runs from pi to the point z where m = margin -+ b changes sign.  Where
+    m(lo) > 0 > m(pi), z comes from one bisection over every such column
+    of both parts, the regime a bracket shared by all of them, from their
+    values at lo, which leaves within PHI0_TOL + 4 eps pi of z a point at
+    or below it with m >= 0 and one at or above it with m <= 0.
+    Elsewhere z = lo where m(lo) <= 0, itself the point above, with none
+    needed below it; else z = pi, where m(pi) >= 0, the point below, with
+    none needed above.
     """
-    rising = g <= PI / 2.0
-    lo, hi = (0.0, PI / 2.0 - g) if rising else (3.0 * PI / 2.0 - g, PI)
+    lo = 3.0 * PI / 2.0 - g
     c = np.concatenate([cs, cs])
     shift = _MARGIN_BAND * (4.0 + c) * np.repeat([-1.0, 1.0], cs.size)
-    way = 1.0 if rising else -1.0
-    f_lo, f_hi = (way * (_margin(x, c, g, np) - shift) for x in (lo, hi))
-    z = np.where(f_lo >= 0.0, lo, hi)
-    lanes = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
+    m_lo, m_pi = (_margin(x, c, g, np) - shift for x in (lo, PI))
+    z = np.where(m_lo <= 0.0, lo, PI)
+    lanes = np.flatnonzero((m_lo > 0.0) & (m_pi < 0.0))
     c, shift = c[lanes], shift[lanes]
     z[lanes] = bisect(lambda x, k: _margin(x, c[k], g, np) - shift[k],
-                      lo, hi, way * f_lo[lanes])
-    z = z.reshape(2, -1)
-    return np.stack([np.full(z.shape, lo if rising else hi), z], axis=1)
+                      lo, PI, m_lo[lanes])
+    return z.reshape(2, -1)
 
 
 def _count_cells(a, c, g, extrema):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from floatcyl.equilibria import Stability, find_equilibria
 from floatcyl.intersection import (FlatInterfaceError, Regime, _margin,
                                    _overhang, intersection_margin, validity)
 from floatcyl.model import DimensionlessParams
-from floatcyl.regions import _MARGIN_BAND
+from floatcyl.regions import _MARGIN_BAND, intersection_curve_point
 
 PI = math.pi
 
@@ -50,8 +51,12 @@ class TestMargin:
             intersection_margin(0.3, -1.0, 0.2)
         with pytest.raises(ValueError, match="capillary_ratio"):
             intersection_margin(1.0, math.inf, 2.0)
-        with pytest.raises(ValueError, match="phi0"):
-            intersection_margin(math.nan, 1.0, 2.0)
+        for phi0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^phi0 must be finite"):
+                intersection_margin(phi0, 1.0, 2.0)
+            # checked before sin(phi0), which raises a bare domain error
+            with pytest.raises(ValueError, match="^phi0 must be finite"):
+                intersection_curve_point(phi0, 2.0)
 
     # region_map reads a root's margin sign off the ends of its bracket:
     # that needs the margin monotone in each overhang regime, and its math
@@ -192,6 +197,62 @@ class TestValiditySweeps:
                 assert np.all(np.diff(vals) < 0.0)
 
 
+# 4 sqrt(2)/pi - k: the margin of an equilibrium with A > 0 at gamma <= pi/2
+# exceeds it (the module's proof), with k = sqrt(2) + ln tan(pi/8)
+_LOW_ANGLE_BOUND = 4.0 * math.sqrt(2.0) / PI - (
+    math.sqrt(2.0) + math.log(math.tan(PI / 8.0)))
+
+
+class TestLowAngleProof:
+    """The lemma and the corollary of the module's proof that no
+    equilibrium self-intersects at gamma <= pi/2."""
+
+    def test_lemma(self):
+        # h = sin^2 - (2/pi) w >= 0 on [0, pi/2], w = phi - sin cos: h is 0
+        # at both ends, and h' = 2 sin (cos - (2/pi) sin) changes sign once,
+        # from + to -, at tan(phi) = pi/2; at 50 digits
+        with mpmath.workdps(50):
+            pi = mpmath.pi
+
+            def h(x):
+                return mpmath.sin(x) ** 2 - 2 / pi * (
+                    x - mpmath.sin(x) * mpmath.cos(x))
+
+            def h_prime(x):
+                return 2 * mpmath.sin(x) * (mpmath.cos(x)
+                                            - 2 / pi * mpmath.sin(x))
+
+            assert abs(h(0)) < mpmath.mpf(10) ** -45
+            assert abs(h(pi / 2)) < mpmath.mpf(10) ** -45
+            turn = mpmath.atan(pi / 2)
+            assert abs(h_prime(turn)) < mpmath.mpf(10) ** -45
+            xs = [pi / 2 * mpmath.mpf(k) / 2000 for k in range(1, 2000)]
+            assert all(h(x) > 0 for x in xs)
+            assert all((h_prime(x) > 0) == (x < turn) for x in xs)
+            assert all(h_prime(x) != 0 for x in xs)
+            # the constants the proofs use
+            k = mpmath.sqrt(2) + mpmath.log(mpmath.tan(pi / 8))
+            assert abs(4 * mpmath.sqrt(2) / pi - k - 1.268) < 1e-3
+            assert mpmath.mpf("1.6") * pi / 2 < 2 * mpmath.sqrt(2)
+            assert k * pi / 2 < 2 * mpmath.sqrt(2)
+
+    def test_crossings_have_negative_mass(self):
+        # a zero margin in the psi-negative regime puts C sin(phi) <= k, so
+        # F(phi; A=0) < 0 there: each point of intersection_curve_point
+        # has A < 0
+        rng = np.random.default_rng(37)
+        angles = [0.0, 1e-12, PI / 2 - 1e-9] * 200 + rng.uniform(
+            0.0, PI / 2, 19_400).tolist()
+        points = 0
+        for k, g in enumerate(angles):
+            u = rng.uniform() if k % 2 else 10.0 ** rng.uniform(-8.0, 0.0)
+            point = intersection_curve_point(max(u, 1e-300) * (PI / 2 - g), g)
+            if point is not None:
+                assert point[0] < 0.0, (g, point)
+                points += 1
+        assert points > 19_000
+
+
 class TestMinimalMassQuadratics:
     """Reconstruction of the capillary ratio from the zero-mass force balance
     (low contact angles) and from the extremum condition (high), then the
@@ -213,7 +274,8 @@ class TestMinimalMassQuadratics:
                 scale = max(1.0, w * c * c, abs(p) * c, abs(q))
                 assert resid <= 1e-10 * scale
                 worst = min(worst, intersection_margin(phi, c, g))
-        assert worst > 0.0
+        # the module's bound at A = 0, and so for every A >= 0
+        assert worst >= _LOW_ANGLE_BOUND
 
     def test_high_contact_angle_reconstruction(self):
         worst = np.inf

@@ -777,6 +777,23 @@ class TestBreakpoints:
         assert sum(fallback) == 50 * 10
         assert rm.labels.tolist() == bisected_labels(rm)
 
+    @pytest.mark.parametrize("g", [0.0, 0.7, PI / 2 - 1e-9, PI / 2])
+    def test_no_margin_bisection_at_low_angles(self, g, monkeypatch):
+        # no equilibrium self-intersects at gamma <= pi/2 (intersection's
+        # proof): the three node breakpoints decide every label, with the
+        # fallback's for the cells near one, as at tiny C
+        def unused(*args):
+            raise AssertionError("margin bisected at gamma <= pi/2")
+
+        for name in ("_intersecting_parts", "_margin", "bisect"):
+            monkeypatch.setattr(regions, name, unused)
+        for c_range in ((0.0, 5.0), (0.0, 1e-5), (0.0, 1e-170)):
+            rm = region_map(g, c_range=c_range, resolution=(60, 20))
+            assert rm.labels.tolist() == bisected_labels(rm)
+        with pytest.raises(AssertionError, match="margin bisected"):
+            region_map(math.nextafter(PI / 2, 4.0), resolution=(2, 2),
+                       curve_samples=0)
+
     def test_tiny_capillary_window_labels(self):
         # levels far below every band label as _cell_roots does
         for c_range in ((0.0, 1e-170), (0.0, 1e-5)):

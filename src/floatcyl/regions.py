@@ -37,9 +37,9 @@ from enum import Enum
 
 import numpy as np
 
-from .equilibria import (PHI0_TOL, ROOT_VALUE_TOL, _bounds, _cell_roots,
-                         _check_mass_free, _extrema, _extremum_brackets,
-                         _halve, bisect, find_equilibria,
+from .equilibria import (PHI0_TOL, ROOT_VALUE_TOL, _RTOL, _bounds,
+                         _cell_roots, _check_mass_free, _extrema,
+                         _extremum_brackets, _halve, bisect, find_equilibria,
                          second_extremum_threshold)
 from .intersection import _margin, _overhang, intersection_margin, validity
 from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
@@ -48,6 +48,8 @@ from .model import (DimensionlessParams, _check_contact_angle, _check_integer,
 PI = math.pi
 # The margin's rounding band, per unit of C + 4 (see _count_block).
 _MARGIN_BAND = 2.0 ** -40
+# bisect's last bracket on [0, pi], LB in _count_block
+_LB = PHI0_TOL + _RTOL * PI
 
 
 class RegionLabel(str, Enum):
@@ -326,11 +328,14 @@ def intersection_curve_point(phi02: float, contact_angle: float
     The margin is linear in C, so C follows directly from the zero
     condition; the force balance is then linear in A.  None when the
     resulting capillary ratio is not positive past rounding.  ValueError
-    for a contact angle outside [0, pi] or a non-finite phi02.
+    for a contact angle outside [0, pi], a non-finite phi02 or one outside
+    [0, pi], as ``validity`` raises.
     """
     _check_contact_angle(contact_angle)
     if not math.isfinite(phi02):
         raise ValueError(f"phi0 must be finite, got {phi02!r}")
+    if not 0.0 <= phi02 <= PI:
+        raise ValueError(f"phi0 must lie in [0, pi], got {phi02!r}")
     if math.sin(phi02) <= 0.0:
         return None
     c = _crossing_c(phi02, intersection_margin(phi02, 1.0, contact_angle))
@@ -419,11 +424,12 @@ def region_map(contact_angle: float,
     reads each cell's label from its column's breakpoints: the mass-free
     force at 0, at the maximum, at pi, and, at contact angles above
     pi/2, at the ends of the self-intersecting part of the overhang
-    regime, found by one bisection of the margin over all columns.  The
+    regime, found by Newton's method on the margin over all columns and
+    certified by one margin call (``_intersecting_parts``).  The
     cells, if any, within a proven band of a breakpoint go through
     ``_cell_roots``, one cell at a time on floats (``_count_cells``),
     with the map's maxima and their columns' minima, which one more
-    bisection finds.  The counts become
+    bisection finds.  The counts, int8 grids, become
     labels through one table lookup (``_LABEL_CODES``).  find_equilibria
     runs the kernels on ``math`` and the blocks on NumPy, so the equality
     also needs their sin and cos to agree bit for bit, as
@@ -486,7 +492,7 @@ def region_map(contact_angle: float,
 def _count_block(a_axis, cs, g, maximum):
     """Equilibria and valid equilibria of each cell of a_axis x cs, or -1.
 
-    Both (len(a_axis), len(cs)) int arrays; ``maximum`` holds the
+    Both (len(a_axis), len(cs)) int8 arrays; ``maximum`` holds the
     columns' force maxima, NaN where there is none.  In a column
     F = F0 - L, with F0 = F(.; A=0) and the level L = A C^2 >= 0.  F0
     falls from 0 to the minimum, rises to the maximum and falls to pi
@@ -527,8 +533,9 @@ def _count_block(a_axis, cs, g, maximum):
       node or at z, the exact F0(r) and F0(x) differ by more than S LB,
       so r lies more than LB from x, on the side their signs say.  So a
       root in the -b part lies more than LB inside it, and between the
-      root and z- lies a point where NumPy's margin is at most -b
-      (``_intersecting_parts``): by monotony the exact margin at the root
+      root and z- lies a point where NumPy's margin is at most -b, within
+      LB of z- (``_intersecting_parts``' certificate, or its fallback's
+      bisection): by monotony the exact margin at the root
       is below -b plus a few ulps of C + 4, and ``intersection_margin``'s,
       a few ulps more, is negative.  A root outside the +b part has such
       a point where the margin is at least +b, or lies outside the
@@ -564,11 +571,12 @@ def _count_block(a_axis, cs, g, maximum):
     nodes = np.stack([np.zeros(cs.size), np.where(
         maximum == maximum, maximum, PI), np.full(cs.size, PI)])
     f_nodes = _force(nodes, 0.0, cs, g)
-    level = a_axis[:, None] * cs * cs
+    level = a_axis[:, None] * cs
+    level *= cs
     above = [f > level for f in f_nodes]
     brackets = [above[k] != above[k + 1] for k in range(2)]
-    n = np.add(*brackets, dtype=np.int64)
-    n_valid, breakpoints = n, list(f_nodes)
+    n = np.add(*brackets, dtype=np.int8)
+    n_valid, breakpoints = n.copy(), list(f_nodes)
     unsettled = np.zeros(level.shape, dtype=bool)
     if g > PI / 2.0:
         z = _intersecting_parts(cs, g)
@@ -579,13 +587,15 @@ def _count_block(a_axis, cs, g, maximum):
                                for k in range(2)]), 0.0, cs, g)
         for bracket, upper, ends in zip(brackets, above[1:], f_z):
             inner, outer = ((f > level) != upper for f in ends)
-            n_valid = n_valid - (bracket & inner)
+            n_valid -= bracket & inner
             unsettled |= bracket & outer & ~inner
     s, S, _ = _bounds(cs)
     B = ROOT_VALUE_TOL + 4.0 * s + 3.0 * PHI0_TOL * S
     for f in breakpoints:
         unsettled |= (f - B <= level) & (level <= f + B)
-    return np.where(unsettled, -1, n), np.where(unsettled, -1, n_valid)
+    for counts in (n, n_valid):
+        np.putmask(counts, unsettled, -1)
+    return n, n_valid
 
 
 def _intersecting_parts(cs, g):
@@ -596,10 +606,23 @@ def _intersecting_parts(cs, g):
 
     The margin falls through the regime (``intersection``), so each part
     runs from pi to the point z where m = margin -+ b changes sign.  Where
-    m(lo) > 0 > m(pi), z comes from one bisection over every such column
-    of both parts, the regime a bracket shared by all of them, from their
-    values at lo, which leaves within PHI0_TOL + 4 eps pi of z a point at
-    or below it with m >= 0 and one at or above it with m <= 0.
+    m(lo) > 0 > m(pi), Newton's method finds z, on every such column of
+    both parts at once: from the chord's zero, with the slope
+    C cos(x) + cos(t) / (2 cos(t/2)), t = x + gamma (``intersection``),
+    each lane kept in the bracket of the signs it has seen, with a
+    midpoint step where Newton's leaves it or the slope is not negative.
+    A lane settles once (C + 2) dx^2 <= |m'| LB/4, a step that leaves it
+    within about LB/8 of z, as |m''| <= C + 2; settled lanes are frozen
+    and the loop stops after 12 steps.  One _margin call then certifies
+    every lane: m at x - LB/2 is >= 0 and at x + LB/2 is <= 0, with
+    LB = PHI0_TOL + 4 eps pi (``_LB``).  That leaves within LB of z a
+    point at or below it with m >= 0 and one at or above it with m <= 0,
+    all that ``_count_block``'s Parts bullet needs: z reaches the labels
+    only through F0(z), which has the band B, and the clip-and-compare
+    tests, so it need not be a bisection's bits.  A lane that does not
+    settle or fails the certificate, as at tiny C, where m's rounding
+    over its slope is wider than LB/2, takes z from one ``bisect`` over
+    every such lane from its m(lo), which leaves the same two points.
     Elsewhere z = lo where m(lo) <= 0, itself the point above, with none
     needed below it; else z = pi, where m(pi) >= 0, the point below, with
     none needed above.
@@ -610,9 +633,32 @@ def _intersecting_parts(cs, g):
     m_lo, m_pi = (_margin(x, c, g, np) - shift for x in (lo, PI))
     z = np.where(m_lo <= 0.0, lo, PI)
     lanes = np.flatnonzero((m_lo > 0.0) & (m_pi < 0.0))
-    c, shift = c[lanes], shift[lanes]
-    z[lanes] = bisect(lambda x, k: _margin(x, c[k], g, np) - shift[k],
-                      lo, PI, m_lo[lanes])
+    c, shift, m_lo = c[lanes], shift[lanes], m_lo[lanes]
+    x = lo + (PI - lo) * (m_lo / (m_lo - m_pi[lanes]))
+    a, b = np.full(lanes.size, lo), np.full(lanes.size, PI)
+    todo = np.ones(lanes.size, dtype=bool)
+    k_lb = (c + 2.0) * (4.0 / _LB)
+    for _ in range(12):
+        m = _margin(x, c, g, np) - shift
+        t = x + g
+        d = c * np.cos(x) + np.cos(t) / (2.0 * np.cos(0.5 * t))
+        a, b = np.where(m > 0.0, x, a), np.where(m < 0.0, x, b)
+        falls = d < 0.0
+        step = x - m / np.where(falls, d, -1.0)
+        step = np.where(falls & (a <= step) & (step <= b), step,
+                        0.5 * (a + b))
+        settled = k_lb * (step - x) ** 2 <= -d
+        x = np.where(todo, step, x)
+        todo &= ~settled
+        if not todo.any():
+            break
+    m = _margin(np.stack([x - _LB / 2.0, x + _LB / 2.0]), c, g, np) - shift
+    bad = np.flatnonzero(todo | (m[0] < 0.0) | (m[1] > 0.0))
+    if bad.size:
+        c, shift = c[bad], shift[bad]
+        x[bad] = bisect(lambda x, k: _margin(x, c[k], g, np) - shift[k],
+                        lo, PI, m_lo[bad])
+    z[lanes] = x
     return z.reshape(2, -1)
 
 

@@ -57,6 +57,12 @@ class TestMargin:
             # checked before sin(phi0), which raises a bare domain error
             with pytest.raises(ValueError, match="^phi0 must be finite"):
                 intersection_curve_point(phi0, 2.0)
+        # an angle outside [0, pi] is rejected up front, as validity
+        # rejects it, before any margin is computed
+        for phi0 in (4.0, 1e6, -0.5, 7.0, -3.5):
+            with pytest.raises(ValueError, match=(
+                    r"^phi0 must lie in \[0, pi\], got " + repr(phi0))):
+                intersection_curve_point(phi0, 2.0)
 
     # region_map reads a root's margin sign off the ends of its bracket:
     # that needs the margin monotone in each overhang regime, and its math

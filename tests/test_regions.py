@@ -738,6 +738,7 @@ class TestBreakpoints:
         a_axis = a_star + np.array([-1e-2, -1e-6, 1e-6, 1e-2])
         n, n_valid = regions._count_block(
             a_axis, np.array([c]), g, np.array([force_extrema(c, g)[1]]))
+        assert n.dtype == n_valid.dtype == np.int8
         assert n[:, 0].tolist() == n_valid[:, 0].tolist() == [2, 2, 0, 0]
         assert [_LABEL_TABLE[k, k] for k in n[:, 0].tolist()] == [
             classify_point(params(a, c, g))[0] for a in a_axis.tolist()]
@@ -794,12 +795,89 @@ class TestBreakpoints:
             region_map(math.nextafter(PI / 2, 4.0), resolution=(2, 2),
                        curve_samples=0)
 
+    @pytest.mark.parametrize("g", [1.6, 2.3, 3.0, PI])
+    def test_no_margin_bisection_on_the_default_window(self, g, monkeypatch):
+        # above pi/2 Newton's ends of the intersecting parts pass their
+        # certificate in every column of the default window, so no lane
+        # falls back to the margin's bisection
+        def unused(*args):
+            raise AssertionError("margin bisected")
+
+        monkeypatch.setattr(regions, "bisect", unused)
+        region_map(g)
+        rm = region_map(g, resolution=(50, 40), curve_samples=0)
+        assert rm.labels.tolist() == bisected_labels(rm)
+
     def test_tiny_capillary_window_labels(self):
         # levels far below every band label as _cell_roots does
         for c_range in ((0.0, 1e-170), (0.0, 1e-5)):
             rm = region_map(1.0, c_range=c_range, resolution=(30, 20),
                             curve_samples=0)
             assert rm.labels.tolist() == bisected_labels(rm)
+
+
+class TestIntersectingParts:
+    """Each end z of _intersecting_parts has, within LB of it, a point at
+    or below it where NumPy's m = margin - shift is >= 0 and one at or
+    above it where m <= 0: all that _count_block's Parts bullet needs."""
+
+    LB = equilibria.PHI0_TOL + 4.0 * np.finfo(float).eps * PI
+
+    @pytest.mark.parametrize("g", [PI / 2 + 1e-9, PI / 2 + 1e-3, 1.6, 2.3,
+                                   3.0, PI - 1e-9, PI])
+    @pytest.mark.parametrize("window", [(0.0, 5.0), (0.0, 1e-3),
+                                        (1e-9, 1e-5), (0.0, 1e3),
+                                        (0.0, 1e6)])
+    def test_ends_are_certified(self, g, window, monkeypatch):
+        lanes = []
+        bisect = regions.bisect
+
+        def counted(f, lo, hi, f_lo):
+            lanes.append(f_lo.size)
+            return bisect(f, lo, hi, f_lo)
+
+        monkeypatch.setattr(regions, "bisect", counted)
+        c_lo, c_hi = window
+        # region_map's axis over (0, hi], the closed window as it is
+        cs = (np.linspace(c_lo, c_hi, 201)[1:] if c_lo == 0.0
+              else np.linspace(c_lo, c_hi, 200))
+        z = regions._intersecting_parts(cs, g).ravel()
+        lo = 1.5 * PI - g
+        c = np.concatenate([cs, cs])
+        shift = regions._MARGIN_BAND * (4.0 + c) * np.repeat(
+            [-1.0, 1.0], cs.size)
+
+        def m(x, k=slice(None)):
+            return _margin(x, c[k], g, np) - shift[k]
+
+        m_lo, m_pi = m(lo), m(PI)
+        bracketed = (m_lo > 0.0) & (m_pi < 0.0)
+        other = ~bracketed
+        assert z[other].tolist() == np.where(
+            m_lo <= 0.0, lo, PI)[other].tolist()
+        # Newton's lanes are certified at z -+ LB/2; the others are
+        # bisect's, which is _halve's bit for bit, and its last points on
+        # either side of z lie within LB of it
+        certified = (m(z - self.LB / 2) >= 0.0) & (m(z + self.LB / 2) <= 0.0)
+        for k in np.flatnonzero(bracketed & ~certified).tolist():
+            seen = [(lo, m_lo[k]), (PI, m_pi[k])]
+
+            def f(x):
+                seen.append((x, float(m(np.array([x]), [k])[0])))
+                return seen[-1][1]
+
+            assert z[k] == equilibria._halve(f, lo, PI, m_lo[k])
+            assert any(z[k] - self.LB <= x <= z[k] and v >= 0.0
+                       for x, v in seen)
+            assert any(z[k] <= x <= z[k] + self.LB and v <= 0.0
+                       for x, v in seen)
+        assert sum(lanes) >= (bracketed & ~certified).sum()
+        if window == (1e-9, 1e-5) and g > PI / 2 + 1e-9:
+            # m's rounding over its slope is wider than LB/2 at tiny C
+            # (at pi/2 + 1e-9 no lane is bracketed)
+            assert sum(lanes) > 0
+        elif window[1] >= 5.0:
+            assert sum(lanes) == 0
 
 
 def _count_fallback(monkeypatch):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import (DimensionlessParams, _check_contact_angle,
-                    _check_positive, _curv, _force, _height, _numpy, _slope)
+                    _check_positive, _force, _height, _numpy, _slope,
+                    _slope_curv)
 
 PI = math.pi
 
@@ -106,68 +107,95 @@ def bisect(f, lo, hi, f_lo, rl=None, rh=None):
     lane's midpoint below rl is kept as xa and one in (rh, hi] is not,
     both without f, and f runs on the other lanes only: ``_replay_lanes``
     passes the windows it has certified, and (-inf, inf) for a lane it
-    has not, whose halvings are then the window-free ones.  dm halves
-    exactly, and each xm lies in [lo, hi] widened by half an ulp per
-    halving, so below 2 hi: while dm is at least wide = 2 (PHI0_TOL +
-    4 eps hi), no lane's tolerance test can pass, and only f(xm) == 0 can
-    stop a lane.  With no lanes it returns the empty array and never
-    runs f.
+    has not, whose halvings are then the window-free ones.  The windowed
+    halvings write the midpoints into one kept buffer, keep xa in place,
+    and build an index of lanes only for a halving where some lane needs
+    f.  dm halves exactly, and each xm lies in [lo, hi] widened by half
+    an ulp per halving, so below 2 hi: while dm is at least wide =
+    2 (PHI0_TOL + 4 eps hi), no lane's tolerance test can pass, and only
+    f(xm) == 0 can stop a lane.  Nor can xm round past hi then, for hi
+    below 90 (every bracket the package bisects lies in [0, pi]): a
+    lane's bracket [xa, U] has U <= hi and U - xa = 2 dm + E, each
+    rounding of xa + dm adding at most eps hi to |E|, so the k-th xm is
+    at most hi - dm + (k + 1) eps hi, below hi while dm >= wide >
+    101 eps hi.  So the windowed halvings test xm > hi only once
+    dm < wide, and the stop test runs only then, or where f(xm) == 0.
+    With no lanes it returns the empty array and never runs f.
     """
     np = _numpy()
     root = np.empty(f_lo.shape)
     if not root.size:
         return root
     todo = np.ones(f_lo.shape, dtype=bool)
-    # windows index the midpoints from the first halving on
-    xa, dm = lo if rl is None else np.full(f_lo.shape, float(lo)), hi - lo
+    dm = hi - lo
     wide = 2.0 * (PHI0_TOL + _RTOL * hi)
-    every = slice(None)
+    if rl is None:
+        xa, every = lo, slice(None)
+    else:
+        xa, xm = np.full(f_lo.shape, float(lo)), np.empty(f_lo.shape)
+        go, need = (np.empty(f_lo.shape, dtype=bool) for _ in range(2))
     for _ in range(_MAX_HALVINGS):
         dm *= 0.5
-        xm = xa + dm
         if rl is None:
+            xm = xa + dm
             fm = f(xm, every)
             go, stop = fm * f_lo >= 0.0, fm == 0.0
+            xa = np.where(go, xm, xa)
         else:
-            go = xm < rl
-            k = np.flatnonzero(~(go | ((rh < xm) & (xm <= hi))))
-            stop = np.zeros(f_lo.shape, dtype=bool)
-            if k.size:
-                x = xm[k]
-                fm = f(x, k)
+            np.add(xa, dm, out=xm)
+            np.less(xm, rl, out=go)
+            # f runs where xm lies in [rl, rh] or rounds past hi: not
+            # below rl, and not in (rh, hi]
+            np.less_equal(xm, rh, out=need)
+            if dm < wide:
+                need |= hi < xm
+            need &= ~go
+            stop = None
+            if need.any():
+                k = np.flatnonzero(need)
+                fm = f(xm[k], k)
                 go[k] = fm * f_lo[k] >= 0.0
-                stop[k] = fm == 0.0
-        xa = np.where(go, xm, xa)
+                if not fm.all():
+                    stop = np.zeros(f_lo.shape, dtype=bool)
+                    stop[k] = fm == 0.0
+            np.copyto(xa, xm, where=go)
         if dm < wide:
-            stop |= dm < PHI0_TOL + _RTOL * xm
-        stop &= todo
-        if stop.any():
-            root = np.where(stop, xm, root)
-            todo &= ~stop
-            if not todo.any():
-                return root
+            near = dm < PHI0_TOL + _RTOL * xm
+            stop = near if stop is None else stop | near
+        if stop is not None:
+            stop &= todo
+            if stop.any():
+                root = np.where(stop, xm, root)
+                todo &= ~stop
+                if not todo.any():
+                    return root
     raise RuntimeError(f"bisection not converged in {_MAX_HALVINGS} halvings")
 
 
-def _replay(f, df, lo, hi, f_lo, f_hi, c):
+def _replay(f, fdf, lo, hi, f_lo, f_hi, c, x0=None):
     """``_halve(f, lo, hi, f_lo)``'s result, bit for bit, from about a
     third of its calls of f.
 
     f is ``_force`` of a cell on one of its segments (``_cell_roots``), or
-    ``_slope`` on a bracket of ``_extremum_brackets``; df is its
-    derivative, ``_slope`` or ``_curv``.  f_lo is f(lo) as computed, f_hi
+    ``_slope`` on a bracket of ``_extremum_brackets``; fdf(x) is (f(x),
+    f'(x)) from one call, with ``_slope`` or ``_curv`` for f'
+    (``_slope_curv`` on a bracket).  f_lo is f(lo) as computed, f_hi
     f(hi) or, at hi = pi on the maximum's bracket, a value with its sign
-    (``_bracketed``); they differ in sign, and neither is zero.  With
-    tau = s of ``_bounds(c)``, which bounds both kernels' rounding:
+    (``_bracketed``); they differ in sign, and neither is zero.  x0, if
+    given, is Newton's start.  With tau = s of ``_bounds(c)``, which
+    bounds both kernels' rounding:
 
     1. Screen: |f_lo| and |f_hi| exceed 3 tau.  The exact |F| then exceeds
        2 tau at lo and hi.  The maximum's f_hi, t - C, has F'(pi)'s sign
        but not its size, and its screen only costs a fallback within
        3 tau of the threshold.
-    2. Newton's iteration from the chord's zero, kept inside the bracket
-       of the signs seen, locates the zero x.  It stops once K s^2 <=
-       tau, s its last step and K of ``_bounds``: the error left is then
-       about K s^2 / 2|f'| (none of the proof rests on it).
+    2. Newton's iteration, kept inside the bracket of the signs seen,
+       locates the zero x.  It starts at x0 where x0 lies in (lo, hi),
+       else (a NaN x0 too) at the chord's zero, else at the midpoint:
+       ``_extremum`` passes the maximum's chord zero against the closed
+       form of F'(pi) (``_start``).  It stops once K s^2 <= tau, s its
+       last step and K of ``_bounds``: the error left is then about
+       K s^2 / 2|f'| (none of the proof rests on it).
     3. Certificate: the computed f at rl = x - h and rh = x + h, with
        h = 6 tau / |f'(x)|, exceeds 3 tau in size, with f_lo's sign at rl
        and f_hi's at rh.  The exact |F| then exceeds 2 tau there too.
@@ -191,18 +219,19 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
        from f_lo.
 
     Newton's x is never returned: every output is a midpoint of the
-    halvings, as ``_halve`` with no window gives it.  ``_replay_lanes``
-    takes these steps on lanes side by side.
+    halvings, as ``_halve`` with no window gives it, whatever the start.
+    ``_replay_lanes`` takes these steps on lanes side by side.
     """
     tau, _, k = _bounds(c)
     if min(abs(f_lo), abs(f_hi)) <= 3.0 * tau:
         return _halve(f, lo, hi, f_lo)
-    a, b = lo, hi
-    x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
+    a, b, x = lo, hi, x0
+    if x is None or not lo < x < hi:
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
     for _ in range(12):
-        fx, d = f(x), df(x)
+        fx, d = fdf(x)
         if not d:
             return _halve(f, lo, hi, f_lo)
         if fx * f_lo > 0.0:
@@ -228,42 +257,49 @@ def _replay(f, df, lo, hi, f_lo, f_hi, c):
     return _halve(f, lo, hi, f_lo, rl, rh)
 
 
-def _replay_lanes(f, df, lo, hi, f_lo, f_hi, c):
+def _replay_lanes(f, fdf, lo, hi, f_lo, f_hi, c, x0=None):
     """``_replay``'s steps, lane by lane: ``bisect(f, lo, hi, f_lo)``'s
     result, bit for bit, from far fewer calls of f.
 
-    f(x, k) and df(x, k) are a kernel and its derivative at the lanes k
-    (``bisect``), ``_slope`` and ``_curv`` for ``_extrema``; c, f_lo and
-    f_hi are arrays of each lane's C and end values, as ``_replay``'s.
-    Newton runs f and df only on the lanes not yet settled, and the
-    certificate is one call of f over both points of every settled lane.
-    A lane that falls back gets the window (-inf, inf), and one ``bisect``
-    call runs every lane with its window.
+    f(x, k) is a kernel at the lanes k (``bisect``), and fdf(x, k) the
+    kernel and its derivative there from one call, ``_slope`` and
+    ``_slope_curv`` for ``_extrema``; c, f_lo and f_hi are arrays of each
+    lane's C and end values, as ``_replay``'s, and x0, if given, of each
+    lane's start, taken where it lies in (lo, hi).  Newton runs fdf once
+    a step, on the lanes not yet settled only, which drop out as they
+    settle, and the certificate is one call of f over both points of
+    every settled lane.  A lane that falls back gets the window
+    (-inf, inf), and one ``bisect`` call runs every lane with its window.
     """
     np = _numpy()
     tau, _, big_k = _bounds(c)
     rl, rh = np.full(c.shape, -math.inf), np.full(c.shape, math.inf)
     u = np.flatnonzero((np.abs(f_lo) > 3.0 * tau)
                        & (np.abs(f_hi) > 3.0 * tau))
-    x = lo + (hi - lo) * (f_lo[u] / (f_lo[u] - f_hi[u]))
+    s_lo, tau_u, k_u = f_lo[u], tau[u], big_k[u]
+    x = lo + (hi - lo) * (s_lo / (s_lo - f_hi[u]))
     x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    if x0 is not None:
+        x0 = x0[u]
+        x = np.where((lo < x0) & (x0 < hi), x0, x)
     a, b = np.full(u.shape, lo), np.full(u.shape, hi)
     for _ in range(12):
         if not u.size:
             break
-        fx, d = f(x, u), df(x, u)
-        up = fx * f_lo[u] > 0.0
+        fx, d = fdf(x, u)
+        up = fx * s_lo > 0.0
         a, b = np.where(up, x, a), np.where(up, b, x)
         flat = d == 0.0
         step = x - fx / np.where(flat, 1.0, d)
         step = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
         s = np.abs(step - x)
-        done = (big_k[u] * s * s <= tau[u]) & ~flat
+        done = (k_u * s * s <= tau_u) & ~flat
         w = u[done]
-        h = 6.0 * tau[w] / np.abs(d[done])
+        h = 6.0 * tau_u[done] / np.abs(d[done])
         rl[w], rh[w] = step[done] - h, step[done] + h
         more = ~(done | flat)
         u, x, a, b = u[more], step[more], a[more], b[more]
+        s_lo, tau_u, k_u = s_lo[more], tau_u[more], k_u[more]
     w = np.flatnonzero(rl > -math.inf)
     fl, fh = np.split(f(np.concatenate([rl[w], rh[w]]),
                         np.concatenate([w, w])), 2)
@@ -399,7 +435,11 @@ def force_extrema(capillary_ratio, contact_angle: float):
     replays them as lanes of one ``_replay_lanes`` call, to the same bits:
     ``regions.trace_tangency_curve`` finds its samples' maxima there, and
     ``regions.region_map`` those of its columns and its tangency samples
-    in one call.
+    in one call.  Both replays take F' and F'' from one ``_slope_curv``
+    call per Newton step, and on the maximum's bracket start Newton from
+    the chord against F'(pi)'s closed form (``_start``): about four steps
+    settle a default map's maxima.  Neither moves a bit, as only the
+    halvings' midpoints are returned.
 
     A C that is not positive and finite, and a contact angle outside
     [0, pi], raise ValueError.
@@ -446,13 +486,32 @@ def _bracketed(c, g, lo, hi):
     return ok, s_lo, s_hi
 
 
+def _start(c, g, bracket, s_lo):
+    """Newton's start on a bracket of ``_extremum_brackets`` at a float or
+    an array ``c``, from the slopes s_lo at its lo: None but on the
+    maximum's bracket, where it is the chord's zero against
+    -|2 cos(g) - 4C sin(g/2)|, F'(pi)'s closed form (``force_extrema``'s
+    bracket ends) with the sign the bracket implies.  Where the bracket
+    holds the maximum, s_lo > 0, so the chord's denominator is at least
+    s_lo and never vanishes.  The stand-in t - C of ``_bracketed`` has
+    F'(pi)'s sign but not its size: the start lies nearer the maximum,
+    and fewer Newton steps reach it."""
+    lo, hi = bracket
+    if hi != PI:
+        return None
+    f_pi = abs(2.0 * math.cos(g) - 4.0 * c * math.sin(g / 2.0))
+    return lo + (hi - lo) * (s_lo / (s_lo + f_pi))
+
+
 def _extremum(c, g, bracket):
     """The extremum a bracket of ``_extremum_brackets`` holds at a float
     ``c``, NaN where it is dropped, on floats: ``_halve``'s bits, from
-    ``_replay``."""
+    ``_replay``, whose Newton steps each make one ``_slope_curv`` call
+    from ``_start``."""
     ok, s_lo, s_hi = _bracketed(c, g, *bracket)
-    return (_replay(lambda x: _slope(x, c, g), lambda x: _curv(x, c, g),
-                    *bracket, s_lo, s_hi, c) if ok
+    return (_replay(lambda x: _slope(x, c, g),
+                    lambda x: _slope_curv(x, c, g), *bracket, s_lo, s_hi, c,
+                    _start(c, g, bracket, s_lo)) if ok
             else math.nan)
 
 
@@ -462,19 +521,20 @@ def _extrema(g, c, bracket):
 
     Every entry whose bracket holds an extremum (``_bracketed``) is one
     lane of a single ``_replay_lanes`` call, from its slopes at the
-    bracket's ends, which gives each lane its float run's bits.  The
-    halvings' NumPy calls are shared by all lanes, so callers pass all
-    their C at once.
+    bracket's ends and its ``_start``, which gives each lane its float
+    run's window and bits.  The halvings' NumPy calls are shared by all
+    lanes, so callers pass all their C at once.
     """
     np = _numpy()
     phi = np.full(c.shape, np.nan)
     ok, s_lo, s_hi = _bracketed(c, g, *bracket)
     # no lanes would still pay _replay_lanes' NumPy setup
     if ok.any():
-        lanes = c[ok]
+        lanes, s_lo = c[ok], s_lo[ok]
         phi[ok] = _replay_lanes(lambda x, k: _slope(x, lanes[k], g),
-                                lambda x, k: _curv(x, lanes[k], g),
-                                *bracket, s_lo[ok], s_hi[ok], lanes)
+                                lambda x, k: _slope_curv(x, lanes[k], g),
+                                *bracket, s_lo, s_hi[ok], lanes,
+                                _start(lanes, g, bracket, s_lo))
     return phi
 
 
@@ -546,7 +606,8 @@ def _cell_roots(a, c, g, extrema):
         if (f_lo * f_hi < 0.0 and abs(f_lo) > ROOT_VALUE_TOL
                 and abs(f_hi) > ROOT_VALUE_TOL):
             found.append(_replay(
-                lambda x: _force(x, a, c, g), lambda x: _slope(x, c, g),
+                lambda x: _force(x, a, c, g),
+                lambda x: (_force(x, a, c, g), _slope(x, c, g)),
                 nodes[j], nodes[j + 1], f_lo, f_hi, c))
     return _first_wins(found)
 

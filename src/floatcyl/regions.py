@@ -32,6 +32,7 @@ and their columns' minima; find_equilibria still bisects every root.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -285,12 +286,11 @@ def _curve(kind, g, phi, cs, a_window, c_window):
     >= 0 wherever O < 0, the only samples with a C.
     """
     (a_lo, a_hi), (c_lo, c_hi) = a_window, c_window
-    pts = []
-    for f, c in zip(_force(phi, 0.0, cs, g).tolist(), cs.tolist()):
-        a = f / c ** 2  # Python's c ** 2 is not always c * c
-        if a_lo <= a <= a_hi and c_lo <= c <= c_hi:
-            pts.append((a, c))
-    return BoundaryCurve(kind, np.array(pts, dtype=float).reshape(-1, 2))
+    # Python's c ** 2 is not always c * c, which NumPy squares by
+    sq = np.array([c ** 2 for c in cs.tolist()], dtype=float)
+    a = _force(phi, 0.0, cs, g) / sq
+    keep = (a_lo <= a) & (a <= a_hi) & (c_lo <= cs) & (cs <= c_hi)
+    return BoundaryCurve(kind, np.column_stack([a[keep], cs[keep]]))
 
 
 def _crossing_c(phi0, margin):
@@ -607,10 +607,21 @@ def _intersecting_parts(cs, g):
     The margin falls through the regime (``intersection``), so each part
     runs from pi to the point z where m = margin -+ b changes sign.  Where
     m(lo) > 0 > m(pi), Newton's method finds z, on every such column of
-    both parts at once: from the chord's zero, with the slope
-    C cos(x) + cos(t) / (2 cos(t/2)), t = x + gamma (``intersection``),
-    each lane kept in the bracket of the signs it has seen, with a
-    midpoint step where Newton's leaves it or the slope is not negative.
+    both parts at once, with the slope m' = C cos(x) + cos(t) / (2 cos(t/2)),
+    t = x + gamma (``intersection``), each lane kept in the bracket of the
+    signs it has seen, with a midpoint step where Newton's leaves it or
+    the slope is not negative.  With u = t/2 in [3pi/4, pi],
+    m'' = -C sin(x) - (sin(u)/2) (1 + 1/(2 cos(u)^2)), and each term falls
+    in size along the regime: m is concave, and |m''| <= |m''(lo)| =
+    C sin(lo) + 1/sqrt 2, with m'(lo) = C cos(lo), as cos(t) = 0 at lo.
+    So the chord's zero and that of the quadratic q(x) = m(lo) +
+    m'(lo) (x - lo) + m''(lo) (x - lo)^2 / 2 <= m both lie at or below z,
+    and Newton starts from the larger.  And m'(z)^2 = m'(lo)^2 +
+    2 int_lo^z m' m'', with m' m'' >= 0, is at most
+    E^2 = m'(lo)^2 + 2 |m''(lo)| m(lo).  Where E LB is at most
+    eps (C + 4) / 2, about half an ulp of the size the margin's terms add
+    to, m moves over LB by less than its own rounding, so no certificate
+    can be expected: the lane goes straight to the fallback, as at tiny C.
     A lane settles once (C + 2) dx^2 <= |m'| LB/4, a step that leaves it
     within about LB/8 of z, as |m''| <= C + 2; settled lanes are frozen
     and the loop stops after 12 steps.  One _margin call then certifies
@@ -619,10 +630,10 @@ def _intersecting_parts(cs, g):
     point at or below it with m >= 0 and one at or above it with m <= 0,
     all that ``_count_block``'s Parts bullet needs: z reaches the labels
     only through F0(z), which has the band B, and the clip-and-compare
-    tests, so it need not be a bisection's bits.  A lane that does not
-    settle or fails the certificate, as at tiny C, where m's rounding
-    over its slope is wider than LB/2, takes z from one ``bisect`` over
-    every such lane from its m(lo), which leaves the same two points.
+    tests, so it need not be a bisection's bits.  A lane that the screen
+    sends on, does not settle or fails the certificate takes z from one
+    ``bisect`` over every such lane from its m(lo), which leaves the same
+    two points.
     Elsewhere z = lo where m(lo) <= 0, itself the point above, with none
     needed below it; else z = pi, where m(pi) >= 0, the point below, with
     none needed above.
@@ -634,11 +645,19 @@ def _intersecting_parts(cs, g):
     z = np.where(m_lo <= 0.0, lo, PI)
     lanes = np.flatnonzero((m_lo > 0.0) & (m_pi < 0.0))
     c, shift, m_lo = c[lanes], shift[lanes], m_lo[lanes]
-    x = lo + (PI - lo) * (m_lo / (m_lo - m_pi[lanes]))
+    # m'(lo) = C cos(lo) <= 0, and |m''| <= |m''(lo)| = C sin(lo) + 1/sqrt 2
+    slope = c * math.cos(lo)
+    e = np.sqrt(slope * slope
+                + 2.0 * (c * math.sin(lo) + math.sqrt(0.5)) * m_lo)
+    x = np.maximum(lo + (PI - lo) * (m_lo / (m_lo - m_pi[lanes])),
+                   lo + 2.0 * m_lo / (e - slope))
     a, b = np.full(lanes.size, lo), np.full(lanes.size, PI)
-    todo = np.ones(lanes.size, dtype=bool)
+    todo = e * _LB > 0.5 * sys.float_info.epsilon * (4.0 + c)
+    screened = ~todo
     k_lb = (c + 2.0) * (4.0 / _LB)
     for _ in range(12):
+        if not todo.any():
+            break
         m = _margin(x, c, g, np) - shift
         t = x + g
         d = c * np.cos(x) + np.cos(t) / (2.0 * np.cos(0.5 * t))
@@ -650,10 +669,8 @@ def _intersecting_parts(cs, g):
         settled = k_lb * (step - x) ** 2 <= -d
         x = np.where(todo, step, x)
         todo &= ~settled
-        if not todo.any():
-            break
     m = _margin(np.stack([x - _LB / 2.0, x + _LB / 2.0]), c, g, np) - shift
-    bad = np.flatnonzero(todo | (m[0] < 0.0) | (m[1] > 0.0))
+    bad = np.flatnonzero(todo | screened | (m[0] < 0.0) | (m[1] > 0.0))
     if bad.size:
         c, shift = c[bad], shift[bad]
         x[bad] = bisect(lambda x, k: _margin(x, c[k], g, np) - shift[k],

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 
-from floatcyl import equilibria, model
+from floatcyl import equilibria, model, regions
 from floatcyl.equilibria import (ROOT_VALUE_TOL, CriticalPoint, ExtremumKind,
                                  NoSecondCriticalPointError, Stability,
                                  UnsupportedRegimeError, _bounds, _bracketed,
@@ -813,6 +813,42 @@ class TestSharedBisection:
                     assert got.tobytes() == np.array(
                         [_extremum(c, g, bracket) for c in cs]).tobytes()
 
+    def test_pinned_digest(self):
+        # force_extrema's bits over C log-uniform on [1e-6, 1e15] at the
+        # edge angles, pinned while Newton started from the chord's zero
+        # against t - C and took _slope and _curv in two calls; the lanes
+        # of _extrema over each bracket give the same bits
+        rng = np.random.default_rng(39)
+        cs = np.exp(rng.uniform(math.log(1e-6), math.log(1e15), 400))
+        edges = [0.0, 5e-324, 1e-12, 1e-9, PI / 2 - 1e-9,
+                 math.nextafter(PI / 2, 0.0), PI / 2,
+                 math.nextafter(PI / 2, PI), PI / 2 + 1e-9, PI - 1e-9, PI]
+        floats = np.array([[force_extrema(c, g) for c in cs.tolist()]
+                           for g in edges])
+        lanes = np.array([[_extrema(g, cs, bracket)
+                           for bracket in _extremum_brackets(g)]
+                          for g in edges])
+        assert hashlib.sha256(floats.tobytes()).hexdigest() == (
+            "dc6a5bb6089d779bb3518c984ebb7546107a11096bbc8fa0b2281dc99cfc65d7")
+        assert lanes.transpose(0, 2, 1).tobytes() == floats.tobytes()
+
+    @pytest.mark.parametrize("g", [PI / 2, 0.3, 0.7, 1.9, 2.3, 3.0])
+    def test_default_map_maxima_settle_in_four_passes(self, monkeypatch, g):
+        # a default region_map finds its 200 columns' and 200 tangency
+        # samples' maxima in one _extrema call: from the start against
+        # F'(pi)'s closed form every lane settles within 4 Newton passes,
+        # one _slope_curv call each, and passes its certificate
+        seen, passes = _windows(monkeypatch), []
+        fused = equilibria._slope_curv
+        monkeypatch.setattr(equilibria, "_slope_curv",
+                            lambda *args: passes.append(args[0].size)
+                            or fused(*args))
+        rm = regions.region_map(g)
+        (rl, rh), = seen
+        assert 273 <= rl.size <= 400 == rm.c_axis.size + 200
+        assert np.all(np.isfinite(rl)) and np.all(np.isfinite(rh))
+        assert 1 <= len(passes) <= 4 and passes[0] == rl.size
+
     @pytest.mark.parametrize("g", [0.3, 1.0])
     def test_failed_certificates_share_a_call(self, monkeypatch, g):
         # just above the threshold t the maximum's stand-in f_hi = t - C is
@@ -867,7 +903,8 @@ class TestSharedBisection:
         lying = np.arange(r.size) % 2 == 1
         got = equilibria._replay_lanes(
             lambda x, k: x * x - r[k] * r[k],
-            lambda x, k: np.where(lying[k], 1e12, 2.0 * x),
+            lambda x, k: (x * x - r[k] * r[k],
+                          np.where(lying[k], 1e12, 2.0 * x)),
             0.0, 4.0, -r * r, 16.0 - r * r, np.ones(r.size))
         (rl, rh), = seen
         free = (rl == -math.inf) & (rh == math.inf)
@@ -882,7 +919,8 @@ class TestSharedBisection:
         seen = _windows(monkeypatch)
         r = np.array([4.0 / 3.0, 2.5, 0.7])
         got = equilibria._replay_lanes(
-            lambda x, k: x - r[k], lambda x, k: np.where(k == 0, 0.0, 1.0),
+            lambda x, k: x - r[k],
+            lambda x, k: (x - r[k], np.where(k == 0, 0.0, 1.0)),
             0.0, 4.0, -r, 4.0 - r, np.ones(3))
         (rl, rh), = seen
         assert (rl[0], rh[0]) == (-math.inf, math.inf)
@@ -945,11 +983,12 @@ class TestSharedBisection:
                 lo, hi, ak = nodes[j], nodes[j + 1], a[k]
                 got = equilibria._replay_lanes(
                     lambda x, i: _force(x, ak[i], c, g),
-                    lambda x, i: _slope(x, c, g), lo, hi, f_lo[k], f_hi[k],
-                    np.full(k.size, c))
+                    lambda x, i: (_force(x, ak[i], c, g), _slope(x, c, g)),
+                    lo, hi, f_lo[k], f_hi[k], np.full(k.size, c))
                 want = [equilibria._replay(
                     lambda x, a_i=a_i: _force(x, a_i, c, g),
-                    lambda x: _slope(x, c, g), lo, hi, u, v, c)
+                    lambda x, a_i=a_i: (_force(x, a_i, c, g),
+                                        _slope(x, c, g)), lo, hi, u, v, c)
                     for a_i, u, v in zip(ak.tolist(), f_lo[k].tolist(),
                                          f_hi[k].tolist())]
                 assert got.tolist() == want
@@ -1437,9 +1476,9 @@ def _checked_replays(monkeypatch, compare=True):
         seen["fallbacks"] += not window
         return halve(f, lo, hi, f_lo, *window)
 
-    def checked(f, df, lo, hi, f_lo, f_hi, c):
+    def checked(f, fdf, lo, hi, f_lo, f_hi, c, x0=None):
         seen["calls"] += 1
-        got = replay(f, df, lo, hi, f_lo, f_hi, c)
+        got = replay(f, fdf, lo, hi, f_lo, f_hi, c, x0)
         if compare:
             want = scipy_bisect(lambda x: f_hi if x == hi else f(x), lo, hi,
                                 xtol=1e-12)
@@ -1460,7 +1499,7 @@ class TestReplay:
         # (about 44 with no window).  No digest sees a replay that always
         # falls back: its bits are bisect's
         calls = []
-        for name in ("_force", "_slope", "_curv"):
+        for name in ("_force", "_slope", "_slope_curv"):
             kernel = getattr(equilibria, name)
             monkeypatch.setattr(equilibria, name,
                                 lambda *args, k=kernel: calls.append(1)
@@ -1508,9 +1547,10 @@ class TestReplay:
     def test_falls_back_near_a_tangency(self, monkeypatch):
         # next to the tangency every replay equals SciPy's bisect; one that
         # falls back either fails the end-value screen before any kernel
-        # call or runs Newton's 12 steps (24 calls) without settling
+        # call or runs Newton's 12 steps without settling: 24 calls for a
+        # root (_force and _slope), 12 for an extremum (one _slope_curv)
         calls, start, before = [], [0], []
-        for name in ("_force", "_slope", "_curv"):
+        for name in ("_force", "_slope", "_slope_curv"):
             kernel = getattr(equilibria, name)
             monkeypatch.setattr(equilibria, name,
                                 lambda *args, k=kernel: calls.append(1)
@@ -1536,9 +1576,40 @@ class TestReplay:
                     for sign in (-1.0, 1.0):
                         find_equilibria(params(a_star * (1.0 + sign * eps),
                                                c, g))
-        assert seen["fallbacks"] == len(before) == 220
-        assert sorted(set(before)) == [0, 24]
-        assert before.count(0) == 28
+        assert seen["fallbacks"] == len(before) == 201
+        assert sorted(set(before)) == [0, 12, 24]
+        assert [before.count(n) for n in (0, 12, 24)] == [28, 86, 87]
+
+    def test_start_outside_the_bracket_takes_the_chord(self):
+        # x^2 - r on [0, 1]: Newton's first point is x0 where it lies in
+        # (0, 1), else the chord's zero r, for an x0 at an end, outside
+        # the bracket or NaN; the float replay and the lanes agree, and
+        # every result is bisect's
+        r = 0.3
+        starts = [0.6, 0.0, 1.0, -2.0, 5.0, math.nan, math.inf]
+        first = [0.6] + [r] * (len(starts) - 1)
+        ran = []
+
+        def f(x, k=None):
+            return x * x - r
+
+        def fdf(x, k=None):
+            ran.append(x)
+            return f(x), 2.0 * x
+        want = equilibria._halve(f, 0.0, 1.0, -r)
+        for x0, x in zip([None] + starts, [r] + first):
+            del ran[:]
+            assert equilibria._replay(f, fdf, 0.0, 1.0, -r, 1.0 - r, 1.0,
+                                      x0) == want
+            assert ran[0] == x
+        n = len(starts)
+        for x0, x in ((None, [r] * n), (np.array(starts), first)):
+            del ran[:]
+            got = equilibria._replay_lanes(f, fdf, 0.0, 1.0, np.full(n, -r),
+                                           np.full(n, 1.0 - r), np.ones(n),
+                                           x0)
+            assert got.tolist() == [want] * n
+            assert ran[0].tolist() == x
 
     def test_screens_the_end_values_first(self, monkeypatch):
         # lines x - r on [0, 1]: a replay whose |f_lo| or |f_hi| is at most
@@ -1559,8 +1630,9 @@ class TestReplay:
                 return x - r
             ends = f(0.0), f(1.0) if f_hi is None else f_hi
             del ran[:]
-            got = equilibria._replay(f, lambda x: ran.append(x) or 1.0,
-                                     0.0, 1.0, *ends, 1.0)
+            got = equilibria._replay(
+                f, lambda x, f=f: (f(x), ran.append(x) or 1.0), 0.0, 1.0,
+                *ends, 1.0)
             assert got == scipy_bisect(lambda x, r=r: x - r, 0.0, 1.0,
                                        xtol=1e-12)
         assert at_halve == [(0, False)] * 3 + [(4, True)]
@@ -1572,5 +1644,6 @@ class TestReplay:
         # where the end value at hi is under 3 tau
         seen = _checked_replays(monkeypatch)
         for f, df, lo, hi in _noisy_kernels(3):
-            equilibria._replay(f, df, lo, hi, f(lo), f(hi), 1.0)
+            equilibria._replay(f, lambda x, f=f, df=df: (f(x), df(x)), lo, hi,
+                               f(lo), f(hi), 1.0)
         assert seen == {"calls": 40, "fallbacks": 20}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from floatcyl.equilibria import _bounds
 from floatcyl.model import (DimensionlessParams, EnergyBreakdown,
                             PhysicalParams, _curv, _force, _height, _slope,
-                            center_height, center_height_slope,
+                            _slope_curv, center_height, center_height_slope,
                             force_curvature, force_slope,
                             inclination_at_contact, interface_profile,
                             to_dimensionless, total_energy, total_force)
@@ -243,6 +243,27 @@ class TestForce:
                                     for f in fields(EnergyBreakdown))):
                     assert type(got) is float
                     assert got == want[0], (phi0, a, c, g)
+
+    def test_fused_kernel_equals_slope_and_curvature(self):
+        # _slope_curv shares the sines and cosines of _slope and _curv and
+        # keeps each expression, so each output is that kernel's bit for
+        # bit: on arrays, on one float C over an array phi, and on floats,
+        # at the edge angles, C log-uniform on [1e-6, 1e12] and phi at 0,
+        # pi and random points
+        rng = np.random.default_rng(39)
+        for g in (0.0, 1e-12, PI / 2 - 1e-9, PI / 2, PI / 2 + 1e-9,
+                  PI - 1e-9, PI):
+            c = np.exp(rng.uniform(math.log(1e-6), math.log(1e12), 4000))
+            phi = np.concatenate([[0.0, PI], rng.uniform(0.0, PI, 3998)])
+            for cc in (c, float(c[0])):
+                slope, curv = _slope_curv(phi, cc, g)
+                assert slope.tobytes() == _slope(phi, cc, g).tobytes()
+                assert curv.tobytes() == _curv(phi, cc, g).tobytes()
+            for x, y in zip(phi[:400].tolist(), c[:400].tolist()):
+                slope, curv = _slope_curv(x, y, g)
+                assert type(slope) is float and type(curv) is float
+                assert (slope.hex(), curv.hex()) == (
+                    _slope(x, y, g).hex(), _curv(x, y, g).hex()), (x, y, g)
 
     def test_slope_independent_of_mass_ratio(self):
         grid = np.linspace(0.0, PI, 50)

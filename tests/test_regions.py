@@ -879,6 +879,36 @@ class TestIntersectingParts:
         elif window[1] >= 5.0:
             assert sum(lanes) == 0
 
+    @pytest.mark.parametrize("g", [PI / 2 + 1e-3, 1.6, 2.3, 3.0, PI])
+    def test_few_newton_steps(self, g, monkeypatch):
+        # Newton starts at or below z, from the larger of the chord's zero
+        # and the zero of m's quadratic at lo, and a lane whose slope bound
+        # E moves m over LB by less than its rounding goes to bisect before
+        # any Newton step: no window runs more than 4 steps (one _margin
+        # call each, after the two at lo and pi and before the
+        # certificate's), and at C <= 1e-9 none runs at all
+        calls, at_bisect = [], []
+        margin, bisect = regions._margin, regions.bisect
+
+        def counted(*args):
+            calls.append(1)
+            return margin(*args)
+
+        def first(f, lo, hi, f_lo):
+            at_bisect.append(len(calls))
+            return bisect(f, lo, hi, f_lo)
+
+        monkeypatch.setattr(regions, "_margin", counted)
+        monkeypatch.setattr(regions, "bisect", first)
+        for c_lo, c_hi in ((0.0, 5.0), (0.0, 1e-3), (1e-9, 1e-5),
+                           (0.0, 1e6), (1e-12, 1e-9)):
+            del calls[:], at_bisect[:]
+            regions._intersecting_parts(
+                np.linspace(c_lo, c_hi, 201)[1:] if c_lo == 0.0
+                else np.linspace(c_lo, c_hi, 200), g)
+            steps = (at_bisect or [len(calls)])[0] - 3
+            assert 0 <= steps <= (0 if c_hi <= 1e-9 else 4)
+
 
 def _count_fallback(monkeypatch):
     """A list that receives the size of each fallback of region_map."""

@@ -421,7 +421,8 @@ def region_map(contact_angle: float,
     samples' C on the maximum's bracket) finds the force maxima of every
     column and of the tangency curve's samples, the points of
     ``trace_tangency_curve``.  ``_count_block``
-    reads each cell's label from its column's breakpoints: the mass-free
+    reads each cell's label from its column's breakpoints, with at most
+    one pair of grid comparisons each, the side and the band: the mass-free
     force at 0, at the maximum, at pi, and, at contact angles above
     pi/2, at the ends of the self-intersecting part of the overhang
     regime, found by Newton's method on the margin over all columns and
@@ -430,7 +431,9 @@ def region_map(contact_angle: float,
     ``_cell_roots``, one cell at a time on floats (``_count_cells``),
     with the map's maxima and their columns' minima, which one more
     bisection finds.  The counts, int8 grids, become
-    labels through one table lookup (``_LABEL_CODES``).  find_equilibria
+    labels through one table lookup (``_LABEL_CODES``); only a lookup
+    that meets an unclassifiable pair scans the grid in column order for
+    the cell to raise on.  find_equilibria
     runs the kernels on ``math`` and the blocks on NumPy, so the equality
     also needs their sin and cos to agree bit for bit, as
     ``test_float_kernels_match_numpy`` checks on the platform at hand.
@@ -470,9 +473,9 @@ def region_map(contact_angle: float,
             a_axis[i], c_axis[j], contact_angle,
             (minimum[column], maximum[j]))
     code = _LABEL_CODES.take(3 * n + n_valid, mode="clip")
-    unknown = np.flatnonzero(code.T == len(_LABEL_TABLE))
-    if unknown.size:
+    if (code == len(_LABEL_TABLE)).any():
         # the first unclassifiable cell in column order raises
+        unknown = np.flatnonzero(code.T == len(_LABEL_TABLE))
         j, i = divmod(int(unknown[0]), n_a)
         _label(int(n[i, j]), int(n_valid[i, j]), DimensionlessParams(
             float(a_axis[i]), float(c_axis[j]), contact_angle))
@@ -502,7 +505,9 @@ def _count_block(a_axis, cs, g, maximum):
     segments between the nodes 0, maximum (pi where there is none) and
     pi.  So a cell's count is the number of segments whose node values
     straddle L, and a segment's root lies in [p, q] (clipped to the
-    segment) exactly when F0(p) - L and F0(q) - L differ in sign.  At
+    segment, Clips below) exactly when F0(p) - L and F0(q) - L differ in
+    sign, read from one pair of grid comparisons per breakpoint (Sides,
+    below).  At
     gamma <= pi/2 every settled root is valid (Low angles, below), and
     the breakpoints are F0 at the three nodes.  At gamma > pi/2 the
     margin falls through the psi-positive regime [3pi/2 - gamma, pi]
@@ -567,34 +572,66 @@ def _count_block(a_axis, cs, g, maximum):
       least S/K, (2 + 6C + 2C^2) / (2 + 9C + 2C^2), is 10/13, at C = 1,
       so 2B'/K > 3e-12, d > 1.7e-6, and any two roots lie more than
       3.4e-6 > _DEDUP_TOL apart: none merges.
+    * Sides.  Each breakpoint f takes one pair of grid comparisons:
+      under, L < fl(f - B), and its band, L <= fl(f + B) and not under
+      (under implies the first, as fl(f - B) <= fl(f + B)).  Outside the
+      band f > L exactly when under, as fl(f - B) <= f <= fl(f + B), and a
+      cell in it reads -1 whatever its sign: every sign of F0 - L above
+      is read from under.  F0(0) = -2 sin(gamma) <= 0 <= L (the terms of
+      _force at 0 other than 2 sin(gamma) are 0), so no cell is under
+      it, and segment [0, maximum] brackets exactly where L is under
+      F0(maximum).  L is least at the least A, so F0(0)'s band holds a
+      cell only where the column's least level, ``a_axis.min()`` C C
+      rounded as the grid's, lies within B of it: that column test runs
+      first, and the grid comparison only where it holds.
+    * Clips.  z lies in [3pi/2 - gamma, pi] (``_intersecting_parts``),
+      so z >= pi/2 > 0 and z <= pi, and only the maximum node m clips
+      it: to min(z, m) on [0, m] and max(z, m) on [m, pi].  So the root
+      of [0, m] lies in the part where L is under F0(m), not under F0(z)
+      and z < m; that of [m, pi], where the segment brackets and z <= m
+      or L is under one of F0(z), F0(pi) only.  Over the columns
+      tested, an end lies before the maximum only at C below about
+      1e-10, where both tend to 3pi/2 - gamma
+      (``test_ends_before_the_maximum``).
     """
-    nodes = np.stack([np.zeros(cs.size), np.where(
-        maximum == maximum, maximum, PI), np.full(cs.size, PI)])
-    f_nodes = _force(nodes, 0.0, cs, g)
+    node = np.where(maximum == maximum, maximum, PI)
+    f_0, f_max, f_pi = _force(np.stack([np.zeros(cs.size), node,
+                                        np.full(cs.size, PI)]), 0.0, cs, g)
     level = a_axis[:, None] * cs
     level *= cs
-    above = [f > level for f in f_nodes]
-    brackets = [above[k] != above[k + 1] for k in range(2)]
-    n = np.add(*brackets, dtype=np.int8)
-    n_valid, breakpoints = n.copy(), list(f_nodes)
-    unsettled = np.zeros(level.shape, dtype=bool)
-    if g > PI / 2.0:
-        z = _intersecting_parts(cs, g)
-        breakpoints += list(_force(z, 0.0, cs, g))
-        # a segment's share of a part [z, pi] runs from z, clipped to the
-        # segment, to the segment's upper node
-        f_z = _force(np.stack([np.clip(z, nodes[k], nodes[k + 1])
-                               for k in range(2)]), 0.0, cs, g)
-        for bracket, upper, ends in zip(brackets, above[1:], f_z):
-            inner, outer = ((f > level) != upper for f in ends)
-            n_valid -= bracket & inner
-            unsettled |= bracket & outer & ~inner
     s, S, _ = _bounds(cs)
     B = ROOT_VALUE_TOL + 4.0 * s + 3.0 * PHI0_TOL * S
-    for f in breakpoints:
-        unsettled |= (f - B <= level) & (level <= f + B)
-    for counts in (n, n_valid):
-        np.putmask(counts, unsettled, -1)
+
+    def side(f):
+        # under f - B, and the band: under implies level <= f + B
+        under = level < f - B
+        return under, (level <= f + B) != under
+
+    under_max, unsettled = side(f_max)
+    under_pi, band = side(f_pi)
+    unsettled |= band
+    # no cell lies under F0(0) - B; its band holds a cell only where its
+    # column's least level, rounded as the grid's, lies within B
+    if (a_axis.min() * cs * cs <= f_0 + B).any():
+        unsettled |= level <= f_0 + B
+    b1 = under_max != under_pi
+    n = np.add(under_max, b1, dtype=np.int8)
+    n_valid = n.copy()
+    if g > PI / 2.0:
+        parts = []
+        for z in _intersecting_parts(cs, g):
+            under_z, band = side(_force(z, 0.0, cs, g))
+            unsettled |= band
+            # the bracketed roots of [0, max] and of [max, pi] in the part
+            # [z, pi] (Clips); on bools, a > b is a and not b
+            parts.append(((under_max > under_z) & (z < node),
+                          b1 & ((under_z != under_pi) | (z <= node))))
+        for inner, outer in zip(*parts):
+            n_valid -= inner
+            unsettled |= outer > inner
+    if unsettled.any():
+        for counts in (n, n_valid):
+            np.putmask(counts, unsettled, -1)
     return n, n_valid
 
 
@@ -629,8 +666,8 @@ def _intersecting_parts(cs, g):
     LB = PHI0_TOL + 4 eps pi (``_LB``).  That leaves within LB of z a
     point at or below it with m >= 0 and one at or above it with m <= 0,
     all that ``_count_block``'s Parts bullet needs: z reaches the labels
-    only through F0(z), which has the band B, and the clip-and-compare
-    tests, so it need not be a bisection's bits.  A lane that the screen
+    only through F0(z), which has the band B, and the side tests
+    (Clips), so it need not be a bisection's bits.  A lane that the screen
     sends on, does not settle or fails the certificate takes z from one
     ``bisect`` over every such lane from its m(lo), which leaves the same
     two points.

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floatcyl import equilibria, regions
-from floatcyl.equilibria import (NoSecondCriticalPointError, _bounds,
+from floatcyl.equilibria import (PHI0_TOL, ROOT_VALUE_TOL,
+                                 NoSecondCriticalPointError, _bounds,
                                  _extrema, _extremum_brackets,
                                  critical_mass_ratio, find_equilibria,
                                  force_extrema, second_extremum_threshold)
@@ -814,6 +815,157 @@ class TestBreakpoints:
             rm = region_map(1.0, c_range=c_range, resolution=(30, 20),
                             curve_samples=0)
             assert rm.labels.tolist() == bisected_labels(rm)
+
+
+def _clip_and_compare(a_axis, cs, g, maximum):
+    """_count_block's counts from F0 at every node and at every end z
+    clipped to each segment, each compared with every level, and a band
+    test per breakpoint: the reference the one pair of grid comparisons
+    per breakpoint must equal, -1 marks included."""
+    nodes = np.stack([np.zeros(cs.size), np.where(
+        maximum == maximum, maximum, PI), np.full(cs.size, PI)])
+    f_nodes = _force(nodes, 0.0, cs, g)
+    level = a_axis[:, None] * cs
+    level *= cs
+    above = [f > level for f in f_nodes]
+    brackets = [above[k] != above[k + 1] for k in range(2)]
+    n = np.add(*brackets, dtype=np.int8)
+    n_valid, breakpoints = n.copy(), list(f_nodes)
+    unsettled = np.zeros(level.shape, dtype=bool)
+    if g > PI / 2.0:
+        z = regions._intersecting_parts(cs, g)
+        breakpoints += list(_force(z, 0.0, cs, g))
+        # a segment's share of a part [z, pi] runs from z, clipped to the
+        # segment, to the segment's upper node
+        f_z = _force(np.stack([np.clip(z, nodes[k], nodes[k + 1])
+                               for k in range(2)]), 0.0, cs, g)
+        for bracket, upper, ends in zip(brackets, above[1:], f_z):
+            inner, outer = ((f > level) != upper for f in ends)
+            n_valid -= bracket & inner
+            unsettled |= bracket & outer & ~inner
+    s, S, _ = _bounds(cs)
+    B = ROOT_VALUE_TOL + 4.0 * s + 3.0 * PHI0_TOL * S
+    for f in breakpoints:
+        unsettled |= (f - B <= level) & (level <= f + B)
+    for counts in (n, n_valid):
+        np.putmask(counts, unsettled, -1)
+    return n, n_valid
+
+
+def _axes(a_range, c_range, resolution):
+    """region_map's axes over a window."""
+    return tuple(np.linspace(lo, hi, k + 1)[1:]
+                 for (lo, hi), k in zip((a_range, c_range), resolution))
+
+
+def _maxima(g, cs):
+    """The force maxima of the columns cs."""
+    return _extrema(g, cs, _extremum_brackets(g)[1])
+
+
+def _unsettled_cells(g, a_range, c_range, resolution=(200, 200),
+                     maximum=None):
+    """Asserts _count_block's counts equal _clip_and_compare's over the
+    window, with ``maximum`` as the columns' force maxima (their own by
+    default); returns the number of cells marked -1."""
+    a_axis, cs = _axes(a_range, c_range, resolution)
+    if maximum is None:
+        maximum = _maxima(g, cs)
+    want = _clip_and_compare(a_axis, cs, g, maximum)
+    got = regions._count_block(a_axis, cs, g, maximum)
+    for w, x in zip(want, got):
+        assert x.dtype == np.int8
+        assert np.array_equal(x, w)
+    return int((want[0] < 0).sum())
+
+
+class TestOnePairPerBreakpoint:
+    """_count_block compares each breakpoint with the grid once for the
+    side and once for the band, and equals the clip-and-compare counts."""
+
+    GAMMAS = [0.0, 1e-12, 0.05, 0.7, PI / 2 - 1e-9, PI / 2, PI / 2 + 1e-9,
+              2.3, 3.0, PI - 1e-9, PI]
+    SEEDED = np.random.default_rng(40).uniform(0.0, PI, 24).tolist()
+
+    @pytest.mark.parametrize("g", GAMMAS + SEEDED)
+    def test_default_window(self, g):
+        _unsettled_cells(g, (0.0, 12.0), (0.0, 5.0))
+
+    @pytest.mark.parametrize("g", GAMMAS)
+    def test_extreme_windows(self, g):
+        for a_range, c_range, resolution in [
+                # levels that underflow
+                ((0.0, 1e-300), (0.0, 5.0), (40, 30)),
+                ((0.0, 12.0), (0.0, 1e-150), (40, 30)),
+                ((0.0, 12.0), (0.0, 1e-5), (40, 30)),
+                # large C, and axes of different lengths
+                ((0.0, 30.0), (0.0, 1e3), (60, 90)),
+                ((0.0, 1e3), (0.0, 1e6), (90, 60)),
+                ((0.0, 12.0), (0.0, 5.0), (37, 211)),
+                ((3.0, 3.1), (0.0, 0.1), (211, 37))]:
+            _unsettled_cells(g, a_range, c_range, resolution)
+
+    @pytest.mark.parametrize("g", [0.7, PI / 2, 2.3, 3.0])
+    def test_tangency_zooms(self, g):
+        # relative and absolute zooms onto (A*(2), 2): the maximum's band
+        # holds a cell or two at h = 1e-4 and every cell at 1e-12
+        a, c = critical_mass_ratio(2.0, g)[0], 2.0
+        counts = []
+        for h in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            for (a_lo, a_hi), (c_lo, c_hi) in [
+                    ((a * (1 - h), a * (1 + h)), (c * (1 - h), c * (1 + h))),
+                    ((a - h, a + h), (c - h, c + h))]:
+                counts.append(_unsettled_cells(
+                    g, (a_lo, a_hi), (c_lo, c_hi), (80, 80)))
+        assert 0 < min(counts[:2]) and counts[-2:] == [80 * 80] * 2
+
+    @pytest.mark.parametrize("g", [PI / 2 + 1e-3, 1.9, 2.3, 3.0, PI - 1e-9])
+    def test_intersection_zooms(self, g):
+        lo = 1.5 * PI - g
+        unsettled = 0
+        for t in (0.2, 0.5, 0.8):
+            a, c = intersection_curve_point(lo + t * (PI - lo), g)
+            for h in (1e-3, 1e-6, 1e-9):
+                unsettled += _unsettled_cells(
+                    g, (a * (1 - h), a * (1 + h)), (c * (1 - h), c * (1 + h)),
+                    (60, 60))
+        assert unsettled > 0
+
+    @pytest.mark.parametrize("g", [1.65, 1.9, 2.3, 2.8, PI])
+    def test_ends_before_the_maximum(self, g, monkeypatch):
+        # an end z of the parts falls before its column's maximum only at
+        # C below about 1e-10, where both tend to 3pi/2 - gamma and no
+        # level lies between F0 at the two; synthetic ends on [pi/2, pi]
+        # fall there, where F0 rises, at any C, and synthetic maxima, NaN
+        # ones among them, move the node
+        rng = np.random.default_rng(41)
+        parts = regions._intersecting_parts
+        resolution, real_before, before = (80, 60), [], 0
+        for c_range in ((0.0, 5.0), (0.0, 1e-3), (0.0, 100.0), (0.0, 1e-12)):
+            cs = _axes((0.0, 12.0), c_range, resolution)[1]
+            real, z = _maxima(g, cs), parts(cs, g)
+            real_before.append(int((z < real).any(axis=0).sum()))
+            drawn = -np.sort(-rng.uniform(PI / 2, PI, z.shape), axis=0)
+            for ends in (z, drawn):
+                monkeypatch.setattr(regions, "_intersecting_parts",
+                                    lambda cs, g, ends=ends: ends)
+                for maximum in (real, np.full(real.size, PI - 1e-3),
+                                rng.uniform(PI / 2, PI, real.size),
+                                np.where(rng.random(real.size) < 0.3,
+                                         math.nan, real)):
+                    _unsettled_cells(g, (0.0, 12.0), c_range, resolution,
+                                     maximum)
+                    node = np.where(maximum == maximum, maximum, PI)
+                    before += int((ends < node).any(axis=0).sum())
+        assert real_before[:3] == [0, 0, 0] and real_before[3] > 0
+        assert before > 0
+
+    @pytest.mark.parametrize("g", [0.0, PI])
+    def test_band_of_the_force_at_zero(self, g):
+        # F0(0) = -2 sin(gamma) lies within B of the tiny levels, so the
+        # grid comparison behind the columns' least-level test runs
+        assert _unsettled_cells(g, (0.0, 1e-300), (0.0, 5.0),
+                                (30, 20)) == 30 * 20
 
 
 class TestIntersectingParts:

@@ -59,27 +59,37 @@ def _write(args, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(args, payload: dict) -> None:
-    import json
-    _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _emit(args, command: str, meta: dict, payload, body) -> None:
+    """Write one command's output, building only the format asked for:
+    the JSON of ``payload()``, or the CSV header, a ``# key: value`` line
+    each for the schema, the command and ``meta``, over ``body()``.
+
+    ``--timestamp`` adds the key generated_at to the payload's meta where
+    it has one, else to its top level, and as the header's last line.
+    """
+    stamp = ({"generated_at": datetime.now(timezone.utc).isoformat()}
+             if args.timestamp else {})
+    if args.format == "json":
+        import json
+        doc = payload()
+        doc.get("meta", doc).update(stamp)
+        _write(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        return
+    header = {"schema": 1, "command": command, **meta, **stamp}
+    _write(args, "".join(f"# {k}: {_fmt(v)}\n" for k, v in header.items())
+           + body())
+
+
+def _csv(columns: list[str], rows) -> str:
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [columns, *rows])
 
 
 def _emit_table(args, command: str, meta: dict, columns: list[str],
                 rows: list[list]) -> None:
-    meta = dict(meta)
-    if args.timestamp:
-        meta["generated_at"] = datetime.now(timezone.utc).isoformat()
-    if args.format == "json":
-        payload = {"schema": 1, "command": command, "meta": meta,
-                   "columns": columns,
-                   "rows": [[v for v in row] for row in rows]}
-        _write_json(args, payload)
-    else:
-        lines = ["# schema: 1", f"# command: {command}"]
-        lines += [f"# {k}: {_fmt(v)}" for k, v in meta.items()]
-        lines.append(",".join(columns))
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        _write(args, "\n".join(lines) + "\n")
+    _emit(args, command, meta,
+          lambda: {"schema": 1, "command": command, "meta": meta,
+                   "columns": columns, "rows": rows},
+          lambda: _csv(columns, rows))
 
 
 def _count(minimum: int):
@@ -208,18 +218,8 @@ def _cmd_region_map(args, parser) -> int:
     rm = region_map(gamma, a_range=(args.a_min, args.a_max),
                     c_range=(args.c_min, args.c_max),
                     resolution=(args.resolution, args.resolution))
-    if args.format == "json":
-        payload = region_map_json(rm)
-        if args.timestamp:
-            payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _write_json(args, payload)
-    else:
-        header = ["# schema: 1", "# command: region-map",
-                  f"# contact_angle: {_fmt(gamma)}"]
-        if args.timestamp:
-            header.append(
-                f"# generated_at: {datetime.now(timezone.utc).isoformat()}")
-        _write(args, "\n".join(header) + "\n" + region_map_csv(rm))
+    _emit(args, "region-map", {"contact_angle": gamma},
+          lambda: region_map_json(rm), lambda: region_map_csv(rm))
     return EXIT_OK
 
 
@@ -247,17 +247,12 @@ def _cmd_astar(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     from .oracles import OracleReport, run_all
     reports = run_all(n_sets=args.samples, seed=args.seed)
-    if args.format == "json":
-        payload = {"schema": 1, "command": "verify",
-                   "reports": [asdict(r) for r in reports]}
-        if args.timestamp:
-            payload["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _write_json(args, payload)
-    else:
-        rows = [[*astuple(r)[:-1], "true" if r.passed else "false"]
-                for r in reports]
-        _emit_table(args, "verify", {"samples": args.samples, "seed": args.seed},
-                    [f.name for f in fields(OracleReport)], rows)
+    _emit(args, "verify", {"samples": args.samples, "seed": args.seed},
+          lambda: {"schema": 1, "command": "verify",
+                   "reports": [asdict(r) for r in reports]},
+          lambda: _csv([f.name for f in fields(OracleReport)],
+                       ([*astuple(r)[:-1], "true" if r.passed else "false"]
+                        for r in reports)))
     return EXIT_OK if all(r.passed for r in reports) else 1
 
 

@@ -178,7 +178,7 @@ def _replay(f, fdf, lo, hi, f_lo, f_hi, c, x0=None):
 
     f is ``_force`` of a cell on one of its segments (``_cell_roots``), or
     ``_slope`` on a bracket of ``_extremum_brackets``; fdf(x) is (f(x),
-    f'(x)) from one call, with ``_slope`` or ``_curv`` for f'
+    f'(x)) from one call, with ``_slope`` for f' on a segment
     (``_slope_curv`` on a bracket).  f_lo is f(lo) as computed, f_hi
     f(hi) or, at hi = pi on the maximum's bracket, a value with its sign
     (``_bracketed``); they differ in sign, and neither is zero.  x0, if
@@ -583,8 +583,8 @@ def _cell_roots(a, c, g, extrema):
     """The ascending zeros of F on [0, pi] of one cell, a list, on Python
     floats; None for ``extrema`` finds them (``force_extrema``).
 
-    The nodes are 0, minimum, maximum and pi, a missing extremum at 0 or
-    pi (``regions._count_block`` needs no minimum, as A C^2 >= 0).  A
+    The nodes are 0, minimum, maximum and pi, less a missing extremum
+    (``regions._count_block`` needs no minimum, as A C^2 >= 0).  A
     node with |F| <= ROOT_VALUE_TOL is a root (the endpoint root at pi,
     the tangency at A*), and every segment whose ends change sign, neither
     end a root, is bisected (``_replay``) from its node forces.  F is
@@ -597,11 +597,10 @@ def _cell_roots(a, c, g, extrema):
     segment order counts (``_first_wins``).
     """
     minimum, maximum = force_extrema(c, g) if extrema is None else extrema
-    nodes = (0.0, minimum if minimum == minimum else 0.0,
-             maximum if maximum == maximum else PI, PI)
+    nodes = [x for x in (0.0, minimum, maximum, PI) if x == x]
     f = [_force(x, a, c, g) for x in nodes]
     found = [x for x, v in zip(nodes, f) if abs(v) <= ROOT_VALUE_TOL]
-    for j in range(3):
+    for j in range(len(nodes) - 1):
         f_lo, f_hi = f[j], f[j + 1]
         if (f_lo * f_hi < 0.0 and abs(f_lo) > ROOT_VALUE_TOL
                 and abs(f_hi) > ROOT_VALUE_TOL):

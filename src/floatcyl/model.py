@@ -116,6 +116,14 @@ class DimensionlessParams:
             raise ValueError(
                 f"mass_ratio={a!r} with capillary_ratio={c!r} gives a force "
                 f"scale (|A| + pi) C^2 = {scale:.3g} too large to square")
+        # the largest multiple of 1/C printed is a profile's x/a - sin(phi0),
+        # below 743/C: its 2 cos(psi/2) + ln|tan(psi/4)| lies between
+        # 2 + ln(5e-324) > -742.45 and sqrt 2 + ln tan(pi/8) < 0.533
+        # (interface_profile); heights reach 2/C and energies 8/(3C)
+        if not math.isfinite(1e3 / c):
+            raise ValueError(
+                f"capillary_ratio={c!r} is too small: lengths of order 1/C, "
+                "up to 743/C in a meniscus profile, would overflow")
 
     @property
     def bond_number(self) -> float:
@@ -227,24 +235,15 @@ def _slope(phi0, c, g):
 def force_curvature(phi0, params: DimensionlessParams):
     """d2F/d(phi0)^2, also independent of the mass ratio."""
     _check_phi0(phi0)
-    return _curv(phi0, params.capillary_ratio, params.contact_angle)
-
-
-def _curv(phi0, c, g):
-    """force_curvature without the domain check; see _force for the float
-    case."""
-    xp = math if isinstance(phi0, float) else _numpy()
-    return (2.0 * xp.sin(phi0 + g)
-            + 5.0 * c * xp.cos((phi0 + g) / 2.0) * xp.sin(phi0)
-            + 4.0 * c * xp.sin((phi0 + g) / 2.0) * xp.cos(phi0)
-            + 2.0 * c * c * xp.sin(2.0 * phi0))
+    return _slope_curv(phi0, params.capillary_ratio, params.contact_angle)[1]
 
 
 def _slope_curv(phi0, c, g):
-    """(_slope, _curv) at phi0 from one set of sines and cosines: 8
-    transcendental calls where the two kernels make 12.  Each output keeps
-    its kernel's expression, so it equals that kernel's bit for bit, on
-    floats and on arrays; see _force for the float case."""
+    """(_slope, force_curvature) at phi0 without the domain check, from
+    one set of sines and cosines: 8 transcendental calls where two
+    separate kernels make 12.  The slope keeps _slope's expression, so it
+    equals _slope bit for bit, on floats and on arrays; see _force for the
+    float case."""
     xp = math if isinstance(phi0, float) else _numpy()
     t = phi0 + g
     sin_h, cos_h = xp.sin(t / 2.0), xp.cos(t / 2.0)

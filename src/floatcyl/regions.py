@@ -527,12 +527,13 @@ def _count_block(a_axis, cs, g, maximum):
       a few (1+C)^2, and each rounds by an ulp or two.  _cell_roots'
       root r of a segment lies within LB of a sign change of _force, so
       the exact F0(r) lies within E = s + S LB of L.
-    * Nodes.  B > ROOT_VALUE_TOL + 2s, so no node is a root of
-      _cell_roots', whose nodes add the minimum: L >= F0(0), so
-      L > F0(0) + B, and its minimum lies within LB of the exact one, so
-      F0 there is at most F0(0) + K LB^2.  So [0, minimum] brackets in
-      neither, and each segment brackets exactly when its node values
-      straddle L.  B's first term follows ROOT_VALUE_TOL: should that
+    * Nodes.  _cell_roots' nodes add the minimum and leave out a missing
+      maximum, which here stands at pi, as the segment [pi, pi] that
+      never brackets.  B > ROOT_VALUE_TOL + 2s, so no node is a root of
+      _cell_roots': L >= F0(0), so L > F0(0) + B, and its minimum lies
+      within LB of the exact one, so F0 there is at most F0(0) + K LB^2.
+      So [0, minimum] brackets in neither, and each segment brackets
+      exactly when its node values straddle L.  B's first term follows ROOT_VALUE_TOL: should that
       become force-scaled, so must it.
     * Parts.  Where F0(x) lies more than B >= E + s + S LB from L, at a
       node or at z, the exact F0(r) and F0(x) differ by more than S LB,
@@ -738,11 +739,12 @@ def _count_cells(a, c, g, extrema):
 
 def region_map_csv(rm: RegionMap) -> str:
     """One row per grid cell: mass ratio, capillary ratio, label."""
-    lines = ["mass_ratio,capillary_ratio,label"]
-    for i, a in enumerate(rm.a_axis):
-        for j, c in enumerate(rm.c_axis):
-            lines.append(f"{a:.12g},{c:.12g},{rm.labels[i, j].value}")
-    return "\n".join(lines) + "\n"
+    a_strs = [f"{a:.12g}," for a in rm.a_axis]
+    c_strs = [f"{c:.12g}," for c in rm.c_axis]
+    # a RegionLabel is a str whose characters are its value
+    cells = [a + c + label for a, row in zip(a_strs, rm.labels.tolist())
+             for c, label in zip(c_strs, row)]
+    return "\n".join(["mass_ratio,capillary_ratio,label", *cells]) + "\n"
 
 
 def region_map_json(rm: RegionMap) -> dict:
@@ -752,8 +754,8 @@ def region_map_json(rm: RegionMap) -> dict:
         "contact_angle": rm.contact_angle,
         "a_axis": [float(v) for v in rm.a_axis],
         "c_axis": [float(v) for v in rm.c_axis],
-        "labels": [[rm.labels[i, j].value for j in range(len(rm.c_axis))]
-                   for i in range(len(rm.a_axis))],
+        "labels": [[label.value for label in row]
+                   for row in rm.labels.tolist()],
         "curves": [
             {
                 "kind": c.kind.value,

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,12 +8,15 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import floatcyl
 from floatcyl.cli import _emit_table, main
@@ -424,6 +429,17 @@ class TestTimestamp:
         (["region-map", "--gamma", "2", "--resolution", "3",
           "--format", "json"], "top"),
         (["verify", "--samples", "2", "--format", "json"], "top"),
+        (["verify", "--samples", "2"], "csv"),
+        (["curves", "--gamma", "1", "--A", "1", "--C", "1",
+          "--resolution", "3"], "csv"),
+        (["curves", "--gamma", "1", "--A", "1", "--C", "1",
+          "--resolution", "3", "--format", "json"], "meta"),
+        (["profile", "--gamma", "1", "--A", "1", "--C", "1", "--phi0", "0.5",
+          "--resolution", "3"], "csv"),
+        (["profile", "--gamma", "1", "--A", "1", "--C", "1", "--phi0", "0.5",
+          "--resolution", "3", "--format", "json"], "meta"),
+        (["astar", "--gamma", "2", "--C", "1"], "csv"),
+        (["astar", "--gamma", "2", "--C", "1", "--format", "json"], "meta"),
     ])
     def test_timestamp_lands_in_the_header(self, capsys, argv, where):
         _, plain = run_cli(capsys, argv)
@@ -442,6 +458,88 @@ class TestTimestamp:
         want = json.loads(plain)
         (want["meta"] if where == "meta" else want)["generated_at"] = "<ts>"
         assert json.loads(stamped) == want
+
+
+def _numbers(text, fmt):
+    """Every number a command's stdout holds: each CSV field and header
+    value that parses as a float, or each JSON number."""
+    if fmt == "json":
+        def walk(v):
+            if isinstance(v, dict):
+                v = list(v.values())
+            if isinstance(v, list):
+                return [x for item in v for x in walk(item)]
+            return [v] if isinstance(v, (int, float)) else []
+        return walk(json.loads(text))
+    fields = [f for line in text.splitlines()
+              for f in ([line.split(": ", 1)[1]] if line.startswith("# ")
+                        else line.split(","))]
+    numbers = []
+    for field in fields:
+        try:
+            numbers.append(float(field))
+        except ValueError:
+            pass
+    return numbers
+
+
+# sizes and angles at the edges of the domain: subnormal, tiny and huge
+# floats, and the contact angles at 0, pi/2 and pi and one ulp inside
+_SIZES = [5e-324, 1e-320, 1e-308, 1e-300, 1e-170, 1e-16, 1e-8, 0.5, PI,
+          3.2, 1e8, 1e16, 1e76, 1e150]
+_EDGE_GAMMA = [0.0, 5e-324, math.nextafter(PI / 2, 0.0), PI / 2,
+               math.nextafter(PI / 2, 4.0), math.nextafter(PI, 0.0), PI]
+
+
+class TestEveryPrintedNumberIsFinite:
+    @staticmethod
+    def run(argv):
+        """(exit code, stdout, stderr, warnings) of in-process ``main``."""
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue(), err.getvalue(), caught
+
+    @settings(derandomize=True, max_examples=300, database=None,
+              deadline=None)
+    @given(command=st.sampled_from(["equilibria", "curves", "astar",
+                                    "profile", "region-map-c",
+                                    "region-map-a"]),
+           g=st.sampled_from(_EDGE_GAMMA), a=st.sampled_from(_SIZES),
+           c=st.sampled_from(_SIZES),
+           phi0=st.sampled_from([0.0, 1.0, PI / 2, PI]),
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_every_printed_number_is_finite(self, command, g, a, c, phi0,
+                                            fmt):
+        # a number either prints finite or the command exits with one
+        # error line, and no NumPy warning reaches the user
+        argv = {"equilibria": ["equilibria", "--A", repr(a), "--C", repr(c)],
+                "curves": ["curves", "--A", repr(a), "--C", repr(c),
+                           "--resolution", "5"],
+                "astar": ["astar", "--C", repr(c)],
+                "profile": ["profile", "--A", repr(a), "--C", repr(c),
+                            "--phi0", repr(phi0), "--resolution", "3"],
+                "region-map-c": ["region-map", "--c-max", repr(c),
+                                 "--resolution", "3"],
+                "region-map-a": ["region-map", "--a-max", repr(a),
+                                 "--resolution", "3"]}[command]
+        argv += ["--gamma", repr(g), "--format", fmt]
+        code, out, err, caught = self.run(argv)
+        assert code in (0, 2, 3, 4), argv
+        # exit 3 prints its table as 0 does
+        if code in (0, 3):
+            assert err == "", argv
+            assert all(map(math.isfinite, _numbers(out, fmt))), argv
+        else:
+            assert out == "", argv
+            assert sum("error: " in l for l in err.splitlines()) == 1, argv
+        assert "Warning" not in err and caught == [], argv
 
 
 class TestPlumbing:
